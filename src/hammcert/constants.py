@@ -18,9 +18,14 @@ configuration take precedence when consistent with the computed tight value
 (c-type constants must not exceed it); integral norms are always computed,
 and a declared value that disagrees is flagged, never substituted.
 
-Inner integrals of |k| split panels additionally at sign changes of k,
-located by bisection on a coarse sign pattern, because the absolute value
-introduces kinks at unknown points.
+The grid scans of the integral norms are batched over t:
+``integrate_over_s`` integrates over s for a whole chunk of t at once, with
+the grid, panel breakpoints (fixed, and the moving s = t), sign-root rule
+and golden-section refinement of a one-t-at-a-time scan, so the values are
+the same bit for bit.  Inner integrals of |k| split panels additionally at
+sign changes of k, located by bisection on a coarse sign pattern, because
+the absolute value introduces kinks at unknown points.  The c~ grids are
+reduced column by column as they are evaluated, under the same point budget.
 """
 
 from __future__ import annotations
@@ -33,17 +38,16 @@ import numpy as np
 
 from .errors import ModelViolationError, ConfigError
 from .expr import eval_scalar
-from .kernels import (EnvelopeSpec, KernelDef, eval_dk, eval_k,
-                      s_breakpoints)
-from .quad import QuadConfig, integrate
+from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
+from .quad import QuadConfig, integrate_panels
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec
 
 __all__ = ["Window", "Opt1DConfig", "ConeConstants", "ConstantRecord",
-           "sup_abs_1d", "extremum_1d", "recip_m", "recip_M", "c_tilde",
-           "gamma_c", "assemble_cone_constants", "constants_report",
-           "RECIP_M_READING_NOTE"]
+           "sup_abs_1d", "extremum_1d", "integrate_over_s", "recip_m",
+           "recip_M", "c_tilde", "gamma_c", "assemble_cone_constants",
+           "constants_report", "RECIP_M_READING_NOTE"]
 
 RECIP_M_READING_NOTE = (
     "1/M_i is computed as the infimum over t in [a_i,b_i] of the integral of "
@@ -52,6 +56,12 @@ RECIP_M_READING_NOTE = (
     "resolution, not as rigorous enclosures.")
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Points one batched step may evaluate at once (a chunk of t in the
+# s-integrals, an s-chunk of the kernel grid in c~): bounds the memory of
+# the (t x panel x node) tensors whatever the grid size.
+_POINT_BUDGET = 1 << 18
+_SIGN_SCAN = 256  # coarse cells per panel of the sign-change scan
 
 
 @dataclass(frozen=True)
@@ -97,26 +107,22 @@ def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float):
 
 def extremum_1d(f: Callable, a: float, b: float,
                 cfg: Opt1DConfig | None = None, *, mode: str = "max",
-                breakpoints: Sequence[float] = (), vectorized: bool = False):
+                breakpoints: Sequence[float] = ()):
     """Grid-certified extremum of f over [a, b].
 
-    Returns (value, argpoint, grid_resolution).  The coarse grid includes
-    the supplied breakpoints as nodes; the bracketing triple around the grid
-    optimum is refined by golden-section search and the better of the two
-    results is reported.  For mode "max" the value is a lower bound of the
-    true sup at grid resolution (and symmetrically for "min").
+    f is called once with the whole grid as an array and then with scalar
+    points by the refinement.  Returns (value, argpoint, grid_resolution).
+    The coarse grid includes the supplied breakpoints as nodes; the
+    bracketing triple around the grid optimum is refined by golden-section
+    search and the better of the two results is reported.  For mode "max"
+    the value is a lower bound of the true sup at grid resolution (and
+    symmetrically for "min").
     """
     cfg = cfg or Opt1DConfig()
     if mode not in ("min", "max"):
         raise ValueError(mode)
-    grid = np.linspace(a, b, cfg.coarse_grid + 1)
-    inner = [p for p in breakpoints if a < p < b]
-    if inner:
-        grid = np.unique(np.concatenate((grid, inner)))
-    if vectorized:
-        vals = np.broadcast_to(np.asarray(f(grid), dtype=float), grid.shape)
-    else:
-        vals = np.asarray([float(f(x)) for x in grid])
+    grid = _grid_with(breakpoints, a, b, cfg.coarse_grid)
+    vals = np.broadcast_to(np.asarray(f(grid), dtype=float), grid.shape)
     if np.any(np.isnan(vals)):
         raise ModelViolationError("C1", f"NaN while scanning [{a}, {b}]")
     sign = 1.0 if mode == "min" else -1.0
@@ -133,62 +139,134 @@ def extremum_1d(f: Callable, a: float, b: float,
 
 
 def sup_abs_1d(f: Callable, w: Window, cfg: Opt1DConfig | None = None, *,
-               breakpoints: Sequence[float] = (), vectorized: bool = False):
+               breakpoints: Sequence[float] = ()):
     """Grid-certified sup of |f| over the window; returns (value, argmax)."""
-    if vectorized:
-        g = lambda x: np.abs(f(x))
-    else:
-        g = lambda x: abs(f(x))
-    value, arg, _ = extremum_1d(g, w.a, w.b, cfg, mode="max",
-                                breakpoints=breakpoints, vectorized=vectorized)
+    value, arg, _ = extremum_1d(lambda x: np.abs(f(x)), w.a, w.b, cfg, mode="max",
+                                breakpoints=breakpoints)
     return value, arg
+
+
+def _grid_with(points: Sequence[float], a: float, b: float, n: int) -> np.ndarray:
+    grid = np.linspace(a, b, n + 1)
+    inner = [p for p in points if a < p < b]
+    if inner:
+        grid = np.unique(np.concatenate((grid, inner)))
+    return grid
 
 
 # ---------------------------------------------------------------------------
 # Sign-change location (for integrating |k| accurately)
 
-def _sign_roots(fn: Callable, a: float, b: float, coarse: int = 256) -> list[float]:
-    """Roots of fn in (a,b) located from the coarse-grid sign pattern by
-    bisection.  Strict sign changes are bisected; a grid point where fn
-    vanishes exactly counts only when its neighbors straddle zero (a
-    function that is zero on a whole stretch has no kink in |fn| there)."""
-    xs = np.linspace(a, b, coarse + 1)
-    v = np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
-    roots = [float(x) for x, val, left, right
-             in zip(xs[1:-1], v[1:-1], v[:-2], v[2:])
-             if val == 0.0 and left * right < 0.0]
-    idx = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-    if idx.size:
-        lo, hi = xs[idx].copy(), xs[idx + 1].copy()
-        flo = v[idx].copy()
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            fm = np.broadcast_to(np.asarray(fn(mid), dtype=float), mid.shape)
-            left = flo * fm <= 0.0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            flo = np.where(left, flo, fm)
-        roots.extend(float(x) for x in 0.5 * (lo + hi))
-    return sorted(roots)
+def _panel_sign_roots(fn: Callable, rows: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray):
+    """Roots of fn(r, .) inside each panel (lo[j], hi[j]) of row r = rows[j].
+
+    Each panel is scanned on a coarse grid and every strict sign change is
+    bisected, all panels at once; a grid point where fn vanishes exactly
+    counts only when its neighbors straddle zero (a function that is zero on
+    a whole stretch has no kink in |fn| there).  Returns (rows, roots).
+    """
+    xs = np.linspace(lo, hi, _SIGN_SCAN + 1, axis=-1)
+    v = np.broadcast_to(np.asarray(fn(rows[:, None], xs), dtype=float), xs.shape)
+    zi, zj = np.nonzero((v[:, 1:-1] == 0.0) & (v[:, :-2] * v[:, 2:] < 0.0))
+    bi, bj = np.nonzero(v[:, :-1] * v[:, 1:] < 0.0)
+    b_rows, b_lo, b_hi, f_lo = rows[bi], xs[bi, bj], xs[bi, bj + 1], v[bi, bj]
+    for _ in range(48 if bi.size else 0):
+        mid = 0.5 * (b_lo + b_hi)
+        fm = np.broadcast_to(np.asarray(fn(b_rows, mid), dtype=float), mid.shape)
+        left = f_lo * fm <= 0.0
+        b_hi = np.where(left, mid, b_hi)
+        b_lo = np.where(left, b_lo, mid)
+        f_lo = np.where(left, f_lo, fm)
+    return (np.concatenate((rows[zi], b_rows)),
+            np.concatenate((xs[zi, zj + 1], 0.5 * (b_lo + b_hi))))
+
+
+def _sign_roots(fn: Callable, a: float, b: float) -> list[float]:
+    """Sorted roots of fn in (a, b), by the rule of ``_panel_sign_roots``."""
+    _, roots = _panel_sign_roots(lambda _, x: fn(x), np.zeros(1, dtype=np.intp),
+                                 np.array([a], dtype=float), np.array([b], dtype=float))
+    return sorted(float(x) for x in roots)
+
+
+# ---------------------------------------------------------------------------
+# Integrals over s for many t at once
+
+def integrate_over_s(kd: KernelDef, ts, a: float, b: float, *, order: int = 0,
+                     absolute: bool = False,
+                     quad_cfg: QuadConfig | None = None) -> np.ndarray:
+    """For every t in ts, the integral over s in [a, b] of k(t,s) (order 0)
+    or dk/dt(t,s) (order 1), or of its absolute value.
+
+    Panels split at the fixed breakpoints, at the moving breakpoint s = t
+    (the rule of ``s_breakpoints``) and, for absolute values, at the sign
+    roots of the integrand in each of those panels.  All t then run the
+    adaptive rule of ``integrate`` together (``integrate_panels``), so each
+    value equals, bit for bit, a per-t ``integrate`` with those splits.  t
+    is processed in chunks under a fixed point budget.  Returns an array of
+    the shape of ts.
+    """
+    quad_cfg = quad_cfg or QuadConfig()
+    ts = np.asarray(ts, dtype=float)
+    flat = ts.ravel()
+    per_t = (len(kd.fixed_breakpoints) + 2) * (
+        _SIGN_SCAN + 1 if absolute else 3 * quad_cfg.gauss_order)
+    chunk = max(1, _POINT_BUDGET // per_t)
+    parts = [_s_integrals(kd, flat[i:i + chunk], a, b, order, absolute, quad_cfg)
+             for i in range(0, flat.size, chunk)]
+    return np.concatenate(parts or [flat]).reshape(ts.shape)
+
+
+def _s_integrals(kd: KernelDef, ts: np.ndarray, a: float, b: float, order: int,
+                 absolute: bool, quad_cfg: QuadConfig) -> np.ndarray:
+    evalf = eval_k if order == 0 else eval_dk
+    fn = lambda r, s: evalf(kd, ts[r], s)
+    n = ts.size
+    fixed = np.asarray(kd.fixed_breakpoints, dtype=float)
+    moving = np.full(n, a)
+    if kd.moving_breakpoint:
+        clear = np.all(np.abs(ts[:, None] - fixed) > 1e-14, axis=1)
+        moving = np.where(clear, ts, a)
+    # breakpoints of every t, one row each; entries outside (a, b) become a
+    splits = np.column_stack((np.broadcast_to(fixed, (n, fixed.size)), moving))
+    splits = np.where((a < splits) & (splits < b), splits, a)
+    if absolute:
+        edges = _row_edges(np.sort(splits, axis=1), a, b)
+        r, c = np.nonzero(edges[:, 1:] - edges[:, :-1] > 1e-12)
+        roots = _panel_sign_roots(fn, r, edges[r, c], edges[r, c + 1])
+        splits = np.column_stack((splits, _pad_rows(*roots, n, a)))
+        integrand = lambda r, s: np.abs(np.asarray(fn(r, s), dtype=float))
+    else:
+        integrand = fn
+
+    # panels of integrate's edge rule: inner points only, sorted, and any
+    # edge within 1e-15 of its predecessor dropped
+    inner = np.where((a < splits) & (splits < b), splits, b)
+    edges = _row_edges(np.sort(inner, axis=1), a, b)
+    keep = edges[:, 1:] - edges[:, :-1] > 1e-15
+    edges[:, 1:] = np.where(keep, edges[:, 1:], -np.inf)
+    edges = np.maximum.accumulate(edges, axis=1)  # dropped edges repeat their predecessor
+    r, c = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    return integrate_panels(integrand, r, edges[r, c], edges[r, c + 1], n, quad_cfg)
+
+
+def _row_edges(inner: np.ndarray, a: float, b: float) -> np.ndarray:
+    n = inner.shape[0]
+    return np.column_stack((np.full(n, a), inner, np.full(n, b)))
+
+
+def _pad_rows(rows: np.ndarray, values: np.ndarray, n: int, fill: float) -> np.ndarray:
+    """values grouped into an (n, max count) array by row, padded with fill."""
+    counts = np.bincount(rows, minlength=n)
+    out = np.full((n, int(counts.max(initial=0))), fill)
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    out[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = values[order]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Integral norms of kernels
-
-def _abs_integral_over_s(kd: KernelDef, t: float, order: int,
-                         quad_cfg: QuadConfig) -> float:
-    """Integral over s in [0,1] of |k| (order 0) or |dk/dt| (order 1)."""
-    evalf = eval_k if order == 0 else eval_dk
-    fn = lambda s: evalf(kd, t, s)
-    bps = s_breakpoints(kd, t)
-    splits = list(bps)
-    edges = [0.0] + bps + [1.0]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo > 1e-12:
-            splits.extend(_sign_roots(fn, lo, hi))
-    return integrate(lambda s: np.abs(np.asarray(fn(s), dtype=float)),
-                     0.0, 1.0, sorted(splits), quad_cfg)
-
 
 def recip_m(kd: KernelDef, order: int, quad_cfg: QuadConfig | None = None,
             opt_cfg: Opt1DConfig | None = None) -> float:
@@ -196,8 +274,8 @@ def recip_m(kd: KernelDef, order: int, quad_cfg: QuadConfig | None = None,
     |dk/dt| (order 1); this is the quantity 1/m_l, returned directly."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    quad_cfg = quad_cfg or QuadConfig()
-    g = lambda t: _abs_integral_over_s(kd, float(t), order, quad_cfg)
+    g = lambda t: integrate_over_s(kd, t, 0.0, 1.0, order=order, absolute=True,
+                                   quad_cfg=quad_cfg)
     value, _ = sup_abs_1d(g, Window(0.0, 1.0), opt_cfg,
                           breakpoints=kd.fixed_breakpoints)
     return value
@@ -207,12 +285,7 @@ def recip_M(kd: KernelDef, w: Window, quad_cfg: QuadConfig | None = None,
             opt_cfg: Opt1DConfig | None = None) -> float:
     """inf over t in [a,b] of the signed integral of k(t,s) over s in [a,b];
     this is the quantity 1/M, returned directly."""
-    quad_cfg = quad_cfg or QuadConfig()
-
-    def g(t):
-        bps = [p for p in s_breakpoints(kd, float(t)) if w.a < p < w.b]
-        return integrate(lambda s: eval_k(kd, float(t), s), w.a, w.b, bps, quad_cfg)
-
+    g = lambda t: integrate_over_s(kd, t, w.a, w.b, quad_cfg=quad_cfg)
     value, _, _ = extremum_1d(g, w.a, w.b, opt_cfg, mode="min",
                               breakpoints=kd.fixed_breakpoints)
     return value
@@ -221,24 +294,18 @@ def recip_M(kd: KernelDef, w: Window, quad_cfg: QuadConfig | None = None,
 # ---------------------------------------------------------------------------
 # Window constants
 
-def _chunked_kernel_grid(kd: KernelDef, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """k evaluated on the ts x ss grid, chunked over s to bound memory."""
-    out = np.empty((ts.size, ss.size))
-    block = max(1, int(2 ** 21 // max(ts.size, 1)))
+def _kernel_columns(kd: KernelDef, ts: np.ndarray, ss: np.ndarray,
+                    reduce: Callable) -> np.ndarray:
+    """reduce(k(ts, s)) over t for every s in ss, evaluated in s-chunks under
+    the point budget; the full ts x ss grid is never held."""
+    out = np.empty(ss.size)
+    block = max(1, _POINT_BUDGET // ts.size)
     for j0 in range(0, ss.size, block):
         sj = ss[j0:j0 + block]
-        T, S = np.meshgrid(ts, sj, indexing="ij")
-        out[:, j0:j0 + sj.size] = np.broadcast_to(
-            np.asarray(eval_k(kd, T, S), dtype=float), T.shape)
+        k = np.broadcast_to(np.asarray(eval_k(kd, ts[:, None], sj), dtype=float),
+                            (ts.size, sj.size))
+        out[j0:j0 + sj.size] = reduce(k)
     return out
-
-
-def _grid_with(points: Sequence[float], a: float, b: float, n: int) -> np.ndarray:
-    grid = np.linspace(a, b, n + 1)
-    inner = [p for p in points if a < p < b]
-    if inner:
-        grid = np.unique(np.concatenate((grid, inner)))
-    return grid
 
 
 def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec,
@@ -256,24 +323,22 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec,
     ng = min(opt_cfg.coarse_grid, 2048)
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, ng)
     tw = _grid_with(kd.fixed_breakpoints, w.a, w.b, ng)
-    k_win = _chunked_kernel_grid(kd, tw, ss)
-    m_win = k_win.min(axis=0)
+    m_win = _kernel_columns(kd, tw, ss, lambda k: k.min(axis=0))
+    # the full t grid [0, 1] is the s grid
+    k_max = _kernel_columns(kd, ss, ss, lambda k: np.abs(k).max(axis=0))
 
     if env.mode == "declared":
         phi = np.broadcast_to(
             np.asarray(eval_scalar(env.declared_phi0, {"s": ss}), dtype=float),
             ss.shape).copy()
-        tf = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, ng)
-        k_full = np.abs(_chunked_kernel_grid(kd, tf, ss))
-        worst = np.argmax(k_full.max(axis=0) - phi)
-        gap = k_full[:, worst].max() - phi[worst]
+        worst = np.argmax(k_max - phi)
+        gap = k_max[worst] - phi[worst]
         if gap > 1e-9 * max(1.0, abs(phi[worst])):
             raise ModelViolationError(
                 "C2", f"declared envelope violated: |k| exceeds Phi0 by "
                       f"{gap:.3e} at s={ss[worst]:.6f}")
     else:
-        tf = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, ng)
-        phi = np.abs(_chunked_kernel_grid(kd, tf, ss)).max(axis=0)
+        phi = k_max
 
     mask = phi > 1e-14 * max(1.0, float(phi.max(initial=0.0)))
     if not np.any(mask):
@@ -288,13 +353,13 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec,
 
     def ratio_at(s: float) -> float:
         s = min(max(s, 0.0), 1.0)
-        num, _, _ = extremum_1d(lambda t: float(eval_k(kd, t, s)), w.a, w.b,
-                                inner_cfg, mode="min", breakpoints=[s])
+        k_at_s = lambda t: eval_k(kd, t, s)
+        num, _, _ = extremum_1d(k_at_s, w.a, w.b, inner_cfg, mode="min",
+                                breakpoints=[s])
         if env.mode == "declared":
             den = float(eval_scalar(env.declared_phi0, {"s": s}))
         else:
-            den, _ = sup_abs_1d(lambda t: float(eval_k(kd, t, s)),
-                                Window(0.0, 1.0), inner_cfg, breakpoints=[s])
+            den, _ = sup_abs_1d(k_at_s, Window(0.0, 1.0), inner_cfg, breakpoints=[s])
         if den <= 1e-14:
             return np.inf
         return num / den
@@ -319,11 +384,11 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec,
 def gamma_c(gamma, w: Window, opt_cfg: Opt1DConfig | None = None) -> float:
     """(min over the window of gamma) / sup over [0,1] of |gamma|."""
     g = lambda t: eval_scalar(gamma, {"t": t})
-    sup, _ = sup_abs_1d(g, Window(0.0, 1.0), opt_cfg, vectorized=True)
+    sup, _ = sup_abs_1d(g, Window(0.0, 1.0), opt_cfg)
     if sup <= 0.0:
         raise ModelViolationError("C5", "gamma vanishes identically; its window "
                                          "constant is undefined")
-    wmin, _, _ = extremum_1d(g, w.a, w.b, opt_cfg, mode="min", vectorized=True)
+    wmin, _, _ = extremum_1d(g, w.a, w.b, opt_cfg, mode="min")
     value = wmin / sup
     if value <= 0.0:
         raise ModelViolationError(
@@ -428,11 +493,11 @@ def _assemble_cached(spec: "ProblemSpec", quad_cfg: QuadConfig,
             cg_records.append(_overridable(
                 f"c_{{{i},{j}}}", cg, _nth(decl.get("c_gamma"), j - 1), condition="C5"))
             gsup, _ = sup_abs_1d(lambda t, e=term.gamma.gamma: eval_scalar(e, {"t": t}),
-                                 Window(0.0, 1.0), opt_cfg, vectorized=True)
+                                 Window(0.0, 1.0), opt_cfg)
             gs_records.append(_informational(
                 f"||gamma_{{{i},{j}}}||_inf", gsup, _nth(decl.get("gamma_sup"), j - 1)))
             dsup, _ = sup_abs_1d(lambda t, e=term.gamma.dgamma: eval_scalar(e, {"t": t}),
-                                 Window(0.0, 1.0), opt_cfg, vectorized=True)
+                                 Window(0.0, 1.0), opt_cfg)
             dgs_records.append(_informational(
                 f"||gamma_{{{i},{j}}}'||_inf", dsup, _nth(decl.get("dgamma_sup"), j - 1)))
         records.update({f"c_gamma[{j}]": r for j, r in enumerate(cg_records)})
@@ -496,7 +561,7 @@ def _validate_phi1(kd: KernelDef, phi1, comp_index: int, grid: int = 401) -> Non
 def _kernel_nonneg_on_window(kd: KernelDef, w: Window, grid: int = 201) -> bool:
     ts = _grid_with(kd.fixed_breakpoints, w.a, w.b, grid)
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, grid)
-    return bool(_chunked_kernel_grid(kd, ts, ss).min() >= -1e-12)
+    return bool(_kernel_columns(kd, ts, ss, lambda k: k.min(axis=0)).min() >= -1e-12)
 
 
 def constants_report(spec: "ProblemSpec", cc: Sequence[ConeConstants],

@@ -8,8 +8,10 @@ restores spectral accuracy for piecewise-smooth integrands, which is the
 only class this engine supports (weakly singular or improper integrals are
 rejected by non-convergence).
 
-Integrands are called with numpy arrays of evaluation points and must
-broadcast; scalar-returning constants are handled.
+Integrands are called with numpy arrays of evaluation points and must act
+elementwise and broadcast; scalar-returning constants are handled.
+``integrate_panels`` runs the same rules on many integrands at once, each
+over its own panels, with every row's result bit-identical to ``integrate``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["QuadConfig", "integrate", "gauss_rule", "composite_rule"]
+__all__ = ["QuadConfig", "integrate", "integrate_panels", "gauss_rule",
+           "composite_rule"]
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,8 @@ def _edges(a: float, b: float, breakpoints) -> np.ndarray:
     return edges[keep]
 
 
-def _evaluate(f, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(pts), dtype=float)
+def _evaluate(f, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    vals = np.asarray(f(rows[:, None], pts), dtype=float)
     if vals.shape != pts.shape:
         vals = np.broadcast_to(vals, pts.shape)
     if np.any(np.isnan(vals)):
@@ -92,9 +95,21 @@ def _evaluate(f, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _panel_estimates(f, lo, hi, order):
+def _panel_estimates(f, rows, lo, hi, order):
     pts, wts = _panel_points(lo, hi, order)
-    return np.sum(_evaluate(f, pts) * wts, axis=1)
+    return np.sum(_evaluate(f, rows, pts) * wts, axis=1)
+
+
+def _halves(f, rows, lo, hi, order):
+    """Gauss estimates of both halves of every panel, in one evaluation."""
+    mid = (lo + hi) / 2.0
+    est = _panel_estimates(f, np.concatenate((rows, rows)),
+                           np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
+    return mid, est[:lo.size], est[lo.size:]
+
+
+def _converged(fine, whole, cfg: QuadConfig):
+    return np.abs(fine - whole) <= np.maximum(cfg.rel_tol * np.abs(fine), cfg.abs_tol)
 
 
 def integrate(f, a: float, b: float, breakpoints=(), cfg: QuadConfig | None = None) -> float:
@@ -103,39 +118,102 @@ def integrate(f, a: float, b: float, breakpoints=(), cfg: QuadConfig | None = No
     f is called with numpy arrays of points.  Raises QuadratureError on NaN
     or when a panel fails to converge within cfg.max_subdivisions bisections.
     """
-    cfg = cfg or QuadConfig()
     if a > b:
         raise ValueError(f"integrate: a={a} > b={b}")
     if a == b:
         return 0.0
     edges = _edges(a, b, breakpoints)
-    lo, hi = edges[:-1], edges[1:]
+    rows = np.zeros(edges.size - 1, dtype=np.intp)
+    return float(integrate_panels(lambda _, x: f(x), rows, edges[:-1], edges[1:],
+                                  1, cfg)[0])
 
-    # first pass, batched across panels: whole-panel vs two-half estimates
-    coarse = _panel_estimates(f, lo, hi, cfg.gauss_order)
-    mid = (lo + hi) / 2.0
-    left = _panel_estimates(f, lo, mid, cfg.gauss_order)
-    right = _panel_estimates(f, mid, hi, cfg.gauss_order)
+
+def integrate_panels(f, rows, lo, hi, nrows: int,
+                     cfg: QuadConfig | None = None) -> np.ndarray:
+    """Integrals of ``nrows`` integrands at once, each over its own panels.
+
+    Panel j = [lo[j], hi[j]] belongs to row ``rows[j]``; rows must be
+    nondecreasing and each row's panels given left to right.  f(r, x)
+    evaluates row r's integrand at points x (r broadcasts against x).  Every
+    panel runs the two-rule test of ``integrate``: a panel whose whole-panel
+    and two-half estimates disagree is bisected, level by level across all
+    rows, up to cfg.max_subdivisions times.  Partial sums are added in the
+    order ``integrate`` adds them, so each row's result is bit-identical to
+    ``integrate`` of that integrand over the same panel edges.
+    """
+    cfg = cfg or QuadConfig()
+    order = cfg.gauss_order
+    rows = np.asarray(rows, dtype=np.intp)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+
+    # first pass: whole-panel estimate against the sum of the two halves
+    coarse = _panel_estimates(f, rows, lo, hi, order)
+    mid, left, right = _halves(f, rows, lo, hi, order)
     fine = left + right
-    ok = np.abs(fine - coarse) <= np.maximum(cfg.rel_tol * np.abs(fine), cfg.abs_tol)
+    ok = _converged(fine, coarse, cfg)
+    total = _row_sums(fine[ok], rows[ok], nrows)
 
-    total = float(np.sum(fine[ok]))
-    for j in np.nonzero(~ok)[0]:
-        total += _adapt(f, lo[j], mid[j], float(left[j]), cfg, 1)
-        total += _adapt(f, mid[j], hi[j], float(right[j]), cfg, 1)
+    # failing panels: both halves refined, results added half by half
+    bad = np.nonzero(~ok)[0]
+    if bad.size:
+        node_rows = np.repeat(rows[bad], 2)
+        values = _adapt(f, node_rows, *_halves_of(bad, lo, mid, hi, left, right), cfg)
+        first = np.searchsorted(node_rows, node_rows, side="left")
+        rank = np.arange(node_rows.size) - first
+        for k in range(int(rank.max()) + 1):
+            sel = rank == k
+            total[node_rows[sel]] += values[sel]
     return total
 
 
-def _adapt(f, lo: float, hi: float, whole: float, cfg: QuadConfig, depth: int) -> float:
-    mid = (lo + hi) / 2.0
-    halves = _panel_estimates(f, np.array([lo, mid]), np.array([mid, hi]), cfg.gauss_order)
-    fine = float(halves[0] + halves[1])
-    if abs(fine - whole) <= max(cfg.rel_tol * abs(fine), cfg.abs_tol):
-        return fine
-    if depth >= cfg.max_subdivisions:
-        raise QuadratureError(
-            f"no convergence on [{lo}, {hi}] after {cfg.max_subdivisions} "
-            f"subdivisions (estimate gap {abs(fine - whole):.3e}); the integrand "
-            "is rougher than this engine supports")
-    return (_adapt(f, lo, mid, float(halves[0]), cfg, depth + 1)
-            + _adapt(f, mid, hi, float(halves[1]), cfg, depth + 1))
+def _row_sums(vals: np.ndarray, rows: np.ndarray, nrows: int) -> np.ndarray:
+    """np.sum of each row's values, grouped by row length so numpy's
+    pairwise summation sees exactly the values a one-row sum would."""
+    if nrows == 1:
+        return np.array([np.sum(vals)])
+    counts = np.bincount(rows, minlength=nrows)
+    starts = np.cumsum(counts) - counts
+    total = np.zeros(nrows)
+    for c in np.unique(counts[counts > 0]):
+        sel = np.nonzero(counts == c)[0]
+        total[sel] = np.sum(vals[starts[sel][:, None] + np.arange(c)], axis=1)
+    return total
+
+
+def _halves_of(bad, lo, mid, hi, left, right):
+    """(lo, hi, estimate) of both halves of the panels in bad, interleaved."""
+    pair = lambda x, y: np.stack((x[bad], y[bad]), axis=1).ravel()
+    return pair(lo, mid), pair(mid, hi), pair(left, right)
+
+
+def _adapt(f, rows, lo, hi, whole, cfg: QuadConfig) -> np.ndarray:
+    """Adaptive value of every node [lo, hi] with prior estimate ``whole``.
+
+    Nodes are bisected level by level; a node's value is the sum of its
+    halves' estimates when they match ``whole``, else the sum of its two
+    children's values, exactly the recursion of a depth-first bisection.
+    """
+    levels = []
+    depth = 1
+    while lo.size:
+        mid, left, right = _halves(f, rows, lo, hi, cfg.gauss_order)
+        fine = left + right
+        ok = _converged(fine, whole, cfg)
+        bad = np.nonzero(~ok)[0]
+        if bad.size and depth >= cfg.max_subdivisions:
+            j = bad[0]
+            raise QuadratureError(
+                f"no convergence on [{lo[j]}, {hi[j]}] after {cfg.max_subdivisions} "
+                f"subdivisions (estimate gap {abs(fine[j] - whole[j]):.3e}); the "
+                "integrand is rougher than this engine supports")
+        levels.append((fine, bad))
+        rows = np.repeat(rows[bad], 2)
+        lo, hi, whole = _halves_of(bad, lo, mid, hi, left, right)
+        depth += 1
+    value = None
+    for fine, bad in reversed(levels):
+        if value is not None:
+            fine[bad] = value[0::2] + value[1::2]
+        value = fine
+    return value

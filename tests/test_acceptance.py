@@ -49,10 +49,10 @@ def test_criterion_1_constants_reproduction():
     assert c_tilde(k1, Window(0, 0.375), phi1) == pytest.approx(1 / 3, abs=1e-6)
     g11 = parse_expr("3/4 - t", BOUNDARY_CONTEXT)
     g21 = parse_expr("9/10 - t", BOUNDARY_CONTEXT)
-    assert sup_abs_1d(lambda t: hc.eval_scalar(g11, {"t": t}), Window(0, 1),
-                      vectorized=True)[0] == pytest.approx(0.75, abs=1e-12)
-    assert sup_abs_1d(lambda t: hc.eval_scalar(g21, {"t": t}), Window(0, 1),
-                      vectorized=True)[0] == pytest.approx(0.9, abs=1e-12)
+    assert sup_abs_1d(lambda t: hc.eval_scalar(g11, {"t": t}),
+                      Window(0, 1))[0] == pytest.approx(0.75, abs=1e-12)
+    assert sup_abs_1d(lambda t: hc.eval_scalar(g21, {"t": t}),
+                      Window(0, 1))[0] == pytest.approx(0.9, abs=1e-12)
     assert gamma_c(g21, Window(0, 0.5)) == pytest.approx(4 / 9, abs=1e-9)
     phi2 = EnvelopeSpec("declared", parse_expr("1 - s", ENVELOPE_CONTEXT))
     assert c_tilde(k2, Window(0, 0.5), phi2) == pytest.approx(0.4, abs=1e-3)

@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 import hammcert as hc
-from hammcert import (ConfigError, ModelViolationError, Window, c_tilde,
-                      gamma_c, recip_M, recip_m, sup_abs_1d)
-from hammcert.constants import Opt1DConfig, extremum_1d
+import hammcert.constants as constants_mod
+from hammcert import (ConfigError, ModelViolationError, QuadConfig,
+                      QuadratureError, Window, c_tilde, gamma_c, recip_M,
+                      recip_m, sup_abs_1d)
+from hammcert.constants import Opt1DConfig, extremum_1d, integrate_over_s
 from hammcert.expr import (BOUNDARY_CONTEXT, ENVELOPE_CONTEXT, KERNEL_CONTEXT,
-                           parse_expr)
-from hammcert.kernels import EnvelopeSpec, KernelDef, kernel_from_catalog
+                           Bin, Num, Var, parse_expr)
+from hammcert.kernels import (EnvelopeSpec, KernelDef, eval_dk, eval_k,
+                              kernel_from_catalog, s_breakpoints)
 from conftest import FAST_OPT, single_component_spec
 
 K1 = kernel_from_catalog("example-k1")
@@ -50,13 +55,13 @@ def brute_recip_M2(nt=10_000, ns=10_000):
 class TestSupAbs:
     def test_gamma11_sup(self):
         val, arg = sup_abs_1d(lambda t: hc.eval_scalar(G11, {"t": t}),
-                              Window(0, 1), vectorized=True)
+                              Window(0, 1))
         assert val == pytest.approx(0.75, abs=1e-12)
         assert arg == pytest.approx(0.0, abs=1e-9)
 
     def test_gamma21_sup(self):
         val, arg = sup_abs_1d(lambda t: hc.eval_scalar(G21, {"t": t}),
-                              Window(0, 1), vectorized=True)
+                              Window(0, 1))
         assert val == pytest.approx(0.9, abs=1e-12)
         assert arg == pytest.approx(0.0, abs=1e-9)
 
@@ -67,8 +72,7 @@ class TestSupAbs:
     def test_interior_maximum_refined(self):
         # grid alone cannot hit the argmax of t(1-t); golden refinement must
         val, arg, _ = extremum_1d(lambda t: t * (1 - t), 0.0, 1.0,
-                                  Opt1DConfig(coarse_grid=100), mode="max",
-                                  vectorized=True)
+                                  Opt1DConfig(coarse_grid=100), mode="max")
         assert val == pytest.approx(0.25, abs=1e-12)
         assert arg == pytest.approx(0.5, abs=1e-6)
 
@@ -312,3 +316,171 @@ class TestProperties:
                                  [alpha, t]))
                 for t in np.linspace(0, 1, 41))
             assert val >= signed - 1e-9, (trial, val, signed)
+
+
+# --------------------------------------------------------------------------
+# the batched s-integrals against the per-t scan they replaced
+
+def ref_sign_roots(fn, a, b, coarse=256):
+    """Per-interval sign-root scan: coarse grid, exact zeros that straddle,
+    48 bisections of every strict sign change."""
+    xs = np.linspace(a, b, coarse + 1)
+    v = np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
+    roots = [float(x) for x, val, left, right
+             in zip(xs[1:-1], v[1:-1], v[:-2], v[2:])
+             if val == 0.0 and left * right < 0.0]
+    idx = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    if idx.size:
+        lo, hi = xs[idx].copy(), xs[idx + 1].copy()
+        flo = v[idx].copy()
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            fm = np.broadcast_to(np.asarray(fn(mid), dtype=float), mid.shape)
+            left = flo * fm <= 0.0
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
+            flo = np.where(left, flo, fm)
+        roots.extend(float(x) for x in 0.5 * (lo + hi))
+    return sorted(roots)
+
+
+def ref_abs_integral_over_s(kd, t, order, quad_cfg):
+    """Integral over s in [0,1] of |k| (order 0) or |dk/dt| (order 1) at
+    one t, split at the breakpoints and at the sign roots of each panel."""
+    evalf = eval_k if order == 0 else eval_dk
+    fn = lambda s: evalf(kd, t, s)
+    bps = s_breakpoints(kd, t)
+    splits = list(bps)
+    edges = [0.0] + bps + [1.0]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo > 1e-12:
+            splits.extend(ref_sign_roots(fn, lo, hi))
+    return hc.integrate(lambda s: np.abs(np.asarray(fn(s), dtype=float)),
+                        0.0, 1.0, sorted(splits), quad_cfg)
+
+
+def ref_signed_integral(kd, t, w, quad_cfg):
+    """Integral over s in the window of k(t, s) at one t (the 1/M integrand)."""
+    bps = [p for p in s_breakpoints(kd, t) if w.a < p < w.b]
+    return hc.integrate(lambda s: eval_k(kd, t, s), w.a, w.b, bps, quad_cfg)
+
+
+def _kernel(k, dk, bps=(), moving=False):
+    return KernelDef(parse_expr(k, KERNEL_CONTEXT), parse_expr(dk, KERNEL_CONTEXT),
+                     tuple(bps), moving)
+
+
+# the two smooth kernels of the benchmark's tight configuration
+TIGHT_K1 = _kernel("exp(-s)*(1/2 - t*s)", "-s*exp(-s)")
+TIGHT_K2 = _kernel("exp(t - s)/4 - pos(t - s)", "exp(t - s)/4 - step(t - s)",
+                   moving=True)
+
+
+def random_pl_kernels(count, seed=23):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        a, b, c, d, e = rng.uniform(-1, 1, 5)
+        alpha = rng.uniform(0.1, 0.9)
+        out.append(_kernel(
+            f"{a} + {b}*s + {c}*t + {d}*pos({alpha} - s) + {e}*pos(t - s)",
+            f"{c} + {e}*step(t - s)", (alpha,), True))
+    return out
+
+
+ORACLE_KERNELS = [K1, K2, TIGHT_K1, TIGHT_K2] + random_pl_kernels(20)
+ORACLE_IDS = ["example-k1", "example-k2", "tight-k1", "tight-k2"] + \
+    [f"pl{j}" for j in range(20)]
+
+
+class TestBatchedIntegrals:
+    @pytest.mark.parametrize("kd", ORACLE_KERNELS, ids=ORACLE_IDS)
+    def test_matches_per_t_reference(self, kd):
+        cfg = QuadConfig()
+        ts = np.linspace(0.0, 1.0, 33)
+        for order in (0, 1):
+            got = integrate_over_s(kd, ts, 0.0, 1.0, order=order, absolute=True)
+            ref = [ref_abs_integral_over_s(kd, float(t), order, cfg) for t in ts]
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+        for w in (Window(0.0, 0.375), Window(0.2, 0.9)):
+            ts = np.linspace(w.a, w.b, 33)
+            got = integrate_over_s(kd, ts, w.a, w.b)
+            ref = [ref_signed_integral(kd, float(t), w, cfg) for t in ts]
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    def test_chunking_does_not_change_values(self, monkeypatch):
+        ts = np.linspace(0.0, 1.0, 65)
+        whole = integrate_over_s(TIGHT_K2, ts, 0.0, 1.0, absolute=True)
+        monkeypatch.setattr(constants_mod, "_POINT_BUDGET", 1)  # one t per chunk
+        assert np.array_equal(
+            integrate_over_s(TIGHT_K2, ts, 0.0, 1.0, absolute=True), whole)
+
+    def test_sign_root_on_a_scan_node(self):
+        # an exact zero on a node counts when its neighbours straddle zero,
+        # and a root found by bisection is as good as the scalar scan's
+        assert constants_mod._sign_roots(lambda s: s - 0.5, 0.0, 1.0) == [0.5]
+        fn = lambda s: s - 1 / 3
+        assert constants_mod._sign_roots(fn, 0.0, 1.0) == ref_sign_roots(fn, 0.0, 1.0)
+
+    def test_scalar_t_gives_scalar(self):
+        val = integrate_over_s(K1, 0.25, 0.0, 1.0, absolute=True)
+        assert np.shape(val) == ()
+        assert float(val) == ref_abs_integral_over_s(K1, 0.25, 0, QuadConfig())
+
+
+# float.hex of the computed constants, recorded from the per-t scan; the
+# batched engine must reproduce them bit for bit
+EXAMPLE_PINS = {
+    1: {"c_tilde": "0x1.5555555555555p-2", "recip_m0": "0x1.8000000000000p-2",
+        "recip_m1": "0x1.0000000000000p+0", "recip_M": "0x1.2000000000000p-3"},
+    2: {"c_tilde": "0x1.999999999999ap-2", "recip_m0": "0x1.b333333333335p-2",
+        "recip_m1": "0x1.0000000000000p+0", "recip_M": "0x1.999999999999ap-3"},
+}
+TIGHT_PINS = {
+    1: {"c_tilde": "0x1.0000000000000p-1", "recip_m0": "0x1.43a54e4e98864p-2",
+        "recip_m1": "0x1.0e95393a62190p-2", "recip_M": "0x1.a9e1891fd3cf0p-4"},
+    2: {"c_tilde": "0x1.c5d4dbcdcc9c9p-3", "recip_m0": "0x1.626751aea78c0p-3",
+        "recip_m1": "0x1.240f574eba896p-1", "recip_M": "0x1.45af1e1f40c34p-5"},
+}
+
+
+class TestPinnedConstants:
+    def test_example(self, example_cc):
+        got = {i: {key: example_cc[i - 1].record(key).computed.hex()
+                   for key in EXAMPLE_PINS[i]} for i in EXAMPLE_PINS}
+        assert got == EXAMPLE_PINS
+
+    def test_tight(self):
+        w = Window(0.0, 0.25)
+        got = {i: {"c_tilde": c_tilde(kd, w, EnvelopeSpec("tight")).hex(),
+                   "recip_m0": recip_m(kd, 0).hex(),
+                   "recip_m1": recip_m(kd, 1).hex(),
+                   "recip_M": recip_M(kd, w).hex()}
+               for i, kd in ((1, TIGHT_K1), (2, TIGHT_K2))}
+        assert got == TIGHT_PINS
+
+
+class TestErrorPaths:
+    # sqrt(|s - 1/3|) has an infinite slope at 1/3 that no breakpoint splits
+    ROUGH = _kernel("sqrt(abs(s - 1/3))", "0*t")
+
+    @pytest.mark.parametrize("compute", [
+        lambda kd: recip_m(kd, 0),
+        lambda kd: recip_M(kd, Window(0.0, 1.0)),
+    ], ids=["recip_m0", "recip_M"])
+    def test_rough_kernel_names_its_panel(self, compute):
+        with pytest.raises(QuadratureError, match="no convergence") as err:
+            compute(self.ROUGH)
+        lo, hi = map(float, re.search(r"on \[([^,]+), ([^\]]+)\]",
+                                      str(err.value)).groups())
+        assert lo <= 1 / 3 <= hi
+
+    @pytest.mark.parametrize("compute", [
+        lambda kd: recip_m(kd, 0),
+        lambda kd: recip_M(kd, Window(0.0, 1.0)),
+    ], ids=["recip_m0", "recip_M"])
+    def test_nan_kernel_raises(self, compute):
+        nan_kernel = KernelDef(Bin("*", Num(float("nan")), Var("s")),
+                               parse_expr("0*t", KERNEL_CONTEXT), (), False)
+        with pytest.raises(QuadratureError, match="NaN"):
+            compute(nan_kernel)

@@ -3,7 +3,7 @@ import pytest
 
 from hammcert import QuadConfig, QuadratureError, integrate
 from hammcert.kernels import eval_k, kernel_from_catalog
-from hammcert.quad import composite_rule, gauss_rule
+from hammcert.quad import _edges, composite_rule, gauss_rule, integrate_panels
 
 
 def test_defaults():
@@ -96,3 +96,76 @@ def test_config_validation():
 def test_breakpoints_outside_interval_ignored():
     got = integrate(lambda s: s, 0.2, 0.8, [0.0, 0.1, 0.9, 1.0])
     assert got == pytest.approx((0.8 ** 2 - 0.2 ** 2) / 2, abs=1e-14)
+
+
+# --------------------------------------------------------------------------
+# level-by-level adaptivity against a depth-first recursive reference
+
+def _ref_estimates(f, lo, hi, order):
+    x, w = gauss_rule(order)
+    half = (hi - lo)[:, None] / 2.0
+    mid = (hi + lo)[:, None] / 2.0
+    return np.sum(np.broadcast_to(f(mid + half * x), half.shape[:1] + x.shape)
+                  * (half * w), axis=1)
+
+
+def _ref_adapt(f, lo, hi, whole, cfg, depth):
+    mid = (lo + hi) / 2.0
+    halves = _ref_estimates(f, np.array([lo, mid]), np.array([mid, hi]), cfg.gauss_order)
+    fine = float(halves[0] + halves[1])
+    if abs(fine - whole) <= max(cfg.rel_tol * abs(fine), cfg.abs_tol):
+        return fine
+    if depth >= cfg.max_subdivisions:
+        raise QuadratureError("no convergence")
+    return (_ref_adapt(f, lo, mid, float(halves[0]), cfg, depth + 1)
+            + _ref_adapt(f, mid, hi, float(halves[1]), cfg, depth + 1))
+
+
+def ref_integrate(f, a, b, breakpoints, cfg):
+    """Depth-first recursive bisection with the same two-rule test."""
+    edges = _edges(a, b, breakpoints)
+    lo, hi = edges[:-1], edges[1:]
+    mid = (lo + hi) / 2.0
+    coarse = _ref_estimates(f, lo, hi, cfg.gauss_order)
+    left = _ref_estimates(f, lo, mid, cfg.gauss_order)
+    right = _ref_estimates(f, mid, hi, cfg.gauss_order)
+    fine = left + right
+    ok = np.abs(fine - coarse) <= np.maximum(cfg.rel_tol * np.abs(fine), cfg.abs_tol)
+    total = float(np.sum(fine[ok]))
+    for j in np.nonzero(~ok)[0]:
+        total += _ref_adapt(f, lo[j], mid[j], float(left[j]), cfg, 1)
+        total += _ref_adapt(f, mid[j], hi[j], float(right[j]), cfg, 1)
+    return total
+
+
+ROUGH = [
+    lambda s: np.abs(s - 1 / 3) ** 0.5,
+    lambda s: np.sin(40 * s) * np.exp(s),
+    lambda s: 1 / (1e-3 + (s - 0.4) ** 2),
+    lambda s: np.abs(np.sin(7 * s)),
+]
+
+
+@pytest.mark.parametrize("f", ROUGH)
+def test_adaptivity_matches_recursive_reference(f):
+    rng = np.random.default_rng(5)
+    cfg = QuadConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=40)
+    for _ in range(10):
+        a, b = sorted(rng.uniform(0, 1, 2))
+        bps = list(rng.uniform(0, 1, rng.integers(0, 12)))
+        assert integrate(f, a, b, bps, cfg) == ref_integrate(f, a, b, bps, cfg)
+
+
+def test_panels_rows_match_one_row_integrals():
+    # rows of different panel counts, some adaptive: every row's result is
+    # bit-identical to integrating it alone
+    rng = np.random.default_rng(9)
+    shifts = rng.uniform(0.1, 0.9, 12)
+    edges = [_edges(0.0, 1.0, rng.uniform(0, 1, rng.integers(0, 14))) for _ in shifts]
+    rows = np.concatenate([np.full(e.size - 1, r) for r, e in enumerate(edges)])
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    f = lambda r, s: np.abs(s - shifts[r]) ** 1.5
+    got = integrate_panels(f, rows, lo, hi, shifts.size)
+    for r, e in enumerate(edges):
+        assert got[r] == integrate(lambda s: f(r, s), 0.0, 1.0, e[1:-1])
