@@ -7,6 +7,14 @@ derivative) pairs, which is C1 by construction.  Sup norms are taken over an
 8x oversampled monitoring grid (exact at nodes, a lower bound of the true
 sup with O(h^4) defect).
 
+Interpolation at a point set goes through a Hermite basis: the panel index
+and the cubic basis polynomials of every point, built once per (node
+vector, point set) and kept in a small table keyed by their exact bytes.
+A session only ever interpolates at a handful of point sets (the monitoring
+grid, the Nystrom points, the functional quadrature points, the window
+grids, val/der points), so evaluating a state is a gather plus the same
+arithmetic, in the same order, as building the basis inline would do.
+
 The cone of interest consists of vectors whose i-th component satisfies
 min over the window [a_i, b_i] of u_i >= c_i * sup|u_i|; components may
 change sign outside their window.  The boundary sampler draws random trig
@@ -17,8 +25,10 @@ meant for falsification and property tests, not for exhausting the boundary.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +42,72 @@ __all__ = ["DiscreteState", "StateNorms", "c1_norm", "cone_membership",
            "state_from_csv", "zero_state", "constant_state", "state_from_callables"]
 
 MONITOR_FACTOR = 8  # monitoring grid has MONITOR_FACTOR*N + 1 points
+# Hermite bases are kept for at most this many points over all point sets
+# (about 6 MB); the seven point sets of a session at N = 128 hold 6,020
+BASIS_TABLE_POINTS = 2 ** 16
+
+
+class _HermiteBasis(NamedTuple):
+    """Panel indices and cubic Hermite basis polynomials at a point set."""
+    left: np.ndarray    # panel index, clipped to [0, N-1]
+    right: np.ndarray   # left + 1
+    h: float
+    v00: np.ndarray     # value basis, in the order u0, h*d0, u1, h*d1
+    v10: np.ndarray
+    v01: np.ndarray
+    v11: np.ndarray
+    p00: np.ndarray     # derivative basis, in the order u0/h, d0, u1/h, d1
+    p10: np.ndarray
+    p01: np.ndarray
+    p11: np.ndarray
+
+
+def _build_basis(nodes: np.ndarray, x: np.ndarray) -> _HermiteBasis:
+    left = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    h = nodes[1] - nodes[0]
+    tau = (x - nodes[left]) / h
+    t2 = tau * tau
+    t3 = t2 * tau
+    return _HermiteBasis(left, left + 1, h,
+                         2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + tau, -2 * t3 + 3 * t2,
+                         t3 - t2,
+                         6 * t2 - 6 * tau, 3 * t2 - 4 * tau + 1, -6 * t2 + 6 * tau,
+                         3 * t2 - 2 * tau)
+
+
+class _BasisTable:
+    """Hermite bases of recently used (node vector, point set) pairs, keyed
+    by their exact bytes.  The least recently used go first once the table
+    holds more than ``max_points`` points; a larger point set is built but
+    not kept."""
+
+    def __init__(self, max_points: int):
+        self.max_points = max_points
+        self.points = 0
+        self.builds = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def basis(self, nodes: np.ndarray, x) -> _HermiteBasis:
+        x = np.asarray(x, dtype=float)
+        key = (nodes.tobytes(), x.tobytes(), x.shape)
+        with self._lock:
+            found = self._entries.get(key)
+            if found is not None:
+                self._entries.move_to_end(key)
+                return found
+        built = _build_basis(nodes, x)
+        with self._lock:
+            self.builds += 1
+            if x.size <= self.max_points and key not in self._entries:
+                self._entries[key] = built
+                self.points += x.size
+                while self.points > self.max_points:
+                    self.points -= self._entries.popitem(last=False)[1].left.size
+        return built
+
+
+_BASES = _BasisTable(BASIS_TABLE_POINTS)
 
 
 @dataclass(eq=False)
@@ -39,7 +115,6 @@ class DiscreteState:
     nodes: np.ndarray          # shape (N+1,), uniform, includes 0 and 1
     values: np.ndarray         # shape (n, N+1)
     derivatives: np.ndarray    # shape (n, N+1)
-    functional_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -50,7 +125,7 @@ class DiscreteState:
         if self.nodes[0] != 0.0 or self.nodes[-1] != 1.0:
             raise ValueError("nodes must span [0, 1]")
         h = np.diff(self.nodes)
-        if not np.allclose(h, h[0], rtol=0, atol=1e-12):
+        if not np.all(np.abs(h - h[0]) <= 1e-12):
             raise ValueError("nodes must be uniform")
         if self.values.shape != (self.n, self.nodes.size) or \
                 self.derivatives.shape != self.values.shape:
@@ -67,37 +142,26 @@ class DiscreteState:
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[1:-1]
 
-    def _locate(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.nodes, x, side="right") - 1,
-                      0, self.nodes.size - 2)
-        h = self.nodes[1] - self.nodes[0]
-        tau = (x - self.nodes[idx]) / h
-        return idx, tau, h
+    def value(self, comp, x):
+        """Hermite interpolant of component ``comp`` (0-based) at x.
 
-    def value(self, comp: int, x):
-        """Hermite interpolant of component ``comp`` (0-based) at x."""
-        idx, tau, h = self._locate(x)
-        u0 = self.values[comp, idx]
-        u1 = self.values[comp, idx + 1]
-        d0 = self.derivatives[comp, idx]
-        d1 = self.derivatives[comp, idx + 1]
-        t2 = tau * tau
-        t3 = t2 * tau
-        return (u0 * (2 * t3 - 3 * t2 + 1) + h * d0 * (t3 - 2 * t2 + tau)
-                + u1 * (-2 * t3 + 3 * t2) + h * d1 * (t3 - t2))
+        ``comp`` indexes the component axis: an int gives an array shaped
+        like x, ``slice(None)`` every component at once, shaped (n,) + x.shape.
+        """
+        b = _BASES.basis(self.nodes, x)
+        u, d = self.values[comp], self.derivatives[comp]
+        u0, u1 = u.take(b.left, axis=-1), u.take(b.right, axis=-1)
+        d0, d1 = d.take(b.left, axis=-1), d.take(b.right, axis=-1)
+        return u0 * b.v00 + b.h * d0 * b.v10 + u1 * b.v01 + b.h * d1 * b.v11
 
-    def derivative(self, comp: int, x):
-        """Derivative of the Hermite interpolant; matches the stored
-        derivative values exactly at nodes."""
-        idx, tau, h = self._locate(x)
-        u0 = self.values[comp, idx]
-        u1 = self.values[comp, idx + 1]
-        d0 = self.derivatives[comp, idx]
-        d1 = self.derivatives[comp, idx + 1]
-        t2 = tau * tau
-        return (u0 * (6 * t2 - 6 * tau) / h + d0 * (3 * t2 - 4 * tau + 1)
-                + u1 * (-6 * t2 + 6 * tau) / h + d1 * (3 * t2 - 2 * tau))
+    def derivative(self, comp, x):
+        """Derivative of the Hermite interpolant, indexed like ``value``;
+        matches the stored derivative values exactly at nodes."""
+        b = _BASES.basis(self.nodes, x)
+        u, d = self.values[comp], self.derivatives[comp]
+        u0, u1 = u.take(b.left, axis=-1), u.take(b.right, axis=-1)
+        d0, d1 = d.take(b.left, axis=-1), d.take(b.right, axis=-1)
+        return u0 * b.p00 / b.h + d0 * b.p10 + u1 * b.p01 / b.h + d1 * b.p11
 
     def monitor_grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, MONITOR_FACTOR * self.num_panels + 1)
@@ -141,13 +205,9 @@ class StateNorms:
 
 def c1_norm(u: DiscreteState) -> StateNorms:
     grid = u.monitor_grid()
-    sup, supd, c1 = [], [], []
-    for i in range(u.n):
-        si = float(np.max(np.abs(u.value(i, grid))))
-        di = float(np.max(np.abs(u.derivative(i, grid))))
-        sup.append(si)
-        supd.append(di)
-        c1.append(max(si, di))
+    sup = np.max(np.abs(u.value(slice(None), grid)), axis=1).tolist()
+    supd = np.max(np.abs(u.derivative(slice(None), grid)), axis=1).tolist()
+    c1 = [max(si, di) for si, di in zip(sup, supd)]
     return StateNorms(tuple(sup), tuple(supd), tuple(c1), max(c1))
 
 
@@ -169,16 +229,19 @@ def cone_membership(u: DiscreteState, cc: Sequence[ConeConstants],
     if len(cc) != u.n:
         raise ValueError("one ConeConstants record per component required")
     grid = u.monitor_grid()
+    sups = np.max(np.abs(u.value(slice(None), grid)), axis=1).tolist()
     margins = []
     for i, cci in enumerate(cc):
-        a, b = cci.window.a, cci.window.b
-        wgrid = grid[(grid >= a) & (grid <= b)]
-        wgrid = np.unique(np.concatenate((wgrid, [a, b])))
-        window_min = float(np.min(u.value(i, wgrid)))
-        sup = float(np.max(np.abs(u.value(i, grid))))
-        margins.append(window_min - cci.c * sup)
+        window_min = float(np.min(u.value(i, _window_grid(grid, cci))))
+        margins.append(window_min - cci.c * sups[i])
     member = all(m >= -slack for m in margins)
     return MembershipVerdict(member, tuple(margins))
+
+
+def _window_grid(grid: np.ndarray, cci: ConeConstants) -> np.ndarray:
+    """Monitoring grid points in the component's window, plus its ends."""
+    a, b = cci.window.a, cci.window.b
+    return np.unique(np.concatenate((grid[(grid >= a) & (grid <= b)], [a, b])))
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +297,13 @@ def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
             derivs[i] = ders
         u = DiscreteState(nodes, values, derivs)
         grid = u.monitor_grid()
+        # u shares ``values``; each shift below touches only its own row
+        sups = np.max(np.abs(u.value(slice(None), grid)), axis=1).tolist()
         for i, cci in enumerate(cc):
             if cci.c >= 1.0 - 1e-12:
                 continue
-            a, b = cci.window.a, cci.window.b
-            wgrid = grid[(grid >= a) & (grid <= b)]
-            wgrid = np.unique(np.concatenate((wgrid, [a, b])))
-            sup = float(np.max(np.abs(u.value(i, grid))))
-            wmin = float(np.min(u.value(i, wgrid)))
-            shift = max(0.0, (cci.c * sup - wmin) / (1.0 - cci.c))
+            wmin = float(np.min(u.value(i, _window_grid(grid, cci))))
+            shift = max(0.0, (cci.c * sups[i] - wmin) / (1.0 - cci.c))
             values[i] += shift
         u = DiscreteState(nodes, values, derivs)
         norm = c1_norm(u).overall

@@ -18,7 +18,10 @@ quadrature panel splitting, never by the point value).
 
 ASTs are immutable after parse and evaluation is pure, so expressions are
 safe to evaluate concurrently.  Evaluation accepts numpy arrays in the
-environment and broadcasts.
+environment and broadcasts.  ``eval_scalar`` compiles an AST once into
+numpy closures held by its nodes; they make the tree walk's numpy calls and
+domain checks in its left-to-right order, so values and errors are
+unchanged.  Functionals are still interpreted by a tree walk of their own.
 """
 
 from __future__ import annotations
@@ -50,50 +53,61 @@ __all__ = [
 # AST nodes
 
 
+class _Node:
+    """Base of the AST nodes.  ``eval_scalar`` stores a node's compiled
+    closure in its ``__dict__``, outside the dataclass fields, so equality
+    and hashing ignore it; pickling leaves it out too."""
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     name: str  # 'e' or 'pi'
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str  # neg | exp | log | abs | sqrt | pos | step
     arg: "ScalarExpr"
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str  # + - * / ^
     left: "ScalarExpr"
     right: "ScalarExpr"
 
 
 @dataclass(frozen=True)
-class Val:
+class Val(_Node):
     """Point evaluation u_i(t0); component index is 1-based."""
     index: int
     t0: float
 
 
 @dataclass(frozen=True)
-class Der:
+class Der(_Node):
     """Point evaluation of the derivative u_i'(t0); 1-based index."""
     index: int
     t0: float
 
 
 @dataclass(frozen=True)
-class Integral:
+class Integral(_Node):
     """Integral over [0,1] of a scalar body in the {s, u*, du*} context."""
     body: "ScalarExpr"
 
@@ -358,61 +372,129 @@ def eval_scalar(expr: ScalarExpr, env: Mapping[str, object]):
     """Evaluate in double precision; env values may be floats or numpy arrays.
 
     Raises EvalDomainError naming the offending subexpression for log of a
-    nonpositive value, sqrt of a negative value, or division by zero.
+    nonpositive value, sqrt of a negative value, or division by zero.  The
+    AST is compiled on first use into closures that the node keeps.
+    """
+    try:
+        fn = expr._compiled
+    except AttributeError:
+        fn = _compile(expr)[0]
+    return fn(env)
+
+
+def _compile(expr):
+    """(closure, is_constant) of a scalar AST node.
+
+    Each closure applies the node's operation to its children's results,
+    left operand first, with the interpreter's exact numpy calls and domain
+    checks.  A subtree without variables is evaluated once here and its
+    closure returns the stored result; a subtree whose evaluation raises
+    keeps its closure, so the error still surfaces at evaluation time.
     """
     if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Const):
-        return _CONSTANTS[expr.name]
-    if isinstance(expr, Var):
+        value = expr.value
+        fn, const = (lambda env: value), True
+    elif isinstance(expr, Const):
+        value = _CONSTANTS[expr.name]
+        fn, const = (lambda env: value), True
+    elif isinstance(expr, Var):
+        fn, const = _compile_var(expr.name), False
+    elif isinstance(expr, Unary):
+        arg, const = _compile(expr.arg)
+        fn = _compile_unary(expr, arg)
+    elif isinstance(expr, Bin):
+        left, lconst = _compile(expr.left)
+        right, rconst = _compile(expr.right)
+        fn, const = _compile_bin(expr, left, right), lconst and rconst
+    else:
+        def fn(env):
+            raise TypeError(f"not a scalar expression: {expr!r}")
+        return fn, False
+    if const and not isinstance(expr, (Num, Const)):
         try:
-            return env[expr.name]
+            value = fn({})
+        except Exception:  # fn raises it again when evaluated
+            pass
+        else:
+            fn = lambda env: value
+    object.__setattr__(expr, "_compiled", fn)
+    return fn, const
+
+
+def _compile_var(name):
+    def fn(env):
+        try:
+            return env[name]
         except KeyError:
-            raise EvalDomainError(f"unbound variable {expr.name!r}", expr.name) from None
-    if isinstance(expr, Unary):
-        x = eval_scalar(expr.arg, env)
-        op = expr.op
-        if op == "neg":
+            raise EvalDomainError(f"unbound variable {name!r}", name) from None
+    return fn
+
+
+def _compile_unary(expr, arg):
+    op = expr.op
+    if op == "neg":
+        def fn(env):
+            x = arg(env)
             return -x if not isinstance(x, np.ndarray) else np.negative(x)
-        if op == "exp":
+        return fn
+    if op == "exp":
+        def fn(env):
+            x = arg(env)
             with np.errstate(over="ignore"):
                 return _check_finite(np.exp(x), expr)
-        if op == "log":
+        return fn
+    if op == "log":
+        def fn(env):
+            x = arg(env)
             if np.any(np.asarray(x) <= 0.0):
                 raise EvalDomainError("log of a nonpositive value", render(expr))
             return np.log(x)
-        if op == "abs":
-            return np.abs(x)
-        if op == "sqrt":
+        return fn
+    if op == "abs":
+        return lambda env: np.abs(arg(env))
+    if op == "sqrt":
+        def fn(env):
+            x = arg(env)
             if np.any(np.asarray(x) < 0.0):
                 raise EvalDomainError("sqrt of a negative value", render(expr))
             return np.sqrt(x)
-        if op == "pos":
-            return np.maximum(x, 0.0)
-        if op == "step":
+        return fn
+    if op == "pos":
+        return lambda env: np.maximum(arg(env), 0.0)
+    if op == "step":
+        def fn(env):
+            x = arg(env)
             return np.where(np.asarray(x) > 0.0, 1.0, 0.0) if isinstance(x, np.ndarray) \
                 else (1.0 if x > 0.0 else 0.0)
-        raise AssertionError(op)
-    if isinstance(expr, Bin):
-        a = eval_scalar(expr.left, env)
-        b = eval_scalar(expr.right, env)
-        op = expr.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
+        return fn
+    raise AssertionError(op)
+
+
+def _compile_bin(expr, left, right):
+    op = expr.op
+    if op == "+":
+        return lambda env: left(env) + right(env)
+    if op == "-":
+        return lambda env: left(env) - right(env)
+    if op == "*":
+        return lambda env: left(env) * right(env)
+    if op == "/":
+        def fn(env):
+            a = left(env)
+            b = right(env)
             if np.any(np.asarray(b) == 0.0):
                 raise EvalDomainError("division by zero", render(expr))
             return a / b
-        if op == "^":
+        return fn
+    if op == "^":
+        def fn(env):
+            a = left(env)
+            b = right(env)
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 r = np.power(a, b)
             return _check_finite(r, expr)
-        raise AssertionError(op)
-    raise TypeError(f"not a scalar expression: {expr!r}")
+        return fn
+    raise AssertionError(op)
 
 
 def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
@@ -425,15 +507,7 @@ def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
     When ``nonneg_condition`` is given (``"C7"`` for h-typed, ``"C8"`` for
     w-typed functionals) a negative result raises ModelViolationError.
     """
-    quad = quad or QuadConfig()
-    cache = getattr(u, "functional_cache", None)
-    key = (render(fx), quad)
-    if cache is not None and key in cache:
-        value = cache[key]
-    else:
-        value = float(_eval_fn(fx, u, quad))
-        if cache is not None:
-            cache[key] = value
+    value = float(_eval_fn(fx, u, quad or QuadConfig()))
     if nonneg_condition is not None and value < 0.0:
         raise ModelViolationError(
             nonneg_condition,
@@ -454,10 +528,12 @@ def _eval_fn(fx, u, quad):
         body = fx.body
 
         def integrand(s):
+            vals = u.value(slice(None), s)
+            ders = u.derivative(slice(None), s)
             env = {"s": s}
             for k in range(u.n):
-                env[f"u{k + 1}"] = u.value(k, s)
-                env[f"du{k + 1}"] = u.derivative(k, s)
+                env[f"u{k + 1}"] = vals[k]
+                env[f"du{k + 1}"] = ders[k]
             return eval_scalar(body, env)
 
         return integrate(integrand, 0.0, 1.0, u.interior_nodes(), quad)

@@ -78,8 +78,8 @@ def composite_rule(a: float, b: float, breakpoints, order: int):
 
 
 def _edges(a: float, b: float, breakpoints) -> np.ndarray:
-    bps = () if breakpoints is None else breakpoints
-    inner = np.asarray([p for p in bps if a < p < b], dtype=float)
+    bps = np.asarray(() if breakpoints is None else breakpoints, dtype=float)
+    inner = bps[(a < bps) & (bps < b)]
     edges = np.concatenate(([a], np.sort(inner), [b]))
     keep = np.concatenate(([True], np.diff(edges) > 1e-15))
     return edges[keep]

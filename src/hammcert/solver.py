@@ -104,8 +104,8 @@ class _NystromOperator:
               quad: QuadConfig) -> DiscreteState:
         spec = self.spec
         n = spec.n
-        uq = [u.value(i, self.pts) for i in range(n)]
-        duq = [u.derivative(i, self.pts) for i in range(n)]
+        uq = u.value(slice(None), self.pts)
+        duq = u.derivative(slice(None), self.pts)
         values = np.zeros((n, self.nodes.size))
         derivs = np.zeros_like(values)
         for i, comp in enumerate(spec.components):

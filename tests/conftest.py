@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +52,30 @@ def example_solution(example_spec, example_cc):
                                rho_interval=(1e-3, 1.0))
     assert rep.converged
     return rep
+
+
+# the benchmark's smooth-kernel configuration, read but never written here
+TIGHT_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "tight.cfg"
+
+
+@pytest.fixture(scope="session")
+def tight_spec():
+    return hc.load_config(TIGHT_CONFIG)
+
+
+@pytest.fixture(scope="session")
+def tight_cc(tight_spec):
+    return hc.assemble_cone_constants(tight_spec)
+
+
+def digest(obj) -> str:
+    """sha256 of an object's sorted-key JSON; floats are written by repr,
+    so the digest changes when any float changes by one bit."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def state_digest(u) -> str:
+    return hashlib.sha256(u.values.tobytes() + u.derivatives.tobytes()).hexdigest()
 
 
 def single_component_spec(kernel, *, lam=1.0, f="1", w="1", window=(0.0, 0.375),

@@ -5,6 +5,7 @@ import pytest
 import hammcert as hc
 from hammcert import (ComponentBounds, DeclaredBounds, HBounds,
                       estimate_ranges, falsify_bounds)
+from conftest import digest, state_digest
 
 
 def with_bounds(db, comp_index, **changes):
@@ -149,3 +150,53 @@ def test_declared_bounds_invariants():
         HBounds(lo=3.0, hi=1.0)
     with pytest.raises(ValueError, match="rho"):
         DeclaredBounds(0.0, ())
+
+
+def planted_bounds(spec, x):
+    """Declared bounds all equal to x.  At x = 0 every upper bound fails and
+    at x = 100 every lower bound does, so the report records the extreme
+    sampled value of every functional and f-box, with its witness."""
+    return DeclaredBounds(1.0, tuple(ComponentBounds(
+        w_lo=x, w_hi=x, f_hi=x, f_lo=x, delta_tilde=x, xi_tilde=x,
+        h=tuple(HBounds(lo=x, hi=x, delta=x, xi=x) for _ in comp.gammas))
+        for comp in spec.components))
+
+
+def report_pins(spec, cc):
+    out = {}
+    for key, db, ball in (("upper", planted_bounds(spec, 0.0), False),
+                          ("lower", planted_bounds(spec, 100.0), True)):
+        rep = falsify_bounds(spec, cc, db, samples=100, seed=7, include_interior=ball)
+        out[key] = [digest(rep.as_dict()),
+                    digest([state_digest(v.witness) for v in rep.violations
+                            if v.witness is not None])]
+    out["estimate"] = digest(estimate_ranges(spec, cc, 1.0, samples=100, seed=7))
+    return out
+
+
+# recorded before Hermite bases were tabulated and the DSL compiled; every
+# falsify and estimate report must stay bit-identical (recorded with numpy
+# 2.4.6 on x86-64, whose exp/sin/cos may differ in the last bit elsewhere)
+REPORT_PINS = {
+    "example": {
+        "upper": ["09710013f3c49fdd43876dd516fb9c27dcd23e0cc17bc87d328b667676b6c291",
+                  "c1fdb419241598a0357a0a3beb6f190d8399ccdc4ede84a6c5c4ed8dbeadc81f"],
+        "lower": ["11a3c5e72caae40d1be1a481ae4ef2a1616215bf9eb241f479705da5b70dca1f",
+                  "d468bfa6fe8444601224a2124baf143aaebcda1f22bb8db7f31ad3637e943ee8"],
+        "estimate": "d86cfdbe6a45e3ba712dedc2bf9b6898581f1c971730502ff7fc19361ce1ded1",
+    },
+    "tight": {
+        "upper": ["5f53ba5d30b1a7c113b34ca6d993263df6013c417b614c7125365c4819211924",
+                  "953a6e13e168053e6b36761d29123fa7e7ce2926242d70f977c366cb95f5d362"],
+        "lower": ["4e12cdad8eba393c0d38ee5c14892460c973e10e0b97f3dda4a48adf655f2a9e",
+                  "7729c4fe4003c9fea5351bb6c9cb5677e651880920ec2b400909ba4b21a0268a"],
+        "estimate": "96b81ae56d1a7f1444a3d60310dd848d44b5ea1ac332abdb11686dd61e4c3c76",
+    },
+}
+
+
+@pytest.mark.parametrize("config", ["example", "tight"])
+def test_reports_pinned(config, request):
+    spec = request.getfixturevalue(f"{config}_spec")
+    cc = request.getfixturevalue(f"{config}_cc")
+    assert report_pins(spec, cc) == REPORT_PINS[config]

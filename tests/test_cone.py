@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import hammcert as hc
+import hammcert.cone as cone_mod
 from hammcert import (DiscreteState, c1_norm, cone_membership, constant_state,
-                      sample_cone_boundary, state_from_csv, state_to_csv,
-                      zero_state)
+                      falsify_bounds, sample_cone_boundary, state_from_csv,
+                      state_to_csv, zero_state)
 from hammcert.cone import sample_cone_boundary_rng
+from hammcert.quad import _panel_points
 from conftest import trig_state
 
 
@@ -156,3 +158,128 @@ class TestCsv:
         assert np.array_equal(u.nodes, v.nodes)
         assert np.array_equal(u.values, v.values)
         assert np.array_equal(u.derivatives, v.derivatives)
+
+
+# ---------------------------------------------------------------------------
+# Tabulated Hermite bases against the per-call interpolation they replaced
+
+def ref_locate(u, x):
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(u.nodes, x, side="right") - 1,
+                  0, u.nodes.size - 2)
+    h = u.nodes[1] - u.nodes[0]
+    tau = (x - u.nodes[idx]) / h
+    return idx, tau, h
+
+
+def ref_value(u, comp, x):
+    idx, tau, h = ref_locate(u, x)
+    u0 = u.values[comp, idx]
+    u1 = u.values[comp, idx + 1]
+    d0 = u.derivatives[comp, idx]
+    d1 = u.derivatives[comp, idx + 1]
+    t2 = tau * tau
+    t3 = t2 * tau
+    return (u0 * (2 * t3 - 3 * t2 + 1) + h * d0 * (t3 - 2 * t2 + tau)
+            + u1 * (-2 * t3 + 3 * t2) + h * d1 * (t3 - t2))
+
+
+def ref_derivative(u, comp, x):
+    idx, tau, h = ref_locate(u, x)
+    u0 = u.values[comp, idx]
+    u1 = u.values[comp, idx + 1]
+    d0 = u.derivatives[comp, idx]
+    d1 = u.derivatives[comp, idx + 1]
+    t2 = tau * tau
+    return (u0 * (6 * t2 - 6 * tau) / h + d0 * (3 * t2 - 4 * tau + 1)
+            + u1 * (-6 * t2 + 6 * tau) / h + d1 * (3 * t2 - 2 * tau))
+
+
+def same_bits(got, want) -> bool:
+    return np.shape(got) == np.shape(want) and \
+        np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def session_point_sets(u):
+    """The point sets a session interpolates at, and edge cases."""
+    edges = u.nodes
+    mid = (edges[:-1] + edges[1:]) / 2
+    panels, _ = _panel_points(edges[:-1], edges[1:], 8)
+    halves, _ = _panel_points(np.concatenate((edges[:-1], mid)),
+                              np.concatenate((mid, edges[1:])), 8)
+    rng = np.random.default_rng(31)
+    return {"monitor": u.monitor_grid(), "panels": panels, "halves": halves,
+            "nystrom": panels.ravel(), "nodes": u.nodes,
+            "ends": np.array([0.0, 1.0]), "zero": 0.0, "one": 1.0, "half": 0.5,
+            "scalar": 0.3, "random-2d": rng.uniform(0, 1, (7, 5))}
+
+
+ORACLE_STATES = {
+    "trig": lambda: trig_state(6, n=2),
+    "arange128": lambda: DiscreteState(np.arange(129) / 128, *trig_values(129)),
+    # passes the uniformity check but differs from linspace at 10 nodes
+    "arange100": lambda: DiscreteState(np.arange(101) / 100, *trig_values(101)),
+    "linspace100": lambda: DiscreteState(np.linspace(0, 1, 101), *trig_values(101)),
+}
+
+
+def trig_values(size):
+    u = trig_state(12, n=2, num_panels=size - 1)
+    return u.values, u.derivatives
+
+
+class TestHermiteOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_STATES))
+    def test_bit_identical(self, name):
+        u = ORACLE_STATES[name]()
+        for key, x in session_point_sets(u).items():
+            for _ in range(2):  # builds the basis, then reuses it
+                for comp in range(u.n):
+                    assert same_bits(u.value(comp, x), ref_value(u, comp, x)), key
+                    assert same_bits(u.derivative(comp, x),
+                                     ref_derivative(u, comp, x)), key
+                every = slice(None)
+                assert same_bits(u.value(every, x),
+                                 np.stack([ref_value(u, c, x) for c in range(u.n)])), key
+                assert same_bits(u.derivative(every, x), np.stack(
+                    [ref_derivative(u, c, x) for c in range(u.n)])), key
+
+    def test_keyed_on_nodes_not_count(self):
+        # the same 101-node count and points on two different node vectors
+        a, b = ORACLE_STATES["linspace100"](), ORACLE_STATES["arange100"]()
+        assert not np.array_equal(a.nodes, b.nodes)
+        x = np.linspace(0, 1, 1001)
+        for u in (a, b, a):
+            assert same_bits(u.value(0, x), ref_value(u, 0, x))
+            assert same_bits(u.derivative(1, x), ref_derivative(u, 1, x))
+
+    def test_values_read_at_call_time(self):
+        u = trig_state(2, n=2)
+        x = u.monitor_grid()
+        u.value(0, x)
+        u.values[0] *= 3.0  # the table holds bases, never state values
+        assert same_bits(u.value(0, x), ref_value(u, 0, x))
+
+
+class TestBasisTable:
+    def test_falsify_reuses_its_bases(self, example_spec, example_cc):
+        db = example_spec.bounds_at(1.0)
+        falsify_bounds(example_spec, example_cc, db, samples=1, seed=4)
+        builds, entries = cone_mod._BASES.builds, len(cone_mod._BASES._entries)
+        falsify_bounds(example_spec, example_cc, db, samples=20, seed=5)
+        assert (cone_mod._BASES.builds, len(cone_mod._BASES._entries)) == (builds, entries)
+
+    def test_table_is_bounded(self):
+        table = cone_mod._BASES
+        u = trig_state(1)
+        sizes = 1000 + np.arange(3 * table.max_points // 1000)
+        for size in sizes:  # three times more points than the table keeps
+            x = np.linspace(0, 1, size)
+            assert same_bits(u.value(0, x), ref_value(u, 0, x))
+            assert table.points <= table.max_points
+        assert len(table._entries) < sizes.size
+        # a point set larger than the whole table is built but not kept
+        x = np.linspace(0, 1, table.max_points + 1)
+        kept = len(table._entries)
+        assert same_bits(u.derivative(0, x), ref_derivative(u, 0, x))
+        assert len(table._entries) == kept and table.points <= table.max_points

@@ -1,11 +1,14 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hammcert import (DslSyntaxError, EvalDomainError, eval_functional,
                       eval_scalar, parse_expr, parse_functional, render)
-from hammcert.expr import (KERNEL_CONTEXT, Bin, Unary,
+from hammcert.expr import (KERNEL_CONTEXT, Bin, Const, Num, Unary, Var,
                            nonlinearity_context, parse_constant)
 from conftest import trig_state
 
@@ -201,3 +204,152 @@ def test_parse_constant_accepts_numbers_and_strings():
     assert parse_constant("1/(1+e)") == pytest.approx(1 / (1 + math.e))
     with pytest.raises(DslSyntaxError):
         parse_constant(True)
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluator against the tree-walking interpreter it replaced
+
+def _ref_check_finite(value, node):
+    if not np.all(np.isfinite(np.asarray(value))):
+        raise EvalDomainError("non-finite result", render(node))
+    return value
+
+
+def ref_eval_scalar(expr, env):
+    """The recursive interpreter, kept as the oracle of eval_scalar."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Const):
+        return {"e": math.e, "pi": math.pi}[expr.name]
+    if isinstance(expr, Var):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise EvalDomainError(f"unbound variable {expr.name!r}", expr.name) from None
+    if isinstance(expr, Unary):
+        x = ref_eval_scalar(expr.arg, env)
+        op = expr.op
+        if op == "neg":
+            return -x if not isinstance(x, np.ndarray) else np.negative(x)
+        if op == "exp":
+            with np.errstate(over="ignore"):
+                return _ref_check_finite(np.exp(x), expr)
+        if op == "log":
+            if np.any(np.asarray(x) <= 0.0):
+                raise EvalDomainError("log of a nonpositive value", render(expr))
+            return np.log(x)
+        if op == "abs":
+            return np.abs(x)
+        if op == "sqrt":
+            if np.any(np.asarray(x) < 0.0):
+                raise EvalDomainError("sqrt of a negative value", render(expr))
+            return np.sqrt(x)
+        if op == "pos":
+            return np.maximum(x, 0.0)
+        if op == "step":
+            return np.where(np.asarray(x) > 0.0, 1.0, 0.0) if isinstance(x, np.ndarray) \
+                else (1.0 if x > 0.0 else 0.0)
+        raise AssertionError(op)
+    a = ref_eval_scalar(expr.left, env)
+    b = ref_eval_scalar(expr.right, env)
+    op = expr.op
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if np.any(np.asarray(b) == 0.0):
+            raise EvalDomainError("division by zero", render(expr))
+        return a / b
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        r = np.power(a, b)
+    return _ref_check_finite(r, expr)
+
+
+CONTEXTS = {"kernel": KERNEL_CONTEXT, "nonlinearity": nonlinearity_context(2)}
+NUMBERS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3, 1e300]),
+                    st.floats(0.0, 50.0, allow_subnormal=False))
+SCALARS = st.one_of(st.floats(-5.0, 5.0, allow_subnormal=False),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+ARRAYS = st.lists(st.one_of(st.floats(0.05, 5.0), SCALARS),
+                  min_size=4, max_size=4).map(np.array)
+ENV_VALUES = {"scalar": SCALARS, "array": ARRAYS, "mixed": st.one_of(SCALARS, ARRAYS)}
+
+
+# constant subtrees that always fail, so that both operands of a node can
+# fail and the order in which they are evaluated shows
+FAILING = st.sampled_from(["log(0)", "sqrt(0 - 1)", "1/0", "exp(1000)"]).map(
+    lambda text: parse_expr(text, frozenset()))
+
+
+def ast_strategy(names):
+    leaves = st.one_of(NUMBERS.map(Num), st.sampled_from(["e", "pi"]).map(Const),
+                       st.sampled_from(sorted(names)).map(Var), FAILING)
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "exp", "log", "abs", "sqrt",
+                                          "pos", "step"]), sub),
+        st.builds(Bin, st.sampled_from(list("+-*/^")), sub, sub)), max_leaves=12)
+
+
+@st.composite
+def expr_and_env(draw):
+    context = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
+    # render and parse, so the tree is one the grammar produces
+    expr = parse_expr(render(draw(ast_strategy(context))), context)
+    # a variable may be left unbound, which must fail at the same node
+    names = draw(st.lists(st.sampled_from(sorted(context)), unique=True,
+                          min_size=len(context) - 1, max_size=len(context)))
+    values = ENV_VALUES[draw(st.sampled_from(sorted(ENV_VALUES)))]
+    return expr, {name: draw(values) for name in names}
+
+
+def _outcome(fn, expr, env):
+    try:
+        with np.errstate(all="ignore"):
+            return "value", fn(expr, env)
+    except EvalDomainError as err:
+        return "error", (str(err), err.subexpr)
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(expr_and_env())
+def test_compiled_matches_interpreter(case):
+    expr, env = case
+    kind, want = _outcome(ref_eval_scalar, expr, env)
+    for _ in range(2):  # first call compiles, second reuses the closures
+        got_kind, got = _outcome(eval_scalar, expr, env)
+        assert got_kind == kind
+        if kind == "error":
+            assert got == want
+        else:
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("op", list("+-*/^"))
+def test_left_operand_fails_first(op):
+    expr = parse_expr(f"log(0) {op} sqrt(0 - 1)", frozenset())
+    assert _outcome(eval_scalar, expr, {}) == _outcome(ref_eval_scalar, expr, {})
+
+
+def test_compiled_tree_keeps_eq_hash_and_pickles():
+    text = "exp(-s)*(1/2 - t*s)"
+    expr = parse_expr(text, KERNEL_CONTEXT)
+    fresh = parse_expr(text, KERNEL_CONTEXT)
+    eval_scalar(expr, {"t": 0.5, "s": 0.25})
+    assert expr == fresh and hash(expr) == hash(fresh)
+    again = pickle.loads(pickle.dumps(expr))
+    assert again == expr
+    assert eval_scalar(again, {"t": 0.5, "s": 0.25}) == eval_scalar(expr, {"t": 0.5, "s": 0.25})
+
+
+def test_failing_constant_subtree_raises_at_evaluation():
+    # log(0 - 1) cannot be folded; t is unbound and is evaluated first
+    expr = parse_expr("t + log(0 - 1)", frozenset({"t"}))
+    with pytest.raises(EvalDomainError, match="unbound variable 't'"):
+        eval_scalar(expr, {})
+    with pytest.raises(EvalDomainError, match="log of a nonpositive"):
+        eval_scalar(expr, {"t": 1.0})

@@ -4,8 +4,9 @@ import pytest
 from hammcert import (DiscreteState, ModelViolationError, Params, SolverConfig,
                       apply_T, cone_membership, localization_check, residual,
                       solve_fixed_point, zero_state)
+from hammcert.certify import SweepAxis, sweep
 from hammcert.cone import sample_cone_boundary_rng
-from conftest import single_component_spec, trig_state
+from conftest import digest, single_component_spec, state_digest, trig_state
 
 
 def parabola(nodes, peak):
@@ -177,3 +178,45 @@ class TestConeInvariance:
             u = sample_cone_boundary_rng(example_spec, example_cc, 1.0, rng)
             Tu = apply_T(example_spec, u)
             assert cone_membership(Tu, example_cc, slack=1e-9).member
+
+
+def session_pins(spec, cc):
+    rep = solve_fixed_point(spec, cc=cc, rho_interval=(1e-3, 1.0))
+    # criterion 9's lambda1 x eta11 grid, with nonexistence at every point
+    axes = [SweepAxis("lambda1", 0.0, 0.1, 11), SweepAxis("eta11", 0.0, 0.5, 11)]
+    swept = sweep(spec, cc, axes, mode="Sstar", db1=spec.bounds_at(1e-3),
+                  db2=spec.bounds_at(1.0), i0=1,
+                  nonexistence={"db": spec.bounds_at(1.0), "setI": [2], "setJ": [1]})
+    return {"state": state_digest(rep.state), "iterations": rep.iterations,
+            "residual": rep.residual.hex(),
+            "margins": [m.hex() for m in rep.membership.margins],
+            "sweep": digest(swept.rows),
+            "zero_residual": residual(spec, zero_state(spec.n, spec.solver.nodes)).hex()}
+
+
+# recorded before Hermite bases were tabulated and the DSL compiled; the
+# solved state, the sweep rows and the zero-state residual must not move
+# (recorded with numpy 2.4.6 on x86-64, as REPORT_PINS in test_bounds.py)
+SESSION_PINS = {
+    "example": {
+        "state": "acd8faf823813dd4b45e7964e82eba6c300c6749e131b59c6fa4b0fd53c22690",
+        "iterations": 31, "residual": "0x1.216ed80000000p-34",
+        "margins": ["0x1.29a4203aed788p-7", "0x0.0p+0"],
+        "sweep": "d20dbf9451b64878575eafcc2dd9035ebfbc14cf109d56002de0a7ac1a905701",
+        "zero_residual": "0x1.999999999999ap-5",
+    },
+    "tight": {
+        "state": "e2069b5fd2ee4aeab3a0bc464abdd37e4f3285aa08802c694815930ec748409a",
+        "iterations": 29, "residual": "0x1.66d1ed0000000p-34",
+        "margins": ["0x1.312a6e1de08e8p-8", "0x0.0p+0"],
+        "sweep": "093282cda723053b0031ffa4ce83c84148f19208a3bf4384cdfdb4a36063eee5",
+        "zero_residual": "0x1.02eaa50bad385p-6",
+    },
+}
+
+
+@pytest.mark.parametrize("config", ["example", "tight"])
+def test_session_outputs_pinned(config, request):
+    spec = request.getfixturevalue(f"{config}_spec")
+    cc = request.getfixturevalue(f"{config}_cc")
+    assert session_pins(spec, cc) == SESSION_PINS[config]
