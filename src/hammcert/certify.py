@@ -431,7 +431,10 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     ``nonexistence``, when given, is {"db": DeclaredBounds, "setI": [...],
     "setJ": [...]}; without it only existence is evaluated.  A point
     certified both ways under the same declared bounds is a contradiction
-    and aborts the sweep with a full dump.
+    and aborts the sweep with a full dump.  Each point's nonexistence
+    certificate checks whether the zero state solves the system; the
+    operator evaluates T(0)'s contributions once per spec and only combines
+    them with each point's parameters.
     """
     from .problem import Params
 

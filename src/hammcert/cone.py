@@ -259,8 +259,9 @@ def _random_trig(rng: np.random.Generator, nodes: np.ndarray):
     ders = np.zeros_like(nodes)
     for d in range(1, TRIG_DEGREE + 1):
         w = 2.0 * np.pi * d
-        vals += a[d] * np.cos(w * nodes) + b[d - 1] * np.sin(w * nodes)
-        ders += w * (-a[d] * np.sin(w * nodes) + b[d - 1] * np.cos(w * nodes))
+        cos, sin = np.cos(w * nodes), np.sin(w * nodes)
+        vals += a[d] * cos + b[d - 1] * sin
+        ders += w * (-a[d] * sin + b[d - 1] * cos)
     return vals, ders
 
 

@@ -19,7 +19,7 @@ where applicable, the violated model condition (C1..C8, see README).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .bounds import ComponentBounds, DeclaredBounds, HBounds
@@ -119,6 +119,23 @@ class ProblemSpec:
     opt: Opt1DConfig
     solver: SolverConfig
     seed: int = 0
+
+    def __hash__(self):
+        # the dataclass hash, kept in the instance __dict__ (outside the
+        # fields, so equality ignores it): the spec keys the operator and
+        # constants caches, and hashing it walks every AST node
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # string hashes differ between processes, so the memo is not pickled
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def bounds_at(self, rho: float) -> DeclaredBounds:
         for db in self.bounds:

@@ -1,11 +1,17 @@
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from hammcert import (DiscreteState, ModelViolationError, Params, SolverConfig,
-                      apply_T, cone_membership, localization_check, residual,
-                      solve_fixed_point, zero_state)
+import hammcert as hc
+from hammcert import (DiscreteState, EvalDomainError, ModelViolationError, Params,
+                      SolverConfig, apply_T, cone_membership, localization_check,
+                      residual, solve_fixed_point, zero_state)
+from hammcert import constants, solver
 from hammcert.certify import SweepAxis, sweep
 from hammcert.cone import sample_cone_boundary_rng
+from hammcert.expr import eval_functional, eval_scalar
 from conftest import digest, single_component_spec, state_digest, trig_state
 
 
@@ -220,3 +226,165 @@ def test_session_outputs_pinned(config, request):
     spec = request.getfixturevalue(f"{config}_spec")
     cc = request.getfixturevalue(f"{config}_cc")
     assert session_pins(spec, cc) == SESSION_PINS[config]
+
+
+def ref_apply(op, u, params, quad):
+    """The operator application as one loop over components, evaluating
+    every functional and nonlinearity on u at each call."""
+    spec = op.spec
+    n = spec.n
+    uq = u.value(slice(None), op.pts)
+    duq = u.derivative(slice(None), op.pts)
+    values = np.zeros((n, op.nodes.size))
+    derivs = np.zeros_like(values)
+    for i, comp in enumerate(spec.components):
+        lam = params.lambdas[i]
+        if lam > 0.0:
+            w_i = eval_functional(comp.w, u, quad, nonneg_condition="C8")
+            env = {"t": op.pts, "w": w_i}
+            for k in range(n):
+                env[f"u{k + 1}"] = uq[k]
+                env[f"du{k + 1}"] = duq[k]
+            F = np.broadcast_to(np.asarray(eval_scalar(comp.f, env), dtype=float),
+                                op.pts.shape)
+            fmin = float(F.min())
+            if fmin < -1e-12:
+                j = int(np.argmin(F))
+                raise ModelViolationError(
+                    "C4", f"nonlinearity of component {i + 1} is negative "
+                          f"({fmin:.3e}) at s={op.pts[j]:.6f}")
+            wf = op.wts * F
+            values[i] += lam * (op.k_val[i] @ wf)
+            derivs[i] += lam * (op.k_der[i] @ wf)
+        for j, term in enumerate(comp.gammas):
+            eta = params.etas[i][j]
+            if eta > 0.0:
+                h_ij = eval_functional(term.h, u, quad, nonneg_condition="C7")
+                values[i] += eta * h_ij * op.gamma_val[i][j]
+                derivs[i] += eta * h_ij * op.gamma_der[i][j]
+    return DiscreteState(op.nodes, values, derivs)
+
+
+def assert_same_image(spec, u, params, quad=None):
+    quad = quad or spec.quad
+    op = solver._operator(spec, u.num_panels, quad.gauss_order)
+    got = apply_T(spec, u, quad, params)
+    ref = ref_apply(op, u, params, quad)
+    assert got.nodes.tobytes() == ref.nodes.tobytes()
+    assert state_digest(got) == state_digest(ref)
+    return state_digest(got)
+
+
+class TestSplitOperatorOracle:
+    @pytest.mark.parametrize("config", ["example", "tight"])
+    def test_matches_reference(self, config, request):
+        spec = request.getfixturevalue(f"{config}_spec")
+        cc = request.getfixturevalue(f"{config}_cc")
+        base = Params.from_spec(spec)
+        param_sets = [base,
+                      base.with_overrides({"lambda1": 0, "eta21": 0}),
+                      base.with_overrides({"lambda2": 0, "eta11": 0}),
+                      base.with_overrides({"lambda1": 0, "lambda2": 0}),
+                      base.with_overrides({"eta11": 0, "eta21": 0})]
+        nodes = np.linspace(0.0, 1.0, 129)
+        neg_zero = np.full((2, nodes.size), -0.0)
+        states = [sample_cone_boundary_rng(spec, cc, rho, np.random.default_rng(seed))
+                  for seed, rho in ((1, 1.0), (2, 1e-3), (3, 0.5))]
+        states += [DiscreteState(nodes, neg_zero, np.zeros_like(neg_zero)),
+                   DiscreteState(nodes, np.zeros_like(neg_zero), neg_zero),
+                   # zero values on nodes whose bytes differ from linspace's
+                   DiscreteState(np.arange(101) / 100, np.zeros((2, 101)),
+                                 np.zeros((2, 101)))]
+        for u in states:
+            for params in param_sets:
+                assert_same_image(spec, u, params)
+        # only +0.0 bytes on the operator's own nodes make the zero state
+        for u in states:
+            op = solver._operator(spec, u.num_panels, spec.quad.gauss_order)
+            assert op._is_zero(zero_state(2, u.num_panels))
+            assert not op._is_zero(u)
+        # the zero state, with its contributions evaluated afresh, then kept
+        solver._operator(spec, 128, spec.quad.gauss_order)._zero_terms.clear()
+        for params in param_sets:
+            for _ in range(2):
+                assert_same_image(spec, zero_state(2, 128), params)
+
+    def test_zero_state_contributions_kept_per_quad(self):
+        # a kink at s = 1/3, off the nodes, makes h depend on the tolerances
+        spec = single_component_spec(
+            "example-k1", envelope={"phi0": "3/4"},
+            gammas=[{"gamma": "example-gamma11", "eta": 0.5,
+                     "h": "int(sqrt(abs(s - 1/3)))"}])
+        coarse = hc.QuadConfig(rel_tol=1e-4, abs_tol=1e-6)
+        params = Params.from_spec(spec)
+        images = [assert_same_image(spec, zero_state(1, 128), params, quad)
+                  for quad in (spec.quad, coarse, spec.quad, coarse)]
+        assert images[0] != images[1]
+
+    def test_sweep_evaluates_each_zero_state_functional_once(
+            self, example_spec, example_cc, monkeypatch):
+        spec = example_spec
+        solver._operator.cache_clear()
+        seen = []
+
+        def counting(fx, *args, **kwargs):
+            seen.append(fx)
+            return eval_functional(fx, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "eval_functional", counting)
+        axes = [SweepAxis("lambda1", 0.0, 0.1, 11), SweepAxis("eta11", 0.0, 0.5, 11)]
+        swept = sweep(spec, example_cc, axes, mode="Sstar",
+                      db1=spec.bounds_at(1e-3), db2=spec.bounds_at(1.0), i0=1,
+                      nonexistence={"db": spec.bounds_at(1.0), "setI": [2],
+                                    "setJ": [1]})
+        assert len(swept.rows) == 121
+        functionals = [c.w for c in spec.components] + \
+            [g.h for c in spec.components for g in c.gammas]
+        assert sorted(map(id, seen)) == sorted(map(id, functionals))
+
+    def test_failing_contribution_raises_at_every_point(self):
+        spec = single_component_spec(
+            "example-k1", f="w", w="1/int(u1^2)", envelope={"phi0": "3/4"},
+            gammas=[{"gamma": "example-gamma11", "eta": 0.5,
+                     "h": "val(1, 1/2)^2 + 1"}])
+        op = solver._operator(spec, 128, spec.quad.gauss_order)
+        z = zero_state(1, 128)
+        base = Params.from_spec(spec)
+        lambdas = SweepAxis("lambda1", 0.0, 0.1, 5).grid().tolist()
+        for lam in lambdas + lambdas[::-1]:
+            params = base.with_overrides({"lambda1": lam})
+            if lam == 0.0:
+                assert_same_image(spec, z, params)
+                assert np.any(apply_T(spec, z, params=params).values != 0.0)
+                continue
+            with pytest.raises(EvalDomainError) as ref_err:
+                ref_apply(op, z, params, spec.quad)
+            for _ in range(2):
+                with pytest.raises(EvalDomainError) as err:
+                    apply_T(spec, z, params=params)
+                assert str(err.value) == str(ref_err.value)
+
+
+class TestSpecHash:
+    def test_equal_specs_hash_equal_and_stable(self, example_spec):
+        again = hc.load_config(hc.example_config_path())
+        assert again == example_spec and again is not example_spec
+        field_hash = hash(tuple(getattr(again, f.name) for f in fields(again)))
+        assert hash(again) == field_hash
+        assert hash(again) == hash(again) == hash(example_spec)
+
+    def test_pickle_leaves_the_memo_out(self, example_spec):
+        hash(example_spec)
+        assert "_hash" in example_spec.__dict__
+        copy = pickle.loads(pickle.dumps(example_spec))
+        assert copy == example_spec
+        assert "_hash" not in copy.__dict__
+        assert hash(copy) == hash(example_spec)
+
+    def test_equal_specs_share_cache_entries(self, example_cc):
+        a = hc.load_config(hc.example_config_path())
+        b = hc.load_config(hc.example_config_path())
+        assert solver._operator(a, 128, a.quad.gauss_order) is \
+            solver._operator(b, 128, b.quad.gauss_order)
+        assert constants._assemble_cached(a, a.quad, a.opt) is \
+            constants._assemble_cached(b, b.quad, b.opt)
