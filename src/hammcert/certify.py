@@ -28,16 +28,17 @@ with positive coefficient raises MissingBoundError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .bounds import DeclaredBounds
+from .cone import zero_state
 from .constants import ConeConstants
 from .errors import ConfigError, ContradictionError, MissingBoundError
 from .quad import QuadConfig
+from .solver import _effective_params, residual
 
 if TYPE_CHECKING:
     from .problem import Params, ProblemSpec
@@ -158,7 +159,7 @@ def check_I1(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
              params: "Params | None" = None) -> Certificate:
     """Index-1 growth condition at radius db.rho; certified iff the max over
     components and derivative orders of the lhs stays <= rho."""
-    params = _eff(spec, params)
+    params = _effective_params(spec, params)
     _check_shape(spec, db)
     rho = db.rho
     rows = []
@@ -202,7 +203,7 @@ def check_I0(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
              params: "Params | None" = None) -> Certificate:
     """Index-0 condition at radius db.rho; certified iff the min over
     components of the lhs is >= 1 (non-strict, as displayed)."""
-    params = _eff(spec, params)
+    params = _effective_params(spec, params)
     _check_shape(spec, db)
     rows = []
     used = {}
@@ -227,7 +228,7 @@ def check_I0_star(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                   params: "Params | None" = None) -> Certificate:
     """Single-component index-0 condition: only component i0's growth is
     restricted, via the declared f_lo on the sign-restricted box."""
-    params = _eff(spec, params)
+    params = _effective_params(spec, params)
     _check_shape(spec, db)
     if not (1 <= i0 <= spec.n):
         raise ConfigError("i0", f"component index out of range 1..{spec.n}")
@@ -263,7 +264,7 @@ def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     rho1 with I1 at rho2.  In mode Sstar with i0 unspecified, each component
     is tried in turn and the first certified one is used.
     """
-    params = _eff(spec, params)
+    params = _effective_params(spec, params)
     if db1.rho >= db2.rho:
         raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {db1.rho} >= {db2.rho}")
     if mode not in ("S", "Sstar"):
@@ -304,22 +305,11 @@ def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                        tuple(dict.fromkeys(notes)), children=(inner, outer))
 
 
-def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                             db: DeclaredBounds, setI: Sequence[int],
-                             setJ: Sequence[int],
-                             params: "Params | None" = None,
-                             quad: QuadConfig | None = None) -> Certificate:
-    """At-most-zero-solutions certificate on the closed ball of radius db.rho.
-
-    Bounds here are declared over the closed ball (not just the boundary).
-    Both displayed comparisons are strict.  The zero state's residual is
-    evaluated as well: only when the zero state fails to satisfy the system
-    does a certified verdict mean "no solutions at all" in the ball.
-    """
-    from .solver import residual
-    from .cone import zero_state
-
-    params = _eff(spec, params)
+def _nonexistence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants],
+                       db: DeclaredBounds, setI: Sequence[int], setJ: Sequence[int],
+                       params: "Params") -> tuple[list[int], list[int], list[Row], dict]:
+    """The validated partition {I, J} (sorted), the nonexistence rows at
+    radius db.rho (I rows, then J rows) and the constants each row uses."""
     _check_shape(spec, db)
     setI, setJ = sorted(set(setI)), sorted(set(setJ))
     if set(setI) & set(setJ) or set(setI) | set(setJ) != set(range(1, spec.n + 1)):
@@ -346,6 +336,24 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
         used[i] = {"c_tilde", "recip_M"} | \
             {f"c_gamma[{j}]" for j in range(len(comp.gammas))} | \
             {f"gamma_sup[{j}]" for j in range(len(comp.gammas))}
+    return setI, setJ, rows, used
+
+
+def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
+                             db: DeclaredBounds, setI: Sequence[int],
+                             setJ: Sequence[int],
+                             params: "Params | None" = None,
+                             quad: QuadConfig | None = None) -> Certificate:
+    """At-most-zero-solutions certificate on the closed ball of radius db.rho.
+
+    Bounds here are declared over the closed ball (not just the boundary).
+    Both displayed comparisons are strict.  The zero state's residual is
+    evaluated as well: only when the zero state fails to satisfy the system
+    does a certified verdict mean "no solutions at all" in the ball.
+    """
+    params = _effective_params(spec, params)
+    setI, setJ, rows, used = _nonexistence_rows(spec, cc, db, setI, setJ, params)
+    rho = db.rho
     certified = all(r.holds for r in rows)
     binding = min(rows, key=lambda r: r.margin) if rows else None
     prov, notes = _constant_provenance(cc, used)
@@ -368,13 +376,6 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     return Certificate("NIJ", (rho,), tuple(rows), certified,
                        binding.label if binding else "", _params_dict(params),
                        prov, tuple(notes))
-
-
-def _eff(spec: "ProblemSpec", params: "Params | None") -> "Params":
-    if params is not None:
-        return params
-    from .problem import Params
-    return Params.from_spec(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +430,12 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     certified or undetermined.
 
     ``nonexistence``, when given, is {"db": DeclaredBounds, "setI": [...],
-    "setJ": [...]}; without it only existence is evaluated.  A point
-    certified both ways under the same declared bounds is a contradiction
-    and aborts the sweep with a full dump.  Each point's nonexistence
-    certificate checks whether the zero state solves the system; the
-    operator evaluates T(0)'s contributions once per spec and only combines
-    them with each point's parameters.
+    "setJ": [...]}; without it only existence is evaluated.  A point's
+    nonexistence verdict, binding row and margin come from the inequality
+    rows alone, so T(0) is never evaluated here; ``nonexistence_certificate``
+    reports the zero-state residual.  A point certified both ways under the
+    same declared bounds is a contradiction and aborts the sweep with a full
+    dump of both certificates.
     """
     from .problem import Params
 
@@ -446,25 +447,27 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
         overrides = {ax.name: float(grids[k][combo[k]]) for k, ax in enumerate(axes)}
         params = base.with_overrides(overrides)
         exist = existence_certificate(spec, cc, db1, db2, mode, i0, params)
-        nonex = None
+        nonex_rows = None
         if nonexistence is not None:
+            nonex_rows = _nonexistence_rows(
+                spec, cc, nonexistence["db"], nonexistence["setI"],
+                nonexistence["setJ"], params)[2]
+        nonex_certified = nonex_rows is not None and all(r.holds for r in nonex_rows)
+        if exist.certified and nonex_certified:
             nonex = nonexistence_certificate(
                 spec, cc, nonexistence["db"], nonexistence["setI"],
                 nonexistence["setJ"], params)
-        if exist.certified and nonex is not None and nonex.certified:
             raise ContradictionError(
                 f"grid point {overrides} certified both for existence and "
                 "nonexistence under the same declared bounds",
                 {"point": overrides, "existence": exist.as_dict(),
                  "nonexistence": nonex.as_dict()})
-        if exist.certified:
-            verdict, cert = "existence-certified", exist
-        elif nonex is not None and nonex.certified:
-            verdict, cert = "nonexistence-certified", nonex
+        if nonex_certified:
+            verdict = "nonexistence-certified"
+            binding_row = min(nonex_rows, key=lambda r: r.margin)
         else:
-            verdict = "undetermined"
-            cert = exist
-        binding_row = next((r for r in cert.rows if r.label == cert.binding), None)
-        rows.append({**overrides, "verdict": verdict, "binding": cert.binding,
-                     "margin": binding_row.margin if binding_row else math.nan})
+            verdict = "existence-certified" if exist.certified else "undetermined"
+            binding_row = next(r for r in exist.rows if r.label == exist.binding)
+        rows.append({**overrides, "verdict": verdict, "binding": binding_row.label,
+                     "margin": binding_row.margin})
     return SweepResult(axes, rows)

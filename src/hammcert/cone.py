@@ -166,9 +166,6 @@ class DiscreteState:
     def monitor_grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, MONITOR_FACTOR * self.num_panels + 1)
 
-    def copy_with(self, values: np.ndarray, derivatives: np.ndarray) -> "DiscreteState":
-        return DiscreteState(self.nodes, values, derivatives)
-
 
 def zero_state(n: int, num_panels: int = 128) -> DiscreteState:
     nodes = np.linspace(0.0, 1.0, num_panels + 1)

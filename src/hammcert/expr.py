@@ -552,7 +552,10 @@ def _eval_fn(fx, u, quad):
         fn = {"exp": math.exp, "log": math.log, "abs": abs, "sqrt": math.sqrt,
               "pos": lambda v: max(v, 0.0),
               "step": lambda v: 1.0 if v > 0.0 else 0.0}[fx.op]
-        return fn(x)
+        try:
+            return fn(x)
+        except OverflowError:
+            raise EvalDomainError("non-finite result", render(fx)) from None
     if isinstance(fx, Bin):
         a = _eval_fn(fx.left, u, quad)
         b = _eval_fn(fx.right, u, quad)
@@ -566,7 +569,10 @@ def _eval_fn(fx, u, quad):
             if b == 0.0:
                 raise EvalDomainError("division by zero", render(fx))
             return a / b
-        r = math.pow(a, b) if (a >= 0 or float(b).is_integer()) else math.nan
+        try:
+            r = math.pow(a, b) if (a >= 0 or float(b).is_integer()) else math.nan
+        except (OverflowError, ValueError):  # e.g. 10^400, or 0^-1
+            r = math.nan
         if not math.isfinite(r):
             raise EvalDomainError("non-finite result", render(fx))
         return r

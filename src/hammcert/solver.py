@@ -15,14 +15,7 @@ iterations and are precomputed once, making one application two matrix-
 vector products per component.
 
 The functional values w_i[u] and h_ij[u] are frozen per application, so the
-iteration is Picard in the functional terms as well.  An application splits
-into the state's parameter-free contributions (component i's kernel term,
-which carries w_i and f_i, and each h_ij), evaluated only where their
-coefficient is positive, and their affine combination with the parameters.
-The zero state's contributions are kept on the operator, one set per
-QuadConfig, so the zero-state residual that every nonexistence certificate
-computes evaluates each functional once per spec, not once per parameter
-point; a contribution whose evaluation raises is not kept.  Damped iteration
+iteration is Picard in the functional terms as well.  Damped iteration
 u <- (1-alpha) u + alpha T(u) runs until the discrete C1 residual meets the
 tolerance; on stagnation the damping is halved once before the run is
 declared non-convergent.  Non-convergence is a reportable outcome, not a
@@ -107,99 +100,40 @@ class _NystromOperator:
                 eval_scalar(g.gamma.dgamma, {"t": nodes}), dtype=float), nodes.shape)
                 for g in comp.gammas])
 
-        # the zero state's contributions, one set per QuadConfig
-        self._zero = zero_state(spec.n, num_panels)
-        self._zero_terms: dict[QuadConfig, _StateTerms] = {}
-
-    def _is_zero(self, u: DiscreteState) -> bool:
-        """True iff u has this operator's nodes and every byte of its values
-        and derivatives is zero (so a -0.0 entry is not the zero state)."""
-        return not (u.values.any() or u.derivatives.any()
-                    or np.signbit(u.values).any() or np.signbit(u.derivatives).any()) \
-            and u.n == self.spec.n and u.nodes.tobytes() == self.nodes.tobytes()
-
     def apply(self, u: DiscreteState, params: "Params",
               quad: QuadConfig) -> DiscreteState:
-        if self._is_zero(u):
-            terms = self._zero_terms.get(quad)
-            if terms is None:
-                terms = self._zero_terms[quad] = _StateTerms(self, self._zero, quad)
-        else:
-            terms = _StateTerms(self, u, quad)
-        return self.combine(terms, params)
-
-    def combine(self, terms: "_StateTerms", params: "Params") -> DiscreteState:
-        """T(u) as the affine combination of u's contributions with the
-        parameters; a contribution is requested only when its coefficient is
-        positive, in component order, kernel term first."""
-        values = np.zeros((self.spec.n, self.nodes.size))
+        spec = self.spec
+        n = spec.n
+        uq = u.value(slice(None), self.pts)
+        duq = u.derivative(slice(None), self.pts)
+        values = np.zeros((n, self.nodes.size))
         derivs = np.zeros_like(values)
-        for i, comp in enumerate(self.spec.components):
+        for i, comp in enumerate(spec.components):
             lam = params.lambdas[i]
             if lam > 0.0:
-                kv, kd = terms.kernel(i)
-                values[i] += lam * kv
-                derivs[i] += lam * kd
-            for j in range(len(comp.gammas)):
+                w_i = eval_functional(comp.w, u, quad, nonneg_condition="C8")
+                env = {"t": self.pts, "w": w_i}
+                for k in range(n):
+                    env[f"u{k + 1}"] = uq[k]
+                    env[f"du{k + 1}"] = duq[k]
+                F = np.broadcast_to(np.asarray(eval_scalar(comp.f, env), dtype=float),
+                                    self.pts.shape)
+                fmin = float(F.min())
+                if fmin < -1e-12:
+                    j = int(np.argmin(F))
+                    raise ModelViolationError(
+                        "C4", f"nonlinearity of component {i + 1} is negative "
+                              f"({fmin:.3e}) at s={self.pts[j]:.6f}")
+                wf = self.wts * F
+                values[i] += lam * (self.k_val[i] @ wf)
+                derivs[i] += lam * (self.k_der[i] @ wf)
+            for j, term in enumerate(comp.gammas):
                 eta = params.etas[i][j]
                 if eta > 0.0:
-                    h_ij = terms.h(i, j)
+                    h_ij = eval_functional(term.h, u, quad, nonneg_condition="C7")
                     values[i] += eta * h_ij * self.gamma_val[i][j]
                     derivs[i] += eta * h_ij * self.gamma_der[i][j]
         return DiscreteState(self.nodes, values, derivs)
-
-
-class _StateTerms:
-    """The parameter-free contributions of one state to T(u): component i's
-    kernel term (k_val[i] @ wf, k_der[i] @ wf) with wf the weighted
-    nonlinearity, and each functional h_ij.  Each is evaluated on first
-    request and kept; one whose evaluation raises is not kept, so every
-    later request raises again."""
-
-    def __init__(self, op: _NystromOperator, u: DiscreteState, quad: QuadConfig):
-        self.op = op
-        self.u = u
-        self.quad = quad
-        self._samples = None
-        self._kernel: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._h: dict[tuple[int, int], float] = {}
-
-    def kernel(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        term = self._kernel.get(i)
-        if term is None:
-            term = self._kernel[i] = self._eval_kernel(i)
-        return term
-
-    def h(self, i: int, j: int) -> float:
-        h_ij = self._h.get((i, j))
-        if h_ij is None:
-            h_ij = self._h[i, j] = eval_functional(
-                self.op.spec.components[i].gammas[j].h, self.u, self.quad,
-                nonneg_condition="C7")
-        return h_ij
-
-    def _eval_kernel(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        op, u = self.op, self.u
-        comp = op.spec.components[i]
-        if self._samples is None:
-            self._samples = (u.value(slice(None), op.pts),
-                             u.derivative(slice(None), op.pts))
-        uq, duq = self._samples
-        w_i = eval_functional(comp.w, u, self.quad, nonneg_condition="C8")
-        env = {"t": op.pts, "w": w_i}
-        for k in range(op.spec.n):
-            env[f"u{k + 1}"] = uq[k]
-            env[f"du{k + 1}"] = duq[k]
-        F = np.broadcast_to(np.asarray(eval_scalar(comp.f, env), dtype=float),
-                            op.pts.shape)
-        fmin = float(F.min())
-        if fmin < -1e-12:
-            j = int(np.argmin(F))
-            raise ModelViolationError(
-                "C4", f"nonlinearity of component {i + 1} is negative "
-                      f"({fmin:.3e}) at s={op.pts[j]:.6f}")
-        wf = op.wts * F
-        return op.k_val[i] @ wf, op.k_der[i] @ wf
 
 
 @lru_cache(maxsize=8)

@@ -1,10 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hammcert as hc
-from hammcert import (ComponentBounds, ConfigError, DeclaredBounds,
+from hammcert import (ComponentBounds, ConfigError, DeclaredBounds, EvalDomainError,
                       HBounds, MissingBoundError, Params, SweepAxis, check_I0,
                       check_I0_star, check_I1, existence_certificate,
                       nonexistence_certificate, sweep)
@@ -17,6 +19,29 @@ def empty_bounds(rho, spec):
     return DeclaredBounds(rho, tuple(
         ComponentBounds(h=tuple(HBounds() for _ in comp.gammas))
         for comp in spec.components))
+
+
+def example_doc():
+    return json.loads(Path(hc.example_config_path()).read_text())
+
+
+def sweep_without_zero_state(spec, cc):
+    """Sweep a grid of the example with and without nonexistence; every point
+    is classified, and each point not certified for nonexistence gets the
+    row of the existence-only sweep."""
+    axes = [SweepAxis("lambda1", 0.05, 40.05, 5), SweepAxis("eta21", 0.0, 1.0, 3)]
+    kwargs = dict(mode="Sstar", db1=spec.bounds_at(1e-3), db2=spec.bounds_at(1.0),
+                  i0=1)
+    swept = sweep(spec, cc, axes, **kwargs, nonexistence={
+        "db": spec.bounds_at(1.0), "setI": [2], "setJ": [1]})
+    existence_only = sweep(spec, cc, axes, **kwargs)
+    assert len(swept.rows) == 15
+    assert set(swept.counts()) == {"existence-certified", "nonexistence-certified",
+                                   "undetermined"}
+    for row, ref in zip(swept.rows, existence_only.rows):
+        if row["verdict"] != "nonexistence-certified":
+            assert row == ref
+    return swept
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +324,42 @@ class TestSweep:
             sweep(spec, cc, [SweepAxis("lambda1", 1.0, 1.0, 1)], mode="Sstar",
                   db1=db1, db2=db2, i0=1,
                   nonexistence={"db": db2, "setI": [1], "setJ": []})
-        assert "point" in err.value.dump
+        dump = err.value.dump
+        assert dump["point"] == {"lambda1": 1.0}
+        # the dump holds both full certificates, zero-state residual included
+        params = Params.from_spec(spec).with_overrides({"lambda1": 1.0})
+        nonex = nonexistence_certificate(spec, cc, db2, [1], [], params)
+        assert dump["nonexistence"] == nonex.as_dict()
+        assert dump["nonexistence"]["provenance"]["zero_state_residual"] > 0.0
+        assert dump["existence"] == existence_certificate(
+            spec, cc, db1, db2, "Sstar", 1, params).as_dict()
+
+    def test_off_node_breakpoint_does_not_stop_the_sweep(self):
+        # T(0) cannot be evaluated when a kernel breakpoint is not a node of
+        # the solver grid; the sweep's verdicts never need it
+        doc = example_doc()
+        doc["components"][0]["kernel"] = {
+            "k": "1/4 + pos(1/2 - s) - pos(t - s)", "dk_dt": "-step(t - s)",
+            "breakpoints": ["1/3", "1/2"], "moving_breakpoint": True}
+        spec = hc.spec_from_dict(doc)
+        cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
+        sweep_without_zero_state(spec, cc)
+        with pytest.raises(ConfigError, match="does not coincide with a node of "
+                                              "the uniform 128-panel grid"):
+            nonexistence_certificate(spec, cc, spec.bounds_at(1.0), [2], [1])
+
+    def test_functional_undefined_at_zero_does_not_stop_the_sweep(
+            self, example_spec, example_cc):
+        # w2 divides by int(du1^2), which vanishes at the zero state; no
+        # inequality row depends on w, so the rows are the example's
+        doc = example_doc()
+        doc["components"][1]["w"] = "1/int(du1^2)"
+        spec = hc.spec_from_dict(doc)
+        swept = sweep_without_zero_state(spec, example_cc)
+        assert swept.rows == sweep_without_zero_state(example_spec, example_cc).rows
+        with pytest.raises(EvalDomainError, match="division by zero") as err:
+            nonexistence_certificate(spec, example_cc, spec.bounds_at(1.0), [2], [1])
+        assert err.value.subexpr == "1 / int(du1 ^ 2)"
 
     def test_autoselect_without_any_f_lo(self, example_spec, example_cc):
         db1 = empty_bounds(0.001, example_spec)

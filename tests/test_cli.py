@@ -156,6 +156,33 @@ class TestCommands:
                      "--rho2", "1", "--set", "mu1=3"])
         assert code == 1
 
+    @staticmethod
+    def config_with_w1(tmp_path, w):
+        doc = json.loads(Path(CFG).read_text())
+        doc["components"][0]["w"] = w
+        cfg = tmp_path / "w1.cfg"
+        cfg.write_text(json.dumps(doc))
+        return str(cfg)
+
+    @pytest.mark.parametrize("w", ["exp(1000)", "10^400 + val(1,0)",
+                                   "int(u1^2)^(-1)"])
+    def test_solve_reports_non_finite_functional_as_divergence(self, tmp_path, w):
+        code, report, _ = run(tmp_path, "solve", self.config_with_w1(tmp_path, w))
+        assert code == 20
+        assert report["notes"][0].startswith("iteration diverged at step 1: "
+                                             "non-finite result")
+
+    # int(u1^2) vanishes only at the zero state, which falsify never samples,
+    # so 0^(-1) stands in for the domain error there
+    @pytest.mark.parametrize("w", ["exp(1000)", "10^400 + val(1,0)",
+                                   "0^(-1) + val(1,0)"])
+    def test_falsify_reports_non_finite_functional_as_error(self, tmp_path,
+                                                            capsys, w):
+        code, _, _ = run(tmp_path, "falsify", self.config_with_w1(tmp_path, w),
+                         "--rho", "1", "--samples", "5")
+        assert code == 1
+        assert "non-finite result in subexpression" in capsys.readouterr().err
+
 
 MODE_S_DOC = {
     # one-component problem where mode S genuinely certifies: f = 1 + pos(u1)

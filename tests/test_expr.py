@@ -143,6 +143,17 @@ class TestFunctional:
                              np.ones((2, 129)))
         assert eval_functional(fx, u) == pytest.approx(2.0, abs=1e-13)
 
+    @pytest.mark.parametrize("text,subexpr", [
+        ("exp(1000)", "exp(1000)"),                          # OverflowError
+        ("10^400 + val(1,0)", "10 ^ 400"),                   # OverflowError
+        ("int(u1^2)^(-1)", "int(u1 ^ 2) ^ (-1)"),            # 0^-1: ValueError
+    ])
+    def test_overflow_and_domain_errors_name_subexpression(self, text, subexpr):
+        import hammcert as hc
+        with pytest.raises(EvalDomainError, match="non-finite result") as err:
+            eval_functional(parse_functional(text, 1), hc.zero_state(1))
+        assert err.value.subexpr == subexpr
+
     def test_nonnegativity_flag(self):
         from hammcert import ModelViolationError
         fx = parse_functional("val(1, 0.5) - 10", 1)
