@@ -36,7 +36,7 @@ import numpy as np
 from .cone import DiscreteState, c1_norm, sample_cone_boundary_rng
 from .constants import ConeConstants
 from .errors import ConfigError
-from .expr import eval_functional, eval_scalar
+from .expr import _SharedPass, eval_functional, eval_scalar
 from .quad import QuadConfig
 
 if TYPE_CHECKING:
@@ -192,8 +192,10 @@ def falsify_bounds(spec: "ProblemSpec", cc: Sequence[ConeConstants],
             mu = rng.uniform(0.05, 1.0)
             u = DiscreteState(u.nodes, u.values * mu, u.derivatives * mu)
         norms = c1_norm(u)
+        shared = _SharedPass(u, quad)
         for i, (comp, cb) in enumerate(zip(spec.components, db.components), start=1):
-            wv = eval_functional(comp.w, u, quad, nonneg_condition="C8")
+            wv = eval_functional(comp.w, u, quad, nonneg_condition="C8",
+                                 shared_pass=shared)
             if cb.w_lo is not None and wv < cb.w_lo - _slack(cb.w_lo):
                 record(Violation(
                     "w_lo", i, None, cb.w_lo, wv, u, None,
@@ -204,7 +206,8 @@ def falsify_bounds(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                     f"w_{i}[u] = {wv!r} > declared upper bound {cb.w_hi!r}"))
             sup_i = norms.sup[i - 1]
             for j, (term, hb) in enumerate(zip(comp.gammas, cb.h), start=1):
-                hv = eval_functional(term.h, u, quad, nonneg_condition="C7")
+                hv = eval_functional(term.h, u, quad, nonneg_condition="C7",
+                                     shared_pass=shared)
                 if hv < hb.lo - _slack(hb.lo):
                     record(Violation(
                         "h_lo", i, j, hb.lo, hv, u, None,
@@ -341,12 +344,13 @@ def estimate_ranges(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float
     h_ranges = [[[np.inf, -np.inf] for _ in comp.gammas] for comp in spec.components]
     for _ in range(samples):
         u = sample_cone_boundary_rng(spec, cc, rho, rng)
+        shared = _SharedPass(u, quad)
         for i, comp in enumerate(spec.components):
-            wv = eval_functional(comp.w, u, quad)
+            wv = eval_functional(comp.w, u, quad, shared_pass=shared)
             w_ranges[i][0] = min(w_ranges[i][0], wv)
             w_ranges[i][1] = max(w_ranges[i][1], wv)
             for j, term in enumerate(comp.gammas):
-                hv = eval_functional(term.h, u, quad)
+                hv = eval_functional(term.h, u, quad, shared_pass=shared)
                 h_ranges[i][j][0] = min(h_ranges[i][j][0], hv)
                 h_ranges[i][j][1] = max(h_ranges[i][j][1], hv)
     return {

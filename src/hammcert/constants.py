@@ -79,6 +79,13 @@ class Opt1DConfig:
     coarse_grid: int = 2048
     refine_tol: float = 1e-12
 
+    def __post_init__(self):
+        # an empty grid divides by zero; golden search never ends at tol <= 0
+        if self.coarse_grid < 1:
+            raise ValueError("coarse_grid must be >= 1")
+        if not self.refine_tol > 0:
+            raise ValueError("refine_tol must be positive")
+
 
 # ---------------------------------------------------------------------------
 # 1-D extrema: coarse grid scan + golden-section refinement
@@ -180,13 +187,6 @@ def _panel_sign_roots(fn: Callable, rows: np.ndarray, lo: np.ndarray,
         f_lo = np.where(left, f_lo, fm)
     return (np.concatenate((rows[zi], b_rows)),
             np.concatenate((xs[zi, zj + 1], 0.5 * (b_lo + b_hi))))
-
-
-def _sign_roots(fn: Callable, a: float, b: float) -> list[float]:
-    """Sorted roots of fn in (a, b), by the rule of ``_panel_sign_roots``."""
-    _, roots = _panel_sign_roots(lambda _, x: fn(x), np.zeros(1, dtype=np.intp),
-                                 np.array([a], dtype=float), np.array([b], dtype=float))
-    return sorted(float(x) for x in roots)
 
 
 # ---------------------------------------------------------------------------

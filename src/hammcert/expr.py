@@ -21,7 +21,11 @@ safe to evaluate concurrently.  Evaluation accepts numpy arrays in the
 environment and broadcasts.  ``eval_scalar`` compiles an AST once into
 numpy closures held by its nodes; they make the tree walk's numpy calls and
 domain checks in its left-to-right order, so values and errors are
-unchanged.  Functionals are still interpreted by a tree walk of their own.
+unchanged.  ``eval_functional`` compiles a functional's outer level once
+into closures over Python floats with the ``math`` functions; a node whose
+value is not finite raises.  Its int atoms integrate their bodies, compiled
+by ``eval_scalar``, on one interpolation of the state per evaluation pass
+(``_SharedPass``), shared by all atoms of the functionals of that state.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 import numpy as np
 
 from .errors import DslSyntaxError, EvalDomainError, ModelViolationError
-from .quad import QuadConfig, integrate
+from .quad import QuadConfig, _first_pass, _integrate_first_pass
 
 if TYPE_CHECKING:
     from .cone import DiscreteState
@@ -54,13 +58,15 @@ __all__ = [
 
 
 class _Node:
-    """Base of the AST nodes.  ``eval_scalar`` stores a node's compiled
-    closure in its ``__dict__``, outside the dataclass fields, so equality
-    and hashing ignore it; pickling leaves it out too."""
+    """Base of the AST nodes.  ``eval_scalar`` and ``eval_functional`` store
+    a node's compiled closure (``_compiled``, ``_functional``) in its
+    ``__dict__``, outside the dataclass fields, so equality and hashing
+    ignore it; pickling leaves it out too."""
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_compiled", None)
+        state.pop("_functional", None)
         return state
 
 
@@ -244,7 +250,10 @@ class _Parser:
     def atom(self):
         kind, textv, pos = self.take()
         if kind == "num":
-            return Num(float(textv))
+            value = float(textv)
+            if not math.isfinite(value):
+                raise DslSyntaxError(f"number {textv} is out of range", self.text, pos)
+            return Num(value)
         if kind == "op" and textv == "(":
             node = self.expr()
             self.expect(")")
@@ -314,17 +323,27 @@ class _Parser:
         t0_expr = t0_parser.expr()
         self.i = t0_parser.i
         self.expect(")")
-        t0 = float(eval_scalar(t0_expr, {}))
+        try:
+            t0 = float(eval_scalar(t0_expr, {}))
+        except EvalDomainError as e:
+            raise DslSyntaxError(f"{head}: evaluation point: {e}", self.text, pos) from None
         if not (0.0 <= t0 <= 1.0):
             raise DslSyntaxError(f"{head}: evaluation point {t0} outside [0,1]",
                                  self.text, pos)
         return (Val if head == "val" else Der)(index, t0)
 
 
+def _check_text(text) -> None:
+    if not isinstance(text, str):
+        raise DslSyntaxError(f"expected an expression string, got {type(text).__name__}",
+                             repr(text), 0)
+    if not text.strip():
+        raise DslSyntaxError("empty expression", text, 0)
+
+
 def parse_expr(text: str, context: frozenset) -> ScalarExpr:
     """Parse a scalar expression whose variables must lie in ``context``."""
-    if not text or not text.strip():
-        raise DslSyntaxError("empty expression", text or "", 0)
+    _check_text(text)
     p = _Parser(text, frozenset(context))
     node = p.expr()
     kind, _, pos = p.peek()
@@ -339,8 +358,7 @@ def parse_functional(text: str, n: int) -> FunctionalExpr:
     The outer level has no free variables; state enters only through the
     val/der/int atoms.  int(...) may not be nested inside another int.
     """
-    if not text or not text.strip():
-        raise DslSyntaxError("empty expression", text or "", 0)
+    _check_text(text)
     p = _Parser(text, frozenset(), n=n, mode="functional")
     node = p.expr()
     kind, _, pos = p.peek()
@@ -352,7 +370,10 @@ def parse_functional(text: str, n: int) -> FunctionalExpr:
 def parse_constant(value, key: str = "<constant>") -> float:
     """Accept a JSON number or a constant DSL string such as ``"1/(1+e)"``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the double range
+            raise DslSyntaxError(f"{key}: number out of range", str(value), 0) from None
     if isinstance(value, str):
         return float(eval_scalar(parse_expr(value, frozenset()), {}))
     raise DslSyntaxError(f"{key}: expected a number or constant expression", str(value), 0)
@@ -499,15 +520,28 @@ def _compile_bin(expr, left, right):
 
 def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
                     quad: QuadConfig | None = None, *,
-                    nonneg_condition: str | None = None) -> float:
+                    nonneg_condition: str | None = None,
+                    shared_pass: "_SharedPass | None" = None) -> float:
     """Evaluate a functional on a discrete state.
 
     val/der atoms use the state's C1 interpolant; int atoms integrate over
     [0,1] with the state's interior nodes as quadrature panel breakpoints.
-    When ``nonneg_condition`` is given (``"C7"`` for h-typed, ``"C8"`` for
-    w-typed functionals) a negative result raises ModelViolationError.
+    A node whose value is not finite raises EvalDomainError, so a NaN never
+    reaches the sign check.  When ``nonneg_condition`` is given (``"C7"``
+    for h-typed, ``"C8"`` for w-typed functionals) a negative result raises
+    ModelViolationError.  A caller evaluating several functionals of one
+    state passes the same ``shared_pass`` to each, so that their int atoms
+    share one interpolation of the state.
     """
-    value = float(_eval_fn(fx, u, quad or QuadConfig()))
+    if shared_pass is None:
+        shared_pass = _SharedPass(u, quad or QuadConfig())
+    elif shared_pass.u is not u:
+        raise ValueError("shared_pass was made for another state")
+    try:
+        fn = fx._functional
+    except AttributeError:
+        fn = _compile_functional(fx)
+    value = fn(shared_pass)
     if nonneg_condition is not None and value < 0.0:
         raise ModelViolationError(
             nonneg_condition,
@@ -515,68 +549,152 @@ def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
     return value
 
 
-def _eval_fn(fx, u, quad):
-    if isinstance(fx, (Val, Der)):
-        if fx.index > u.n:
-            raise EvalDomainError(
-                f"functional references component {fx.index} but the state "
-                f"has {u.n}", render(fx))
-        if isinstance(fx, Val):
-            return u.value(fx.index - 1, fx.t0)
-        return u.derivative(fx.index - 1, fx.t0)
-    if isinstance(fx, Integral):
+class _SharedPass:
+    """u and u' of every component of one state at the first-pass points of
+    its int atoms (see ``quad._first_pass``), taken on first use and shared
+    by every int atom evaluated with this object.  Short-lived: callers make
+    one per state and drop it with the state."""
+
+    def __init__(self, u: "DiscreteState", quad: QuadConfig):
+        self.u = u
+        self.quad = quad
+        self._first = None
+
+    def _env(self, s, vals, ders) -> dict:
+        env = {"s": s}
+        for k in range(self.u.n):
+            env[f"u{k + 1}"] = vals[k]
+            env[f"du{k + 1}"] = ders[k]
+        return env
+
+    def integral(self, body: ScalarExpr) -> float:
+        """``integrate`` of body over [0, 1], bit for bit, with the state's
+        interior nodes as breakpoints."""
+        u = self.u
+        if self._first is None:
+            fp = _first_pass(u.interior_nodes(), self.quad.gauss_order)
+            self._first = (fp, u.value(slice(None), fp.points),
+                           u.derivative(slice(None), fp.points))
+        fp, vals, ders = self._first
+        return _integrate_first_pass(
+            lambda rows: eval_scalar(body, self._env(fp.points[rows], vals[:, rows],
+                                                     ders[:, rows])),
+            lambda s: eval_scalar(body, self._env(s, u.value(slice(None), s),
+                                                  u.derivative(slice(None), s))),
+            fp, self.quad)
+
+
+def _finite(value: float, node) -> float:
+    if not math.isfinite(value):
+        raise EvalDomainError("non-finite result", render(node))
+    return value
+
+
+def _compile_functional(fx):
+    """Closure of a functional AST node: fn(shared_pass) -> float.
+
+    The outer level runs on Python floats with the ``math`` functions, left
+    operand first.  Every node's value is finite or raises: the operations
+    that can leave the finite range (+, -, *, /, ^, exp, and the atoms) check
+    their result, and the others keep a finite argument finite.  The
+    closure is kept on the node, apart from the scalar ``_compiled``.
+    """
+    if isinstance(fx, (Num, Const)):
+        value = float(fx.value) if isinstance(fx, Num) else _CONSTANTS[fx.name]
+        fn = lambda ctx: _finite(value, fx)
+    elif isinstance(fx, (Val, Der)):
+        fn = _compile_point(fx)
+    elif isinstance(fx, Integral):
         body = fx.body
+        fn = lambda ctx: _finite(ctx.integral(body), fx)
+    elif isinstance(fx, Unary):
+        fn = _functional_unary(fx, _compile_functional(fx.arg))
+    elif isinstance(fx, Bin):
+        fn = _functional_bin(fx, _compile_functional(fx.left),
+                             _compile_functional(fx.right))
+    else:
+        raise TypeError(f"not a functional expression: {fx!r}")
+    object.__setattr__(fx, "_functional", fn)
+    return fn
 
-        def integrand(s):
-            vals = u.value(slice(None), s)
-            ders = u.derivative(slice(None), s)
-            env = {"s": s}
-            for k in range(u.n):
-                env[f"u{k + 1}"] = vals[k]
-                env[f"du{k + 1}"] = ders[k]
-            return eval_scalar(body, env)
 
-        return integrate(integrand, 0.0, 1.0, u.interior_nodes(), quad)
-    if isinstance(fx, Num):
-        return fx.value
-    if isinstance(fx, Const):
-        return _CONSTANTS[fx.name]
-    if isinstance(fx, Unary):
-        x = _eval_fn(fx.arg, u, quad)
-        if fx.op == "neg":
-            return -x
-        if fx.op == "log" and x <= 0.0:
-            raise EvalDomainError("log of a nonpositive value", render(fx))
-        if fx.op == "sqrt" and x < 0.0:
-            raise EvalDomainError("sqrt of a negative value", render(fx))
-        fn = {"exp": math.exp, "log": math.log, "abs": abs, "sqrt": math.sqrt,
-              "pos": lambda v: max(v, 0.0),
-              "step": lambda v: 1.0 if v > 0.0 else 0.0}[fx.op]
-        try:
-            return fn(x)
-        except OverflowError:
-            raise EvalDomainError("non-finite result", render(fx)) from None
-    if isinstance(fx, Bin):
-        a = _eval_fn(fx.left, u, quad)
-        b = _eval_fn(fx.right, u, quad)
-        if fx.op == "+":
-            return a + b
-        if fx.op == "-":
-            return a - b
-        if fx.op == "*":
-            return a * b
-        if fx.op == "/":
+def _compile_point(fx):
+    index, t0 = fx.index, fx.t0
+    derivative = isinstance(fx, Der)
+
+    def fn(ctx):
+        u = ctx.u
+        if index > u.n:
+            raise EvalDomainError(
+                f"functional references component {index} but the state "
+                f"has {u.n}", render(fx))
+        point = u.derivative if derivative else u.value
+        return _finite(float(point(index - 1, t0)), fx)
+    return fn
+
+
+def _functional_unary(fx, arg):
+    op = fx.op
+    if op == "neg":
+        return lambda ctx: -arg(ctx)
+    if op == "exp":
+        def fn(ctx):
+            x = arg(ctx)
+            try:
+                return math.exp(x)
+            except OverflowError:
+                raise EvalDomainError("non-finite result", render(fx)) from None
+        return fn
+    if op == "log":
+        def fn(ctx):
+            x = arg(ctx)
+            if x <= 0.0:
+                raise EvalDomainError("log of a nonpositive value", render(fx))
+            return math.log(x)
+        return fn
+    if op == "abs":
+        return lambda ctx: abs(arg(ctx))
+    if op == "sqrt":
+        def fn(ctx):
+            x = arg(ctx)
+            if x < 0.0:
+                raise EvalDomainError("sqrt of a negative value", render(fx))
+            return math.sqrt(x)
+        return fn
+    if op == "pos":
+        return lambda ctx: max(arg(ctx), 0.0)
+    if op == "step":
+        return lambda ctx: 1.0 if arg(ctx) > 0.0 else 0.0
+    raise AssertionError(op)
+
+
+def _functional_bin(fx, left, right):
+    op = fx.op
+    if op == "+":
+        return lambda ctx: _finite(left(ctx) + right(ctx), fx)
+    if op == "-":
+        return lambda ctx: _finite(left(ctx) - right(ctx), fx)
+    if op == "*":
+        return lambda ctx: _finite(left(ctx) * right(ctx), fx)
+    if op == "/":
+        def fn(ctx):
+            a = left(ctx)
+            b = right(ctx)
             if b == 0.0:
                 raise EvalDomainError("division by zero", render(fx))
-            return a / b
-        try:
-            r = math.pow(a, b) if (a >= 0 or float(b).is_integer()) else math.nan
-        except (OverflowError, ValueError):  # e.g. 10^400, or 0^-1
-            r = math.nan
-        if not math.isfinite(r):
-            raise EvalDomainError("non-finite result", render(fx))
-        return r
-    raise TypeError(f"not a functional expression: {fx!r}")
+            return _finite(a / b, fx)
+        return fn
+    if op == "^":
+        def fn(ctx):
+            a = left(ctx)
+            b = right(ctx)
+            try:
+                r = math.pow(a, b) if (a >= 0 or float(b).is_integer()) else math.nan
+            except (OverflowError, ValueError):  # e.g. 10^400, or 0^-1
+                r = math.nan
+            return _finite(r, fx)
+        return fn
+    raise AssertionError(op)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ where applicable, the violated model condition (C1..C8, see README).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .bounds import ComponentBounds, DeclaredBounds, HBounds
 from .constants import Opt1DConfig, Window
-from .errors import ConfigError, DslSyntaxError, ModelViolationError
+from .errors import ConfigError, DslSyntaxError, EvalDomainError, ModelViolationError
 from .expr import (BOUNDARY_CONTEXT, ENVELOPE_CONTEXT, FunctionalExpr,
                    ScalarExpr, nonlinearity_context, parse_constant,
                    parse_expr, parse_functional)
@@ -160,7 +161,7 @@ def load_config(path) -> ProblemSpec:
         raise ConfigError(str(path), "config file does not exist")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal too long to read
         raise ConfigError(str(path), f"not valid JSON: {e}") from None
     return spec_from_dict(doc)
 
@@ -172,9 +173,24 @@ def _const(doc, key_path, default=None, required=False):
             raise ConfigError(key_path, "missing required value")
         return default
     try:
-        return parse_constant(value, key_path)
-    except DslSyntaxError as e:
+        value = parse_constant(value, key_path)
+    except (DslSyntaxError, EvalDomainError) as e:
         raise ConfigError(key_path, f"bad constant expression: {e}") from None
+    if not math.isfinite(value):
+        raise ConfigError(key_path, f"expected a finite number, got {value}")
+    return value
+
+
+def _is_int(value) -> bool:
+    """A JSON integer (Python's json gives bool for true/false, an int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list(doc, key: str, key_path: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(key_path, "expected a JSON list")
+    return value
 
 
 def _opt_const(doc: dict, key: str, key_path: str):
@@ -184,10 +200,9 @@ def _opt_const(doc: dict, key: str, key_path: str):
 def spec_from_dict(doc: dict) -> ProblemSpec:
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("n", "missing or non-integer component count") from None
+    n = doc.get("n")
+    if not _is_int(n):
+        raise ConfigError("n", "missing or non-integer component count")
     if n < 1:
         raise ConfigError("n", "need at least one component")
 
@@ -199,7 +214,7 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
 
     bounds = []
     seen_rho = []
-    for bi, bdoc in enumerate(doc.get("bounds", [])):
+    for bi, bdoc in enumerate(_list(doc, "bounds", "bounds")):
         db = _parse_bounds_block(bdoc, bi, components)
         if any(abs(db.rho - r) <= 1e-12 for r in seen_rho):
             raise ConfigError(f"bounds[{bi}].rho", f"duplicate radius {db.rho}")
@@ -214,7 +229,9 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
         "nodes": int, "damping": float, "tol": float, "max_iterations": int,
         "initial": str, "initial_constant": float})
 
-    seed = int(doc.get("seed", 0))
+    seed = doc.get("seed", 0)
+    if not _is_int(seed):
+        raise ConfigError("seed", "expected a JSON integer")
     return ProblemSpec(n=n, components=components, bounds=tuple(bounds),
                        quad=quad, opt=opt, solver=solver, seed=seed)
 
@@ -224,12 +241,17 @@ def _parse_section(doc, key_path, cls, fields):
         raise ConfigError(key_path, "expected a JSON object")
     kwargs = {}
     for key, value in doc.items():
+        kp = f"{key_path}.{key}"
         if key not in fields:
-            raise ConfigError(f"{key_path}.{key}", f"unknown key; expected one of {sorted(fields)}")
-        try:
-            kwargs[key] = fields[key](value)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{key_path}.{key}", str(e)) from None
+            raise ConfigError(kp, f"unknown key; expected one of {sorted(fields)}")
+        kind = fields[key]
+        if kind is float:
+            kwargs[key] = _const(value, kp, required=True)
+        elif _is_int(value) if kind is int else isinstance(value, kind):
+            kwargs[key] = value
+        else:
+            raise ConfigError(kp, f"expected a JSON {'integer' if kind is int else 'string'}, "
+                                  f"got {value!r}")
     try:
         return cls(**kwargs)
     except ValueError as e:
@@ -274,14 +296,14 @@ def _parse_component(cdoc: dict, i: int, n: int) -> Component:
     envelope = _parse_envelope(cdoc.get("envelope", "tight"), f"{kp}.envelope")
 
     gammas = []
-    for j, gdoc in enumerate(cdoc.get("gammas", [])):
+    for j, gdoc in enumerate(_list(cdoc, "gammas", f"{kp}.gammas")):
         gammas.append(_parse_gamma_term(gdoc, f"{kp}.gammas[{j}]", n))
 
     declared = _parse_declared(cdoc.get("declared", {}), f"{kp}.declared")
 
     try:
         validate_kernel_derivative(kernel)
-    except ModelViolationError as e:
+    except (ModelViolationError, EvalDomainError) as e:
         raise ConfigError(f"{kp}.kernel", str(e)) from None
     for phi_key, phi in (("phi0", envelope.declared_phi0),
                          ("phi1", envelope.declared_phi1)):
@@ -289,7 +311,7 @@ def _parse_component(cdoc: dict, i: int, n: int) -> Component:
             continue
         try:
             validate_envelope_nonnegative(phi)
-        except ModelViolationError as e:
+        except (ModelViolationError, EvalDomainError) as e:
             raise ConfigError(f"{kp}.envelope.{phi_key}", str(e)) from None
 
     return Component(kernel=kernel, window=window, lam=lam, f=f, w=w,
@@ -312,9 +334,12 @@ def _parse_kernel(kdoc, key_path) -> KernelDef:
         raise ConfigError(key_path, f"missing key {e} (C1/C3 require k and dk_dt)") from None
     except DslSyntaxError as e:
         raise ConfigError(key_path, str(e)) from None
-    bps = tuple(sorted(_const(b, f"{key_path}.breakpoints", required=True)
-                       for b in kdoc.get("breakpoints", [])))
-    moving = bool(kdoc.get("moving_breakpoint", True))
+    bps = tuple(sorted(_const(b, f"{key_path}.breakpoints[{j}]", required=True)
+                       for j, b in enumerate(_list(kdoc, "breakpoints",
+                                                   f"{key_path}.breakpoints"))))
+    moving = kdoc.get("moving_breakpoint", True)
+    if not isinstance(moving, bool):
+        raise ConfigError(f"{key_path}.moving_breakpoint", "expected true or false")
     try:
         return KernelDef(k, dk, bps, moving)
     except ValueError as e:
@@ -326,14 +351,19 @@ def _parse_envelope(edoc, key_path) -> EnvelopeSpec:
         return EnvelopeSpec(mode="tight")
     if not isinstance(edoc, dict):
         raise ConfigError(key_path, "expected \"tight\" or {\"phi0\": expr}")
-    try:
-        phi0 = parse_expr(edoc["phi0"], ENVELOPE_CONTEXT) if "phi0" in edoc else None
-        phi1 = parse_expr(edoc["phi1"], ENVELOPE_CONTEXT) if "phi1" in edoc else None
-    except DslSyntaxError as e:
-        raise ConfigError(key_path, f"{e} (C2/C3 envelopes)") from None
+    phi0, phi1 = (_parse_envelope_phi(edoc, key, key_path) for key in ("phi0", "phi1"))
     if phi0 is None:
         raise ConfigError(f"{key_path}.phi0", "declared envelope requires phi0 (C2)")
     return EnvelopeSpec(mode="declared", declared_phi0=phi0, declared_phi1=phi1)
+
+
+def _parse_envelope_phi(edoc: dict, key: str, key_path: str):
+    if key not in edoc:
+        return None
+    try:
+        return parse_expr(edoc[key], ENVELOPE_CONTEXT)
+    except DslSyntaxError as e:
+        raise ConfigError(f"{key_path}.{key}", f"{e} (C2/C3 envelopes)") from None
 
 
 def _parse_gamma_term(gdoc, key_path, n) -> GammaTerm:
@@ -356,7 +386,7 @@ def _parse_gamma_term(gdoc, key_path, n) -> GammaTerm:
         gd = GammaDef(gamma, dgamma)
         try:
             validate_gamma_derivative(gd)
-        except ModelViolationError as e:
+        except (ModelViolationError, EvalDomainError) as e:
             raise ConfigError(f"{key_path}.dgamma", str(e)) from None
     eta = _const(gdoc.get("eta"), f"{key_path}.eta", required=True)
     if eta < 0:
@@ -410,16 +440,23 @@ def _parse_bounds_block(bdoc, bi, components) -> DeclaredBounds:
         if not isinstance(cb, dict):
             raise ConfigError(ckp, "expected an object")
         hdocs = cb.get("h", [{}] * len(comp.gammas))
-        if len(hdocs) != len(comp.gammas):
-            raise ConfigError(f"{ckp}.h", "expected one h-bounds entry per gamma term")
+        if not isinstance(hdocs, list) or len(hdocs) != len(comp.gammas):
+            raise ConfigError(f"{ckp}.h", "expected a list of one h-bounds entry per "
+                                          "gamma term")
         hb = []
         for j, hdoc in enumerate(hdocs):
-            hb.append(HBounds(
-                lo=_const(hdoc.get("lo", 0.0), f"{ckp}.h[{j}].lo", default=0.0),
-                hi=_opt_const(hdoc, "hi", f"{ckp}.h[{j}]"),
-                delta=_opt_const(hdoc, "delta", f"{ckp}.h[{j}]"),
-                xi=_opt_const(hdoc, "xi", f"{ckp}.h[{j}]"),
-            ))
+            hkp = f"{ckp}.h[{j}]"
+            if not isinstance(hdoc, dict):
+                raise ConfigError(hkp, "expected an object")
+            try:
+                hb.append(HBounds(
+                    lo=_const(hdoc.get("lo", 0.0), f"{hkp}.lo", default=0.0),
+                    hi=_opt_const(hdoc, "hi", hkp),
+                    delta=_opt_const(hdoc, "delta", hkp),
+                    xi=_opt_const(hdoc, "xi", hkp),
+                ))
+            except ValueError as e:
+                raise ConfigError(hkp, str(e)) from None
         try:
             comp_bounds.append(ComponentBounds(
                 w_lo=_opt_const(cb, "w_lo", ckp), w_hi=_opt_const(cb, "w_hi", ckp),

@@ -9,15 +9,26 @@ only class this engine supports (weakly singular or improper integrals are
 rejected by non-convergence).
 
 Integrands are called with numpy arrays of evaluation points and must act
-elementwise and broadcast; scalar-returning constants are handled.
+elementwise and broadcast; scalar-returning constants are handled.  A NaN
+or infinite integrand value raises QuadratureError.
 ``integrate_panels`` runs the same rules on many integrands at once, each
 over its own panels, with every row's result bit-identical to ``integrate``.
+
+The first pass of ``integrate`` over [0, 1] (every panel's Gauss points,
+then those of its two halves) depends only on the breakpoints and the Gauss
+order.  ``_first_pass`` builds that layout once per (breakpoints, order) and
+keeps it in a small table; ``_integrate_first_pass`` takes an integrand's
+values at those points, evaluated by the caller (the functional evaluator
+samples a state there once for all of its ``int`` atoms), and finishes the
+integral by the rules of ``integrate``, bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +36,9 @@ from .errors import QuadratureError
 
 __all__ = ["QuadConfig", "integrate", "integrate_panels", "gauss_rule",
            "composite_rule"]
+
+# first-pass layouts kept at most; a session uses one or two node vectors
+_FIRST_PASS_TABLE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -86,12 +100,20 @@ def _edges(a: float, b: float, breakpoints) -> np.ndarray:
 
 
 def _evaluate(f, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(rows[:, None], pts), dtype=float)
+    return _checked(f(rows[:, None], pts), pts)
+
+
+def _checked(vals, pts: np.ndarray) -> np.ndarray:
+    """Integrand values at pts as a float array of pts' shape.  NaN raises,
+    and so does ±inf, which no panel could ever converge on."""
+    vals = np.asarray(vals, dtype=float)
     if vals.shape != pts.shape:
         vals = np.broadcast_to(vals, pts.shape)
-    if np.any(np.isnan(vals)):
-        bad = pts[np.isnan(vals)][:1]
-        raise QuadratureError(f"integrand returned NaN near x={bad!r}")
+    if not np.all(np.isfinite(vals)):
+        nan = np.isnan(vals)
+        kind = "NaN" if np.any(nan) else "an infinite value"
+        bad = pts[nan if np.any(nan) else np.isinf(vals)][:1]
+        raise QuadratureError(f"integrand returned {kind} near x={bad!r}")
     return vals
 
 
@@ -115,8 +137,9 @@ def _converged(fine, whole, cfg: QuadConfig):
 def integrate(f, a: float, b: float, breakpoints=(), cfg: QuadConfig | None = None) -> float:
     """Integrate f over [a, b] with panels split at the given breakpoints.
 
-    f is called with numpy arrays of points.  Raises QuadratureError on NaN
-    or when a panel fails to converge within cfg.max_subdivisions bisections.
+    f is called with numpy arrays of points.  Raises QuadratureError on a
+    NaN or infinite value, or when a panel fails to converge within
+    cfg.max_subdivisions bisections.
     """
     if a > b:
         raise ValueError(f"integrate: a={a} > b={b}")
@@ -150,6 +173,13 @@ def integrate_panels(f, rows, lo, hi, nrows: int,
     # first pass: whole-panel estimate against the sum of the two halves
     coarse = _panel_estimates(f, rows, lo, hi, order)
     mid, left, right = _halves(f, rows, lo, hi, order)
+    return _settle(f, rows, lo, mid, hi, coarse, left, right, nrows, cfg)
+
+
+def _settle(f, rows, lo, mid, hi, coarse, left, right, nrows: int,
+            cfg: QuadConfig) -> np.ndarray:
+    """Row sums from the first pass's estimates: converged panels summed,
+    failing ones refined by ``_adapt`` and added half by half."""
     fine = left + right
     ok = _converged(fine, coarse, cfg)
     total = _row_sums(fine[ok], rows[ok], nrows)
@@ -165,6 +195,68 @@ def integrate_panels(f, rows, lo, hi, nrows: int,
             sel = rank == k
             total[node_rows[sel]] += values[sel]
     return total
+
+
+class _FirstPass(NamedTuple):
+    """The first pass of ``integrate`` over [0, 1]: panels [lo, hi] split
+    at ``mid``, and the Gauss points and weights of the whole panels
+    (rows ``whole``) stacked over those of their left, then right, halves
+    (rows ``halves``)."""
+    lo: np.ndarray
+    mid: np.ndarray
+    hi: np.ndarray
+    points: np.ndarray     # shape (3 * panels, order)
+    weights: np.ndarray
+    whole: slice
+    halves: slice
+
+
+_FIRST_PASSES: dict = {}
+_FIRST_PASS_LOCK = threading.Lock()
+
+
+def _first_pass(breakpoints, order: int) -> _FirstPass:
+    """First-pass layout of ``integrate(f, 0, 1, breakpoints, cfg)`` for a
+    Gauss order, kept per (breakpoint bytes, order); the table is emptied
+    when it holds _FIRST_PASS_TABLE_SIZE layouts."""
+    bps = np.asarray(breakpoints, dtype=float)
+    key = (bps.tobytes(), order)
+    found = _FIRST_PASSES.get(key)
+    if found is not None:
+        return found
+    edges = _edges(0.0, 1.0, bps)
+    lo, hi = edges[:-1], edges[1:]
+    mid = (lo + hi) / 2.0
+    pw, ww = _panel_points(lo, hi, order)
+    ph, wh = _panel_points(np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
+    points, weights = np.concatenate((pw, ph)), np.concatenate((ww, wh))
+    for a in (lo, mid, hi, points, weights):
+        a.setflags(write=False)
+    built = _FirstPass(lo, mid, hi, points, weights, slice(0, lo.size),
+                       slice(lo.size, 3 * lo.size))
+    with _FIRST_PASS_LOCK:
+        if len(_FIRST_PASSES) >= _FIRST_PASS_TABLE_SIZE:
+            _FIRST_PASSES.clear()
+        _FIRST_PASSES[key] = built
+    return built
+
+
+def _integrate_first_pass(at, f, fp: _FirstPass, cfg: QuadConfig) -> float:
+    """``integrate(f, 0, 1, breakpoints, cfg)``, bit for bit, for the
+    breakpoints of ``fp``.  ``at(rows)`` gives f at ``fp.points[rows]``; it
+    is called for the whole panels, then for the halves, as ``integrate``
+    evaluates f.  f itself is called only on the panels that fail the
+    two-rule test."""
+    coarse = _first_estimates(at, fp, fp.whole)
+    halves = _first_estimates(at, fp, fp.halves)
+    n = fp.lo.size
+    rows = np.zeros(n, dtype=np.intp)
+    return float(_settle(lambda _, x: f(x), rows, fp.lo, fp.mid, fp.hi, coarse,
+                         halves[:n], halves[n:], 1, cfg)[0])
+
+
+def _first_estimates(at, fp: _FirstPass, rows: slice) -> np.ndarray:
+    return np.sum(_checked(at(rows), fp.points[rows]) * fp.weights[rows], axis=1)
 
 
 def _row_sums(vals: np.ndarray, rows: np.ndarray, nrows: int) -> np.ndarray:

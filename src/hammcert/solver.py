@@ -35,7 +35,7 @@ from .cone import DiscreteState, MembershipVerdict, StateNorms, c1_norm, \
 from .constants import ConeConstants
 from .errors import (ConfigError, EvalDomainError, ModelViolationError,
                      QuadratureError)
-from .expr import eval_functional, eval_scalar
+from .expr import _SharedPass, eval_functional, eval_scalar
 from .quad import QuadConfig, composite_rule
 
 if TYPE_CHECKING:
@@ -108,10 +108,12 @@ class _NystromOperator:
         duq = u.derivative(slice(None), self.pts)
         values = np.zeros((n, self.nodes.size))
         derivs = np.zeros_like(values)
+        shared = _SharedPass(u, quad)
         for i, comp in enumerate(spec.components):
             lam = params.lambdas[i]
             if lam > 0.0:
-                w_i = eval_functional(comp.w, u, quad, nonneg_condition="C8")
+                w_i = eval_functional(comp.w, u, quad, nonneg_condition="C8",
+                                      shared_pass=shared)
                 env = {"t": self.pts, "w": w_i}
                 for k in range(n):
                     env[f"u{k + 1}"] = uq[k]
@@ -130,7 +132,8 @@ class _NystromOperator:
             for j, term in enumerate(comp.gammas):
                 eta = params.etas[i][j]
                 if eta > 0.0:
-                    h_ij = eval_functional(term.h, u, quad, nonneg_condition="C7")
+                    h_ij = eval_functional(term.h, u, quad, nonneg_condition="C7",
+                                           shared_pass=shared)
                     values[i] += eta * h_ij * self.gamma_val[i][j]
                     derivs[i] += eta * h_ij * self.gamma_der[i][j]
         return DiscreteState(self.nodes, values, derivs)

@@ -22,8 +22,9 @@ class TestLoadConfig:
         assert spec.n == 2
 
     def test_root_copy_matches_packaged_config(self):
+        # README promises that they are the same file, byte for byte
         root = Path(__file__).resolve().parents[1] / "example.cfg"
-        assert root.read_text() == Path(CFG).read_text()
+        assert root.read_bytes() == Path(CFG).read_bytes()
 
     def test_missing_file(self):
         with pytest.raises(hc.ConfigError, match="does not exist"):
@@ -182,6 +183,25 @@ class TestCommands:
                          "--rho", "1", "--samples", "5")
         assert code == 1
         assert "non-finite result in subexpression" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("w,subexpr", [
+        ("val(1,0)*10^300*10^300", "val(1, 0.0) * 10 ^ 300 * 10 ^ 300"),
+        ("10^300*10^300 - 10^300*10^300", "10 ^ 300 * 10 ^ 300"),
+    ])
+    def test_falsify_rejects_overflowing_functional(self, tmp_path, capsys, w,
+                                                    subexpr):
+        code, report, _ = run(tmp_path, "falsify", self.config_with_w1(tmp_path, w),
+                              "--rho", "1", "--samples", "5")
+        assert code == 1 and report is None
+        assert f"non-finite result in subexpression {subexpr!r}" in \
+            capsys.readouterr().err
+
+    def test_solve_reports_overflowing_functional_as_divergence(self, tmp_path):
+        w = "10^300*10^300 - 10^300*10^300"
+        code, report, _ = run(tmp_path, "solve", self.config_with_w1(tmp_path, w))
+        assert code == 20
+        assert report["notes"][0] == ("iteration diverged at step 1: non-finite "
+                                      "result in subexpression '10 ^ 300 * 10 ^ 300'")
 
 
 MODE_S_DOC = {

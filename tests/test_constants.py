@@ -23,6 +23,14 @@ PHI1 = EnvelopeSpec("declared", parse_expr("3/4", ENVELOPE_CONTEXT))
 PHI2 = EnvelopeSpec("declared", parse_expr("1 - s", ENVELOPE_CONTEXT))
 
 
+def _sign_roots(fn, a: float, b: float) -> list[float]:
+    """Sorted roots of fn in (a, b), by the rule of ``_panel_sign_roots``."""
+    _, roots = constants_mod._panel_sign_roots(
+        lambda _, x: fn(x), np.zeros(1, dtype=np.intp), np.array([a], dtype=float),
+        np.array([b], dtype=float))
+    return sorted(float(x) for x in roots)
+
+
 # --------------------------------------------------------------------------
 # independent brute-force oracles (dense grid + trapezoid), hand-coded k2
 
@@ -131,7 +139,6 @@ class TestRecipM:
 
     def test_sign_roots_ignore_flat_stretches(self):
         # dk = -step(t-s) vanishes identically for s > t; no spurious splits
-        from hammcert.constants import _sign_roots
         from hammcert.kernels import eval_dk
         fn = lambda s: np.asarray(eval_dk(K1, 0.3, s), dtype=float)
         assert _sign_roots(fn, 0.0, 1.0) == []
@@ -418,9 +425,9 @@ class TestBatchedIntegrals:
     def test_sign_root_on_a_scan_node(self):
         # an exact zero on a node counts when its neighbours straddle zero,
         # and a root found by bisection is as good as the scalar scan's
-        assert constants_mod._sign_roots(lambda s: s - 0.5, 0.0, 1.0) == [0.5]
+        assert _sign_roots(lambda s: s - 0.5, 0.0, 1.0) == [0.5]
         fn = lambda s: s - 1 / 3
-        assert constants_mod._sign_roots(fn, 0.0, 1.0) == ref_sign_roots(fn, 0.0, 1.0)
+        assert _sign_roots(fn, 0.0, 1.0) == ref_sign_roots(fn, 0.0, 1.0)
 
     def test_scalar_t_gives_scalar(self):
         val = integrate_over_s(K1, 0.25, 0.0, 1.0, absolute=True)

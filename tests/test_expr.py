@@ -1,15 +1,19 @@
 import math
 import pickle
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hammcert import (DslSyntaxError, EvalDomainError, eval_functional,
-                      eval_scalar, parse_expr, parse_functional, render)
-from hammcert.expr import (KERNEL_CONTEXT, Bin, Const, Num, Unary, Var,
-                           nonlinearity_context, parse_constant)
+from hammcert import (DslSyntaxError, EvalDomainError, ModelViolationError,
+                      QuadConfig, QuadratureError, constant_state, eval_functional,
+                      eval_scalar, integrate, parse_expr, parse_functional, render)
+from hammcert.expr import (KERNEL_CONTEXT, Bin, Const, Der, Integral, Num, Unary,
+                           Val, Var, int_body_context, nonlinearity_context,
+                           parse_constant)
 from conftest import trig_state
 
 
@@ -364,3 +368,284 @@ def test_failing_constant_subtree_raises_at_evaluation():
         eval_scalar(expr, {})
     with pytest.raises(EvalDomainError, match="log of a nonpositive"):
         eval_scalar(expr, {"t": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# Compiled functionals against the tree-walking interpreter they replaced
+
+def ref_eval_fn(fx, u, quad):
+    """The functional interpreter, kept as the oracle of eval_functional:
+    each int atom integrates with ``integrate`` on its own interpolation."""
+    if isinstance(fx, (Val, Der)):
+        if fx.index > u.n:
+            raise EvalDomainError(
+                f"functional references component {fx.index} but the state "
+                f"has {u.n}", render(fx))
+        if isinstance(fx, Val):
+            return u.value(fx.index - 1, fx.t0)
+        return u.derivative(fx.index - 1, fx.t0)
+    if isinstance(fx, Integral):
+        body = fx.body
+
+        def integrand(s):
+            vals = u.value(slice(None), s)
+            ders = u.derivative(slice(None), s)
+            env = {"s": s}
+            for k in range(u.n):
+                env[f"u{k + 1}"] = vals[k]
+                env[f"du{k + 1}"] = ders[k]
+            return eval_scalar(body, env)
+
+        return integrate(integrand, 0.0, 1.0, u.interior_nodes(), quad)
+    if isinstance(fx, Num):
+        return fx.value
+    if isinstance(fx, Const):
+        return {"e": math.e, "pi": math.pi}[fx.name]
+    if isinstance(fx, Unary):
+        x = ref_eval_fn(fx.arg, u, quad)
+        if fx.op == "neg":
+            return -x
+        if fx.op == "log" and x <= 0.0:
+            raise EvalDomainError("log of a nonpositive value", render(fx))
+        if fx.op == "sqrt" and x < 0.0:
+            raise EvalDomainError("sqrt of a negative value", render(fx))
+        fn = {"exp": math.exp, "log": math.log, "abs": abs, "sqrt": math.sqrt,
+              "pos": lambda v: max(v, 0.0),
+              "step": lambda v: 1.0 if v > 0.0 else 0.0}[fx.op]
+        try:
+            return fn(x)
+        except OverflowError:
+            raise EvalDomainError("non-finite result", render(fx)) from None
+    if isinstance(fx, Bin):
+        a = ref_eval_fn(fx.left, u, quad)
+        b = ref_eval_fn(fx.right, u, quad)
+        if fx.op == "+":
+            return a + b
+        if fx.op == "-":
+            return a - b
+        if fx.op == "*":
+            return a * b
+        if fx.op == "/":
+            if b == 0.0:
+                raise EvalDomainError("division by zero", render(fx))
+            return a / b
+        try:
+            r = math.pow(a, b) if (a >= 0 or float(b).is_integer()) else math.nan
+        except (OverflowError, ValueError):  # e.g. 10^400, or 0^-1
+            r = math.nan
+        if not math.isfinite(r):
+            raise EvalDomainError("non-finite result", render(fx))
+        return r
+    raise TypeError(f"not a functional expression: {fx!r}")
+
+
+@contextmanager
+def finite_at_every_node():
+    """ref_eval_fn, with every node's value checked as eval_functional
+    checks it: its recursion goes through the module global, rebound here."""
+    module = sys.modules[__name__]
+    plain = module.ref_eval_fn
+
+    def checked(fx, u, quad):
+        value = plain(fx, u, quad)
+        if not math.isfinite(value):
+            raise EvalDomainError("non-finite result", render(fx))
+        return value
+
+    module.ref_eval_fn = checked
+    try:
+        yield checked
+    finally:
+        module.ref_eval_fn = plain
+
+
+def _functional_outcome(fn, fx, u, quad):
+    try:
+        with np.errstate(all="ignore"):
+            return "value", float(fn(fx, u, quad)).hex()
+    except (EvalDomainError, QuadratureError) as err:
+        return "error", (type(err), str(err))
+
+
+def body_strategy(n):
+    return ast_strategy(int_body_context(n)).map(
+        lambda body: parse_expr(render(body), int_body_context(n)))
+
+
+POINTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1 / 3]), st.floats(0.0, 1.0))
+
+
+def functional_strategy(n):
+    leaves = st.one_of(
+        NUMBERS.map(Num), st.sampled_from(["e", "pi"]).map(Const),
+        st.builds(Val, st.integers(1, n), POINTS),
+        st.builds(Der, st.integers(1, n), POINTS),
+        body_strategy(n).map(Integral), FAILING)
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "exp", "log", "abs", "sqrt",
+                                          "pos", "step"]), sub),
+        st.builds(Bin, st.sampled_from(list("+-*/^")), sub, sub)), max_leaves=8)
+
+
+@st.composite
+def functional_and_state(draw):
+    n = 2
+    # render and parse, so the tree is one the grammar produces
+    fx = parse_functional(render(draw(functional_strategy(n))), n)
+    return fx, trig_state(draw(st.integers(0, 2 ** 16)), n=n)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(functional_and_state())
+def test_compiled_functional_matches_interpreter(case):
+    fx, u = case
+    # a body with rounding noise, such as (u1 + 10^12) - 10^12, bisects
+    # some 10^5 panels before it converges; a smaller depth keeps each
+    # example fast, and the two paths must agree at any depth
+    quad = QuadConfig(max_subdivisions=8)
+    plain = _functional_outcome(ref_eval_fn, fx, u, quad)
+    with finite_at_every_node() as checked:
+        want = _functional_outcome(checked, fx, u, quad)
+    if want != plain:
+        # the reference met a non-finite value at some node, and raises there
+        kind, (err_type, text) = want
+        assert kind == "error" and err_type is EvalDomainError
+        assert text.startswith("non-finite result")
+    for _ in range(2):  # first call compiles, second reuses the closures
+        assert _functional_outcome(eval_functional, fx, u, quad) == want
+
+
+class TestNonFiniteFunctionals:
+    @pytest.mark.parametrize("text,subexpr", [
+        ("val(1,0)*10^300*10^300", "val(1, 0.0) * 10 ^ 300 * 10 ^ 300"),
+        ("10^300*10^300 - 10^300*10^300", "10 ^ 300 * 10 ^ 300"),
+    ])
+    def test_overflow_raises_naming_the_subexpression(self, text, subexpr):
+        fx = parse_functional(text, 1)
+        u = constant_state([1.0])
+        with np.errstate(all="ignore"):
+            assert not math.isfinite(ref_eval_fn(fx, u, QuadConfig()))
+        for condition in (None, "C7"):
+            with pytest.raises(EvalDomainError, match="non-finite result") as err:
+                eval_functional(fx, u, nonneg_condition=condition)
+            assert err.value.subexpr == subexpr
+
+    @pytest.mark.parametrize("text", [
+        "val(1, 0)*1e308 + 1e308", "val(1, 0)*1e308 - -1e308",
+        "val(1, 0)*1e200*1e200", "val(1, 0)*1e200/1e-200",
+    ])
+    def test_every_operator_checks_its_result(self, text):
+        fx = parse_functional(text, 1)
+        with pytest.raises(EvalDomainError, match="non-finite result") as err:
+            eval_functional(fx, constant_state([1.0]))
+        assert err.value.subexpr == render(fx)
+
+    def test_infinite_integrand_raises_at_once(self):
+        # at the parent every panel failed the two-rule test at every level,
+        # so the bisection grew to 128 * 2^20 panels before it could fail
+        fx = parse_functional("1 + int(u1*10^300*10^300)", 1)
+        with np.errstate(over="ignore"), \
+                pytest.raises(QuadratureError, match="infinite value near x="):
+            eval_functional(fx, constant_state([1.0]))
+
+    def test_overflowing_literal_is_a_syntax_error(self):
+        with pytest.raises(DslSyntaxError, match="out of range"):
+            parse_functional("1e999 + val(1, 0)", 1)
+
+
+class TestSharedPass:
+    """int atoms integrate on one interpolation of the state; each value
+    must be what ``integrate`` gives on the atom's own interpolation."""
+
+    KINK = "int(abs(s - 1/3))"
+
+    def test_kink_inside_a_panel_takes_the_fallback(self, monkeypatch):
+        from hammcert import quad as quad_mod
+        adapted = []
+        adapt = quad_mod._adapt
+
+        def counting(f, rows, lo, hi, whole, cfg):
+            adapted.append(lo.size)
+            return adapt(f, rows, lo, hi, whole, cfg)
+
+        monkeypatch.setattr(quad_mod, "_adapt", counting)
+        fx = parse_functional(self.KINK, 2)
+        for u in (constant_state([1.0, 2.0]), trig_state(4, n=2)):
+            adapted.clear()
+            got = eval_functional(fx, u)
+            assert adapted[0] == 2  # the two halves of the one failing panel
+            want = ref_eval_fn(fx, u, QuadConfig())
+            assert float(got).hex() == float(want).hex()
+        assert got == pytest.approx(5 / 18, abs=1e-12)
+
+    @pytest.mark.parametrize("body", [
+        # NaN at every point, so already at the first pass
+        "u1*(10^300*10^300 - 10^300*10^300)",
+        # NaN only within 1e-6 of the kink, which only the fallback samples
+        "abs(s - 1/3) + (pos(s - 1/3 + 1e-6)*step(1/3 + 1e-6 - s)*10^300*10^300"
+        " - pos(s - 1/3 + 1e-6)*step(1/3 + 1e-6 - s)*10^300*10^300)",
+    ])
+    def test_nan_body_keeps_the_quadrature_error(self, body):
+        fx = parse_functional(f"int({body})", 1)
+        u = trig_state(2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(QuadratureError) as want:
+                ref_eval_fn(fx, u, QuadConfig())
+            with pytest.raises(QuadratureError) as got:
+                eval_functional(fx, u)
+        assert str(got.value) == str(want.value)
+
+    def test_one_pass_serves_several_functionals(self):
+        from hammcert.expr import _SharedPass
+        u = trig_state(9, n=2)
+        quad = QuadConfig()
+        shared = _SharedPass(u, quad)
+        for text in ("int(du1^2)", "exp(-int((du1 + du2)^2))", "val(2, 1/2)",
+                     "val(2, 0.5)^2 * int(du1^2)"):
+            fx = parse_functional(text, 2)
+            got = eval_functional(fx, u, quad, shared_pass=shared)
+            assert got.hex() == float(ref_eval_fn(fx, u, quad)).hex()
+        with pytest.raises(ValueError, match="another state"):
+            eval_functional(fx, trig_state(9, n=2), quad, shared_pass=shared)
+
+
+@pytest.mark.parametrize("op", list("+-*/^"))
+def test_functional_left_operand_fails_first(op):
+    fx = parse_functional(f"log(val(1, 0) - 2) {op} sqrt(val(1, 0) - 3)", 1)
+    u = constant_state([2.0])
+    assert _functional_outcome(eval_functional, fx, u, QuadConfig()) == \
+        _functional_outcome(ref_eval_fn, fx, u, QuadConfig())
+    assert "log of a nonpositive value" in _functional_outcome(
+        eval_functional, fx, u, QuadConfig())[1][1]
+
+
+@pytest.mark.parametrize("text", [
+    "pos(-0)", "pos(-0) + -0", "abs(-0) * -1", "-0 * val(1, 0)", "step(-0)",
+    "-0 / 5", "(-0)^3", "0^0", "pos(-0*int(u1))",
+])
+def test_signed_zeros_follow_the_interpreter(text):
+    fx = parse_functional(text, 1)
+    u = constant_state([2.0])
+    assert eval_functional(fx, u).hex() == float(ref_eval_fn(fx, u, QuadConfig())).hex()
+
+
+def test_compiled_functional_keeps_eq_hash_and_pickles():
+    text = "1/(exp(val(2, 1/2)) + int(du1^2))"
+    fx = parse_functional(text, 2)
+    fresh = parse_functional(text, 2)
+    u = trig_state(3, n=2)
+    value = eval_functional(fx, u)
+    assert "_functional" in fx.__dict__
+    assert fx == fresh and hash(fx) == hash(fresh)
+    again = pickle.loads(pickle.dumps(fx))
+    assert "_functional" not in again.__dict__
+    assert eval_functional(again, u) == value
+
+
+def test_nan_never_reaches_the_sign_check():
+    fx = parse_functional("10^300*10^300*val(1, 0) - 10^300*10^300*val(1, 0)", 1)
+    with pytest.raises(EvalDomainError):
+        eval_functional(fx, constant_state([1.0]), nonneg_condition="C8")
+    with pytest.raises(ModelViolationError, match="C8"):
+        eval_functional(parse_functional("val(1, 0) - 2", 1), constant_state([1.0]),
+                        nonneg_condition="C8")

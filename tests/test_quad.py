@@ -3,7 +3,9 @@ import pytest
 
 from hammcert import QuadConfig, QuadratureError, integrate
 from hammcert.kernels import eval_k, kernel_from_catalog
-from hammcert.quad import _edges, composite_rule, gauss_rule, integrate_panels
+from hammcert import quad
+from hammcert.quad import (_edges, _first_pass, _integrate_first_pass,
+                           composite_rule, gauss_rule, integrate_panels)
 
 
 def test_defaults():
@@ -68,6 +70,14 @@ def test_empty_and_invalid_interval():
 def test_nan_rejected():
     with pytest.raises(QuadratureError, match="NaN"):
         integrate(lambda s: np.where(s > 0.5, np.nan, 1.0), 0.0, 1.0)
+
+
+def test_infinite_value_rejected():
+    # NaN is named first where both occur
+    with pytest.raises(QuadratureError, match="infinite value near x=array"):
+        integrate(lambda s: np.where(s > 0.5, np.inf, 1.0), 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="NaN"):
+        integrate(lambda s: np.where(s > 0.5, np.inf, np.nan), 0.0, 1.0)
 
 
 def test_nonconvergence_reported():
@@ -169,3 +179,36 @@ def test_panels_rows_match_one_row_integrals():
     got = integrate_panels(f, rows, lo, hi, shifts.size)
     for r, e in enumerate(edges):
         assert got[r] == integrate(lambda s: f(r, s), 0.0, 1.0, e[1:-1])
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args).hex()
+    except QuadratureError as err:
+        return "error", str(err)
+
+
+@pytest.mark.parametrize("f", ROUGH + [lambda s: np.abs(s - 1 / 3), lambda s: 2.0])
+def test_first_pass_matches_integrate(f):
+    # the caller evaluates the first pass; failing panels bisect through f
+    cfg = QuadConfig()
+    for bps in (np.linspace(0.0, 1.0, 129)[1:-1], np.arange(1, 17) / 17, ()):
+        fp = _first_pass(bps, cfg.gauss_order)
+        seen = []
+        at = lambda rows: seen.append(rows) or f(fp.points[rows])
+        got = _outcome(_integrate_first_pass, at, f, fp, cfg)
+        assert seen == [fp.whole, fp.halves]
+        assert got == _outcome(integrate, f, 0.0, 1.0, bps, cfg)
+
+
+def test_first_pass_layout_is_kept_and_bounded(monkeypatch):
+    monkeypatch.setattr(quad, "_FIRST_PASSES", {})
+    nodes = np.linspace(0.0, 1.0, 129)[1:-1]
+    fp = _first_pass(nodes, 8)
+    assert _first_pass(nodes.copy(), 8) is fp
+    assert _first_pass(nodes, 4) is not fp
+    assert not fp.points.flags.writeable
+    assert fp.points.shape == (3 * 128, 8)
+    for k in range(3, 3 + quad._FIRST_PASS_TABLE_SIZE):
+        _first_pass(np.linspace(0.0, 1.0, k)[1:-1], 8)
+    assert len(quad._FIRST_PASSES) <= quad._FIRST_PASS_TABLE_SIZE

@@ -356,6 +356,37 @@ class TestSplitOperatorOracle:
                 assert str(err.value) == str(ref_err.value)
 
 
+def count_hermite_calls(monkeypatch):
+    """Record (method, point-set shape) of every Hermite interpolation."""
+    calls = []
+    for name in ("value", "derivative"):
+        method = getattr(DiscreteState, name)
+
+        def counting(self, comp, x, _method=method, _name=name):
+            calls.append((_name, np.shape(x)))
+            return _method(self, comp, x)
+
+        monkeypatch.setattr(DiscreteState, name, counting)
+    return calls
+
+
+def test_int_atoms_share_two_hermite_calls_per_state(example_spec, example_cc,
+                                                     monkeypatch):
+    spec = example_spec
+    u = sample_cone_boundary_rng(spec, example_cc, 1.0, np.random.default_rng(5))
+    apply_T(spec, u)  # the operator is built once per spec
+    fresh = DiscreteState(u.nodes, u.values.copy(), u.derivatives.copy())
+    calls = count_hermite_calls(monkeypatch)
+    apply_T(spec, fresh)
+    first = hc.quad._first_pass(fresh.interior_nodes(), spec.quad.gauss_order)
+    # three int atoms (w_1, w_2 and h_21) share one value and one derivative
+    assert [c for c in calls if c[1] == first.points.shape] == [
+        ("value", first.points.shape), ("derivative", first.points.shape)]
+    # plus u and u' at the Nystrom points, and the four val/der atoms
+    assert len(calls) == 8
+    assert sum(c[1] == () for c in calls) == 4
+
+
 class TestSpecHash:
     def test_equal_specs_hash_equal_and_stable(self, example_spec):
         again = hc.load_config(hc.example_config_path())
