@@ -20,6 +20,11 @@ constants, declared bounds and the parameter point (lambda_i, eta_ij):
   leaves at most the zero solution in the closed ball; the zero state's
   residual is evaluated separately to decide whether even that survives.
 
+Each family's lhs is computed by one private row builder, left to right in
+the order shown, which returns its rows and the constants it read in reading
+order.  Certificates derive their provenance and notes from those keys;
+``sweep`` reads the rows alone.
+
 Comparisons are exact on the computed doubles -- no epsilon fudging -- and
 every row reports its margin so grid-resolution risk can be judged
 explicitly.  Bounds with zero coefficient are not required; a missing bound
@@ -28,7 +33,9 @@ with positive coefficient raises MissingBoundError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -77,23 +84,16 @@ class Row:
     margin: float    # positive = satisfied with room
 
     def as_dict(self) -> dict:
-        return {"label": self.label, "lhs": self.lhs, "threshold": self.threshold,
-                "comparison": self.comparison, "holds": self.holds,
-                "margin": self.margin}
+        return asdict(self)
+
+
+_HOLDS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 
 
 def _row(label: str, lhs: float, threshold: float, comparison: str) -> Row:
-    if comparison == "<=":
-        holds, margin = lhs <= threshold, threshold - lhs
-    elif comparison == ">=":
-        holds, margin = lhs >= threshold, lhs - threshold
-    elif comparison == "<":
-        holds, margin = lhs < threshold, threshold - lhs
-    elif comparison == ">":
-        holds, margin = lhs > threshold, lhs - threshold
-    else:
-        raise ValueError(comparison)
-    return Row(label, lhs, threshold, comparison, holds, margin)
+    margin = threshold - lhs if comparison in ("<=", "<") else lhs - threshold
+    return Row(label, lhs, threshold, comparison,
+               _HOLDS[comparison](lhs, threshold), margin)
 
 
 @dataclass(frozen=True)
@@ -124,19 +124,19 @@ def _params_dict(params: "Params") -> dict:
             "eta": [list(row) for row in params.etas]}
 
 
-def _constant_provenance(cc: Sequence[ConeConstants], keys_per_comp) -> tuple[dict, list[str]]:
-    prov = {}
-    notes = []
-    for i, keys in keys_per_comp.items():
-        for key in keys:
-            rec = cc[i - 1].records.get(key)
-            if rec is None:
-                continue
-            prov[rec.symbol] = rec.as_dict()
-            if rec.flags:
-                notes.append(
-                    f"constant {rec.symbol}: declared {rec.declared!r} differs from "
-                    f"computed {rec.computed!r}; the computed value was used")
+Keys = list[tuple[int, str]]  # (component, record key) of each constant read
+
+
+def _constant_provenance(cc: Sequence[ConeConstants], keys: Keys) -> tuple[dict, list[str]]:
+    """The records of the constants read, and a note for each flagged one."""
+    prov, notes = {}, []
+    for i, key in keys:
+        rec = cc[i - 1].records[key]
+        prov[rec.symbol] = rec.as_dict()
+        if rec.flags:
+            notes.append(
+                f"constant {rec.symbol}: declared {rec.declared!r} differs from "
+                f"computed {rec.computed!r}; the computed value was used")
     return prov, notes
 
 
@@ -149,10 +149,150 @@ def _need(value, what: str, coefficient: float):
     return value
 
 
+def _read(cc: Sequence[ConeConstants], keys: Keys, i: int, key: str) -> float:
+    """The used value of component i's constant record ``key``, noted in keys."""
+    keys.append((i, key))
+    return cc[i - 1].records[key].used
+
+
 def _check_shape(spec: "ProblemSpec", db: DeclaredBounds) -> None:
     if len(db.components) != spec.n:
         raise ConfigError("bounds", f"declared bounds carry {len(db.components)} "
                                     f"component entries for an n={spec.n} problem")
+
+
+def _i1_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
+             params: "Params") -> tuple[list[Row], Keys]:
+    _check_shape(spec, db)
+    rho, rows, keys = db.rho, [], []
+    for i, (comp, cb) in enumerate(zip(spec.components, db.components), start=1):
+        lam = params.lambdas[i - 1]
+        f_hi = _need(cb.f_hi, f"f_hi[{i}] at rho={rho}", lam)
+        for l, sup in ((0, "gamma_sup"), (1, "dgamma_sup")):
+            lhs = lam * f_hi * _read(cc, keys, i, f"recip_m{l}")
+            for j in range(len(comp.gammas)):
+                eta = params.etas[i - 1][j]
+                h_hi = _need(cb.h[j].hi, f"h_hi[{i},{j + 1}] at rho={rho}", eta)
+                lhs += eta * _read(cc, keys, i, f"{sup}[{j}]") * h_hi
+            rows.append(_row(f"i={i},l={l}", lhs, rho, "<="))
+    return rows, keys
+
+
+def _i0_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
+             params: "Params", components: Sequence[int] | None = None,
+             prefix: str = "", comparison: str = ">=") -> tuple[list[Row], Keys]:
+    """I0 rows of the given components (all by default); with prefix "J:"
+    and comparison ">" they are the nonexistence J rows."""
+    _check_shape(spec, db)
+    rho, rows, keys = db.rho, [], []
+    for i in range(1, spec.n + 1) if components is None else components:
+        comp, cb = spec.components[i - 1], db.components[i - 1]
+        lam = params.lambdas[i - 1]
+        delta_tilde = _need(cb.delta_tilde, f"delta_tilde[{i}] at rho={rho}", lam)
+        lhs = (lam * delta_tilde * _read(cc, keys, i, "c_tilde")
+               * _read(cc, keys, i, "recip_M"))
+        for j in range(len(comp.gammas)):
+            eta = params.etas[i - 1][j]
+            delta = _need(cb.h[j].delta, f"h delta[{i},{j + 1}] at rho={rho}", eta)
+            lhs += (eta * _read(cc, keys, i, f"c_gamma[{j}]") * delta
+                    * _read(cc, keys, i, f"gamma_sup[{j}]"))
+        rows.append(_row(f"{prefix}i={i}", lhs, 1.0, comparison))
+    return rows, keys
+
+
+def _i0_star_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
+                  i0: int, params: "Params") -> tuple[list[Row], Keys]:
+    _check_shape(spec, db)
+    if not (1 <= i0 <= spec.n):
+        raise ConfigError("i0", f"component index out of range 1..{spec.n}")
+    comp, cb = spec.components[i0 - 1], db.components[i0 - 1]
+    lam, keys = params.lambdas[i0 - 1], []
+    f_lo = _need(cb.f_lo, f"f_lo[{i0}] at rho={db.rho}", lam)
+    lhs = lam * f_lo * _read(cc, keys, i0, "recip_M")
+    for j in range(len(comp.gammas)):
+        eta = params.etas[i0 - 1][j]
+        lhs += (eta * _read(cc, keys, i0, f"c_gamma[{j}]")
+                * _read(cc, keys, i0, f"gamma_sup[{j}]") * cb.h[j].lo)
+    return [_row(f"i0={i0}", lhs, db.rho, ">=")], keys
+
+
+def _nonexistence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants],
+                       db: DeclaredBounds, setI: Sequence[int], setJ: Sequence[int],
+                       params: "Params") -> tuple[list[int], list[int], list[Row], Keys]:
+    """The validated partition {I, J} (sorted), the I rows then the J rows at
+    radius db.rho, and the constants they read."""
+    _check_shape(spec, db)
+    setI, setJ = sorted(set(setI)), sorted(set(setJ))
+    if set(setI) & set(setJ) or set(setI) | set(setJ) != set(range(1, spec.n + 1)):
+        raise ConfigError("setI/setJ",
+                          f"I={setI} and J={setJ} must partition 1..{spec.n}")
+    rho, rows, keys = db.rho, [], []
+    for i in setI:
+        comp, cb = spec.components[i - 1], db.components[i - 1]
+        lam = params.lambdas[i - 1]
+        xi_tilde = _need(cb.xi_tilde, f"xi_tilde[{i}] at rho={rho}", lam)
+        lhs = lam * xi_tilde * _read(cc, keys, i, "recip_m0")
+        for j in range(len(comp.gammas)):
+            eta = params.etas[i - 1][j]
+            xi = _need(cb.h[j].xi, f"h xi[{i},{j + 1}] at rho={rho}", eta)
+            lhs += eta * xi * _read(cc, keys, i, f"gamma_sup[{j}]")
+        rows.append(_row(f"I:i={i}", lhs, 1.0, "<"))
+    j_rows, j_keys = _i0_rows(spec, cc, db, params, setJ, "J:", ">")
+    return setI, setJ, rows + j_rows, keys + j_keys
+
+
+def _existence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db1: DeclaredBounds,
+                    db2: DeclaredBounds, mode: str, i0: int | None, params: "Params"):
+    """((rows, keys) at rho1, (rows, keys) at rho2, i0): the I0 rows (mode S,
+    i0 None) or the I0* row of component i0 (mode Sstar), and the I1 rows."""
+    if db1.rho >= db2.rho:
+        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {db1.rho} >= {db2.rho}")
+    if mode not in ("S", "Sstar"):
+        raise ConfigError("mode", "mode must be 'S' or 'Sstar'")
+    outer = _i1_rows(spec, cc, db2, params)
+    if mode == "S":
+        return _i0_rows(spec, cc, db1, params), outer, None
+    if i0 is not None:
+        return _i0_star_rows(spec, cc, db1, i0, params), outer, i0
+    first = None
+    for cand in range(1, spec.n + 1):
+        try:
+            inner = _i0_star_rows(spec, cc, db1, cand, params)
+        except MissingBoundError:
+            continue
+        if inner[0][0].holds:
+            return inner, outer, cand
+        first = first or (inner, outer, cand)
+    if first is None:
+        raise MissingBoundError(
+            f"no component declares f_lo at rho={db1.rho}; cannot evaluate the "
+            "single-component inner condition")
+    return first
+
+
+def _certificate(kind: str, spec: "ProblemSpec", cc: Sequence[ConeConstants],
+                 db: DeclaredBounds, params: "Params", rows: list[Row], keys: Keys,
+                 i0: int | None = None) -> Certificate:
+    """The I1, I0 or I0star certificate of a builder's rows and keys."""
+    cbs = db.components
+    if kind == "I1":
+        binding = max(rows, key=lambda r: r.lhs)
+        bounds = {"f_hi": [cb.f_hi for cb in cbs],
+                  "h_hi": [[hb.hi for hb in cb.h] for cb in cbs]}
+    elif kind == "I0":
+        binding = min(rows, key=lambda r: r.lhs)
+        bounds = {"delta_tilde": [cb.delta_tilde for cb in cbs],
+                  "delta": [[hb.delta for hb in cb.h] for cb in cbs],
+                  "sign_box": [SignBox(i, spec.n, db.rho).lower()
+                               for i in range(1, spec.n + 1)]}
+    else:
+        binding = rows[0]
+        bounds = {"f_lo": cbs[i0 - 1].f_lo, "h_lo": [hb.lo for hb in cbs[i0 - 1].h],
+                  "sign_box": SignBox(i0, spec.n, db.rho).lower()}
+    prov, notes = _constant_provenance(cc, keys)
+    prov["bounds"] = {"rho": db.rho, **bounds}
+    return Certificate(kind, (db.rho,), tuple(rows), all(r.holds for r in rows),
+                       binding.label, _params_dict(params), prov, tuple(notes))
 
 
 def check_I1(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
@@ -160,43 +300,7 @@ def check_I1(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
     """Index-1 growth condition at radius db.rho; certified iff the max over
     components and derivative orders of the lhs stays <= rho."""
     params = _effective_params(spec, params)
-    _check_shape(spec, db)
-    rho = db.rho
-    rows = []
-    used: dict[int, set] = {}
-    for i, (comp, cb) in enumerate(zip(spec.components, db.components), start=1):
-        lam = params.lambdas[i - 1]
-        f_hi = _need(cb.f_hi, f"f_hi[{i}] at rho={rho}", lam)
-        for l in (0, 1):
-            recip = cc[i - 1].recip_m0 if l == 0 else cc[i - 1].recip_m1
-            gsup = cc[i - 1].gamma_sup if l == 0 else cc[i - 1].dgamma_sup
-            lhs = lam * f_hi * recip
-            for j in range(len(comp.gammas)):
-                eta = params.etas[i - 1][j]
-                h_hi = _need(cb.h[j].hi, f"h_hi[{i},{j + 1}] at rho={rho}", eta)
-                lhs += eta * gsup[j] * h_hi
-            rows.append(_row(f"i={i},l={l}", lhs, rho, "<="))
-            used.setdefault(i, set()).update(
-                {f"recip_m{l}"} | {f"{'gamma_sup' if l == 0 else 'dgamma_sup'}[{j}]"
-                                   for j in range(len(comp.gammas))})
-    binding = max(rows, key=lambda r: r.lhs)
-    prov, notes = _constant_provenance(cc, used)
-    prov["bounds"] = {"rho": rho, "f_hi": [cb.f_hi for cb in db.components],
-                      "h_hi": [[hb.hi for hb in cb.h] for cb in db.components]}
-    return Certificate("I1", (rho,), tuple(rows), all(r.holds for r in rows),
-                       binding.label, _params_dict(params), prov, tuple(notes))
-
-
-def _i0_row(i: int, comp, cb, cci: ConeConstants, params: "Params",
-            rho: float) -> Row:
-    lam = params.lambdas[i - 1]
-    delta_tilde = _need(cb.delta_tilde, f"delta_tilde[{i}] at rho={rho}", lam)
-    lhs = lam * delta_tilde * cci.c_tilde * cci.recip_M
-    for j in range(len(comp.gammas)):
-        eta = params.etas[i - 1][j]
-        delta = _need(cb.h[j].delta, f"h delta[{i},{j + 1}] at rho={rho}", eta)
-        lhs += eta * cci.c_gamma[j] * delta * cci.gamma_sup[j]
-    return Row(f"i={i}", lhs, 1.0, ">=", lhs >= 1.0, lhs - 1.0)
+    return _certificate("I1", spec, cc, db, params, *_i1_rows(spec, cc, db, params))
 
 
 def check_I0(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
@@ -204,54 +308,16 @@ def check_I0(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
     """Index-0 condition at radius db.rho; certified iff the min over
     components of the lhs is >= 1 (non-strict, as displayed)."""
     params = _effective_params(spec, params)
-    _check_shape(spec, db)
-    rows = []
-    used = {}
-    for i, (comp, cb) in enumerate(zip(spec.components, db.components), start=1):
-        rows.append(_i0_row(i, comp, cb, cc[i - 1], params, db.rho))
-        used[i] = {"c_tilde", "recip_M"} | \
-            {f"c_gamma[{j}]" for j in range(len(comp.gammas))} | \
-            {f"gamma_sup[{j}]" for j in range(len(comp.gammas))}
-    binding = min(rows, key=lambda r: r.lhs)
-    prov, notes = _constant_provenance(cc, used)
-    prov["bounds"] = {"rho": db.rho,
-                      "delta_tilde": [cb.delta_tilde for cb in db.components],
-                      "delta": [[hb.delta for hb in cb.h] for cb in db.components],
-                      "sign_box": [SignBox(i, spec.n, db.rho).lower()
-                                   for i in range(1, spec.n + 1)]}
-    return Certificate("I0", (db.rho,), tuple(rows), all(r.holds for r in rows),
-                       binding.label, _params_dict(params), prov, tuple(notes))
+    return _certificate("I0", spec, cc, db, params, *_i0_rows(spec, cc, db, params))
 
 
-def check_I0_star(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                  db: DeclaredBounds, i0: int,
-                  params: "Params | None" = None) -> Certificate:
+def check_I0_star(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
+                  i0: int, params: "Params | None" = None) -> Certificate:
     """Single-component index-0 condition: only component i0's growth is
     restricted, via the declared f_lo on the sign-restricted box."""
     params = _effective_params(spec, params)
-    _check_shape(spec, db)
-    if not (1 <= i0 <= spec.n):
-        raise ConfigError("i0", f"component index out of range 1..{spec.n}")
-    rho = db.rho
-    comp = spec.components[i0 - 1]
-    cb = db.components[i0 - 1]
-    cci = cc[i0 - 1]
-    lam = params.lambdas[i0 - 1]
-    f_lo = _need(cb.f_lo, f"f_lo[{i0}] at rho={rho}", lam)
-    lhs = lam * f_lo * cci.recip_M
-    for j in range(len(comp.gammas)):
-        eta = params.etas[i0 - 1][j]
-        lhs += eta * cci.c_gamma[j] * cci.gamma_sup[j] * cb.h[j].lo
-    row = _row(f"i0={i0}", lhs, rho, ">=")
-    used = {i0: {"c_tilde", "recip_M"} |
-            {f"c_gamma[{j}]" for j in range(len(comp.gammas))} |
-            {f"gamma_sup[{j}]" for j in range(len(comp.gammas))}}
-    prov, notes = _constant_provenance(cc, used)
-    prov["bounds"] = {"rho": rho, "f_lo": cb.f_lo,
-                      "h_lo": [hb.lo for hb in cb.h],
-                      "sign_box": SignBox(i0, spec.n, rho).lower()}
-    return Certificate("I0star", (rho,), (row,), row.holds, row.label,
-                       _params_dict(params), prov, tuple(notes))
+    return _certificate("I0star", spec, cc, db, params,
+                        *_i0_star_rows(spec, cc, db, i0, params), i0)
 
 
 def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
@@ -261,87 +327,32 @@ def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     """Existence with localization rho1 <= ||u|| <= rho2.
 
     Mode "S" pairs I0 at rho1 with I1 at rho2; mode "Sstar" pairs I0* at
-    rho1 with I1 at rho2.  In mode Sstar with i0 unspecified, each component
-    is tried in turn and the first certified one is used.
+    rho1 with I1 at rho2.  In mode Sstar with i0 unspecified, the first
+    component that certifies is used, skipping those that lack a needed
+    bound; if none certifies, the first one that could be evaluated.
     """
     params = _effective_params(spec, params)
-    if db1.rho >= db2.rho:
-        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {db1.rho} >= {db2.rho}")
-    if mode not in ("S", "Sstar"):
-        raise ConfigError("mode", "mode must be 'S' or 'Sstar'")
-    outer = check_I1(spec, cc, db2, params)
-    notes: list[str] = []
-    if mode == "S":
-        inner = check_I0(spec, cc, db1, params)
-    elif i0 is not None:
-        inner = check_I0_star(spec, cc, db1, i0, params)
-    else:
-        inner = None
-        for cand in range(1, spec.n + 1):
-            try:
-                attempt = check_I0_star(spec, cc, db1, cand, params)
-            except MissingBoundError:
-                continue
-            if inner is None or (attempt.certified and not inner.certified):
-                inner = attempt
-            if attempt.certified:
-                notes.append(f"i0 not specified; component {cand} certifies the "
-                             "inner condition")
-                break
-        if inner is None:
-            raise MissingBoundError(
-                f"no component declares f_lo at rho={db1.rho}; cannot evaluate the "
-                "single-component inner condition")
+    inner, outer, chosen = _existence_rows(spec, cc, db1, db2, mode, i0, params)
+    inner = _certificate("I0" if mode == "S" else "I0star", spec, cc, db1, params,
+                         *inner, chosen)
+    outer = _certificate("I1", spec, cc, db2, params, *outer)
     certified = inner.certified and outer.certified
-    kind = "S" if mode == "S" else "Sstar"
-    notes.extend(inner.notes + outer.notes)
+    notes = [*inner.notes, *outer.notes]
+    if mode == "Sstar" and i0 is None and inner.certified:
+        notes.insert(0, f"i0 not specified; component {chosen} certifies the "
+                        "inner condition")
     if certified:
         notes.append(f"a nontrivial solution exists in the cone with "
                      f"{db1.rho} <= ||u|| <= {db2.rho}")
-    binding = inner.binding if not inner.certified else outer.binding
-    return Certificate(kind, (db1.rho, db2.rho), inner.rows + outer.rows,
-                       certified, binding, _params_dict(params),
+    return Certificate(mode, (db1.rho, db2.rho), inner.rows + outer.rows,
+                       certified, outer.binding if inner.certified else inner.binding,
+                       _params_dict(params),
                        {"inner": inner.provenance, "outer": outer.provenance},
                        tuple(dict.fromkeys(notes)), children=(inner, outer))
 
 
-def _nonexistence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                       db: DeclaredBounds, setI: Sequence[int], setJ: Sequence[int],
-                       params: "Params") -> tuple[list[int], list[int], list[Row], dict]:
-    """The validated partition {I, J} (sorted), the nonexistence rows at
-    radius db.rho (I rows, then J rows) and the constants each row uses."""
-    _check_shape(spec, db)
-    setI, setJ = sorted(set(setI)), sorted(set(setJ))
-    if set(setI) & set(setJ) or set(setI) | set(setJ) != set(range(1, spec.n + 1)):
-        raise ConfigError("setI/setJ",
-                          f"I={setI} and J={setJ} must partition 1..{spec.n}")
-    rho = db.rho
-    rows = []
-    used = {}
-    for i in setI:
-        comp, cb, cci = spec.components[i - 1], db.components[i - 1], cc[i - 1]
-        lam = params.lambdas[i - 1]
-        xi_tilde = _need(cb.xi_tilde, f"xi_tilde[{i}] at rho={rho}", lam)
-        lhs = lam * xi_tilde * cci.recip_m0
-        for j in range(len(comp.gammas)):
-            eta = params.etas[i - 1][j]
-            xi = _need(cb.h[j].xi, f"h xi[{i},{j + 1}] at rho={rho}", eta)
-            lhs += eta * xi * cci.gamma_sup[j]
-        rows.append(_row(f"I:i={i}", lhs, 1.0, "<"))
-        used[i] = {"recip_m0"} | {f"gamma_sup[{j}]" for j in range(len(comp.gammas))}
-    for i in setJ:
-        comp, cb, cci = spec.components[i - 1], db.components[i - 1], cc[i - 1]
-        base = _i0_row(i, comp, cb, cci, params, rho)
-        rows.append(_row(f"J:i={i}", base.lhs, 1.0, ">"))
-        used[i] = {"c_tilde", "recip_M"} | \
-            {f"c_gamma[{j}]" for j in range(len(comp.gammas))} | \
-            {f"gamma_sup[{j}]" for j in range(len(comp.gammas))}
-    return setI, setJ, rows, used
-
-
 def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                             db: DeclaredBounds, setI: Sequence[int],
-                             setJ: Sequence[int],
+                             db: DeclaredBounds, setI: Sequence[int], setJ: Sequence[int],
                              params: "Params | None" = None,
                              quad: QuadConfig | None = None) -> Certificate:
     """At-most-zero-solutions certificate on the closed ball of radius db.rho.
@@ -352,30 +363,25 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     does a certified verdict mean "no solutions at all" in the ball.
     """
     params = _effective_params(spec, params)
-    setI, setJ, rows, used = _nonexistence_rows(spec, cc, db, setI, setJ, params)
-    rho = db.rho
-    certified = all(r.holds for r in rows)
-    binding = min(rows, key=lambda r: r.margin) if rows else None
-    prov, notes = _constant_provenance(cc, used)
-    prov["bounds"] = {"rho": rho, "setI": setI, "setJ": setJ,
+    setI, setJ, rows, keys = _nonexistence_rows(spec, cc, db, setI, setJ, params)
+    binding = min(rows, key=lambda r: r.margin)
+    prov, notes = _constant_provenance(cc, keys)
+    prov["bounds"] = {"rho": db.rho, "setI": setI, "setJ": setJ,
                       "xi_tilde": [db.components[i - 1].xi_tilde for i in setI],
                       "delta_tilde": [db.components[i - 1].delta_tilde for i in setJ]}
-
-    z = zero_state(spec.n, spec.solver.nodes)
-    r0 = residual(spec, z, quad or spec.quad, params)
-    zero_solves = r0 <= ZERO_RESIDUAL_TOL
+    r0 = residual(spec, zero_state(spec.n, spec.solver.nodes), quad or spec.quad,
+                  params)
     prov["zero_state_residual"] = r0
-    if zero_solves:
+    if r0 <= ZERO_RESIDUAL_TOL:
         notes.append(f"the zero state satisfies the system (residual {r0:.3e}); "
                      "a certified verdict means the zero solution is the only one "
                      "in the closed ball")
     else:
         notes.append(f"the zero state does not satisfy the system (residual "
                      f"{r0:.3e}); a certified verdict means no solutions at all "
-                     f"with norm <= {rho}")
-    return Certificate("NIJ", (rho,), tuple(rows), certified,
-                       binding.label if binding else "", _params_dict(params),
-                       prov, tuple(notes))
+                     f"with norm <= {db.rho}")
+    return Certificate("NIJ", (db.rho,), tuple(rows), all(r.holds for r in rows),
+                       binding.label, _params_dict(params), prov, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +416,11 @@ class SweepResult:
             writer = csv.DictWriter(fh, fieldnames=names + ["verdict", "binding", "margin"])
             writer.writeheader()
             for row in self.rows:
-                writer.writerow({**{k: repr(row[k]) for k in names},
-                                 "verdict": row["verdict"],
-                                 "binding": row["binding"],
+                writer.writerow({**row, **{k: repr(row[k]) for k in names},
                                  "margin": repr(row["margin"])})
 
     def counts(self) -> dict:
-        out: dict[str, int] = {}
-        for row in self.rows:
-            out[row["verdict"]] = out.get(row["verdict"], 0) + 1
-        return out
+        return dict(Counter(row["verdict"] for row in self.rows))
 
 
 def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
@@ -431,43 +432,41 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
 
     ``nonexistence``, when given, is {"db": DeclaredBounds, "setI": [...],
     "setJ": [...]}; without it only existence is evaluated.  A point's
-    nonexistence verdict, binding row and margin come from the inequality
-    rows alone, so T(0) is never evaluated here; ``nonexistence_certificate``
-    reports the zero-state residual.  A point certified both ways under the
-    same declared bounds is a contradiction and aborts the sweep with a full
-    dump of both certificates.
+    verdict, binding row and margin come from its inequality rows alone.  A
+    point certified both ways under the same declared bounds is a
+    contradiction and aborts the sweep with a dump of both full certificates.
     """
-    from .problem import Params
-
-    base = Params.from_spec(spec)
+    base = _effective_params(spec, None)
     axes = tuple(axes)
     grids = [ax.grid() for ax in axes]
+    nonex = None if nonexistence is None else (
+        nonexistence["db"], nonexistence["setI"], nonexistence["setJ"])
     rows = []
     for combo in np.ndindex(*[g.size for g in grids]):
         overrides = {ax.name: float(grids[k][combo[k]]) for k, ax in enumerate(axes)}
         params = base.with_overrides(overrides)
-        exist = existence_certificate(spec, cc, db1, db2, mode, i0, params)
-        nonex_rows = None
-        if nonexistence is not None:
-            nonex_rows = _nonexistence_rows(
-                spec, cc, nonexistence["db"], nonexistence["setI"],
-                nonexistence["setJ"], params)[2]
+        (inner, _), (outer, _), _ = _existence_rows(spec, cc, db1, db2, mode, i0,
+                                                    params)
+        inner_holds = all(r.holds for r in inner)
+        exist_certified = inner_holds and all(r.holds for r in outer)
+        nonex_rows = _nonexistence_rows(spec, cc, *nonex, params)[2] if nonex else None
         nonex_certified = nonex_rows is not None and all(r.holds for r in nonex_rows)
-        if exist.certified and nonex_certified:
-            nonex = nonexistence_certificate(
-                spec, cc, nonexistence["db"], nonexistence["setI"],
-                nonexistence["setJ"], params)
+        if exist_certified and nonex_certified:
             raise ContradictionError(
                 f"grid point {overrides} certified both for existence and "
                 "nonexistence under the same declared bounds",
-                {"point": overrides, "existence": exist.as_dict(),
-                 "nonexistence": nonex.as_dict()})
+                {"point": overrides,
+                 "existence": existence_certificate(spec, cc, db1, db2, mode, i0,
+                                                    params).as_dict(),
+                 "nonexistence": nonexistence_certificate(spec, cc, *nonex,
+                                                          params).as_dict()})
         if nonex_certified:
             verdict = "nonexistence-certified"
             binding_row = min(nonex_rows, key=lambda r: r.margin)
         else:
-            verdict = "existence-certified" if exist.certified else "undetermined"
-            binding_row = next(r for r in exist.rows if r.label == exist.binding)
+            verdict = "existence-certified" if exist_certified else "undetermined"
+            binding_row = (max(outer, key=lambda r: r.lhs) if inner_holds
+                           else min(inner, key=lambda r: r.lhs))
         rows.append({**overrides, "verdict": verdict, "binding": binding_row.label,
                      "margin": binding_row.margin})
     return SweepResult(axes, rows)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,7 +62,11 @@ def _parse_overrides(pairs) -> dict:
     for pair in pairs or ():
         name, _, value = pair.partition("=")
         parse_param_name(name)  # validates the shape early
-        overrides[name] = float(value)
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            raise HammcertError(f"bad --set {pair!r}; expected NAME=VALUE with a "
+                                "numeric VALUE") from None
     return overrides
 
 
@@ -141,17 +146,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _indices(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s.strip()]
+def _indices(text: str, flag: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise HammcertError(f"bad {flag} {text!r}; expected comma-separated "
+                            "component indices") from None
 
 
 def _axis(text: str) -> certify_mod.SweepAxis:
     parts = text.split(":")
-    if len(parts) != 4:
-        raise HammcertError(f"bad --axis {text!r}; expected NAME:MIN:MAX:STEPS")
-    name, lo, hi, steps = parts
-    parse_param_name(name)
-    return certify_mod.SweepAxis(name, float(lo), float(hi), int(steps))
+    if len(parts) == 4:
+        name, lo, hi, steps = parts
+        parse_param_name(name)
+        try:
+            lo, hi, steps = float(lo), float(hi), int(steps)
+            if math.isfinite(lo) and math.isfinite(hi):
+                return certify_mod.SweepAxis(name, lo, hi, steps)
+        except ValueError:  # not a number, or SweepAxis rejects steps or order
+            pass
+    raise HammcertError(f"bad --axis {text!r}; expected NAME:MIN:MAX:STEPS with "
+                        "finite MIN <= MAX and an integer STEPS >= 1")
 
 
 def main(argv=None) -> int:
@@ -188,10 +203,10 @@ def _dispatch(args) -> int:
         return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
 
     if args.command == "certify-nonexistence":
+        setI, setJ = _indices(args.setI, "--setI"), _indices(args.setJ, "--setJ")
         cc = assemble_cone_constants(spec)
         cert = certify_mod.nonexistence_certificate(
-            spec, cc, spec.bounds_at(args.rho), _indices(args.setI),
-            _indices(args.setJ), params)
+            spec, cc, spec.bounds_at(args.rho), setI, setJ, params)
         report = cert.as_dict()
         report["config_hash"] = cfg_hash
         _emit(report, args.out)
@@ -240,14 +255,15 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "sweep":
-        cc = assemble_cone_constants(spec)
         axes = [_axis(a) for a in args.axis]
         nonex = None
         if args.nonexistence_rho is not None:
             if not (args.setI and args.setJ):
                 raise HammcertError("--nonexistence-rho needs --setI and --setJ")
             nonex = {"db": spec.bounds_at(args.nonexistence_rho),
-                     "setI": _indices(args.setI), "setJ": _indices(args.setJ)}
+                     "setI": _indices(args.setI, "--setI"),
+                     "setJ": _indices(args.setJ, "--setJ")}
+        cc = assemble_cone_constants(spec)
         result = certify_mod.sweep(
             spec, cc, axes, mode=args.mode, db1=spec.bounds_at(args.rho1),
             db2=spec.bounds_at(args.rho2), i0=args.i0, nonexistence=nonex)

@@ -78,15 +78,18 @@ class Params:
         etas = [list(row) for row in self.etas]
         for name, value in overrides.items():
             kind, i, j = parse_param_name(name)
+            value = float(value)
+            if not math.isfinite(value):
+                raise ConfigError(name, f"expected a finite number, got {value}")
             if i >= len(lambdas):
                 raise ConfigError(name, f"component index out of range 1..{len(lambdas)}")
             if kind == "lambda":
-                lambdas[i] = float(value)
+                lambdas[i] = value
             else:
                 if j >= len(etas[i]):
                     raise ConfigError(name, f"gamma-term index out of range "
                                             f"1..{len(etas[i])} for component {i + 1}")
-                etas[i][j] = float(value)
+                etas[i][j] = value
         if any(v < 0 for v in lambdas) or any(v < 0 for row in etas for v in row):
             raise ConfigError("params", "parameters must be nonnegative (C6)")
         return Params(tuple(lambdas), tuple(tuple(row) for row in etas))

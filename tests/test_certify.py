@@ -10,7 +10,7 @@ from hammcert import (ComponentBounds, ConfigError, DeclaredBounds, EvalDomainEr
                       HBounds, MissingBoundError, Params, SweepAxis, check_I0,
                       check_I0_star, check_I1, existence_certificate,
                       nonexistence_certificate, sweep)
-from conftest import FAST_OPT, single_component_spec
+from conftest import FAST_OPT, digest, single_component_spec
 
 E2 = math.e ** 2
 
@@ -193,6 +193,13 @@ class TestI0Star:
         db = self.rho_bounds(example_spec, 1e-3)
         cert = check_I0_star(example_spec, example_cc, db, 1, p)
         assert not cert.certified and cert.rows[0].lhs == 0.0
+
+    def test_provenance_lists_what_the_row_reads(self, example_spec, example_cc):
+        # lambda f_lo (1/M) + sum eta c_ij ||gamma_ij|| h_lo reads no c~
+        cert = check_I0_star(example_spec, example_cc,
+                             self.rho_bounds(example_spec, 1e-3), 1)
+        assert list(cert.provenance) == ["1/M_1", "c_{1,1}", "||gamma_{1,1}||_inf",
+                                         "bounds"]
 
     def test_bad_component_index(self, example_spec, example_cc):
         with pytest.raises(ConfigError):
@@ -382,3 +389,121 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "lambda1,verdict,binding,margin"
         assert len(lines) == 3
+
+
+# sha256 of json.dumps(..., sort_keys=True) of each certificate's as_dict()
+# (of the rows, for sweeps), recorded before the row builders were shared;
+# numpy 2.4.6 on x86-64
+CERTIFICATE_PINS = {
+    "I1": "925902159c59ad60e750fd05aa273abdb1eb4a82e2793dd614c2f7b91f5a18f8",
+    "I0": "81e5d9ac8362732a525e3ec2231cf02025f4e0152be08e7415dc61d9bffe86ec",
+    "I0star": "9c4097b6af21865b0d00db382f4f6940dec0e2054b4e496dcb3455c6d1148092",
+    "S": "a568d16f940f0854bc034899508607e25cca9869cdc54f126bb7e4ae15dc1a3c",
+    "Sstar-i0": "10d435fd321013628552bcec7f8cbcd45c1548af20d8b54061f3f17dd4b43e48",
+    "Sstar-auto": "0174cba7fd069fbb69303212e4da5f518225188a69784e05cb9d3ef7d580511b",
+    "NIJ-example-default": "5e9a65c0517e466cec22622b38b802c1448be35764cf93bbb3190a210b8a8ad3",
+    "NIJ-example-31-1-1-1": "b691346d666a45936856c6d6ab6153c643aff6d44cb86b7cf774ddd226ff0fc8",
+    "NIJ-example-31-1-0.1-0.1": "7f6a935d81a0ae17cf47d8353323a8d88ca298a2d4f7773929a7715ed30ed7b2",
+    "NIJ-tight-default": "d67a6e6d0b6c489e7e29e58df232e15601566987c25bdca7875291fc8fe721a9",
+    "NIJ-tight-31-1-1-1": "ce4b33a95f0eaa2e1361b5b0f912a3a6a1e70ff7205984de084f51e4f0862cc4",
+    "NIJ-tight-31-1-0.1-0.1": "6b87f4b1940967b9de3c8ab0dfe87b00b67d21f7fc4793cac9d2283b72a52a73",
+    "sweep-S": "4274669b0711002f14fe9fa9a19f50aa39d8c5d6cc99d3d83c8bc051c3e88c81",
+    "sweep-Sstar-skip": "7f174ede3bad3958fb9eb883cf8daf5c356390da1e54e15ef688849ac0a24d34",
+}
+
+NIJ_POINTS = {
+    "default": {},
+    "31-1-1-1": {"lambda1": 31, "eta11": 1, "lambda2": 1, "eta21": 1},
+    "31-1-0.1-0.1": {"lambda1": 31, "eta11": 1, "lambda2": 0.1, "eta21": 0.1},
+}
+
+
+def i0_star_bounds(rho=1e-3):
+    """TestI0Star's bounds: f_lo for component 1 only."""
+    return DeclaredBounds(rho, (
+        ComponentBounds(f_lo=math.exp(-rho) / (1 + math.e), h=(HBounds(lo=0.0),)),
+        ComponentBounds(h=(HBounds(lo=0.0),))))
+
+
+def mode_s_bounds():
+    return comp1_delta_bounds(rho=0.5), DeclaredBounds(1.0, (ComponentBounds(
+        f_hi=0.001, h=(HBounds(lo=0, hi=0.0),)),))
+
+
+def with_c_tilde(d, cc, *provenances):
+    """The report with component 1's c~ record put back where the I0* row's
+    provenance listed it before it was derived from the constants the row
+    reads."""
+    for prov in provenances:
+        prov["c~_1"] = cc[0].records["c_tilde"].as_dict()
+    return d
+
+
+class TestPins:
+    def test_check_rows(self, example_spec, example_cc, comp1_spec, comp1_cc):
+        assert digest(check_I1(example_spec, example_cc,
+                               example_spec.bounds_at(1.0)).as_dict()) == \
+            CERTIFICATE_PINS["I1"]
+        assert digest(check_I0(comp1_spec, comp1_cc,
+                               comp1_delta_bounds()).as_dict()) == \
+            CERTIFICATE_PINS["I0"]
+        d = check_I0_star(example_spec, example_cc, i0_star_bounds(), 1).as_dict()
+        assert digest(with_c_tilde(d, example_cc, d["provenance"])) == \
+            CERTIFICATE_PINS["I0star"]
+
+    def test_existence(self, example_spec, example_cc, comp1_spec, comp1_cc):
+        assert digest(existence_certificate(comp1_spec, comp1_cc, *mode_s_bounds(),
+                                            "S").as_dict()) == CERTIFICATE_PINS["S"]
+        db1, db2 = example_spec.bounds_at(1e-3), example_spec.bounds_at(1.0)
+        for name, i0 in (("Sstar-i0", 1), ("Sstar-auto", None)):
+            d = existence_certificate(example_spec, example_cc, db1, db2, "Sstar",
+                                      i0).as_dict()
+            with_c_tilde(d, example_cc, d["provenance"]["inner"],
+                         d["children"][0]["provenance"])
+            assert digest(d) == CERTIFICATE_PINS[name]
+
+    @pytest.mark.parametrize("config", ["example", "tight"])
+    def test_nonexistence(self, request, config):
+        spec = request.getfixturevalue(f"{config}_spec")
+        cc = request.getfixturevalue(f"{config}_cc")
+        for point, overrides in NIJ_POINTS.items():
+            p = Params.from_spec(spec).with_overrides(overrides)
+            cert = nonexistence_certificate(spec, cc, spec.bounds_at(1.0), [2], [1], p)
+            assert digest(cert.as_dict()) == CERTIFICATE_PINS[f"NIJ-{config}-{point}"]
+
+    def test_sweep_mode_s(self, comp1_spec, comp1_cc):
+        db1, db2 = mode_s_bounds()
+        result = sweep(comp1_spec, comp1_cc, [SweepAxis("lambda1", 0.0, 40.0, 9),
+                                              SweepAxis("eta11", 0.0, 1.0, 3)],
+                       mode="S", db1=db1, db2=db2)
+        assert digest(result.rows) == CERTIFICATE_PINS["sweep-S"]
+
+    def test_sweep_skips_candidates_without_f_lo(self, example_spec, example_cc):
+        # candidate 1 declares no f_lo: it raises MissingBoundError wherever
+        # lambda1 > 0 and is skipped, and at lambda1 = 0 it is the fallback
+        # when candidate 2 does not certify
+        db1 = DeclaredBounds(1e-3, (ComponentBounds(h=(HBounds(lo=0.0),)),
+                                    ComponentBounds(f_lo=0.01, h=(HBounds(lo=0.0),))))
+        result = sweep(example_spec, example_cc,
+                       [SweepAxis("lambda1", 0.0, 40.0, 3),
+                        SweepAxis("lambda2", 0.0, 1.0, 5)],
+                       mode="Sstar", db1=db1, db2=example_spec.bounds_at(1.0),
+                       nonexistence={"db": example_spec.bounds_at(1.0),
+                                     "setI": [2], "setJ": [1]})
+        assert {r["binding"] for r in result.rows} >= {"i0=1", "i0=2"}
+        assert digest(result.rows) == CERTIFICATE_PINS["sweep-Sstar-skip"]
+
+    def test_sweep_builds_no_provenance(self, monkeypatch, example_spec, example_cc):
+        from hammcert import certify as certify_mod
+        calls = []
+        original = certify_mod._constant_provenance
+        monkeypatch.setattr(certify_mod, "_constant_provenance",
+                            lambda *a: calls.append(a) or original(*a))
+        axes = [SweepAxis("lambda1", 0.0, 0.1, 11), SweepAxis("eta11", 0.0, 0.5, 11)]
+        result = sweep(example_spec, example_cc, axes, mode="Sstar",
+                       db1=example_spec.bounds_at(1e-3),
+                       db2=example_spec.bounds_at(1.0),
+                       nonexistence={"db": example_spec.bounds_at(1.0),
+                                     "setI": [2], "setJ": [1]})
+        assert len(result.rows) == 121
+        assert calls == []

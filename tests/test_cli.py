@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -292,3 +295,50 @@ class TestDeterminism:
         _, _, b = run(tmp_path, "falsify", CFG, "--rho", "1", "--samples", "20",
                       "--seed", "3", out_name="b.json")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_notes_independent_of_hash_seed(self, tmp_path):
+        # two declared integral norms per component differ from the computed
+        # ones, so the outer certificate carries four such notes; they must
+        # come out in the order the rows read the constants
+        doc = json.loads(Path(CFG).read_text())
+        for comp in doc["components"]:
+            comp["declared"].update({"recip_m1": 2, "dgamma_sup": [3]})
+        cfg = tmp_path / "flagged.cfg"
+        cfg.write_text(json.dumps(doc))
+        src = str(Path(hc.__file__).resolve().parents[1])
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "hammcert.cli", "certify", str(cfg),
+             "--mode", "Sstar", "--rho1", "1e-3", "--rho2", "1"],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
+            for seed in (1, 2, 3, 4)]
+        reports = [p.communicate()[0] for p in procs]
+        assert [p.returncode for p in procs] == [0] * 4
+        assert reports[1:] == reports[:1] * 3
+        symbols = [n.split(":")[0] for n in json.loads(reports[0])["notes"][1:-1]]
+        assert symbols == ["constant 1/m_{1,1}", "constant ||gamma_{1,1}'||_inf",
+                           "constant 1/m_{2,0}", "constant 1/m_{2,1}",
+                           "constant ||gamma_{2,1}'||_inf"]
+
+
+SWEEP = ["sweep", CFG, "--mode", "Sstar", "--rho1", "1e-3", "--rho2", "1"]
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("argv,message", [
+        ([*SWEEP, "--axis", "lambda1:0:x:3"], "bad --axis 'lambda1:0:x:3'"),
+        ([*SWEEP, "--axis", "lambda1:0:1:2.5"], "bad --axis 'lambda1:0:1:2.5'"),
+        ([*SWEEP, "--axis", "lambda1:0:1:0"], "bad --axis 'lambda1:0:1:0'"),
+        ([*SWEEP, "--axis", "lambda1:nan:nan:2"], "bad --axis 'lambda1:nan:nan:2'"),
+        ([*SWEEP, "--axis", "lambda1:0:1:2", "--set", "lambda1=abc"],
+         "bad --set 'lambda1=abc'"),
+        (["certify", CFG, "--mode", "Sstar", "--rho1", "1e-3", "--rho2", "1",
+          "--set", "lambda1=nan"], "lambda1: expected a finite number, got nan"),
+        (["certify-nonexistence", CFG, "--rho", "1", "--setI", "x", "--setJ", "1"],
+         "bad --setI 'x'"),
+    ])
+    def test_exits_one_naming_the_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {message}")
