@@ -22,8 +22,11 @@ constants, declared bounds and the parameter point (lambda_i, eta_ij):
 
 Each family's lhs is computed by one private row builder, left to right in
 the order shown, which returns its rows and the constants it read in reading
-order.  Certificates derive their provenance and notes from those keys;
-``sweep`` reads the rows alone.
+order.  A builder takes the parameter point either as floats (a certificate,
+which derives its provenance and notes from those keys) or as float64
+columns of a whole grid (``sweep``, which reads the rows alone).  Elementwise
+numpy rounds each product and sum as Python floats do, so a grid point's lhs,
+margin and binding row are the doubles its certificate would hold.
 
 Comparisons are exact on the computed doubles -- no epsilon fudging -- and
 every row reports its margin so grid-resolution risk can be judged
@@ -33,9 +36,10 @@ with positive coefficient raises MissingBoundError.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -43,7 +47,8 @@ import numpy as np
 from .bounds import DeclaredBounds
 from .cone import zero_state
 from .constants import ConeConstants
-from .errors import ConfigError, ContradictionError, MissingBoundError
+from .errors import ConfigError, ContradictionError, HammcertError, MissingBoundError
+from .problem import parse_param_name
 from .quad import QuadConfig
 from .solver import _effective_params, residual
 
@@ -140,9 +145,26 @@ def _constant_provenance(cc: Sequence[ConeConstants], keys: Keys) -> tuple[dict,
     return prov, notes
 
 
-def _need(value, what: str, coefficient: float):
+@dataclass
+class _Grid:
+    """The P points of a sweep grid as the row builders read them: each
+    lambda_i and eta_ij a float64 column of P values, or the base point's
+    float where no axis sets it.  Where a builder meets a missing bound with
+    a positive coefficient, which on floats raises, it marks the points in
+    ``missing``."""
+    lambdas: tuple
+    etas: tuple
+    missing: np.ndarray
+
+
+def _need(params: "Params | _Grid", value, what: str, coefficient):
+    """The declared bound, or 0.0 for a missing one whose coefficient is not
+    positive; a missing one with a positive coefficient raises
+    MissingBoundError, or on a grid marks the points where it is."""
     if value is None:
-        if coefficient > 0.0:
+        if isinstance(coefficient, np.ndarray):
+            params.missing |= coefficient > 0.0
+        elif coefficient > 0.0:
             raise MissingBoundError(f"{what} is required (its coefficient "
                                     f"{coefficient} is positive) but not declared")
         return 0.0
@@ -162,24 +184,24 @@ def _check_shape(spec: "ProblemSpec", db: DeclaredBounds) -> None:
 
 
 def _i1_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
-             params: "Params") -> tuple[list[Row], Keys]:
+             params: "Params | _Grid") -> tuple[list[Row], Keys]:
     _check_shape(spec, db)
     rho, rows, keys = db.rho, [], []
     for i, (comp, cb) in enumerate(zip(spec.components, db.components), start=1):
         lam = params.lambdas[i - 1]
-        f_hi = _need(cb.f_hi, f"f_hi[{i}] at rho={rho}", lam)
+        f_hi = _need(params, cb.f_hi, f"f_hi[{i}] at rho={rho}", lam)
         for l, sup in ((0, "gamma_sup"), (1, "dgamma_sup")):
             lhs = lam * f_hi * _read(cc, keys, i, f"recip_m{l}")
             for j in range(len(comp.gammas)):
                 eta = params.etas[i - 1][j]
-                h_hi = _need(cb.h[j].hi, f"h_hi[{i},{j + 1}] at rho={rho}", eta)
-                lhs += eta * _read(cc, keys, i, f"{sup}[{j}]") * h_hi
+                h_hi = _need(params, cb.h[j].hi, f"h_hi[{i},{j + 1}] at rho={rho}", eta)
+                lhs = lhs + eta * _read(cc, keys, i, f"{sup}[{j}]") * h_hi
             rows.append(_row(f"i={i},l={l}", lhs, rho, "<="))
     return rows, keys
 
 
 def _i0_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
-             params: "Params", components: Sequence[int] | None = None,
+             params: "Params | _Grid", components: Sequence[int] | None = None,
              prefix: str = "", comparison: str = ">=") -> tuple[list[Row], Keys]:
     """I0 rows of the given components (all by default); with prefix "J:"
     and comparison ">" they are the nonexistence J rows."""
@@ -188,37 +210,40 @@ def _i0_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
     for i in range(1, spec.n + 1) if components is None else components:
         comp, cb = spec.components[i - 1], db.components[i - 1]
         lam = params.lambdas[i - 1]
-        delta_tilde = _need(cb.delta_tilde, f"delta_tilde[{i}] at rho={rho}", lam)
+        delta_tilde = _need(params, cb.delta_tilde, f"delta_tilde[{i}] at rho={rho}",
+                            lam)
         lhs = (lam * delta_tilde * _read(cc, keys, i, "c_tilde")
                * _read(cc, keys, i, "recip_M"))
         for j in range(len(comp.gammas)):
             eta = params.etas[i - 1][j]
-            delta = _need(cb.h[j].delta, f"h delta[{i},{j + 1}] at rho={rho}", eta)
-            lhs += (eta * _read(cc, keys, i, f"c_gamma[{j}]") * delta
-                    * _read(cc, keys, i, f"gamma_sup[{j}]"))
+            delta = _need(params, cb.h[j].delta, f"h delta[{i},{j + 1}] at rho={rho}",
+                          eta)
+            lhs = lhs + (eta * _read(cc, keys, i, f"c_gamma[{j}]") * delta
+                         * _read(cc, keys, i, f"gamma_sup[{j}]"))
         rows.append(_row(f"{prefix}i={i}", lhs, 1.0, comparison))
     return rows, keys
 
 
 def _i0_star_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
-                  i0: int, params: "Params") -> tuple[list[Row], Keys]:
+                  i0: int, params: "Params | _Grid") -> tuple[list[Row], Keys]:
     _check_shape(spec, db)
     if not (1 <= i0 <= spec.n):
         raise ConfigError("i0", f"component index out of range 1..{spec.n}")
     comp, cb = spec.components[i0 - 1], db.components[i0 - 1]
     lam, keys = params.lambdas[i0 - 1], []
-    f_lo = _need(cb.f_lo, f"f_lo[{i0}] at rho={db.rho}", lam)
+    f_lo = _need(params, cb.f_lo, f"f_lo[{i0}] at rho={db.rho}", lam)
     lhs = lam * f_lo * _read(cc, keys, i0, "recip_M")
     for j in range(len(comp.gammas)):
         eta = params.etas[i0 - 1][j]
-        lhs += (eta * _read(cc, keys, i0, f"c_gamma[{j}]")
-                * _read(cc, keys, i0, f"gamma_sup[{j}]") * cb.h[j].lo)
+        lhs = lhs + (eta * _read(cc, keys, i0, f"c_gamma[{j}]")
+                     * _read(cc, keys, i0, f"gamma_sup[{j}]") * cb.h[j].lo)
     return [_row(f"i0={i0}", lhs, db.rho, ">=")], keys
 
 
 def _nonexistence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                        db: DeclaredBounds, setI: Sequence[int], setJ: Sequence[int],
-                       params: "Params") -> tuple[list[int], list[int], list[Row], Keys]:
+                       params: "Params | _Grid"
+                       ) -> tuple[list[int], list[int], list[Row], Keys]:
     """The validated partition {I, J} (sorted), the I rows then the J rows at
     radius db.rho, and the constants they read."""
     _check_shape(spec, db)
@@ -230,25 +255,29 @@ def _nonexistence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     for i in setI:
         comp, cb = spec.components[i - 1], db.components[i - 1]
         lam = params.lambdas[i - 1]
-        xi_tilde = _need(cb.xi_tilde, f"xi_tilde[{i}] at rho={rho}", lam)
+        xi_tilde = _need(params, cb.xi_tilde, f"xi_tilde[{i}] at rho={rho}", lam)
         lhs = lam * xi_tilde * _read(cc, keys, i, "recip_m0")
         for j in range(len(comp.gammas)):
             eta = params.etas[i - 1][j]
-            xi = _need(cb.h[j].xi, f"h xi[{i},{j + 1}] at rho={rho}", eta)
-            lhs += eta * xi * _read(cc, keys, i, f"gamma_sup[{j}]")
+            xi = _need(params, cb.h[j].xi, f"h xi[{i},{j + 1}] at rho={rho}", eta)
+            lhs = lhs + eta * xi * _read(cc, keys, i, f"gamma_sup[{j}]")
         rows.append(_row(f"I:i={i}", lhs, 1.0, "<"))
     j_rows, j_keys = _i0_rows(spec, cc, db, params, setJ, "J:", ">")
     return setI, setJ, rows + j_rows, keys + j_keys
+
+
+def _check_existence(db1: DeclaredBounds, db2: DeclaredBounds, mode: str) -> None:
+    if db1.rho >= db2.rho:
+        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {db1.rho} >= {db2.rho}")
+    if mode not in ("S", "Sstar"):
+        raise ConfigError("mode", "mode must be 'S' or 'Sstar'")
 
 
 def _existence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db1: DeclaredBounds,
                     db2: DeclaredBounds, mode: str, i0: int | None, params: "Params"):
     """((rows, keys) at rho1, (rows, keys) at rho2, i0): the I0 rows (mode S,
     i0 None) or the I0* row of component i0 (mode Sstar), and the I1 rows."""
-    if db1.rho >= db2.rho:
-        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {db1.rho} >= {db2.rho}")
-    if mode not in ("S", "Sstar"):
-        raise ConfigError("mode", "mode must be 'S' or 'Sstar'")
+    _check_existence(db1, db2, mode)
     outer = _i1_rows(spec, cc, db2, params)
     if mode == "S":
         return _i0_rows(spec, cc, db1, params), outer, None
@@ -432,41 +461,170 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
 
     ``nonexistence``, when given, is {"db": DeclaredBounds, "setI": [...],
     "setJ": [...]}; without it only existence is evaluated.  A point's
-    verdict, binding row and margin come from its inequality rows alone.  A
-    point certified both ways under the same declared bounds is a
-    contradiction and aborts the sweep with a dump of both full certificates.
+    verdict, binding row and margin come from its inequality rows alone.
+
+    The grid is evaluated column-wise: each row builder runs once, on
+    float64 columns of all grid points (the last axis varying fastest), and
+    the mode-Sstar candidate rule, the verdicts and the binding rows are
+    applied per point with masks.  Two axes that set the same parameter
+    raise ConfigError.  A point that would raise -- a negative or non-finite
+    parameter, a missing bound with positive coefficient, no evaluable
+    Sstar candidate -- or that is certified both ways under the same
+    declared bounds stops the sweep at the first such point in grid order:
+    that point is evaluated alone on floats, which raises its error, or a
+    ContradictionError with a dump of both full certificates.
     """
     base = _effective_params(spec, None)
     axes = tuple(axes)
     grids = [ax.grid() for ax in axes]
     nonex = None if nonexistence is None else (
         nonexistence["db"], nonexistence["setI"], nonexistence["setJ"])
-    rows = []
-    for combo in np.ndindex(*[g.size for g in grids]):
-        overrides = {ax.name: float(grids[k][combo[k]]) for k, ax in enumerate(axes)}
-        params = base.with_overrides(overrides)
-        (inner, _), (outer, _), _ = _existence_rows(spec, cc, db1, db2, mode, i0,
-                                                    params)
-        inner_holds = all(r.holds for r in inner)
-        exist_certified = inner_holds and all(r.holds for r in outer)
-        nonex_rows = _nonexistence_rows(spec, cc, *nonex, params)[2] if nonex else None
-        nonex_certified = nonex_rows is not None and all(r.holds for r in nonex_rows)
-        if exist_certified and nonex_certified:
-            raise ContradictionError(
-                f"grid point {overrides} certified both for existence and "
-                "nonexistence under the same declared bounds",
-                {"point": overrides,
-                 "existence": existence_certificate(spec, cc, db1, db2, mode, i0,
-                                                    params).as_dict(),
-                 "nonexistence": nonexistence_certificate(spec, cc, *nonex,
-                                                          params).as_dict()})
-        if nonex_certified:
-            verdict = "nonexistence-certified"
-            binding_row = min(nonex_rows, key=lambda r: r.margin)
-        else:
-            verdict = "existence-certified" if exist_certified else "undetermined"
-            binding_row = (max(outer, key=lambda r: r.lhs) if inner_holds
-                           else min(inner, key=lambda r: r.lhs))
-        rows.append({**overrides, "verdict": verdict, "binding": binding_row.label,
-                     "margin": binding_row.margin})
+    columns = [c.ravel() for c in np.meshgrid(*grids, indexing="ij")]
+
+    def point(k: int) -> dict:
+        return {ax.name: float(col[k]) for ax, col in zip(axes, columns)}
+
+    try:
+        with np.errstate(all="ignore"):
+            failing, verdict, binding, margin, labels = _classify(
+                spec, cc, base, axes, columns, math.prod(g.size for g in grids),
+                mode, db1, db2, i0, nonex)
+    except HammcertError:
+        # an error of the whole grid: the first point, evaluated alone, raises
+        # it as a point-by-point sweep would; a duplicate axis raises only here
+        _raise_at(spec, cc, base, point(0), mode, db1, db2, i0, nonex)
+        raise
+    if failing.any():
+        k = int(failing.argmax())
+        _raise_at(spec, cc, base, point(k), mode, db1, db2, i0, nonex)
+        raise AssertionError(f"grid point {point(k)} evaluates cleanly alone")
+    keys = (*(ax.name for ax in axes), "verdict", "binding", "margin")
+    rows = [dict(zip(keys, values)) for values in zip(
+        *(col.tolist() for col in columns),
+        np.array(_VERDICTS, dtype=object)[verdict].tolist(),
+        np.array(labels, dtype=object)[binding].tolist(), margin.tolist())]
     return SweepResult(axes, rows)
+
+
+_VERDICTS = ("undetermined", "existence-certified", "nonexistence-certified")
+
+
+def _classify(spec: "ProblemSpec", cc: Sequence[ConeConstants], base: "Params",
+              axes: tuple[SweepAxis, ...], columns: list[np.ndarray], size: int,
+              mode: str, db1: DeclaredBounds, db2: DeclaredBounds, i0: int | None,
+              nonex: tuple | None):
+    """Per grid point: whether it would raise or is certified both ways, its
+    verdict (an index into _VERDICTS), its binding row (an index into the
+    returned labels) and that row's margin."""
+    lambdas, etas = list(base.lambdas), [list(row) for row in base.etas]
+    failing, names = np.zeros(size, bool), {}
+    for ax, col in zip(axes, columns):
+        kind, i, j = parse_param_name(ax.name)
+        if (kind, i, j) in names:
+            raise ConfigError(ax.name, f"sets the same parameter as axis "
+                                       f"{names[kind, i, j]!r}")
+        names[kind, i, j] = ax.name
+        if kind == "lambda" and i < len(lambdas):
+            lambdas[i] = col
+        elif kind == "eta" and i < len(etas) and j < len(etas[i]):
+            etas[i][j] = col
+        else:
+            raise ConfigError(ax.name, "index out of range")
+        failing |= ~np.isfinite(col)
+    for value in (*lambdas, *(v for row in etas for v in row)):
+        failing |= np.less(value, 0.0)  # C6
+    grid = _Grid(tuple(lambdas), tuple(tuple(row) for row in etas),
+                 np.zeros(size, bool))
+
+    _check_existence(db1, db2, mode)
+    outer = _i1_rows(spec, cc, db2, grid)[0]
+    if mode == "S" or i0 is not None:
+        inner = (_i0_rows(spec, cc, db1, grid) if mode == "S"
+                 else _i0_star_rows(spec, cc, db1, i0, grid))[0]
+        inner_holds = _all_hold(inner, size)
+        inner_binding = _first_best([r.lhs for r in inner], operator.lt)
+    else:
+        inner, inner_holds, inner_binding = _first_candidate(spec, cc, db1, grid,
+                                                             failing)
+    exist = inner_holds & _all_hold(outer, size)
+    verdict = exist.astype(np.intp)
+    binding = np.where(inner_holds, _first_best([r.lhs for r in outer], operator.gt),
+                       len(outer) + inner_binding)
+    rows = outer + inner
+    if nonex is not None:
+        nonex_rows = _nonexistence_rows(spec, cc, *nonex, grid)[2]
+        nonex_holds = _all_hold(nonex_rows, size)
+        failing |= exist & nonex_holds
+        verdict[nonex_holds] = 2
+        binding = np.where(nonex_holds,
+                           len(rows) + _first_best([r.margin for r in nonex_rows],
+                                                   operator.lt), binding)
+        rows += nonex_rows
+    failing |= grid.missing
+    margin = np.empty(size)
+    for k, row in enumerate(rows):
+        np.copyto(margin, row.margin, where=binding == k)
+    return failing, verdict, binding, margin, [r.label for r in rows]
+
+
+def _first_best(values: Sequence, better) -> np.ndarray:
+    """Per grid point, the index of the row that ``max`` (better=operator.gt)
+    or ``min`` (operator.lt) picks from ``values``, as a certificate does: a
+    left-to-right scan that moves on only to a strictly better value, so
+    ties and NaNs keep the earlier row (np.argmax would take a NaN)."""
+    best, index = values[0], 0
+    for k, value in enumerate(values[1:], start=1):
+        moves = better(value, best)
+        best, index = np.where(moves, value, best), np.where(moves, k, index)
+    return index
+
+
+def _all_hold(rows: list[Row], size: int) -> np.ndarray:
+    holds = np.ones(size, bool)
+    for row in rows:
+        holds &= row.holds
+    return holds
+
+
+def _first_candidate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
+                     db1: DeclaredBounds, grid: _Grid, failing: np.ndarray):
+    """Mode Sstar with i0 unset, per grid point: the I0* row of the first
+    candidate component that holds, else of the first that can be evaluated.
+    A candidate cannot be evaluated where it lacks f_lo and its lambda is
+    positive.  Returns the candidates' rows, whether the chosen one holds and
+    its index, and marks in ``failing`` the points with no evaluable
+    candidate."""
+    size = failing.size
+    rows, chosen, first = [], np.full(size, -1), np.full(size, -1)
+    for cand in range(1, spec.n + 1):
+        own = replace(grid, missing=np.zeros(size, bool))
+        try:
+            (row,), _ = _i0_star_rows(spec, cc, db1, cand, own)
+        except MissingBoundError:
+            continue
+        np.copyto(chosen, len(rows), where=(chosen < 0) & ~own.missing & row.holds)
+        np.copyto(first, len(rows), where=(first < 0) & ~own.missing)
+        rows.append(row)
+    holds = chosen >= 0
+    chosen = np.where(holds, chosen, first)
+    failing |= chosen < 0
+    return rows, holds, chosen
+
+
+def _raise_at(spec: "ProblemSpec", cc: Sequence[ConeConstants], base: "Params",
+              overrides: dict, mode: str, db1: DeclaredBounds, db2: DeclaredBounds,
+              i0: int | None, nonex: tuple | None) -> None:
+    """Evaluate one grid point alone, on floats: raise its error, or the
+    ContradictionError if it is certified both ways."""
+    params = base.with_overrides(overrides)
+    (inner, _), (outer, _), _ = _existence_rows(spec, cc, db1, db2, mode, i0, params)
+    nonex_rows = _nonexistence_rows(spec, cc, *nonex, params)[2] if nonex else []
+    if nonex and all(r.holds for r in inner + outer + nonex_rows):
+        raise ContradictionError(
+            f"grid point {overrides} certified both for existence and "
+            "nonexistence under the same declared bounds",
+            {"point": overrides,
+             "existence": existence_certificate(spec, cc, db1, db2, mode, i0,
+                                                params).as_dict(),
+             "nonexistence": nonexistence_certificate(spec, cc, *nonex,
+                                                      params).as_dict()})

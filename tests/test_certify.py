@@ -1,13 +1,18 @@
+import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hammcert as hc
-from hammcert import (ComponentBounds, ConfigError, DeclaredBounds, EvalDomainError,
-                      HBounds, MissingBoundError, Params, SweepAxis, check_I0,
+from hammcert import (ComponentBounds, ConfigError, ContradictionError, DeclaredBounds,
+                      EvalDomainError, HBounds, MissingBoundError, Params, SweepAxis,
+                      SweepResult, check_I0,
                       check_I0_star, check_I1, existence_certificate,
                       nonexistence_certificate, sweep)
 from conftest import FAST_OPT, digest, single_component_spec
@@ -507,3 +512,214 @@ class TestPins:
                                      "setI": [2], "setJ": [1]})
         assert len(result.rows) == 121
         assert calls == []
+
+
+class TestSweepWork:
+    def test_duplicate_axes_rejected(self, example_spec, example_cc):
+        kwargs = dict(mode="Sstar", db1=example_spec.bounds_at(1e-3),
+                      db2=example_spec.bounds_at(1.0), i0=1)
+        for first, second in (("lambda1", "lambda1"), ("eta21", "eta2_1")):
+            axes = [SweepAxis(first, 0.0, 0.1, 2), SweepAxis(second, 5.0, 6.0, 2)]
+            with pytest.raises(ConfigError, match=rf"^{second}: sets the same "
+                                                  rf"parameter as axis '{first}'"):
+                sweep(example_spec, example_cc, axes, **kwargs)
+
+    def test_work_does_not_grow_with_the_grid(self, monkeypatch, example_spec,
+                                              example_cc):
+        from hammcert import certify as certify_mod
+        calls = {}
+
+        def count(name, original):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(Params, "with_overrides",
+                            count("with_overrides", Params.with_overrides))
+        for name in ("_i1_rows", "_i0_rows", "_i0_star_rows", "_nonexistence_rows"):
+            monkeypatch.setattr(certify_mod, name,
+                                count(name, getattr(certify_mod, name)))
+        per_grid = []
+        for steps in (11, 101):
+            calls.clear()
+            axes = [SweepAxis("lambda1", 0.0, 0.1, steps),
+                    SweepAxis("eta11", 0.0, 0.5, steps)]
+            result = sweep(example_spec, example_cc, axes, mode="Sstar",
+                           db1=example_spec.bounds_at(1e-3),
+                           db2=example_spec.bounds_at(1.0),
+                           nonexistence={"db": example_spec.bounds_at(1.0),
+                                         "setI": [2], "setJ": [1]})
+            assert len(result.rows) == steps ** 2
+            per_grid.append(dict(calls))
+        assert "with_overrides" not in per_grid[1]
+        assert per_grid[1] == per_grid[0]
+        assert per_grid[1] == {"_i1_rows": 1, "_i0_star_rows": 2, "_i0_rows": 1,
+                               "_nonexistence_rows": 1}
+
+
+def ref_sweep(spec, cc, axes, *, mode, db1, db2, i0=None, nonexistence=None):
+    """The sweep as one loop over the grid points, each evaluated on floats
+    with its own Params and row builders."""
+    from hammcert.certify import _existence_rows, _nonexistence_rows
+    base = Params.from_spec(spec)
+    axes = tuple(axes)
+    grids = [ax.grid() for ax in axes]
+    nonex = None if nonexistence is None else (
+        nonexistence["db"], nonexistence["setI"], nonexistence["setJ"])
+    rows = []
+    for combo in np.ndindex(*[g.size for g in grids]):
+        overrides = {ax.name: float(grids[k][combo[k]]) for k, ax in enumerate(axes)}
+        params = base.with_overrides(overrides)
+        (inner, _), (outer, _), _ = _existence_rows(spec, cc, db1, db2, mode, i0,
+                                                    params)
+        inner_holds = all(r.holds for r in inner)
+        exist_certified = inner_holds and all(r.holds for r in outer)
+        nonex_rows = _nonexistence_rows(spec, cc, *nonex, params)[2] if nonex else None
+        nonex_certified = nonex_rows is not None and all(r.holds for r in nonex_rows)
+        if exist_certified and nonex_certified:
+            raise ContradictionError(
+                f"grid point {overrides} certified both for existence and "
+                "nonexistence under the same declared bounds",
+                {"point": overrides,
+                 "existence": existence_certificate(spec, cc, db1, db2, mode, i0,
+                                                    params).as_dict(),
+                 "nonexistence": nonexistence_certificate(spec, cc, *nonex,
+                                                          params).as_dict()})
+        if nonex_certified:
+            verdict = "nonexistence-certified"
+            binding_row = min(nonex_rows, key=lambda r: r.margin)
+        else:
+            verdict = "existence-certified" if exist_certified else "undetermined"
+            binding_row = (max(outer, key=lambda r: r.lhs) if inner_holds
+                           else min(inner, key=lambda r: r.lhs))
+        rows.append({**overrides, "verdict": verdict, "binding": binding_row.label,
+                     "margin": binding_row.margin})
+    return SweepResult(axes, rows)
+
+
+def sweep_outcome(fn, *args, **kwargs):
+    """The digest of a sweep's rows, or what it raised: the exception type
+    and message, and for a contradiction the digest of its dump; and the
+    warnings it printed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = "rows", digest(fn(*args, **kwargs).rows)
+        except ContradictionError as e:
+            outcome = ContradictionError, str(e), digest(e.dump)
+        except Exception as e:  # noqa: BLE001 - the oracle compares any failure
+            outcome = type(e), str(e)
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+# a bound is mostly declared: zero, small, moderate, large enough to overflow
+# to inf, or inf, which gives a NaN lhs where its coefficient is 0
+BOUND = st.one_of(st.sampled_from([None, 0.0, 1e-3, 0.05, 0.5, 1.0, 3.0, 100.0, 1e300,
+                                   math.inf]),
+                  st.floats(0.0, 10.0))
+# axes mostly start at 0 or above; some start below 0 (C6) or near 1e300
+LOWS = st.one_of(st.sampled_from([0.0, 0.0, 0.0, 0.05, 1.0, 1e300, 1e300, -0.5, -1e-9]),
+                 st.floats(0.0, 40.0))
+SPANS = st.one_of(st.sampled_from([0.0, 0.1, 1.0, 5e299]), st.floats(0.0, 40.0))
+
+
+@st.composite
+def component_bounds(draw):
+    def h():
+        lo = draw(st.sampled_from([0.0, 0.01, 0.5]))
+        hi = draw(st.sampled_from([None, lo, lo + 0.5, lo + 0.5, lo + 0.5, 1e300]))
+        return HBounds(lo=lo, hi=hi, delta=draw(BOUND), xi=draw(BOUND))
+    # f_lo is often missing, so that mode Sstar skips candidates
+    return ComponentBounds(f_hi=draw(BOUND), f_lo=draw(st.one_of(st.none(), BOUND)),
+                           delta_tilde=draw(BOUND), xi_tilde=draw(BOUND), h=(h(),))
+
+
+@st.composite
+def sweep_cases(draw):
+    """Sweeps of the example: mode S or Sstar with i0 None, 1 or 2, with and
+    without nonexistence, random declared bounds and 1-3 axes."""
+    def bounds(rho):
+        return DeclaredBounds(rho, (draw(component_bounds()), draw(component_bounds())))
+    rho1, rho2 = draw(st.sampled_from([1e-3, 0.5])), draw(st.sampled_from([1.0, 2.0]))
+    if draw(st.integers(0, 19)) == 0:
+        rho1, rho2 = rho2, rho1  # rho1 >= rho2 is refused
+    kwargs = dict(mode=draw(st.sampled_from(["S", "Sstar"])), db1=bounds(rho1),
+                  db2=bounds(rho2), i0=draw(st.sampled_from([None, 1, 2])))
+    if draw(st.booleans()):
+        setI, setJ = draw(st.sampled_from([([2], [1]), ([1], [2]), ([1, 2], []),
+                                           ([], [1, 2]), ([1], [1])]))
+        db = kwargs["db2"] if draw(st.booleans()) else bounds(1.0)
+        kwargs["nonexistence"] = {"db": db, "setI": setI, "setJ": setJ}
+    names = draw(st.lists(st.sampled_from(["lambda1", "lambda2", "eta11", "eta21"]),
+                          min_size=1, max_size=3, unique=True))
+    axes = []
+    for name in names:
+        if name == "eta21" and draw(st.booleans()):
+            name = "eta2_1"
+        lo = draw(LOWS)
+        axes.append(SweepAxis(name, lo, lo + draw(SPANS), draw(st.integers(1, 4))))
+    return axes, kwargs
+
+
+def _with_bounds(db, component, **fields):
+    """db with the given fields of one component's bounds replaced."""
+    comps = list(db.components)
+    comps[component - 1] = dataclasses.replace(comps[component - 1], **fields)
+    return dataclasses.replace(db, components=tuple(comps))
+
+
+def oracle_examples(spec):
+    """Cases the random draw reaches rarely, on the example's bounds."""
+    db1, db2 = spec.bounds_at(1e-3), spec.bounds_at(1.0)
+    nonex = {"db": db2, "setI": [2], "setJ": [1]}
+    lam1 = SweepAxis("lambda1", 0.0, 1.0, 3)
+    # inconsistent declarations certify (lambda1, eta21) = (0.5, 0) both ways
+    inconsistent = dict(f_hi=0.01, xi_tilde=0.01, delta_tilde=100.0,
+                        h=(HBounds(hi=0.0, xi=0.01, delta=100.0),))
+    db_both = DeclaredBounds(1.0, (ComponentBounds(**inconsistent),) * 2)
+    db_lo = DeclaredBounds(1e-3, (ComponentBounds(f_lo=1.0, h=(HBounds(),)),) * 2)
+    return [
+        ([lam1, SweepAxis("eta21", 0.0, 1.0, 2)],
+         dict(mode="Sstar", db1=db_lo, db2=db_both, i0=1,
+              nonexistence={"db": db_both, "setI": [2], "setJ": [1]})),
+        # component 1 lacks f_lo: skipped where lambda1 > 0, the fallback at 0
+        ([SweepAxis("lambda1", 0.0, 40.0, 3), SweepAxis("lambda2", 0.0, 1.0, 5)],
+         dict(mode="Sstar", db1=_with_bounds(_with_bounds(db1, 1, f_lo=None), 2,
+                                             f_lo=0.01),
+              db2=db2, nonexistence=nonex)),
+        # f_hi[1] is needed from the second point on
+        ([lam1], dict(mode="Sstar", db1=db1, db2=_with_bounds(db2, 1, f_hi=None))),
+        # an I1 lhs overflows to inf at lambda1 = 1e300; at eta21 = 0, 0 * inf
+        # makes both i=2 lhs NaN, and the binding row stays an i=1 row, as
+        # with max (np.argmax would take the NaN)
+        ([SweepAxis("lambda1", 0.05, 1e300, 2), SweepAxis("eta21", 0.0, 1.0, 2)],
+         dict(mode="Sstar", db1=db1, i0=1,
+              db2=_with_bounds(db2, 2, h=(HBounds(hi=math.inf, delta=0.0, xi=1.0),)),
+              nonexistence=nonex)),
+        # linspace overflows (with its own warnings) to a NaN first point
+        ([SweepAxis("lambda1", 0.0, 0.1, 2), SweepAxis("eta11", -1e308, 1e308, 3)],
+         dict(mode="Sstar", db1=db1, db2=db2, i0=1)),
+        # no axis: the base point alone
+        ([], dict(mode="Sstar", db1=db1, db2=db2, nonexistence=nonex)),
+        # the first axis's index error comes before the second's name error
+        ([SweepAxis("eta12", 0.0, 1.0, 2), SweepAxis("mu1", 0.0, 1.0, 2)],
+         dict(mode="Sstar", db1=db1, db2=db2, i0=1)),
+    ]
+
+
+def assert_matches_oracle(spec, cc, axes, kwargs):
+    # overflow in the columns prints no RuntimeWarning of its own
+    assert sweep_outcome(sweep, spec, cc, axes, **kwargs) == \
+        sweep_outcome(ref_sweep, spec, cc, axes, **kwargs)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sweep_cases())
+def test_sweep_matches_per_point_oracle(example_spec, example_cc, case):
+    assert_matches_oracle(example_spec, example_cc, *case)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_sweep_matches_per_point_oracle_on_rare_cases(example_spec, example_cc, index):
+    assert_matches_oracle(example_spec, example_cc, *oracle_examples(example_spec)[index])

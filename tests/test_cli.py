@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -342,3 +343,57 @@ class TestBadFlags:
         assert main([*argv, "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("first,second", [("lambda1:0:0.1:2", "lambda1:5:6:2"),
+                                              ("eta21:0:0.1:2", "eta2_1:5:6:2")])
+    def test_duplicate_axes_exit_one(self, tmp_path, capsys, first, second):
+        table, out = tmp_path / "t.csv", tmp_path / "report.json"
+        argv = [*SWEEP, "--axis", first, "--axis", second, "--i0", "1",
+                "--csv", str(table), "--out", str(out)]
+        assert main(argv) == 1
+        assert not table.exists() and not out.exists()
+        name, prior = second.split(":")[0], first.split(":")[0]
+        assert capsys.readouterr().err == \
+            f"error: {name}: sets the same parameter as axis {prior!r}\n"
+
+
+PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+# sha256 of the sweep `--out` report, its output-path line left out, and of
+# its `--csv` file, recorded before the grid was evaluated column-wise;
+# numpy 2.4.6 on x86-64
+SWEEP_CLI_PINS = {
+    "criterion9": ("74af2cf5b51946d21e9d1d24b228db54bbc6155633e7d99b2e868628dd235d1c",
+                   "1530b5c0e7ce24f7f97281a9f5d398531fb5017512e5ac9e0aaecf550fc5fe3a"),
+    "example-101": ("2cf00c13af2dbadc957a6c83f4faed371afb245ab2d09efcecd833f46f07d1fc",
+                    "61b0cefb7a7c4291df78f6cd365f35a585db1fc74ae1f34150fd5ddb723666ad"),
+    "tight-101": ("6353d3b7299d2225d9dad18677f28c927c9fff506b8b2b8a8d9ab41930f589d9",
+                  "b8e023e59320a43160ab896e28302b112911afa85296bb9e73c492f50f6d51bf"),
+}
+
+SWEEP_CLI_CASES = {
+    "criterion9": (PERFBENCH_CONFIGS / "example-rho1e-4.cfg", 11, "1e-4"),
+    "example-101": (CFG, 101, "1e-3"),
+    "tight-101": (PERFBENCH_CONFIGS / "tight.cfg", 101, "1e-3"),
+}
+
+
+def sweep_cli_digests(tmp_path, case):
+    config, steps, rho1 = SWEEP_CLI_CASES[case]
+    out, table = tmp_path / f"{case}.json", tmp_path / f"{case}.csv"
+    code = main(["sweep", str(config), "--axis", f"lambda1:0:0.1:{steps}",
+                 "--axis", f"eta11:0:0.5:{steps}", "--mode", "Sstar",
+                 "--rho1", rho1, "--rho2", "1", "--i0", "1",
+                 "--nonexistence-rho", "1", "--setI", "2", "--setJ", "1",
+                 "--csv", str(table), "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if str(table) not in line]
+    assert len(kept) == len(lines) - 1
+    return (hashlib.sha256("".join(kept).encode()).hexdigest(),
+            hashlib.sha256(table.read_bytes()).hexdigest())
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CLI_CASES))
+def test_sweep_reports_pinned(tmp_path, case):
+    assert sweep_cli_digests(tmp_path, case) == SWEEP_CLI_PINS[case]
