@@ -466,16 +466,18 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     The grid is evaluated column-wise: each row builder runs once, on
     float64 columns of all grid points (the last axis varying fastest), and
     the mode-Sstar candidate rule, the verdicts and the binding rows are
-    applied per point with masks.  Two axes that set the same parameter
-    raise ConfigError.  A point that would raise -- a negative or non-finite
-    parameter, a missing bound with positive coefficient, no evaluable
-    Sstar candidate -- or that is certified both ways under the same
-    declared bounds stops the sweep at the first such point in grid order:
+    applied per point with masks.  An axis out of range, or two axes that
+    set the same parameter, raise ConfigError before anything is evaluated.
+    A point that would raise -- a negative or non-finite parameter, a
+    missing bound with positive coefficient, no evaluable Sstar candidate --
+    or that is certified both ways under the same declared bounds stops the
+    sweep at the first such point in grid order:
     that point is evaluated alone on floats, which raises its error, or a
     ContradictionError with a dump of both full certificates.
     """
     base = _effective_params(spec, None)
     axes = tuple(axes)
+    slots = _axis_slots(base, axes)
     grids = [ax.grid() for ax in axes]
     nonex = None if nonexistence is None else (
         nonexistence["db"], nonexistence["setI"], nonexistence["setJ"])
@@ -487,11 +489,11 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     try:
         with np.errstate(all="ignore"):
             failing, verdict, binding, margin, labels = _classify(
-                spec, cc, base, axes, columns, math.prod(g.size for g in grids),
+                spec, cc, base, slots, columns, math.prod(g.size for g in grids),
                 mode, db1, db2, i0, nonex)
     except HammcertError:
         # an error of the whole grid: the first point, evaluated alone, raises
-        # it as a point-by-point sweep would; a duplicate axis raises only here
+        # it as a point-by-point sweep would
         _raise_at(spec, cc, base, point(0), mode, db1, db2, i0, nonex)
         raise
     if failing.any():
@@ -509,27 +511,33 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
 _VERDICTS = ("undetermined", "existence-certified", "nonexistence-certified")
 
 
+def _axis_slots(base: "Params", axes: Sequence[SweepAxis]) -> list[tuple[str, int, int]]:
+    """``parse_param_name`` of each axis.  An axis that names no parameter of
+    ``base``, or two axes that set the same parameter, raise ConfigError."""
+    slots = {}
+    for ax in axes:
+        slot = parse_param_name(ax.name)
+        base._check_index(ax.name, *slot)
+        if slot in slots:
+            raise ConfigError(ax.name, f"sets the same parameter as axis {slots[slot]!r}")
+        slots[slot] = ax.name
+    return list(slots)
+
+
 def _classify(spec: "ProblemSpec", cc: Sequence[ConeConstants], base: "Params",
-              axes: tuple[SweepAxis, ...], columns: list[np.ndarray], size: int,
+              slots: list[tuple[str, int, int]], columns: list[np.ndarray], size: int,
               mode: str, db1: DeclaredBounds, db2: DeclaredBounds, i0: int | None,
               nonex: tuple | None):
     """Per grid point: whether it would raise or is certified both ways, its
     verdict (an index into _VERDICTS), its binding row (an index into the
     returned labels) and that row's margin."""
     lambdas, etas = list(base.lambdas), [list(row) for row in base.etas]
-    failing, names = np.zeros(size, bool), {}
-    for ax, col in zip(axes, columns):
-        kind, i, j = parse_param_name(ax.name)
-        if (kind, i, j) in names:
-            raise ConfigError(ax.name, f"sets the same parameter as axis "
-                                       f"{names[kind, i, j]!r}")
-        names[kind, i, j] = ax.name
-        if kind == "lambda" and i < len(lambdas):
+    failing = np.zeros(size, bool)
+    for (kind, i, j), col in zip(slots, columns):
+        if kind == "lambda":
             lambdas[i] = col
-        elif kind == "eta" and i < len(etas) and j < len(etas[i]):
-            etas[i][j] = col
         else:
-            raise ConfigError(ax.name, "index out of range")
+            etas[i][j] = col
         failing |= ~np.isfinite(col)
     for value in (*lambdas, *(v for row in etas for v in row)):
         failing |= np.less(value, 0.0)  # C6

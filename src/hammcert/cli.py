@@ -14,6 +14,8 @@ Common flags: ``--out PATH`` (JSON report to a file instead of stdout),
 ``--set name=value`` (override a lambda_i or eta_ij for this invocation;
 repeatable), ``--seed N``.
 
+Flags, declared-bounds blocks and sweep axes are checked before assembly.
+
 Exit codes: 0 success/certified; 10 evaluated cleanly but not certified;
 20 solver non-convergence; 1 model or config error.
 
@@ -169,6 +171,11 @@ def _axis(text: str) -> certify_mod.SweepAxis:
                         "finite MIN <= MAX and an integer STEPS >= 1")
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise HammcertError(f"bad --samples {samples}; expected an integer >= 1")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -193,10 +200,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "certify":
+        db1, db2 = spec.bounds_at(args.rho1), spec.bounds_at(args.rho2)
         cc = assemble_cone_constants(spec)
-        cert = certify_mod.existence_certificate(
-            spec, cc, spec.bounds_at(args.rho1), spec.bounds_at(args.rho2),
-            args.mode, args.i0, params)
+        cert = certify_mod.existence_certificate(spec, cc, db1, db2, args.mode,
+                                                 args.i0, params)
         report = cert.as_dict()
         report["config_hash"] = cfg_hash
         _emit(report, args.out)
@@ -204,18 +211,20 @@ def _dispatch(args) -> int:
 
     if args.command == "certify-nonexistence":
         setI, setJ = _indices(args.setI, "--setI"), _indices(args.setJ, "--setJ")
+        db = spec.bounds_at(args.rho)
         cc = assemble_cone_constants(spec)
-        cert = certify_mod.nonexistence_certificate(
-            spec, cc, spec.bounds_at(args.rho), setI, setJ, params)
+        cert = certify_mod.nonexistence_certificate(spec, cc, db, setI, setJ, params)
         report = cert.as_dict()
         report["config_hash"] = cfg_hash
         _emit(report, args.out)
         return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
 
     if args.command == "falsify":
+        _check_samples(args.samples)
+        db = spec.bounds_at(args.rho)
         cc = assemble_cone_constants(spec)
-        rep = falsify_bounds(spec, cc, spec.bounds_at(args.rho), args.samples,
-                             seed, include_interior=args.ball)
+        rep = falsify_bounds(spec, cc, db, args.samples, seed,
+                             include_interior=args.ball)
         report = rep.as_dict()
         report["config_hash"] = cfg_hash
         if args.witness_dir:
@@ -230,6 +239,9 @@ def _dispatch(args) -> int:
         return EXIT_OK if not rep.falsified else EXIT_NOT_CERTIFIED
 
     if args.command == "estimate":
+        _check_samples(args.samples)
+        if not args.rho > 0:
+            raise HammcertError(f"bad --rho {args.rho!r}; expected a positive number")
         cc = assemble_cone_constants(spec)
         report = estimate_ranges(spec, cc, args.rho, args.samples, seed)
         report["config_hash"] = cfg_hash
@@ -256,6 +268,7 @@ def _dispatch(args) -> int:
 
     if args.command == "sweep":
         axes = [_axis(a) for a in args.axis]
+        certify_mod._axis_slots(params, axes)
         nonex = None
         if args.nonexistence_rho is not None:
             if not (args.setI and args.setJ):
@@ -263,10 +276,10 @@ def _dispatch(args) -> int:
             nonex = {"db": spec.bounds_at(args.nonexistence_rho),
                      "setI": _indices(args.setI, "--setI"),
                      "setJ": _indices(args.setJ, "--setJ")}
+        db1, db2 = spec.bounds_at(args.rho1), spec.bounds_at(args.rho2)
         cc = assemble_cone_constants(spec)
-        result = certify_mod.sweep(
-            spec, cc, axes, mode=args.mode, db1=spec.bounds_at(args.rho1),
-            db2=spec.bounds_at(args.rho2), i0=args.i0, nonexistence=nonex)
+        result = certify_mod.sweep(spec, cc, axes, mode=args.mode, db1=db1, db2=db2,
+                                   i0=args.i0, nonexistence=nonex)
         if args.csv:
             result.to_csv(args.csv)
         report = {"config_hash": cfg_hash, "axes": [vars(a) for a in axes],

@@ -16,16 +16,18 @@ between ``^`` and ``*``.  ``pos(x)`` is max(x, 0) and ``step(x)`` is 1 for
 x > 0, otherwise 0 (the value at 0 is 0; integrable jumps are handled by
 quadrature panel splitting, never by the point value).
 
+Nesting is limited to _MAX_DEPTH levels; deeper text raises DslSyntaxError.
+
 ASTs are immutable after parse and evaluation is pure, so expressions are
-safe to evaluate concurrently.  Evaluation accepts numpy arrays in the
-environment and broadcasts.  ``eval_scalar`` compiles an AST once into
-numpy closures held by its nodes; they make the tree walk's numpy calls and
-domain checks in its left-to-right order, so values and errors are
-unchanged.  ``eval_functional`` compiles a functional's outer level once
-into closures over Python floats with the ``math`` functions; a node whose
-value is not finite raises.  Its int atoms integrate their bodies, compiled
-by ``eval_scalar``, on one interpolation of the state per evaluation pass
-(``_SharedPass``), shared by all atoms of the functionals of that state.
+safe to evaluate concurrently.  One compiler, ``_compile``, turns an AST
+into closures kept on its nodes, with the operations of an op table:
+``eval_scalar`` uses the numpy table (floats and arrays, the tree walk's
+numpy calls and domain checks), ``eval_functional`` the ``math`` table for
+a functional's outer level (Python floats; a node whose value is not finite
+raises).  Functionals stay on ``math``: numpy's exp and power differ from it
+in the last bit for some float arguments.  The int atoms integrate their
+bodies, compiled by ``eval_scalar``, on one interpolation of the state per
+evaluation pass (``_SharedPass``), shared by all atoms of that state.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -178,7 +180,20 @@ def _tokenize(text: str):
 # ---------------------------------------------------------------------------
 # Parser
 
+# Deepest nesting the parser accepts, both of parentheses (function calls
+# included) and of the AST, in which each sign, '^' and link of a
+# left-associative chain is a level: a sum of k terms is k - 1 levels deep.
+# Deeper input would exhaust the Python stack in the parser, the compiler,
+# render, hash or pickle.  ``render`` adds parentheses only around nodes, so
+# it never renders an accepted AST beyond either limit.
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent through parentheses only; signs, '^' and the
+    left-associative chains are parsed in loops.  The methods return
+    (node, height), height being the AST depth below the node."""
+
     def __init__(self, text: str, context: frozenset, *, n: int | None = None,
                  mode: str = "scalar"):
         self.text = text
@@ -187,6 +202,7 @@ class _Parser:
         self.context = context
         self.n = n
         self.mode = mode  # scalar | functional | intbody
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -202,50 +218,64 @@ class _Parser:
             raise DslSyntaxError(f"expected {op!r}", self.text, pos)
         return self.take()
 
-    def fail(self, message: str):
-        raise DslSyntaxError(message, self.text, self.peek()[2])
+    def fits(self, depth: int, pos: int) -> int:
+        if depth > _MAX_DEPTH:
+            raise DslSyntaxError(f"expression nested more than {_MAX_DEPTH} levels "
+                                 "deep", self.text, pos)
+        return depth
 
-    # expr := term (('+'|'-') term)*
-    def expr(self):
-        node = self.term()
+    def node(self, cls, pos: int, *args):
+        """(cls(*args), its height), each child in args given as a (node,
+        height) pair."""
+        height = 1 + max(a[1] for a in args if isinstance(a, tuple))
+        return (cls(*(a[0] if isinstance(a, tuple) else a for a in args)),
+                self.fits(height, pos))
+
+    def inner(self, pos: int, context: frozenset, mode: str):
+        """The expr after an opening parenthesis, in ``context`` and ``mode``."""
+        outer = self.context, self.mode
+        self.context, self.mode = context, mode
+        self.depth = self.fits(self.depth + 1, pos)
+        found = self.expr()
+        self.depth -= 1
+        self.context, self.mode = outer
+        return found
+
+    # expr := term (('+'|'-') term)*;  term := unary (('*'|'/') unary)*
+    def expr(self, ops: str = "+-"):
+        node = self.expr("*/") if ops == "+-" else self.unary()
         while True:
-            kind, textv, _ = self.peek()
-            if kind == "op" and textv in "+-":
-                self.take()
-                node = Bin(textv, node, self.term())
-            else:
+            kind, textv, pos = self.peek()
+            if not (kind == "op" and textv in ops):
                 return node
+            self.take()
+            right = self.expr("*/") if ops == "+-" else self.unary()
+            node = self.node(Bin, pos, textv, node, right)
 
-    # term := unary (('*'|'/') unary)*
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, textv, _ = self.peek()
-            if kind == "op" and textv in "*/":
-                self.take()
-                node = Bin(textv, node, self.unary())
-            else:
-                return node
-
-    # unary := '-' unary | '+' unary | power
+    # unary := ('-'|'+')* atom ('^' unary)?      ('^' right-associative)
     def unary(self):
-        kind, textv, _ = self.peek()
-        if kind == "op" and textv == "-":
+        links = []  # (sign positions, atom, '^' position) left of each '^'
+        while True:
+            signs = []
+            kind, textv, pos = self.peek()
+            while kind == "op" and textv in "+-":
+                self.take()
+                if textv == "-":
+                    signs.append(pos)
+                kind, textv, pos = self.peek()
+            node = self.atom()
+            kind, textv, pos = self.peek()
+            if not (kind == "op" and textv == "^"):
+                break
             self.take()
-            return Unary("neg", self.unary())
-        if kind == "op" and textv == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    # power := atom ('^' unary)?      (right-associative)
-    def power(self):
-        node = self.atom()
-        kind, textv, _ = self.peek()
-        if kind == "op" and textv == "^":
-            self.take()
-            return Bin("^", node, self.unary())
-        return node
+            links.append((signs, node, pos))
+        while True:
+            for sign in reversed(signs):
+                node = self.node(Unary, sign, "neg", node)
+            if not links:
+                return node
+            signs, left, pos = links.pop()
+            node = self.node(Bin, pos, "^", left, node)
 
     def atom(self):
         kind, textv, pos = self.take()
@@ -253,20 +283,20 @@ class _Parser:
             value = float(textv)
             if not math.isfinite(value):
                 raise DslSyntaxError(f"number {textv} is out of range", self.text, pos)
-            return Num(value)
+            return Num(value), 0
         if kind == "op" and textv == "(":
-            node = self.expr()
+            found = self.inner(pos, self.context, self.mode)
             self.expect(")")
-            return node
+            return found
         if kind == "name":
             nxt_kind, nxt_text, _ = self.peek()
             is_call = nxt_kind == "op" and nxt_text == "("
             if is_call:
                 if textv in _FUNCTIONS:
                     self.take()
-                    arg = self.expr()
+                    arg = self.inner(pos, self.context, self.mode)
                     self.expect(")")
-                    return Unary(textv, arg)
+                    return self.node(Unary, pos, textv, arg)
                 if textv in ("val", "der", "int"):
                     if self.mode == "intbody":
                         raise DslSyntaxError(
@@ -281,9 +311,9 @@ class _Parser:
                     return self._functional_atom(textv, pos)
                 raise DslSyntaxError(f"unknown function {textv!r}", self.text, pos)
             if textv in _CONSTANTS:
-                return Const(textv)
+                return Const(textv), 0
             if textv in self.context:
-                return Var(textv)
+                return Var(textv), 0
             if self._looks_like_variable(textv):
                 raise DslSyntaxError(
                     f"variable {textv!r} not allowed in this context "
@@ -298,14 +328,9 @@ class _Parser:
     def _functional_atom(self, head: str, pos: int):
         self.take()  # '('
         if head == "int":
-            body_parser = _Parser(self.text, int_body_context(self.n), n=self.n,
-                                  mode="intbody")
-            body_parser.tokens = self.tokens
-            body_parser.i = self.i
-            body = body_parser.expr()
-            self.i = body_parser.i
+            body = self.inner(pos, int_body_context(self.n), "intbody")
             self.expect(")")
-            return Integral(body)
+            return self.node(Integral, pos, body)
         # val(i, t0) / der(i, t0): i an integer literal, t0 a constant expression
         kind, textv, ipos = self.take()
         if kind != "num" or not float(textv).is_integer():
@@ -317,11 +342,7 @@ class _Parser:
                 f"{head}: component index {index} out of range 1..{self.n}",
                 self.text, ipos)
         self.expect(",")
-        t0_parser = _Parser(self.text, frozenset(), n=self.n)
-        t0_parser.tokens = self.tokens
-        t0_parser.i = self.i
-        t0_expr = t0_parser.expr()
-        self.i = t0_parser.i
+        t0_expr = self.inner(pos, frozenset(), "scalar")[0]
         self.expect(")")
         try:
             t0 = float(eval_scalar(t0_expr, {}))
@@ -330,7 +351,7 @@ class _Parser:
         if not (0.0 <= t0 <= 1.0):
             raise DslSyntaxError(f"{head}: evaluation point {t0} outside [0,1]",
                                  self.text, pos)
-        return (Val if head == "val" else Der)(index, t0)
+        return (Val if head == "val" else Der)(index, t0), 0
 
 
 def _check_text(text) -> None:
@@ -345,7 +366,7 @@ def parse_expr(text: str, context: frozenset) -> ScalarExpr:
     """Parse a scalar expression whose variables must lie in ``context``."""
     _check_text(text)
     p = _Parser(text, frozenset(context))
-    node = p.expr()
+    node = p.expr()[0]
     kind, _, pos = p.peek()
     if kind != "end":
         raise DslSyntaxError("trailing input", text, pos)
@@ -360,7 +381,7 @@ def parse_functional(text: str, n: int) -> FunctionalExpr:
     """
     _check_text(text)
     p = _Parser(text, frozenset(), n=n, mode="functional")
-    node = p.expr()
+    node = p.expr()[0]
     kind, _, pos = p.peek()
     if kind != "end":
         raise DslSyntaxError("trailing input", text, pos)
@@ -382,13 +403,6 @@ def parse_constant(value, key: str = "<constant>") -> float:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _check_finite(value, node):
-    arr = np.asarray(value)
-    if not np.all(np.isfinite(arr)):
-        raise EvalDomainError("non-finite result", render(node))
-    return value
-
-
 def eval_scalar(expr: ScalarExpr, env: Mapping[str, object]):
     """Evaluate in double precision; env values may be floats or numpy arrays.
 
@@ -399,123 +413,8 @@ def eval_scalar(expr: ScalarExpr, env: Mapping[str, object]):
     try:
         fn = expr._compiled
     except AttributeError:
-        fn = _compile(expr)[0]
+        fn = _compile(expr, _NUMPY)[0]
     return fn(env)
-
-
-def _compile(expr):
-    """(closure, is_constant) of a scalar AST node.
-
-    Each closure applies the node's operation to its children's results,
-    left operand first, with the interpreter's exact numpy calls and domain
-    checks.  A subtree without variables is evaluated once here and its
-    closure returns the stored result; a subtree whose evaluation raises
-    keeps its closure, so the error still surfaces at evaluation time.
-    """
-    if isinstance(expr, Num):
-        value = expr.value
-        fn, const = (lambda env: value), True
-    elif isinstance(expr, Const):
-        value = _CONSTANTS[expr.name]
-        fn, const = (lambda env: value), True
-    elif isinstance(expr, Var):
-        fn, const = _compile_var(expr.name), False
-    elif isinstance(expr, Unary):
-        arg, const = _compile(expr.arg)
-        fn = _compile_unary(expr, arg)
-    elif isinstance(expr, Bin):
-        left, lconst = _compile(expr.left)
-        right, rconst = _compile(expr.right)
-        fn, const = _compile_bin(expr, left, right), lconst and rconst
-    else:
-        def fn(env):
-            raise TypeError(f"not a scalar expression: {expr!r}")
-        return fn, False
-    if const and not isinstance(expr, (Num, Const)):
-        try:
-            value = fn({})
-        except Exception:  # fn raises it again when evaluated
-            pass
-        else:
-            fn = lambda env: value
-    object.__setattr__(expr, "_compiled", fn)
-    return fn, const
-
-
-def _compile_var(name):
-    def fn(env):
-        try:
-            return env[name]
-        except KeyError:
-            raise EvalDomainError(f"unbound variable {name!r}", name) from None
-    return fn
-
-
-def _compile_unary(expr, arg):
-    op = expr.op
-    if op == "neg":
-        def fn(env):
-            x = arg(env)
-            return -x if not isinstance(x, np.ndarray) else np.negative(x)
-        return fn
-    if op == "exp":
-        def fn(env):
-            x = arg(env)
-            with np.errstate(over="ignore"):
-                return _check_finite(np.exp(x), expr)
-        return fn
-    if op == "log":
-        def fn(env):
-            x = arg(env)
-            if np.any(np.asarray(x) <= 0.0):
-                raise EvalDomainError("log of a nonpositive value", render(expr))
-            return np.log(x)
-        return fn
-    if op == "abs":
-        return lambda env: np.abs(arg(env))
-    if op == "sqrt":
-        def fn(env):
-            x = arg(env)
-            if np.any(np.asarray(x) < 0.0):
-                raise EvalDomainError("sqrt of a negative value", render(expr))
-            return np.sqrt(x)
-        return fn
-    if op == "pos":
-        return lambda env: np.maximum(arg(env), 0.0)
-    if op == "step":
-        def fn(env):
-            x = arg(env)
-            return np.where(np.asarray(x) > 0.0, 1.0, 0.0) if isinstance(x, np.ndarray) \
-                else (1.0 if x > 0.0 else 0.0)
-        return fn
-    raise AssertionError(op)
-
-
-def _compile_bin(expr, left, right):
-    op = expr.op
-    if op == "+":
-        return lambda env: left(env) + right(env)
-    if op == "-":
-        return lambda env: left(env) - right(env)
-    if op == "*":
-        return lambda env: left(env) * right(env)
-    if op == "/":
-        def fn(env):
-            a = left(env)
-            b = right(env)
-            if np.any(np.asarray(b) == 0.0):
-                raise EvalDomainError("division by zero", render(expr))
-            return a / b
-        return fn
-    if op == "^":
-        def fn(env):
-            a = left(env)
-            b = right(env)
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                r = np.power(a, b)
-            return _check_finite(r, expr)
-        return fn
-    raise AssertionError(op)
 
 
 def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
@@ -540,7 +439,7 @@ def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
     try:
         fn = fx._functional
     except AttributeError:
-        fn = _compile_functional(fx)
+        fn = _compile(fx, _MATH)[0]
     value = fn(shared_pass)
     if nonneg_condition is not None and value < 0.0:
         raise ModelViolationError(
@@ -584,117 +483,191 @@ class _SharedPass:
             fp, self.quad)
 
 
+class _Backend(NamedTuple):
+    """What ``_compile`` needs to know of one evaluation domain: the node
+    attribute that keeps a closure, ``number(node, value)`` for a Num or
+    Const leaf, ``leaf(node)``, the closure of any other leaf, and the
+    ``op(node, x)`` or ``op(node, a, b)`` of each operator."""
+    attr: str
+    number: Callable
+    leaf: Callable
+    unary: dict
+    binary: dict
+
+
+def _compile(expr, backend: _Backend):
+    """(closure, is_constant) of an AST node, kept on the node.
+
+    The closure applies the node's op to its children's values, left
+    operand first.  A subtree without variables or atoms is evaluated once
+    here and its closure returns the stored result; a subtree whose
+    evaluation raises keeps its closure, so the error still surfaces at
+    evaluation time, in order.
+    """
+    if isinstance(expr, (Num, Const)):
+        raw = expr.value if isinstance(expr, Num) else _CONSTANTS[expr.name]
+        fn, const = (lambda env: backend.number(expr, raw)), True
+    elif isinstance(expr, Unary):
+        arg, const = _compile(expr.arg, backend)
+        unary = backend.unary[expr.op]
+        fn = lambda env: unary(expr, arg(env))
+    elif isinstance(expr, Bin):
+        left, lconst = _compile(expr.left, backend)
+        right, rconst = _compile(expr.right, backend)
+        binary = backend.binary[expr.op]
+        fn, const = (lambda env: binary(expr, left(env), right(env))), lconst and rconst
+    else:
+        fn, const = backend.leaf(expr), False
+    if const:
+        try:
+            value = fn(None)
+        except Exception:  # fn raises it again when evaluated
+            pass
+        else:
+            fn = lambda env: value
+    object.__setattr__(expr, backend.attr, fn)
+    return fn, const
+
+
+# Scalar expressions: numpy on floats and arrays, broadcasting.  Only exp
+# and ^ check that their result is finite.
+
+def _check_finite(value, node):
+    if not np.all(np.isfinite(np.asarray(value))):
+        raise EvalDomainError("non-finite result", render(node))
+    return value
+
+
+def _numpy_leaf(node):
+    if not isinstance(node, Var):
+        raise TypeError(f"not a scalar expression: {node!r}")
+    name = node.name
+
+    def fn(env):
+        try:
+            return env[name]
+        except KeyError:
+            raise EvalDomainError(f"unbound variable {name!r}", name) from None
+    return fn
+
+
+def _numpy_exp(node, x):
+    with np.errstate(over="ignore"):
+        return _check_finite(np.exp(x), node)
+
+
+def _numpy_log(node, x):
+    if np.any(np.asarray(x) <= 0.0):
+        raise EvalDomainError("log of a nonpositive value", render(node))
+    return np.log(x)
+
+
+def _numpy_sqrt(node, x):
+    if np.any(np.asarray(x) < 0.0):
+        raise EvalDomainError("sqrt of a negative value", render(node))
+    return np.sqrt(x)
+
+
+def _numpy_step(node, x):
+    return np.where(np.asarray(x) > 0.0, 1.0, 0.0) if isinstance(x, np.ndarray) \
+        else (1.0 if x > 0.0 else 0.0)
+
+
+def _numpy_div(node, a, b):
+    if np.any(np.asarray(b) == 0.0):
+        raise EvalDomainError("division by zero", render(node))
+    return a / b
+
+
+def _numpy_pow(node, a, b):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        r = np.power(a, b)
+    return _check_finite(r, node)
+
+
+_NUMPY = _Backend(
+    "_compiled", lambda node, value: value, _numpy_leaf,
+    {"neg": lambda node, x: -x if not isinstance(x, np.ndarray) else np.negative(x),
+     "exp": _numpy_exp, "log": _numpy_log, "abs": lambda node, x: np.abs(x),
+     "sqrt": _numpy_sqrt, "pos": lambda node, x: np.maximum(x, 0.0),
+     "step": _numpy_step},
+    {"+": lambda node, a, b: a + b, "-": lambda node, a, b: a - b,
+     "*": lambda node, a, b: a * b, "/": _numpy_div, "^": _numpy_pow})
+
+
+# Functionals: the ``math`` functions on Python floats, whose results differ
+# from numpy's in the last bit for some exp and ^ arguments.  Every node's
+# value is finite or raises: the ops that can leave the finite range (+, -,
+# *, /, ^, exp, the leaves) check their result, and the others keep a
+# finite argument finite.  A leaf's ``env`` is the ``_SharedPass``.
+
 def _finite(value: float, node) -> float:
     if not math.isfinite(value):
         raise EvalDomainError("non-finite result", render(node))
     return value
 
 
-def _compile_functional(fx):
-    """Closure of a functional AST node: fn(shared_pass) -> float.
-
-    The outer level runs on Python floats with the ``math`` functions, left
-    operand first.  Every node's value is finite or raises: the operations
-    that can leave the finite range (+, -, *, /, ^, exp, and the atoms) check
-    their result, and the others keep a finite argument finite.  The
-    closure is kept on the node, apart from the scalar ``_compiled``.
-    """
-    if isinstance(fx, (Num, Const)):
-        value = float(fx.value) if isinstance(fx, Num) else _CONSTANTS[fx.name]
-        fn = lambda ctx: _finite(value, fx)
-    elif isinstance(fx, (Val, Der)):
-        fn = _compile_point(fx)
-    elif isinstance(fx, Integral):
-        body = fx.body
-        fn = lambda ctx: _finite(ctx.integral(body), fx)
-    elif isinstance(fx, Unary):
-        fn = _functional_unary(fx, _compile_functional(fx.arg))
-    elif isinstance(fx, Bin):
-        fn = _functional_bin(fx, _compile_functional(fx.left),
-                             _compile_functional(fx.right))
-    else:
-        raise TypeError(f"not a functional expression: {fx!r}")
-    object.__setattr__(fx, "_functional", fn)
-    return fn
-
-
-def _compile_point(fx):
-    index, t0 = fx.index, fx.t0
-    derivative = isinstance(fx, Der)
+def _math_leaf(node):
+    if isinstance(node, Integral):
+        body = node.body
+        return lambda ctx: _finite(ctx.integral(body), node)
+    if not isinstance(node, (Val, Der)):
+        raise TypeError(f"not a functional expression: {node!r}")
+    index, t0, derivative = node.index, node.t0, isinstance(node, Der)
 
     def fn(ctx):
         u = ctx.u
         if index > u.n:
             raise EvalDomainError(
                 f"functional references component {index} but the state "
-                f"has {u.n}", render(fx))
+                f"has {u.n}", render(node))
         point = u.derivative if derivative else u.value
-        return _finite(float(point(index - 1, t0)), fx)
+        return _finite(float(point(index - 1, t0)), node)
     return fn
 
 
-def _functional_unary(fx, arg):
-    op = fx.op
-    if op == "neg":
-        return lambda ctx: -arg(ctx)
-    if op == "exp":
-        def fn(ctx):
-            x = arg(ctx)
-            try:
-                return math.exp(x)
-            except OverflowError:
-                raise EvalDomainError("non-finite result", render(fx)) from None
-        return fn
-    if op == "log":
-        def fn(ctx):
-            x = arg(ctx)
-            if x <= 0.0:
-                raise EvalDomainError("log of a nonpositive value", render(fx))
-            return math.log(x)
-        return fn
-    if op == "abs":
-        return lambda ctx: abs(arg(ctx))
-    if op == "sqrt":
-        def fn(ctx):
-            x = arg(ctx)
-            if x < 0.0:
-                raise EvalDomainError("sqrt of a negative value", render(fx))
-            return math.sqrt(x)
-        return fn
-    if op == "pos":
-        return lambda ctx: max(arg(ctx), 0.0)
-    if op == "step":
-        return lambda ctx: 1.0 if arg(ctx) > 0.0 else 0.0
-    raise AssertionError(op)
+def _math_exp(node, x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvalDomainError("non-finite result", render(node)) from None
 
 
-def _functional_bin(fx, left, right):
-    op = fx.op
-    if op == "+":
-        return lambda ctx: _finite(left(ctx) + right(ctx), fx)
-    if op == "-":
-        return lambda ctx: _finite(left(ctx) - right(ctx), fx)
-    if op == "*":
-        return lambda ctx: _finite(left(ctx) * right(ctx), fx)
-    if op == "/":
-        def fn(ctx):
-            a = left(ctx)
-            b = right(ctx)
-            if b == 0.0:
-                raise EvalDomainError("division by zero", render(fx))
-            return _finite(a / b, fx)
-        return fn
-    if op == "^":
-        def fn(ctx):
-            a = left(ctx)
-            b = right(ctx)
-            try:
-                r = math.pow(a, b) if (a >= 0 or float(b).is_integer()) else math.nan
-            except (OverflowError, ValueError):  # e.g. 10^400, or 0^-1
-                r = math.nan
-            return _finite(r, fx)
-        return fn
-    raise AssertionError(op)
+def _math_log(node, x):
+    if x <= 0.0:
+        raise EvalDomainError("log of a nonpositive value", render(node))
+    return math.log(x)
+
+
+def _math_sqrt(node, x):
+    if x < 0.0:
+        raise EvalDomainError("sqrt of a negative value", render(node))
+    return math.sqrt(x)
+
+
+def _math_div(node, a, b):
+    if b == 0.0:
+        raise EvalDomainError("division by zero", render(node))
+    return _finite(a / b, node)
+
+
+def _math_pow(node, a, b):
+    try:
+        r = math.pow(a, b) if (a >= 0 or float(b).is_integer()) else math.nan
+    except (OverflowError, ValueError):  # e.g. 10^400, or 0^-1
+        r = math.nan
+    return _finite(r, node)
+
+
+_MATH = _Backend(
+    "_functional", lambda node, value: _finite(float(value), node), _math_leaf,
+    {"neg": lambda node, x: -x, "exp": _math_exp, "log": _math_log,
+     "abs": lambda node, x: abs(x), "sqrt": _math_sqrt,
+     "pos": lambda node, x: max(x, 0.0),
+     "step": lambda node, x: 1.0 if x > 0.0 else 0.0},
+    {"+": lambda node, a, b: _finite(a + b, node),
+     "-": lambda node, a, b: _finite(a - b, node),
+     "*": lambda node, a, b: _finite(a * b, node), "/": _math_div, "^": _math_pow})
 
 
 # ---------------------------------------------------------------------------

@@ -81,18 +81,23 @@ class Params:
             value = float(value)
             if not math.isfinite(value):
                 raise ConfigError(name, f"expected a finite number, got {value}")
-            if i >= len(lambdas):
-                raise ConfigError(name, f"component index out of range 1..{len(lambdas)}")
+            self._check_index(name, kind, i, j)
             if kind == "lambda":
                 lambdas[i] = value
             else:
-                if j >= len(etas[i]):
-                    raise ConfigError(name, f"gamma-term index out of range "
-                                            f"1..{len(etas[i])} for component {i + 1}")
                 etas[i][j] = value
         if any(v < 0 for v in lambdas) or any(v < 0 for row in etas for v in row):
             raise ConfigError("params", "parameters must be nonnegative (C6)")
         return Params(tuple(lambdas), tuple(tuple(row) for row in etas))
+
+    def _check_index(self, name: str, kind: str, i: int, j: int) -> None:
+        """Raise ConfigError if ``parse_param_name(name)`` = (kind, i, j)
+        names no parameter of this point."""
+        if i >= len(self.lambdas):
+            raise ConfigError(name, f"component index out of range 1..{len(self.lambdas)}")
+        if kind == "eta" and j >= len(self.etas[i]):
+            raise ConfigError(name, f"gamma-term index out of range "
+                                    f"1..{len(self.etas[i])} for component {i + 1}")
 
 
 def parse_param_name(name: str) -> tuple[str, int, int]:

@@ -17,15 +17,14 @@ over its own panels, with every row's result bit-identical to ``integrate``.
 The first pass of ``integrate`` over [0, 1] (every panel's Gauss points,
 then those of its two halves) depends only on the breakpoints and the Gauss
 order.  ``_first_pass`` builds that layout once per (breakpoints, order) and
-keeps it in a small table; ``_integrate_first_pass`` takes an integrand's
-values at those points, evaluated by the caller (the functional evaluator
-samples a state there once for all of its ``int`` atoms), and finishes the
-integral by the rules of ``integrate``, bit for bit.
+keeps the last few in an ``lru_cache``; ``_integrate_first_pass`` takes an
+integrand's values at those points, evaluated by the caller (the functional
+evaluator samples a state there once for all of its ``int`` atoms), and
+finishes the integral by the rules of ``integrate``, bit for bit.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,10 +35,6 @@ from .errors import QuadratureError
 
 __all__ = ["QuadConfig", "integrate", "integrate_panels", "gauss_rule",
            "composite_rule"]
-
-# first-pass layouts kept at most; a session uses one or two node vectors
-_FIRST_PASS_TABLE_SIZE = 8
-
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -211,20 +206,16 @@ class _FirstPass(NamedTuple):
     halves: slice
 
 
-_FIRST_PASSES: dict = {}
-_FIRST_PASS_LOCK = threading.Lock()
-
-
 def _first_pass(breakpoints, order: int) -> _FirstPass:
     """First-pass layout of ``integrate(f, 0, 1, breakpoints, cfg)`` for a
-    Gauss order, kept per (breakpoint bytes, order); the table is emptied
-    when it holds _FIRST_PASS_TABLE_SIZE layouts."""
-    bps = np.asarray(breakpoints, dtype=float)
-    key = (bps.tobytes(), order)
-    found = _FIRST_PASSES.get(key)
-    if found is not None:
-        return found
-    edges = _edges(0.0, 1.0, bps)
+    Gauss order, kept per (breakpoint bytes, order)."""
+    return _first_pass_layout(np.asarray(breakpoints, dtype=float).tobytes(), order)
+
+
+# a session uses one or two node vectors
+@lru_cache(maxsize=8)
+def _first_pass_layout(breakpoints: bytes, order: int) -> _FirstPass:
+    edges = _edges(0.0, 1.0, np.frombuffer(breakpoints))
     lo, hi = edges[:-1], edges[1:]
     mid = (lo + hi) / 2.0
     pw, ww = _panel_points(lo, hi, order)
@@ -232,13 +223,8 @@ def _first_pass(breakpoints, order: int) -> _FirstPass:
     points, weights = np.concatenate((pw, ph)), np.concatenate((ww, wh))
     for a in (lo, mid, hi, points, weights):
         a.setflags(write=False)
-    built = _FirstPass(lo, mid, hi, points, weights, slice(0, lo.size),
-                       slice(lo.size, 3 * lo.size))
-    with _FIRST_PASS_LOCK:
-        if len(_FIRST_PASSES) >= _FIRST_PASS_TABLE_SIZE:
-            _FIRST_PASSES.clear()
-        _FIRST_PASSES[key] = built
-    return built
+    return _FirstPass(lo, mid, hi, points, weights, slice(0, lo.size),
+                      slice(lo.size, 3 * lo.size))
 
 
 def _integrate_first_pass(at, f, fp: _FirstPass, cfg: QuadConfig) -> float:

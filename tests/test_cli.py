@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hammcert as hc
+from hammcert import cli
 from hammcert.cli import main
 
 CFG = str(hc.example_config_path())
@@ -323,6 +324,27 @@ class TestDeterminism:
 
 
 SWEEP = ["sweep", CFG, "--mode", "Sstar", "--rho1", "1e-3", "--rho2", "1"]
+NO_BLOCK = "bounds: no declared-bounds block at rho = 0.5"
+
+# flag errors that are found before the cone constants are assembled
+BEFORE_ASSEMBLY = [
+    (["certify", CFG, "--mode", "Sstar", "--rho1", "0.5", "--rho2", "1"], NO_BLOCK),
+    (["certify-nonexistence", CFG, "--rho", "0.5", "--setI", "2", "--setJ", "1"],
+     NO_BLOCK),
+    (["falsify", CFG, "--rho", "0.5", "--samples", "2"], NO_BLOCK),
+    (["sweep", CFG, "--axis", "lambda1:0:0.1:2", "--mode", "S", "--rho1", "0.5",
+      "--rho2", "1"], NO_BLOCK),
+    (["sweep", CFG, "--axis", "lambda1:0:0.1:2", "--mode", "S", "--rho1", "1e-3",
+      "--rho2", "0.5"], NO_BLOCK),
+    ([*SWEEP, "--axis", "lambda1:0:0.1:2", "--axis", "lambda1:5:6:2"],
+     "lambda1: sets the same parameter as axis 'lambda1'"),
+    ([*SWEEP, "--axis", "eta21:0:0.1:2", "--axis", "eta2_1:5:6:2"],
+     "eta2_1: sets the same parameter as axis 'eta21'"),
+    ([*SWEEP, "--axis", "lambda3:0:0.1:2"], "lambda3: component index out of range 1..2"),
+    (["falsify", CFG, "--rho", "1", "--samples", "0"], "bad --samples 0"),
+    (["estimate", CFG, "--rho", "1", "--samples", "0"], "bad --samples 0"),
+    (["estimate", CFG, "--rho", "0", "--samples", "2"], "bad --rho 0.0"),
+]
 
 
 class TestBadFlags:
@@ -337,11 +359,22 @@ class TestBadFlags:
           "--set", "lambda1=nan"], "lambda1: expected a finite number, got nan"),
         (["certify-nonexistence", CFG, "--rho", "1", "--setI", "x", "--setJ", "1"],
          "bad --setI 'x'"),
+        *BEFORE_ASSEMBLY,
     ])
     def test_exits_one_naming_the_flag(self, tmp_path, capsys, argv, message):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 1
         assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv,message", BEFORE_ASSEMBLY)
+    def test_flag_errors_come_before_assembly(self, monkeypatch, capsys, argv,
+                                              message):
+        def assemble(spec):
+            raise AssertionError("cone constants assembled")
+
+        monkeypatch.setattr(cli, "assemble_cone_constants", assemble)
+        assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("first,second", [("lambda1:0:0.1:2", "lambda1:5:6:2"),

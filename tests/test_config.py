@@ -108,6 +108,15 @@ class TestRejectedAtTheirSource:
         with pytest.raises(hc.ConfigError, match="not valid JSON"):
             load_text(text)
 
+    def test_expression_nested_too_deeply(self):
+        # a left-associative chain of 501 terms, an AST 500 nodes deep: too
+        # deep to hash, render or pickle on the default Python stack
+        doc = example()
+        doc["components"][0]["f"] += "+0" * 500
+        with pytest.raises(hc.ConfigError, match="nested more than 100 levels") as err:
+            load(doc)
+        assert err.value.key == "components[0].f"
+
     def test_nan_lambda_in_the_json_text(self):
         text = hc.example_config_path().read_text().replace('"lambda": "1/20"',
                                                             '"lambda": NaN')

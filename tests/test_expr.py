@@ -5,14 +5,15 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hammcert import (DslSyntaxError, EvalDomainError, ModelViolationError,
-                      QuadConfig, QuadratureError, constant_state, eval_functional,
-                      eval_scalar, integrate, parse_expr, parse_functional, render)
-from hammcert.expr import (KERNEL_CONTEXT, Bin, Const, Der, Integral, Num, Unary,
-                           Val, Var, int_body_context, nonlinearity_context,
+from hammcert import (DslSyntaxError, EvalDomainError, HammcertError,
+                      ModelViolationError, QuadConfig, QuadratureError, constant_state,
+                      eval_functional, eval_scalar, integrate, parse_expr,
+                      parse_functional, render)
+from hammcert.expr import (_MAX_DEPTH, KERNEL_CONTEXT, Bin, Const, Der, Integral, Num,
+                           Unary, Val, Var, int_body_context, nonlinearity_context,
                            parse_constant)
 from conftest import trig_state
 
@@ -219,6 +220,83 @@ def test_parse_constant_accepts_numbers_and_strings():
     assert parse_constant("1/(1+e)") == pytest.approx(1 / (1 + math.e))
     with pytest.raises(DslSyntaxError):
         parse_constant(True)
+
+
+# ---------------------------------------------------------------------------
+# DSL text of any shape is parsed or rejected with a syntax error
+
+TEXT_TOKENS = st.sampled_from([
+    "0", "1", "2.5", ".5", "1e308", "7e-320", "t", "s", "w", "u1", "du2", "u3", "x",
+    "e", "pi", "+", "-", "*", "/", "^", "(", ")", ",", "exp(", "log(", "abs(",
+    "sqrt(", "pos(", "step(", "val(", "der(", "int(", "val(1, 0.5)", "der(2, 1/3)",
+    "int(du1^2)", "int(u1 - s)"])
+# operands joined by operators, some after a sign or an opening parenthesis
+# that is closed at the end, so that a good share of the texts parse
+OPERAND_TEXT = st.lists(st.tuples(
+    st.sampled_from(["", "-", "(", "exp(", "log(", "sqrt(", "pos(", "int("]),
+    st.sampled_from(["0", "2.5", "1e308", "t", "w", "u1", "du2", "e", "val(1, 0.5)",
+                     "der(2, 1/3)", "int(du1^2)"]),
+    st.sampled_from(list("+-*/^"))), min_size=1, max_size=8).map(
+    lambda parts: "".join(p + x + op for p, x, op in parts)[:-1]
+    + ")" * sum(p.endswith("(") for p, _, _ in parts))
+TEXTS = st.one_of(OPERAND_TEXT, st.builds(lambda tokens, sep: sep.join(tokens),
+                                          st.lists(TEXT_TOKENS, max_size=30),
+                                          st.sampled_from(["", " "])))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(TEXTS, st.integers(0, 2 ** 16))
+@example("-" * 1000 + "1", 0)
+@example("(" * 200 + "1" + ")" * 200, 0)
+@example("+".join(["1"] * 400), 0)
+@example("u1^" * 300 + "1", 0)
+@example("int(" + "+".join(["u1"] * 400) + ")", 0)
+def test_dsl_text_parses_or_raises_a_syntax_error(text, seed):
+    context = nonlinearity_context(2)
+    env = {name: np.linspace(-1.0, 2.0, 4) if "u" in name else 0.5 for name in context}
+    u, quad = trig_state(seed, n=2), QuadConfig(max_subdivisions=8)
+    for parse, evaluate in (
+            (lambda t: parse_expr(t, context), lambda x: eval_scalar(x, env)),
+            (lambda t: parse_functional(t, 2), lambda x: eval_functional(x, u, quad))):
+        try:
+            ast = parse(text)
+        except DslSyntaxError:
+            continue
+        assert parse(render(ast)) == ast
+        assert pickle.loads(pickle.dumps(ast)) == ast
+        try:
+            with np.errstate(all="ignore"):
+                evaluate(ast)
+        except HammcertError:
+            pass
+
+
+NESTED = {
+    "signs": lambda k: "-" * k + "u1",
+    "parentheses": lambda k: "(" * k + "u1" + ")" * k,
+    "calls": lambda k: "abs(" * k + "u1" + ")" * k,
+    "powers": lambda k: "u1^" * k + "1",
+    "chain": lambda k: "u1" + "*u1" * k,
+}
+
+
+def _under_frames(k, fn):
+    return _under_frames(k - 1, fn) if k else fn()
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_limit(shape):
+    context = nonlinearity_context(1)
+    with pytest.raises(DslSyntaxError, match=f"nested more than {_MAX_DEPTH} levels"):
+        parse_expr(NESTED[shape](_MAX_DEPTH + 1), context)
+
+    def everything():
+        expr = parse_expr(NESTED[shape](_MAX_DEPTH), context)
+        eval_scalar(expr, {"u1": np.array([0.5, 1.0])})
+        assert parse_expr(render(expr), context) == expr
+        assert hash(expr) == hash(pickle.loads(pickle.dumps(expr)))
+    # at the limit, with 200 frames already on the stack
+    _under_frames(200, everything)
 
 
 # ---------------------------------------------------------------------------

@@ -201,14 +201,16 @@ def test_first_pass_matches_integrate(f):
         assert got == _outcome(integrate, f, 0.0, 1.0, bps, cfg)
 
 
-def test_first_pass_layout_is_kept_and_bounded(monkeypatch):
-    monkeypatch.setattr(quad, "_FIRST_PASSES", {})
+def test_first_pass_layout_is_kept_and_bounded():
+    layouts = quad._first_pass_layout
+    layouts.cache_clear()
     nodes = np.linspace(0.0, 1.0, 129)[1:-1]
     fp = _first_pass(nodes, 8)
     assert _first_pass(nodes.copy(), 8) is fp
     assert _first_pass(nodes, 4) is not fp
     assert not fp.points.flags.writeable
     assert fp.points.shape == (3 * 128, 8)
-    for k in range(3, 3 + quad._FIRST_PASS_TABLE_SIZE):
+    assert layouts.cache_info().maxsize == 8
+    for k in range(3, 3 + 8):
         _first_pass(np.linspace(0.0, 1.0, k)[1:-1], 8)
-    assert len(quad._FIRST_PASSES) <= quad._FIRST_PASS_TABLE_SIZE
+    assert layouts.cache_info().currsize == 8
