@@ -1,13 +1,16 @@
-"""Declared analytic bounds and their sampled falsification.
+"""Declared analytic bounds, attacked and estimated by one sampling pass.
 
 Certificates consume only bounds the user declares (sup/inf of functionals
-over the cone boundary, max/min of nonlinearities over boxes): these are
-derived by hand, since no constructive procedure for the exact extrema over
-the boundary exists.  The falsifier attacks the declarations by sampling:
-it can disprove a declaration (with a concrete witness state) but can never
-upgrade one to "verified".  Monte-Carlo extrema are biased inward, which is
-the unsafe direction for the certificate inequalities, so estimated ranges
-are labeled non-rigorous and are never substituted for declarations.
+over the cone boundary, max/min of nonlinearities over boxes), derived by
+hand, since no constructive procedure for the exact extrema exists.  One
+pass draws boundary states on ||u|| = rho (for bounds over the closed ball,
+half of them scaled into it) and evaluates every w_i and h_ij once on each,
+with the C7/C8 sign check.  ``falsify_bounds`` tests every declared w/h
+bound on these values through one comparison: it can disprove a declaration
+(with a concrete witness state), never verify one.  ``estimate_ranges``
+keeps the sampled extrema, which are biased inward (the unsafe direction for
+the certificate inequalities), so they are labeled non-rigorous and are
+never substituted for declarations.
 
 Checked relations, per declaration present:
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,6 +144,74 @@ def _slack(bound: float) -> float:
     return SLACK * max(1.0, abs(bound))
 
 
+def _check_shape(spec: "ProblemSpec", db: DeclaredBounds) -> None:
+    """ConfigError unless db has one entry per component, one h per gamma term."""
+    if len(db.components) != spec.n:
+        raise ConfigError("bounds", f"declared bounds carry {len(db.components)} "
+                                    f"component entries for an n={spec.n} problem")
+    for i, (comp, cb) in enumerate(zip(spec.components, db.components), start=1):
+        if len(cb.h) != len(comp.gammas):
+            raise ConfigError("bounds", f"declared bounds carry {len(cb.h)} h entries for "
+                                        f"the {len(comp.gammas)} gamma terms of component {i}")
+
+
+def _boundary_pass(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float,
+                   samples: int, rng: np.random.Generator, quad: QuadConfig,
+                   ball: bool = False, norms: bool = False):
+    """Per sample: a state u on ||u|| = rho (with ``ball``, a fair coin scales
+    it into the ball by a uniform factor in [0.05, 1]), its ||u_i||_inf (only
+    with ``norms``) and, per component, [w_i[u], h_i1[u], h_i2[u], ...].
+    Each functional is evaluated once, in that order, under one _SharedPass;
+    a negative value raises the C7/C8 ModelViolationError."""
+    layout = [[(comp.w, "C8"), *((term.h, "C7") for term in comp.gammas)]
+              for comp in spec.components]
+    for _ in range(samples):
+        u = sample_cone_boundary_rng(spec, cc, rho, rng)
+        if ball and rng.uniform() < 0.5:
+            mu = rng.uniform(0.05, 1.0)
+            u = DiscreteState(u.nodes, u.values * mu, u.derivatives * mu)
+        sups = c1_norm(u).sup if norms else None
+        shared = _SharedPass(u, quad)
+        yield u, sups, [[eval_functional(fx, u, quad, nonneg_condition=condition,
+                                         shared_pass=shared) for fx, condition in comp]
+                        for comp in layout]
+
+
+class _Check(NamedTuple):
+    """One w/h bound: value >= bound (lower) or value <= bound, where bound is
+    declared, or declared * ||u_i||_inf (ratio)."""
+    kind: str               # "w_lo", "w_hi", "h_lo", "h_hi", "h_delta" or "h_xi"
+    component: int          # 1-based
+    term: int | None        # 1-based gamma-term index of an h bound
+    declared: float | None  # None: not declared, so skipped
+    lower: bool
+    ratio: bool
+
+    @property
+    def name(self) -> str:
+        i, j = self.component, self.term
+        return f"{self.kind}[{i}]" if j is None else f"{self.kind}[{i},{j}]"
+
+    def detail(self, value: float, bound: float) -> str:
+        i, j = self.component, self.term
+        functional = f"w_{i}" if j is None else f"h_{i}{j}"
+        ref = (f"{'delta' if self.lower else 'xi'} * ||u_{i}||_inf =" if self.ratio
+               else f"declared {'lower' if self.lower else 'upper'} bound")
+        return f"{functional}[u] = {value!r} {'<' if self.lower else '>'} {ref} {bound!r}"
+
+
+def _checks(db: DeclaredBounds) -> list[_Check]:
+    """Every w/h bound of ``db``, declared or not, in report order."""
+    out = []
+    for i, cb in enumerate(db.components, start=1):
+        out += [_Check("w_lo", i, None, cb.w_lo, True, False),
+                _Check("w_hi", i, None, cb.w_hi, False, False)]
+        for j, hb in enumerate(cb.h, start=1):
+            out += [_Check(f"h_{f}", i, j, getattr(hb, f), f in ("lo", "delta"),
+                           f in ("delta", "xi")) for f in ("lo", "hi", "delta", "xi")]
+    return out
+
+
 def falsify_bounds(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                    db: DeclaredBounds, samples: int, seed: int,
                    quad: QuadConfig | None = None,
@@ -154,78 +225,31 @@ def falsify_bounds(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if len(db.components) != spec.n:
-        raise ConfigError("bounds", f"declared bounds carry {len(db.components)} "
-                                    f"component entries for an n={spec.n} problem")
-    quad = quad or spec.quad
+    _check_shape(spec, db)
     rng = np.random.default_rng(seed)
-    found: dict[tuple, Violation] = {}
-    checked: list[str] = []
-    skipped: list[str] = []
-
-    def record(v: Violation, worse_if: str = "gt") -> None:
-        # one entry per violated bound; keep the worst witness and a count
-        key = (v.kind, v.component, v.term)
-        old = found.get(key)
-        if old is None:
-            found[key] = v
-        else:
-            old.count += 1
-            worse = v.observed > old.observed if worse_if == "gt" \
-                else v.observed < old.observed
-            if worse:
-                v.count = old.count
-                found[key] = v
-
-    for i, cb in enumerate(db.components, start=1):
-        for name in ("w_lo", "w_hi"):
-            (checked if getattr(cb, name) is not None else skipped).append(f"{name}[{i}]")
-        for j, hb in enumerate(cb.h, start=1):
-            checked.append(f"h_lo[{i},{j}]")
-            for name in ("hi", "delta", "xi"):
-                (checked if getattr(hb, name) is not None else skipped).append(
-                    f"h_{name}[{i},{j}]")
-
-    for _ in range(samples):
-        u = sample_cone_boundary_rng(spec, cc, db.rho, rng)
-        if include_interior and rng.uniform() < 0.5:
-            mu = rng.uniform(0.05, 1.0)
-            u = DiscreteState(u.nodes, u.values * mu, u.derivatives * mu)
-        norms = c1_norm(u)
-        shared = _SharedPass(u, quad)
-        for i, (comp, cb) in enumerate(zip(spec.components, db.components), start=1):
-            wv = eval_functional(comp.w, u, quad, nonneg_condition="C8",
-                                 shared_pass=shared)
-            if cb.w_lo is not None and wv < cb.w_lo - _slack(cb.w_lo):
-                record(Violation(
-                    "w_lo", i, None, cb.w_lo, wv, u, None,
-                    f"w_{i}[u] = {wv!r} < declared lower bound {cb.w_lo!r}"), "lt")
-            if cb.w_hi is not None and wv > cb.w_hi + _slack(cb.w_hi):
-                record(Violation(
-                    "w_hi", i, None, cb.w_hi, wv, u, None,
-                    f"w_{i}[u] = {wv!r} > declared upper bound {cb.w_hi!r}"))
-            sup_i = norms.sup[i - 1]
-            for j, (term, hb) in enumerate(zip(comp.gammas, cb.h), start=1):
-                hv = eval_functional(term.h, u, quad, nonneg_condition="C7",
-                                     shared_pass=shared)
-                if hv < hb.lo - _slack(hb.lo):
-                    record(Violation(
-                        "h_lo", i, j, hb.lo, hv, u, None,
-                        f"h_{i}{j}[u] = {hv!r} < declared lower bound {hb.lo!r}"), "lt")
-                if hb.hi is not None and hv > hb.hi + _slack(hb.hi):
-                    record(Violation(
-                        "h_hi", i, j, hb.hi, hv, u, None,
-                        f"h_{i}{j}[u] = {hv!r} > declared upper bound {hb.hi!r}"))
-                if hb.delta is not None and hv < hb.delta * sup_i - _slack(hb.delta * sup_i):
-                    record(Violation(
-                        "h_delta", i, j, hb.delta, hv, u, None,
-                        f"h_{i}{j}[u] = {hv!r} < delta * ||u_{i}||_inf = "
-                        f"{hb.delta * sup_i!r}"), "lt")
-                if hb.xi is not None and hv > hb.xi * sup_i + _slack(hb.xi * sup_i):
-                    record(Violation(
-                        "h_xi", i, j, hb.xi, hv, u, None,
-                        f"h_{i}{j}[u] = {hv!r} > xi * ||u_{i}||_inf = {hb.xi * sup_i!r}"))
-
+    checks = _checks(db)
+    checked = [c.name for c in checks if c.declared is not None]
+    skipped = [c.name for c in checks if c.declared is None]
+    checks = [c for c in checks if c.declared is not None]
+    # per violated bound, in order of first violation: worst witness and count
+    found: dict[_Check, Violation] = {}
+    for u, sups, values in _boundary_pass(spec, cc, db.rho, samples, rng,
+                                          quad or spec.quad, include_interior,
+                                          any(c.ratio for c in checks)):
+        for c in checks:
+            value = values[c.component - 1][c.term or 0]
+            bound = c.declared * sups[c.component - 1] if c.ratio else c.declared
+            slack = _slack(bound)
+            if not (value < bound - slack if c.lower else value > bound + slack):
+                continue
+            old = found.get(c)
+            if old is not None:
+                old.count += 1
+                if not (value < old.observed if c.lower else value > old.observed):
+                    continue
+            found[c] = Violation(c.kind, c.component, c.term, c.declared, value, u,
+                                 None, c.detail(value, bound),
+                                 1 if old is None else old.count)
     violations = list(found.values())
     violations.extend(_falsify_f_boxes(spec, db, rng, checked, skipped))
     return FalsificationReport(db.rho, samples, seed, violations, checked, skipped)
@@ -248,23 +272,29 @@ def _box_points(lows: np.ndarray, highs: np.ndarray, rng: np.random.Generator):
     return pts
 
 
-def _f_env(spec: "ProblemSpec", i: int, pts: np.ndarray) -> dict:
+def _f_env(spec: "ProblemSpec", pts: np.ndarray) -> dict:
+    """The f environment of box points (rows, or one point)."""
     n = spec.n
-    env = {"t": pts[:, 0], "w": pts[:, -1]}
+    env = {"t": pts[..., 0], "w": pts[..., -1]}
     for k in range(n):
-        env[f"u{k + 1}"] = pts[:, 1 + k]
-        env[f"du{k + 1}"] = pts[:, 1 + n + k]
+        env[f"u{k + 1}"] = pts[..., 1 + k]
+        env[f"du{k + 1}"] = pts[..., 1 + n + k]
     return env
+
+
+# per box: whether it is the sign-restricted (lower) box, and its checks as
+# (violation kind, ComponentBounds field, whether the bound is declared * |x_i|)
+_F_BOXES = ((False, (("f_hi", "f_hi", False), ("f_xi_tilde", "xi_tilde", True))),
+            (True, (("f_lo", "f_lo", False), ("f_delta_tilde", "delta_tilde", True))))
 
 
 def _falsify_f_boxes(spec, db, rng, checked, skipped) -> list[Violation]:
     out: list[Violation] = []
-    n = spec.n
-    rho = db.rho
+    n, rho = spec.n, db.rho
     for i, (comp, cb) in enumerate(zip(spec.components, db.components), start=1):
-        want_upper = cb.f_hi is not None or cb.xi_tilde is not None
-        want_lower = cb.f_lo is not None or cb.delta_tilde is not None
-        if not (want_upper or want_lower):
+        boxes = [(lower, active) for lower, box in _F_BOXES
+                 if (active := [c for c in box if getattr(cb, c[1]) is not None])]
+        if not boxes:
             skipped.append(f"f-box[{i}]")
             continue
         try:
@@ -273,54 +303,29 @@ def _falsify_f_boxes(spec, db, rng, checked, skipped) -> list[Violation]:
             skipped.append(f"f-box[{i}] (no declared w-range)")
             continue
 
-        if want_upper:
-            lows = np.array([0.0] + [-rho] * (2 * n) + [w_lo])
-            highs = np.array([1.0] + [rho] * (2 * n) + [w_hi])
-            pts = _box_points(lows, highs, rng)
-            vals = np.broadcast_to(
-                np.asarray(eval_scalar(comp.f, _f_env(spec, i, pts)), dtype=float),
-                (pts.shape[0],))
-            if cb.f_hi is not None:
-                checked.append(f"f_hi[{i}]")
-                out.extend(_box_violation("f_hi", i, cb.f_hi, vals,
-                                          vals - cb.f_hi, pts, spec))
-            if cb.xi_tilde is not None:
-                checked.append(f"xi_tilde[{i}]")
-                cap = cb.xi_tilde * np.abs(pts[:, i])
-                out.extend(_box_violation("f_xi_tilde", i, cb.xi_tilde, vals,
-                                          vals - cap, pts, spec))
-
-        if want_lower:
-            a, b = comp.window.a, comp.window.b
-            lows = np.array([a] + [0.0 if k == i - 1 else -rho for k in range(n)]
+        for lower, box in boxes:
+            t_lo, t_hi, own_lo = (comp.window.a, comp.window.b, 0.0) if lower \
+                else (0.0, 1.0, -rho)
+            lows = np.array([t_lo] + [own_lo if k == i - 1 else -rho for k in range(n)]
                             + [-rho] * n + [w_lo])
-            highs = np.array([b] + [rho] * (2 * n) + [w_hi])
+            highs = np.array([t_hi] + [rho] * (2 * n) + [w_hi])
             pts = _box_points(lows, highs, rng)
             vals = np.broadcast_to(
-                np.asarray(eval_scalar(comp.f, _f_env(spec, i, pts)), dtype=float),
+                np.asarray(eval_scalar(comp.f, _f_env(spec, pts)), dtype=float),
                 (pts.shape[0],))
-            if cb.f_lo is not None:
-                checked.append(f"f_lo[{i}]")
-                out.extend(_box_violation("f_lo", i, cb.f_lo, vals,
-                                          cb.f_lo - vals, pts, spec))
-            if cb.delta_tilde is not None:
-                checked.append(f"delta_tilde[{i}]")
-                floor = cb.delta_tilde * pts[:, i]
-                out.extend(_box_violation("f_delta_tilde", i, cb.delta_tilde, vals,
-                                          floor - vals, pts, spec))
+            for kind, field, ratio in box:
+                checked.append(f"{field}[{i}]")
+                declared = getattr(cb, field)
+                # x_i >= 0 on the lower box, so |x_i| = x_i there
+                bound = declared * np.abs(pts[:, i]) if ratio else declared
+                excess = bound - vals if lower else vals - bound
+                j = int(np.argmax(excess))
+                if excess[j] > _slack(declared):
+                    point = {name: float(x) for name, x in _f_env(spec, pts[j]).items()}
+                    out.append(Violation(kind, i, None, declared, float(vals[j]), None,
+                                         point, f"{kind} violated by "
+                                                f"{float(excess[j])!r} at {point}"))
     return out
-
-
-def _box_violation(kind, i, declared, vals, excess, pts, spec) -> list[Violation]:
-    j = int(np.argmax(excess))
-    if excess[j] <= _slack(declared):
-        return []
-    point = {"t": float(pts[j, 0]), "w": float(pts[j, -1])}
-    for k in range(spec.n):
-        point[f"u{k + 1}"] = float(pts[j, 1 + k])
-        point[f"du{k + 1}"] = float(pts[j, 1 + spec.n + k])
-    return [Violation(kind, i, None, declared, float(vals[j]), None, point,
-                      f"{kind} violated by {float(excess[j])!r} at {point}")]
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +343,17 @@ def estimate_ranges(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float
         raise ValueError("samples must be >= 1")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    quad = quad or spec.quad
-    rng = np.random.default_rng(seed)
-    w_ranges = [[np.inf, -np.inf] for _ in range(spec.n)]
-    h_ranges = [[[np.inf, -np.inf] for _ in comp.gammas] for comp in spec.components]
-    for _ in range(samples):
-        u = sample_cone_boundary_rng(spec, cc, rho, rng)
-        shared = _SharedPass(u, quad)
-        for i, comp in enumerate(spec.components):
-            wv = eval_functional(comp.w, u, quad, shared_pass=shared)
-            w_ranges[i][0] = min(w_ranges[i][0], wv)
-            w_ranges[i][1] = max(w_ranges[i][1], wv)
-            for j, term in enumerate(comp.gammas):
-                hv = eval_functional(term.h, u, quad, shared_pass=shared)
-                h_ranges[i][j][0] = min(h_ranges[i][j][0], hv)
-                h_ranges[i][j][1] = max(h_ranges[i][j][1], hv)
+    ranges = [[[np.inf, -np.inf] for _ in range(1 + len(comp.gammas))]
+              for comp in spec.components]
+    for _, _, values in _boundary_pass(spec, cc, rho, samples,
+                                       np.random.default_rng(seed), quad or spec.quad):
+        for comp_ranges, comp_values in zip(ranges, values):
+            for r, v in zip(comp_ranges, comp_values):
+                r[0], r[1] = min(r[0], v), max(r[1], v)
+    ranges = [[{"min": lo, "max": hi} for lo, hi in comp] for comp in ranges]
     return {
         "rho": rho, "samples": samples, "seed": seed,
         "rigorous": False,
         "note": "NON-RIGOROUS sampled ranges; sampled extrema are biased inward",
-        "w": [{"min": lo, "max": hi} for lo, hi in w_ranges],
-        "h": [[{"min": lo, "max": hi} for lo, hi in comp] for comp in h_ranges],
+        "w": [comp[0] for comp in ranges], "h": [comp[1:] for comp in ranges],
     }

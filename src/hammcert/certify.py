@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .bounds import DeclaredBounds
+from .bounds import DeclaredBounds, _check_shape
 from .cone import zero_state
 from .constants import ConeConstants
 from .errors import ConfigError, ContradictionError, HammcertError, MissingBoundError
@@ -175,12 +175,6 @@ def _read(cc: Sequence[ConeConstants], keys: Keys, i: int, key: str) -> float:
     """The used value of component i's constant record ``key``, noted in keys."""
     keys.append((i, key))
     return cc[i - 1].records[key].used
-
-
-def _check_shape(spec: "ProblemSpec", db: DeclaredBounds) -> None:
-    if len(db.components) != spec.n:
-        raise ConfigError("bounds", f"declared bounds carry {len(db.components)} "
-                                    f"component entries for an n={spec.n} problem")
 
 
 def _i1_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
@@ -455,12 +449,14 @@ class SweepResult:
 def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
           axes: Sequence[SweepAxis], *, mode: str, db1: DeclaredBounds,
           db2: DeclaredBounds, i0: int | None = None,
-          nonexistence: dict | None = None) -> SweepResult:
+          nonexistence: dict | None = None,
+          params: "Params | None" = None) -> SweepResult:
     """Classify every grid point as existence-certified, nonexistence-
     certified or undetermined.
 
     ``nonexistence``, when given, is {"db": DeclaredBounds, "setI": [...],
-    "setJ": [...]}; without it only existence is evaluated.  A point's
+    "setJ": [...]}; without it only existence is evaluated.  The axes vary
+    ``params`` (the config's parameters by default).  A point's
     verdict, binding row and margin come from its inequality rows alone.
 
     The grid is evaluated column-wise: each row builder runs once, on
@@ -475,7 +471,7 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     that point is evaluated alone on floats, which raises its error, or a
     ContradictionError with a dump of both full certificates.
     """
-    base = _effective_params(spec, None)
+    base = _effective_params(spec, params)
     axes = tuple(axes)
     slots = _axis_slots(base, axes)
     grids = [ax.grid() for ax in axes]

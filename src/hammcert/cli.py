@@ -37,7 +37,7 @@ from . import certify as certify_mod
 from .bounds import estimate_ranges, falsify_bounds
 from .cone import state_to_csv
 from .constants import assemble_cone_constants, constants_report
-from .errors import ContradictionError, HammcertError
+from .errors import ConfigError, ContradictionError, HammcertError
 from .problem import Params, ProblemSpec, load_config, parse_param_name
 from .solver import solve_fixed_point
 
@@ -268,7 +268,12 @@ def _dispatch(args) -> int:
 
     if args.command == "sweep":
         axes = [_axis(a) for a in args.axis]
-        certify_mod._axis_slots(params, axes)
+        slots = certify_mod._axis_slots(params, axes)
+        for name in _parse_overrides(args.set):
+            slot = parse_param_name(name)
+            if slot in slots:
+                raise ConfigError(name, "--set sets the same parameter as axis "
+                                        f"{axes[slots.index(slot)].name!r}")
         nonex = None
         if args.nonexistence_rho is not None:
             if not (args.setI and args.setJ):
@@ -279,7 +284,7 @@ def _dispatch(args) -> int:
         db1, db2 = spec.bounds_at(args.rho1), spec.bounds_at(args.rho2)
         cc = assemble_cone_constants(spec)
         result = certify_mod.sweep(spec, cc, axes, mode=args.mode, db1=db1, db2=db2,
-                                   i0=args.i0, nonexistence=nonex)
+                                   i0=args.i0, nonexistence=nonex, params=params)
         if args.csv:
             result.to_csv(args.csv)
         report = {"config_hash": cfg_hash, "axes": [vars(a) for a in axes],

@@ -39,7 +39,7 @@ if TYPE_CHECKING:
 
 __all__ = ["DiscreteState", "StateNorms", "c1_norm", "cone_membership",
            "MembershipVerdict", "sample_cone_boundary", "state_to_csv",
-           "state_from_csv", "zero_state", "constant_state", "state_from_callables"]
+           "state_from_csv", "zero_state", "constant_state"]
 
 MONITOR_FACTOR = 8  # monitoring grid has MONITOR_FACTOR*N + 1 points
 # Hermite bases are kept for at most this many points over all point sets
@@ -177,16 +177,6 @@ def constant_state(consts: Sequence[float], num_panels: int = 128) -> DiscreteSt
     nodes = np.linspace(0.0, 1.0, num_panels + 1)
     vals = np.repeat(np.asarray(consts, dtype=float)[:, None], num_panels + 1, axis=1)
     return DiscreteState(nodes, vals, np.zeros_like(vals))
-
-
-def state_from_callables(fns, dfns, num_panels: int = 128) -> DiscreteState:
-    """Build a state by sampling callables (value, derivative) at the nodes."""
-    nodes = np.linspace(0.0, 1.0, num_panels + 1)
-    vals = np.vstack([np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
-                      for f in fns])
-    ders = np.vstack([np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
-                      for f in dfns])
-    return DiscreteState(nodes, vals, ders)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -113,6 +114,19 @@ class TestEstimate:
         est = estimate_ranges(spec, cc, 1.0, samples=50, seed=2)
         assert est["w"][0]["min"] == est["w"][0]["max"] == 2.0
         assert est["h"][0][0]["min"] == est["h"][0][0]["max"] == 1.0
+
+    @pytest.mark.parametrize("key,condition", [("w", "C8"), ("h", "C7")])
+    def test_negative_functional_cites_its_condition(self, example_cc, key,
+                                                     condition):
+        # estimate evaluates on the falsifier's samples, with its sign checks
+        doc = json.loads(hc.example_config_path().read_text())
+        comp = doc["components"][1]
+        (comp["gammas"][0] if key == "h" else comp)[key] = "0 - 1"
+        spec = hc.spec_from_dict(doc)
+        with pytest.raises(hc.ModelViolationError, match=rf"\({condition}\)"):
+            estimate_ranges(spec, example_cc, 1.0, samples=1, seed=1)
+        with pytest.raises(hc.ModelViolationError, match=rf"\({condition}\)"):
+            falsify_bounds(spec, example_cc, spec.bounds_at(1.0), samples=1, seed=1)
 
     def test_rho_validated(self, example_spec, example_cc):
         with pytest.raises(ValueError):

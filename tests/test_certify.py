@@ -384,6 +384,17 @@ class TestSweep:
         with pytest.raises(ConfigError, match="component entries"):
             check_I1(example_spec, example_cc, lopsided)
 
+    @pytest.mark.parametrize("copies", [0, 2])
+    def test_bounds_h_count_guard(self, example_spec, example_cc, copies):
+        # one h entry per gamma term, or a ConfigError rather than an IndexError
+        db = example_spec.bounds_at(1.0)
+        first = dataclasses.replace(db.components[0], h=db.components[0].h * copies)
+        lopsided = DeclaredBounds(1.0, (first, db.components[1]))
+        with pytest.raises(ConfigError, match="h entries for the 1 gamma terms"):
+            check_I1(example_spec, example_cc, lopsided)
+        with pytest.raises(ConfigError, match="h entries for the 1 gamma terms"):
+            hc.falsify_bounds(example_spec, example_cc, lopsided, samples=1, seed=1)
+
     def test_csv_output(self, tmp_path, example_spec, example_cc):
         axes = [SweepAxis("lambda1", 0.0, 0.05, 2)]
         result = sweep(example_spec, example_cc, axes, mode="Sstar",

@@ -341,6 +341,10 @@ BEFORE_ASSEMBLY = [
     ([*SWEEP, "--axis", "eta21:0:0.1:2", "--axis", "eta2_1:5:6:2"],
      "eta2_1: sets the same parameter as axis 'eta21'"),
     ([*SWEEP, "--axis", "lambda3:0:0.1:2"], "lambda3: component index out of range 1..2"),
+    ([*SWEEP, "--axis", "lambda1:0:0.1:2", "--set", "lambda1=1"],
+     "lambda1: --set sets the same parameter as axis 'lambda1'"),
+    ([*SWEEP, "--set", "eta2_1=1", "--axis", "lambda1:0:0.1:2", "--axis", "eta21:0:1:2"],
+     "eta2_1: --set sets the same parameter as axis 'eta21'"),
     (["falsify", CFG, "--rho", "1", "--samples", "0"], "bad --samples 0"),
     (["estimate", CFG, "--rho", "1", "--samples", "0"], "bad --samples 0"),
     (["estimate", CFG, "--rho", "0", "--samples", "2"], "bad --rho 0.0"),
@@ -388,6 +392,35 @@ class TestBadFlags:
         name, prior = second.split(":")[0], first.split(":")[0]
         assert capsys.readouterr().err == \
             f"error: {name}: sets the same parameter as axis {prior!r}\n"
+
+
+@pytest.mark.parametrize("axis,pairs,nonexistence", [
+    ("lambda1:0:0.1:3", ["lambda2=3"], False),
+    ("lambda1:0:0.1:3", ["lambda2=3"], True),
+    ("lambda1:0:40:5", ["lambda2=1.5", "eta11=0.2"], True),
+    ("lambda1:0:40:5", ["lambda2=1.1", "eta21=0.4"], True),  # certifies at 40
+])
+def test_sweep_rows_match_certificates_at_set_point(tmp_path, monkeypatch, example_cc,
+                                                    axis, pairs, nonexistence):
+    # each row's verdict is that of the point's own certify/certify-nonexistence
+    # under the same --set overrides
+    monkeypatch.setattr(cli, "assemble_cone_constants", lambda spec: example_cc)
+    existence = ["--mode", "Sstar", "--i0", "1", "--rho1", "1e-3", "--rho2", "1"]
+    nonex = ["--setI", "2", "--setJ", "1"]
+    sets = [arg for pair in pairs for arg in ("--set", pair)]
+    code, report, _ = run(tmp_path, "sweep", CFG, "--axis", axis, *existence, *sets,
+                          *(["--nonexistence-rho", "1", *nonex] if nonexistence else []))
+    assert code == 0
+    name = axis.split(":")[0]
+    for row in report["rows"]:
+        point = [*sets, "--set", f"{name}={row[name]!r}"]
+        verdicts = []
+        if run(tmp_path, "certify", CFG, *existence, *point)[0] == 0:
+            verdicts.append("existence-certified")
+        if nonexistence and run(tmp_path, "certify-nonexistence", CFG, "--rho", "1",
+                                *nonex, *point)[0] == 0:
+            verdicts.append("nonexistence-certified")
+        assert [row["verdict"]] == (verdicts or ["undetermined"]), row
 
 
 PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"

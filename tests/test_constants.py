@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -38,6 +39,8 @@ def k2_formula(t, s):
     return 0.8 * (1 - s) + 0.2 * np.maximum(0.5 - s, 0) - np.maximum(t - s, 0)
 
 
+# each oracle is computed once per session and shared with criterion 2
+@functools.cache
 def brute_recip_m20(nt=10_000, ns=10_000):
     ts = np.linspace(0, 1, nt)
     ss = np.linspace(0, 1, ns + 1)
@@ -49,6 +52,7 @@ def brute_recip_m20(nt=10_000, ns=10_000):
     return best
 
 
+@functools.cache
 def brute_recip_M2(nt=10_000, ns=10_000):
     ts = np.linspace(0, 0.5, nt)
     ss = np.linspace(0, 0.5, ns + 1)
