@@ -341,13 +341,13 @@ BEFORE_ASSEMBLY = [
     ([*SWEEP, "--axis", "eta21:0:0.1:2", "--axis", "eta2_1:5:6:2"],
      "eta2_1: sets the same parameter as axis 'eta21'"),
     ([*SWEEP, "--axis", "lambda3:0:0.1:2"], "lambda3: component index out of range 1..2"),
+    (["falsify", CFG, "--rho", "1", "--samples", "0"], "bad --samples 0"),
+    (["estimate", CFG, "--rho", "1", "--samples", "0"], "bad --samples 0"),
+    (["estimate", CFG, "--rho", "0", "--samples", "2"], "bad --rho 0.0"),
     ([*SWEEP, "--axis", "lambda1:0:0.1:2", "--set", "lambda1=1"],
      "lambda1: --set sets the same parameter as axis 'lambda1'"),
     ([*SWEEP, "--set", "eta2_1=1", "--axis", "lambda1:0:0.1:2", "--axis", "eta21:0:1:2"],
      "eta2_1: --set sets the same parameter as axis 'eta21'"),
-    (["falsify", CFG, "--rho", "1", "--samples", "0"], "bad --samples 0"),
-    (["estimate", CFG, "--rho", "1", "--samples", "0"], "bad --samples 0"),
-    (["estimate", CFG, "--rho", "0", "--samples", "2"], "bad --rho 0.0"),
 ]
 
 
