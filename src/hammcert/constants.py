@@ -18,18 +18,26 @@ configuration take precedence when consistent with the computed tight value
 (c-type constants must not exceed it); integral norms are always computed,
 and a declared value that disagrees is flagged, never substituted.
 
-The grid scans of the integral norms are batched over t:
-``integrate_over_s`` integrates over s for a whole chunk of t at once, with
-the grid, panel breakpoints (fixed, and the moving s = t), sign-root rule
-and golden-section refinement of a one-t-at-a-time scan, so the values are
-the same bit for bit.  Inner integrals of |k| split panels additionally at
-sign changes of k, located by bisection on a coarse sign pattern, because
-the absolute value introduces kinks at unknown points.  The c~ grids are
-reduced column by column as they are evaluated, under the same point budget.
+The t-scans of the integral norms are batched: ``integrate_over_s``
+integrates over s for a whole chunk of t at once, with the grid, panel
+breakpoints (fixed, and the moving s = t), sign-root rule and golden-section
+refinement of a one-t-at-a-time scan, so the values are the same bit for bit.
+Inner integrals of |k| split panels additionally at sign changes of k,
+because the absolute value introduces kinks at unknown points.
+
+Two kinds of array work run at two sizes.  Elementwise scans -- the coarse
+sign pattern of every s-panel, the c~ grids, the Phi1 check -- run in tiles
+of ``_TILE`` points, so their temporaries stay in cache and are reused from
+the heap; tiles follow row-major order and partial column extrema combine
+exactly, so no value depends on the tile.  Bisection of the sign changes and
+the adaptive quadrature run in batches: every bracket of a t-chunk bisected
+together, every panel of a t-chunk integrated together, with t-chunks sized
+by ``_POINT_BUDGET``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -57,10 +65,16 @@ RECIP_M_READING_NOTE = (
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Points one batched step may evaluate at once (a chunk of t in the
-# s-integrals, an s-chunk of the kernel grid in c~): bounds the memory of
-# the (t x panel x node) tensors whatever the grid size.
+# Points one batched step may evaluate at once (a chunk of t whose sign
+# changes are bisected, and whose panels are integrated, together): bounds
+# the memory of the (t x panel x node) tensors whatever the grid size.
 _POINT_BUDGET = 1 << 18
+# Points one elementwise scan holds at once (a tile of the sign scan, of the
+# c~ grids, of the Phi1 check).  Chosen by timing fresh-process assemblies:
+# at 2^14 (128 KiB per float64 temporary) the temporaries are reused from the
+# heap; at 2^15 the allocator's page faults return on smooth kernels, and at
+# 2^13 the per-tile overhead shows.
+_TILE = 1 << 14
 _SIGN_SCAN = 256  # coarse cells per panel of the sign-change scan
 
 
@@ -168,25 +182,34 @@ def _panel_sign_roots(fn: Callable, rows: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray):
     """Roots of fn(r, .) inside each panel (lo[j], hi[j]) of row r = rows[j].
 
-    Each panel is scanned on a coarse grid and every strict sign change is
-    bisected, all panels at once; a grid point where fn vanishes exactly
-    counts only when its neighbors straddle zero (a function that is zero on
-    a whole stretch has no kink in |fn| there).  Returns (rows, roots).
+    Each panel is scanned on a coarse grid, whole panels at a time in tiles
+    of about ``_TILE`` points, and every strict sign change is then bisected,
+    all panels at once; a grid point where fn vanishes exactly counts only
+    when its neighbors straddle zero (a function that is zero on a whole
+    stretch has no kink in |fn| there).  Returns (rows, roots): the node
+    roots, then the bisected ones, each in panel-major order.
     """
-    xs = np.linspace(lo, hi, _SIGN_SCAN + 1, axis=-1)
-    v = np.broadcast_to(np.asarray(fn(rows[:, None], xs), dtype=float), xs.shape)
-    zi, zj = np.nonzero((v[:, 1:-1] == 0.0) & (v[:, :-2] * v[:, 2:] < 0.0))
-    bi, bj = np.nonzero(v[:, :-1] * v[:, 1:] < 0.0)
-    b_rows, b_lo, b_hi, f_lo = rows[bi], xs[bi, bj], xs[bi, bj + 1], v[bi, bj]
-    for _ in range(48 if bi.size else 0):
+    step = max(1, _TILE // (_SIGN_SCAN + 1))
+    found = []
+    # one (empty) tile even without panels, so the concatenations below work
+    for p in range(0, max(rows.size, 1), step):
+        r = rows[p:p + step]
+        xs = np.linspace(lo[p:p + step], hi[p:p + step], _SIGN_SCAN + 1, axis=-1)
+        v = np.broadcast_to(np.asarray(fn(r[:, None], xs), dtype=float), xs.shape)
+        zi, zj = np.nonzero((v[:, 1:-1] == 0.0) & (v[:, :-2] * v[:, 2:] < 0.0))
+        bi, bj = np.nonzero(v[:, :-1] * v[:, 1:] < 0.0)
+        found.append((r[zi], xs[zi, zj + 1], r[bi], xs[bi, bj], xs[bi, bj + 1],
+                      v[bi, bj]))
+    z_rows, z_roots, b_rows, b_lo, b_hi, f_lo = map(np.concatenate, zip(*found))
+    for _ in range(48 if b_rows.size else 0):
         mid = 0.5 * (b_lo + b_hi)
         fm = np.broadcast_to(np.asarray(fn(b_rows, mid), dtype=float), mid.shape)
         left = f_lo * fm <= 0.0
         b_hi = np.where(left, mid, b_hi)
         b_lo = np.where(left, b_lo, mid)
         f_lo = np.where(left, f_lo, fm)
-    return (np.concatenate((rows[zi], b_rows)),
-            np.concatenate((xs[zi, zj + 1], 0.5 * (b_lo + b_hi))))
+    return (np.concatenate((z_rows, b_rows)),
+            np.concatenate((z_roots, 0.5 * (b_lo + b_hi))))
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +317,35 @@ def recip_M(kd: KernelDef, w: Window, quad_cfg: QuadConfig | None = None,
 # ---------------------------------------------------------------------------
 # Window constants
 
-def _kernel_columns(kd: KernelDef, ts: np.ndarray, ss: np.ndarray,
-                    reduce: Callable) -> np.ndarray:
-    """reduce(k(ts, s)) over t for every s in ss, evaluated in s-chunks under
-    the point budget; the full ts x ss grid is never held."""
+def _kernel_columns(evalf: Callable, kd: KernelDef, ts: np.ndarray,
+                    ss: np.ndarray, combine: np.ufunc, *,
+                    absolute: bool = False) -> np.ndarray:
+    """combine.reduce over t in ts of evalf(kd, t, s), or of its absolute
+    value, for every s in ss.
+
+    The ts x ss grid is evaluated in tiles of at most ``_TILE`` points, a few
+    t-rows by many s-columns so that each reduction runs along long rows.
+    Each tile is reduced over its t-rows and folded into the running column
+    values with ``combine``; for np.minimum and np.maximum that is exact, so
+    the tiling leaves every value as a whole-grid reduction would.
+    """
+    # 64 t-rows by 256 s-columns at 2^14: a tile of all 2049 t-rows would be
+    # 8 columns wide, and such short rows reduce slowly
+    rows = max(1, min(ts.size, math.isqrt(_TILE) // 2))
+    cols = max(1, _TILE // rows)
     out = np.empty(ss.size)
-    block = max(1, _POINT_BUDGET // ts.size)
-    for j0 in range(0, ss.size, block):
-        sj = ss[j0:j0 + block]
-        k = np.broadcast_to(np.asarray(eval_k(kd, ts[:, None], sj), dtype=float),
-                            (ts.size, sj.size))
-        out[j0:j0 + sj.size] = reduce(k)
+    for j0 in range(0, ss.size, cols):
+        sj = ss[j0:j0 + cols]
+        block = out[j0:j0 + sj.size]
+        for i0 in range(0, ts.size, rows):
+            tr = ts[i0:i0 + rows]
+            k = np.broadcast_to(np.asarray(evalf(kd, tr[:, None], sj), dtype=float),
+                                (tr.size, sj.size))
+            part = combine.reduce(np.abs(k) if absolute else k, axis=0)
+            if i0:
+                combine(block, part, out=block)
+            else:
+                block[:] = part
     return out
 
 
@@ -323,9 +364,9 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec,
     ng = min(opt_cfg.coarse_grid, 2048)
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, ng)
     tw = _grid_with(kd.fixed_breakpoints, w.a, w.b, ng)
-    m_win = _kernel_columns(kd, tw, ss, lambda k: k.min(axis=0))
+    m_win = _kernel_columns(eval_k, kd, tw, ss, np.minimum)
     # the full t grid [0, 1] is the s grid
-    k_max = _kernel_columns(kd, ss, ss, lambda k: np.abs(k).max(axis=0))
+    k_max = _kernel_columns(eval_k, kd, ss, ss, np.maximum, absolute=True)
 
     if env.mode == "declared":
         phi = np.broadcast_to(
@@ -547,11 +588,11 @@ def _validate_phi1(kd: KernelDef, phi1, comp_index: int, grid: int = 401) -> Non
     one-sided values stay below any valid majorant."""
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, grid)
     ts = np.linspace(0.0, 1.0, grid + 1)
-    T, S = np.meshgrid(ts, ss, indexing="ij")
-    dk = np.abs(np.broadcast_to(np.asarray(eval_dk(kd, T, S), dtype=float), T.shape))
+    dk_max = _kernel_columns(eval_dk, kd, ts, ss, np.maximum, absolute=True)
     phi = np.broadcast_to(np.asarray(eval_scalar(phi1, {"s": ss}), dtype=float),
                           ss.shape)
-    gap = (dk - phi[None, :]).max()
+    # x -> fl(x - phi) is nondecreasing: the largest gap sits at the column max
+    gap = (dk_max - phi).max()
     if gap > 1e-9:
         raise ModelViolationError(
             "C3", f"component {comp_index}: declared Phi1 is exceeded by "
@@ -561,7 +602,7 @@ def _validate_phi1(kd: KernelDef, phi1, comp_index: int, grid: int = 401) -> Non
 def _kernel_nonneg_on_window(kd: KernelDef, w: Window, grid: int = 201) -> bool:
     ts = _grid_with(kd.fixed_breakpoints, w.a, w.b, grid)
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, grid)
-    return bool(_kernel_columns(kd, ts, ss, lambda k: k.min(axis=0)).min() >= -1e-12)
+    return bool(_kernel_columns(eval_k, kd, ts, ss, np.minimum).min() >= -1e-12)
 
 
 def constants_report(spec: "ProblemSpec", cc: Sequence[ConeConstants],

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +439,109 @@ class TestBatchedIntegrals:
         val = integrate_over_s(K1, 0.25, 0.0, 1.0, absolute=True)
         assert np.shape(val) == ()
         assert float(val) == ref_abs_integral_over_s(K1, 0.25, 0, QuadConfig())
+
+
+# --------------------------------------------------------------------------
+# the tiled grid scans against the untiled scans they replaced
+
+def ref_panel_sign_roots(fn, rows, lo, hi):
+    """The untiled sign scan: every panel's grid at once, exact zeros that
+    straddle, then 48 bisections of every strict sign change."""
+    xs = np.linspace(lo, hi, 257, axis=-1)
+    v = np.broadcast_to(np.asarray(fn(rows[:, None], xs), dtype=float), xs.shape)
+    zi, zj = np.nonzero((v[:, 1:-1] == 0.0) & (v[:, :-2] * v[:, 2:] < 0.0))
+    bi, bj = np.nonzero(v[:, :-1] * v[:, 1:] < 0.0)
+    b_rows, b_lo, b_hi, f_lo = rows[bi], xs[bi, bj], xs[bi, bj + 1], v[bi, bj]
+    for _ in range(48 if bi.size else 0):
+        mid = 0.5 * (b_lo + b_hi)
+        fm = np.broadcast_to(np.asarray(fn(b_rows, mid), dtype=float), mid.shape)
+        left = f_lo * fm <= 0.0
+        b_hi = np.where(left, mid, b_hi)
+        b_lo = np.where(left, b_lo, mid)
+        f_lo = np.where(left, f_lo, fm)
+    return (np.concatenate((rows[zi], b_rows)),
+            np.concatenate((xs[zi, zj + 1], 0.5 * (b_lo + b_hi))))
+
+
+def ref_kernel_columns(evalf, kd, ts, ss, combine, absolute):
+    """The whole ts x ss grid evaluated at once and reduced over t."""
+    k = np.broadcast_to(np.asarray(evalf(kd, ts[:, None], ss), dtype=float),
+                        (ts.size, ss.size))
+    return combine.reduce(np.abs(k) if absolute else k, axis=0)
+
+
+def sign_scan_panels(kd, ts):
+    """(rows, lo, hi) of the panels between the s-breakpoints of each t."""
+    panels = [(r, lo, hi) for r, t in enumerate(ts)
+              for lo, hi in itertools.pairwise([0.0, *s_breakpoints(kd, t), 1.0])
+              if hi - lo > 1e-12]
+    rows, lo, hi = zip(*panels)
+    return np.array(rows, dtype=np.intp), np.array(lo), np.array(hi)
+
+
+# one point; exactly one sign-scan panel; one panel and a point; a prime
+# (two panels); the tile in use.  A tile of n points spans isqrt(n) // 2
+# t-rows (at least one) of the c~ grids, so all but the last split the
+# 13-point window grid
+TILES = [1, 257, 258, 521, constants_mod._TILE]
+
+
+# roots on the scan nodes s = 1/4 and s = 1/2 of every row, for k and dk
+NODE_ROOTS = _kernel("(s - 1/4)*(s - 1/2)*(1 + t)", "(s - 1/4)*(s - 1/2)")
+
+
+class TestTiledScans:
+    @pytest.mark.parametrize("kd", ORACLE_KERNELS + [NODE_ROOTS],
+                             ids=ORACLE_IDS + ["node-roots"])
+    def test_sign_roots_match_untiled_scan(self, kd, monkeypatch):
+        ts = np.linspace(0.0, 1.0, 17)
+        rows, lo, hi = sign_scan_panels(kd, ts)
+        for evalf in (eval_k, eval_dk):
+            fn = lambda r, s: evalf(kd, ts[r], s)
+            want = ref_panel_sign_roots(fn, rows, lo, hi)
+            for tile in TILES:
+                monkeypatch.setattr(constants_mod, "_TILE", tile)
+                got = constants_mod._panel_sign_roots(fn, rows, lo, hi)
+                # the same roots of the same rows, in the same order
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), tile
+
+    def test_sign_roots_without_panels(self):
+        none = np.empty(0)
+        rows, roots = constants_mod._panel_sign_roots(
+            lambda r, s: eval_k(K1, none[r], s), none.astype(np.intp), none, none)
+        assert rows.size == roots.size == 0
+
+    @pytest.mark.parametrize("kd", ORACLE_KERNELS, ids=ORACLE_IDS)
+    def test_columns_match_untiled_grid(self, kd, monkeypatch):
+        ss = constants_mod._grid_with(kd.fixed_breakpoints, 0.0, 1.0, 12)
+        tw = np.linspace(0.2, 0.9, 13)
+        for evalf in (eval_k, eval_dk):
+            for ts, combine, absolute in ((tw, np.minimum, False),
+                                          (ss, np.maximum, True)):
+                want = ref_kernel_columns(evalf, kd, ts, ss, combine, absolute)
+                for tile in TILES:
+                    monkeypatch.setattr(constants_mod, "_TILE", tile)
+                    got = constants_mod._kernel_columns(evalf, kd, ts, ss, combine,
+                                                        absolute=absolute)
+                    assert np.array_equal(got, want), tile
+
+    def test_scans_hold_no_multi_mib_temporaries(self):
+        # The traced allocation peak of c~_1 and 1/m_{1,0} at the default
+        # resolution is 1.1 MiB with tiled scans and 8.1 MiB with the whole
+        # 2^18-point scans of the t-chunks (2 MiB per float64 temporary).
+        w = Window(0, 0.375)
+        c_tilde(K1, w, PHI1, opt_cfg=FAST_OPT)  # compile and import untraced
+        recip_m(K1, 0, opt_cfg=FAST_OPT)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            c_tilde(K1, w, PHI1)
+            recip_m(K1, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 # float.hex of the computed constants, recorded from the per-t scan; the
