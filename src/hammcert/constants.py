@@ -13,10 +13,15 @@ Everything here realizes a sup/inf over t or s of kernel data:
 
 Sups and infs are grid scans refined by golden-section search on the
 bracketing triple; results carry the grid resolution and are approximations
-at that resolution, not rigorous enclosures.  Declared constants from the
-configuration take precedence when consistent with the computed tight value
-(c-type constants must not exceed it); integral norms are always computed,
-and a declared value that disagrees is flagged, never substituted.
+at that resolution, not rigorous enclosures.  The refinement evaluates probe
+trees: one call of the searched function holds the probes of the next
+``_GOLDEN_DEPTH`` steps for every outcome of their comparisons, and the
+search walks the comparisons through them, so it probes the points, and
+returns the values, of one probe per call in fewer, larger calls; searched
+functions must therefore be elementwise on arrays.  Declared constants from
+the configuration take precedence when consistent with the computed tight
+value (c-type constants must not exceed it); integral norms are always
+computed, and a declared value that disagrees is flagged, never substituted.
 
 The t-scans of the integral norms are batched: ``integrate_over_s``
 integrates over s for a whole chunk of t at once, with the grid, panel
@@ -44,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import ModelViolationError, ConfigError
+from .errors import ConfigError, HammcertError, ModelViolationError
 from .expr import eval_scalar
 from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
 from .quad import QuadConfig, integrate_panels
@@ -63,7 +68,13 @@ RECIP_M_READING_NOTE = (
     "by golden-section search and are reported together with the grid "
     "resolution, not as rigorous enclosures.")
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps whose probes one call of f evaluates, a tree of
+# 2**depth - 1 points.  Chosen by timing fresh-process assemblies (medians of
+# 10, example.cfg / tight.cfg): one probe per call 0.396 / 0.623 s; depth 3
+# 0.368 / 0.466 s, 4 0.361 / 0.463 s, 5 0.383 / 0.443 s, 6 0.406 / 0.472 s.
+# A call's cost is nearly flat in its points, a tree's Python cost is not.
+_GOLDEN_DEPTH = 4
 
 # Points one batched step may evaluate at once (a chunk of t whose sign
 # changes are bisected, and whose panels are integrated, together): bounds
@@ -94,7 +105,8 @@ class Opt1DConfig:
     refine_tol: float = 1e-12
 
     def __post_init__(self):
-        # an empty grid divides by zero; golden search never ends at tol <= 0
+        # an empty grid divides by zero; a tolerance <= 0 asks for a bracket
+        # narrower than float spacing
         if self.coarse_grid < 1:
             raise ValueError("coarse_grid must be >= 1")
         if not self.refine_tol > 0:
@@ -104,26 +116,100 @@ class Opt1DConfig:
 # ---------------------------------------------------------------------------
 # 1-D extrema: coarse grid scan + golden-section refinement
 
-def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float):
-    """Golden-section minimization on [a, b]; returns the best probed point."""
+def _golden_min(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                tol: float, depth: int | None = None):
+    """Golden-section minimization on [a, b]; returns the best probed point.
+
+    f maps an array of points to their values, elementwise.  Each call
+    evaluates the probes of the next ``depth`` steps (``_GOLDEN_DEPTH`` by
+    default), see ``_golden_walk``; the result is that of one probe per call.
+    """
+    walk = _golden_walk(f, a, b, tol, _GOLDEN_DEPTH if depth is None else depth)
+    (c, fc), (d, fd) = next(walk), next(walk)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    for x, fx in walk:
+        # the point a step keeps was compared when it was probed
+        if fx < best_f:
+            best_x, best_f = x, fx
+    return best_x, best_f
+
+
+def _golden_walk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                 tol: float, depth: int):
+    """The points a golden-section search for the minimum of f on [a, b]
+    probes, with their values, in the order of the one-probe loop.
+
+    The two inner points of [a, b] are evaluated in one call.  Then, while
+    the bracket is wider than tol and narrower than before the last step
+    (below float spacing a step can leave it as it was), each call of f
+    evaluates the probes of the next ``depth`` steps for every outcome of
+    their comparisons, a tree of 2**depth - 1 points (``_probe_tree``), and
+    the walk follows the comparisons through it.  If that call raises a
+    ``HammcertError``, the same steps are redone one probe per call, so an
+    error surfaces only at a probe the one-probe loop makes.
+    """
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while abs(b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if fc < best_f:
-            best_x, best_f = c, fc
-        if fd < best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
+    try:
+        fc, fd = f(np.array([c, d])).tolist()
+    except HammcertError:
+        (fc,), (fd,) = f(np.array([c])).tolist(), f(np.array([d])).tolist()
+    yield c, fc
+    yield d, fd
+    width, solo = math.inf, 0
+    while tol < b - a < width:
+        tree = _probe_tree(a, b, c, d, fc <= fd, tol, 1 if solo else depth)
+        try:
+            values = f(np.array([node[4] for node in tree])).tolist()
+        except HammcertError:
+            if len(tree) == 1:
+                raise
+            solo = depth
+            continue
+        solo = max(solo - 1, 0)
+        node = 0
+        while node < len(tree):
+            width = b - a
+            a, b, c, d, x, go = tree[node]
+            if fc <= fd:
+                fc, fd = values[node], fc
+            else:
+                fc, fd = fd, values[node]
+            yield x, values[node]
+            if not go:
+                break
+            node = 2 * node + (1 if fc <= fd else 2)
+
+
+def _probe_tree(a: float, b: float, c: float, d: float, left: bool, tol: float,
+                depth: int) -> list:
+    """The next ``depth`` golden steps from the bracket a < c < d < b, for
+    every outcome of the comparisons, in heap order: node n is followed by
+    2n + 1 when its fc <= fd and by 2n + 2 otherwise.
+
+    The first step keeps [a, d] if ``left``, else [c, b].  A node is the
+    bracket (a, b, c, d) after its step, the point the step probes, and
+    whether the loop steps on from it: it does while its bracket is wider
+    than tol and narrower than the one before, so nodes past a stop are
+    probed but never walked.  Positions use the loop's float64 operations,
+    so they are its doubles; Python floats build a depth-4 tree in a few
+    microseconds, numpy arrays level by level in over a hundred.
+    """
+    width = b - a
+    if left:
+        x = d - _GOLDEN * (d - a)
+        tree = [(a, d, x, c, x, tol < d - a < width)]
+    else:
+        x = c + _GOLDEN * (b - c)
+        tree = [(c, b, d, x, x, tol < b - c < width)]
+    for level in range(1, depth):
+        for a, b, c, d, _, go in tree[2 ** (level - 1) - 1:]:
+            width = b - a
+            lc = d - _GOLDEN * (d - a)  # the step that keeps [a, d] probes a new c
+            rd = c + _GOLDEN * (b - c)  # the one that keeps [c, b] probes a new d
+            tree += [(a, d, lc, c, lc, go and tol < d - a < width),
+                     (c, b, d, rd, rd, go and tol < b - c < width)]
+    return tree
 
 
 def extremum_1d(f: Callable, a: float, b: float,
@@ -131,8 +217,11 @@ def extremum_1d(f: Callable, a: float, b: float,
                 breakpoints: Sequence[float] = ()):
     """Grid-certified extremum of f over [a, b].
 
-    f is called once with the whole grid as an array and then with scalar
-    points by the refinement.  Returns (value, argpoint, grid_resolution).
+    f must be elementwise on arrays: it is called once with the whole grid
+    and then by the refinement with arrays of probe points, each holding the
+    probes of several golden-section steps (see ``_golden_walk``), at the
+    same points and with the same result as one probe per call.  Returns
+    (value, argpoint, grid_resolution).
     The coarse grid includes the supplied breakpoints as nodes; the
     bracketing triple around the grid optimum is refined by golden-section
     search and the better of the two results is reported.  For mode "max"
@@ -143,7 +232,7 @@ def extremum_1d(f: Callable, a: float, b: float,
     if mode not in ("min", "max"):
         raise ValueError(mode)
     grid = _grid_with(breakpoints, a, b, cfg.coarse_grid)
-    vals = np.broadcast_to(np.asarray(f(grid), dtype=float), grid.shape)
+    vals = _values_at(f, grid)
     if np.any(np.isnan(vals)):
         raise ModelViolationError("C1", f"NaN while scanning [{a}, {b}]")
     sign = 1.0 if mode == "min" else -1.0
@@ -152,11 +241,18 @@ def extremum_1d(f: Callable, a: float, b: float,
     lo = float(grid[max(j - 1, 0)])
     hi = float(grid[min(j + 1, grid.size - 1)])
     if hi > lo:
-        gx, gv = _golden_min(lambda x: sign * float(f(x)), lo, hi, cfg.refine_tol)
+        gx, gv = _golden_min(lambda x: sign * _values_at(f, x), lo, hi, cfg.refine_tol)
         if gv < sign * best_v:
             best_x, best_v = gx, sign * gv
     resolution = (b - a) / cfg.coarse_grid if b > a else 0.0
     return best_v, best_x, resolution
+
+
+def _values_at(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f at the points x as floats of x's shape (f of a constant may give
+    one value)."""
+    v = np.asarray(f(x), dtype=float)
+    return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
 
 
 def sup_abs_1d(f: Callable, w: Window, cfg: Opt1DConfig | None = None, *,
@@ -405,9 +501,11 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec,
             return np.inf
         return num / den
 
+    # each probe is two nested searches, so probe trees would not pay here
     h = 1.0 / ng
-    gx, gv = _golden_min(ratio_at, max(0.0, s_best - h), min(1.0, s_best + h),
-                         opt_cfg.refine_tol)
+    gx, gv = _golden_min(lambda xs: np.array([ratio_at(s) for s in xs]),
+                         max(0.0, s_best - h), min(1.0, s_best + h),
+                         opt_cfg.refine_tol, depth=1)
     if gv < value:
         value = float(gv)
 

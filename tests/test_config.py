@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hammcert as hc
+from hammcert.constants import extremum_1d
 from conftest import TIGHT_CONFIG
 
 EXAMPLE = json.loads(hc.example_config_path().read_text())
@@ -162,6 +163,24 @@ class TestRejectedAtTheirSource:
         with pytest.raises(hc.ConfigError) as err:
             load(doc)
         assert err.value.key == "opt"
+
+    def test_refine_tol_below_float_spacing_ends(self):
+        # once the bracket is two adjacent doubles it no longer narrows, and a
+        # search that waits for it to reach 1e-20 never ends; f raises rather
+        # than let a regression hang
+        doc = example()
+        doc["opt"] = {"coarse_grid": 8, "refine_tol": 1e-20}
+        opt = load(doc).opt
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            if len(calls) > 10_000:
+                raise RuntimeError("the golden-section search does not end")
+            return t * (1 - t)
+
+        value, arg, _ = extremum_1d(f, 0.0, 1.0, opt)
+        assert (value, arg) == (0.25, 0.5)
 
     @pytest.mark.parametrize("path,value,key", [
         (("components", 0, "gammas"), 3, "components[0].gammas"),

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import hammcert as hc
 import hammcert.constants as constants_mod
@@ -542,6 +544,169 @@ class TestTiledScans:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+# --------------------------------------------------------------------------
+# golden-section probe trees against the one-probe search they replaced
+
+def ref_golden_min(f, a, b, tol):
+    """Golden-section minimization, one probe per call of f; it stops when
+    the bracket is within tol or a step leaves it no narrower."""
+    golden = constants_mod._GOLDEN
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    width = np.inf
+    while tol < b - a < width:
+        width = b - a
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = f(d)
+        if fc < best_f:
+            best_x, best_f = c, fc
+        if fd < best_f:
+            best_x, best_f = d, fd
+    return best_x, best_f
+
+
+def one_point(f, log):
+    """f at one scalar point, for ref_golden_min; logs the points probed."""
+    def g(x):
+        log.append(x)
+        return f(np.array([x]))[0]
+    return g
+
+
+def budgeted(f, calls=10_000):
+    """f, raising once called more than ``calls`` times, so that a search
+    that does not end fails instead of hanging."""
+    count = itertools.count(1)
+
+    def g(x):
+        if next(count) > calls:
+            raise RuntimeError("the golden-section search does not end")
+        return f(x)
+    return g
+
+
+def hexes(*values):
+    return [float(v).hex() for v in values]
+
+
+# elementwise test functions of exact arithmetic, so a value does not depend
+# on the array it is evaluated in
+def bowl(x0, scale):
+    return lambda x: scale * (x - x0) * (x - x0)
+
+
+def kinks(x0, x1, slope):
+    return lambda x: np.abs(x - x0) - slope * np.abs(x - x1)
+
+
+def flat(value):
+    return lambda x: np.full(np.shape(x), value)  # every fc <= fd is a tie
+
+
+SEARCHED = st.one_of(
+    st.builds(bowl, st.floats(-3, 3), st.floats(0.1, 10)),
+    st.builds(kinks, st.floats(-3, 3), st.floats(-3, 3), st.floats(-2, 2)),
+    st.builds(flat, st.floats(-1, 1)))
+
+
+class TestProbeTrees:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(-2, 2), width=st.floats(1e-9, 4), steps=st.integers(0, 90),
+           depth=st.integers(1, 6), f=SEARCHED)
+    @example(a=0.0, width=1.0, steps=10, depth=4, f=bowl(0.3, 1.0))  # stops mid-tree
+    @example(a=0.0, width=1.0, steps=90, depth=4, f=bowl(1 / 3, 1.0))  # at float spacing
+    def test_walks_the_one_probe_search(self, a, width, steps, depth, f):
+        # tol = width * golden**steps ends the search after about `steps`
+        # steps, mid-tree or not; past about 50 the bracket reaches float
+        # spacing first and stops narrowing
+        b = a + width
+        assume(b > a)
+        tol = width * constants_mod._GOLDEN ** steps
+        log = []
+        want = ref_golden_min(one_point(f, log), a, b, tol)
+        f = budgeted(f)
+        walk = list(constants_mod._golden_walk(f, a, b, tol, depth))
+        assert [hexes(x) for x, _ in walk] == [hexes(x) for x in log]
+        assert [hexes(fx) for _, fx in walk] == [hexes(f(np.array([x]))[0]) for x in log]
+        assert hexes(*constants_mod._golden_min(f, a, b, tol, depth)) == hexes(*want)
+
+    def test_errors_off_the_path_are_not_raised(self):
+        f, log = kinks(0.61, 0.2, 0.5), []
+        want = ref_golden_min(one_point(f, log), 0.0, 1.0, 1e-12)
+        path = set(log)
+
+        def on_path_only(xs):
+            if any(x not in path for x in xs):
+                raise QuadratureError("a probe off the one-probe path")
+            return f(xs)
+
+        for depth in range(1, 7):
+            got = constants_mod._golden_min(on_path_only, 0.0, 1.0, 1e-12, depth)
+            assert hexes(*got) == hexes(*want)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 30])
+    def test_an_error_on_the_path_is_raised(self, k):
+        f, log = bowl(0.27, 2.0), []
+        ref_golden_min(one_point(f, log), 0.0, 1.0, 1e-12)
+        bad = log[k:]  # from the k-th probe on, each raises its own error
+
+        def failing(xs):
+            for x in xs:
+                if x in bad:
+                    raise QuadratureError(f"probe {bad.index(x)}")
+            return f(xs)
+
+        with pytest.raises(QuadratureError) as want:
+            ref_golden_min(lambda x: failing(np.array([x]))[0], 0.0, 1.0, 1e-12)
+        assert str(want.value) == "probe 0"
+        for depth in range(1, 7):
+            with pytest.raises(QuadratureError) as got:
+                constants_mod._golden_min(failing, 0.0, 1.0, 1e-12, depth)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kd", ORACLE_KERNELS, ids=ORACLE_IDS)
+    def test_constants_match_one_probe_per_call(self, kd, monkeypatch):
+        # a coarse grid and a loose tolerance keep c~ (searches in a search) short
+        w, opt = Window(0.0, 0.375), Opt1DConfig(coarse_grid=32, refine_tol=1e-8)
+
+        def constants():
+            out = [recip_m(kd, 0, opt_cfg=opt), recip_m(kd, 1, opt_cfg=opt),
+                   recip_M(kd, w, opt_cfg=opt)]
+            try:
+                out.append(c_tilde(kd, w, EnvelopeSpec("tight"), opt_cfg=opt))
+            except ModelViolationError as err:  # C2 on some random kernels
+                return hexes(*out) + [str(err)]
+            return hexes(*out)
+
+        want = constants()
+        monkeypatch.setattr(constants_mod, "_GOLDEN_DEPTH", 1)
+        assert constants() == want
+
+    @pytest.mark.parametrize("kd,order", [(TIGHT_K2, 1), (K1, 0)],
+                             ids=["tight-k2-order1", "example-k1-order0"])
+    def test_refinement_batches_its_probes(self, kd, order, monkeypatch):
+        # calls, never times: one call scans the grid; the refinement then
+        # made 43 calls at one probe each, and makes 12 with probe trees
+        calls = []
+        batched = constants_mod.integrate_over_s
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[1]))
+            return batched(*args, **kwargs)
+
+        monkeypatch.setattr(constants_mod, "integrate_over_s", counted)
+        recip_m(kd, order)
+        assert calls[0] > 2048 and len(calls) - 1 <= 12
 
 
 # float.hex of the computed constants, recorded from the per-t scan; the
