@@ -221,8 +221,7 @@ def _i0_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
 def _i0_star_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
                   i0: int, params: "Params | _Grid") -> tuple[list[Row], Keys]:
     _check_shape(spec, db)
-    if not (1 <= i0 <= spec.n):
-        raise ConfigError("i0", f"component index out of range 1..{spec.n}")
+    _check_i0(spec, i0)
     comp, cb = spec.components[i0 - 1], db.components[i0 - 1]
     lam, keys = params.lambdas[i0 - 1], []
     f_lo = _need(params, cb.f_lo, f"f_lo[{i0}] at rho={db.rho}", lam)
@@ -241,10 +240,7 @@ def _nonexistence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     """The validated partition {I, J} (sorted), the I rows then the J rows at
     radius db.rho, and the constants they read."""
     _check_shape(spec, db)
-    setI, setJ = sorted(set(setI)), sorted(set(setJ))
-    if set(setI) & set(setJ) or set(setI) | set(setJ) != set(range(1, spec.n + 1)):
-        raise ConfigError("setI/setJ",
-                          f"I={setI} and J={setJ} must partition 1..{spec.n}")
+    setI, setJ = _partition(spec, setI, setJ)
     rho, rows, keys = db.rho, [], []
     for i in setI:
         comp, cb = spec.components[i - 1], db.components[i - 1]
@@ -260,18 +256,41 @@ def _nonexistence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     return setI, setJ, rows + j_rows, keys + j_keys
 
 
-def _check_existence(db1: DeclaredBounds, db2: DeclaredBounds, mode: str) -> None:
-    if db1.rho >= db2.rho:
-        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {db1.rho} >= {db2.rho}")
+def _check_i0(spec: "ProblemSpec", i0: int) -> None:
+    if not (1 <= i0 <= spec.n):
+        raise ConfigError("i0", f"component index out of range 1..{spec.n}")
+
+
+def _partition(spec: "ProblemSpec", setI: Sequence[int],
+               setJ: Sequence[int]) -> tuple[list[int], list[int]]:
+    """I and J sorted, once they are checked to partition 1..n."""
+    setI, setJ = sorted(set(setI)), sorted(set(setJ))
+    if set(setI) & set(setJ) or set(setI) | set(setJ) != set(range(1, spec.n + 1)):
+        raise ConfigError("setI/setJ",
+                          f"I={setI} and J={setJ} must partition 1..{spec.n}")
+    return setI, setJ
+
+
+def _check_radii(rho1: float, rho2: float) -> None:
+    if rho1 >= rho2:
+        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {rho1} >= {rho2}")
+
+
+def _check_existence(spec: "ProblemSpec", db1: DeclaredBounds, db2: DeclaredBounds,
+                     mode: str, i0: int | None) -> None:
+    """rho1 < rho2, the mode, and i0 in mode Sstar (mode S ignores it)."""
+    _check_radii(db1.rho, db2.rho)
     if mode not in ("S", "Sstar"):
         raise ConfigError("mode", "mode must be 'S' or 'Sstar'")
+    if mode == "Sstar" and i0 is not None:
+        _check_i0(spec, i0)
 
 
 def _existence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db1: DeclaredBounds,
                     db2: DeclaredBounds, mode: str, i0: int | None, params: "Params"):
     """((rows, keys) at rho1, (rows, keys) at rho2, i0): the I0 rows (mode S,
     i0 None) or the I0* row of component i0 (mode Sstar), and the I1 rows."""
-    _check_existence(db1, db2, mode)
+    _check_existence(spec, db1, db2, mode, i0)
     outer = _i1_rows(spec, cc, db2, params)
     if mode == "S":
         return _i0_rows(spec, cc, db1, params), outer, None
@@ -540,7 +559,7 @@ def _classify(spec: "ProblemSpec", cc: Sequence[ConeConstants], base: "Params",
     grid = _Grid(tuple(lambdas), tuple(tuple(row) for row in etas),
                  np.zeros(size, bool))
 
-    _check_existence(db1, db2, mode)
+    _check_existence(spec, db1, db2, mode, i0)
     outer = _i1_rows(spec, cc, db2, grid)[0]
     if mode == "S" or i0 is not None:
         inner = (_i0_rows(spec, cc, db1, grid) if mode == "S"

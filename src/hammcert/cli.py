@@ -176,6 +176,19 @@ def _check_samples(samples: int) -> None:
         raise HammcertError(f"bad --samples {samples}; expected an integer >= 1")
 
 
+def _solve_radii(rho1: float | None, rho2: float | None) -> tuple[float, float] | None:
+    """solve's --rho1/--rho2: both or neither, finite, with 0 < rho1 < rho2."""
+    if rho1 is None and rho2 is None:
+        return None
+    for flag, rho, other in (("--rho1", rho1, "--rho2"), ("--rho2", rho2, "--rho1")):
+        if rho is None:
+            raise HammcertError(f"{other} needs {flag}")
+        if not 0 < rho < math.inf:
+            raise HammcertError(f"bad {flag} {rho!r}; expected a finite number > 0")
+    certify_mod._check_radii(rho1, rho2)
+    return rho1, rho2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -201,6 +214,7 @@ def _dispatch(args) -> int:
 
     if args.command == "certify":
         db1, db2 = spec.bounds_at(args.rho1), spec.bounds_at(args.rho2)
+        certify_mod._check_existence(spec, db1, db2, args.mode, args.i0)
         cc = assemble_cone_constants(spec)
         cert = certify_mod.existence_certificate(spec, cc, db1, db2, args.mode,
                                                  args.i0, params)
@@ -212,6 +226,7 @@ def _dispatch(args) -> int:
     if args.command == "certify-nonexistence":
         setI, setJ = _indices(args.setI, "--setI"), _indices(args.setJ, "--setJ")
         db = spec.bounds_at(args.rho)
+        certify_mod._partition(spec, setI, setJ)
         cc = assemble_cone_constants(spec)
         cert = certify_mod.nonexistence_certificate(spec, cc, db, setI, setJ, params)
         report = cert.as_dict()
@@ -249,10 +264,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "solve":
+        interval = _solve_radii(args.rho1, args.rho2)
         cc = assemble_cone_constants(spec)
-        interval = None
-        if args.rho1 is not None and args.rho2 is not None:
-            interval = (args.rho1, args.rho2)
         rep = solve_fixed_point(spec, params=params, cc=cc, rho_interval=interval)
         report = rep.as_dict()
         report["config_hash"] = cfg_hash
@@ -282,6 +295,9 @@ def _dispatch(args) -> int:
                      "setI": _indices(args.setI, "--setI"),
                      "setJ": _indices(args.setJ, "--setJ")}
         db1, db2 = spec.bounds_at(args.rho1), spec.bounds_at(args.rho2)
+        certify_mod._check_existence(spec, db1, db2, args.mode, args.i0)
+        if nonex is not None:
+            certify_mod._partition(spec, nonex["setI"], nonex["setJ"])
         cc = assemble_cone_constants(spec)
         result = certify_mod.sweep(spec, cc, axes, mode=args.mode, db1=db1, db2=db2,
                                    i0=args.i0, nonexistence=nonex, params=params)

@@ -11,9 +11,10 @@ Interpolation at a point set goes through a Hermite basis: the panel index
 and the cubic basis polynomials of every point, built once per (node
 vector, point set) and kept in a small table keyed by their exact bytes.
 A session only ever interpolates at a handful of point sets (the monitoring
-grid, the Nystrom points, the functional quadrature points, the window
-grids, val/der points), so evaluating a state is a gather plus the same
-arithmetic, in the same order, as building the basis inline would do.
+grid, the whole-panel quadrature points that are also the Nystrom points,
+the half-panel points, the window grids, val/der points), so evaluating a
+state is a gather plus the same arithmetic, in the same order, as building
+the basis inline would do.
 
 The cone of interest consists of vectors whose i-th component satisfies
 min over the window [a_i, b_i] of u_i >= c_i * sup|u_i|; components may
@@ -43,7 +44,7 @@ __all__ = ["DiscreteState", "StateNorms", "c1_norm", "cone_membership",
 
 MONITOR_FACTOR = 8  # monitoring grid has MONITOR_FACTOR*N + 1 points
 # Hermite bases are kept for at most this many points over all point sets
-# (about 6 MB); the seven point sets of a session at N = 128 hold 6,020
+# (about 6 MB); the six point sets of a session at N = 128 hold 4,996
 BASIS_TABLE_POINTS = 2 ** 16
 
 

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ConfigError, HammcertError, ModelViolationError
 from .expr import eval_scalar
 from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
-from .quad import QuadConfig, integrate_panels
+from .quad import QuadConfig, _panels, integrate_panels
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec
@@ -350,28 +350,14 @@ def _s_integrals(kd: KernelDef, ts: np.ndarray, a: float, b: float, order: int,
     splits = np.column_stack((np.broadcast_to(fixed, (n, fixed.size)), moving))
     splits = np.where((a < splits) & (splits < b), splits, a)
     if absolute:
-        edges = _row_edges(np.sort(splits, axis=1), a, b)
+        edges = np.column_stack((np.full(n, a), np.sort(splits, axis=1), np.full(n, b)))
         r, c = np.nonzero(edges[:, 1:] - edges[:, :-1] > 1e-12)
         roots = _panel_sign_roots(fn, r, edges[r, c], edges[r, c + 1])
         splits = np.column_stack((splits, _pad_rows(*roots, n, a)))
         integrand = lambda r, s: np.abs(np.asarray(fn(r, s), dtype=float))
     else:
         integrand = fn
-
-    # panels of integrate's edge rule: inner points only, sorted, and any
-    # edge within 1e-15 of its predecessor dropped
-    inner = np.where((a < splits) & (splits < b), splits, b)
-    edges = _row_edges(np.sort(inner, axis=1), a, b)
-    keep = edges[:, 1:] - edges[:, :-1] > 1e-15
-    edges[:, 1:] = np.where(keep, edges[:, 1:], -np.inf)
-    edges = np.maximum.accumulate(edges, axis=1)  # dropped edges repeat their predecessor
-    r, c = np.nonzero(edges[:, 1:] > edges[:, :-1])
-    return integrate_panels(integrand, r, edges[r, c], edges[r, c + 1], n, quad_cfg)
-
-
-def _row_edges(inner: np.ndarray, a: float, b: float) -> np.ndarray:
-    n = inner.shape[0]
-    return np.column_stack((np.full(n, a), inner, np.full(n, b)))
+    return integrate_panels(integrand, *_panels(a, b, splits), n, quad_cfg)
 
 
 def _pad_rows(rows: np.ndarray, values: np.ndarray, n: int, fill: float) -> np.ndarray:

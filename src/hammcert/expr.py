@@ -26,8 +26,9 @@ numpy calls and domain checks), ``eval_functional`` the ``math`` table for
 a functional's outer level (Python floats; a node whose value is not finite
 raises).  Functionals stay on ``math``: numpy's exp and power differ from it
 in the last bit for some float arguments.  The int atoms integrate their
-bodies, compiled by ``eval_scalar``, on one interpolation of the state per
-evaluation pass (``_SharedPass``), shared by all atoms of that state.
+bodies, compiled by ``eval_scalar``, with ``quad.integrate``; one evaluation
+pass (``_SharedPass``) interpolates the state once per point array, shared
+by all atoms of that state.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Union
 import numpy as np
 
 from .errors import DslSyntaxError, EvalDomainError, ModelViolationError
-from .quad import QuadConfig, _first_pass, _integrate_first_pass
+from .quad import QuadConfig, integrate
 
 if TYPE_CHECKING:
     from .cone import DiscreteState
@@ -449,38 +450,34 @@ def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
 
 
 class _SharedPass:
-    """u and u' of every component of one state at the first-pass points of
-    its int atoms (see ``quad._first_pass``), taken on first use and shared
-    by every int atom evaluated with this object.  Short-lived: callers make
-    one per state and drop it with the state."""
+    """u and u' of every component of one state, kept per point array by its
+    identity (the pass holds the array, so the id is not reused while it
+    lives).  Short-lived: callers make one per state, for all of its atoms,
+    and drop it with the state."""
 
     def __init__(self, u: "DiscreteState", quad: QuadConfig):
         self.u = u
         self.quad = quad
-        self._first = None
+        self._kept: dict = {}
 
-    def _env(self, s, vals, ders) -> dict:
-        env = {"s": s}
-        for k in range(self.u.n):
-            env[f"u{k + 1}"] = vals[k]
-            env[f"du{k + 1}"] = ders[k]
-        return env
+    def at(self, x: np.ndarray):
+        """(u, u') of every component at x, each shaped (n,) + x.shape."""
+        if id(x) not in self._kept:
+            self._kept[id(x)] = (x, self.u.value(slice(None), x),
+                                 self.u.derivative(slice(None), x))
+        return self._kept[id(x)][1:]
 
     def integral(self, body: ScalarExpr) -> float:
-        """``integrate`` of body over [0, 1], bit for bit, with the state's
-        interior nodes as breakpoints."""
-        u = self.u
-        if self._first is None:
-            fp = _first_pass(u.interior_nodes(), self.quad.gauss_order)
-            self._first = (fp, u.value(slice(None), fp.points),
-                           u.derivative(slice(None), fp.points))
-        fp, vals, ders = self._first
-        return _integrate_first_pass(
-            lambda rows: eval_scalar(body, self._env(fp.points[rows], vals[:, rows],
-                                                     ders[:, rows])),
-            lambda s: eval_scalar(body, self._env(s, u.value(slice(None), s),
-                                                  u.derivative(slice(None), s))),
-            fp, self.quad)
+        """``integrate`` of body over [0, 1] with the state's interior nodes
+        as breakpoints."""
+        def f(s):
+            vals, ders = self.at(s)
+            env = {"s": s}
+            for k in range(self.u.n):
+                env[f"u{k + 1}"] = vals[k]
+                env[f"du{k + 1}"] = ders[k]
+            return eval_scalar(body, env)
+        return integrate(f, 0.0, 1.0, self.u.interior_nodes(), self.quad)
 
 
 class _Backend(NamedTuple):

@@ -14,13 +14,11 @@ or infinite integrand value raises QuadratureError.
 ``integrate_panels`` runs the same rules on many integrands at once, each
 over its own panels, with every row's result bit-identical to ``integrate``.
 
-The first pass of ``integrate`` over [0, 1] (every panel's Gauss points,
-then those of its two halves) depends only on the breakpoints and the Gauss
-order.  ``_first_pass`` builds that layout once per (breakpoints, order) and
-keeps the last few in an ``lru_cache``; ``_integrate_first_pass`` takes an
-integrand's values at those points, evaluated by the caller (the functional
-evaluator samples a state there once for all of its ``int`` atoms), and
-finishes the integral by the rules of ``integrate``, bit for bit.
+The first pass of ``integrate`` (every panel's Gauss points, then those of
+its two halves) depends only on [a, b], the breakpoints and the Gauss order.
+``first_pass_layout`` keeps it per (bytes of those, order), so ``integrate``
+hands every integrand over the same panels the same point arrays.  Its
+whole-panel part is also the Nystrom operator's product rule.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 from .errors import QuadratureError
 
 __all__ = ["QuadConfig", "integrate", "integrate_panels", "gauss_rule",
-           "composite_rule"]
+           "first_pass_layout"]
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -77,30 +75,25 @@ def _panel_points(lo: np.ndarray, hi: np.ndarray, order: int):
     return mid + half * x[None, :], half * w[None, :]
 
 
-def composite_rule(a: float, b: float, breakpoints, order: int):
-    """Flattened points and weights of the composite Gauss rule with panels
-    delimited by the given breakpoints.  No adaptivity; meant for integrands
-    known to be smooth on every panel (e.g. Nystrom product quadrature)."""
-    edges = _edges(a, b, breakpoints)
-    pts, wts = _panel_points(edges[:-1], edges[1:], order)
-    return pts.ravel(), wts.ravel()
+def _panels(a: float, b: float, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, lo, hi) of every panel of ``integrate``'s edge rule, applied to
+    each row of the 2-D ``points``: a, the row's points strictly inside
+    (a, b) in order, and b, with any edge within 1e-15 of its predecessor
+    dropped.  Rows come in order, each row's panels left to right."""
+    inner = np.where((a < points) & (points < b), points, b)
+    n = inner.shape[0]
+    edges = np.column_stack((np.full(n, a), np.sort(inner, axis=1), np.full(n, b)))
+    keep = edges[:, 1:] - edges[:, :-1] > 1e-15
+    edges[:, 1:] = np.where(keep, edges[:, 1:], -np.inf)
+    edges = np.maximum.accumulate(edges, axis=1)  # dropped edges repeat their predecessor
+    r, c = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    return r, edges[r, c], edges[r, c + 1]
 
 
-def _edges(a: float, b: float, breakpoints) -> np.ndarray:
-    bps = np.asarray(() if breakpoints is None else breakpoints, dtype=float)
-    inner = bps[(a < bps) & (bps < b)]
-    edges = np.concatenate(([a], np.sort(inner), [b]))
-    keep = np.concatenate(([True], np.diff(edges) > 1e-15))
-    return edges[keep]
-
-
-def _evaluate(f, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    return _checked(f(rows[:, None], pts), pts)
-
-
-def _checked(vals, pts: np.ndarray) -> np.ndarray:
-    """Integrand values at pts as a float array of pts' shape.  NaN raises,
-    and so does ±inf, which no panel could ever converge on."""
+def _estimates(vals, pts: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Gauss estimate of every panel (row of pts) from the integrand's values
+    there, broadcast to pts' shape.  NaN raises, and so does ±inf, which no
+    panel could ever converge on."""
     vals = np.asarray(vals, dtype=float)
     if vals.shape != pts.shape:
         vals = np.broadcast_to(vals, pts.shape)
@@ -109,12 +102,12 @@ def _checked(vals, pts: np.ndarray) -> np.ndarray:
         kind = "NaN" if np.any(nan) else "an infinite value"
         bad = pts[nan if np.any(nan) else np.isinf(vals)][:1]
         raise QuadratureError(f"integrand returned {kind} near x={bad!r}")
-    return vals
+    return np.sum(vals * wts, axis=1)
 
 
 def _panel_estimates(f, rows, lo, hi, order):
     pts, wts = _panel_points(lo, hi, order)
-    return np.sum(_evaluate(f, rows, pts) * wts, axis=1)
+    return _estimates(f(rows[:, None], pts), pts, wts)
 
 
 def _halves(f, rows, lo, hi, order):
@@ -140,10 +133,13 @@ def integrate(f, a: float, b: float, breakpoints=(), cfg: QuadConfig | None = No
         raise ValueError(f"integrate: a={a} > b={b}")
     if a == b:
         return 0.0
-    edges = _edges(a, b, breakpoints)
-    rows = np.zeros(edges.size - 1, dtype=np.intp)
-    return float(integrate_panels(lambda _, x: f(x), rows, edges[:-1], edges[1:],
-                                  1, cfg)[0])
+    cfg = cfg or QuadConfig()
+    fp = first_pass_layout(a, b, breakpoints, cfg.gauss_order)
+    coarse = _estimates(f(fp.whole_points), fp.whole_points, fp.whole_weights)
+    halves = _estimates(f(fp.half_points), fp.half_points, fp.half_weights)
+    n = fp.lo.size
+    return float(_settle(lambda _, x: f(x), np.zeros(n, dtype=np.intp), fp.lo, fp.mid,
+                         fp.hi, coarse, halves[:n], halves[n:], 1, cfg)[0])
 
 
 def integrate_panels(f, rows, lo, hi, nrows: int,
@@ -192,57 +188,38 @@ def _settle(f, rows, lo, mid, hi, coarse, left, right, nrows: int,
     return total
 
 
-class _FirstPass(NamedTuple):
-    """The first pass of ``integrate`` over [0, 1]: panels [lo, hi] split
-    at ``mid``, and the Gauss points and weights of the whole panels
-    (rows ``whole``) stacked over those of their left, then right, halves
-    (rows ``halves``)."""
+class FirstPassLayout(NamedTuple):
+    """The first pass of ``integrate`` over [a, b]: panels [lo, hi] split at
+    ``mid``, the Gauss points and weights of the whole panels, (panels, order),
+    and of their left, then right, halves, (2 * panels, order); read-only."""
     lo: np.ndarray
     mid: np.ndarray
     hi: np.ndarray
-    points: np.ndarray     # shape (3 * panels, order)
-    weights: np.ndarray
-    whole: slice
-    halves: slice
+    whole_points: np.ndarray
+    whole_weights: np.ndarray
+    half_points: np.ndarray
+    half_weights: np.ndarray
 
 
-def _first_pass(breakpoints, order: int) -> _FirstPass:
-    """First-pass layout of ``integrate(f, 0, 1, breakpoints, cfg)`` for a
-    Gauss order, kept per (breakpoint bytes, order)."""
-    return _first_pass_layout(np.asarray(breakpoints, dtype=float).tobytes(), order)
+def first_pass_layout(a: float, b: float, breakpoints, order: int) -> FirstPassLayout:
+    """First-pass layout of ``integrate(f, a, b, breakpoints, cfg)`` for a
+    Gauss order, kept per (bytes of a, b and the breakpoints, order)."""
+    bps = np.asarray(() if breakpoints is None else breakpoints, dtype=float)
+    return _first_pass_layout(np.concatenate(([a, b], bps.ravel())).tobytes(), order)
 
 
 # a session uses one or two node vectors
 @lru_cache(maxsize=8)
-def _first_pass_layout(breakpoints: bytes, order: int) -> _FirstPass:
-    edges = _edges(0.0, 1.0, np.frombuffer(breakpoints))
-    lo, hi = edges[:-1], edges[1:]
+def _first_pass_layout(key: bytes, order: int) -> FirstPassLayout:
+    bounds = np.frombuffer(key)
+    _, lo, hi = _panels(bounds[0], bounds[1], bounds[None, 2:])
     mid = (lo + hi) / 2.0
-    pw, ww = _panel_points(lo, hi, order)
-    ph, wh = _panel_points(np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
-    points, weights = np.concatenate((pw, ph)), np.concatenate((ww, wh))
-    for a in (lo, mid, hi, points, weights):
-        a.setflags(write=False)
-    return _FirstPass(lo, mid, hi, points, weights, slice(0, lo.size),
-                      slice(lo.size, 3 * lo.size))
-
-
-def _integrate_first_pass(at, f, fp: _FirstPass, cfg: QuadConfig) -> float:
-    """``integrate(f, 0, 1, breakpoints, cfg)``, bit for bit, for the
-    breakpoints of ``fp``.  ``at(rows)`` gives f at ``fp.points[rows]``; it
-    is called for the whole panels, then for the halves, as ``integrate``
-    evaluates f.  f itself is called only on the panels that fail the
-    two-rule test."""
-    coarse = _first_estimates(at, fp, fp.whole)
-    halves = _first_estimates(at, fp, fp.halves)
-    n = fp.lo.size
-    rows = np.zeros(n, dtype=np.intp)
-    return float(_settle(lambda _, x: f(x), rows, fp.lo, fp.mid, fp.hi, coarse,
-                         halves[:n], halves[n:], 1, cfg)[0])
-
-
-def _first_estimates(at, fp: _FirstPass, rows: slice) -> np.ndarray:
-    return np.sum(_checked(at(rows), fp.points[rows]) * fp.weights[rows], axis=1)
+    whole = _panel_points(lo, hi, order)
+    halves = _panel_points(np.concatenate((lo, mid)), np.concatenate((mid, hi)), order)
+    fp = FirstPassLayout(lo, mid, hi, *whole, *halves)
+    for array in fp:
+        array.setflags(write=False)
+    return fp
 
 
 def _row_sums(vals: np.ndarray, rows: np.ndarray, nrows: int) -> np.ndarray:

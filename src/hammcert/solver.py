@@ -6,13 +6,16 @@ The operator
                 + sum_j eta_ij gamma_ij(t) h_ij[u]
 
 is discretized by a composite Gauss-Legendre product rule whose panels are
-the state's node intervals.  Node intervals refine every kernel breakpoint
-(fixed breakpoints must coincide with nodes, which is validated; the moving
-breakpoint s = t_j is itself a node), so each panel integrand is smooth and
-the fixed rule is exact to machine precision for the bundled kernels.  The
-kernel matrices k_i(t_j, s_q) and dk_i/dt(t_j, s_q) do not change between
-iterations and are precomputed once, making one application two matrix-
-vector products per component.
+the state's node intervals: the whole-panel points and weights of
+``quad.first_pass_layout`` over the nodes, so u and u' there are the
+interpolation that the int atoms of the functionals read as well.  Node
+intervals refine every kernel breakpoint (fixed breakpoints must coincide
+with nodes, which is validated; the moving breakpoint s = t_j is itself a
+node), so each panel integrand is smooth and the fixed rule is exact to
+machine precision for the bundled kernels.  The kernel matrices
+k_i(t_j, s_q) and dk_i/dt(t_j, s_q) do not change between iterations and
+are precomputed once, making one application two matrix-vector products per
+component.
 
 The functional values w_i[u] and h_ij[u] are frozen per application, so the
 iteration is Picard in the functional terms as well.  Damped iteration
@@ -36,7 +39,7 @@ from .constants import ConeConstants
 from .errors import (ConfigError, EvalDomainError, ModelViolationError,
                      QuadratureError)
 from .expr import _SharedPass, eval_functional, eval_scalar
-from .quad import QuadConfig, composite_rule
+from .quad import QuadConfig, first_pass_layout
 
 if TYPE_CHECKING:
     from .problem import Params, ProblemSpec
@@ -79,15 +82,14 @@ class _NystromOperator:
                         f"fixed breakpoint {bp} does not coincide with a node of the "
                         f"uniform {num_panels}-panel grid; choose a node count that "
                         "contains every kernel breakpoint")
-        self.nodes = nodes
-        pts, wts = composite_rule(0.0, 1.0, nodes[1:-1], gauss_order)
-        self.pts = pts
-        self.wts = wts
+        self.nodes, self.gauss_order = nodes, gauss_order
+        layout = first_pass_layout(0.0, 1.0, nodes[1:-1], gauss_order)
+        self.pts, self.wts = layout.whole_points.ravel(), layout.whole_weights.ravel()
         self.k_val = []
         self.k_der = []
         self.gamma_val = []
         self.gamma_der = []
-        T, S = np.meshgrid(nodes, pts, indexing="ij")
+        T, S = np.meshgrid(nodes, self.pts, indexing="ij")
         for comp in spec.components:
             self.k_val.append(np.broadcast_to(
                 np.asarray(eval_k(comp.kernel, T, S), dtype=float), T.shape).copy())
@@ -104,11 +106,12 @@ class _NystromOperator:
               quad: QuadConfig) -> DiscreteState:
         spec = self.spec
         n = spec.n
-        uq = u.value(slice(None), self.pts)
-        duq = u.derivative(slice(None), self.pts)
+        shared = _SharedPass(u, quad)
+        # the int atoms of a state on these nodes integrate over the same arrays
+        layout = first_pass_layout(0.0, 1.0, self.nodes[1:-1], self.gauss_order)
+        uq, duq = (a.reshape(u.n, -1) for a in shared.at(layout.whole_points))
         values = np.zeros((n, self.nodes.size))
         derivs = np.zeros_like(values)
-        shared = _SharedPass(u, quad)
         for i, comp in enumerate(spec.components):
             lam = params.lambdas[i]
             if lam > 0.0:

@@ -348,6 +348,24 @@ BEFORE_ASSEMBLY = [
      "lambda1: --set sets the same parameter as axis 'lambda1'"),
     ([*SWEEP, "--set", "eta2_1=1", "--axis", "lambda1:0:0.1:2", "--axis", "eta21:0:1:2"],
      "eta2_1: --set sets the same parameter as axis 'eta21'"),
+    (["certify", CFG, "--mode", "Sstar", "--rho1", "1e-3", "--rho2", "1", "--i0", "3"],
+     "i0: component index out of range 1..2"),
+    ([*SWEEP, "--axis", "lambda1:0:0.1:2", "--i0", "0"],
+     "i0: component index out of range 1..2"),
+    (["certify-nonexistence", CFG, "--rho", "1", "--setI", "1,2", "--setJ", "2"],
+     "setI/setJ: I=[1, 2] and J=[2] must partition 1..2"),
+    ([*SWEEP, "--axis", "lambda1:0:0.1:2", "--nonexistence-rho", "1", "--setI", "1",
+      "--setJ", "1"], "setI/setJ: I=[1] and J=[1] must partition 1..2"),
+    (["certify", CFG, "--mode", "S", "--rho1", "1", "--rho2", "1e-3"],
+     "rho1/rho2: need rho1 < rho2, got 1.0 >= 0.001"),
+    (["solve", CFG, "--rho1", "1e-3"], "--rho1 needs --rho2"),
+    (["solve", CFG, "--rho2", "1"], "--rho2 needs --rho1"),
+    (["solve", CFG, "--rho1", "1", "--rho2", "1e-3"],
+     "rho1/rho2: need rho1 < rho2, got 1.0 >= 0.001"),
+    (["solve", CFG, "--rho1", "-1", "--rho2", "nan"], "bad --rho1 -1.0"),
+    (["solve", CFG, "--rho1", "1e-3", "--rho2", "nan"], "bad --rho2 nan"),
+    (["solve", CFG, "--rho1", "0", "--rho2", "inf"], "bad --rho1 0.0"),
+    (["solve", CFG, "--rho1", "1e-3", "--rho2", "inf"], "bad --rho2 inf"),
 ]
 
 

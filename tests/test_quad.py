@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hammcert import QuadConfig, QuadratureError, integrate
 from hammcert.kernels import eval_k, kernel_from_catalog
 from hammcert import quad
-from hammcert.quad import (_edges, _first_pass, _integrate_first_pass,
-                           composite_rule, gauss_rule, integrate_panels)
+from hammcert.quad import _panels, first_pass_layout, gauss_rule, integrate_panels
+
+
+def _row_edges(rows, lo, hi, r, a):
+    """Panel edges of row r of ``_panels``' result ([a] for no panels)."""
+    sel = rows == r
+    return np.append(lo[sel], hi[sel][-1:]) if sel.any() else np.array([a], dtype=float)
+
+
+def _edges(a, b, breakpoints):
+    """Panel edges of one integrand over [a, b] by integrate's edge rule."""
+    panels = _panels(a, b, np.asarray(breakpoints, dtype=float).reshape(1, -1))
+    return _row_edges(*panels, 0, a)
 
 
 def test_defaults():
@@ -88,9 +101,12 @@ def test_nonconvergence_reported():
 
 
 def test_composite_rule_matches_integrate():
-    # panels refine every kink of k1(0.25, .), so the fixed rule is exact
+    # the whole-panel part of the layout is the composite Gauss rule; panels
+    # refine every kink of k1(0.25, .), so the fixed rule is exact
     k1 = kernel_from_catalog("example-k1")
-    pts, wts = composite_rule(0.0, 1.0, [0.25, 0.5, 0.75], 8)
+    fp = first_pass_layout(0.0, 1.0, [0.25, 0.5, 0.75], 8)
+    pts, wts = fp.whole_points.ravel(), fp.whole_weights.ravel()
+    assert pts.size == 4 * 8
     val = float(np.dot(wts, eval_k(k1, 0.25, pts)))
     ref = integrate(lambda s: eval_k(k1, 0.25, s), 0.0, 1.0, [0.25, 0.5])
     assert val == pytest.approx(ref, abs=1e-14)
@@ -188,29 +204,109 @@ def _outcome(fn, *args):
         return "error", str(err)
 
 
+def _one_row(f, a, b, breakpoints, cfg):
+    """integrate_panels of f alone, over integrate's panels of [a, b]."""
+    rows, lo, hi = _panels(a, b, np.asarray(breakpoints, dtype=float).reshape(1, -1))
+    return integrate_panels(lambda _, x: f(x), rows, lo, hi, 1, cfg)[0]
+
+
 @pytest.mark.parametrize("f", ROUGH + [lambda s: np.abs(s - 1 / 3), lambda s: 2.0])
 def test_first_pass_matches_integrate(f):
-    # the caller evaluates the first pass; failing panels bisect through f
+    # integrate evaluates f on the layout's own arrays, the whole panels and
+    # then the halves; only failing panels bisect, on fresh points
     cfg = QuadConfig()
     for bps in (np.linspace(0.0, 1.0, 129)[1:-1], np.arange(1, 17) / 17, ()):
-        fp = _first_pass(bps, cfg.gauss_order)
+        fp = first_pass_layout(0.0, 1.0, bps, cfg.gauss_order)
         seen = []
-        at = lambda rows: seen.append(rows) or f(fp.points[rows])
-        got = _outcome(_integrate_first_pass, at, f, fp, cfg)
-        assert seen == [fp.whole, fp.halves]
-        assert got == _outcome(integrate, f, 0.0, 1.0, bps, cfg)
+        got = _outcome(integrate, lambda s: seen.append(s) or f(s), 0.0, 1.0, bps, cfg)
+        assert seen[0] is fp.whole_points and seen[1] is fp.half_points
+        assert not any(s is fp.whole_points or s is fp.half_points for s in seen[2:])
+        assert got == _outcome(_one_row, f, 0.0, 1.0, bps, cfg)
 
 
 def test_first_pass_layout_is_kept_and_bounded():
     layouts = quad._first_pass_layout
     layouts.cache_clear()
     nodes = np.linspace(0.0, 1.0, 129)[1:-1]
-    fp = _first_pass(nodes, 8)
-    assert _first_pass(nodes.copy(), 8) is fp
-    assert _first_pass(nodes, 4) is not fp
-    assert not fp.points.flags.writeable
-    assert fp.points.shape == (3 * 128, 8)
+    fp = first_pass_layout(0.0, 1.0, nodes, 8)
+    assert first_pass_layout(0, 1, list(nodes), 8) is fp
+    assert first_pass_layout(0.0, 1.0, nodes, 4) is not fp
+    assert first_pass_layout(0.0, 0.5, nodes, 8) is not fp
+    # kept by bytes: -0.0 == 0.0, but a layout from -0.0 starts at -0.0
+    assert first_pass_layout(-0.0, 1.0, nodes, 8).lo[0].hex() == "-0x0.0p+0"
+    assert not any(array.flags.writeable for array in fp)
+    assert fp.whole_points.shape == fp.whole_weights.shape == (128, 8)
+    assert fp.half_points.shape == fp.half_weights.shape == (256, 8)
+    # left halves first, then right halves
+    assert np.all(fp.half_points[:128] < fp.mid[:, None])
+    assert np.all(fp.half_points[128:] > fp.mid[:, None])
     assert layouts.cache_info().maxsize == 8
     for k in range(3, 3 + 8):
-        _first_pass(np.linspace(0.0, 1.0, k)[1:-1], 8)
+        first_pass_layout(0.0, 1.0, np.linspace(0.0, 1.0, k)[1:-1], 8)
     assert layouts.cache_info().currsize == 8
+
+
+def _ref_edges(a, b, breakpoints):
+    """integrate's edge rule for one row, written out: the reference for
+    the row-wise ``_panels``."""
+    bps = np.asarray(breakpoints, dtype=float)
+    inner = bps[(a < bps) & (bps < b)]
+    edges = np.concatenate(([a], np.sort(inner), [b]))
+    return edges[np.concatenate(([True], np.diff(edges) > 1e-15))]
+
+
+def _breakpoints(a, b):
+    """Breakpoint lists with points outside [a, b], a and b themselves, and
+    near-duplicates within a few 1e-16 of each other."""
+    base = st.floats(-0.5, 1.5) | st.sampled_from([a, b, (a + b) / 2])
+    near = st.tuples(base, st.floats(-4e-15, 4e-15)).map(lambda p: [p[0], p[0] + p[1]])
+    return st.lists(base.map(lambda x: [x]) | near, max_size=8).map(
+        lambda parts: [x for part in parts for x in part])
+
+
+@st.composite
+def _interval_and_breakpoints(draw):
+    a, b = sorted(draw(st.tuples(st.floats(0, 1), st.floats(0, 1))))
+    if draw(st.booleans()):
+        b = min(1.0, a + draw(st.sampled_from([1e-16, 1e-15, 2e-15, 1e-12])))
+    rows = draw(st.lists(_breakpoints(a, b), min_size=1, max_size=4))
+    width = max(map(len, rows))
+    # one row per list, padded with points outside [a, b]
+    return a, b, np.array([r + [2.0] * (width - len(r)) for r in rows])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_interval_and_breakpoints())
+def test_row_edge_rule_matches_the_one_row_rule(case):
+    a, b, points = case
+    panels = _panels(a, b, points)
+    for r, row in enumerate(points):
+        got = _row_edges(*panels, r, a)
+        assert got.tobytes() == _ref_edges(a, b, row).astype(float).tobytes()
+
+
+INTEGRANDS = [
+    lambda s: np.exp(-3 * s) * np.cos(5 * s),
+    lambda s: s ** 7 - 2 * s,
+    lambda s: np.abs(s - 0.3),
+    lambda s: np.abs(s - 1 / 3) ** 0.5,
+    lambda s: np.sin(40 * s) * np.exp(s),
+    lambda s: 1 / (1e-4 + (s - 0.4) ** 2),
+    lambda s: np.where(s > 0.7, np.nan, s),
+    lambda s: 1.5,
+]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_interval_and_breakpoints(), st.sampled_from(range(len(INTEGRANDS))),
+       st.sampled_from([QuadConfig(), QuadConfig(gauss_order=3, max_subdivisions=5),
+                        QuadConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=8)]))
+def test_integrate_matches_one_row_of_integrate_panels(case, k, cfg):
+    # integrate's first pass runs on the cached layout, integrate_panels'
+    # on points it builds per call: the two must give the same double or
+    # raise the same QuadratureError
+    a, b, points = case
+    f = INTEGRANDS[k]
+    with np.errstate(all="ignore"):
+        assert _outcome(integrate, f, a, b, points[0], cfg) == \
+            _outcome(_one_row, f, a, b, points[0], cfg)

@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import fields
 
@@ -378,13 +379,19 @@ def test_int_atoms_share_two_hermite_calls_per_state(example_spec, example_cc,
     fresh = DiscreteState(u.nodes, u.values.copy(), u.derivatives.copy())
     calls = count_hermite_calls(monkeypatch)
     apply_T(spec, fresh)
-    first = hc.quad._first_pass(fresh.interior_nodes(), spec.quad.gauss_order)
-    # three int atoms (w_1, w_2 and h_21) share one value and one derivative
-    assert [c for c in calls if c[1] == first.points.shape] == [
-        ("value", first.points.shape), ("derivative", first.points.shape)]
-    # plus u and u' at the Nystrom points, and the four val/der atoms
-    assert len(calls) == 8
+    fp = hc.quad.first_pass_layout(0.0, 1.0, fresh.interior_nodes(),
+                                   spec.quad.gauss_order)
+    # the Nystrom points are the whole-panel points of the int atoms' layout:
+    # the operator and the three int atoms (w_1, w_2 and h_21) share one
+    # value and one derivative call there, and the atoms one more of each
+    # at the half-panel points
+    for points in (fp.whole_points, fp.half_points):
+        assert [c for c in calls if c[1] == points.shape] == [
+            ("value", points.shape), ("derivative", points.shape)]
+    # plus the four val/der atoms
     assert sum(c[1] == () for c in calls) == 4
+    assert len(calls) == 8
+    assert sum(math.prod(shape) for _, shape in calls) == 6148
 
 
 class TestSpecHash:
