@@ -288,6 +288,8 @@ def _dispatch(args) -> int:
                 raise ConfigError(name, "--set sets the same parameter as axis "
                                         f"{axes[slots.index(slot)].name!r}")
         nonex = None
+        if args.nonexistence_rho is None and (args.setI or args.setJ):
+            raise HammcertError("--setI and --setJ need --nonexistence-rho")
         if args.nonexistence_rho is not None:
             if not (args.setI and args.setJ):
                 raise HammcertError("--nonexistence-rho needs --setI and --setJ")

@@ -541,18 +541,14 @@ class ConstantRecord:
 
 @dataclass(frozen=True, eq=False)
 class ConeConstants:
-    """Per-component constants; the ``used`` values feed certificates."""
+    """Per-component constants: the window and one record per constant, keyed
+    as in the constants report; the ``used`` values feed certificates."""
     window: Window
-    c_tilde: float
-    c_gamma: tuple[float, ...]
-    c: float
-    recip_m0: float
-    recip_m1: float
-    recip_M: float
-    gamma_sup: tuple[float, ...]
-    dgamma_sup: tuple[float, ...]
-    envelope_mode: str
     records: dict
+
+    @property
+    def c(self) -> float:
+        return self.records["c"].used
 
     def record(self, key: str) -> ConstantRecord:
         return self.records[key]
@@ -605,29 +601,28 @@ def _assemble_cached(spec: "ProblemSpec", quad_cfg: QuadConfig,
         kd = comp.kernel
         w = comp.window
         decl = comp.declared
+        # a declared list holds one entry per gamma term (checked at load)
+        unset = (None,) * len(comp.gammas)
 
         records: dict[str, ConstantRecord] = {}
         ct = c_tilde(kd, w, comp.envelope, quad_cfg, opt_cfg)
         records["c_tilde"] = _overridable(f"c~_{i}", ct, decl.get("c_tilde"),
                                           condition="C2")
-        cg_records = []
-        gs_records = []
-        dgs_records = []
-        for j, term in enumerate(comp.gammas, start=1):
+        for j, (term, d_cg, d_gs, d_dgs) in enumerate(zip(
+                comp.gammas, decl.get("c_gamma", unset), decl.get("gamma_sup", unset),
+                decl.get("dgamma_sup", unset))):
+            ij = f"{i},{j + 1}"
             cg = gamma_c(term.gamma.gamma, w, opt_cfg)
-            cg_records.append(_overridable(
-                f"c_{{{i},{j}}}", cg, _nth(decl.get("c_gamma"), j - 1), condition="C5"))
-            gsup, _ = sup_abs_1d(lambda t, e=term.gamma.gamma: eval_scalar(e, {"t": t}),
+            records[f"c_gamma[{j}]"] = _overridable(f"c_{{{ij}}}", cg, d_cg,
+                                                    condition="C5")
+            gsup, _ = sup_abs_1d(lambda t: eval_scalar(term.gamma.gamma, {"t": t}),
                                  Window(0.0, 1.0), opt_cfg)
-            gs_records.append(_informational(
-                f"||gamma_{{{i},{j}}}||_inf", gsup, _nth(decl.get("gamma_sup"), j - 1)))
-            dsup, _ = sup_abs_1d(lambda t, e=term.gamma.dgamma: eval_scalar(e, {"t": t}),
+            records[f"gamma_sup[{j}]"] = _informational(
+                f"||gamma_{{{ij}}}||_inf", gsup, d_gs)
+            dsup, _ = sup_abs_1d(lambda t: eval_scalar(term.gamma.dgamma, {"t": t}),
                                  Window(0.0, 1.0), opt_cfg)
-            dgs_records.append(_informational(
-                f"||gamma_{{{i},{j}}}'||_inf", dsup, _nth(decl.get("dgamma_sup"), j - 1)))
-        records.update({f"c_gamma[{j}]": r for j, r in enumerate(cg_records)})
-        records.update({f"gamma_sup[{j}]": r for j, r in enumerate(gs_records)})
-        records.update({f"dgamma_sup[{j}]": r for j, r in enumerate(dgs_records)})
+            records[f"dgamma_sup[{j}]"] = _informational(
+                f"||gamma_{{{ij}}}'||_inf", dsup, d_dgs)
 
         if comp.envelope.declared_phi1 is not None:
             _validate_phi1(kd, comp.envelope.declared_phi1, i)
@@ -639,7 +634,8 @@ def _assemble_cached(spec: "ProblemSpec", quad_cfg: QuadConfig,
         records["recip_m1"] = _informational(f"1/m_{{{i},1}}", m1, decl.get("recip_m1"))
         records["recip_M"] = _informational(f"1/M_{i}", mm, decl.get("recip_M"))
 
-        c_used = min([records["c_tilde"].used] + [r.used for r in cg_records])
+        # c_i is the least of c~_i and the c_{i,j}, the records keyed c_*
+        c_used = min(rec.used for key, rec in records.items() if key.startswith("c_"))
         records["c"] = ConstantRecord(f"c_{i}", c_used, None, c_used)
 
         if _kernel_nonneg_on_window(kd, w) and m0 < mm - 1e-9:
@@ -647,23 +643,8 @@ def _assemble_cached(spec: "ProblemSpec", quad_cfg: QuadConfig,
                 "C2", f"component {i}: 1/m_0 = {m0:.12g} < 1/M = {mm:.12g} with a "
                 "nonnegative kernel on the window; the computed constants are inconsistent")
 
-        out.append(ConeConstants(
-            window=w,
-            c_tilde=records["c_tilde"].used,
-            c_gamma=tuple(r.used for r in cg_records),
-            c=c_used,
-            recip_m0=m0, recip_m1=m1, recip_M=mm,
-            gamma_sup=tuple(r.used for r in gs_records),
-            dgamma_sup=tuple(r.used for r in dgs_records),
-            envelope_mode=comp.envelope.mode,
-            records=records))
+        out.append(ConeConstants(window=w, records=records))
     return tuple(out)
-
-
-def _nth(seq, j):
-    if seq is None:
-        return None
-    return seq[j] if j < len(seq) else None
 
 
 def _validate_phi1(kd: KernelDef, phi1, comp_index: int, grid: int = 401) -> None:
@@ -699,7 +680,7 @@ def constants_report(spec: "ProblemSpec", cc: Sequence[ConeConstants],
         entry = {
             "component": i,
             "window": [cci.window.a, cci.window.b],
-            "envelope_mode": cci.envelope_mode,
+            "envelope_mode": comp.envelope.mode,
             "constants": {key: rec.as_dict() for key, rec in sorted(cci.records.items())},
         }
         components.append(entry)

@@ -52,7 +52,7 @@ __all__ = [
     "KERNEL_CONTEXT", "BOUNDARY_CONTEXT", "ENVELOPE_CONTEXT",
     "nonlinearity_context", "int_body_context",
     "parse_expr", "parse_functional", "parse_constant",
-    "eval_scalar", "eval_functional", "render", "variables_of",
+    "eval_scalar", "eval_functional", "render",
 ]
 
 
@@ -711,19 +711,3 @@ def _render(expr, parent_prec: int) -> str:
         return f"int({_render(expr.body, 0)})"
     raise TypeError(f"not an expression: {expr!r}")
 
-
-def variables_of(expr) -> frozenset:
-    """Free variables of a scalar expression (int bodies are not descended)."""
-    out = set()
-
-    def walk(node):
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Unary):
-            walk(node.arg)
-        elif isinstance(node, Bin):
-            walk(node.left)
-            walk(node.right)
-
-    walk(expr)
-    return frozenset(out)

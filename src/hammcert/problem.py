@@ -307,7 +307,7 @@ def _parse_component(cdoc: dict, i: int, n: int) -> Component:
     for j, gdoc in enumerate(_list(cdoc, "gammas", f"{kp}.gammas")):
         gammas.append(_parse_gamma_term(gdoc, f"{kp}.gammas[{j}]", n))
 
-    declared = _parse_declared(cdoc.get("declared", {}), f"{kp}.declared")
+    declared = _parse_declared(cdoc.get("declared", {}), f"{kp}.declared", len(gammas))
 
     try:
         validate_kernel_derivative(kernel)
@@ -413,7 +413,7 @@ _DECLARED_SCALARS = ("c_tilde", "recip_m0", "recip_m1", "recip_M")
 _DECLARED_LISTS = ("c_gamma", "gamma_sup", "dgamma_sup")
 
 
-def _parse_declared(ddoc, key_path) -> tuple:
+def _parse_declared(ddoc, key_path, n_gammas: int) -> tuple:
     if not isinstance(ddoc, dict):
         raise ConfigError(key_path, "expected an object of declared constants")
     items = []
@@ -421,8 +421,9 @@ def _parse_declared(ddoc, key_path) -> tuple:
         if key in _DECLARED_SCALARS:
             items.append((key, _const(value, f"{key_path}.{key}", required=True)))
         elif key in _DECLARED_LISTS:
-            if not isinstance(value, list):
-                raise ConfigError(f"{key_path}.{key}", "expected a list (one entry per gamma term)")
+            if not (isinstance(value, list) and len(value) == n_gammas):
+                raise ConfigError(f"{key_path}.{key}", f"expected a list of one entry per "
+                                                       f"gamma term ({n_gammas})")
             items.append((key, tuple(_const(v, f"{key_path}.{key}[{j}]", required=True)
                                      for j, v in enumerate(value))))
         else:

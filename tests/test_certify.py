@@ -149,7 +149,8 @@ class TestI0:
             window=(0, 1), lam=4.0,
             gammas=[])
         cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
-        assert cc[0].c_tilde == 1.0 and cc[0].recip_M == 1.0
+        assert cc[0].record("c_tilde").used == 1.0
+        assert cc[0].record("recip_M").used == 1.0
         db = DeclaredBounds(1.0, (ComponentBounds(delta_tilde=0.25, h=()),))
         cert = check_I0(spec, cc, db)
         assert cert.rows[0].lhs == 1.0

@@ -366,6 +366,8 @@ BEFORE_ASSEMBLY = [
     (["solve", CFG, "--rho1", "1e-3", "--rho2", "nan"], "bad --rho2 nan"),
     (["solve", CFG, "--rho1", "0", "--rho2", "inf"], "bad --rho1 0.0"),
     (["solve", CFG, "--rho1", "1e-3", "--rho2", "inf"], "bad --rho2 inf"),
+    ([*SWEEP, "--axis", "lambda1:0:0.1:3", "--setI", "1", "--setJ", "2"],
+     "--setI and --setJ need --nonexistence-rho"),
 ]
 
 
@@ -481,3 +483,25 @@ def sweep_cli_digests(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(SWEEP_CLI_CASES))
 def test_sweep_reports_pinned(tmp_path, case):
     assert sweep_cli_digests(tmp_path, case) == SWEEP_CLI_PINS[case]
+
+
+# sha256 of the `constants` report of each bundled config: every record's key,
+# symbol, computed, declared and used value and flags, the envelope modes and
+# the config hash; recorded before ConeConstants kept each constant only as its
+# record; numpy 2.4.6 on x86-64
+CONSTANTS_REPORT_PINS = {
+    "example.cfg": "b8f3fc1aca75806aaf799d2c2de57dff6375db189ae92be8fbc9a810dadb71d2",
+    "tight.cfg": "5ab932c5d945584c1ccaebed24c81baf2b32aa096004e2be00b999a0e0d4f0ca",
+    "example-rho1e-4.cfg":
+        "c02759b4d171e2a04287f0e4f2611648c593e6fa3eacc6a9143b6a91f0983cee",
+}
+
+
+@pytest.mark.parametrize("config", [Path(CFG), PERFBENCH_CONFIGS / "tight.cfg",
+                                    PERFBENCH_CONFIGS / "example-rho1e-4.cfg"],
+                         ids=lambda path: path.name)
+def test_constants_reports_pinned(tmp_path, config):
+    code, _, out = run(tmp_path, "constants", str(config))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        CONSTANTS_REPORT_PINS[config.name]

@@ -182,6 +182,17 @@ class TestRejectedAtTheirSource:
         value, arg, _ = extremum_1d(f, 0.0, 1.0, opt)
         assert (value, arg) == (0.25, 0.5)
 
+    @pytest.mark.parametrize("key,value", [("c_gamma", ["1/3", "1/100"]),
+                                           ("gamma_sup", [])])
+    def test_declared_lists_hold_one_entry_per_gamma_term(self, key, value):
+        # component 1 has one gamma term, so each list must hold one entry
+        doc = example()
+        doc["components"][0]["declared"][key] = value
+        with pytest.raises(hc.ConfigError, match=r"one entry per gamma term \(1\)") \
+                as err:
+            load(doc)
+        assert err.value.key == f"components[0].declared.{key}"
+
     @pytest.mark.parametrize("path,value,key", [
         (("components", 0, "gammas"), 3, "components[0].gammas"),
         (("bounds",), {"rho": 1}, "bounds"),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import re
@@ -202,14 +203,23 @@ class TestAssembly:
     def test_example_constants(self, example_spec, example_cc):
         c1, c2 = example_cc
         assert c1.c == pytest.approx(1 / 3, abs=1e-9)
-        assert c1.c_tilde == pytest.approx(1 / 3, abs=1e-6)
-        assert c1.c_gamma[0] == pytest.approx(1 / 3, abs=1e-12)  # declared override
+        assert c1.record("c_tilde").used == pytest.approx(1 / 3, abs=1e-6)
+        # declared override
+        assert c1.record("c_gamma[0]").used == pytest.approx(1 / 3, abs=1e-12)
         assert c2.c == pytest.approx(0.4, abs=1e-9)
-        assert c2.c_gamma[0] == pytest.approx(4 / 9, abs=1e-9)
-        assert c1.recip_m0 == pytest.approx(0.375, abs=1e-6)
-        assert c1.recip_M == pytest.approx(9 / 64, abs=1e-6)
-        assert c2.recip_m0 == pytest.approx(17 / 40, abs=1e-6)
-        assert c2.recip_M == pytest.approx(0.2, abs=1e-6)
+        assert c2.record("c_gamma[0]").used == pytest.approx(4 / 9, abs=1e-9)
+        assert c1.record("recip_m0").used == pytest.approx(0.375, abs=1e-6)
+        assert c1.record("recip_M").used == pytest.approx(9 / 64, abs=1e-6)
+        assert c2.record("recip_m0").used == pytest.approx(17 / 40, abs=1e-6)
+        assert c2.record("recip_M").used == pytest.approx(0.2, abs=1e-6)
+
+    def test_each_constant_is_kept_once_as_its_record(self, example_cc):
+        assert [f.name for f in dataclasses.fields(hc.ConeConstants)] == \
+            ["window", "records"]
+        for cci in example_cc:
+            assert cci.c == cci.record("c").used
+            assert cci.c == min(rec.used for key, rec in cci.records.items()
+                                if key == "c_tilde" or key.startswith("c_gamma["))
 
     def test_discrepancy_flags_for_printed_values(self, example_cc):
         # the bundled config declares 21/40 and 2/5; both must be flagged and
@@ -234,8 +244,8 @@ class TestAssembly:
             gammas=[{"gamma": "example-gamma11", "eta": 0.1,
                      "h": "der(1,0.5)^2"}])
         cc = hc.assemble_cone_constants(spec)
-        assert cc[0].c_tilde == pytest.approx(0.5, abs=1e-6)
-        assert cc[0].c_gamma[0] == pytest.approx(0.5, abs=1e-9)
+        assert cc[0].record("c_tilde").used == pytest.approx(0.5, abs=1e-6)
+        assert cc[0].record("c_gamma[0]").used == pytest.approx(0.5, abs=1e-9)
         assert cc[0].c == pytest.approx(0.5, abs=1e-6)
 
     def test_all_ones_problem(self):
@@ -245,8 +255,8 @@ class TestAssembly:
             window=(0, 1),
             gammas=[{"gamma": "1", "dgamma": "0*t", "eta": 1.0, "h": "val(1,0)"}])
         cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
-        assert cc[0].c_tilde == pytest.approx(1.0, abs=1e-12)
-        assert cc[0].c_gamma[0] == pytest.approx(1.0, abs=1e-12)
+        assert cc[0].record("c_tilde").used == pytest.approx(1.0, abs=1e-12)
+        assert cc[0].record("c_gamma[0]").used == pytest.approx(1.0, abs=1e-12)
         assert cc[0].c == pytest.approx(1.0, abs=1e-12)
 
     def test_override_must_add_slack(self):
