@@ -12,6 +12,19 @@ keeps the sampled extrema, which are biased inward (the unsafe direction for
 the certificate inequalities), so they are labeled non-rigorous and are
 never substituted for declarations.
 
+The pass works on stacks of at most STACK states.  A stack is drawn in the
+generator order of one state at a time (per state, each component's trig
+coefficients, then the ball coin and factor), sampled, normed and
+interpolated as arrays, and its int atoms are integrated once for the whole
+stack; then each state's functionals are evaluated on the ``math`` table in
+the one-state order, so every value, and the sample at which a C7/C8 check
+fires, is that of a pass over one state at a time, bit for bit.  A stack
+that raises a HammcertError is redone one state at a time from the
+generator state of its start, so the first failing sample's error is the
+one raised.  STACK is chosen by timing: beyond it the stack's interpolation
+temporaries outgrow the cache, and a stack of 32 raises a benchmark
+session's peak RSS.
+
 Checked relations, per declaration present:
 
 * w_lo <= w_i[u] <= w_hi and h_lo <= h_ij[u] <= h_hi on boundary samples;
@@ -31,14 +44,13 @@ an exactly-attained bound does not count as a refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .cone import DiscreteState, c1_norm, sample_cone_boundary_rng
 from .constants import ConeConstants
-from .errors import ConfigError
+from .errors import ConfigError, HammcertError
 from .expr import _SharedPass, eval_functional, eval_scalar
 from .quad import QuadConfig
 
@@ -52,6 +64,9 @@ SLACK = 1e-9
 FACTORIAL_POINTS = 5
 FACTORIAL_MAX_DIMS = 8
 LHS_POINTS = 10_000
+# states per stack of the boundary pass; 8 was fastest of 1 to 32 on
+# example-rho1e-4.cfg, and up to 16 raises no benchmark session's peak RSS
+STACK = 8
 
 
 @dataclass(frozen=True)
@@ -161,20 +176,43 @@ def _boundary_pass(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float,
     """Per sample: a state u on ||u|| = rho (with ``ball``, a fair coin scales
     it into the ball by a uniform factor in [0.05, 1]), its ||u_i||_inf (only
     with ``norms``) and, per component, [w_i[u], h_i1[u], h_i2[u], ...].
-    Each functional is evaluated once, in that order, under one _SharedPass;
-    a negative value raises the C7/C8 ModelViolationError."""
+
+    Samples are drawn and evaluated in stacks of at most STACK states, with
+    one _SharedPass per stack; each state's functionals are evaluated once,
+    in that order, and a negative value raises the C7/C8
+    ModelViolationError.  A stack is computed whole before any of its
+    samples is yielded.  When it raises a HammcertError, the generator is
+    reset to the stack's start and the stack is redone one state at a time,
+    so that the error of the first failing sample surfaces."""
     layout = [[(comp.w, "C8"), *((term.h, "C7") for term in comp.gammas)]
               for comp in spec.components]
-    for _ in range(samples):
-        u = sample_cone_boundary_rng(spec, cc, rho, rng)
-        if ball and rng.uniform() < 0.5:
-            mu = rng.uniform(0.05, 1.0)
-            u = DiscreteState(u.nodes, u.values * mu, u.derivatives * mu)
-        sups = c1_norm(u).sup if norms else None
-        shared = _SharedPass(u, quad)
-        yield u, sups, [[eval_functional(fx, u, quad, nonneg_condition=condition,
-                                         shared_pass=shared) for fx, condition in comp]
-                        for comp in layout]
+    args = (spec, cc, rho, rng, quad, ball, norms, layout)
+    for start in range(0, samples, STACK):
+        size = min(STACK, samples - start)
+        saved = rng.bit_generator.state
+        try:
+            found = _stack_pass(size, *args)
+        except HammcertError:
+            if size == 1:
+                raise
+            rng.bit_generator.state = saved
+            found = [row for _ in range(size) for row in _stack_pass(1, *args)]
+        yield from found
+
+
+def _stack_pass(size, spec, cc, rho, rng, quad, ball, norms, layout) -> list:
+    """``_boundary_pass``'s samples of one stack of ``size`` states."""
+    u = sample_cone_boundary_rng(spec, cc, rho, rng, size=size, ball=ball)
+    sups = c1_norm(u).sup.tolist() if norms else [None] * size
+    shared = _SharedPass(u, quad, [fx for comp in layout for fx, _ in comp])
+    out = []
+    for r in range(size):
+        row = shared.row(r)
+        out.append((row.u, sups[r],
+                    [[eval_functional(fx, row.u, quad, nonneg_condition=condition,
+                                      shared_pass=row) for fx, condition in comp]
+                     for comp in layout]))
+    return out
 
 
 class _Check(NamedTuple):
@@ -262,7 +300,7 @@ def _box_points(lows: np.ndarray, highs: np.ndarray, rng: np.random.Generator):
     dims = lows.size
     if dims <= FACTORIAL_MAX_DIMS:
         axes = [np.linspace(lo, hi, FACTORIAL_POINTS) for lo, hi in zip(lows, highs)]
-        pts = np.array(list(product(*axes)))
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dims)
     else:
         strata = (np.arange(LHS_POINTS)[:, None]
                   + rng.uniform(size=(LHS_POINTS, dims))) / LHS_POINTS

@@ -16,11 +16,21 @@ the half-panel points, the window grids, val/der points), so evaluating a
 state is a gather plus the same arithmetic, in the same order, as building
 the basis inline would do.
 
+A ``DiscreteState`` may also hold a stack of K states on the same nodes,
+with a leading stack axis on its values and derivatives; interpolation and
+``c1_norm`` then work on all K at once, elementwise, so each state of a
+stack gets the doubles it gets alone.
+
 The cone of interest consists of vectors whose i-th component satisfies
 min over the window [a_i, b_i] of u_i >= c_i * sup|u_i|; components may
 change sign outside their window.  The boundary sampler draws random trig
 polynomials, shifts them into the cone and rescales onto ||u|| = rho; it is
 meant for falsification and property tests, not for exhausting the boundary.
+It draws a stack of states as one round of Python draws, in the order of one
+state at a time (each state's trig coefficients, then its ball coin), and
+then shifts and rescales the whole stack with one array pass, reading the
+cos/sin values from one table per node vector.  A stack with a degenerate
+draw is drawn again state by state from the generator state of its start.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import csv
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -113,9 +124,11 @@ _BASES = _BasisTable(BASIS_TABLE_POINTS)
 
 @dataclass(eq=False)
 class DiscreteState:
+    """One state, or a stack of K states on the same nodes: values and
+    derivatives then carry a leading stack axis, shaped (K, n, N+1)."""
     nodes: np.ndarray          # shape (N+1,), uniform, includes 0 and 1
-    values: np.ndarray         # shape (n, N+1)
-    derivatives: np.ndarray    # shape (n, N+1)
+    values: np.ndarray         # shape (n, N+1), or (K, n, N+1) for a stack
+    derivatives: np.ndarray    # shaped like values
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -128,13 +141,24 @@ class DiscreteState:
         h = np.diff(self.nodes)
         if not np.all(np.abs(h - h[0]) <= 1e-12):
             raise ValueError("nodes must be uniform")
-        if self.values.shape != (self.n, self.nodes.size) or \
+        if self.values.ndim > 3 or self.values.shape[-1] != self.nodes.size or \
                 self.derivatives.shape != self.values.shape:
-            raise ValueError("values/derivatives must have shape (n, N+1)")
+            raise ValueError("values/derivatives must have shape (n, N+1) or (K, n, N+1)")
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
+
+    @property
+    def stacked(self) -> bool:
+        return self.values.ndim == 3
+
+    def row(self, k: int) -> "DiscreteState":
+        """State k of a stack: views of its arrays, which need no checks."""
+        row = object.__new__(DiscreteState)
+        row.__dict__.update(nodes=self.nodes, values=self.values[k],
+                            derivatives=self.derivatives[k])
+        return row
 
     @property
     def num_panels(self) -> int:
@@ -148,21 +172,47 @@ class DiscreteState:
 
         ``comp`` indexes the component axis: an int gives an array shaped
         like x, ``slice(None)`` every component at once, shaped (n,) + x.shape.
+        A stack puts its axis first: (K,) + x.shape or (K, n) + x.shape.
+        The sum u0 v00 + (h d0) v10 + u1 v01 + (h d1) v11 is formed in place,
+        in that order.
         """
         b = _BASES.basis(self.nodes, x)
-        u, d = self.values[comp], self.derivatives[comp]
-        u0, u1 = u.take(b.left, axis=-1), u.take(b.right, axis=-1)
-        d0, d1 = d.take(b.left, axis=-1), d.take(b.right, axis=-1)
-        return u0 * b.v00 + b.h * d0 * b.v10 + u1 * b.v01 + b.h * d1 * b.v11
+        u, d = self.values[..., comp, :], self.derivatives[..., comp, :]
+        out = u.take(b.left, axis=-1)
+        out *= b.v00
+        term = d.take(b.left, axis=-1)
+        term *= b.h
+        term *= b.v10
+        out += term
+        term = u.take(b.right, axis=-1)
+        term *= b.v01
+        out += term
+        term = d.take(b.right, axis=-1)
+        term *= b.h
+        term *= b.v11
+        out += term
+        return out
 
     def derivative(self, comp, x):
         """Derivative of the Hermite interpolant, indexed like ``value``;
-        matches the stored derivative values exactly at nodes."""
+        matches the stored derivative values exactly at nodes.  The sum
+        u0 p00 / h + d0 p10 + u1 p01 / h + d1 p11 is formed in place."""
         b = _BASES.basis(self.nodes, x)
-        u, d = self.values[comp], self.derivatives[comp]
-        u0, u1 = u.take(b.left, axis=-1), u.take(b.right, axis=-1)
-        d0, d1 = d.take(b.left, axis=-1), d.take(b.right, axis=-1)
-        return u0 * b.p00 / b.h + d0 * b.p10 + u1 * b.p01 / b.h + d1 * b.p11
+        u, d = self.values[..., comp, :], self.derivatives[..., comp, :]
+        out = u.take(b.left, axis=-1)
+        out *= b.p00
+        out /= b.h
+        term = d.take(b.left, axis=-1)
+        term *= b.p10
+        out += term
+        term = u.take(b.right, axis=-1)
+        term *= b.p01
+        term /= b.h
+        out += term
+        term = d.take(b.right, axis=-1)
+        term *= b.p11
+        out += term
+        return out
 
     def monitor_grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, MONITOR_FACTOR * self.num_panels + 1)
@@ -192,11 +242,16 @@ class StateNorms:
 
 
 def c1_norm(u: DiscreteState) -> StateNorms:
+    """Norms on the monitoring grid.  For a stack the fields are arrays with
+    a leading stack axis: (K, n) per component, (K,) for ``overall``."""
     grid = u.monitor_grid()
-    sup = np.max(np.abs(u.value(slice(None), grid)), axis=1).tolist()
-    supd = np.max(np.abs(u.derivative(slice(None), grid)), axis=1).tolist()
-    c1 = [max(si, di) for si, di in zip(sup, supd)]
-    return StateNorms(tuple(sup), tuple(supd), tuple(c1), max(c1))
+    sup = np.max(np.abs(u.value(slice(None), grid)), axis=-1)
+    supd = np.max(np.abs(u.derivative(slice(None), grid)), axis=-1)
+    c1 = np.maximum(sup, supd)
+    if u.stacked:
+        return StateNorms(sup, supd, c1, np.max(c1, axis=-1))
+    return StateNorms(tuple(sup.tolist()), tuple(supd.tolist()), tuple(c1.tolist()),
+                      float(np.max(c1)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +293,69 @@ def _window_grid(grid: np.ndarray, cci: ConeConstants) -> np.ndarray:
 TRIG_DEGREE = 6
 
 
-def _random_trig(rng: np.random.Generator, nodes: np.ndarray):
-    """Random trig polynomial of degree <= TRIG_DEGREE with coefficients
-    drawn from the symmetric unit distribution; returns (values, derivatives)."""
-    a = rng.uniform(-1.0, 1.0, TRIG_DEGREE + 1)
-    b = rng.uniform(-1.0, 1.0, TRIG_DEGREE)
-    vals = np.full_like(nodes, a[0])
-    ders = np.zeros_like(nodes)
+@lru_cache(maxsize=4)
+def _trig_table(key: bytes):
+    """(w_d, cos(w_d t), sin(w_d t)) at the nodes (given by their bytes) for
+    d = 1..TRIG_DEGREE, w_d = 2 pi d; each table shaped (TRIG_DEGREE, N+1)."""
+    nodes = np.frombuffer(key)
+    w = [2.0 * np.pi * d for d in range(1, TRIG_DEGREE + 1)]
+    cos = np.array([np.cos(wd * nodes) for wd in w])
+    sin = np.array([np.sin(wd * nodes) for wd in w])
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return w, cos, sin
+
+
+def _ball_factor(rng: np.random.Generator, ball: bool) -> float:
+    """With ``ball``, a fair coin and on heads a uniform factor in [0.05, 1];
+    otherwise 1 (which scales a state exactly)."""
+    return rng.uniform(0.05, 1.0) if ball and rng.uniform() < 0.5 else 1.0
+
+
+def _boundary_stack(cc: Sequence[ConeConstants], rho: float, rng: np.random.Generator,
+                    nodes: np.ndarray, size: int, ball: bool) -> DiscreteState | None:
+    """``size`` states on ||u|| = rho from one round of draws, as a stack;
+    None when a draw is degenerate (its C1 norm at most 1e-12)."""
+    n = len(cc)
+    # the cone of a c >= 1 component degenerates to positive constants on the window
+    const = [cci.c >= 1.0 - 1e-12 for cci in cc]
+    a = np.zeros((size, n, TRIG_DEGREE + 1))
+    b = np.zeros((size, n, TRIG_DEGREE))
+    mu = np.empty(size)
+    for k in range(size):
+        for i in range(n):
+            if const[i]:
+                a[k, i, 0] = rng.uniform(0.1, 1.0)
+            else:
+                a[k, i] = rng.uniform(-1.0, 1.0, TRIG_DEGREE + 1)
+                b[k, i] = rng.uniform(-1.0, 1.0, TRIG_DEGREE)
+        mu[k] = _ball_factor(rng, ball)
+
+    # trig polynomials: the value is summed up degree by degree
+    w, cos, sin = _trig_table(nodes.tobytes())
+    values = np.repeat(a[..., :1], nodes.size, axis=-1)
+    derivs = np.zeros_like(values)
     for d in range(1, TRIG_DEGREE + 1):
-        w = 2.0 * np.pi * d
-        cos, sin = np.cos(w * nodes), np.sin(w * nodes)
-        vals += a[d] * cos + b[d - 1] * sin
-        ders += w * (-a[d] * sin + b[d - 1] * cos)
-    return vals, ders
+        ad, bd = a[..., d, None], b[..., d - 1, None]
+        values += ad * cos[d - 1] + bd * sin[d - 1]
+        derivs += w[d - 1] * (-ad * sin[d - 1] + bd * cos[d - 1])
+    derivs[:, const] = 0.0
+
+    # the least shift that restores min over the window >= c * sup
+    u = DiscreteState(nodes, values, derivs)  # shares ``values``
+    grid = u.monitor_grid()
+    sups = np.max(np.abs(u.value(slice(None), grid)), axis=-1)
+    for i, cci in enumerate(cc):
+        if not const[i]:
+            wmin = np.min(u.value(i, _window_grid(grid, cci)), axis=-1)
+            shift = (cci.c * sups[:, i] - wmin) / (1.0 - cci.c)
+            values[:, i] += np.where(shift > 0.0, shift, 0.0)[:, None]
+    norm = c1_norm(u).overall
+    if np.any(norm <= 1e-12):
+        return None
+    scale = (rho / norm)[:, None, None]
+    mu = mu[:, None, None]
+    return DiscreteState(nodes, values * scale * mu, derivs * scale * mu)
 
 
 def sample_cone_boundary(spec: "ProblemSpec", cc: Sequence[ConeConstants],
@@ -268,38 +373,40 @@ def sample_cone_boundary(spec: "ProblemSpec", cc: Sequence[ConeConstants],
 
 def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                              rho: float, rng: np.random.Generator,
-                             num_panels: int = 128) -> DiscreteState:
+                             num_panels: int = 128, size: int | None = None,
+                             ball: bool = False) -> DiscreteState:
+    """``sample_cone_boundary`` from a generator; with ``size``, a stack of
+    that many states.  With ``ball``, each state's draws are followed by a
+    fair coin, and on heads a uniform factor in [0.05, 1] scales the state
+    into the ball.
+
+    Draws come in the order of one state at a time: each component's 7 + 6
+    trig coefficients (or the constant of a c >= 1 component), then the
+    coin.  A degenerate draw is drawn again before the coin; when a stack
+    holds one, the generator is reset and the stack redrawn state by state,
+    so that every redraw comes where it comes for a single state.
+    """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     nodes = np.linspace(0.0, 1.0, num_panels + 1)
+    saved = rng.bit_generator.state
+    stack = _boundary_stack(cc, rho, rng, nodes, size or 1, ball)
+    if stack is None:
+        rng.bit_generator.state = saved
+        rows = [_redrawn(cc, rho, rng, nodes, ball) for _ in range(size or 1)]
+        stack = DiscreteState(nodes, np.array([r.values[0] for r in rows]),
+                              np.array([r.derivatives[0] for r in rows]))
+    return stack if size is not None else stack.row(0)
+
+
+def _redrawn(cc, rho, rng, nodes, ball) -> DiscreteState:
+    """A stack of one, drawn until it is not degenerate, then scaled by its
+    ball factor."""
     for _ in range(100):
-        values = np.empty((len(cc), nodes.size))
-        derivs = np.empty_like(values)
-        for i, cci in enumerate(cc):
-            if cci.c >= 1.0 - 1e-12:
-                # the cone degenerates to positive constants on the window
-                values[i] = rng.uniform(0.1, 1.0)
-                derivs[i] = 0.0
-                continue
-            vals, ders = _random_trig(rng, nodes)
-            values[i] = vals
-            derivs[i] = ders
-        u = DiscreteState(nodes, values, derivs)
-        grid = u.monitor_grid()
-        # u shares ``values``; each shift below touches only its own row
-        sups = np.max(np.abs(u.value(slice(None), grid)), axis=1).tolist()
-        for i, cci in enumerate(cc):
-            if cci.c >= 1.0 - 1e-12:
-                continue
-            wmin = float(np.min(u.value(i, _window_grid(grid, cci))))
-            shift = max(0.0, (cci.c * sups[i] - wmin) / (1.0 - cci.c))
-            values[i] += shift
-        u = DiscreteState(nodes, values, derivs)
-        norm = c1_norm(u).overall
-        if norm <= 1e-12:
-            continue
-        scale = rho / norm
-        return DiscreteState(nodes, values * scale, derivs * scale)
+        stack = _boundary_stack(cc, rho, rng, nodes, 1, False)
+        if stack is not None:
+            mu = _ball_factor(rng, ball)
+            return DiscreteState(nodes, stack.values * mu, stack.derivatives * mu)
     raise RuntimeError("degenerate draws 100 times in a row")
 
 

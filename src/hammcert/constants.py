@@ -45,7 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -542,9 +543,14 @@ class ConstantRecord:
 @dataclass(frozen=True, eq=False)
 class ConeConstants:
     """Per-component constants: the window and one record per constant, keyed
-    as in the constants report; the ``used`` values feed certificates."""
+    as in the constants report; the ``used`` values feed certificates.  The
+    records are a read-only view of a copy of the mapping given, since every
+    caller of ``assemble_cone_constants`` shares them."""
     window: Window
-    records: dict
+    records: Mapping[str, ConstantRecord]
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", MappingProxyType(dict(self.records)))
 
     @property
     def c(self) -> float:

@@ -26,9 +26,10 @@ numpy calls and domain checks), ``eval_functional`` the ``math`` table for
 a functional's outer level (Python floats; a node whose value is not finite
 raises).  Functionals stay on ``math``: numpy's exp and power differ from it
 in the last bit for some float arguments.  The int atoms integrate their
-bodies, compiled by ``eval_scalar``, with ``quad.integrate``; one evaluation
-pass (``_SharedPass``) interpolates the state once per point array, shared
-by all atoms of that state.
+bodies, compiled by ``eval_scalar``, with ``quad.integrate_rows``; one
+evaluation pass (``_SharedPass``) over a state, or a stack of states,
+interpolates it once per point array, integrates each distinct int body once
+and reads every val/der atom from one interpolation at the atom points.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Union
 import numpy as np
 
 from .errors import DslSyntaxError, EvalDomainError, ModelViolationError
-from .quad import QuadConfig, integrate
+from .quad import QuadConfig, integrate_rows
 
 if TYPE_CHECKING:
     from .cone import DiscreteState
@@ -421,7 +422,7 @@ def eval_scalar(expr: ScalarExpr, env: Mapping[str, object]):
 def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
                     quad: QuadConfig | None = None, *,
                     nonneg_condition: str | None = None,
-                    shared_pass: "_SharedPass | None" = None) -> float:
+                    shared_pass: "_SharedPass | _PassRow | None" = None) -> float:
     """Evaluate a functional on a discrete state.
 
     val/der atoms use the state's C1 interpolant; int atoms integrate over
@@ -430,18 +431,19 @@ def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
     reaches the sign check.  When ``nonneg_condition`` is given (``"C7"``
     for h-typed, ``"C8"`` for w-typed functionals) a negative result raises
     ModelViolationError.  A caller evaluating several functionals of one
-    state passes the same ``shared_pass`` to each, so that their int atoms
-    share one interpolation of the state.
+    state passes the same ``shared_pass`` to each (for a state of a stack,
+    the pass's ``row``), so that their atoms are evaluated once.
     """
     if shared_pass is None:
-        shared_pass = _SharedPass(u, quad or QuadConfig())
-    elif shared_pass.u is not u:
+        shared_pass = _SharedPass(u, quad or QuadConfig(), (fx,))
+    ctx = shared_pass.row(0) if isinstance(shared_pass, _SharedPass) else shared_pass
+    if ctx.u is not u:
         raise ValueError("shared_pass was made for another state")
     try:
         fn = fx._functional
     except AttributeError:
         fn = _compile(fx, _MATH)[0]
-    value = fn(shared_pass)
+    value = fn(ctx)
     if nonneg_condition is not None and value < 0.0:
         raise ModelViolationError(
             nonneg_condition,
@@ -450,34 +452,116 @@ def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
 
 
 class _SharedPass:
-    """u and u' of every component of one state, kept per point array by its
-    identity (the pass holds the array, so the id is not reused while it
-    lives).  Short-lived: callers make one per state, for all of its atoms,
-    and drop it with the state."""
+    """The atoms of a state, or of a stack of K states (a state is a stack
+    of one), each evaluated once for the whole stack: u and u' at a point
+    array (kept by the array's identity; the pass holds the array, so the id
+    is not reused while it lives), the K integrals of an int body (kept per
+    body, so equal bodies of several functionals integrate once), and u or
+    u' at the val/der points of ``functionals``, in one Hermite call each.
+    A point not among them joins the set, and the next atom recomputes its
+    table.  ``row(r)`` is the context in which state r's functionals read
+    the atoms.  Short-lived: callers make one per stack and drop it with it.
+    """
 
-    def __init__(self, u: "DiscreteState", quad: QuadConfig):
+    def __init__(self, u: "DiscreteState", quad: QuadConfig, functionals=()):
         self.u = u
         self.quad = quad
+        self.size = u.values.shape[0] if u.stacked else 1
         self._kept: dict = {}
+        self._integrals: dict = {}
+        self._points: dict = {}  # t0.hex() -> (column, t0), so -0.0 is its own point
+        self._tables: dict = {}
+        for fx in functionals:
+            for t0 in _atom_points(fx):
+                self._points.setdefault(t0.hex(), (len(self._points), t0))
+
+    def row(self, r: int) -> "_PassRow":
+        return _PassRow(self, r, self.u.row(r) if self.u.stacked else self.u)
+
+    def _stacked(self, a: np.ndarray) -> np.ndarray:
+        return a if self.u.stacked else a[None]
 
     def at(self, x: np.ndarray):
-        """(u, u') of every component at x, each shaped (n,) + x.shape."""
+        """(u, u') of every state and component at x, each shaped
+        (K, n) + x.shape."""
         if id(x) not in self._kept:
-            self._kept[id(x)] = (x, self.u.value(slice(None), x),
-                                 self.u.derivative(slice(None), x))
+            self._kept[id(x)] = (x, self._stacked(self.u.value(slice(None), x)),
+                                 self._stacked(self.u.derivative(slice(None), x)))
         return self._kept[id(x)][1:]
 
+    def point(self, derivative: bool, key: str, t0: float) -> np.ndarray:
+        """u (or u') of every state and component at t0, shaped (K, n)."""
+        if key not in self._points:
+            self._points[key] = (len(self._points), t0)
+            self._tables.clear()
+        table = self._tables.get(derivative)
+        if table is None:
+            x = np.array([p for _, p in self._points.values()])
+            point = self.u.derivative if derivative else self.u.value
+            table = self._tables[derivative] = self._stacked(point(slice(None), x))
+        return table[..., self._points[key][0]]
+
+    def integrals(self, body: ScalarExpr) -> np.ndarray:
+        """The K integrals of body over [0, 1], with the states' interior
+        nodes as breakpoints; each equals ``integrate`` of that state's
+        integrand.  Panels that need refining are refined state by state."""
+        found = self._integrals.get(body)
+        if found is None:
+            found = self._integrals[body] = integrate_rows(
+                lambda rows, s: self._body(body, rows, s), self.size, 0.0, 1.0,
+                self.u.interior_nodes(), self.quad)
+        return found
+
+    def _body(self, body: ScalarExpr, rows, s: np.ndarray):
+        """body at s for every state (rows None) or for state rows[j] at s[j]."""
+        if rows is None:
+            return _eval_body(body, *self.at(s), s)
+        rows = np.broadcast_to(rows, s.shape)
+        out = np.empty(s.shape)
+        for r in np.unique(rows).tolist():
+            sel = rows == r
+            u, x = self.row(r).u, s[sel]
+            found = _eval_body(body, u.value(slice(None), x)[None],
+                               u.derivative(slice(None), x)[None], x)
+            out[sel] = np.broadcast_to(found, (1,) + x.shape)[0]
+        return out
+
+
+def _eval_body(body: ScalarExpr, vals: np.ndarray, ders: np.ndarray, s: np.ndarray):
+    """An int body at s, from u and u' there shaped (K, n) + s.shape."""
+    env = {"s": s}
+    for k in range(vals.shape[1]):
+        env[f"u{k + 1}"] = vals[:, k]
+        env[f"du{k + 1}"] = ders[:, k]
+    return eval_scalar(body, env)
+
+
+class _PassRow(NamedTuple):
+    """State k of a ``_SharedPass``: the context in which the math table's
+    leaves read that state's atoms."""
+    shared: _SharedPass
+    k: int
+    u: "DiscreteState"
+
     def integral(self, body: ScalarExpr) -> float:
-        """``integrate`` of body over [0, 1] with the state's interior nodes
-        as breakpoints."""
-        def f(s):
-            vals, ders = self.at(s)
-            env = {"s": s}
-            for k in range(self.u.n):
-                env[f"u{k + 1}"] = vals[k]
-                env[f"du{k + 1}"] = ders[k]
-            return eval_scalar(body, env)
-        return integrate(f, 0.0, 1.0, self.u.interior_nodes(), self.quad)
+        return float(self.shared.integrals(body)[self.k])
+
+    def point(self, derivative: bool, comp: int, key: str, t0: float) -> float:
+        return float(self.shared.point(derivative, key, t0)[self.k, comp])
+
+
+def _atom_points(fx) -> list[float]:
+    """The t0 of every val/der atom of a functional, in tree order."""
+    found, todo = [], [fx]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (Val, Der)):
+            found.append(node.t0)
+        elif isinstance(node, Unary):
+            todo.append(node.arg)
+        elif isinstance(node, Bin):
+            todo += (node.right, node.left)
+    return found
 
 
 class _Backend(NamedTuple):
@@ -611,15 +695,15 @@ def _math_leaf(node):
     if not isinstance(node, (Val, Der)):
         raise TypeError(f"not a functional expression: {node!r}")
     index, t0, derivative = node.index, node.t0, isinstance(node, Der)
+    key = t0.hex()
 
     def fn(ctx):
-        u = ctx.u
-        if index > u.n:
+        n = ctx.u.n
+        if index > n:
             raise EvalDomainError(
                 f"functional references component {index} but the state "
-                f"has {u.n}", render(node))
-        point = u.derivative if derivative else u.value
-        return _finite(float(point(index - 1, t0)), node)
+                f"has {n}", render(node))
+        return _finite(ctx.point(derivative, index - 1, key, t0), node)
     return fn
 
 

@@ -12,7 +12,9 @@ Integrands are called with numpy arrays of evaluation points and must act
 elementwise and broadcast; scalar-returning constants are handled.  A NaN
 or infinite integrand value raises QuadratureError.
 ``integrate_panels`` runs the same rules on many integrands at once, each
-over its own panels, with every row's result bit-identical to ``integrate``.
+over its own panels, and ``integrate_rows`` on many integrands over the
+same panels; every row's result is bit-identical to ``integrate``, which is
+``integrate_rows`` of one integrand.
 
 The first pass of ``integrate`` (every panel's Gauss points, then those of
 its two halves) depends only on [a, b], the breakpoints and the Gauss order.
@@ -31,8 +33,8 @@ import numpy as np
 
 from .errors import QuadratureError
 
-__all__ = ["QuadConfig", "integrate", "integrate_panels", "gauss_rule",
-           "first_pass_layout"]
+__all__ = ["QuadConfig", "integrate", "integrate_rows", "integrate_panels",
+           "gauss_rule", "first_pass_layout"]
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -90,19 +92,20 @@ def _panels(a: float, b: float, points) -> tuple[np.ndarray, np.ndarray, np.ndar
     return r, edges[r, c], edges[r, c + 1]
 
 
-def _estimates(vals, pts: np.ndarray, wts: np.ndarray) -> np.ndarray:
+def _estimates(vals, pts: np.ndarray, wts: np.ndarray, lead: tuple = ()) -> np.ndarray:
     """Gauss estimate of every panel (row of pts) from the integrand's values
-    there, broadcast to pts' shape.  NaN raises, and so does ±inf, which no
-    panel could ever converge on."""
+    there, broadcast to ``lead + pts.shape`` (one leading row per integrand).
+    NaN raises, and so does ±inf, which no panel could ever converge on."""
+    shape = lead + pts.shape
     vals = np.asarray(vals, dtype=float)
-    if vals.shape != pts.shape:
-        vals = np.broadcast_to(vals, pts.shape)
+    if vals.shape != shape:
+        vals = np.broadcast_to(vals, shape)
     if not np.all(np.isfinite(vals)):
         nan = np.isnan(vals)
         kind = "NaN" if np.any(nan) else "an infinite value"
-        bad = pts[nan if np.any(nan) else np.isinf(vals)][:1]
+        bad = np.broadcast_to(pts, shape)[nan if np.any(nan) else np.isinf(vals)][:1]
         raise QuadratureError(f"integrand returned {kind} near x={bad!r}")
-    return np.sum(vals * wts, axis=1)
+    return np.sum(vals * wts, axis=-1)
 
 
 def _panel_estimates(f, rows, lo, hi, order):
@@ -129,17 +132,34 @@ def integrate(f, a: float, b: float, breakpoints=(), cfg: QuadConfig | None = No
     NaN or infinite value, or when a panel fails to converge within
     cfg.max_subdivisions bisections.
     """
+    return float(integrate_rows(lambda _, x: f(x), 1, a, b, breakpoints, cfg)[0])
+
+
+def integrate_rows(f, nrows: int, a: float, b: float, breakpoints=(),
+                   cfg: QuadConfig | None = None) -> np.ndarray:
+    """``integrate`` of ``nrows`` integrands over the same panels at once.
+
+    f(None, x) evaluates every integrand at the first pass's points x, shaped
+    (nrows,) + x.shape or broadcasting to it; f(r, x) evaluates integrand r
+    at x for the panels that need refining (r broadcasts against x).  The
+    first pass runs once over the kept layout for all rows; each row's
+    result is bit-identical to ``integrate`` of its integrand.
+    """
     if a > b:
         raise ValueError(f"integrate: a={a} > b={b}")
     if a == b:
-        return 0.0
+        return np.zeros(nrows)
     cfg = cfg or QuadConfig()
     fp = first_pass_layout(a, b, breakpoints, cfg.gauss_order)
-    coarse = _estimates(f(fp.whole_points), fp.whole_points, fp.whole_weights)
-    halves = _estimates(f(fp.half_points), fp.half_points, fp.half_weights)
+    coarse = _estimates(f(None, fp.whole_points), fp.whole_points, fp.whole_weights,
+                        (nrows,))
+    halves = _estimates(f(None, fp.half_points), fp.half_points, fp.half_weights,
+                        (nrows,))
     n = fp.lo.size
-    return float(_settle(lambda _, x: f(x), np.zeros(n, dtype=np.intp), fp.lo, fp.mid,
-                         fp.hi, coarse, halves[:n], halves[n:], 1, cfg)[0])
+    tile = lambda x: np.tile(x, nrows)
+    return _settle(f, np.repeat(np.arange(nrows), n), tile(fp.lo), tile(fp.mid),
+                   tile(fp.hi), coarse.ravel(), halves[:, :n].ravel(),
+                   halves[:, n:].ravel(), nrows, cfg)
 
 
 def integrate_panels(f, rows, lo, hi, nrows: int,

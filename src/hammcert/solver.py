@@ -83,6 +83,8 @@ class _NystromOperator:
                         f"uniform {num_panels}-panel grid; choose a node count that "
                         "contains every kernel breakpoint")
         self.nodes, self.gauss_order = nodes, gauss_order
+        self.functionals = tuple(fx for comp in spec.components
+                                 for fx in (comp.w, *(term.h for term in comp.gammas)))
         layout = first_pass_layout(0.0, 1.0, nodes[1:-1], gauss_order)
         self.pts, self.wts = layout.whole_points.ravel(), layout.whole_weights.ravel()
         self.k_val = []
@@ -106,10 +108,10 @@ class _NystromOperator:
               quad: QuadConfig) -> DiscreteState:
         spec = self.spec
         n = spec.n
-        shared = _SharedPass(u, quad)
+        shared = _SharedPass(u, quad, self.functionals)
         # the int atoms of a state on these nodes integrate over the same arrays
         layout = first_pass_layout(0.0, 1.0, self.nodes[1:-1], self.gauss_order)
-        uq, duq = (a.reshape(u.n, -1) for a in shared.at(layout.whole_points))
+        uq, duq = (a[0].reshape(u.n, -1) for a in shared.at(layout.whole_points))
         values = np.zeros((n, self.nodes.size))
         derivs = np.zeros_like(values)
         for i, comp in enumerate(spec.components):

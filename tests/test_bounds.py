@@ -214,3 +214,106 @@ def test_reports_pinned(config, request):
     spec = request.getfixturevalue(f"{config}_spec")
     cc = request.getfixturevalue(f"{config}_cc")
     assert report_pins(spec, cc) == REPORT_PINS[config]
+
+
+def test_factorial_box_points_in_product_order():
+    # the full-factorial grid lists its points as itertools.product does
+    from itertools import product
+
+    import numpy as np
+    from hammcert.bounds import _box_points, FACTORIAL_POINTS
+    lows = np.array([0.0, -1.0, -1.0, -1.0, -1.0, 1 / (1 + math.e)])
+    highs = np.array([1.0, 1.0, 1.0, 1.0, 1.0, math.e])
+    pts = _box_points(lows, highs, np.random.default_rng(1))
+    axes = [np.linspace(lo, hi, FACTORIAL_POINTS) for lo, hi in zip(lows, highs)]
+    want = np.array(list(product(*axes)))
+    assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Stacked boundary pass
+
+@pytest.fixture(scope="module")
+def mixed_degenerate():
+    """The example with component 2 replaced by a c = 1 component (constant
+    kernel on the window [0, 1], no gamma terms), so that its samples are
+    positive constants while component 1's are trig polynomials."""
+    doc = json.loads(hc.example_config_path().read_text())
+    comp = doc["components"][1]
+    comp.update(kernel={"k": "1", "dk_dt": "0*t", "breakpoints": [],
+                        "moving_breakpoint": False},
+                window=[0, 1], envelope="tight", gammas=[])
+    comp.pop("declared")
+    doc.pop("bounds")
+    spec = hc.spec_from_dict(doc)
+    cc = hc.assemble_cone_constants(spec, opt_cfg=hc.Opt1DConfig(coarse_grid=256))
+    assert cc[0].c < 1.0 and cc[1].c == 1.0
+    return spec, cc
+
+
+def pass_digest(spec, cc, samples, seed, ball):
+    """Every sample of the boundary pass, bit for bit: the state, its sups
+    and its functional values, and the generator's next draw."""
+    import numpy as np
+    from hammcert.bounds import _boundary_pass
+    rng = np.random.default_rng(seed)
+    rows = [(state_digest(u), sups, values) for u, sups, values in
+            _boundary_pass(spec, cc, 1.0, samples, rng, spec.quad, ball, True)]
+    return digest([rows, rng.uniform()])
+
+
+@pytest.mark.parametrize("config", ["example", "tight", "mixed_degenerate"])
+def test_stacks_match_one_state_at_a_time(config, request):
+    from unittest import mock
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from hammcert import bounds
+    if config == "mixed_degenerate":
+        spec, cc = request.getfixturevalue(config)
+    else:
+        spec = request.getfixturevalue(f"{config}_spec")
+        cc = request.getfixturevalue(f"{config}_cc")
+    size = bounds.STACK
+    assert size > 1
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           samples=st.sampled_from([1, size - 1, size, size + 1]),
+           ball=st.booleans())
+    def check(seed, samples, ball):
+        stacked = pass_digest(spec, cc, samples, seed, ball)
+        with mock.patch.object(bounds, "STACK", 1):
+            assert pass_digest(spec, cc, samples, seed, ball) == stacked
+
+    check()
+
+
+def test_stack_error_is_the_first_samples_error():
+    # sample 2 (of seed 4) gives w < 0; sample 5 of the same stack makes the
+    # int body take sqrt of a negative value.  The stack meets the domain
+    # error first, when sample 0 asks for the integral, so it is redone one
+    # state at a time and sample 2's C8 error is raised, as one state at a
+    # time always raised it
+    import numpy as np
+    from conftest import FAST_OPT, single_component_spec
+    from hammcert import bounds
+    spec = single_component_spec(
+        "example-k1", envelope={"phi0": "3/4"},
+        w="val(1, 3/5) - 1/100 + 0*int(sqrt(u1 + 1/250))")
+    cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
+    assert bounds.STACK >= 6
+    layout = [[(spec.components[0].w, "C8")]]
+    with pytest.raises(hc.EvalDomainError, match="sqrt of a negative value"):
+        bounds._stack_pass(6, spec, cc, 1.0, np.random.default_rng(4), spec.quad,
+                           False, False, layout)
+    message = ("condition (C8) violated: functional 'val(1, 0.6) - 1 / 100 + 0 * "
+               "int(sqrt(u1 + 1 / 250))' evaluated to -0.005467668553410375 < 0 "
+               "on the cone")
+    db = DeclaredBounds(1.0, (ComponentBounds(),))
+    for run in (lambda: estimate_ranges(spec, cc, 1.0, samples=8, seed=4),
+                lambda: falsify_bounds(spec, cc, db, samples=8, seed=4)):
+        with pytest.raises(hc.ModelViolationError) as err:
+            run()
+        assert str(err.value) == message

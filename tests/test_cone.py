@@ -136,6 +136,40 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_cone_boundary(example_spec, example_cc, 0.0, seed=1)
 
+    def test_stack_is_its_states_drawn_one_at_a_time(self, example_spec, example_cc):
+        rng = np.random.default_rng(21)
+        stack = sample_cone_boundary_rng(example_spec, example_cc, 1.0, rng, size=5,
+                                         ball=True)
+        one_rng = np.random.default_rng(21)
+        for k in range(5):
+            u = sample_cone_boundary_rng(example_spec, example_cc, 1.0, one_rng,
+                                         ball=True)
+            assert stack.values[k].tobytes() == u.values.tobytes()
+            assert stack.derivatives[k].tobytes() == u.derivatives.tobytes()
+        assert rng.uniform() == one_rng.uniform()
+        norms = c1_norm(stack)
+        assert norms.overall.shape == (5,) and norms.sup.shape == (5, 2)
+        assert norms.sup[2].tolist() == list(c1_norm(stack.row(2)).sup)
+
+    def test_degenerate_stack_is_redrawn_state_by_state(self, example_spec,
+                                                        example_cc, monkeypatch):
+        # a stack that meets a degenerate draw resets the generator and draws
+        # its states one at a time
+        draw = cone_mod._boundary_stack
+        monkeypatch.setattr(cone_mod, "_boundary_stack",
+                            lambda cc, rho, rng, nodes, size, ball:
+                            None if size > 1 else draw(cc, rho, rng, nodes, size, ball))
+        rng = np.random.default_rng(8)
+        stack = sample_cone_boundary_rng(example_spec, example_cc, 1.0, rng, size=3,
+                                         ball=True)
+        monkeypatch.undo()
+        one_rng = np.random.default_rng(8)
+        want = sample_cone_boundary_rng(example_spec, example_cc, 1.0, one_rng, size=3,
+                                        ball=True)
+        assert stack.values.tobytes() == want.values.tobytes()
+        assert stack.derivatives.tobytes() == want.derivatives.tobytes()
+        assert rng.uniform() == one_rng.uniform()
+
     def test_w1_within_declared_range(self, example_spec, example_cc):
         # the declared range [(1+e)^-1, e] must hold on sampled states
         lo, hi = 1 / (1 + math.e), math.e

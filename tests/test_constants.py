@@ -295,6 +295,16 @@ class TestAssembly:
         assert (2, "recip_m0") in flagged and (2, "recip_M") in flagged
         assert rep["notes"]
 
+    def test_records_are_read_only(self, example_cc):
+        # every caller of assemble_cone_constants shares the cached records
+        c = example_cc[0].c
+        with pytest.raises(TypeError):
+            example_cc[0].records["c"] = constants_mod.ConstantRecord("c_1", 5.0, None, 5.0)
+        with pytest.raises(TypeError):
+            del example_cc[0].records["c"]
+        again = hc.assemble_cone_constants(hc.load_config(hc.example_config_path()))
+        assert again[0].c == c == pytest.approx(1 / 3, abs=1e-9)
+
 
 class TestProperties:
     def scaled(self, kd, lam):

@@ -382,16 +382,17 @@ def test_int_atoms_share_two_hermite_calls_per_state(example_spec, example_cc,
     fp = hc.quad.first_pass_layout(0.0, 1.0, fresh.interior_nodes(),
                                    spec.quad.gauss_order)
     # the Nystrom points are the whole-panel points of the int atoms' layout:
-    # the operator and the three int atoms (w_1, w_2 and h_21) share one
-    # value and one derivative call there, and the atoms one more of each
-    # at the half-panel points
+    # the operator and the int atoms (w_1 and h_21 share int(du1^2), w_2 has
+    # its own) share one value and one derivative call there, and the atoms
+    # one more of each at the half-panel points
     for points in (fp.whole_points, fp.half_points):
         assert [c for c in calls if c[1] == points.shape] == [
             ("value", points.shape), ("derivative", points.shape)]
-    # plus the four val/der atoms
-    assert sum(c[1] == () for c in calls) == 4
-    assert len(calls) == 8
-    assert sum(math.prod(shape) for _, shape in calls) == 6148
+    # plus one of each at the val/der atoms' one point, t0 = 1/2
+    assert [c for c in calls if c[1] == (1,)] == [("value", (1,)),
+                                                  ("derivative", (1,))]
+    assert len(calls) == 6
+    assert sum(math.prod(shape) for _, shape in calls) == 6146
 
 
 class TestSpecHash:
