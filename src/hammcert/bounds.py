@@ -251,15 +251,15 @@ def _checks(db: DeclaredBounds) -> list[_Check]:
 
 
 def falsify_bounds(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                   db: DeclaredBounds, samples: int, seed: int,
-                   quad: QuadConfig | None = None,
+                   db: DeclaredBounds, samples: int, seed: int, *,
                    include_interior: bool = False) -> FalsificationReport:
     """Attack every declared bound in ``db`` by sampling.
 
     Boundary states are drawn on ||u|| = rho; with ``include_interior`` each
     sample is additionally scaled into the ball (for bounds declared over
-    the closed ball rather than the boundary).  Every violation carries a
-    concrete witness whose re-evaluation reproduces it.
+    the closed ball rather than the boundary).  Functionals are integrated
+    under ``spec.quad``.  Every violation carries a concrete witness whose
+    re-evaluation reproduces it.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -272,7 +272,7 @@ def falsify_bounds(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     # per violated bound, in order of first violation: worst witness and count
     found: dict[_Check, Violation] = {}
     for u, sups, values in _boundary_pass(spec, cc, db.rho, samples, rng,
-                                          quad or spec.quad, include_interior,
+                                          spec.quad, include_interior,
                                           any(c.ratio for c in checks)):
         for c in checks:
             value = values[c.component - 1][c.term or 0]
@@ -370,9 +370,9 @@ def _falsify_f_boxes(spec, db, rng, checked, skipped) -> list[Violation]:
 # Monte-Carlo ranges (non-rigorous)
 
 def estimate_ranges(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float,
-                    samples: int, seed: int,
-                    quad: QuadConfig | None = None) -> dict:
-    """Empirical [min, max] per functional over boundary samples.
+                    samples: int, seed: int) -> dict:
+    """Empirical [min, max] per functional over boundary samples, integrated
+    under ``spec.quad``.
 
     NON-RIGOROUS: sampled extrema are biased inward and must not be used as
     declarations in the safe direction.  Useful to propose declarations.
@@ -384,7 +384,7 @@ def estimate_ranges(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float
     ranges = [[[np.inf, -np.inf] for _ in range(1 + len(comp.gammas))]
               for comp in spec.components]
     for _, _, values in _boundary_pass(spec, cc, rho, samples,
-                                       np.random.default_rng(seed), quad or spec.quad):
+                                       np.random.default_rng(seed), spec.quad):
         for comp_ranges, comp_values in zip(ranges, values):
             for r, v in zip(comp_ranges, comp_values):
                 r[0], r[1] = min(r[0], v), max(r[1], v)

@@ -49,7 +49,6 @@ from .cone import zero_state
 from .constants import ConeConstants
 from .errors import ConfigError, ContradictionError, HammcertError, MissingBoundError
 from .problem import parse_param_name
-from .quad import QuadConfig
 from .solver import _effective_params, residual
 
 if TYPE_CHECKING:
@@ -395,14 +394,14 @@ def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
 
 def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                              db: DeclaredBounds, setI: Sequence[int], setJ: Sequence[int],
-                             params: "Params | None" = None,
-                             quad: QuadConfig | None = None) -> Certificate:
+                             params: "Params | None" = None) -> Certificate:
     """At-most-zero-solutions certificate on the closed ball of radius db.rho.
 
     Bounds here are declared over the closed ball (not just the boundary).
     Both displayed comparisons are strict.  The zero state's residual is
     evaluated as well: only when the zero state fails to satisfy the system
-    does a certified verdict mean "no solutions at all" in the ball.
+    does a certified verdict mean "no solutions at all" in the ball; it is
+    taken on ``spec.solver.nodes`` panels under ``spec.quad``.
     """
     params = _effective_params(spec, params)
     setI, setJ, rows, keys = _nonexistence_rows(spec, cc, db, setI, setJ, params)
@@ -411,8 +410,7 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     prov["bounds"] = {"rho": db.rho, "setI": setI, "setJ": setJ,
                       "xi_tilde": [db.components[i - 1].xi_tilde for i in setI],
                       "delta_tilde": [db.components[i - 1].delta_tilde for i in setJ]}
-    r0 = residual(spec, zero_state(spec.n, spec.solver.nodes), quad or spec.quad,
-                  params)
+    r0 = residual(spec, zero_state(spec.n, spec.solver.nodes), params=params)
     prov["zero_state_residual"] = r0
     if r0 <= ZERO_RESIDUAL_TOL:
         notes.append(f"the zero state satisfies the system (residual {r0:.3e}); "

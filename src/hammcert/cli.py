@@ -17,7 +17,7 @@ repeatable), ``--seed N``.
 Flags, declared-bounds blocks and sweep axes are checked before assembly.
 
 Exit codes: 0 success/certified; 10 evaluated cleanly but not certified;
-20 solver non-convergence; 1 model or config error.
+20 solver non-convergence; 1 model, config or file error.
 
 Reports are deterministic for identical config + seed + flags (keys sorted,
 no timestamps) and embed the sha256 of the config file together with the
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     except ContradictionError as e:
         _emit({"error": str(e), "dump": e.dump}, getattr(args, "out", None))
         return EXIT_ERROR
-    except HammcertError as e:
+    except (HammcertError, OSError) as e:  # OSError: an output path not writable
         sys.stderr.write(f"error: {e}\n")
         return EXIT_ERROR
 

@@ -291,6 +291,7 @@ def _window_grid(grid: np.ndarray, cci: ConeConstants) -> np.ndarray:
 # Boundary sampling
 
 TRIG_DEGREE = 6
+SAMPLE_PANELS = 128  # sampled states live on this many uniform panels
 
 
 @lru_cache(maxsize=4)
@@ -359,7 +360,7 @@ def _boundary_stack(cc: Sequence[ConeConstants], rho: float, rng: np.random.Gene
 
 
 def sample_cone_boundary(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                         rho: float, seed: int, num_panels: int = 128) -> DiscreteState:
+                         rho: float, seed: int) -> DiscreteState:
     """Draw a state on the cone boundary with ||u|| = rho exactly.
 
     Per component: draw a trig polynomial v, add the smallest constant shift
@@ -367,13 +368,12 @@ def sample_cone_boundary(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     vector so the product norm equals rho (membership is invariant under
     positive scaling).
     """
-    return sample_cone_boundary_rng(spec, cc, rho, np.random.default_rng(seed),
-                                    num_panels)
+    return sample_cone_boundary_rng(spec, cc, rho, np.random.default_rng(seed))
 
 
 def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                             rho: float, rng: np.random.Generator,
-                             num_panels: int = 128, size: int | None = None,
+                             rho: float, rng: np.random.Generator, *,
+                             size: int | None = None,
                              ball: bool = False) -> DiscreteState:
     """``sample_cone_boundary`` from a generator; with ``size``, a stack of
     that many states.  With ``ball``, each state's draws are followed by a
@@ -388,7 +388,7 @@ def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    nodes = np.linspace(0.0, 1.0, num_panels + 1)
+    nodes = np.linspace(0.0, 1.0, SAMPLE_PANELS + 1)
     saved = rng.bit_generator.state
     stack = _boundary_stack(cc, rho, rng, nodes, size or 1, ball)
     if stack is None:

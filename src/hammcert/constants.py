@@ -9,7 +9,8 @@ Everything here realizes a sup/inf over t or s of kernel data:
   integral of k(t,s) over s in [a,b].
 * ``c_tilde(kd, w, env)`` -- largest constant with k(t,s) >= c * Phi0(s)
   on the window, i.e. inf over s of (min over window t of k) / Phi0.
-* ``gamma_c(gamma, w)`` -- (min over window of gamma) / sup|gamma|.
+* ``gamma_c(gamma, w)`` -- (min over window of gamma) / sup|gamma|, with
+  that sup.
 
 Sups and infs are grid scans refined by golden-section search on the
 bracketing triple; results carry the grid resolution and are approximations
@@ -432,8 +433,7 @@ def _kernel_columns(evalf: Callable, kd: KernelDef, ts: np.ndarray,
     return out
 
 
-def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec,
-            quad_cfg: QuadConfig | None = None,
+def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, *,
             opt_cfg: Opt1DConfig | None = None) -> float:
     """Largest c with k(t,s) >= c * Phi0(s) for t in the window.
 
@@ -507,8 +507,10 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec,
     return min(value, 1.0)
 
 
-def gamma_c(gamma, w: Window, opt_cfg: Opt1DConfig | None = None) -> float:
-    """(min over the window of gamma) / sup over [0,1] of |gamma|."""
+def gamma_c(gamma, w: Window,
+            opt_cfg: Opt1DConfig | None = None) -> tuple[float, float]:
+    """(min over the window of gamma) / sup over [0,1] of |gamma|, and that
+    sup."""
     g = lambda t: eval_scalar(gamma, {"t": t})
     sup, _ = sup_abs_1d(g, Window(0.0, 1.0), opt_cfg)
     if sup <= 0.0:
@@ -520,7 +522,7 @@ def gamma_c(gamma, w: Window, opt_cfg: Opt1DConfig | None = None) -> float:
         raise ModelViolationError(
             "C5", f"gamma is not positive on the window [{w.a}, {w.b}] "
             f"(min/sup = {value:.6g} <= 0)")
-    return min(value, 1.0)
+    return min(value, 1.0), sup
 
 
 # ---------------------------------------------------------------------------
@@ -586,22 +588,21 @@ def _overridable(symbol: str, computed: float, declared, *, condition: str) -> C
     return ConstantRecord(symbol, computed, declared, declared)
 
 
-def assemble_cone_constants(spec: "ProblemSpec",
-                            quad_cfg: QuadConfig | None = None,
-                            opt_cfg: Opt1DConfig | None = None) -> tuple[ConeConstants, ...]:
-    """Compute every constant for every component of the problem.
+def assemble_cone_constants(spec: "ProblemSpec") -> tuple[ConeConstants, ...]:
+    """Compute every constant for every component of the problem, under
+    the spec's quadrature (``spec.quad``) and search (``spec.opt``) settings.
 
     Declared overrides from the configuration are honored for c-type
     constants when consistent; integral norms and gamma sups are always the
     computed values, with discrepancy flags when a declaration disagrees.
-    Results are cached per (spec, configs); the computation is pure.
+    Results are cached per spec; the computation is pure.
     """
-    return _assemble_cached(spec, quad_cfg or spec.quad, opt_cfg or spec.opt)
+    return _assemble_cached(spec)
 
 
 @lru_cache(maxsize=8)
-def _assemble_cached(spec: "ProblemSpec", quad_cfg: QuadConfig,
-                     opt_cfg: Opt1DConfig) -> tuple[ConeConstants, ...]:
+def _assemble_cached(spec: "ProblemSpec") -> tuple[ConeConstants, ...]:
+    quad_cfg, opt_cfg = spec.quad, spec.opt
     out = []
     for i, comp in enumerate(spec.components, start=1):
         kd = comp.kernel
@@ -611,18 +612,16 @@ def _assemble_cached(spec: "ProblemSpec", quad_cfg: QuadConfig,
         unset = (None,) * len(comp.gammas)
 
         records: dict[str, ConstantRecord] = {}
-        ct = c_tilde(kd, w, comp.envelope, quad_cfg, opt_cfg)
+        ct = c_tilde(kd, w, comp.envelope, opt_cfg=opt_cfg)
         records["c_tilde"] = _overridable(f"c~_{i}", ct, decl.get("c_tilde"),
                                           condition="C2")
         for j, (term, d_cg, d_gs, d_dgs) in enumerate(zip(
                 comp.gammas, decl.get("c_gamma", unset), decl.get("gamma_sup", unset),
                 decl.get("dgamma_sup", unset))):
             ij = f"{i},{j + 1}"
-            cg = gamma_c(term.gamma.gamma, w, opt_cfg)
+            cg, gsup = gamma_c(term.gamma.gamma, w, opt_cfg)
             records[f"c_gamma[{j}]"] = _overridable(f"c_{{{ij}}}", cg, d_cg,
                                                     condition="C5")
-            gsup, _ = sup_abs_1d(lambda t: eval_scalar(term.gamma.gamma, {"t": t}),
-                                 Window(0.0, 1.0), opt_cfg)
             records[f"gamma_sup[{j}]"] = _informational(
                 f"||gamma_{{{ij}}}||_inf", gsup, d_gs)
             dsup, _ = sup_abs_1d(lambda t: eval_scalar(term.gamma.dgamma, {"t": t}),
@@ -653,12 +652,12 @@ def _assemble_cached(spec: "ProblemSpec", quad_cfg: QuadConfig,
     return tuple(out)
 
 
-def _validate_phi1(kd: KernelDef, phi1, comp_index: int, grid: int = 401) -> None:
+def _validate_phi1(kd: KernelDef, phi1, comp_index: int) -> None:
     """A declared dk-majorant must dominate |dk/dt| on a dense grid (C3);
     the band around the moving jump s = t is not excluded because both
     one-sided values stay below any valid majorant."""
-    ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, grid)
-    ts = np.linspace(0.0, 1.0, grid + 1)
+    ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, 401)
+    ts = np.linspace(0.0, 1.0, 402)
     dk_max = _kernel_columns(eval_dk, kd, ts, ss, np.maximum, absolute=True)
     phi = np.broadcast_to(np.asarray(eval_scalar(phi1, {"s": ss}), dtype=float),
                           ss.shape)
@@ -670,17 +669,16 @@ def _validate_phi1(kd: KernelDef, phi1, comp_index: int, grid: int = 401) -> Non
                   f"|dk/dt| by {gap:.3e}")
 
 
-def _kernel_nonneg_on_window(kd: KernelDef, w: Window, grid: int = 201) -> bool:
-    ts = _grid_with(kd.fixed_breakpoints, w.a, w.b, grid)
-    ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, grid)
+def _kernel_nonneg_on_window(kd: KernelDef, w: Window) -> bool:
+    ts = _grid_with(kd.fixed_breakpoints, w.a, w.b, 201)
+    ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, 201)
     return bool(_kernel_columns(eval_k, kd, ts, ss, np.minimum).min() >= -1e-12)
 
 
-def constants_report(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                     opt_cfg: Opt1DConfig | None = None) -> dict:
+def constants_report(spec: "ProblemSpec", cc: Sequence[ConeConstants]) -> dict:
     """JSON-ready report listing every constant with computed value, declared
-    value, the value certificates will use, and discrepancy flags."""
-    opt_cfg = opt_cfg or spec.opt
+    value, the value certificates will use, and discrepancy flags; the grid
+    resolution is that of ``spec.opt``."""
     components = []
     for i, (comp, cci) in enumerate(zip(spec.components, cc), start=1):
         entry = {
@@ -696,7 +694,7 @@ def constants_report(spec: "ProblemSpec", cc: Sequence[ConeConstants],
         for key, rec in sorted(cci.records.items()) if rec.flags
     ]
     return {
-        "grid_resolution": 1.0 / opt_cfg.coarse_grid,
+        "grid_resolution": 1.0 / spec.opt.coarse_grid,
         "notes": [RECIP_M_READING_NOTE],
         "components": components,
         "discrepancies": flags,

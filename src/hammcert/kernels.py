@@ -103,16 +103,16 @@ def s_breakpoints(kd: KernelDef, t: float) -> list[float]:
 # ---------------------------------------------------------------------------
 # Validation
 
-def validate_kernel_derivative(kd: KernelDef, tol: float = 1e-6,
-                               grid: int = 48, h: float = 1e-5) -> None:
+def validate_kernel_derivative(kd: KernelDef) -> None:
     """Check dk_dt against a central t-finite-difference of k.
 
-    Sampled on a grid that excludes a band of width 1e-4 around the moving
-    breakpoint s = t and each fixed breakpoint (jumps are allowed there by
-    condition C3).  Raises ModelViolationError on mismatch.
+    Sampled on a 48 x 49 grid that excludes a band of width 1e-4 around the
+    moving breakpoint s = t and each fixed breakpoint (jumps are allowed
+    there by condition C3).  Raises ModelViolationError on mismatch.
     """
-    ts = np.linspace(2 * h, 1.0 - 2 * h, grid)
-    ss = np.linspace(0.0, 1.0, grid + 1)
+    h = 1e-5  # central-difference step
+    ts = np.linspace(2 * h, 1.0 - 2 * h, 48)
+    ss = np.linspace(0.0, 1.0, 49)
     T, S = np.meshgrid(ts, ss, indexing="ij")
     mask = np.ones_like(T, dtype=bool)
     if kd.moving_breakpoint:
@@ -126,31 +126,32 @@ def validate_kernel_derivative(kd: KernelDef, tol: float = 1e-6,
     err = np.abs(np.asarray(fd) - dk)
     scale = np.maximum(1.0, np.abs(dk))
     worst = np.argmax(err / scale)
-    if err.flat[worst] > tol * scale.flat[worst]:
+    if err.flat[worst] > 1e-6 * scale.flat[worst]:
         raise ModelViolationError(
             "C3",
             f"dk_dt disagrees with the finite difference of k by "
             f"{err.flat[worst]:.3e} at (t,s)=({T.flat[worst]:.6f},{S.flat[worst]:.6f})")
 
 
-def validate_gamma_derivative(gd: GammaDef, tol: float = 1e-6,
-                              grid: int = 101, h: float = 1e-5) -> None:
-    """Check dgamma against a central finite difference of gamma (C5)."""
-    ts = np.linspace(2 * h, 1.0 - 2 * h, grid)
+def validate_gamma_derivative(gd: GammaDef) -> None:
+    """Check dgamma against a central finite difference of gamma (C5), on
+    101 points."""
+    h = 1e-5  # central-difference step
+    ts = np.linspace(2 * h, 1.0 - 2 * h, 101)
     fd = (eval_scalar(gd.gamma, {"t": ts + h}) - eval_scalar(gd.gamma, {"t": ts - h})) / (2 * h)
     dg = np.broadcast_to(np.asarray(eval_scalar(gd.dgamma, {"t": ts}), dtype=float), ts.shape)
     err = np.abs(np.asarray(fd) - dg)
     scale = np.maximum(1.0, np.abs(dg))
     worst = np.argmax(err / scale)
-    if err.flat[worst] > tol * scale.flat[worst]:
+    if err.flat[worst] > 1e-6 * scale.flat[worst]:
         raise ModelViolationError(
             "C5",
             f"dgamma disagrees with the finite difference of gamma by "
             f"{err.flat[worst]:.3e} at t={ts[worst]:.6f}")
 
 
-def validate_envelope_nonnegative(phi: ScalarExpr, grid: int = 2001) -> None:
-    ss = np.linspace(0.0, 1.0, grid)
+def validate_envelope_nonnegative(phi: ScalarExpr) -> None:
+    ss = np.linspace(0.0, 1.0, 2001)
     vals = np.broadcast_to(np.asarray(eval_scalar(phi, {"s": ss}), dtype=float), ss.shape)
     j = int(np.argmin(vals))
     if vals[j] < 0.0:

@@ -169,6 +169,8 @@ def load_config(path) -> ProblemSpec:
         raise ConfigError(str(path), "config file does not exist")
     try:
         doc = json.loads(p.read_text())
+    except OSError as e:  # a directory, or a file that cannot be read
+        raise ConfigError(str(path), f"cannot read the config file: {e}") from None
     except ValueError as e:  # JSONDecodeError, or an integer literal too long to read
         raise ConfigError(str(path), f"not valid JSON: {e}") from None
     return spec_from_dict(doc)

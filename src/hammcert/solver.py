@@ -39,7 +39,7 @@ from .constants import ConeConstants
 from .errors import (ConfigError, EvalDomainError, ModelViolationError,
                      QuadratureError)
 from .expr import _SharedPass, eval_functional, eval_scalar
-from .quad import QuadConfig, first_pass_layout
+from .quad import first_pass_layout
 
 if TYPE_CHECKING:
     from .problem import Params, ProblemSpec
@@ -67,9 +67,10 @@ class SolverConfig:
 
 
 class _NystromOperator:
-    """Precomputed kernel matrices for a fixed node count and Gauss order."""
+    """Precomputed kernel matrices for a fixed node count, under the spec's
+    quadrature settings."""
 
-    def __init__(self, spec: "ProblemSpec", num_panels: int, gauss_order: int):
+    def __init__(self, spec: "ProblemSpec", num_panels: int):
         from .kernels import eval_dk, eval_k  # local to avoid import noise
 
         self.spec = spec
@@ -82,10 +83,10 @@ class _NystromOperator:
                         f"fixed breakpoint {bp} does not coincide with a node of the "
                         f"uniform {num_panels}-panel grid; choose a node count that "
                         "contains every kernel breakpoint")
-        self.nodes, self.gauss_order = nodes, gauss_order
+        self.nodes = nodes
         self.functionals = tuple(fx for comp in spec.components
                                  for fx in (comp.w, *(term.h for term in comp.gammas)))
-        layout = first_pass_layout(0.0, 1.0, nodes[1:-1], gauss_order)
+        layout = first_pass_layout(0.0, 1.0, nodes[1:-1], spec.quad.gauss_order)
         self.pts, self.wts = layout.whole_points.ravel(), layout.whole_weights.ravel()
         self.k_val = []
         self.k_der = []
@@ -104,13 +105,12 @@ class _NystromOperator:
                 eval_scalar(g.gamma.dgamma, {"t": nodes}), dtype=float), nodes.shape)
                 for g in comp.gammas])
 
-    def apply(self, u: DiscreteState, params: "Params",
-              quad: QuadConfig) -> DiscreteState:
+    def apply(self, u: DiscreteState, params: "Params") -> DiscreteState:
         spec = self.spec
-        n = spec.n
+        n, quad = spec.n, spec.quad
         shared = _SharedPass(u, quad, self.functionals)
         # the int atoms of a state on these nodes integrate over the same arrays
-        layout = first_pass_layout(0.0, 1.0, self.nodes[1:-1], self.gauss_order)
+        layout = first_pass_layout(0.0, 1.0, self.nodes[1:-1], quad.gauss_order)
         uq, duq = (a[0].reshape(u.n, -1) for a in shared.at(layout.whole_points))
         values = np.zeros((n, self.nodes.size))
         derivs = np.zeros_like(values)
@@ -145,8 +145,8 @@ class _NystromOperator:
 
 
 @lru_cache(maxsize=8)
-def _operator(spec: "ProblemSpec", num_panels: int, gauss_order: int) -> _NystromOperator:
-    return _NystromOperator(spec, num_panels, gauss_order)
+def _operator(spec: "ProblemSpec", num_panels: int) -> _NystromOperator:
+    return _NystromOperator(spec, num_panels)
 
 
 def _effective_params(spec: "ProblemSpec", params: "Params | None") -> "Params":
@@ -156,20 +156,17 @@ def _effective_params(spec: "ProblemSpec", params: "Params | None") -> "Params":
     return Params.from_spec(spec)
 
 
-def apply_T(spec: "ProblemSpec", u: DiscreteState,
-            quad: QuadConfig | None = None,
+def apply_T(spec: "ProblemSpec", u: DiscreteState, *,
             params: "Params | None" = None) -> DiscreteState:
-    """One application of the integral operator to a discrete state."""
-    quad = quad or spec.quad
-    op = _operator(spec, u.num_panels, quad.gauss_order)
-    return op.apply(u, _effective_params(spec, params), quad)
+    """One application of the integral operator to a discrete state, under
+    the spec's quadrature settings."""
+    return _operator(spec, u.num_panels).apply(u, _effective_params(spec, params))
 
 
-def residual(spec: "ProblemSpec", u: DiscreteState,
-             quad: QuadConfig | None = None,
+def residual(spec: "ProblemSpec", u: DiscreteState, *,
              params: "Params | None" = None) -> float:
     """Discrete C1 norm of T(u) - u."""
-    Tu = apply_T(spec, u, quad, params)
+    Tu = apply_T(spec, u, params=params)
     diff = DiscreteState(u.nodes, Tu.values - u.values,
                          Tu.derivatives - u.derivatives)
     return c1_norm(diff).overall
@@ -216,25 +213,25 @@ class SolveReport:
 
 STAGNATION_WINDOW = 50
 STAGNATION_FACTOR = 0.99  # less than 1% reduction over the window
+MEMBERSHIP_SLACK = 1e-9  # cone-membership slack of the solved state
 
 
-def solve_fixed_point(spec: "ProblemSpec", cfg: SolverConfig | None = None,
-                      quad: QuadConfig | None = None,
+def solve_fixed_point(spec: "ProblemSpec", *,
                       params: "Params | None" = None,
                       cc: Sequence[ConeConstants] | None = None,
                       rho_interval: tuple[float, float] | None = None,
-                      initial_state: DiscreteState | None = None,
-                      membership_slack: float = 1e-9) -> SolveReport:
-    """Damped Picard iteration u <- (1-alpha) u + alpha T(u).
+                      initial_state: DiscreteState | None = None) -> SolveReport:
+    """Damped Picard iteration u <- (1-alpha) u + alpha T(u), under the
+    spec's solver (``spec.solver``) and quadrature settings.
 
-    Stops when the C1 residual meets cfg.tol; on stagnation the damping is
-    halved once, after which a second stagnation ends the run unconverged.
+    Stops when the C1 residual meets the solver's tol; on stagnation the
+    damping is halved once, after which a second stagnation ends the run
+    unconverged.
     When cone constants are supplied the report carries the membership
     verdict of the final state, and with ``rho_interval`` the localization
     verdict rho1 <= ||u|| <= rho2.
     """
-    cfg = cfg or spec.solver
-    quad = quad or spec.quad
+    cfg = spec.solver
     params = _effective_params(spec, params)
     if initial_state is not None:
         u = initial_state
@@ -252,7 +249,7 @@ def solve_fixed_point(spec: "ProblemSpec", cfg: SolverConfig | None = None,
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         try:
-            Tu = apply_T(spec, u, quad, params)
+            Tu = apply_T(spec, u, params=params)
         except (EvalDomainError, QuadratureError) as e:
             # blow-up of a diverging iteration is a numerical outcome,
             # not a crash; model violations still propagate
@@ -284,7 +281,7 @@ def solve_fixed_point(spec: "ProblemSpec", cfg: SolverConfig | None = None,
         notes.append(f"not converged: residual {res:.3e} > tol {cfg.tol:.1e}")
     else:
         # independent recomputation; must reproduce the reported residual
-        res_check = residual(spec, u, quad, params)
+        res_check = residual(spec, u, params=params)
         if abs(res_check - res) > 1e-12:
             notes.append(f"residual recheck drifted: {res_check!r} vs {res!r}")
         res = res_check
@@ -293,7 +290,7 @@ def solve_fixed_point(spec: "ProblemSpec", cfg: SolverConfig | None = None,
     membership = None
     constants_used = None
     if cc is not None:
-        membership = cone_membership(u, cc, membership_slack)
+        membership = cone_membership(u, cc, MEMBERSHIP_SLACK)
         constants_used = {cci.record("c").symbol: cci.c for cci in cc}
     localization = None
     if rho_interval is not None:

@@ -7,6 +7,7 @@ against an independent brute-force oracle computed in-test.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_criterion_1_constants_reproduction():
                       Window(0, 1))[0] == pytest.approx(0.75, abs=1e-12)
     assert sup_abs_1d(lambda t: hc.eval_scalar(g21, {"t": t}),
                       Window(0, 1))[0] == pytest.approx(0.9, abs=1e-12)
-    assert gamma_c(g21, Window(0, 0.5)) == pytest.approx(4 / 9, abs=1e-9)
+    assert gamma_c(g21, Window(0, 0.5))[0] == pytest.approx(4 / 9, abs=1e-9)
     phi2 = EnvelopeSpec("declared", parse_expr("1 - s", ENVELOPE_CONTEXT))
     assert c_tilde(k2, Window(0, 0.5), phi2) == pytest.approx(0.4, abs=1e-3)
     assert recip_m(k2, 1) == pytest.approx(1.0, abs=1e-9)
@@ -139,7 +140,7 @@ def test_criterion_6_full_example_solve(example_spec, example_cc):
     assert cone_membership(rep.state, example_cc, slack=1e-9).member
     assert rep.norms.overall <= 1.0
     assert rep.norms.overall > 0.0
-    rep2 = solve_fixed_point(example_spec, cfg=hc.SolverConfig(nodes=256),
+    rep2 = solve_fixed_point(replace(example_spec, solver=hc.SolverConfig(nodes=256)),
                              cc=example_cc)
     assert rep2.converged
     diff = float(np.max(np.abs(rep2.state.values[:, ::2] - rep.state.values)))

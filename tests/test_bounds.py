@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -110,7 +111,7 @@ class TestEstimate:
         spec = single_component_spec(
             "example-k1", w="2", envelope={"phi0": "3/4"},
             gammas=[{"gamma": "example-gamma11", "eta": 0.0, "h": "1"}])
-        cc = hc.assemble_cone_constants(spec, opt_cfg=hc.Opt1DConfig(coarse_grid=256))
+        cc = hc.assemble_cone_constants(replace(spec, opt=hc.Opt1DConfig(coarse_grid=256)))
         est = estimate_ranges(spec, cc, 1.0, samples=50, seed=2)
         assert est["w"][0]["min"] == est["w"][0]["max"] == 2.0
         assert est["h"][0][0]["min"] == est["h"][0][0]["max"] == 1.0
@@ -246,7 +247,7 @@ def mixed_degenerate():
     comp.pop("declared")
     doc.pop("bounds")
     spec = hc.spec_from_dict(doc)
-    cc = hc.assemble_cone_constants(spec, opt_cfg=hc.Opt1DConfig(coarse_grid=256))
+    cc = hc.assemble_cone_constants(replace(spec, opt=hc.Opt1DConfig(coarse_grid=256)))
     assert cc[0].c < 1.0 and cc[1].c == 1.0
     return spec, cc
 
@@ -302,7 +303,7 @@ def test_stack_error_is_the_first_samples_error():
     spec = single_component_spec(
         "example-k1", envelope={"phi0": "3/4"},
         w="val(1, 3/5) - 1/100 + 0*int(sqrt(u1 + 1/250))")
-    cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
+    cc = hc.assemble_cone_constants(replace(spec, opt=FAST_OPT))
     assert bounds.STACK >= 6
     layout = [[(spec.components[0].w, "C8")]]
     with pytest.raises(hc.EvalDomainError, match="sqrt of a negative value"):

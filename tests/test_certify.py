@@ -148,7 +148,7 @@ class TestI0:
                     "moving_breakpoint": False},
             window=(0, 1), lam=4.0,
             gammas=[])
-        cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
+        cc = hc.assemble_cone_constants(dataclasses.replace(spec, opt=FAST_OPT))
         assert cc[0].record("c_tilde").used == 1.0
         assert cc[0].record("recip_M").used == 1.0
         db = DeclaredBounds(1.0, (ComponentBounds(delta_tilde=0.25, h=()),))
@@ -328,7 +328,7 @@ class TestSweep:
             kernel={"k": "1", "dk_dt": "0*t", "breakpoints": [],
                     "moving_breakpoint": False},
             window=(0, 1), lam=1.0, gammas=[])
-        cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
+        cc = hc.assemble_cone_constants(dataclasses.replace(spec, opt=FAST_OPT))
         db1 = DeclaredBounds(0.5, (ComponentBounds(f_lo=1.0, h=()),))
         db2 = DeclaredBounds(1.0, (ComponentBounds(
             f_hi=0.1, f_lo=1.0, xi_tilde=0.05, h=()),))
@@ -355,7 +355,7 @@ class TestSweep:
             "k": "1/4 + pos(1/2 - s) - pos(t - s)", "dk_dt": "-step(t - s)",
             "breakpoints": ["1/3", "1/2"], "moving_breakpoint": True}
         spec = hc.spec_from_dict(doc)
-        cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
+        cc = hc.assemble_cone_constants(dataclasses.replace(spec, opt=FAST_OPT))
         sweep_without_zero_state(spec, cc)
         with pytest.raises(ConfigError, match="does not coincide with a node of "
                                               "the uniform 128-panel grid"):

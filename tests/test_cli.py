@@ -413,6 +413,21 @@ class TestBadFlags:
         assert capsys.readouterr().err == \
             f"error: {name}: sets the same parameter as axis {prior!r}\n"
 
+    @pytest.mark.parametrize("argv", [
+        lambda tmp: ["constants", str(tmp)],
+        lambda tmp: ["constants", CFG, "--out", str(tmp / "nodir" / "x.json")],
+        lambda tmp: ["solve", CFG, "--solution-csv", str(tmp / "nodir" / "s.csv")],
+        lambda tmp: ["falsify", CFG, "--rho", "1", "--samples", "2",
+                     "--witness-dir", str(tmp / "file")],
+        lambda tmp: [*SWEEP, "--axis", "lambda1:0:0.1:3", "--i0", "1",
+                     "--csv", str(tmp / "nodir" / "t.csv")],
+    ], ids=["config-dir", "out", "solution-csv", "witness-dir", "sweep-csv"])
+    def test_file_errors_exit_one(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        assert main(argv(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 @pytest.mark.parametrize("axis,pairs,nonexistence", [
     ("lambda1:0:0.1:3", ["lambda2=3"], False),

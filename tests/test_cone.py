@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ class TestSampler:
             kernel={"k": "1", "dk_dt": "0*t", "breakpoints": [],
                     "moving_breakpoint": False},
             window=(0, 1), gammas=[])
-        cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
+        cc = hc.assemble_cone_constants(replace(spec, opt=FAST_OPT))
         assert cc[0].c == pytest.approx(1.0, abs=1e-12)
         u = sample_cone_boundary(spec, cc, 1.0, seed=3)
         assert np.ptp(u.values[0]) == 0.0 and np.all(u.values[0] > 0)

@@ -183,15 +183,15 @@ class TestCTilde:
 
 class TestGammaC:
     def test_gamma21(self):
-        assert gamma_c(G21, Window(0, 0.5)) == pytest.approx(4 / 9, abs=1e-9)
+        assert gamma_c(G21, Window(0, 0.5))[0] == pytest.approx(4 / 9, abs=1e-9)
 
     def test_gamma11_tight_exceeds_declared(self):
         # tight value is 1/2; the bundled config conservatively declares 1/3
-        assert gamma_c(G11, Window(0, 0.375)) == pytest.approx(0.5, abs=1e-9)
+        assert gamma_c(G11, Window(0, 0.375))[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_constant_gamma(self):
         one = parse_expr("1", BOUNDARY_CONTEXT)
-        assert gamma_c(one, Window(0.1, 0.9), FAST_OPT) == 1.0
+        assert gamma_c(one, Window(0.1, 0.9), FAST_OPT)[0] == 1.0
 
     def test_sign_failure(self):
         neg = parse_expr("t - 1/2", BOUNDARY_CONTEXT)
@@ -254,7 +254,7 @@ class TestAssembly:
                     "moving_breakpoint": False},
             window=(0, 1),
             gammas=[{"gamma": "1", "dgamma": "0*t", "eta": 1.0, "h": "val(1,0)"}])
-        cc = hc.assemble_cone_constants(spec, opt_cfg=FAST_OPT)
+        cc = hc.assemble_cone_constants(dataclasses.replace(spec, opt=FAST_OPT))
         assert cc[0].record("c_tilde").used == pytest.approx(1.0, abs=1e-12)
         assert cc[0].record("c_gamma[0]").used == pytest.approx(1.0, abs=1e-12)
         assert cc[0].c == pytest.approx(1.0, abs=1e-12)
@@ -272,7 +272,7 @@ class TestAssembly:
         }
         bad = hc.spec_from_dict({"n": 1, "components": [doc_comp]})
         with pytest.raises(ConfigError, match="exceeds the computed"):
-            hc.assemble_cone_constants(bad, opt_cfg=FAST_OPT)
+            hc.assemble_cone_constants(dataclasses.replace(bad, opt=FAST_OPT))
 
     def test_declared_phi1_validated(self):
         doc_comp = {
@@ -283,10 +283,10 @@ class TestAssembly:
         }
         bad = hc.spec_from_dict({"n": 1, "components": [doc_comp]})
         with pytest.raises(ModelViolationError, match="Phi1"):
-            hc.assemble_cone_constants(bad, opt_cfg=FAST_OPT)
+            hc.assemble_cone_constants(dataclasses.replace(bad, opt=FAST_OPT))
         doc_comp["envelope"]["phi1"] = "1"
         good = hc.spec_from_dict({"n": 1, "components": [doc_comp]})
-        hc.assemble_cone_constants(good, opt_cfg=FAST_OPT)
+        hc.assemble_cone_constants(dataclasses.replace(good, opt=FAST_OPT))
 
     def test_report_shape(self, example_spec, example_cc):
         rep = hc.constants_report(example_spec, example_cc)

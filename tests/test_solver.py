@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -111,7 +111,7 @@ class TestSolve:
         assert again == pytest.approx(example_solution.residual, abs=1e-12)
 
     def test_nystrom_consistency(self, example_spec, example_cc, example_solution):
-        rep2 = solve_fixed_point(example_spec, cfg=SolverConfig(nodes=256),
+        rep2 = solve_fixed_point(replace(example_spec, solver=SolverConfig(nodes=256)),
                                  cc=example_cc)
         assert rep2.converged
         diff = np.max(np.abs(rep2.state.values[:, ::2] - example_solution.state.values))
@@ -135,7 +135,7 @@ class TestSolve:
             "example-k1", lam=200.0, f="exp(u1)*w", w="1",
             envelope={"phi0": "3/4"})
         cfg = SolverConfig(max_iterations=120)
-        rep = solve_fixed_point(spec, cfg=cfg)
+        rep = solve_fixed_point(replace(spec, solver=cfg))
         assert not rep.converged
         assert any("not converged" in n for n in rep.notes)
         assert np.isfinite(rep.residual) or rep.residual == np.inf
@@ -146,7 +146,7 @@ class TestSolve:
         spec = single_component_spec(
             "example-k1", lam=200.0, f="1 + pos(u1)", w="1",
             envelope={"phi0": "3/4"})
-        rep = solve_fixed_point(spec, cfg=SolverConfig(max_iterations=115))
+        rep = solve_fixed_point(replace(spec, solver=SolverConfig(max_iterations=115)))
         assert not rep.converged
         assert any("damping halved" in n for n in rep.notes)
         assert rep.damping_final == pytest.approx(0.25)
@@ -267,10 +267,10 @@ def ref_apply(op, u, params, quad):
 
 
 def assert_same_image(spec, u, params, quad=None):
-    quad = quad or spec.quad
-    op = solver._operator(spec, u.num_panels, quad.gauss_order)
-    got = apply_T(spec, u, quad, params)
-    ref = ref_apply(op, u, params, quad)
+    spec = replace(spec, quad=quad or spec.quad)
+    op = solver._operator(spec, u.num_panels)
+    got = apply_T(spec, u, params=params)
+    ref = ref_apply(op, u, params, spec.quad)
     assert got.nodes.tobytes() == ref.nodes.tobytes()
     assert state_digest(got) == state_digest(ref)
     return state_digest(got)
@@ -339,7 +339,7 @@ class TestSplitOperatorOracle:
             "example-k1", f="w", w="1/int(u1^2)", envelope={"phi0": "3/4"},
             gammas=[{"gamma": "example-gamma11", "eta": 0.5,
                      "h": "val(1, 1/2)^2 + 1"}])
-        op = solver._operator(spec, 128, spec.quad.gauss_order)
+        op = solver._operator(spec, 128)
         z = zero_state(1, 128)
         base = Params.from_spec(spec)
         lambdas = SweepAxis("lambda1", 0.0, 0.1, 5).grid().tolist()
@@ -414,7 +414,5 @@ class TestSpecHash:
     def test_equal_specs_share_cache_entries(self, example_cc):
         a = hc.load_config(hc.example_config_path())
         b = hc.load_config(hc.example_config_path())
-        assert solver._operator(a, 128, a.quad.gauss_order) is \
-            solver._operator(b, 128, b.quad.gauss_order)
-        assert constants._assemble_cached(a, a.quad, a.opt) is \
-            constants._assemble_cached(b, b.quad, b.opt)
+        assert solver._operator(a, 128) is solver._operator(b, 128)
+        assert constants._assemble_cached(a) is constants._assemble_cached(b)
