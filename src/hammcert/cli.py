@@ -203,6 +203,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     spec, params, cfg_hash = _load(args)
+    if args.seed is not None and args.seed < 0:
+        raise HammcertError(f"bad --seed {args.seed}; expected an integer >= 0")
     seed = args.seed if args.seed is not None else spec.seed
 
     if args.command == "constants":
@@ -255,8 +257,8 @@ def _dispatch(args) -> int:
 
     if args.command == "estimate":
         _check_samples(args.samples)
-        if not args.rho > 0:
-            raise HammcertError(f"bad --rho {args.rho!r}; expected a positive number")
+        if not 0 < args.rho < math.inf:
+            raise HammcertError(f"bad --rho {args.rho!r}; expected a finite number > 0")
         cc = assemble_cone_constants(spec)
         report = estimate_ranges(spec, cc, args.rho, args.samples, seed)
         report["config_hash"] = cfg_hash

@@ -13,15 +13,18 @@ number or a constant DSL string (so values like ``1/(1+e)`` are exact as
 written).
 
 Validation is front-loaded: every failure names the offending key path and,
-where applicable, the violated model condition (C1..C8, see README).
+where applicable, the violated model condition (C1..C8, see README).  An
+unknown key at any level of the document is rejected, not ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .bounds import ComponentBounds, DeclaredBounds, HBounds
 from .constants import Opt1DConfig, Window
@@ -167,13 +170,35 @@ def load_config(path) -> ProblemSpec:
     p = Path(path)
     if not p.exists():
         raise ConfigError(str(path), "config file does not exist")
-    try:
+    # OSError: a directory, or a file that cannot be read; ValueError: not
+    # JSON, or an integer literal too long to read
+    with _at(str(path), ValueError, text="not valid JSON: {}"), \
+            _at(str(path), OSError, text="cannot read the config file: {}"):
         doc = json.loads(p.read_text())
-    except OSError as e:  # a directory, or a file that cannot be read
-        raise ConfigError(str(path), f"cannot read the config file: {e}") from None
-    except ValueError as e:  # JSONDecodeError, or an integer literal too long to read
-        raise ConfigError(str(path), f"not valid JSON: {e}") from None
     return spec_from_dict(doc)
+
+
+@contextmanager
+def _at(key_path: str, *errors, text: str = "{}"):
+    """Re-raise the listed errors of the block (ValueError if none are
+    listed) as ConfigError(key_path, text.format(error)); any other error,
+    a nested ConfigError included, passes through."""
+    try:
+        yield
+    except errors or ValueError as e:
+        raise ConfigError(key_path, text.format(e)) from None
+
+
+def _object(doc, key_path: str, keys, what: str) -> dict:
+    """doc, checked to be a JSON object (else ConfigError(key_path, what))
+    with no key outside ``keys``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(key_path, what)
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(key if key_path == "<root>" else f"{key_path}.{key}",
+                              f"unknown key; expected one of {sorted(keys)}")
+    return doc
 
 
 def _const(doc, key_path, default=None, required=False):
@@ -182,10 +207,8 @@ def _const(doc, key_path, default=None, required=False):
         if required:
             raise ConfigError(key_path, "missing required value")
         return default
-    try:
+    with _at(key_path, DslSyntaxError, EvalDomainError, text="bad constant expression: {}"):
         value = parse_constant(value, key_path)
-    except (DslSyntaxError, EvalDomainError) as e:
-        raise ConfigError(key_path, f"bad constant expression: {e}") from None
     if not math.isfinite(value):
         raise ConfigError(key_path, f"expected a finite number, got {value}")
     return value
@@ -203,13 +226,23 @@ def _list(doc, key: str, key_path: str) -> list:
     return value
 
 
-def _opt_const(doc: dict, key: str, key_path: str):
-    return _const(doc.get(key), f"{key_path}.{key}") if key in doc else None
+def _opt_const(doc: dict, key: str, key_path: str, default=None):
+    return _const(doc.get(key), f"{key_path}.{key}", default)
+
+
+_ROOT_KEYS = ("n", "components", "bounds", "quad", "opt", "solver", "seed")
+_COMPONENT_KEYS = ("kernel", "window", "lambda", "f", "w", "envelope", "gammas",
+                   "declared")
+_KERNEL_KEYS = ("k", "dk_dt", "breakpoints", "moving_breakpoint")
+_GAMMA_KEYS = ("gamma", "dgamma", "eta", "h")
+_DECLARED_SCALARS = ("c_tilde", "recip_m0", "recip_m1", "recip_M")
+_DECLARED_LISTS = ("c_gamma", "gamma_sup", "dgamma_sup")
+_COMPONENT_BOUNDS_KEYS = tuple(f.name for f in fields(ComponentBounds))
+_H_BOUNDS_KEYS = tuple(f.name for f in fields(HBounds))
 
 
 def spec_from_dict(doc: dict) -> ProblemSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
+    _object(doc, "<root>", _ROOT_KEYS, "config must be a JSON object")
     n = doc.get("n")
     if not _is_int(n):
         raise ConfigError("n", "missing or non-integer component count")
@@ -231,59 +264,49 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
         seen_rho.append(db.rho)
         bounds.append(db)
 
-    quad = _parse_section(doc.get("quad", {}), "quad", QuadConfig, {
-        "gauss_order": int, "rel_tol": float, "abs_tol": float, "max_subdivisions": int})
-    opt = _parse_section(doc.get("opt", {}), "opt", Opt1DConfig, {
-        "coarse_grid": int, "refine_tol": float})
-    solver = _parse_section(doc.get("solver", {}), "solver", SolverConfig, {
-        "nodes": int, "damping": float, "tol": float, "max_iterations": int,
-        "initial": str, "initial_constant": float})
+    quad = _parse_section(doc.get("quad", {}), "quad", QuadConfig)
+    opt = _parse_section(doc.get("opt", {}), "opt", Opt1DConfig)
+    solver = _parse_section(doc.get("solver", {}), "solver", SolverConfig)
 
     seed = doc.get("seed", 0)
     if not _is_int(seed):
         raise ConfigError("seed", "expected a JSON integer")
+    if seed < 0:
+        raise ConfigError("seed", f"expected an integer >= 0, got {seed}")
     return ProblemSpec(n=n, components=components, bounds=tuple(bounds),
                        quad=quad, opt=opt, solver=solver, seed=seed)
 
 
-def _parse_section(doc, key_path, cls, fields):
-    if not isinstance(doc, dict):
-        raise ConfigError(key_path, "expected a JSON object")
+def _parse_section(doc, key_path, cls):
+    """A settings dataclass from its section: each field typed float takes a
+    number or a constant expression, every other field a JSON integer."""
+    hints = get_type_hints(cls)  # the field types, not their postponed strings
+    kinds = {f.name: hints[f.name] for f in fields(cls)}
     kwargs = {}
-    for key, value in doc.items():
+    for key, value in _object(doc, key_path, kinds, "expected a JSON object").items():
         kp = f"{key_path}.{key}"
-        if key not in fields:
-            raise ConfigError(kp, f"unknown key; expected one of {sorted(fields)}")
-        kind = fields[key]
-        if kind is float:
+        if kinds[key] is float:
             kwargs[key] = _const(value, kp, required=True)
-        elif _is_int(value) if kind is int else isinstance(value, kind):
+        elif _is_int(value):
             kwargs[key] = value
         else:
-            raise ConfigError(kp, f"expected a JSON {'integer' if kind is int else 'string'}, "
-                                  f"got {value!r}")
-    try:
+            raise ConfigError(kp, f"expected a JSON integer, got {value!r}")
+    with _at(key_path):
         return cls(**kwargs)
-    except ValueError as e:
-        raise ConfigError(key_path, str(e)) from None
 
 
 def _parse_component(cdoc: dict, i: int, n: int) -> Component:
     kp = f"components[{i}]"
-    if not isinstance(cdoc, dict):
-        raise ConfigError(kp, "expected a JSON object")
+    _object(cdoc, kp, _COMPONENT_KEYS, "expected a JSON object")
 
     kernel = _parse_kernel(cdoc.get("kernel"), f"{kp}.kernel")
 
     win = cdoc.get("window")
     if not (isinstance(win, list) and len(win) == 2):
         raise ConfigError(f"{kp}.window", "expected [a, b]")
-    try:
+    with _at(f"{kp}.window", text="{} (C2 requires a window [a,b] inside [0,1])"):
         window = Window(_const(win[0], f"{kp}.window[0]", required=True),
                         _const(win[1], f"{kp}.window[1]", required=True))
-    except ValueError as e:
-        raise ConfigError(f"{kp}.window", f"{e} (C2 requires a window "
-                                          "[a,b] inside [0,1])") from None
 
     lam = _const(cdoc.get("lambda"), f"{kp}.lambda", required=True)
     if lam < 0:
@@ -292,16 +315,12 @@ def _parse_component(cdoc: dict, i: int, n: int) -> Component:
     f_text = cdoc.get("f")
     if not isinstance(f_text, str):
         raise ConfigError(f"{kp}.f", "missing nonlinearity expression (C4)")
-    try:
+    with _at(f"{kp}.f", DslSyntaxError):
         f = parse_expr(f_text, nonlinearity_context(n))
-    except DslSyntaxError as e:
-        raise ConfigError(f"{kp}.f", str(e)) from None
 
     w_text = cdoc.get("w", "1")
-    try:
+    with _at(f"{kp}.w", DslSyntaxError, text="{} (C8 functional)"):
         w = parse_functional(w_text, n)
-    except DslSyntaxError as e:
-        raise ConfigError(f"{kp}.w", f"{e} (C8 functional)") from None
 
     envelope = _parse_envelope(cdoc.get("envelope", "tight"), f"{kp}.envelope")
 
@@ -311,18 +330,14 @@ def _parse_component(cdoc: dict, i: int, n: int) -> Component:
 
     declared = _parse_declared(cdoc.get("declared", {}), f"{kp}.declared", len(gammas))
 
-    try:
+    with _at(f"{kp}.kernel", ModelViolationError, EvalDomainError):
         validate_kernel_derivative(kernel)
-    except (ModelViolationError, EvalDomainError) as e:
-        raise ConfigError(f"{kp}.kernel", str(e)) from None
     for phi_key, phi in (("phi0", envelope.declared_phi0),
                          ("phi1", envelope.declared_phi1)):
         if phi is None:
             continue
-        try:
+        with _at(f"{kp}.envelope.{phi_key}", ModelViolationError, EvalDomainError):
             validate_envelope_nonnegative(phi)
-        except (ModelViolationError, EvalDomainError) as e:
-            raise ConfigError(f"{kp}.envelope.{phi_key}", str(e)) from None
 
     return Component(kernel=kernel, window=window, lam=lam, f=f, w=w,
                      envelope=envelope, gammas=tuple(gammas),
@@ -331,36 +346,28 @@ def _parse_component(cdoc: dict, i: int, n: int) -> Component:
 
 def _parse_kernel(kdoc, key_path) -> KernelDef:
     if isinstance(kdoc, str):
-        try:
+        with _at(key_path, KeyError):
             return kernel_from_catalog(kdoc)
-        except KeyError as e:
-            raise ConfigError(key_path, str(e)) from None
-    if not isinstance(kdoc, dict):
-        raise ConfigError(key_path, "expected a catalog name or an inline kernel object")
-    try:
+    _object(kdoc, key_path, _KERNEL_KEYS,
+            "expected a catalog name or an inline kernel object")
+    with _at(key_path, DslSyntaxError), \
+            _at(key_path, KeyError, text="missing key {} (C1/C3 require k and dk_dt)"):
         k = parse_expr(kdoc["k"], frozenset({"t", "s"}))
         dk = parse_expr(kdoc["dk_dt"], frozenset({"t", "s"}))
-    except KeyError as e:
-        raise ConfigError(key_path, f"missing key {e} (C1/C3 require k and dk_dt)") from None
-    except DslSyntaxError as e:
-        raise ConfigError(key_path, str(e)) from None
     bps = tuple(sorted(_const(b, f"{key_path}.breakpoints[{j}]", required=True)
                        for j, b in enumerate(_list(kdoc, "breakpoints",
                                                    f"{key_path}.breakpoints"))))
     moving = kdoc.get("moving_breakpoint", True)
     if not isinstance(moving, bool):
         raise ConfigError(f"{key_path}.moving_breakpoint", "expected true or false")
-    try:
+    with _at(f"{key_path}.breakpoints"):
         return KernelDef(k, dk, bps, moving)
-    except ValueError as e:
-        raise ConfigError(f"{key_path}.breakpoints", str(e)) from None
 
 
 def _parse_envelope(edoc, key_path) -> EnvelopeSpec:
     if edoc == "tight":
         return EnvelopeSpec(mode="tight")
-    if not isinstance(edoc, dict):
-        raise ConfigError(key_path, "expected \"tight\" or {\"phi0\": expr}")
+    _object(edoc, key_path, ("phi0", "phi1"), "expected \"tight\" or {\"phi0\": expr}")
     phi0, phi1 = (_parse_envelope_phi(edoc, key, key_path) for key in ("phi0", "phi1"))
     if phi0 is None:
         raise ConfigError(f"{key_path}.phi0", "declared envelope requires phi0 (C2)")
@@ -370,75 +377,62 @@ def _parse_envelope(edoc, key_path) -> EnvelopeSpec:
 def _parse_envelope_phi(edoc: dict, key: str, key_path: str):
     if key not in edoc:
         return None
-    try:
+    with _at(f"{key_path}.{key}", DslSyntaxError, text="{} (C2/C3 envelopes)"):
         return parse_expr(edoc[key], ENVELOPE_CONTEXT)
-    except DslSyntaxError as e:
-        raise ConfigError(f"{key_path}.{key}", f"{e} (C2/C3 envelopes)") from None
 
 
 def _parse_gamma_term(gdoc, key_path, n) -> GammaTerm:
-    if not isinstance(gdoc, dict):
-        raise ConfigError(key_path, "expected a gamma-term object")
+    _object(gdoc, key_path, _GAMMA_KEYS, "expected a gamma-term object")
     gname = gdoc.get("gamma")
     if isinstance(gname, str) and gname.startswith("example-"):
-        try:
+        with _at(f"{key_path}.gamma", KeyError):
             gd = gamma_from_catalog(gname)
-        except KeyError as e:
-            raise ConfigError(f"{key_path}.gamma", str(e)) from None
     else:
-        try:
+        with _at(key_path, DslSyntaxError), \
+                _at(key_path, KeyError, text="missing key {} (C5 requires gamma and dgamma)"):
             gamma = parse_expr(gdoc["gamma"], BOUNDARY_CONTEXT)
             dgamma = parse_expr(gdoc["dgamma"], BOUNDARY_CONTEXT)
-        except KeyError as e:
-            raise ConfigError(key_path, f"missing key {e} (C5 requires gamma and dgamma)") from None
-        except DslSyntaxError as e:
-            raise ConfigError(key_path, str(e)) from None
         gd = GammaDef(gamma, dgamma)
-        try:
+        with _at(f"{key_path}.dgamma", ModelViolationError, EvalDomainError):
             validate_gamma_derivative(gd)
-        except (ModelViolationError, EvalDomainError) as e:
-            raise ConfigError(f"{key_path}.dgamma", str(e)) from None
     eta = _const(gdoc.get("eta"), f"{key_path}.eta", required=True)
     if eta < 0:
         raise ConfigError(f"{key_path}.eta", "negative parameter violates (C6)")
     h_text = gdoc.get("h")
     if not isinstance(h_text, str):
         raise ConfigError(f"{key_path}.h", "missing functional expression (C7)")
-    try:
+    with _at(f"{key_path}.h", DslSyntaxError, text="{} (C7 functional)"):
         h = parse_functional(h_text, n)
-    except DslSyntaxError as e:
-        raise ConfigError(f"{key_path}.h", f"{e} (C7 functional)") from None
     return GammaTerm(gamma=gd, eta=eta, h=h)
 
 
-_DECLARED_SCALARS = ("c_tilde", "recip_m0", "recip_m1", "recip_M")
-_DECLARED_LISTS = ("c_gamma", "gamma_sup", "dgamma_sup")
-
-
 def _parse_declared(ddoc, key_path, n_gammas: int) -> tuple:
-    if not isinstance(ddoc, dict):
-        raise ConfigError(key_path, "expected an object of declared constants")
     items = []
-    for key, value in ddoc.items():
+    for key, value in _object(ddoc, key_path, _DECLARED_SCALARS + _DECLARED_LISTS,
+                              "expected an object of declared constants").items():
         if key in _DECLARED_SCALARS:
             items.append((key, _const(value, f"{key_path}.{key}", required=True)))
-        elif key in _DECLARED_LISTS:
-            if not (isinstance(value, list) and len(value) == n_gammas):
-                raise ConfigError(f"{key_path}.{key}", f"expected a list of one entry per "
-                                                       f"gamma term ({n_gammas})")
-            items.append((key, tuple(_const(v, f"{key_path}.{key}[{j}]", required=True)
-                                     for j, v in enumerate(value))))
-        else:
-            raise ConfigError(f"{key_path}.{key}",
-                              f"unknown declared constant; expected one of "
-                              f"{sorted(_DECLARED_SCALARS + _DECLARED_LISTS)}")
+            continue
+        if not (isinstance(value, list) and len(value) == n_gammas):
+            raise ConfigError(f"{key_path}.{key}", f"expected a list of one entry per "
+                                                   f"gamma term ({n_gammas})")
+        items.append((key, tuple(_const(v, f"{key_path}.{key}[{j}]", required=True)
+                                 for j, v in enumerate(value))))
     return tuple(sorted(items))
+
+
+def _bounds_entry(cls, doc: dict, key_path: str, **given):
+    """cls(**given), each other field read from doc as an optional constant
+    (the field's default where doc omits it or gives null)."""
+    values = {f.name: _opt_const(doc, f.name, key_path, f.default)
+              for f in fields(cls) if f.name not in given}
+    with _at(key_path):
+        return cls(**values, **given)
 
 
 def _parse_bounds_block(bdoc, bi, components) -> DeclaredBounds:
     kp = f"bounds[{bi}]"
-    if not isinstance(bdoc, dict):
-        raise ConfigError(kp, "expected a bounds object")
+    _object(bdoc, kp, ("rho", "components"), "expected a bounds object")
     rho = _const(bdoc.get("rho"), f"{kp}.rho", required=True)
     if rho <= 0:
         raise ConfigError(f"{kp}.rho", "radius must be positive")
@@ -448,8 +442,7 @@ def _parse_bounds_block(bdoc, bi, components) -> DeclaredBounds:
     comp_bounds = []
     for i, (cb, comp) in enumerate(zip(cdocs, components)):
         ckp = f"{kp}.components[{i}]"
-        if not isinstance(cb, dict):
-            raise ConfigError(ckp, "expected an object")
+        _object(cb, ckp, _COMPONENT_BOUNDS_KEYS, "expected an object")
         hdocs = cb.get("h", [{}] * len(comp.gammas))
         if not isinstance(hdocs, list) or len(hdocs) != len(comp.gammas):
             raise ConfigError(f"{ckp}.h", "expected a list of one h-bounds entry per "
@@ -457,27 +450,8 @@ def _parse_bounds_block(bdoc, bi, components) -> DeclaredBounds:
         hb = []
         for j, hdoc in enumerate(hdocs):
             hkp = f"{ckp}.h[{j}]"
-            if not isinstance(hdoc, dict):
-                raise ConfigError(hkp, "expected an object")
-            try:
-                hb.append(HBounds(
-                    lo=_const(hdoc.get("lo", 0.0), f"{hkp}.lo", default=0.0),
-                    hi=_opt_const(hdoc, "hi", hkp),
-                    delta=_opt_const(hdoc, "delta", hkp),
-                    xi=_opt_const(hdoc, "xi", hkp),
-                ))
-            except ValueError as e:
-                raise ConfigError(hkp, str(e)) from None
-        try:
-            comp_bounds.append(ComponentBounds(
-                w_lo=_opt_const(cb, "w_lo", ckp), w_hi=_opt_const(cb, "w_hi", ckp),
-                f_hi=_opt_const(cb, "f_hi", ckp), f_lo=_opt_const(cb, "f_lo", ckp),
-                delta_tilde=_opt_const(cb, "delta_tilde", ckp),
-                xi_tilde=_opt_const(cb, "xi_tilde", ckp),
-                h=tuple(hb)))
-        except ValueError as e:
-            raise ConfigError(ckp, str(e)) from None
-    try:
+            _object(hdoc, hkp, _H_BOUNDS_KEYS, "expected an object")
+            hb.append(_bounds_entry(HBounds, hdoc, hkp))
+        comp_bounds.append(_bounds_entry(ComponentBounds, cb, ckp, h=tuple(hb)))
+    with _at(kp):
         return DeclaredBounds(rho=rho, components=tuple(comp_bounds))
-    except ValueError as e:
-        raise ConfigError(kp, str(e)) from None

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .cone import DiscreteState, MembershipVerdict, StateNorms, c1_norm, \
-    cone_membership, constant_state, zero_state
+    cone_membership, zero_state
 from .constants import ConeConstants
 from .errors import (ConfigError, EvalDomainError, ModelViolationError,
                      QuadratureError)
@@ -54,16 +54,12 @@ class SolverConfig:
     damping: float = 0.5          # alpha in (0, 1]
     tol: float = 1e-10            # residual tolerance in the discrete C1 norm
     max_iterations: int = 10000
-    initial: str = "zero"         # "zero" | "constant"
-    initial_constant: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
         if self.nodes < 8:
             raise ValueError("need at least 8 panels")
-        if self.initial not in ("zero", "constant"):
-            raise ValueError("initial must be 'zero' or 'constant'")
 
 
 class _NystromOperator:
@@ -233,12 +229,7 @@ def solve_fixed_point(spec: "ProblemSpec", *,
     """
     cfg = spec.solver
     params = _effective_params(spec, params)
-    if initial_state is not None:
-        u = initial_state
-    elif cfg.initial == "constant":
-        u = constant_state([cfg.initial_constant] * spec.n, cfg.nodes)
-    else:
-        u = zero_state(spec.n, cfg.nodes)
+    u = initial_state if initial_state is not None else zero_state(spec.n, cfg.nodes)
 
     alpha = cfg.damping
     halved = False

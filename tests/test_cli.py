@@ -368,6 +368,8 @@ BEFORE_ASSEMBLY = [
     (["solve", CFG, "--rho1", "1e-3", "--rho2", "inf"], "bad --rho2 inf"),
     ([*SWEEP, "--axis", "lambda1:0:0.1:3", "--setI", "1", "--setJ", "2"],
      "--setI and --setJ need --nonexistence-rho"),
+    (["falsify", CFG, "--rho", "1", "--samples", "3", "--seed", "-1"], "bad --seed -1"),
+    (["estimate", CFG, "--rho", "inf", "--samples", "2"], "bad --rho inf"),
 ]
 
 

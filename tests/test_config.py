@@ -71,6 +71,14 @@ class TestRejectedAtTheirSource:
             load(doc)
         assert err.value.key == "seed"
 
+    def test_seed_must_not_be_negative(self):
+        # otherwise numpy's default_rng rejects it only after the whole assembly
+        doc = example()
+        doc["seed"] = -1
+        with pytest.raises(hc.ConfigError, match="expected an integer >= 0") as err:
+            load(doc)
+        assert err.value.key == "seed"
+
     @pytest.mark.parametrize("n", [2.5, 2.0, "2", True])
     def test_n_must_be_an_integer(self, n):
         doc = example()
@@ -215,6 +223,36 @@ class TestRejectedAtTheirSource:
         assert err.value.key == key
 
 
+@pytest.mark.parametrize("source,path,old,new,key", [
+    (EXAMPLE, (), "seed", "sede", "sede"),
+    (EXAMPLE, ("components", 0), "envelope", "envelop", "components[0].envelop"),
+    (EXAMPLE, ("components", 1), "w", "W", "components[1].W"),
+    (TIGHT, ("components", 0, "kernel"), "moving_breakpoint", "breakpoint",
+     "components[0].kernel.breakpoint"),
+    (EXAMPLE, ("components", 0, "envelope"), "phi0", "phi_0",
+     "components[0].envelope.phi_0"),
+    (EXAMPLE, ("components", 1, "gammas", 0), "eta", "etaa",
+     "components[1].gammas[0].etaa"),
+    (EXAMPLE, ("bounds", 1), "rho", "rhoo", "bounds[1].rhoo"),
+    (EXAMPLE, ("bounds", 0, "components", 1), "f_hi", "f_hii",
+     "bounds[0].components[1].f_hii"),
+    (EXAMPLE, ("bounds", 0, "components", 0, "h", 0), "delta", "delt",
+     "bounds[0].components[0].h[0].delt"),
+], ids=["root", "component", "component-w", "inline-kernel", "envelope", "gamma-term",
+        "bounds", "bounds-component", "h-bounds"])
+def test_unknown_keys_are_rejected(source, path, old, new, key):
+    # a misspelled key fails at its own path; ignored, it would leave the
+    # key's default in force or report a required key as missing
+    doc = json.loads(json.dumps(source))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent[new] = parent.pop(old)
+    with pytest.raises(hc.ConfigError, match=r"unknown key; expected one of \[") as err:
+        load(doc)
+    assert err.value.key == key
+
+
 # ---------------------------------------------------------------------------
 # Mutated copies of the bundled configurations
 
@@ -248,8 +286,13 @@ def mutated(draw):
         parent = doc
         for step in path[:-1]:
             parent = parent[step]
-        if isinstance(parent, dict) and draw(st.booleans()):
+        action = draw(st.sampled_from(["delete", "rename", "replace"])) \
+            if isinstance(parent, dict) else "replace"
+        if action == "delete":
             del parent[path[-1]]
+        elif action == "rename":  # a misspelled key
+            parent[draw(st.sampled_from([path[-1] + "s", "_" + path[-1],
+                                         path[-1].upper()]))] = parent.pop(path[-1])
         else:
             # a copy, so that no sampled list or object is shared or nested
             parent[path[-1]] = copy.deepcopy(draw(VALUES))

@@ -159,10 +159,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(damping=1.5)
 
-    def test_initial_mode(self):
-        with pytest.raises(ValueError):
-            SolverConfig(initial="random")
-
 
 class TestLocalization:
     def test_inside(self, example_solution):
