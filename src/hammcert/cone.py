@@ -155,10 +155,7 @@ class DiscreteState:
 
     def row(self, k: int) -> "DiscreteState":
         """State k of a stack: views of its arrays, which need no checks."""
-        row = object.__new__(DiscreteState)
-        row.__dict__.update(nodes=self.nodes, values=self.values[k],
-                            derivatives=self.derivatives[k])
-        return row
+        return _unchecked(self.nodes, self.values[k], self.derivatives[k])
 
     @property
     def num_panels(self) -> int:
@@ -218,6 +215,23 @@ class DiscreteState:
         return np.linspace(0.0, 1.0, MONITOR_FACTOR * self.num_panels + 1)
 
 
+def _unchecked(nodes: np.ndarray, values: np.ndarray,
+               derivatives: np.ndarray) -> DiscreteState:
+    """A state built without the checks of ``DiscreteState``, for arrays that
+    pass them: float arrays of matching shapes on the nodes of a checked
+    state."""
+    u = object.__new__(DiscreteState)
+    u.__dict__.update(nodes=nodes, values=values, derivatives=derivatives)
+    return u
+
+
+def _one_state(u: DiscreteState, where: str) -> None:
+    """Reject a stack where one state is expected, naming the function."""
+    if u.stacked:
+        raise ValueError(f"{where} takes one state, not a stack of "
+                         f"{u.values.shape[0]}")
+
+
 def zero_state(n: int, num_panels: int = 128) -> DiscreteState:
     nodes = np.linspace(0.0, 1.0, num_panels + 1)
     z = np.zeros((n, num_panels + 1))
@@ -269,6 +283,7 @@ def cone_membership(u: DiscreteState, cc: Sequence[ConeConstants],
 
     The default slack absorbs interpolation error on the monitoring grid.
     """
+    _one_state(u, "cone_membership")
     if len(cc) != u.n:
         raise ValueError("one ConeConstants record per component required")
     grid = u.monitor_grid()
@@ -414,6 +429,7 @@ def _redrawn(cc, rho, rng, nodes, ball) -> DiscreteState:
 # CSV serialization: columns t, u1, du1, ..., un, dun
 
 def state_to_csv(u: DiscreteState, path) -> None:
+    _one_state(u, "state_to_csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["t"]

@@ -35,7 +35,11 @@ Two kinds of array work run at two sizes.  Elementwise scans -- the coarse
 sign pattern of every s-panel, the c~ grids, the Phi1 check -- run in tiles
 of ``_TILE`` points, so their temporaries stay in cache and are reused from
 the heap; tiles follow row-major order and partial column extrema combine
-exactly, so no value depends on the tile.  Bisection of the sign changes and
+exactly, so no value depends on the tile.  A tile of the sign scan looks for
+exact zeros that straddle a sign change only when it holds an exact zero.
+Scan grids take their extra nodes (breakpoints, the moving s of c~'s inner
+searches) by insertion into the uniform grid, with the nodes and order of
+np.unique of the two.  Bisection of the sign changes and
 the adaptive quadrature run in batches: every bracket of a t-chunk bisected
 together, every panel of a t-chunk integrated together, with t-chunks sized
 by ``_POINT_BUDGET``.
@@ -234,8 +238,8 @@ def extremum_1d(f: Callable, a: float, b: float,
     if mode not in ("min", "max"):
         raise ValueError(mode)
     grid = _grid_with(breakpoints, a, b, cfg.coarse_grid)
-    vals = _values_at(f, grid)
-    if np.any(np.isnan(vals)):
+    vals = _shaped(f(grid), grid.shape)
+    if np.isnan(vals).any():
         raise ModelViolationError("C1", f"NaN while scanning [{a}, {b}]")
     sign = 1.0 if mode == "min" else -1.0
     j = int(np.argmin(sign * vals))
@@ -243,18 +247,19 @@ def extremum_1d(f: Callable, a: float, b: float,
     lo = float(grid[max(j - 1, 0)])
     hi = float(grid[min(j + 1, grid.size - 1)])
     if hi > lo:
-        gx, gv = _golden_min(lambda x: sign * _values_at(f, x), lo, hi, cfg.refine_tol)
+        gx, gv = _golden_min(lambda x: sign * _shaped(f(x), x.shape), lo, hi,
+                             cfg.refine_tol)
         if gv < sign * best_v:
             best_x, best_v = gx, sign * gv
     resolution = (b - a) / cfg.coarse_grid if b > a else 0.0
     return best_v, best_x, resolution
 
 
-def _values_at(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f at the points x as floats of x's shape (f of a constant may give
-    one value)."""
-    v = np.asarray(f(x), dtype=float)
-    return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+def _shaped(v, shape: tuple) -> np.ndarray:
+    """v as floats of the given shape: itself if it has it, else broadcast to
+    it (a function constant in a variable gives fewer values)."""
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == shape else np.broadcast_to(v, shape)
 
 
 def sup_abs_1d(f: Callable, w: Window, cfg: Opt1DConfig | None = None, *,
@@ -266,11 +271,26 @@ def sup_abs_1d(f: Callable, w: Window, cfg: Opt1DConfig | None = None, *,
 
 
 def _grid_with(points: Sequence[float], a: float, b: float, n: int) -> np.ndarray:
+    """The n + 1 points of linspace(a, b) and the points inside (a, b),
+    sorted and distinct (n >= 1): np.unique of the two."""
     grid = np.linspace(a, b, n + 1)
     inner = [p for p in points if a < p < b]
-    if inner:
-        grid = np.unique(np.concatenate((grid, inner)))
-    return grid
+    if not inner:
+        return grid
+    # Inserting the points where they sort gives np.unique's doubles unless
+    # a point is zero (np.unique keeps whichever of 0.0 and -0.0 its sort
+    # puts first) or the nodes lie within 16 ulps of each other (linspace is
+    # within a few ulps of a + i (b - a) / n, so such nodes may coincide)
+    if 0.0 in inner or b - a <= 16 * n * math.ulp(max(abs(a), abs(b))):
+        return np.unique(np.concatenate((grid, inner)))
+    inner.sort()
+    parts, start, last = [], 0, None
+    for i, p in zip(grid.searchsorted(inner).tolist(), inner):
+        if p != last and grid[i] != p:  # a repeat or a point on a node adds none
+            parts += (grid[start:i], [p])
+            start = i
+        last = p
+    return np.concatenate(parts + [grid[start:]]) if parts else grid
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +313,18 @@ def _panel_sign_roots(fn: Callable, rows: np.ndarray, lo: np.ndarray,
     for p in range(0, max(rows.size, 1), step):
         r = rows[p:p + step]
         xs = np.linspace(lo[p:p + step], hi[p:p + step], _SIGN_SCAN + 1, axis=-1)
-        v = np.broadcast_to(np.asarray(fn(r[:, None], xs), dtype=float), xs.shape)
-        zi, zj = np.nonzero((v[:, 1:-1] == 0.0) & (v[:, :-2] * v[:, 2:] < 0.0))
+        v = _shaped(fn(r[:, None], xs), xs.shape)
+        zero = v[:, 1:-1] == 0.0
+        if zero.any():  # most tiles hold no exact zero, and then none straddled
+            zero &= v[:, :-2] * v[:, 2:] < 0.0
+        zi, zj = np.nonzero(zero)
         bi, bj = np.nonzero(v[:, :-1] * v[:, 1:] < 0.0)
         found.append((r[zi], xs[zi, zj + 1], r[bi], xs[bi, bj], xs[bi, bj + 1],
                       v[bi, bj]))
     z_rows, z_roots, b_rows, b_lo, b_hi, f_lo = map(np.concatenate, zip(*found))
     for _ in range(48 if b_rows.size else 0):
         mid = 0.5 * (b_lo + b_hi)
-        fm = np.broadcast_to(np.asarray(fn(b_rows, mid), dtype=float), mid.shape)
+        fm = _shaped(fn(b_rows, mid), mid.shape)
         left = f_lo * fm <= 0.0
         b_hi = np.where(left, mid, b_hi)
         b_lo = np.where(left, b_lo, mid)
@@ -423,8 +446,7 @@ def _kernel_columns(evalf: Callable, kd: KernelDef, ts: np.ndarray,
         block = out[j0:j0 + sj.size]
         for i0 in range(0, ts.size, rows):
             tr = ts[i0:i0 + rows]
-            k = np.broadcast_to(np.asarray(evalf(kd, tr[:, None], sj), dtype=float),
-                                (tr.size, sj.size))
+            k = _shaped(evalf(kd, tr[:, None], sj), (tr.size, sj.size))
             part = combine.reduce(np.abs(k) if absolute else k, axis=0)
             if i0:
                 combine(block, part, out=block)

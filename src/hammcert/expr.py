@@ -611,10 +611,13 @@ def _compile(expr, backend: _Backend):
 
 
 # Scalar expressions: numpy on floats and arrays, broadcasting.  Only exp
-# and ^ check that their result is finite.
+# and ^ check that their result is finite; exp skips the check, and its
+# errstate block, for a double argument below 709, whose exp cannot
+# overflow.  The checks call the ndarray methods .any() and .all(), which
+# give what np.any and np.all give without their Python-level wrappers.
 
 def _check_finite(value, node):
-    if not np.all(np.isfinite(np.asarray(value))):
+    if not np.isfinite(value).all():
         raise EvalDomainError("non-finite result", render(node))
     return value
 
@@ -632,19 +635,31 @@ def _numpy_leaf(node):
     return fn
 
 
+# exp of a double below this is finite: ln(DBL_MAX) = 709.78...
+_EXP_FINITE_BELOW = 709.0
+
+
 def _numpy_exp(node, x):
+    # a NaN or +inf fails the comparison; every other argument (float32
+    # among them, whose exp overflows from 88.73) takes the checked path
+    if isinstance(x, float):  # Python floats and np.float64
+        if x < _EXP_FINITE_BELOW:
+            return np.exp(x)
+    elif type(x) is np.ndarray and x.dtype.char == "d" and \
+            x.max(initial=-np.inf) < _EXP_FINITE_BELOW:
+        return np.exp(x)
     with np.errstate(over="ignore"):
         return _check_finite(np.exp(x), node)
 
 
 def _numpy_log(node, x):
-    if np.any(np.asarray(x) <= 0.0):
+    if (np.asarray(x) <= 0.0).any():
         raise EvalDomainError("log of a nonpositive value", render(node))
     return np.log(x)
 
 
 def _numpy_sqrt(node, x):
-    if np.any(np.asarray(x) < 0.0):
+    if (np.asarray(x) < 0.0).any():
         raise EvalDomainError("sqrt of a negative value", render(node))
     return np.sqrt(x)
 
@@ -655,7 +670,8 @@ def _numpy_step(node, x):
 
 
 def _numpy_div(node, a, b):
-    if np.any(np.asarray(b) == 0.0):
+    # a float divisor, such as the constant of exp(t - s)/4, needs no array
+    if b == 0.0 if isinstance(b, float) else (np.asarray(b) == 0.0).any():
         raise EvalDomainError("division by zero", render(node))
     return a / b
 

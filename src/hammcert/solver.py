@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cone import DiscreteState, MembershipVerdict, StateNorms, c1_norm, \
-    cone_membership, zero_state
+from .cone import DiscreteState, MembershipVerdict, StateNorms, _one_state, \
+    _unchecked, c1_norm, cone_membership, zero_state
 from .constants import ConeConstants
 from .errors import (ConfigError, EvalDomainError, ModelViolationError,
                      QuadratureError)
@@ -137,7 +137,7 @@ class _NystromOperator:
                                            shared_pass=shared)
                     values[i] += eta * h_ij * self.gamma_val[i][j]
                     derivs[i] += eta * h_ij * self.gamma_der[i][j]
-        return DiscreteState(self.nodes, values, derivs)
+        return _unchecked(self.nodes, values, derivs)
 
 
 @lru_cache(maxsize=8)
@@ -156,16 +156,20 @@ def apply_T(spec: "ProblemSpec", u: DiscreteState, *,
             params: "Params | None" = None) -> DiscreteState:
     """One application of the integral operator to a discrete state, under
     the spec's quadrature settings."""
+    _one_state(u, "apply_T")
     return _operator(spec, u.num_panels).apply(u, _effective_params(spec, params))
 
 
 def residual(spec: "ProblemSpec", u: DiscreteState, *,
              params: "Params | None" = None) -> float:
     """Discrete C1 norm of T(u) - u."""
-    Tu = apply_T(spec, u, params=params)
-    diff = DiscreteState(u.nodes, Tu.values - u.values,
-                         Tu.derivatives - u.derivatives)
-    return c1_norm(diff).overall
+    _one_state(u, "residual")
+    return c1_norm(_difference(apply_T(spec, u, params=params), u)).overall
+
+
+def _difference(Tu: DiscreteState, u: DiscreteState) -> DiscreteState:
+    """T(u) - u, on u's nodes."""
+    return _unchecked(u.nodes, Tu.values - u.values, Tu.derivatives - u.derivatives)
 
 
 @dataclass
@@ -229,7 +233,11 @@ def solve_fixed_point(spec: "ProblemSpec", *,
     """
     cfg = spec.solver
     params = _effective_params(spec, params)
-    u = initial_state if initial_state is not None else zero_state(spec.n, cfg.nodes)
+    if initial_state is None:
+        u = zero_state(spec.n, cfg.nodes)
+    else:
+        _one_state(initial_state, "solve_fixed_point")
+        u = initial_state
 
     alpha = cfg.damping
     halved = False
@@ -246,9 +254,7 @@ def solve_fixed_point(spec: "ProblemSpec", *,
             # not a crash; model violations still propagate
             notes.append(f"iteration diverged at step {iterations}: {e}")
             break
-        diff = DiscreteState(u.nodes, Tu.values - u.values,
-                             Tu.derivatives - u.derivatives)
-        res = c1_norm(diff).overall
+        res = c1_norm(_difference(Tu, u)).overall
         if res <= cfg.tol:
             converged = True
             break
@@ -265,8 +271,8 @@ def solve_fixed_point(spec: "ProblemSpec", *,
                 notes.append(f"stagnation persisted at iteration {iterations} after "
                              "halving the damping; giving up")
                 break
-        u = DiscreteState(u.nodes, (1 - alpha) * u.values + alpha * Tu.values,
-                          (1 - alpha) * u.derivatives + alpha * Tu.derivatives)
+        u = _unchecked(u.nodes, (1 - alpha) * u.values + alpha * Tu.values,
+                       (1 - alpha) * u.derivatives + alpha * Tu.derivatives)
 
     if not converged:
         notes.append(f"not converged: residual {res:.3e} > tol {cfg.tol:.1e}")

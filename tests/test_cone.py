@@ -89,6 +89,14 @@ class TestMembership:
                             np.vstack([np.ones(129), np.zeros(129)]))
         assert not cone_membership(two, example_cc).member
 
+    def test_stack_rejected(self, example_cc):
+        u = constant_state([1.0, 1.0])
+        stack = DiscreteState(u.nodes, np.stack([u.values] * 3),
+                              np.stack([u.derivatives] * 3))
+        with pytest.raises(ValueError, match=r"^cone_membership takes one state, "
+                                             r"not a stack of 3$"):
+            cone_membership(stack, example_cc)
+
     def test_positive_scaling_invariance(self, example_spec, example_cc):
         u = sample_cone_boundary(example_spec, example_cc, 1.0, seed=2)
         base = cone_membership(u, example_cc)
@@ -193,6 +201,14 @@ class TestCsv:
         assert np.array_equal(u.nodes, v.nodes)
         assert np.array_equal(u.values, v.values)
         assert np.array_equal(u.derivatives, v.derivatives)
+
+    def test_stack_rejected(self, tmp_path, example_spec, example_cc):
+        stack = sample_cone_boundary_rng(example_spec, example_cc, 1.0,
+                                         np.random.default_rng(5), size=2)
+        path = tmp_path / "state.csv"
+        with pytest.raises(ValueError, match=r"^state_to_csv takes one state"):
+            state_to_csv(stack, path)
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -485,6 +486,44 @@ def ref_panel_sign_roots(fn, rows, lo, hi):
             np.concatenate((xs[zi, zj + 1], 0.5 * (b_lo + b_hi))))
 
 
+def ref_grid_with(points, a, b, n):
+    """The scan grid as np.unique of the linspace nodes and the inner points."""
+    grid = np.linspace(a, b, n + 1)
+    inner = [p for p in points if a < p < b]
+    if inner:
+        grid = np.unique(np.concatenate((grid, inner)))
+    return grid
+
+
+@st.composite
+def grid_and_points(draw):
+    a = draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, -1.0]), st.floats(-2.0, 2.0)))
+    if draw(st.booleans()):
+        b = draw(st.floats(a, 3.0, exclude_min=True))
+    else:  # a span of a few ulps, where linspace repeats nodes
+        b = a + draw(st.integers(1, 3000)) * math.ulp(a)
+    n = draw(st.integers(1, 600))
+    nodes = np.linspace(a, b, n + 1).tolist()
+    point = st.one_of(st.sampled_from(nodes), st.sampled_from([a, b, 0.0, -0.0]),
+                      st.floats(a, b), st.floats(a - 1.0, b + 1.0))
+    points = draw(st.lists(point, max_size=6))
+    points += draw(st.lists(st.sampled_from(points), max_size=3)) if points else []
+    if draw(st.booleans()):
+        points = [np.float64(p) for p in points]
+    return points, a, b, n
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(grid_and_points())
+@example(([0.3, 0.1, 0.3, 0.25, 1.5], 0.0, 1.0, 8))
+@example(([-0.0], -1.0, 1.0, 14))  # np.unique keeps the point -0.0 here
+def test_grid_with_matches_unique(case):
+    # points on nodes, repeated or outside (a, b); spans where nodes coincide
+    want = ref_grid_with(*case)
+    got = constants_mod._grid_with(*case)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def ref_kernel_columns(evalf, kd, ts, ss, combine, absolute):
     """The whole ts x ss grid evaluated at once and reduced over t."""
     k = np.broadcast_to(np.asarray(evalf(kd, ts[:, None], ss), dtype=float),
@@ -510,11 +549,15 @@ TILES = [1, 257, 258, 521, constants_mod._TILE]
 
 # roots on the scan nodes s = 1/4 and s = 1/2 of every row, for k and dk
 NODE_ROOTS = _kernel("(s - 1/4)*(s - 1/2)*(1 + t)", "(s - 1/4)*(s - 1/2)")
+# exact zeros in only some of the 32 panels of 17 rows: for k, s = 1/4 is a
+# scan node in 3 panels and the row t = 1/2 vanishes (zeros that straddle
+# nothing); for dk, s = 1/4 is a node in 3 panels
+SOME_NODE_ROOTS = _kernel("(s - 1/4)*(t - 1/2)", "s - 1/4", moving=True)
 
 
 class TestTiledScans:
-    @pytest.mark.parametrize("kd", ORACLE_KERNELS + [NODE_ROOTS],
-                             ids=ORACLE_IDS + ["node-roots"])
+    @pytest.mark.parametrize("kd", ORACLE_KERNELS + [NODE_ROOTS, SOME_NODE_ROOTS],
+                             ids=ORACLE_IDS + ["node-roots", "some-node-roots"])
     def test_sign_roots_match_untiled_scan(self, kd, monkeypatch):
         ts = np.linspace(0.0, 1.0, 17)
         rows, lo, hi = sign_scan_panels(kd, ts)

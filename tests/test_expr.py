@@ -1,6 +1,7 @@
 import math
 import pickle
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -12,9 +13,9 @@ from hammcert import (DslSyntaxError, EvalDomainError, HammcertError,
                       ModelViolationError, QuadConfig, QuadratureError, constant_state,
                       eval_functional, eval_scalar, integrate, parse_expr,
                       parse_functional, render)
-from hammcert.expr import (_MAX_DEPTH, KERNEL_CONTEXT, Bin, Const, Der, Integral, Num,
-                           Unary, Val, Var, int_body_context, nonlinearity_context,
-                           parse_constant)
+from hammcert.expr import (_MAX_DEPTH, _NUMPY, KERNEL_CONTEXT, Bin, Const, Der,
+                           Integral, Num, Unary, Val, Var, int_body_context,
+                           nonlinearity_context, parse_constant)
 from conftest import trig_state
 
 
@@ -308,6 +309,37 @@ def _ref_check_finite(value, node):
     return value
 
 
+# the checked numpy ops as they were before their fast paths, the oracles of
+# expr's op table
+def ref_exp(node, x):
+    with np.errstate(over="ignore"):
+        return _ref_check_finite(np.exp(x), node)
+
+
+def ref_log(node, x):
+    if np.any(np.asarray(x) <= 0.0):
+        raise EvalDomainError("log of a nonpositive value", render(node))
+    return np.log(x)
+
+
+def ref_sqrt(node, x):
+    if np.any(np.asarray(x) < 0.0):
+        raise EvalDomainError("sqrt of a negative value", render(node))
+    return np.sqrt(x)
+
+
+def ref_div(node, a, b):
+    if np.any(np.asarray(b) == 0.0):
+        raise EvalDomainError("division by zero", render(node))
+    return a / b
+
+
+def ref_pow(node, a, b):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        r = np.power(a, b)
+    return _ref_check_finite(r, node)
+
+
 def ref_eval_scalar(expr, env):
     """The recursive interpreter, kept as the oracle of eval_scalar."""
     if isinstance(expr, Num):
@@ -325,18 +357,13 @@ def ref_eval_scalar(expr, env):
         if op == "neg":
             return -x if not isinstance(x, np.ndarray) else np.negative(x)
         if op == "exp":
-            with np.errstate(over="ignore"):
-                return _ref_check_finite(np.exp(x), expr)
+            return ref_exp(expr, x)
         if op == "log":
-            if np.any(np.asarray(x) <= 0.0):
-                raise EvalDomainError("log of a nonpositive value", render(expr))
-            return np.log(x)
+            return ref_log(expr, x)
         if op == "abs":
             return np.abs(x)
         if op == "sqrt":
-            if np.any(np.asarray(x) < 0.0):
-                raise EvalDomainError("sqrt of a negative value", render(expr))
-            return np.sqrt(x)
+            return ref_sqrt(expr, x)
         if op == "pos":
             return np.maximum(x, 0.0)
         if op == "step":
@@ -353,12 +380,8 @@ def ref_eval_scalar(expr, env):
     if op == "*":
         return a * b
     if op == "/":
-        if np.any(np.asarray(b) == 0.0):
-            raise EvalDomainError("division by zero", render(expr))
-        return a / b
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        r = np.power(a, b)
-    return _ref_check_finite(r, expr)
+        return ref_div(expr, a, b)
+    return ref_pow(expr, a, b)
 
 
 CONTEXTS = {"kernel": KERNEL_CONTEXT, "nonlinearity": nonlinearity_context(2)}
@@ -420,6 +443,56 @@ def test_compiled_matches_interpreter(case):
             assert type(got) is type(want)
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# arguments at the edges of the guards: NaN, +-inf, signed zeros, around
+# exp's fast-path bound 709 and ln(DBL_MAX) = 709.7827, around float32's
+# overflow at 88.72; as Python floats, np.float64, 0-d, empty and longer
+# float64 arrays, float32 and integer arrays
+GUARD_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 5e-324,
+               708.9999999999999, 709.0, 709.78, 709.7827128933840, 709.79, 710.0,
+               -745.2, 88.72, 89.0, 1e300]
+GUARD_FLOATS = st.one_of(st.sampled_from(GUARD_EDGES), st.floats(700.0, 720.0),
+                         st.floats())
+GUARD_ARGS = st.one_of(
+    GUARD_FLOATS, GUARD_FLOATS.map(np.float64), GUARD_FLOATS.map(np.array),
+    st.lists(GUARD_FLOATS, max_size=5).map(np.array),
+    st.lists(st.floats(width=32), max_size=3).map(
+        lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.integers(-800, 800), max_size=3).map(np.array))
+GUARD_NODE = parse_expr("exp(u1)", nonlinearity_context(1))
+
+
+def _guard_outcome(op, *args):
+    """What the op gives: its result's type, dtype, shape and bytes, or its
+    error, with the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            r = op(GUARD_NODE, *args)
+            got = ("value", type(r), np.asarray(r).dtype, np.shape(r),
+                   np.asarray(r).tobytes())
+        except EvalDomainError as err:
+            got = ("error", str(err), err.subexpr)
+        except (TypeError, ValueError) as err:
+            got = (type(err), str(err))
+    return got, [str(w.message) for w in caught]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(GUARD_ARGS, GUARD_ARGS)
+@example(np.array([]), 0.0)
+@example(709.0, np.array([709.78, np.nan]))
+@example(np.array([708.9, 709.79], dtype=np.float32),
+         np.array([88.0, 89.0], dtype=np.float32))
+def test_guards_match_their_checked_forms(x, y):
+    # the fast paths give the bytes, the error text and the warnings of the
+    # fully checked ops, and let no overflow warning through
+    table = _NUMPY.unary | _NUMPY.binary
+    for op, ref, args in (("exp", ref_exp, (x,)), ("exp", ref_exp, (y,)),
+                          ("log", ref_log, (x,)), ("sqrt", ref_sqrt, (x,)),
+                          ("/", ref_div, (x, y)), ("^", ref_pow, (x, y))):
+        assert _guard_outcome(table[op], *args) == _guard_outcome(ref, *args), op
 
 
 @pytest.mark.parametrize("op", list("+-*/^"))

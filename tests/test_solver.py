@@ -152,6 +152,34 @@ class TestSolve:
         assert rep.damping_final == pytest.approx(0.25)
 
 
+def stack_of_two(u):
+    return DiscreteState(u.nodes, np.stack([u.values, 2 * u.values]),
+                         np.stack([u.derivatives, 2 * u.derivatives]))
+
+
+class TestStackRejected:
+    """The one-state entry points reject a stack of states by name."""
+
+    @pytest.mark.parametrize("zero", [False, True], ids=["params", "zero-params"])
+    def test_apply_T(self, example_spec, zero):
+        # with every lambda and eta at 0 the operator reads no state, so only
+        # the entry check can see the stack
+        p = Params.from_spec(example_spec)
+        if zero:
+            p = p.with_overrides({"lambda1": 0, "lambda2": 0, "eta11": 0, "eta21": 0})
+        with pytest.raises(ValueError, match=r"^apply_T takes one state, not a "
+                                             r"stack of 2$"):
+            apply_T(example_spec, stack_of_two(trig_state(1, n=2)), params=p)
+
+    def test_residual(self, example_spec):
+        with pytest.raises(ValueError, match=r"^residual takes one state"):
+            residual(example_spec, stack_of_two(trig_state(1, n=2)))
+
+    def test_solve_fixed_point(self, example_spec):
+        with pytest.raises(ValueError, match=r"^solve_fixed_point takes one state"):
+            solve_fixed_point(example_spec, initial_state=stack_of_two(zero_state(2)))
+
+
 class TestConfig:
     def test_damping_range(self):
         with pytest.raises(ValueError):
