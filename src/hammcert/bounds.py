@@ -113,8 +113,8 @@ class DeclaredBounds:
     components: tuple[ComponentBounds, ...]
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError("rho must be a finite number > 0")
 
 
 @dataclass
@@ -379,8 +379,6 @@ def estimate_ranges(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
     ranges = [[[np.inf, -np.inf] for _ in range(1 + len(comp.gammas))]
               for comp in spec.components]
     for _, _, values in _boundary_pass(spec, cc, rho, samples,

@@ -176,15 +176,22 @@ def _check_samples(samples: int) -> None:
         raise HammcertError(f"bad --samples {samples}; expected an integer >= 1")
 
 
+def _check_radius_flags(args) -> None:
+    """Every radius flag given must be a finite number > 0."""
+    for name in ("rho", "rho1", "rho2", "nonexistence_rho"):
+        rho = getattr(args, name, None)
+        if rho is not None and not 0 < rho < math.inf:
+            flag = "--" + name.replace("_", "-")
+            raise HammcertError(f"bad {flag} {rho!r}; expected a finite number > 0")
+
+
 def _solve_radii(rho1: float | None, rho2: float | None) -> tuple[float, float] | None:
-    """solve's --rho1/--rho2: both or neither, finite, with 0 < rho1 < rho2."""
+    """solve's --rho1/--rho2: both or neither, with rho1 < rho2."""
     if rho1 is None and rho2 is None:
         return None
     for flag, rho, other in (("--rho1", rho1, "--rho2"), ("--rho2", rho2, "--rho1")):
         if rho is None:
             raise HammcertError(f"{other} needs {flag}")
-        if not 0 < rho < math.inf:
-            raise HammcertError(f"bad {flag} {rho!r}; expected a finite number > 0")
     certify_mod._check_radii(rho1, rho2)
     return rho1, rho2
 
@@ -205,6 +212,7 @@ def _dispatch(args) -> int:
     spec, params, cfg_hash = _load(args)
     if args.seed is not None and args.seed < 0:
         raise HammcertError(f"bad --seed {args.seed}; expected an integer >= 0")
+    _check_radius_flags(args)
     seed = args.seed if args.seed is not None else spec.seed
 
     if args.command == "constants":
@@ -257,8 +265,6 @@ def _dispatch(args) -> int:
 
     if args.command == "estimate":
         _check_samples(args.samples)
-        if not 0 < args.rho < math.inf:
-            raise HammcertError(f"bad --rho {args.rho!r}; expected a finite number > 0")
         cc = assemble_cone_constants(spec)
         report = estimate_ranges(spec, cc, args.rho, args.samples, seed)
         report["config_hash"] = cfg_hash

@@ -29,8 +29,12 @@ meant for falsification and property tests, not for exhausting the boundary.
 It draws a stack of states as one round of Python draws, in the order of one
 state at a time (each state's trig coefficients, then its ball coin), and
 then shifts and rescales the whole stack with one array pass, reading the
-cos/sin values from one table per node vector.  A stack with a degenerate
-draw is drawn again state by state from the generator state of its start.
+cos/sin values from one table per node vector.  A state of C1 norm at most
+1e-12 cannot be rescaled onto the sphere.  The shift leaves u' alone, and
+the mean of u'^2 over the nodes is sum_d w_d^2 (a_d^2 + b_d^2) / 2 with
+w_d >= 2 pi, so every non-constant trig coefficient would have to lie below
+2.3e-13 (a c >= 1 component's constant is at least 0.1): such a draw
+raises RuntimeError instead of being drawn again.
 """
 
 from __future__ import annotations
@@ -329,9 +333,8 @@ def _ball_factor(rng: np.random.Generator, ball: bool) -> float:
 
 
 def _boundary_stack(cc: Sequence[ConeConstants], rho: float, rng: np.random.Generator,
-                    nodes: np.ndarray, size: int, ball: bool) -> DiscreteState | None:
-    """``size`` states on ||u|| = rho from one round of draws, as a stack;
-    None when a draw is degenerate (its C1 norm at most 1e-12)."""
+                    nodes: np.ndarray, size: int, ball: bool) -> DiscreteState:
+    """``size`` states on ||u|| = rho from one round of draws, as a stack."""
     n = len(cc)
     # the cone of a c >= 1 component degenerates to positive constants on the window
     const = [cci.c >= 1.0 - 1e-12 for cci in cc]
@@ -368,7 +371,7 @@ def _boundary_stack(cc: Sequence[ConeConstants], rho: float, rng: np.random.Gene
             values[:, i] += np.where(shift > 0.0, shift, 0.0)[:, None]
     norm = c1_norm(u).overall
     if np.any(norm <= 1e-12):
-        return None
+        raise RuntimeError("degenerate boundary draw")
     scale = (rho / norm)[:, None, None]
     mu = mu[:, None, None]
     return DiscreteState(nodes, values * scale * mu, derivs * scale * mu)
@@ -397,32 +400,13 @@ def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
 
     Draws come in the order of one state at a time: each component's 7 + 6
     trig coefficients (or the constant of a c >= 1 component), then the
-    coin.  A degenerate draw is drawn again before the coin; when a stack
-    holds one, the generator is reset and the stack redrawn state by state,
-    so that every redraw comes where it comes for a single state.
+    coin.  A stack is thus its states drawn one at a time, in order.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < np.inf:
+        raise ValueError("rho must be a finite number > 0")
     nodes = np.linspace(0.0, 1.0, SAMPLE_PANELS + 1)
-    saved = rng.bit_generator.state
     stack = _boundary_stack(cc, rho, rng, nodes, size or 1, ball)
-    if stack is None:
-        rng.bit_generator.state = saved
-        rows = [_redrawn(cc, rho, rng, nodes, ball) for _ in range(size or 1)]
-        stack = DiscreteState(nodes, np.array([r.values[0] for r in rows]),
-                              np.array([r.derivatives[0] for r in rows]))
     return stack if size is not None else stack.row(0)
-
-
-def _redrawn(cc, rho, rng, nodes, ball) -> DiscreteState:
-    """A stack of one, drawn until it is not degenerate, then scaled by its
-    ball factor."""
-    for _ in range(100):
-        stack = _boundary_stack(cc, rho, rng, nodes, 1, False)
-        if stack is not None:
-            mu = _ball_factor(rng, ball)
-            return DiscreteState(nodes, stack.values * mu, stack.derivatives * mu)
-    raise RuntimeError("degenerate draws 100 times in a row")
 
 
 # ---------------------------------------------------------------------------

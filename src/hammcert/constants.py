@@ -665,10 +665,12 @@ def _assemble_cached(spec: "ProblemSpec") -> tuple[ConeConstants, ...]:
         c_used = min(rec.used for key, rec in records.items() if key.startswith("c_"))
         records["c"] = ConstantRecord(f"c_{i}", c_used, None, c_used)
 
-        if _kernel_nonneg_on_window(kd, w) and m0 < mm - 1e-9:
+        # for t in [a, b], int_0^1 |k| ds >= int_a^b |k| ds >= int_a^b k ds,
+        # so 1/m_0 >= 1/M holds whatever the kernel's sign
+        if m0 < mm - 1e-9:
             raise ModelViolationError(
-                "C2", f"component {i}: 1/m_0 = {m0:.12g} < 1/M = {mm:.12g} with a "
-                "nonnegative kernel on the window; the computed constants are inconsistent")
+                "C2", f"component {i}: 1/m_0 = {m0:.12g} < 1/M = {mm:.12g}; "
+                "the computed constants are inconsistent")
 
         out.append(ConeConstants(window=w, records=records))
     return tuple(out)
@@ -689,12 +691,6 @@ def _validate_phi1(kd: KernelDef, phi1, comp_index: int) -> None:
         raise ModelViolationError(
             "C3", f"component {comp_index}: declared Phi1 is exceeded by "
                   f"|dk/dt| by {gap:.3e}")
-
-
-def _kernel_nonneg_on_window(kd: KernelDef, w: Window) -> bool:
-    ts = _grid_with(kd.fixed_breakpoints, w.a, w.b, 201)
-    ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, 201)
-    return bool(_kernel_columns(eval_k, kd, ts, ss, np.minimum).min() >= -1e-12)
 
 
 def constants_report(spec: "ProblemSpec", cc: Sequence[ConeConstants]) -> dict:

@@ -504,27 +504,15 @@ class _SharedPass:
     def integrals(self, body: ScalarExpr) -> np.ndarray:
         """The K integrals of body over [0, 1], with the states' interior
         nodes as breakpoints; each equals ``integrate`` of that state's
-        integrand.  Panels that need refining are refined state by state."""
+        integrand.  A panel that needs refining evaluates every state at its
+        refined points, so a state's domain error there raises for the
+        stack."""
         found = self._integrals.get(body)
         if found is None:
             found = self._integrals[body] = integrate_rows(
-                lambda rows, s: self._body(body, rows, s), self.size, 0.0, 1.0,
+                lambda s: _eval_body(body, *self.at(s), s), self.size, 0.0, 1.0,
                 self.u.interior_nodes(), self.quad)
         return found
-
-    def _body(self, body: ScalarExpr, rows, s: np.ndarray):
-        """body at s for every state (rows None) or for state rows[j] at s[j]."""
-        if rows is None:
-            return _eval_body(body, *self.at(s), s)
-        rows = np.broadcast_to(rows, s.shape)
-        out = np.empty(s.shape)
-        for r in np.unique(rows).tolist():
-            sel = rows == r
-            u, x = self.row(r).u, s[sel]
-            found = _eval_body(body, u.value(slice(None), x)[None],
-                               u.derivative(slice(None), x)[None], x)
-            out[sel] = np.broadcast_to(found, (1,) + x.shape)[0]
-        return out
 
 
 def _eval_body(body: ScalarExpr, vals: np.ndarray, ders: np.ndarray, s: np.ndarray):

@@ -67,9 +67,17 @@ class Component:
 
 @dataclass(frozen=True)
 class Params:
-    """The parameter point (lambda_i, eta_ij) a certificate is evaluated at."""
+    """The parameter point (lambda_i, eta_ij) a certificate is evaluated at;
+    every parameter must be a finite number >= 0 (C6)."""
     lambdas: tuple[float, ...]
     etas: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        values = [*self.lambdas, *(v for row in self.etas for v in row)]
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError("params", "parameters must be finite numbers")
+        if any(v < 0 for v in values):
+            raise ConfigError("params", "parameters must be nonnegative (C6)")
 
     @classmethod
     def from_spec(cls, spec: "ProblemSpec") -> "Params":
@@ -89,8 +97,6 @@ class Params:
                 lambdas[i] = value
             else:
                 etas[i][j] = value
-        if any(v < 0 for v in lambdas) or any(v < 0 for row in etas for v in row):
-            raise ConfigError("params", "parameters must be nonnegative (C6)")
         return Params(tuple(lambdas), tuple(tuple(row) for row in etas))
 
     def _check_index(self, name: str, kind: str, i: int, j: int) -> None:
@@ -151,10 +157,17 @@ class ProblemSpec:
 
     def bounds_at(self, rho: float) -> DeclaredBounds:
         for db in self.bounds:
-            if abs(db.rho - rho) <= 1e-12 * max(1.0, rho):
+            if _same_radius(db.rho, rho):
                 return db
         raise ConfigError("bounds", f"no declared-bounds block at rho = {rho}; "
                                     f"available: {[db.rho for db in self.bounds]}")
+
+
+def _same_radius(a: float, b: float) -> bool:
+    """Whether two radii name the same declared-bounds block: equal to a
+    relative and an absolute 1e-12.  Blocks have finite radii, so an
+    infinite or NaN radius matches none."""
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +272,7 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
     seen_rho = []
     for bi, bdoc in enumerate(_list(doc, "bounds", "bounds")):
         db = _parse_bounds_block(bdoc, bi, components)
-        if any(abs(db.rho - r) <= 1e-12 for r in seen_rho):
+        if any(_same_radius(db.rho, r) for r in seen_rho):
             raise ConfigError(f"bounds[{bi}].rho", f"duplicate radius {db.rho}")
         seen_rho.append(db.rho)
         bounds.append(db)

@@ -13,8 +13,9 @@ elementwise and broadcast; scalar-returning constants are handled.  A NaN
 or infinite integrand value raises QuadratureError.
 ``integrate_panels`` runs the same rules on many integrands at once, each
 over its own panels, and ``integrate_rows`` on many integrands over the
-same panels; every row's result is bit-identical to ``integrate``, which is
-``integrate_rows`` of one integrand.
+same panels, from one function that gives every integrand at once; every
+row's result is bit-identical to ``integrate``, which is ``integrate_rows``
+of one integrand.
 
 The first pass of ``integrate`` (every panel's Gauss points, then those of
 its two halves) depends only on [a, b], the breakpoints and the Gauss order.
@@ -132,18 +133,18 @@ def integrate(f, a: float, b: float, breakpoints=(), cfg: QuadConfig | None = No
     NaN or infinite value, or when a panel fails to converge within
     cfg.max_subdivisions bisections.
     """
-    return float(integrate_rows(lambda _, x: f(x), 1, a, b, breakpoints, cfg)[0])
+    return float(integrate_rows(f, 1, a, b, breakpoints, cfg)[0])
 
 
 def integrate_rows(f, nrows: int, a: float, b: float, breakpoints=(),
                    cfg: QuadConfig | None = None) -> np.ndarray:
     """``integrate`` of ``nrows`` integrands over the same panels at once.
 
-    f(None, x) evaluates every integrand at the first pass's points x, shaped
-    (nrows,) + x.shape or broadcasting to it; f(r, x) evaluates integrand r
-    at x for the panels that need refining (r broadcasts against x).  The
-    first pass runs once over the kept layout for all rows; each row's
-    result is bit-identical to ``integrate`` of its integrand.
+    f(x) evaluates every integrand at the points x, shaped (nrows,) + x.shape
+    or broadcasting to it.  The first pass runs once over the kept layout
+    for all rows; a panel of row r that needs refining reads row r of f at
+    its refined points.  Each row's result is bit-identical to
+    ``integrate`` of its integrand.
     """
     if a > b:
         raise ValueError(f"integrate: a={a} > b={b}")
@@ -151,13 +152,18 @@ def integrate_rows(f, nrows: int, a: float, b: float, breakpoints=(),
         return np.zeros(nrows)
     cfg = cfg or QuadConfig()
     fp = first_pass_layout(a, b, breakpoints, cfg.gauss_order)
-    coarse = _estimates(f(None, fp.whole_points), fp.whole_points, fp.whole_weights,
+    coarse = _estimates(f(fp.whole_points), fp.whole_points, fp.whole_weights,
                         (nrows,))
-    halves = _estimates(f(None, fp.half_points), fp.half_points, fp.half_weights,
+    halves = _estimates(f(fp.half_points), fp.half_points, fp.half_weights,
                         (nrows,))
     n = fp.lo.size
     tile = lambda x: np.tile(x, nrows)
-    return _settle(f, np.repeat(np.arange(nrows), n), tile(fp.lo), tile(fp.mid),
+
+    def row_f(r, x):  # row r[j] of f at the points x[j] of panel j
+        vals = np.broadcast_to(np.asarray(f(x), dtype=float), (nrows,) + x.shape)
+        return vals[r[:, 0], np.arange(x.shape[0])]
+
+    return _settle(row_f, np.repeat(np.arange(nrows), n), tile(fp.lo), tile(fp.mid),
                    tile(fp.hi), coarse.ravel(), halves[:, :n].ravel(),
                    halves[:, n:].ravel(), nrows, cfg)
 

@@ -163,8 +163,9 @@ def test_declared_bounds_invariants():
         ComponentBounds(w_lo=-1.0)
     with pytest.raises(ValueError, match="h_lo"):
         HBounds(lo=3.0, hi=1.0)
-    with pytest.raises(ValueError, match="rho"):
-        DeclaredBounds(0.0, ())
+    for rho in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="rho"):
+            DeclaredBounds(rho, ())
 
 
 def planted_bounds(spec, x):

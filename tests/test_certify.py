@@ -95,6 +95,24 @@ class TestI1:
         assert cert.certified
         assert all(r.lhs == 0.0 for r in cert.rows)
 
+    @pytest.mark.parametrize("lambdas,etas,message", [
+        ((-1.0, -1.0), ((0.0,), (0.0,)), r"nonnegative \(C6\)"),
+        ((1.0, 1.0), ((0.0,), (-0.5,)), r"nonnegative \(C6\)"),
+        ((math.nan, 1.0), ((0.0,), (0.0,)), "finite"),
+        ((1.0, 1.0), ((math.inf,), (0.0,)), "finite"),
+    ])
+    def test_params_check_themselves(self, lambdas, etas, message):
+        # a point made by hand meets the loader's C6 check
+        with pytest.raises(ConfigError, match=message) as err:
+            Params(lambdas, etas)
+        assert err.value.key == "params"
+
+    def test_negative_parameters_certify_nothing(self, example_spec, example_cc):
+        # all rows' lhs would be negative, so I1 would hold
+        with pytest.raises(ConfigError, match="C6"):
+            check_I1(example_spec, example_cc, example_spec.bounds_at(1.0),
+                     Params((-1.0, -1.0), ((0.0,), (0.0,))))
+
     def test_missing_bound_with_positive_coefficient(self, example_spec, example_cc):
         with pytest.raises(MissingBoundError, match="f_hi"):
             check_I1(example_spec, example_cc, empty_bounds(1.0, example_spec))

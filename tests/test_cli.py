@@ -370,6 +370,14 @@ BEFORE_ASSEMBLY = [
      "--setI and --setJ need --nonexistence-rho"),
     (["falsify", CFG, "--rho", "1", "--samples", "3", "--seed", "-1"], "bad --seed -1"),
     (["estimate", CFG, "--rho", "inf", "--samples", "2"], "bad --rho inf"),
+    (["certify", CFG, "--mode", "Sstar", "--rho1", "1e-3", "--rho2", "inf"],
+     "bad --rho2 inf"),
+    (["certify-nonexistence", CFG, "--rho", "inf", "--setI", "2", "--setJ", "1"],
+     "bad --rho inf"),
+    (["falsify", CFG, "--rho", "inf", "--samples", "2"], "bad --rho inf"),
+    ([*SWEEP, "--axis", "lambda1:0:0.1:2", "--rho2", "inf"], "bad --rho2 inf"),
+    ([*SWEEP, "--axis", "lambda1:0:0.1:2", "--nonexistence-rho", "inf", "--setI", "2",
+      "--setJ", "1"], "bad --nonexistence-rho inf"),
 ]
 
 

@@ -142,8 +142,9 @@ class TestSampler:
         assert abs(hc.c1_norm(u).overall - 1.0) <= 1e-12
 
     def test_rho_must_be_positive(self, example_spec, example_cc):
-        with pytest.raises(ValueError):
-            sample_cone_boundary(example_spec, example_cc, 0.0, seed=1)
+        for rho in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite number > 0"):
+                sample_cone_boundary(example_spec, example_cc, rho, seed=1)
 
     def test_stack_is_its_states_drawn_one_at_a_time(self, example_spec, example_cc):
         rng = np.random.default_rng(21)
@@ -160,24 +161,22 @@ class TestSampler:
         assert norms.overall.shape == (5,) and norms.sup.shape == (5, 2)
         assert norms.sup[2].tolist() == list(c1_norm(stack.row(2)).sup)
 
-    def test_degenerate_stack_is_redrawn_state_by_state(self, example_spec,
-                                                        example_cc, monkeypatch):
-        # a stack that meets a degenerate draw resets the generator and draws
-        # its states one at a time
-        draw = cone_mod._boundary_stack
-        monkeypatch.setattr(cone_mod, "_boundary_stack",
-                            lambda cc, rho, rng, nodes, size, ball:
-                            None if size > 1 else draw(cc, rho, rng, nodes, size, ball))
-        rng = np.random.default_rng(8)
-        stack = sample_cone_boundary_rng(example_spec, example_cc, 1.0, rng, size=3,
-                                         ball=True)
-        monkeypatch.undo()
-        one_rng = np.random.default_rng(8)
-        want = sample_cone_boundary_rng(example_spec, example_cc, 1.0, one_rng, size=3,
-                                        ball=True)
-        assert stack.values.tobytes() == want.values.tobytes()
-        assert stack.derivatives.tobytes() == want.derivatives.tobytes()
-        assert rng.uniform() == one_rng.uniform()
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_degenerate_draw_raises(self, example_spec, example_cc, monkeypatch,
+                                    size):
+        # a state of C1 norm <= 1e-12 cannot be rescaled onto the sphere
+        norms = cone_mod.c1_norm
+
+        def degenerate(u):
+            found = norms(u)
+            overall = np.array(found.overall)
+            overall.flat[-1] = 0.0
+            return replace(found, overall=overall)
+
+        monkeypatch.setattr(cone_mod, "c1_norm", degenerate)
+        with pytest.raises(RuntimeError, match="degenerate boundary draw"):
+            sample_cone_boundary_rng(example_spec, example_cc, 1.0,
+                                     np.random.default_rng(8), size=size)
 
     def test_w1_within_declared_range(self, example_spec, example_cc):
         # the declared range [(1+e)^-1, e] must hold on sampled states

@@ -104,6 +104,24 @@ class TestRejectedAtTheirSource:
             load(doc)
         assert err.value.key == key
 
+    def test_radii_one_lookup_cannot_tell_apart_are_duplicates(self):
+        # the loader and bounds_at match radii by the same rule, so a block
+        # that loads can always be looked up
+        doc = example()
+        doc["bounds"][0]["rho"] = 1000.0
+        doc["bounds"][1]["rho"] = 1000.0 + 1e-10
+        with pytest.raises(hc.ConfigError, match="duplicate radius") as err:
+            load(doc)
+        assert err.value.key == "bounds[1].rho"
+
+    def test_bounds_lookup_matches_finite_radii_only(self):
+        spec = hc.spec_from_dict(example())
+        assert spec.bounds_at(1.0 + 1e-13) is spec.bounds[0]
+        assert spec.bounds_at(0.001) is spec.bounds[1]
+        for rho in (math.inf, math.nan, 1.0 + 1e-9):
+            with pytest.raises(hc.ConfigError, match="no declared-bounds block"):
+                spec.bounds_at(rho)
+
     def test_integer_beyond_the_double_range(self):
         doc = example()
         doc["components"][0]["lambda"] = 10 ** 400

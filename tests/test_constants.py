@@ -260,6 +260,21 @@ class TestAssembly:
         assert cc[0].record("c_gamma[0]").used == pytest.approx(1.0, abs=1e-12)
         assert cc[0].c == pytest.approx(1.0, abs=1e-12)
 
+    def test_recip_m0_below_recip_M_is_a_model_violation(self, monkeypatch):
+        # 1/m_0 >= 1/M for every kernel, so computed constants that break it
+        # are rejected, whatever the kernel's sign
+        spec = single_component_spec(
+            kernel={"k": "1", "dk_dt": "0*t", "breakpoints": [],
+                    "moving_breakpoint": False}, window=(0, 1))
+        recip = constants_mod.recip_m
+        monkeypatch.setattr(constants_mod, "recip_m",
+                            lambda kd, order, *args: 0.0 if order == 0
+                            else recip(kd, order, *args))
+        with pytest.raises(ModelViolationError,
+                           match=r"\(C2\).*1/m_0 = 0 < 1/M = 1; the computed"):
+            constants_mod._assemble_cached.__wrapped__(
+                dataclasses.replace(spec, opt=FAST_OPT))
+
     def test_override_must_add_slack(self):
         spec = single_component_spec(
             "example-k1", window=(0, 0.375), envelope={"phi0": "3/4"},

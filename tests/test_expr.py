@@ -729,6 +729,34 @@ class TestSharedPass:
             assert float(got).hex() == float(want).hex()
         assert got == pytest.approx(5 / 18, abs=1e-12)
 
+    def test_stack_refines_as_each_state_alone(self, example_spec, example_cc,
+                                                monkeypatch):
+        # a refined panel of one state evaluates the whole stack at its points;
+        # each state's value is still that of the state alone
+        from hammcert import quad as quad_mod
+        from hammcert.cone import sample_cone_boundary_rng
+        from hammcert.expr import _SharedPass
+        adapted = []
+        adapt = quad_mod._adapt
+
+        def counting(f, rows, lo, hi, whole, cfg):
+            adapted.append(lo.size)
+            return adapt(f, rows, lo, hi, whole, cfg)
+
+        fx = parse_functional("int(abs(s - 0.3)*u1 + pos(du2 - s/10))", 2)
+        quad = example_spec.quad
+        stack = sample_cone_boundary_rng(example_spec, example_cc, 1.0,
+                                         np.random.default_rng(5), size=8)
+        monkeypatch.setattr(quad_mod, "_adapt", counting)
+        shared = _SharedPass(stack, quad, (fx,))
+        rows = [shared.row(r) for r in range(8)]
+        got = [eval_functional(fx, row.u, quad, shared_pass=row) for row in rows]
+        assert adapted
+        for r in range(8):
+            alone = eval_functional(fx, stack.row(r), quad)
+            assert got[r].hex() == alone.hex()
+            assert got[r].hex() == float(ref_eval_fn(fx, stack.row(r), quad)).hex()
+
     @pytest.mark.parametrize("body", [
         # NaN at every point, so already at the first pass
         "u1*(10^300*10^300 - 10^300*10^300)",
