@@ -69,6 +69,16 @@ LHS_POINTS = 10_000
 STACK = 8
 
 
+def _nonnegative(bounds, condition: str, *names: str) -> None:
+    """Reject a negative declared bound: w, f and h are nonnegative (C8, C4,
+    C7), so a negative upper bound is false and a negative lower bound
+    says nothing."""
+    for name in names:
+        v = getattr(bounds, name)
+        if v is not None and v < 0:
+            raise ValueError(f"{name} must be nonnegative ({condition})")
+
+
 @dataclass(frozen=True)
 class HBounds:
     lo: float = 0.0           # lower bound for h on the boundary; 0 is always sound
@@ -77,8 +87,7 @@ class HBounds:
     xi: float | None = None     # h <= xi * ||u_i||_inf
 
     def __post_init__(self):
-        if self.lo < 0 or (self.hi is not None and self.hi < 0):
-            raise ValueError("h bounds must be nonnegative (C7)")
+        _nonnegative(self, "C7", "lo", "hi", "delta", "xi")
         if self.hi is not None and self.lo > self.hi:
             raise ValueError(f"h_lo={self.lo} > h_hi={self.hi}")
 
@@ -94,10 +103,8 @@ class ComponentBounds:
     h: tuple[HBounds, ...] = ()
 
     def __post_init__(self):
-        for name in ("w_lo", "w_hi"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be nonnegative (C8)")
+        _nonnegative(self, "C8", "w_lo", "w_hi")
+        _nonnegative(self, "C4", "f_hi", "f_lo", "delta_tilde", "xi_tilde")
         if self.w_lo is not None and self.w_hi is not None and self.w_lo > self.w_hi:
             raise ValueError(f"w_lo={self.w_lo} > w_hi={self.w_hi}")
 

@@ -35,8 +35,12 @@ Two kinds of array work run at two sizes.  Elementwise scans -- the coarse
 sign pattern of every s-panel, the c~ grids, the Phi1 check -- run in tiles
 of ``_TILE`` points, so their temporaries stay in cache and are reused from
 the heap; tiles follow row-major order and partial column extrema combine
-exactly, so no value depends on the tile.  A tile of the sign scan looks for
-exact zeros that straddle a sign change only when it holds an exact zero.
+exactly, so no value depends on the tile.  A tile of the sign scan holds
+one panel per row, its nodes built in that order by linspace's own float64
+operations, and only its rows holding both a value < 0 and a value > 0 go
+on to the node tests (a strict change or a straddled zero needs both signs);
+of those it looks for exact zeros that straddle a sign change only when they
+hold an exact zero.
 Scan grids take their extra nodes (breakpoints, the moving s of c~'s inner
 searches) by insertion into the uniform grid, with the nodes and order of
 np.unique of the two.  Bisection of the sign changes and
@@ -296,6 +300,25 @@ def _grid_with(points: Sequence[float], a: float, b: float, n: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Sign-change location (for integrating |k| accurately)
 
+def _scan_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """np.linspace(lo, hi, _SIGN_SCAN + 1, axis=-1), bit for bit, but built
+    C-contiguous (one panel per row) by linspace's own float64 operations."""
+    step = (hi - lo) / _SIGN_SCAN
+    if not step.all():  # linspace's other formula, for zero or denormal spans
+        return np.linspace(lo, hi, _SIGN_SCAN + 1, axis=-1)
+    xs = step[:, None] * np.arange(_SIGN_SCAN + 1.0)
+    xs += lo[:, None]
+    xs[:, -1] = hi
+    return xs
+
+
+def _rows_with_both_signs(v: np.ndarray) -> np.ndarray:
+    """Indices of the rows of v holding a value < 0 and a value > 0; fmin and
+    fmax skip NaN, so a NaN hides no sign elsewhere in its row."""
+    return np.flatnonzero((np.fmin.reduce(v, axis=1) < 0.0)
+                          & (np.fmax.reduce(v, axis=1) > 0.0))
+
+
 def _panel_sign_roots(fn: Callable, rows: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray):
     """Roots of fn(r, .) inside each panel (lo[j], hi[j]) of row r = rows[j].
@@ -312,8 +335,11 @@ def _panel_sign_roots(fn: Callable, rows: np.ndarray, lo: np.ndarray,
     # one (empty) tile even without panels, so the concatenations below work
     for p in range(0, max(rows.size, 1), step):
         r = rows[p:p + step]
-        xs = np.linspace(lo[p:p + step], hi[p:p + step], _SIGN_SCAN + 1, axis=-1)
+        xs = _scan_grid(lo[p:p + step], hi[p:p + step])
         v = _shaped(fn(r[:, None], xs), xs.shape)
+        # a strict change or a straddled zero needs both signs in its row
+        both = _rows_with_both_signs(v)
+        r, xs, v = r[both], xs[both], v[both]
         zero = v[:, 1:-1] == 0.0
         if zero.any():  # most tiles hold no exact zero, and then none straddled
             zero &= v[:, :-2] * v[:, 2:] < 0.0

@@ -168,6 +168,18 @@ def test_declared_bounds_invariants():
             DeclaredBounds(rho, ())
 
 
+@pytest.mark.parametrize("cls,name,condition", [
+    (ComponentBounds, "f_hi", "C4"), (ComponentBounds, "f_lo", "C4"),
+    (ComponentBounds, "delta_tilde", "C4"), (ComponentBounds, "xi_tilde", "C4"),
+    (HBounds, "delta", "C7"), (HBounds, "xi", "C7")])
+def test_declared_bounds_of_f_and_h_are_nonnegative(cls, name, condition):
+    # f >= 0 and h >= 0, so a negative upper bound is false (and would make
+    # certificate rows hold) and a negative lower bound says nothing
+    with pytest.raises(ValueError, match=rf"^{name} must be nonnegative \({condition}\)$"):
+        cls(**{name: -1.0})
+    assert getattr(cls(**{name: 0.0}), name) == 0.0
+
+
 def planted_bounds(spec, x):
     """Declared bounds all equal to x.  At x = 0 every upper bound fails and
     at x = 100 every lower bound does, so the report records the extreme

@@ -324,6 +324,35 @@ class TestDeterminism:
 
 
 SWEEP = ["sweep", CFG, "--mode", "Sstar", "--rho1", "1e-3", "--rho2", "1"]
+
+
+def edited_example(edit):
+    """An argv entry for a copy of example.cfg changed by edit(doc); the copy
+    is written into the test's tmp directory when the argv is run."""
+    def write(tmp):
+        doc = json.loads(Path(CFG).read_text())
+        edit(doc)
+        path = tmp / "edited.cfg"
+        path.write_text(json.dumps(doc))
+        return str(path)
+    return write
+
+
+def _resolved(argv, tmp):
+    """argv with each edited_example entry written to tmp and read as its path."""
+    return [a(tmp) if callable(a) else a for a in argv]
+
+
+def _negative_f_hi(doc):
+    for cb in doc["bounds"][0]["components"]:
+        cb["f_hi"] = -1
+
+
+def _negative_xi(doc):
+    cb = doc["bounds"][0]["components"][1]
+    cb["xi_tilde"] = cb["h"][0]["xi"] = -1
+
+
 NO_BLOCK = "bounds: no declared-bounds block at rho = 0.5"
 
 # flag errors that are found before the cone constants are assembled
@@ -378,6 +407,14 @@ BEFORE_ASSEMBLY = [
     ([*SWEEP, "--axis", "lambda1:0:0.1:2", "--rho2", "inf"], "bad --rho2 inf"),
     ([*SWEEP, "--axis", "lambda1:0:0.1:2", "--nonexistence-rho", "inf", "--setI", "2",
       "--setJ", "1"], "bad --nonexistence-rho inf"),
+    # f >= 0 (C4) and h >= 0 (C7): a negative upper bound would make every
+    # I1 row, and row I:i=2 of the nonexistence test, hold at these points
+    (["certify", edited_example(_negative_f_hi), "--mode", "Sstar", "--rho1", "1e-3",
+      "--rho2", "1", "--set", "lambda1=100", "--set", "lambda2=100"],
+     "bounds[0].components[0]: f_hi must be nonnegative (C4)"),
+    (["certify-nonexistence", edited_example(_negative_xi), "--rho", "1", "--setI", "2",
+      "--setJ", "1", "--set", "lambda1=31", "--set", "eta11=1", "--set", "lambda2=100",
+      "--set", "eta21=100"], "bounds[0].components[1].h[0]: xi must be nonnegative (C7)"),
 ]
 
 
@@ -397,18 +434,18 @@ class TestBadFlags:
     ])
     def test_exits_one_naming_the_flag(self, tmp_path, capsys, argv, message):
         out = tmp_path / "report.json"
-        assert main([*argv, "--out", str(out)]) == 1
+        assert main([*_resolved(argv, tmp_path), "--out", str(out)]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("argv,message", BEFORE_ASSEMBLY)
-    def test_flag_errors_come_before_assembly(self, monkeypatch, capsys, argv,
-                                              message):
+    def test_flag_errors_come_before_assembly(self, monkeypatch, capsys, tmp_path,
+                                              argv, message):
         def assemble(spec):
             raise AssertionError("cone constants assembled")
 
         monkeypatch.setattr(cli, "assemble_cone_constants", assemble)
-        assert main(argv) == 1
+        assert main(_resolved(argv, tmp_path)) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("first,second", [("lambda1:0:0.1:2", "lambda1:5:6:2"),

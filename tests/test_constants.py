@@ -625,6 +625,114 @@ class TestTiledScans:
 
 
 # --------------------------------------------------------------------------
+# the sign scan's C-order grid and its per-row sign test
+
+@st.composite
+def scan_panels(draw):
+    """(lo, hi) of panels with random, negative, few-ulp and zero spans."""
+    lo, hi = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        a = draw(st.floats(-1e3, 1e3))
+        span = draw(st.sampled_from(["random", "negative", "ulps", "zero"]))
+        if span == "random":
+            b = draw(st.floats(-1e3, 1e3))
+        elif span == "negative":
+            b = a - draw(st.floats(0.0, 10.0, exclude_min=True))
+        elif span == "ulps":
+            b = a + draw(st.integers(1, 600)) * math.ulp(a)
+        else:
+            b = a
+        lo.append(a)
+        hi.append(b)
+    return np.array(lo), np.array(hi)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(scan_panels())
+@example((np.array([0.0, 0.25]), np.array([0.125, 0.25])))  # a zero step
+@example((np.array([0.0]), np.array([5e-324])))  # a step that underflows to 0
+@example((np.array([-1.0, 0.5]), np.array([-3.0, 0.5 + 7 * 2.0**-53])))
+def test_scan_grid_is_linspace(panels):
+    lo, hi = panels
+    want = np.linspace(lo, hi, 257, axis=-1)
+    got = constants_mod._scan_grid(lo, hi)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # one panel per row, in memory order, unless linspace built it
+    assert got.flags.c_contiguous or not np.all((hi - lo) / 256)
+
+
+# values of synthetic sign-scan rows: one sign with exact zeros, zeros only,
+# -0.0 between the signs, NaN in a row that also changes sign, infinities,
+# and opposite signs near 1e-170, whose products underflow to -0.0
+SIGN_PALETTES = [[1.0, 0.5, 3.0, 0.0, -0.0], [-1.0, -0.5, 0.0, -0.0], [0.0, -0.0],
+                 [1.0, -0.0, -2.0], [math.nan, 1.0, -1.0, 0.0],
+                 [math.inf, -math.inf, 1.0, -1.0, 0.0],
+                 [1e-170, -1e-170, 3e-171, -2e-170, 0.0]]
+SIGN_ROWS = np.array([  # each case at least once, whatever is drawn
+    [3.0] * 100 + [0.0] * 57 + [-0.0] * 100,
+    [0.0] * 257,
+    [1.0] * 128 + [-0.0] + [-1.0] * 128,
+    [1.0] * 100 + [math.nan] + [1.0] * 100 + [-1.0] * 56,
+    [-math.inf] * 10 + [2.0] * 247,
+    [1e-170, -1e-170] * 128 + [0.0]])
+
+
+@st.composite
+def sign_rows(draw):
+    """Rows of 257 values, each a few runs of one palette's values."""
+    rows = list(SIGN_ROWS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 64))):
+        runs = rng.choice(SIGN_PALETTES[rng.integers(len(SIGN_PALETTES))],
+                          size=rng.integers(1, 7))
+        ends = np.sort(rng.integers(0, 258, size=runs.size - 1))
+        rows.append(np.repeat(runs, np.diff(np.concatenate(([0], ends, [257])))))
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(sign_rows())
+def test_row_test_keeps_the_rows_holding_both_signs(v):
+    want = [i for i, row in enumerate(v.tolist())
+            if any(x < 0 for x in row) and any(x > 0 for x in row)]
+    assert constants_mod._rows_with_both_signs(v).tolist() == want
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(sign_rows(), st.integers(0, 2**32 - 1))
+def test_sign_roots_of_synthetic_rows_match_untiled_scan(values, seed):
+    # panel p lies inside (p - n/2, p - n/2 + 1), so one sorted array holds
+    # the scan nodes of every panel, and fn(r, s) reads the value of node s,
+    # or of the cell holding s, scaled by 1 or 2 (exactly) by the row r
+    rng = np.random.default_rng(seed)
+    n = values.shape[0]
+    lo = np.arange(n) - n // 2 + rng.uniform(0.0, 0.5, n)
+    hi = lo + rng.uniform(1e-3, 0.5, n)
+    rows = rng.integers(0, 4, n)
+    nodes = np.linspace(lo, hi, 257, axis=-1).ravel()
+    node_values = values.ravel()
+    cell_values = rng.choice([1.0, -1.0, 0.0, math.nan, 1e-170], nodes.size)
+
+    def fn(r, s):
+        i = np.searchsorted(nodes, s)
+        on = nodes[np.minimum(i, nodes.size - 1)] == s
+        v = np.where(on, node_values[np.minimum(i, nodes.size - 1)], cell_values[i - 1])
+        return v * (1.0 + (r & 1))
+
+    with np.errstate(invalid="ignore"):  # inf * 0 in the products
+        want = ref_panel_sign_roots(fn, rows, lo, hi)
+        default = constants_mod._TILE
+        try:
+            for tile in TILES:
+                constants_mod._TILE = tile
+                got = constants_mod._panel_sign_roots(fn, rows, lo, hi)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), tile
+        finally:
+            constants_mod._TILE = default
+
+
+# --------------------------------------------------------------------------
 # golden-section probe trees against the one-probe search they replaced
 
 def ref_golden_min(f, a, b, tol):
