@@ -74,9 +74,6 @@ class SignBox:
         return tuple(0.0 if j == self.component - 1 else -self.rho
                      for j in range(2 * self.n))
 
-    def upper(self) -> tuple[float, ...]:
-        return tuple(self.rho for _ in range(2 * self.n))
-
 
 @dataclass(frozen=True)
 class Row:

@@ -19,8 +19,11 @@ trees: one call of the searched function holds the probes of the next
 ``_GOLDEN_DEPTH`` steps for every outcome of their comparisons, and the
 search walks the comparisons through them, so it probes the points, and
 returns the values, of one probe per call in fewer, larger calls; searched
-functions must therefore be elementwise on arrays.  Declared constants from
-the configuration take precedence when consistent with the computed tight
+functions must therefore be elementwise on arrays.  For an expression
+monotone in t by its form (``expr._monotone_in``), c~'s t-grids and inner
+searches and the Phi1 scan read the extrema over t at the two ends instead,
+with the same doubles (``_t_ends``).  Declared constants from the
+configuration take precedence when consistent with the computed tight
 value (c-type constants must not exceed it); integral norms are always
 computed, and a declared value that disagrees is flagged, never substituted.
 
@@ -32,15 +35,16 @@ Inner integrals of |k| split panels additionally at sign changes of k,
 because the absolute value introduces kinks at unknown points.
 
 Two kinds of array work run at two sizes.  Elementwise scans -- the coarse
-sign pattern of every s-panel, the c~ grids, the Phi1 check -- run in tiles
-of ``_TILE`` points, so their temporaries stay in cache and are reused from
-the heap; tiles follow row-major order and partial column extrema combine
-exactly, so no value depends on the tile.  A tile of the sign scan holds
-one panel per row, its nodes built in that order by linspace's own float64
-operations, and only its rows holding both a value < 0 and a value > 0 go
-on to the node tests (a strict change or a straddled zero needs both signs);
-of those it looks for exact zeros that straddle a sign change only when they
-hold an exact zero.
+sign pattern of every s-panel, the c~ grids and the Phi1 check of
+expressions not monotone in t -- run in tiles of ``_TILE`` points, so their
+temporaries stay in cache and are reused from the heap; tiles follow
+row-major order and partial column extrema combine exactly, so no value
+depends on the tile.  A tile of the sign scan holds one panel per row, its
+nodes built in that order by linspace's own float64 operations, and only
+its rows holding both a value < 0 and a value > 0 go on to the node tests
+(a strict change or a straddled zero needs both signs); of those it looks
+for exact zeros that straddle a sign change only when they hold an exact
+zero.
 Scan grids take their extra nodes (breakpoints, the moving s of c~'s inner
 searches) by insertion into the uniform grid, with the nodes and order of
 np.unique of the two.  Bisection of the sign changes and
@@ -59,8 +63,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, HammcertError, ModelViolationError
-from .expr import eval_scalar
+from .errors import ConfigError, EvalDomainError, HammcertError, ModelViolationError
+from .expr import _monotone_in, eval_scalar
 from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
 from .quad import QuadConfig, _panels, integrate_panels
 
@@ -481,6 +485,31 @@ def _kernel_columns(evalf: Callable, kd: KernelDef, ts: np.ndarray,
     return out
 
 
+def _t_ends(evalf: Callable, kd: KernelDef, factors: tuple | None,
+            ts: np.ndarray, s) -> np.ndarray | None:
+    """evalf(kd, t, s) at each t of ts, one row each, if these rows decide
+    the extrema over every t between them; else None.
+
+    They do when the expression is monotone in t (``factors`` is what
+    ``expr._monotone_in`` gives for it, not None), its product factors are
+    finite at s, and every value in the rows is finite: then t -> k(t, s) is
+    monotone over all doubles, so the min of k and the max of |k| over any
+    grid or search between the ends are those of the end values.  The rows
+    differ from a grid's reduction at most in the sign of a zero minimum.
+    An evaluation error gives None, so the grid raises it where it would.
+    """
+    if factors is None:
+        return None
+    try:
+        if not all(np.isfinite(eval_scalar(f, {"s": s})).all() for f in factors):
+            return None
+        rows = np.reshape(ts, (-1,) + (1,) * np.ndim(s))
+        v = _shaped(evalf(kd, rows, s), (ts.size,) + np.shape(s))
+    except EvalDomainError:
+        return None
+    return v if np.isfinite(v).all() else None
+
+
 def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, *,
             opt_cfg: Opt1DConfig | None = None) -> float:
     """Largest c with k(t,s) >= c * Phi0(s) for t in the window.
@@ -490,14 +519,50 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, *,
     there).  In tight mode Phi0(s) = max over t in [0,1] of |k(t,s)|.  A
     declared envelope is verified to majorize |k| on a dense grid first.
     A nonpositive result means the window positivity condition (C2) fails.
+
+    For a kernel monotone in t (``expr._monotone_in``), the window min and
+    the envelope are read at the ends of [a, b] and of [0, 1] for every s,
+    on the grid and in the refinement's inner searches (``_t_ends``): those
+    are the values the t-grids and searches find, bit for bit, save the
+    sign of a zero minimum.  That sign reaches only a result <= 0, so such
+    a result is recomputed on the grids, and its error text is theirs.
     """
     opt_cfg = opt_cfg or Opt1DConfig()
+    factors = _monotone_in(kd.k, "t")
+    value = _c_tilde(kd, w, env, opt_cfg, factors)
+    if value <= 0.0 and factors is not None:
+        value = _c_tilde(kd, w, env, opt_cfg, None)
+    if value <= 0.0:
+        raise ModelViolationError(
+            "C2", f"window [{w.a}, {w.b}] gives c~ = {value:.6g} <= 0; the "
+            "kernel is not bounded below by a positive multiple of its envelope there")
+    if value > 1.0 + 1e-9:
+        raise ModelViolationError(
+            "C2", f"computed c~ = {value:.6g} > 1; the declared envelope does "
+            "not majorize |k| (c~ must lie in (0, 1])")
+    return min(value, 1.0)
+
+
+def _c_tilde_columns(kd: KernelDef, factors: tuple | None, w: Window,
+                     ss: np.ndarray, ng: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every s in ss, the min of k over the window's t grid (ng cells)
+    and the max of |k| over the t grid ss of [0, 1]: read at the ends of
+    each (``_t_ends``) if they decide them, else scanned."""
+    rows = _t_ends(eval_k, kd, factors, np.array([w.a, w.b, 0.0, 1.0]), ss)
+    if rows is not None:
+        return rows[:2].min(axis=0), np.abs(rows[2:]).max(axis=0)
+    tw = _grid_with(kd.fixed_breakpoints, w.a, w.b, ng)
+    return (_kernel_columns(eval_k, kd, tw, ss, np.minimum),
+            _kernel_columns(eval_k, kd, ss, ss, np.maximum, absolute=True))
+
+
+def _c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, opt_cfg: Opt1DConfig,
+             factors: tuple | None) -> float:
+    """c~ before its range checks, with the kernel's product factors when it
+    is monotone in t (None: on the grids and searches throughout)."""
     ng = min(opt_cfg.coarse_grid, 2048)
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, ng)
-    tw = _grid_with(kd.fixed_breakpoints, w.a, w.b, ng)
-    m_win = _kernel_columns(eval_k, kd, tw, ss, np.minimum)
-    # the full t grid [0, 1] is the s grid
-    k_max = _kernel_columns(eval_k, kd, ss, ss, np.maximum, absolute=True)
+    m_win, k_max = _c_tilde_columns(kd, factors, w, ss, ng)
 
     if env.mode == "declared":
         phi = np.broadcast_to(
@@ -522,37 +587,35 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, *,
 
     # refine around the grid infimum with accurate inner extrema
     inner_cfg = Opt1DConfig(coarse_grid=256, refine_tol=opt_cfg.refine_tol)
+    ends = np.array([w.a, w.b, 0.0, 1.0])
 
     def ratio_at(s: float) -> float:
         s = min(max(s, 0.0), 1.0)
+        at_s = _t_ends(eval_k, kd, factors, ends, s)
         k_at_s = lambda t: eval_k(kd, t, s)
-        num, _, _ = extremum_1d(k_at_s, w.a, w.b, inner_cfg, mode="min",
-                                breakpoints=[s])
+        if at_s is None:
+            num, _, _ = extremum_1d(k_at_s, w.a, w.b, inner_cfg, mode="min",
+                                    breakpoints=[s])
+        else:
+            at_s = at_s.tolist()
+            num = min(at_s[:2])
         if env.mode == "declared":
             den = float(eval_scalar(env.declared_phi0, {"s": s}))
-        else:
+        elif at_s is None:
             den, _ = sup_abs_1d(k_at_s, Window(0.0, 1.0), inner_cfg, breakpoints=[s])
+        else:
+            den = max(map(abs, at_s[2:]))
         if den <= 1e-14:
             return np.inf
         return num / den
 
-    # each probe is two nested searches, so probe trees would not pay here
+    # a probe off the end values is two nested searches, so probe trees
+    # would not pay here
     h = 1.0 / ng
-    gx, gv = _golden_min(lambda xs: np.array([ratio_at(s) for s in xs]),
-                         max(0.0, s_best - h), min(1.0, s_best + h),
-                         opt_cfg.refine_tol, depth=1)
-    if gv < value:
-        value = float(gv)
-
-    if value <= 0.0:
-        raise ModelViolationError(
-            "C2", f"window [{w.a}, {w.b}] gives c~ = {value:.6g} <= 0; the "
-            "kernel is not bounded below by a positive multiple of its envelope there")
-    if value > 1.0 + 1e-9:
-        raise ModelViolationError(
-            "C2", f"computed c~ = {value:.6g} > 1; the declared envelope does "
-            "not majorize |k| (c~ must lie in (0, 1])")
-    return min(value, 1.0)
+    _, gv = _golden_min(lambda xs: np.array([ratio_at(s) for s in xs]),
+                        max(0.0, s_best - h), min(1.0, s_best + h),
+                        opt_cfg.refine_tol, depth=1)
+    return min(value, float(gv))
 
 
 def gamma_c(gamma, w: Window,
@@ -707,8 +770,13 @@ def _validate_phi1(kd: KernelDef, phi1, comp_index: int) -> None:
     the band around the moving jump s = t is not excluded because both
     one-sided values stay below any valid majorant."""
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, 401)
-    ts = np.linspace(0.0, 1.0, 402)
-    dk_max = _kernel_columns(eval_dk, kd, ts, ss, np.maximum, absolute=True)
+    # for a derivative monotone in t, the ends of the t grid hold its max
+    rows = _t_ends(eval_dk, kd, _monotone_in(kd.dk_dt, "t"), np.array([0.0, 1.0]), ss)
+    if rows is None:
+        ts = np.linspace(0.0, 1.0, 402)
+        dk_max = _kernel_columns(eval_dk, kd, ts, ss, np.maximum, absolute=True)
+    else:
+        dk_max = np.abs(rows).max(axis=0)
     phi = np.broadcast_to(np.asarray(eval_scalar(phi1, {"s": ss}), dtype=float),
                           ss.shape)
     # x -> fl(x - phi) is nondecreasing: the largest gap sits at the column max

@@ -758,6 +758,49 @@ _MATH = _Backend(
 # ---------------------------------------------------------------------------
 # Rendering and inspection
 
+def _mentions(expr, var: str) -> bool:
+    """Whether the variable ``var`` occurs in expr."""
+    if isinstance(expr, Var):
+        return expr.name == var
+    if isinstance(expr, Unary):
+        return _mentions(expr.arg, var)
+    if isinstance(expr, Bin):
+        return _mentions(expr.left, var) or _mentions(expr.right, var)
+    return False
+
+
+def _monotone_in(expr, var: str) -> tuple | None:
+    """The var-free factors of the products on the path from ``var`` to the
+    root if expr is monotone in var by its form, else None.
+
+    The form is: var occurs at most once, and every node from it up to the
+    root is neg, pos or step, or +, - or * with a var-free sibling, or /
+    with a var-free divisor; exp, log, sqrt, abs and ^ lie in var-free
+    subtrees only.  neg, pos and step are exact and monotone; + - * / are
+    correctly rounded, so with one operand fixed each is monotone in the
+    other (the direction of * and / set by the fixed operand's sign).  So
+    for fixed values of the other variables, expr is monotone in var over
+    all doubles, as long as no product is 0 * inf: an infinite factor breaks
+    the order at a zero of the other one, so callers check the factors.
+    numpy's exp and power are not correctly rounded, and abs is not
+    monotone, so neither carries the claim.
+    """
+    factors, node = [], expr
+    while _mentions(node, var) and not isinstance(node, Var):
+        if isinstance(node, Unary) and node.op in ("neg", "pos", "step"):
+            node = node.arg
+        elif isinstance(node, Bin) and node.op in ("+", "-", "*", "/"):
+            left = _mentions(node.left, var)
+            if left == _mentions(node.right, var) or (node.op == "/" and not left):
+                return None  # var on both sides, or in a divisor
+            if node.op == "*":
+                factors.append(node.right if left else node.left)
+            node = node.left if left else node.right
+        else:
+            return None
+    return tuple(factors)
+
+
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hammcert import (ConfigError, ModelViolationError, QuadConfig,
                       recip_m, sup_abs_1d)
 from hammcert.constants import Opt1DConfig, extremum_1d, integrate_over_s
 from hammcert.expr import (BOUNDARY_CONTEXT, ENVELOPE_CONTEXT, KERNEL_CONTEXT,
-                           Bin, Num, Var, parse_expr)
+                           Bin, Num, Var, _monotone_in, parse_expr)
 from hammcert.kernels import (EnvelopeSpec, KernelDef, eval_dk, eval_k,
                               kernel_from_catalog, s_breakpoints)
 from conftest import FAST_OPT, single_component_spec
@@ -609,19 +610,170 @@ class TestTiledScans:
         # The traced allocation peak of c~_1 and 1/m_{1,0} at the default
         # resolution is 1.1 MiB with tiled scans and 8.1 MiB with the whole
         # 2^18-point scans of the t-chunks (2 MiB per float64 temporary).
-        w = Window(0, 0.375)
-        c_tilde(K1, w, PHI1, opt_cfg=FAST_OPT)  # compile and import untraced
-        recip_m(K1, 0, opt_cfg=FAST_OPT)
-        tracemalloc.start()
+        # tight-k2 is not monotone in t, so its c~ scans the tiled grids.
+        assert _monotone_in(TIGHT_K2.k, "t") is None
+        for kd, w, env in ((K1, Window(0, 0.375), PHI1),
+                           (TIGHT_K2, Window(0, 0.25), EnvelopeSpec("tight"))):
+            c_tilde(kd, w, env, opt_cfg=FAST_OPT)  # compile and import untraced
+            recip_m(kd, 0, opt_cfg=FAST_OPT)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                c_tilde(kd, w, env)
+                recip_m(kd, 0)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 2**20, kd
+
+
+# --------------------------------------------------------------------------
+# c~ of a kernel monotone in t, from the ends of its t intervals
+
+# t-free operands: sign-changing, zero and exp factors among them
+T_FREE = ["s", "(1/2)", "exp(-s)", "(s - 1/2)", "0", "(1/4 - s)", "(-3)", "(2*s)"]
+DIVISORS = ["3", "(s - 2)", "exp(-s)", "(-1/7)"]
+# operands and wrappers that make a kernel fail the monotone form
+T_BOUND = ["t", "pos(t - 1/2)", "(t*s)"]
+
+
+@st.composite
+def single_t_kernels(draw, monotone=True):
+    """A kernel holding t once, under a random chain of neg, pos, step, and
+    + - * / with t-free operands; unless ``monotone``, one link of the
+    chain may take a t-bound operand or be abs, so the form may fail."""
+    x = "t"
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(["-", "pos", "step", "+x", "x+", "-x", "x-",
+                                   "*x", "x*", "/"]))
+        c = draw(st.sampled_from(DIVISORS if op == "/" else T_FREE))
+        if not monotone and draw(st.integers(0, 3)) == 0:
+            if op in ("-", "pos", "step", "/"):
+                op = "abs"
+            else:
+                c = draw(st.sampled_from(T_BOUND))
+        x = {"-": f"-({x})", "pos": f"pos({x})", "step": f"step({x})",
+             "abs": f"abs({x})", "+x": f"{c} + ({x})", "x+": f"({x}) + {c}",
+             "-x": f"{c} - ({x})", "x-": f"({x}) - {c}", "*x": f"{c}*({x})",
+             "x*": f"({x})*{c}", "/": f"({x})/{c}"}[op]
+    return _kernel(x, "0*t")
+
+
+@st.composite
+def windows(draw):
+    ends = st.one_of(st.sampled_from([0.0, 0.25, 0.375, 0.5, 1.0]), st.floats(0.0, 1.0))
+    a, b = sorted((draw(ends), draw(ends)))
+    assume(a < b)
+    return Window(a, b)
+
+
+def same_bits_but_zero_sign(got, want):
+    # -0.0 + 0.0 is +0.0, and every other double is left as it is
+    return (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(single_t_kernels(), windows(), st.sampled_from([1, 7, 64, 300]))
+def test_end_values_are_the_grid_extrema(kd, w, n):
+    factors = _monotone_in(kd.k, "t")
+    assert factors is not None
+    ss = constants_mod._grid_with(kd.fixed_breakpoints, 0.0, 1.0, n)
+    tw = constants_mod._grid_with(kd.fixed_breakpoints, w.a, w.b, n)
+    m_win, k_max = constants_mod._c_tilde_columns(kd, factors, w, ss, n)
+    # the end-value path, not the scan: these operands keep every row finite
+    assert constants_mod._t_ends(eval_k, kd, factors, np.array([w.a, w.b]), ss) \
+        is not None
+    assert same_bits_but_zero_sign(
+        m_win, ref_kernel_columns(eval_k, kd, tw, ss, np.minimum, False))
+    assert k_max.tobytes() == \
+        ref_kernel_columns(eval_k, kd, ss, ss, np.maximum, True).tobytes()
+
+
+MONOTONE_FORMS = {
+    "t": (), "s*exp(-s)": (), "-step(t - s)": (),
+    "exp(-s)*(1/2 - t*s)": ("exp(-s)", "s"),
+    "1/4 + pos(1/2 - s) - pos(t - s)": (),
+    "(s - 1/2)*-(t/3)/exp(-s)": ("s - 1/2",),
+}
+
+
+@pytest.mark.parametrize("text", MONOTONE_FORMS)
+def test_monotone_form_gives_its_product_factors(text):
+    factors = _monotone_in(parse_expr(text, KERNEL_CONTEXT), "t")
+    assert factors == tuple(parse_expr(f, KERNEL_CONTEXT) for f in MONOTONE_FORMS[text])
+
+
+@pytest.mark.parametrize("text", [
+    "abs(t - s)", "exp(t - s)", "t^2", "t*t", "pos(t - s) - pos(t - 1/2)",
+    "pos(t - s) + pos(1/2 - t)", "s/(t + 1)", "sqrt(t)", "log(1 + t)",
+    "exp(t - s)/4 - pos(t - s)"])
+def test_monotone_form_rejects(text):
+    assert _monotone_in(parse_expr(text, KERNEL_CONTEXT), "t") is None
+
+
+def c_tilde_outcomes(kd, w, env, opt):
+    """c~ (float.hex) or its error text, with the end-value path and with
+    the grids throughout."""
+    def outcome():
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            c_tilde(K1, w, PHI1)
-            recip_m(K1, 0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20
+            with np.errstate(all="ignore"):
+                return c_tilde(kd, w, env, opt_cfg=opt).hex()
+        except hc.HammcertError as err:
+            return str(err)
+
+    fast = outcome()
+    with mock.patch.object(constants_mod, "_monotone_in", lambda expr, var: None):
+        return fast, outcome()
+
+
+ONE = EnvelopeSpec("declared", parse_expr("1", ENVELOPE_CONTEXT))
+END_OPT = Opt1DConfig(coarse_grid=32, refine_tol=1e-8)
+
+
+@pytest.mark.parametrize("kd", ORACLE_KERNELS, ids=ORACLE_IDS)
+@pytest.mark.parametrize("w", [Window(0.0, 0.375), Window(0.2, 0.9), Window(0.0, 1.0)],
+                         ids=["w0", "w1", "w2"])
+@pytest.mark.parametrize("env", [EnvelopeSpec("tight"), ONE], ids=["tight", "one"])
+def test_c_tilde_matches_the_grids(kd, w, env):
+    fast, grid = c_tilde_outcomes(kd, w, env, END_OPT)
+    assert fast == grid
+
+
+@pytest.mark.parametrize("text,env,want", [
+    # a zero column whose zeros have both signs: c~ is a signed zero
+    ("(t - 1/2)*0", ONE, "c~ = 0 <= 0"),
+    ("(1/2 - t)*0", ONE, "c~ = -0 <= 0"),
+    # NaN end rows: the grid raises at the scan of the inner search
+    ("t + (1e308*10 - 1e308*10)", ONE, "NaN while scanning"),
+    # an infinite factor: 0 * inf is NaN inside [0, 1], not at its ends
+    ("pos(-pos((t - 1/2)*(1e308*10))) + 1", EnvelopeSpec("tight"),
+     "envelope vanishes identically"),
+    ("pos(-pos((t - 1/2)*(1e308*10))) + 1", ONE, "NaN while scanning"),
+], ids=["zero", "negative-zero", "nan-rows", "inf-factor-tight", "inf-factor"])
+def test_c_tilde_corner_cases_match_the_grids(text, env, want):
+    kd = _kernel(text, "0*t")
+    assert _monotone_in(kd.k, "t") is not None
+    fast, grid = c_tilde_outcomes(kd, Window(0.0, 1.0), env, END_OPT)
+    assert fast == grid and want in fast
+
+
+@pytest.mark.parametrize("text", ["1 + abs(t - 1/2)", "2 + pos(t - 1/2) + pos(1/4 - t)",
+                                  "2 - pos(t - 1/2)*pos(1/4 - s)/(t - 2)"])
+def test_c_tilde_outside_the_form_matches_the_grids(text):
+    # a positive c~ whose window min lies inside the window, not at its ends
+    kd = _kernel(text, "0*t")
+    assert _monotone_in(kd.k, "t") is None
+    fast, grid = c_tilde_outcomes(kd, Window(0.0, 1.0), EnvelopeSpec("tight"), END_OPT)
+    assert fast == grid and not fast.startswith("condition")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(single_t_kernels(monotone=False), windows(),
+       st.sampled_from([EnvelopeSpec("tight"), ONE]))
+def test_c_tilde_of_random_kernels_matches_the_grids(kd, w, env):
+    fast, grid = c_tilde_outcomes(kd, w, env, END_OPT)
+    assert fast == grid
 
 
 # --------------------------------------------------------------------------
