@@ -20,13 +20,15 @@ constants, declared bounds and the parameter point (lambda_i, eta_ij):
   leaves at most the zero solution in the closed ball; the zero state's
   residual is evaluated separately to decide whether even that survives.
 
-Each family's lhs is computed by one private row builder, left to right in
-the order shown, which returns its rows and the constants it read in reading
-order.  A builder takes the parameter point either as floats (a certificate,
-which derives its provenance and notes from those keys) or as float64
-columns of a whole grid (``sweep``, which reads the rows alone).  Elementwise
-numpy rounds each product and sum as Python floats do, so a grid point's lhs,
-margin and binding row are the doubles its certificate would hold.
+Each family's rows are built by one private row builder as data: per row
+its label, threshold, comparison and monomials, each monomial one parameter
+followed by its factors (constant record keys and declared bounds) in the
+order shown.  One evaluator folds them left to right, at one point on floats
+(a certificate, which also reads its provenance and notes off the record
+keys) or on float64 columns of a whole grid (``sweep``, which reads the rows
+alone).  Elementwise numpy rounds each product and sum as Python floats do,
+so a grid point's lhs, margin and binding row are the doubles its
+certificate would hold.
 
 Comparisons are exact on the computed doubles -- no epsilon fudging -- and
 every row reports its margin so grid-resolution risk can be judged
@@ -39,8 +41,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,134 +127,148 @@ def _params_dict(params: "Params") -> dict:
             "eta": [list(row) for row in params.etas]}
 
 
-Keys = list[tuple[int, str]]  # (component, record key) of each constant read
+class _Bound(NamedTuple):
+    """A declared bound as a factor of a row: the name its missing-bound
+    error prints, and its value (None where it is not declared)."""
+    name: str
+    value: float | None
 
 
-def _constant_provenance(cc: Sequence[ConeConstants], keys: Keys) -> tuple[dict, list[str]]:
-    """The records of the constants read, and a note for each flagged one."""
+class _Inequality(NamedTuple):
+    """A row as data: lhs = sum of its monomials, compared with threshold.
+    A monomial is its parameter, (i, None) for lambda_i or (i, j) for the
+    eta_ij at params.etas[i - 1][j], followed by its factors in
+    multiplication order: a record key of component i's constants (a str)
+    or a _Bound."""
+    label: str
+    threshold: float
+    comparison: str
+    monomials: tuple[tuple, ...]
+
+
+def _evaluate(rows: Sequence[_Inequality], cc: Sequence[ConeConstants], lambdas,
+              etas) -> tuple[list[Row], list[tuple[str, object]]]:
+    """The rows at the parameters, floats or float64 columns alike: each
+    monomial is folded left to right, then the monomials are summed left to
+    right.  Elementwise numpy rounds as Python floats do, so a column holds
+    at each point the double a certificate there holds.  A missing bound
+    counts as 0.0; each one read is returned with its coefficient (the
+    monomial's parameter), in reading order."""
+    evaluated, missing = [], []
+    for row in rows:
+        lhs = None
+        for (i, j), *factors in row.monomials:
+            coefficient = term = lambdas[i - 1] if j is None else etas[i - 1][j]
+            for factor in factors:
+                if isinstance(factor, str):
+                    factor = cc[i - 1].records[factor].used
+                elif factor.value is None:
+                    missing.append((factor.name, coefficient))
+                    factor = 0.0
+                else:
+                    factor = factor.value
+                term = term * factor
+            lhs = term if lhs is None else lhs + term
+        evaluated.append(_row(row.label, lhs, row.threshold, row.comparison))
+    return evaluated, missing
+
+
+def _rows_at(rows: Sequence[_Inequality], cc: Sequence[ConeConstants],
+             params: "Params") -> list[Row]:
+    """The rows at one parameter point; the first missing bound read with a
+    positive coefficient raises MissingBoundError."""
+    evaluated, missing = _evaluate(rows, cc, params.lambdas, params.etas)
+    for name, coefficient in missing:
+        if coefficient > 0.0:
+            raise MissingBoundError(f"{name} is required (its coefficient "
+                                    f"{coefficient} is positive) but not declared")
+    return evaluated
+
+
+def _constant_provenance(cc: Sequence[ConeConstants],
+                         rows: Sequence[_Inequality]) -> tuple[dict, list[str]]:
+    """The records of the constants the rows read, and a note for each
+    flagged one, in reading order."""
     prov, notes = {}, []
-    for i, key in keys:
-        rec = cc[i - 1].records[key]
-        prov[rec.symbol] = rec.as_dict()
-        if rec.flags:
-            notes.append(
-                f"constant {rec.symbol}: declared {rec.declared!r} differs from "
-                f"computed {rec.computed!r}; the computed value was used")
+    for row in rows:
+        for (i, _), *factors in row.monomials:
+            for rec in (cc[i - 1].records[k] for k in factors if isinstance(k, str)):
+                prov[rec.symbol] = rec.as_dict()
+                if rec.flags:
+                    notes.append(
+                        f"constant {rec.symbol}: declared {rec.declared!r} differs "
+                        f"from computed {rec.computed!r}; the computed value was used")
     return prov, notes
 
 
-@dataclass
-class _Grid:
-    """The P points of a sweep grid as the row builders read them: each
-    lambda_i and eta_ij a float64 column of P values, or the base point's
-    float where no axis sets it.  Where a builder meets a missing bound with
-    a positive coefficient, which on floats raises, it marks the points in
-    ``missing``."""
-    lambdas: tuple
-    etas: tuple
-    missing: np.ndarray
-
-
-def _need(params: "Params | _Grid", value, what: str, coefficient):
-    """The declared bound, or 0.0 for a missing one whose coefficient is not
-    positive; a missing one with a positive coefficient raises
-    MissingBoundError, or on a grid marks the points where it is."""
-    if value is None:
-        if isinstance(coefficient, np.ndarray):
-            params.missing |= coefficient > 0.0
-        elif coefficient > 0.0:
-            raise MissingBoundError(f"{what} is required (its coefficient "
-                                    f"{coefficient} is positive) but not declared")
-        return 0.0
-    return value
-
-
-def _read(cc: Sequence[ConeConstants], keys: Keys, i: int, key: str) -> float:
-    """The used value of component i's constant record ``key``, noted in keys."""
-    keys.append((i, key))
-    return cc[i - 1].records[key].used
-
-
-def _i1_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
-             params: "Params | _Grid") -> tuple[list[Row], Keys]:
+def _i1_rows(spec: "ProblemSpec", db: DeclaredBounds) -> list[_Inequality]:
     _check_shape(spec, db)
-    rho, rows, keys = db.rho, [], []
-    for i, (comp, cb) in enumerate(zip(spec.components, db.components), start=1):
-        lam = params.lambdas[i - 1]
-        f_hi = _need(params, cb.f_hi, f"f_hi[{i}] at rho={rho}", lam)
+    rho, rows = db.rho, []
+    for i, cb in enumerate(db.components, start=1):
         for l, sup in ((0, "gamma_sup"), (1, "dgamma_sup")):
-            lhs = lam * f_hi * _read(cc, keys, i, f"recip_m{l}")
-            for j in range(len(comp.gammas)):
-                eta = params.etas[i - 1][j]
-                h_hi = _need(params, cb.h[j].hi, f"h_hi[{i},{j + 1}] at rho={rho}", eta)
-                lhs = lhs + eta * _read(cc, keys, i, f"{sup}[{j}]") * h_hi
-            rows.append(_row(f"i={i},l={l}", lhs, rho, "<="))
-    return rows, keys
+            rows.append(_Inequality(f"i={i},l={l}", rho, "<=", (
+                ((i, None), _Bound(f"f_hi[{i}] at rho={rho}", cb.f_hi), f"recip_m{l}"),
+                *(((i, j), f"{sup}[{j}]", _Bound(f"h_hi[{i},{j + 1}] at rho={rho}", hb.hi))
+                  for j, hb in enumerate(cb.h)))))
+    return rows
 
 
-def _i0_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
-             params: "Params | _Grid", components: Sequence[int] | None = None,
-             prefix: str = "", comparison: str = ">=") -> tuple[list[Row], Keys]:
+def _i0_rows(spec: "ProblemSpec", db: DeclaredBounds,
+             components: Sequence[int] | None = None, prefix: str = "",
+             comparison: str = ">=") -> list[_Inequality]:
     """I0 rows of the given components (all by default); with prefix "J:"
     and comparison ">" they are the nonexistence J rows."""
     _check_shape(spec, db)
-    rho, rows, keys = db.rho, [], []
+    rho, rows = db.rho, []
     for i in range(1, spec.n + 1) if components is None else components:
-        comp, cb = spec.components[i - 1], db.components[i - 1]
-        lam = params.lambdas[i - 1]
-        delta_tilde = _need(params, cb.delta_tilde, f"delta_tilde[{i}] at rho={rho}",
-                            lam)
-        lhs = (lam * delta_tilde * _read(cc, keys, i, "c_tilde")
-               * _read(cc, keys, i, "recip_M"))
-        for j in range(len(comp.gammas)):
-            eta = params.etas[i - 1][j]
-            delta = _need(params, cb.h[j].delta, f"h delta[{i},{j + 1}] at rho={rho}",
-                          eta)
-            lhs = lhs + (eta * _read(cc, keys, i, f"c_gamma[{j}]") * delta
-                         * _read(cc, keys, i, f"gamma_sup[{j}]"))
-        rows.append(_row(f"{prefix}i={i}", lhs, 1.0, comparison))
-    return rows, keys
+        cb = db.components[i - 1]
+        rows.append(_Inequality(f"{prefix}i={i}", 1.0, comparison, (
+            ((i, None), _Bound(f"delta_tilde[{i}] at rho={rho}", cb.delta_tilde),
+             "c_tilde", "recip_M"),
+            *(((i, j), f"c_gamma[{j}]",
+               _Bound(f"h delta[{i},{j + 1}] at rho={rho}", hb.delta), f"gamma_sup[{j}]")
+              for j, hb in enumerate(cb.h)))))
+    return rows
 
 
-def _i0_star_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
-                  i0: int, params: "Params | _Grid") -> tuple[list[Row], Keys]:
+def _i0_star_rows(spec: "ProblemSpec", db: DeclaredBounds,
+                  i0: int) -> list[_Inequality]:
     _check_shape(spec, db)
     _check_i0(spec, i0)
-    comp, cb = spec.components[i0 - 1], db.components[i0 - 1]
-    lam, keys = params.lambdas[i0 - 1], []
-    f_lo = _need(params, cb.f_lo, f"f_lo[{i0}] at rho={db.rho}", lam)
-    lhs = lam * f_lo * _read(cc, keys, i0, "recip_M")
-    for j in range(len(comp.gammas)):
-        eta = params.etas[i0 - 1][j]
-        lhs = lhs + (eta * _read(cc, keys, i0, f"c_gamma[{j}]")
-                     * _read(cc, keys, i0, f"gamma_sup[{j}]") * cb.h[j].lo)
-    return [_row(f"i0={i0}", lhs, db.rho, ">=")], keys
+    rho, cb = db.rho, db.components[i0 - 1]
+    return [_Inequality(f"i0={i0}", rho, ">=", (
+        ((i0, None), _Bound(f"f_lo[{i0}] at rho={rho}", cb.f_lo), "recip_M"),
+        *(((i0, j), f"c_gamma[{j}]", f"gamma_sup[{j}]",
+           _Bound(f"h_lo[{i0},{j + 1}] at rho={rho}", hb.lo))
+          for j, hb in enumerate(cb.h))))]
 
 
-def _nonexistence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                       db: DeclaredBounds, setI: Sequence[int], setJ: Sequence[int],
-                       params: "Params | _Grid"
-                       ) -> tuple[list[int], list[int], list[Row], Keys]:
-    """The validated partition {I, J} (sorted), the I rows then the J rows at
-    radius db.rho, and the constants they read."""
+def _nonexistence_rows(spec: "ProblemSpec", db: DeclaredBounds, setI: Sequence[int],
+                       setJ: Sequence[int]
+                       ) -> tuple[list[int], list[int], list[_Inequality]]:
+    """The validated partition {I, J} (sorted), and the I rows then the J
+    rows at radius db.rho."""
     _check_shape(spec, db)
     setI, setJ = _partition(spec, setI, setJ)
-    rho, rows, keys = db.rho, [], []
+    rho, rows = db.rho, []
     for i in setI:
-        comp, cb = spec.components[i - 1], db.components[i - 1]
-        lam = params.lambdas[i - 1]
-        xi_tilde = _need(params, cb.xi_tilde, f"xi_tilde[{i}] at rho={rho}", lam)
-        lhs = lam * xi_tilde * _read(cc, keys, i, "recip_m0")
-        for j in range(len(comp.gammas)):
-            eta = params.etas[i - 1][j]
-            xi = _need(params, cb.h[j].xi, f"h xi[{i},{j + 1}] at rho={rho}", eta)
-            lhs = lhs + eta * xi * _read(cc, keys, i, f"gamma_sup[{j}]")
-        rows.append(_row(f"I:i={i}", lhs, 1.0, "<"))
-    j_rows, j_keys = _i0_rows(spec, cc, db, params, setJ, "J:", ">")
-    return setI, setJ, rows + j_rows, keys + j_keys
+        cb = db.components[i - 1]
+        rows.append(_Inequality(f"I:i={i}", 1.0, "<", (
+            ((i, None), _Bound(f"xi_tilde[{i}] at rho={rho}", cb.xi_tilde), "recip_m0"),
+            *(((i, j), _Bound(f"h xi[{i},{j + 1}] at rho={rho}", hb.xi), f"gamma_sup[{j}]")
+              for j, hb in enumerate(cb.h)))))
+    return setI, setJ, rows + _i0_rows(spec, db, setJ, "J:", ">")
+
+
+def _check_index(key: str, value) -> None:
+    """ConfigError naming key unless value is an int or a numpy integer,
+    and not a bool (which Python counts as an int)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(key, f"a component index must be an integer, got {value!r}")
 
 
 def _check_i0(spec: "ProblemSpec", i0: int) -> None:
+    _check_index("i0", i0)
     if not (1 <= i0 <= spec.n):
         raise ConfigError("i0", f"component index out of range 1..{spec.n}")
 
@@ -260,7 +276,9 @@ def _check_i0(spec: "ProblemSpec", i0: int) -> None:
 def _partition(spec: "ProblemSpec", setI: Sequence[int],
                setJ: Sequence[int]) -> tuple[list[int], list[int]]:
     """I and J sorted, once they are checked to partition 1..n."""
-    setI, setJ = sorted(set(setI)), sorted(set(setJ))
+    for i in (*setI, *setJ):
+        _check_index("setI/setJ", i)
+    setI, setJ = sorted({int(i) for i in setI}), sorted({int(j) for j in setJ})
     if set(setI) & set(setJ) or set(setI) | set(setJ) != set(range(1, spec.n + 1)):
         raise ConfigError("setI/setJ",
                           f"I={setI} and J={setJ} must partition 1..{spec.n}")
@@ -282,54 +300,29 @@ def _check_existence(spec: "ProblemSpec", db1: DeclaredBounds, db2: DeclaredBoun
         _check_i0(spec, i0)
 
 
-def _existence_rows(spec: "ProblemSpec", cc: Sequence[ConeConstants], db1: DeclaredBounds,
-                    db2: DeclaredBounds, mode: str, i0: int | None, params: "Params"):
-    """((rows, keys) at rho1, (rows, keys) at rho2, i0): the I0 rows (mode S,
-    i0 None) or the I0* row of component i0 (mode Sstar), and the I1 rows."""
-    _check_existence(spec, db1, db2, mode, i0)
-    outer = _i1_rows(spec, cc, db2, params)
-    if mode == "S":
-        return _i0_rows(spec, cc, db1, params), outer, None
-    if i0 is not None:
-        return _i0_star_rows(spec, cc, db1, i0, params), outer, i0
-    first = None
-    for cand in range(1, spec.n + 1):
-        try:
-            inner = _i0_star_rows(spec, cc, db1, cand, params)
-        except MissingBoundError:
-            continue
-        if inner[0][0].holds:
-            return inner, outer, cand
-        first = first or (inner, outer, cand)
-    if first is None:
-        raise MissingBoundError(
-            f"no component declares f_lo at rho={db1.rho}; cannot evaluate the "
-            "single-component inner condition")
-    return first
-
-
 def _certificate(kind: str, spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                 db: DeclaredBounds, params: "Params", rows: list[Row], keys: Keys,
+                 db: DeclaredBounds, params: "Params", rows: list[_Inequality],
                  i0: int | None = None) -> Certificate:
-    """The I1, I0 or I0star certificate of a builder's rows and keys."""
+    """The I1, I0 or I0star certificate of a builder's rows."""
+    evaluated = _rows_at(rows, cc, params)
     cbs = db.components
     if kind == "I1":
-        binding = max(rows, key=lambda r: r.lhs)
+        binding = max(evaluated, key=lambda r: r.lhs)
         bounds = {"f_hi": [cb.f_hi for cb in cbs],
                   "h_hi": [[hb.hi for hb in cb.h] for cb in cbs]}
     elif kind == "I0":
-        binding = min(rows, key=lambda r: r.lhs)
+        binding = min(evaluated, key=lambda r: r.lhs)
         bounds = {"delta_tilde": [cb.delta_tilde for cb in cbs],
                   "delta": [[hb.delta for hb in cb.h] for cb in cbs],
                   "sign_box": [SignBox(i, spec.n, db.rho).lower()
                                for i in range(1, spec.n + 1)]}
     else:
-        binding = rows[0]
+        binding = evaluated[0]
         bounds = {"f_lo": cbs[i0 - 1].f_lo, "h_lo": [hb.lo for hb in cbs[i0 - 1].h],
                   "sign_box": SignBox(i0, spec.n, db.rho).lower()}
-    prov, notes = _constant_provenance(cc, keys)
+    prov, notes = _constant_provenance(cc, rows)
     prov["bounds"] = {"rho": db.rho, **bounds}
-    return Certificate(kind, (db.rho,), tuple(rows), all(r.holds for r in rows),
+    return Certificate(kind, (db.rho,), tuple(evaluated), all(r.holds for r in evaluated),
                        binding.label, _params_dict(params), prov, tuple(notes))
 
 
@@ -338,7 +331,7 @@ def check_I1(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
     """Index-1 growth condition at radius db.rho; certified iff the max over
     components and derivative orders of the lhs stays <= rho."""
     params = _effective_params(spec, params)
-    return _certificate("I1", spec, cc, db, params, *_i1_rows(spec, cc, db, params))
+    return _certificate("I1", spec, cc, db, params, _i1_rows(spec, db))
 
 
 def check_I0(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
@@ -346,7 +339,7 @@ def check_I0(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
     """Index-0 condition at radius db.rho; certified iff the min over
     components of the lhs is >= 1 (non-strict, as displayed)."""
     params = _effective_params(spec, params)
-    return _certificate("I0", spec, cc, db, params, *_i0_rows(spec, cc, db, params))
+    return _certificate("I0", spec, cc, db, params, _i0_rows(spec, db))
 
 
 def check_I0_star(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
@@ -354,8 +347,7 @@ def check_I0_star(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: Declared
     """Single-component index-0 condition: only component i0's growth is
     restricted, via the declared f_lo on the sign-restricted box."""
     params = _effective_params(spec, params)
-    return _certificate("I0star", spec, cc, db, params,
-                        *_i0_star_rows(spec, cc, db, i0, params), i0)
+    return _certificate("I0star", spec, cc, db, params, _i0_star_rows(spec, db, i0), i0)
 
 
 def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
@@ -370,10 +362,21 @@ def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     bound; if none certifies, the first one that could be evaluated.
     """
     params = _effective_params(spec, params)
-    inner, outer, chosen = _existence_rows(spec, cc, db1, db2, mode, i0, params)
-    inner = _certificate("I0" if mode == "S" else "I0star", spec, cc, db1, params,
-                         *inner, chosen)
-    outer = _certificate("I1", spec, cc, db2, params, *outer)
+    _check_existence(spec, db1, db2, mode, i0)
+    outer = _certificate("I1", spec, cc, db2, params, _i1_rows(spec, db2))
+    chosen = i0
+    if mode == "S":
+        inner = _certificate("I0", spec, cc, db1, params, _i0_rows(spec, db1))
+    else:
+        if i0 is None:
+            index = int(_first_candidate(spec, cc, db1, params.lambdas, params.etas)[2])
+            if index < 0:
+                raise MissingBoundError(
+                    f"no component declares f_lo at rho={db1.rho}; cannot evaluate "
+                    "the single-component inner condition")
+            chosen = index + 1
+        inner = _certificate("I0star", spec, cc, db1, params,
+                             _i0_star_rows(spec, db1, chosen), chosen)
     certified = inner.certified and outer.certified
     notes = [*inner.notes, *outer.notes]
     if mode == "Sstar" and i0 is None and inner.certified:
@@ -401,9 +404,10 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     taken on ``spec.solver.nodes`` panels under ``spec.quad``.
     """
     params = _effective_params(spec, params)
-    setI, setJ, rows, keys = _nonexistence_rows(spec, cc, db, setI, setJ, params)
-    binding = min(rows, key=lambda r: r.margin)
-    prov, notes = _constant_provenance(cc, keys)
+    setI, setJ, rows = _nonexistence_rows(spec, db, setI, setJ)
+    evaluated = _rows_at(rows, cc, params)
+    binding = min(evaluated, key=lambda r: r.margin)
+    prov, notes = _constant_provenance(cc, rows)
     prov["bounds"] = {"rho": db.rho, "setI": setI, "setJ": setJ,
                       "xi_tilde": [db.components[i - 1].xi_tilde for i in setI],
                       "delta_tilde": [db.components[i - 1].delta_tilde for i in setJ]}
@@ -417,7 +421,7 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
         notes.append(f"the zero state does not satisfy the system (residual "
                      f"{r0:.3e}); a certified verdict means no solutions at all "
                      f"with norm <= {db.rho}")
-    return Certificate("NIJ", (db.rho,), tuple(rows), all(r.holds for r in rows),
+    return Certificate("NIJ", (db.rho,), tuple(evaluated), all(r.holds for r in evaluated),
                        binding.label, _params_dict(params), prov, tuple(notes))
 
 
@@ -473,17 +477,18 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     ``params`` (the config's parameters by default).  A point's
     verdict, binding row and margin come from its inequality rows alone.
 
-    The grid is evaluated column-wise: each row builder runs once, on
-    float64 columns of all grid points (the last axis varying fastest), and
-    the mode-Sstar candidate rule, the verdicts and the binding rows are
-    applied per point with masks.  An axis out of range, or two axes that
-    set the same parameter, raise ConfigError before anything is evaluated.
+    The grid is evaluated column-wise: each row builder runs once and its
+    rows are evaluated on float64 columns of all grid points (the last axis
+    varying fastest); the mode-Sstar candidate rule, the verdicts and the
+    binding rows are applied per point with masks.  An axis out of range, or
+    two axes that set the same parameter, raise ConfigError before anything
+    is evaluated.
     A point that would raise -- a negative or non-finite parameter, a
     missing bound with positive coefficient, no evaluable Sstar candidate --
     or that is certified both ways under the same declared bounds stops the
-    sweep at the first such point in grid order:
-    that point is evaluated alone on floats, which raises its error, or a
-    ContradictionError with a dump of both full certificates.
+    sweep at the first such point in grid order: that point's certificates
+    are built, which raise its error, or a ContradictionError with a dump of
+    both.
     """
     base = _effective_params(spec, params)
     axes = tuple(axes)
@@ -493,8 +498,21 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
         nonexistence["db"], nonexistence["setI"], nonexistence["setJ"])
     columns = [c.ravel() for c in np.meshgrid(*grids, indexing="ij")]
 
-    def point(k: int) -> dict:
-        return {ax.name: float(col[k]) for ax, col in zip(axes, columns)}
+    def raise_at(k: int) -> None:
+        """Build grid point k's certificates, which raise its error, or raise
+        the ContradictionError if they certify both ways."""
+        point = {ax.name: float(col[k]) for ax, col in zip(axes, columns)}
+        params = base.with_overrides(point)
+        existence = existence_certificate(spec, cc, db1, db2, mode, i0, params)
+        if nonex:
+            nonexistence = nonexistence_certificate(spec, cc, *nonex, params)
+            if existence.certified and nonexistence.certified:
+                raise ContradictionError(
+                    f"grid point {point} certified both for existence and "
+                    "nonexistence under the same declared bounds",
+                    {"point": point, "existence": existence.as_dict(),
+                     "nonexistence": nonexistence.as_dict()})
+        raise AssertionError(f"grid point {point} evaluates cleanly alone")
 
     try:
         with np.errstate(all="ignore"):
@@ -502,14 +520,11 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                 spec, cc, base, slots, columns, math.prod(g.size for g in grids),
                 mode, db1, db2, i0, nonex)
     except HammcertError:
-        # an error of the whole grid: the first point, evaluated alone, raises
-        # it as a point-by-point sweep would
-        _raise_at(spec, cc, base, point(0), mode, db1, db2, i0, nonex)
-        raise
+        # an error of the whole grid: the first point raises it as a
+        # point-by-point sweep would
+        raise_at(0)
     if failing.any():
-        k = int(failing.argmax())
-        _raise_at(spec, cc, base, point(k), mode, db1, db2, i0, nonex)
-        raise AssertionError(f"grid point {point(k)} evaluates cleanly alone")
+        raise_at(int(failing.argmax()))
     keys = (*(ax.name for ax in axes), "verdict", "binding", "margin")
     rows = [dict(zip(keys, values)) for values in zip(
         *(col.tolist() for col in columns),
@@ -551,26 +566,29 @@ def _classify(spec: "ProblemSpec", cc: Sequence[ConeConstants], base: "Params",
         failing |= ~np.isfinite(col)
     for value in (*lambdas, *(v for row in etas for v in row)):
         failing |= np.less(value, 0.0)  # C6
-    grid = _Grid(tuple(lambdas), tuple(tuple(row) for row in etas),
-                 np.zeros(size, bool))
 
     _check_existence(spec, db1, db2, mode, i0)
-    outer = _i1_rows(spec, cc, db2, grid)[0]
+    outer, missing = _evaluate(_i1_rows(spec, db2), cc, lambdas, etas)
     if mode == "S" or i0 is not None:
-        inner = (_i0_rows(spec, cc, db1, grid) if mode == "S"
-                 else _i0_star_rows(spec, cc, db1, i0, grid))[0]
+        inner, inner_missing = _evaluate(
+            _i0_rows(spec, db1) if mode == "S" else _i0_star_rows(spec, db1, i0),
+            cc, lambdas, etas)
+        missing += inner_missing
         inner_holds = _all_hold(inner, size)
         inner_binding = _first_best([r.lhs for r in inner], operator.lt)
     else:
-        inner, inner_holds, inner_binding = _first_candidate(spec, cc, db1, grid,
-                                                             failing)
+        inner, inner_holds, inner_binding = _first_candidate(spec, cc, db1, lambdas,
+                                                             etas)
+        failing |= inner_binding < 0
     exist = inner_holds & _all_hold(outer, size)
     verdict = exist.astype(np.intp)
     binding = np.where(inner_holds, _first_best([r.lhs for r in outer], operator.gt),
                        len(outer) + inner_binding)
     rows = outer + inner
     if nonex is not None:
-        nonex_rows = _nonexistence_rows(spec, cc, *nonex, grid)[2]
+        nonex_rows, nonex_missing = _evaluate(_nonexistence_rows(spec, *nonex)[2], cc,
+                                              lambdas, etas)
+        missing += nonex_missing
         nonex_holds = _all_hold(nonex_rows, size)
         failing |= exist & nonex_holds
         verdict[nonex_holds] = 2
@@ -578,7 +596,8 @@ def _classify(spec: "ProblemSpec", cc: Sequence[ConeConstants], base: "Params",
                            len(rows) + _first_best([r.margin for r in nonex_rows],
                                                    operator.lt), binding)
         rows += nonex_rows
-    failing |= grid.missing
+    for _, coefficient in missing:
+        failing |= coefficient > 0.0
     margin = np.empty(size)
     for k, row in enumerate(rows):
         np.copyto(margin, row.margin, where=binding == k)
@@ -605,44 +624,24 @@ def _all_hold(rows: list[Row], size: int) -> np.ndarray:
 
 
 def _first_candidate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                     db1: DeclaredBounds, grid: _Grid, failing: np.ndarray):
-    """Mode Sstar with i0 unset, per grid point: the I0* row of the first
-    candidate component that holds, else of the first that can be evaluated.
-    A candidate cannot be evaluated where it lacks f_lo and its lambda is
-    positive.  Returns the candidates' rows, whether the chosen one holds and
-    its index, and marks in ``failing`` the points with no evaluable
-    candidate."""
-    size = failing.size
-    rows, chosen, first = [], np.full(size, -1), np.full(size, -1)
-    for cand in range(1, spec.n + 1):
-        own = replace(grid, missing=np.zeros(size, bool))
-        try:
-            (row,), _ = _i0_star_rows(spec, cc, db1, cand, own)
-        except MissingBoundError:
-            continue
-        np.copyto(chosen, len(rows), where=(chosen < 0) & ~own.missing & row.holds)
-        np.copyto(first, len(rows), where=(first < 0) & ~own.missing)
+                     db1: DeclaredBounds, lambdas, etas):
+    """The mode-Sstar rule for an unset i0, at one point on floats or at
+    every grid point on float64 columns: the I0* row of the first candidate
+    component that holds, else of the first that can be evaluated.  A
+    candidate cannot be evaluated where it lacks a bound whose coefficient
+    is positive.  Returns every candidate's row, whether the chosen one
+    holds, and its index (i0 - 1), which is -1 where no candidate can be
+    evaluated."""
+    rows, chosen, first = [], -1, -1
+    for index in range(spec.n):
+        (row,), missing = _evaluate(_i0_star_rows(spec, db1, index + 1), cc,
+                                    lambdas, etas)
+        evaluable = True
+        for _, coefficient in missing:
+            evaluable = evaluable & np.logical_not(coefficient > 0.0)
+        chosen = np.where((chosen < 0) & evaluable & row.holds, index, chosen)
+        first = np.where((first < 0) & evaluable, index, first)
         rows.append(row)
     holds = chosen >= 0
-    chosen = np.where(holds, chosen, first)
-    failing |= chosen < 0
-    return rows, holds, chosen
+    return rows, holds, np.where(holds, chosen, first)
 
-
-def _raise_at(spec: "ProblemSpec", cc: Sequence[ConeConstants], base: "Params",
-              overrides: dict, mode: str, db1: DeclaredBounds, db2: DeclaredBounds,
-              i0: int | None, nonex: tuple | None) -> None:
-    """Evaluate one grid point alone, on floats: raise its error, or the
-    ContradictionError if it is certified both ways."""
-    params = base.with_overrides(overrides)
-    (inner, _), (outer, _), _ = _existence_rows(spec, cc, db1, db2, mode, i0, params)
-    nonex_rows = _nonexistence_rows(spec, cc, *nonex, params)[2] if nonex else []
-    if nonex and all(r.holds for r in inner + outer + nonex_rows):
-        raise ContradictionError(
-            f"grid point {overrides} certified both for existence and "
-            "nonexistence under the same declared bounds",
-            {"point": overrides,
-             "existence": existence_certificate(spec, cc, db1, db2, mode, i0,
-                                                params).as_dict(),
-             "nonexistence": nonexistence_certificate(spec, cc, *nonex,
-                                                      params).as_dict()})

@@ -46,11 +46,10 @@ its rows holding both a value < 0 and a value > 0 go on to the node tests
 for exact zeros that straddle a sign change only when they hold an exact
 zero.
 Scan grids take their extra nodes (breakpoints, the moving s of c~'s inner
-searches) by insertion into the uniform grid, with the nodes and order of
-np.unique of the two.  Bisection of the sign changes and
-the adaptive quadrature run in batches: every bracket of a t-chunk bisected
-together, every panel of a t-chunk integrated together, with t-chunks sized
-by ``_POINT_BUDGET``.
+searches) as np.unique of those nodes and the uniform grid.  Bisection of
+the sign changes and the adaptive quadrature run in batches: every bracket
+of a t-chunk bisected together, every panel of a t-chunk integrated
+together, with t-chunks sized by ``_POINT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -283,22 +282,7 @@ def _grid_with(points: Sequence[float], a: float, b: float, n: int) -> np.ndarra
     sorted and distinct (n >= 1): np.unique of the two."""
     grid = np.linspace(a, b, n + 1)
     inner = [p for p in points if a < p < b]
-    if not inner:
-        return grid
-    # Inserting the points where they sort gives np.unique's doubles unless
-    # a point is zero (np.unique keeps whichever of 0.0 and -0.0 its sort
-    # puts first) or the nodes lie within 16 ulps of each other (linspace is
-    # within a few ulps of a + i (b - a) / n, so such nodes may coincide)
-    if 0.0 in inner or b - a <= 16 * n * math.ulp(max(abs(a), abs(b))):
-        return np.unique(np.concatenate((grid, inner)))
-    inner.sort()
-    parts, start, last = [], 0, None
-    for i, p in zip(grid.searchsorted(inner).tolist(), inner):
-        if p != last and grid[i] != p:  # a repeat or a point on a node adds none
-            parts += (grid[start:i], [p])
-            start = i
-        last = p
-    return np.concatenate(parts + [grid[start:]]) if parts else grid
+    return np.unique(np.concatenate((grid, inner))) if inner else grid
 
 
 # ---------------------------------------------------------------------------

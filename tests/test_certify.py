@@ -544,6 +544,85 @@ class TestPins:
         assert calls == []
 
 
+def monomial_names(rows):
+    """{label: monomials} of row data, each factor by name: the parameter as
+    lambda<i> or eta<i><j>, then record keys and declared-bound names."""
+    def parameter(i, j):
+        return f"lambda{i}" if j is None else f"eta{i}{j + 1}"
+    return {row.label: [(parameter(*m[0]), *(f if isinstance(f, str) else f.name
+                                             for f in m[1:])) for m in row.monomials]
+            for row in rows}
+
+
+class TestRowData:
+    def test_example_monomials_in_multiplication_order(self, example_spec):
+        from hammcert.certify import (_i0_rows, _i0_star_rows, _i1_rows,
+                                      _nonexistence_rows)
+        db1, db2 = example_spec.bounds_at(1e-3), example_spec.bounds_at(1.0)
+        rows = [*_i1_rows(example_spec, db2), *_i0_rows(example_spec, db1),
+                *_i0_star_rows(example_spec, db1, 1), *_i0_star_rows(example_spec, db1, 2),
+                *_nonexistence_rows(example_spec, db2, [2], [1])[2]]
+        assert monomial_names(rows) == {
+            "i=1,l=0": [("lambda1", "f_hi[1] at rho=1.0", "recip_m0"),
+                        ("eta11", "gamma_sup[0]", "h_hi[1,1] at rho=1.0")],
+            "i=1,l=1": [("lambda1", "f_hi[1] at rho=1.0", "recip_m1"),
+                        ("eta11", "dgamma_sup[0]", "h_hi[1,1] at rho=1.0")],
+            "i=2,l=0": [("lambda2", "f_hi[2] at rho=1.0", "recip_m0"),
+                        ("eta21", "gamma_sup[0]", "h_hi[2,1] at rho=1.0")],
+            "i=2,l=1": [("lambda2", "f_hi[2] at rho=1.0", "recip_m1"),
+                        ("eta21", "dgamma_sup[0]", "h_hi[2,1] at rho=1.0")],
+            "i=1": [("lambda1", "delta_tilde[1] at rho=0.001", "c_tilde", "recip_M"),
+                    ("eta11", "c_gamma[0]", "h delta[1,1] at rho=0.001", "gamma_sup[0]")],
+            "i=2": [("lambda2", "delta_tilde[2] at rho=0.001", "c_tilde", "recip_M"),
+                    ("eta21", "c_gamma[0]", "h delta[2,1] at rho=0.001", "gamma_sup[0]")],
+            "i0=1": [("lambda1", "f_lo[1] at rho=0.001", "recip_M"),
+                     ("eta11", "c_gamma[0]", "gamma_sup[0]", "h_lo[1,1] at rho=0.001")],
+            "i0=2": [("lambda2", "f_lo[2] at rho=0.001", "recip_M"),
+                     ("eta21", "c_gamma[0]", "gamma_sup[0]", "h_lo[2,1] at rho=0.001")],
+            "I:i=2": [("lambda2", "xi_tilde[2] at rho=1.0", "recip_m0"),
+                      ("eta21", "h xi[2,1] at rho=1.0", "gamma_sup[0]")],
+            "J:i=1": [("lambda1", "delta_tilde[1] at rho=1.0", "c_tilde", "recip_M"),
+                      ("eta11", "c_gamma[0]", "h delta[1,1] at rho=1.0", "gamma_sup[0]")],
+        }
+
+
+class TestComponentIndices:
+    def test_certificates_take_integers_only(self, example_spec, example_cc):
+        db1, db2 = example_spec.bounds_at(1e-3), example_spec.bounds_at(1.0)
+        for i0 in (1.0, True, np.bool_(True), "1"):
+            with pytest.raises(ConfigError, match=r"^i0: a component index must be "
+                                                  r"an integer, got "):
+                existence_certificate(example_spec, example_cc, db1, db2, "Sstar", i0)
+        for setI, setJ in (([2.0], [1]), ([True], [2]), ([2], [np.float64(1)])):
+            with pytest.raises(ConfigError, match=r"^setI/setJ: a component index "
+                                                  r"must be an integer, got "):
+                nonexistence_certificate(example_spec, example_cc, db2, setI, setJ)
+        # numpy integers are component indices, and print as ints
+        assert existence_certificate(example_spec, example_cc, db1, db2, "Sstar",
+                                     np.int64(1)).as_dict() == \
+            existence_certificate(example_spec, example_cc, db1, db2, "Sstar",
+                                  1).as_dict()
+        cert = nonexistence_certificate(example_spec, example_cc, db2,
+                                        [np.int32(2)], np.array([1]))
+        assert cert.as_dict() == nonexistence_certificate(example_spec, example_cc,
+                                                          db2, [2], [1]).as_dict()
+        json.dumps(cert.as_dict())
+
+    def test_sweep_takes_integers_only(self, example_spec, example_cc):
+        kwargs = dict(mode="Sstar", db1=example_spec.bounds_at(1e-3),
+                      db2=example_spec.bounds_at(1.0))
+        axes = [SweepAxis("lambda1", 0.0, 0.1, 3)]
+        with pytest.raises(ConfigError, match=r"^i0: a component index must be an "
+                                              r"integer, got 1\.0$"):
+            sweep(example_spec, example_cc, axes, **kwargs, i0=1.0)
+        with pytest.raises(ConfigError, match=r"^setI/setJ: a component index must "
+                                              r"be an integer, got True$"):
+            sweep(example_spec, example_cc, axes, **kwargs, nonexistence={
+                "db": example_spec.bounds_at(1.0), "setI": [True], "setJ": [2]})
+        assert sweep(example_spec, example_cc, axes, **kwargs, i0=np.int64(1)).rows \
+            == sweep(example_spec, example_cc, axes, **kwargs, i0=1).rows
+
+
 class TestSweepWork:
     def test_duplicate_axes_rejected(self, example_spec, example_cc):
         kwargs = dict(mode="Sstar", db1=example_spec.bounds_at(1e-3),
@@ -588,10 +667,37 @@ class TestSweepWork:
                                "_nonexistence_rows": 1}
 
 
+def ref_existence_rows(spec, cc, db1, db2, mode, i0, params):
+    """The inner and the outer existence rows at one point, on floats, with
+    the mode-Sstar rule for an unset i0 as its own loop over the candidates."""
+    from hammcert.certify import (_check_existence, _i0_rows, _i0_star_rows,
+                                  _i1_rows, _rows_at)
+    _check_existence(spec, db1, db2, mode, i0)
+    outer = _rows_at(_i1_rows(spec, db2), cc, params)
+    if mode == "S":
+        return _rows_at(_i0_rows(spec, db1), cc, params), outer
+    if i0 is not None:
+        return _rows_at(_i0_star_rows(spec, db1, i0), cc, params), outer
+    first = None
+    for cand in range(1, spec.n + 1):
+        try:
+            inner = _rows_at(_i0_star_rows(spec, db1, cand), cc, params)
+        except MissingBoundError:
+            continue
+        if inner[0].holds:
+            return inner, outer
+        first = first or inner
+    if first is None:
+        raise MissingBoundError(
+            f"no component declares f_lo at rho={db1.rho}; cannot evaluate the "
+            "single-component inner condition")
+    return first, outer
+
+
 def ref_sweep(spec, cc, axes, *, mode, db1, db2, i0=None, nonexistence=None):
     """The sweep as one loop over the grid points, each evaluated on floats
     with its own Params and row builders."""
-    from hammcert.certify import _existence_rows, _nonexistence_rows
+    from hammcert.certify import _nonexistence_rows, _rows_at
     base = Params.from_spec(spec)
     axes = tuple(axes)
     grids = [ax.grid() for ax in axes]
@@ -601,11 +707,11 @@ def ref_sweep(spec, cc, axes, *, mode, db1, db2, i0=None, nonexistence=None):
     for combo in np.ndindex(*[g.size for g in grids]):
         overrides = {ax.name: float(grids[k][combo[k]]) for k, ax in enumerate(axes)}
         params = base.with_overrides(overrides)
-        (inner, _), (outer, _), _ = _existence_rows(spec, cc, db1, db2, mode, i0,
-                                                    params)
+        inner, outer = ref_existence_rows(spec, cc, db1, db2, mode, i0, params)
         inner_holds = all(r.holds for r in inner)
         exist_certified = inner_holds and all(r.holds for r in outer)
-        nonex_rows = _nonexistence_rows(spec, cc, *nonex, params)[2] if nonex else None
+        nonex_rows = (_rows_at(_nonexistence_rows(spec, *nonex)[2], cc, params)
+                      if nonex else None)
         nonex_certified = nonex_rows is not None and all(r.holds for r in nonex_rows)
         if exist_certified and nonex_certified:
             raise ContradictionError(
