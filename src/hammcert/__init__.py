@@ -10,7 +10,7 @@ cross-validates certificates by solving the fixed-point problem numerically.
 
 from .bounds import (ComponentBounds, DeclaredBounds, FalsificationReport,
                      HBounds, Violation, estimate_ranges, falsify_bounds)
-from .certify import (Certificate, SignBox, SweepAxis, SweepResult, check_I0,
+from .certify import (Certificate, SweepAxis, SweepResult, check_I0,
                       check_I0_star, check_I1, existence_certificate,
                       nonexistence_certificate, sweep)
 from .cone import (DiscreteState, StateNorms, c1_norm, cone_membership,

@@ -333,6 +333,13 @@ _F_BOXES = ((False, (("f_hi", "f_hi", False), ("f_xi_tilde", "xi_tilde", True)))
             (True, (("f_lo", "f_lo", False), ("f_delta_tilde", "delta_tilde", True))))
 
 
+def _sign_box(i: int, n: int, rho: float) -> tuple[float, ...]:
+    """The lower corner of the sign-restricted box prod_j [theta_j rho, rho]
+    of the index-0 bounds of component i (1-based) over (u, u'): theta_j = 0
+    for u_i and -1 for every other coordinate."""
+    return tuple(0.0 if j == i - 1 else -rho for j in range(2 * n))
+
+
 def _falsify_f_boxes(spec, db, rng, checked, skipped) -> list[Violation]:
     out: list[Violation] = []
     n, rho = spec.n, db.rho
@@ -349,10 +356,9 @@ def _falsify_f_boxes(spec, db, rng, checked, skipped) -> list[Violation]:
             continue
 
         for lower, box in boxes:
-            t_lo, t_hi, own_lo = (comp.window.a, comp.window.b, 0.0) if lower \
-                else (0.0, 1.0, -rho)
-            lows = np.array([t_lo] + [own_lo if k == i - 1 else -rho for k in range(n)]
-                            + [-rho] * n + [w_lo])
+            t_lo, t_hi = (comp.window.a, comp.window.b) if lower else (0.0, 1.0)
+            x_lo = _sign_box(i, n, rho) if lower else (-rho,) * (2 * n)
+            lows = np.array([t_lo, *x_lo, w_lo])
             highs = np.array([t_hi] + [rho] * (2 * n) + [w_hi])
             pts = _box_points(lows, highs, rng)
             vals = np.broadcast_to(

@@ -28,7 +28,8 @@ order shown.  One evaluator folds them left to right, at one point on floats
 keys) or on float64 columns of a whole grid (``sweep``, which reads the rows
 alone).  Elementwise numpy rounds each product and sum as Python floats do,
 so a grid point's lhs, margin and binding row are the doubles its
-certificate would hold.
+certificate would hold; one rule (``_verdict``) gives the verdict and the
+binding row of both.
 
 Comparisons are exact on the computed doubles -- no epsilon fudging -- and
 every row reports its margin so grid-resolution risk can be judged
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import DeclaredBounds, _check_shape
+from .bounds import DeclaredBounds, _check_shape, _sign_box
 from .cone import zero_state
 from .constants import ConeConstants
 from .errors import ConfigError, ContradictionError, HammcertError, MissingBoundError
@@ -56,25 +57,11 @@ from .solver import _effective_params, residual
 if TYPE_CHECKING:
     from .problem import Params, ProblemSpec
 
-__all__ = ["Certificate", "Row", "SignBox", "check_I1", "check_I0",
+__all__ = ["Certificate", "Row", "check_I1", "check_I0",
            "check_I0_star", "existence_certificate", "nonexistence_certificate",
            "SweepAxis", "SweepResult", "sweep"]
 
 ZERO_RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SignBox:
-    """Coordinate box prod_j [theta_j rho, rho] used by the index-0
-    conditions: theta_j = 0 for the value coordinate of the distinguished
-    component and -1 for every other coordinate."""
-    component: int  # 1-based
-    n: int
-    rho: float
-
-    def lower(self) -> tuple[float, ...]:
-        return tuple(0.0 if j == self.component - 1 else -self.rho
-                     for j in range(2 * self.n))
 
 
 @dataclass(frozen=True)
@@ -300,30 +287,58 @@ def _check_existence(spec: "ProblemSpec", db1: DeclaredBounds, db2: DeclaredBoun
         _check_i0(spec, i0)
 
 
+# per row family, the row that binds its verdict: the one of largest
+# (operator.gt) or least (operator.lt) lhs or margin
+_BINDING = {"I1": ("lhs", operator.gt), "I0": ("lhs", operator.lt),
+            "I0star": ("lhs", operator.lt), "NIJ": ("margin", operator.lt)}
+
+
+def _verdict(kind: str, rows: Sequence[Row],
+             size: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Whether every row holds, as a bool array of ``size`` points, and the
+    index of the binding row (``_BINDING``), at one point on floats or at
+    every grid point on float64 columns."""
+    field, better = _BINDING[kind]
+    holds = np.ones(size, bool)
+    for row in rows:
+        holds &= row.holds
+    return holds, _first_best([getattr(row, field) for row in rows], better)
+
+
+def _first_best(values: Sequence, better) -> np.ndarray:
+    """The index of the value that ``better`` (operator.gt for the largest,
+    operator.lt for the least) picks, per grid point: a left-to-right scan
+    that moves on only to a strictly better value, so ties and NaNs keep
+    the earlier row, as ``max`` and ``min`` do (np.argmax would take a
+    NaN)."""
+    best, index = values[0], 0
+    for k, value in enumerate(values[1:], start=1):
+        moves = better(value, best)
+        best, index = np.where(moves, value, best), np.where(moves, k, index)
+    return index
+
+
 def _certificate(kind: str, spec: "ProblemSpec", cc: Sequence[ConeConstants],
                  db: DeclaredBounds, params: "Params", rows: list[_Inequality],
                  i0: int | None = None) -> Certificate:
     """The I1, I0 or I0star certificate of a builder's rows."""
     evaluated = _rows_at(rows, cc, params)
+    holds, binding = _verdict(kind, evaluated)
     cbs = db.components
     if kind == "I1":
-        binding = max(evaluated, key=lambda r: r.lhs)
         bounds = {"f_hi": [cb.f_hi for cb in cbs],
                   "h_hi": [[hb.hi for hb in cb.h] for cb in cbs]}
     elif kind == "I0":
-        binding = min(evaluated, key=lambda r: r.lhs)
         bounds = {"delta_tilde": [cb.delta_tilde for cb in cbs],
                   "delta": [[hb.delta for hb in cb.h] for cb in cbs],
-                  "sign_box": [SignBox(i, spec.n, db.rho).lower()
-                               for i in range(1, spec.n + 1)]}
+                  "sign_box": [_sign_box(i, spec.n, db.rho) for i in range(1, spec.n + 1)]}
     else:
-        binding = evaluated[0]
         bounds = {"f_lo": cbs[i0 - 1].f_lo, "h_lo": [hb.lo for hb in cbs[i0 - 1].h],
-                  "sign_box": SignBox(i0, spec.n, db.rho).lower()}
+                  "sign_box": _sign_box(i0, spec.n, db.rho)}
     prov, notes = _constant_provenance(cc, rows)
     prov["bounds"] = {"rho": db.rho, **bounds}
-    return Certificate(kind, (db.rho,), tuple(evaluated), all(r.holds for r in evaluated),
-                       binding.label, _params_dict(params), prov, tuple(notes))
+    return Certificate(kind, (db.rho,), tuple(evaluated), bool(holds[0]),
+                       evaluated[binding].label, _params_dict(params), prov, tuple(notes))
 
 
 def check_I1(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
@@ -406,7 +421,7 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     params = _effective_params(spec, params)
     setI, setJ, rows = _nonexistence_rows(spec, db, setI, setJ)
     evaluated = _rows_at(rows, cc, params)
-    binding = min(evaluated, key=lambda r: r.margin)
+    holds, binding = _verdict("NIJ", evaluated)
     prov, notes = _constant_provenance(cc, rows)
     prov["bounds"] = {"rho": db.rho, "setI": setI, "setJ": setJ,
                       "xi_tilde": [db.components[i - 1].xi_tilde for i in setI],
@@ -421,8 +436,8 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
         notes.append(f"the zero state does not satisfy the system (residual "
                      f"{r0:.3e}); a certified verdict means no solutions at all "
                      f"with norm <= {db.rho}")
-    return Certificate("NIJ", (db.rho,), tuple(evaluated), all(r.holds for r in evaluated),
-                       binding.label, _params_dict(params), prov, tuple(notes))
+    return Certificate("NIJ", (db.rho,), tuple(evaluated), bool(holds[0]),
+                       evaluated[binding].label, _params_dict(params), prov, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -574,27 +589,25 @@ def _classify(spec: "ProblemSpec", cc: Sequence[ConeConstants], base: "Params",
             _i0_rows(spec, db1) if mode == "S" else _i0_star_rows(spec, db1, i0),
             cc, lambdas, etas)
         missing += inner_missing
-        inner_holds = _all_hold(inner, size)
-        inner_binding = _first_best([r.lhs for r in inner], operator.lt)
+        inner_holds, inner_binding = _verdict("I0" if mode == "S" else "I0star",
+                                              inner, size)
     else:
         inner, inner_holds, inner_binding = _first_candidate(spec, cc, db1, lambdas,
                                                              etas)
         failing |= inner_binding < 0
-    exist = inner_holds & _all_hold(outer, size)
+    outer_holds, outer_binding = _verdict("I1", outer, size)
+    exist = inner_holds & outer_holds
     verdict = exist.astype(np.intp)
-    binding = np.where(inner_holds, _first_best([r.lhs for r in outer], operator.gt),
-                       len(outer) + inner_binding)
+    binding = np.where(inner_holds, outer_binding, len(outer) + inner_binding)
     rows = outer + inner
     if nonex is not None:
         nonex_rows, nonex_missing = _evaluate(_nonexistence_rows(spec, *nonex)[2], cc,
                                               lambdas, etas)
         missing += nonex_missing
-        nonex_holds = _all_hold(nonex_rows, size)
+        nonex_holds, nonex_binding = _verdict("NIJ", nonex_rows, size)
         failing |= exist & nonex_holds
         verdict[nonex_holds] = 2
-        binding = np.where(nonex_holds,
-                           len(rows) + _first_best([r.margin for r in nonex_rows],
-                                                   operator.lt), binding)
+        binding = np.where(nonex_holds, len(rows) + nonex_binding, binding)
         rows += nonex_rows
     for _, coefficient in missing:
         failing |= coefficient > 0.0
@@ -602,25 +615,6 @@ def _classify(spec: "ProblemSpec", cc: Sequence[ConeConstants], base: "Params",
     for k, row in enumerate(rows):
         np.copyto(margin, row.margin, where=binding == k)
     return failing, verdict, binding, margin, [r.label for r in rows]
-
-
-def _first_best(values: Sequence, better) -> np.ndarray:
-    """Per grid point, the index of the row that ``max`` (better=operator.gt)
-    or ``min`` (operator.lt) picks from ``values``, as a certificate does: a
-    left-to-right scan that moves on only to a strictly better value, so
-    ties and NaNs keep the earlier row (np.argmax would take a NaN)."""
-    best, index = values[0], 0
-    for k, value in enumerate(values[1:], start=1):
-        moves = better(value, best)
-        best, index = np.where(moves, value, best), np.where(moves, k, index)
-    return index
-
-
-def _all_hold(rows: list[Row], size: int) -> np.ndarray:
-    holds = np.ones(size, bool)
-    for row in rows:
-        holds &= row.holds
-    return holds
 
 
 def _first_candidate(spec: "ProblemSpec", cc: Sequence[ConeConstants],

@@ -20,12 +20,13 @@ trees: one call of the searched function holds the probes of the next
 search walks the comparisons through them, so it probes the points, and
 returns the values, of one probe per call in fewer, larger calls; searched
 functions must therefore be elementwise on arrays.  For an expression
-monotone in t by its form (``expr._monotone_in``), c~'s t-grids and inner
-searches and the Phi1 scan read the extrema over t at the two ends instead,
-with the same doubles (``_t_ends``).  Declared constants from the
-configuration take precedence when consistent with the computed tight
-value (c-type constants must not exceed it); integral norms are always
-computed, and a declared value that disagrees is flagged, never substituted.
+monotone in t by its form (``expr._monotone_in``), the extrema over t are
+read at the two ends, with the same doubles (``_t_ends``): ``_kernel_columns``
+decides this for c~'s t-grids and the Phi1 check, and c~'s inner searches
+read the ends too.  Declared constants from the configuration take
+precedence when consistent with the computed tight value (c-type constants
+must not exceed it); integral norms are always computed, and a declared
+value that disagrees is flagged, never substituted.
 
 The t-scans of the integral norms are batched: ``integrate_over_s``
 integrates over s for a whole chunk of t at once, with the grid, panel
@@ -438,18 +439,23 @@ def recip_M(kd: KernelDef, w: Window, quad_cfg: QuadConfig | None = None,
 # ---------------------------------------------------------------------------
 # Window constants
 
-def _kernel_columns(evalf: Callable, kd: KernelDef, ts: np.ndarray,
-                    ss: np.ndarray, combine: np.ufunc, *,
+def _kernel_columns(evalf: Callable, kd: KernelDef, factors: tuple | None,
+                    ts: np.ndarray, ss: np.ndarray, combine: np.ufunc, *,
                     absolute: bool = False) -> np.ndarray:
     """combine.reduce over t in ts of evalf(kd, t, s), or of its absolute
     value, for every s in ss.
 
-    The ts x ss grid is evaluated in tiles of at most ``_TILE`` points, a few
-    t-rows by many s-columns so that each reduction runs along long rows.
+    The rows at the two ends of ts are reduced alone if they decide the
+    extrema (``_t_ends``, with ``factors`` from ``expr._monotone_in``).
+    Else the ts x ss grid is evaluated in tiles of at most ``_TILE`` points,
+    a few t-rows by many s-columns so that each reduction runs along long rows.
     Each tile is reduced over its t-rows and folded into the running column
     values with ``combine``; for np.minimum and np.maximum that is exact, so
     the tiling leaves every value as a whole-grid reduction would.
     """
+    ends = _t_ends(evalf, kd, factors, ts[[0, -1]], ss)
+    if ends is not None:
+        return combine.reduce(np.abs(ends) if absolute else ends, axis=0)
     # 64 t-rows by 256 s-columns at 2^14: a tile of all 2049 t-rows would be
     # 8 columns wide, and such short rows reduce slowly
     rows = max(1, min(ts.size, math.isqrt(_TILE) // 2))
@@ -527,26 +533,15 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, *,
     return min(value, 1.0)
 
 
-def _c_tilde_columns(kd: KernelDef, factors: tuple | None, w: Window,
-                     ss: np.ndarray, ng: int) -> tuple[np.ndarray, np.ndarray]:
-    """For every s in ss, the min of k over the window's t grid (ng cells)
-    and the max of |k| over the t grid ss of [0, 1]: read at the ends of
-    each (``_t_ends``) if they decide them, else scanned."""
-    rows = _t_ends(eval_k, kd, factors, np.array([w.a, w.b, 0.0, 1.0]), ss)
-    if rows is not None:
-        return rows[:2].min(axis=0), np.abs(rows[2:]).max(axis=0)
-    tw = _grid_with(kd.fixed_breakpoints, w.a, w.b, ng)
-    return (_kernel_columns(eval_k, kd, tw, ss, np.minimum),
-            _kernel_columns(eval_k, kd, ss, ss, np.maximum, absolute=True))
-
-
 def _c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, opt_cfg: Opt1DConfig,
              factors: tuple | None) -> float:
     """c~ before its range checks, with the kernel's product factors when it
     is monotone in t (None: on the grids and searches throughout)."""
     ng = min(opt_cfg.coarse_grid, 2048)
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, ng)
-    m_win, k_max = _c_tilde_columns(kd, factors, w, ss, ng)
+    tw = _grid_with(kd.fixed_breakpoints, w.a, w.b, ng)
+    m_win = _kernel_columns(eval_k, kd, factors, tw, ss, np.minimum)
+    k_max = _kernel_columns(eval_k, kd, factors, ss, ss, np.maximum, absolute=True)
 
     if env.mode == "declared":
         phi = np.broadcast_to(
@@ -754,13 +749,8 @@ def _validate_phi1(kd: KernelDef, phi1, comp_index: int) -> None:
     the band around the moving jump s = t is not excluded because both
     one-sided values stay below any valid majorant."""
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, 401)
-    # for a derivative monotone in t, the ends of the t grid hold its max
-    rows = _t_ends(eval_dk, kd, _monotone_in(kd.dk_dt, "t"), np.array([0.0, 1.0]), ss)
-    if rows is None:
-        ts = np.linspace(0.0, 1.0, 402)
-        dk_max = _kernel_columns(eval_dk, kd, ts, ss, np.maximum, absolute=True)
-    else:
-        dk_max = np.abs(rows).max(axis=0)
+    dk_max = _kernel_columns(eval_dk, kd, _monotone_in(kd.dk_dt, "t"),
+                             np.linspace(0.0, 1.0, 402), ss, np.maximum, absolute=True)
     phi = np.broadcast_to(np.asarray(eval_scalar(phi1, {"s": ss}), dtype=float),
                           ss.shape)
     # x -> fl(x - phi) is nondecreasing: the largest gap sits at the column max

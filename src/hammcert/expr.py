@@ -364,15 +364,21 @@ def _check_text(text) -> None:
         raise DslSyntaxError("empty expression", text, 0)
 
 
-def parse_expr(text: str, context: frozenset) -> ScalarExpr:
-    """Parse a scalar expression whose variables must lie in ``context``."""
+def _parse(text: str, context: frozenset, n: int | None = None, mode: str = "scalar"):
+    """The expression that spans all of text; text is checked first, since
+    ``_Parser`` tokenizes it when it is made."""
     _check_text(text)
-    p = _Parser(text, frozenset(context))
+    p = _Parser(text, frozenset(context), n=n, mode=mode)
     node = p.expr()[0]
     kind, _, pos = p.peek()
     if kind != "end":
         raise DslSyntaxError("trailing input", text, pos)
     return node
+
+
+def parse_expr(text: str, context: frozenset) -> ScalarExpr:
+    """Parse a scalar expression whose variables must lie in ``context``."""
+    return _parse(text, context)
 
 
 def parse_functional(text: str, n: int) -> FunctionalExpr:
@@ -381,13 +387,7 @@ def parse_functional(text: str, n: int) -> FunctionalExpr:
     The outer level has no free variables; state enters only through the
     val/der/int atoms.  int(...) may not be nested inside another int.
     """
-    _check_text(text)
-    p = _Parser(text, frozenset(), n=n, mode="functional")
-    node = p.expr()[0]
-    kind, _, pos = p.peek()
-    if kind != "end":
-        raise DslSyntaxError("trailing input", text, pos)
-    return node
+    return _parse(text, frozenset(), n, "functional")
 
 
 def parse_constant(value, key: str = "<constant>") -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -68,12 +69,16 @@ class Component:
 @dataclass(frozen=True)
 class Params:
     """The parameter point (lambda_i, eta_ij) a certificate is evaluated at;
-    every parameter must be a finite number >= 0 (C6)."""
+    every parameter must be a finite real number >= 0 (C6): a Python or
+    numpy int or float, not a bool."""
     lambdas: tuple[float, ...]
     etas: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         values = [*self.lambdas, *(v for row in self.etas for v in row)]
+        for v in values:  # a bool is an int to Python, but no parameter value
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigError("params", f"parameters must be real numbers, got {v!r}")
         if not all(math.isfinite(v) for v in values):
             raise ConfigError("params", "parameters must be finite numbers")
         if any(v < 0 for v in values):

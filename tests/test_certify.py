@@ -100,12 +100,19 @@ class TestI1:
         ((1.0, 1.0), ((0.0,), (-0.5,)), r"nonnegative \(C6\)"),
         ((math.nan, 1.0), ((0.0,), (0.0,)), "finite"),
         ((1.0, 1.0), ((math.inf,), (0.0,)), "finite"),
+        ((True, 0.1), ((0.1,), (0.1,)), "real numbers, got True"),
+        (("1", 0.1), ((0.1,), (0.1,)), "real numbers, got '1'"),
+        ((None, 0.1), ((0.1,), (0.1,)), "real numbers, got None"),
     ])
     def test_params_check_themselves(self, lambdas, etas, message):
         # a point made by hand meets the loader's C6 check
         with pytest.raises(ConfigError, match=message) as err:
             Params(lambdas, etas)
         assert err.value.key == "params"
+
+    def test_params_take_python_and_numpy_numbers(self):
+        p = Params((1, np.float32(0.5)), ((np.int64(2),), (0.25,)))
+        assert p.lambdas[0] == 1 and p.etas[0][0] == 2
 
     def test_negative_parameters_certify_nothing(self, example_spec, example_cc):
         # all rows' lhs would be negative, so I1 would hold
@@ -542,6 +549,58 @@ class TestPins:
                                      "setI": [2], "setJ": [1]})
         assert len(result.rows) == 121
         assert calls == []
+
+
+# the binding row as Python's max and min pick it from a certificate's own
+# rows, kept apart from the rule the certificates share with sweep
+REF_BINDING = {"I1": (max, "lhs"), "I0": (min, "lhs"), "I0star": (min, "lhs"),
+               "NIJ": (min, "margin")}
+
+
+def assert_binding_by_max_min(cert):
+    if cert.children:  # mode S or Sstar: the inner child binds unless it holds
+        inner, outer = cert.children
+        assert cert.binding == (outer if inner.certified else inner).binding
+        for child in cert.children:
+            assert_binding_by_max_min(child)
+        return
+    pick, field = REF_BINDING[cert.kind]
+    assert cert.binding == pick(cert.rows, key=lambda r: getattr(r, field)).label
+
+
+class TestBindingRow:
+    def test_at_the_pinned_points(self, request, example_spec, example_cc, comp1_spec,
+                                  comp1_cc):
+        db1, db2 = example_spec.bounds_at(1e-3), example_spec.bounds_at(1.0)
+        certs = [check_I1(example_spec, example_cc, db2),
+                 check_I0(comp1_spec, comp1_cc, comp1_delta_bounds()),
+                 check_I0_star(example_spec, example_cc, i0_star_bounds(), 1),
+                 existence_certificate(comp1_spec, comp1_cc, *mode_s_bounds(), "S"),
+                 existence_certificate(example_spec, example_cc, db1, db2, "Sstar", 1),
+                 existence_certificate(example_spec, example_cc, db1, db2, "Sstar")]
+        for config in ("example", "tight"):
+            spec = request.getfixturevalue(f"{config}_spec")
+            cc = request.getfixturevalue(f"{config}_cc")
+            certs += [nonexistence_certificate(
+                spec, cc, spec.bounds_at(1.0), [2], [1],
+                Params.from_spec(spec).with_overrides(overrides))
+                for overrides in NIJ_POINTS.values()]
+        for cert in certs:
+            assert_binding_by_max_min(cert)
+
+    def test_with_a_nan_lhs(self, example_spec, example_cc):
+        # oracle_examples' case 3 at (lambda1, eta21) = (1e300, 0): h_hi[2,1]
+        # is inf, so both i=2 lhs are 0 * inf = NaN, which max does not take
+        _, kwargs = oracle_examples(example_spec)[3]
+        p = Params.from_spec(example_spec).with_overrides({"lambda1": 1e300,
+                                                           "eta21": 0.0})
+        cert = existence_certificate(example_spec, example_cc, kwargs["db1"],
+                                     kwargs["db2"], "Sstar", 1, p)
+        assert any(math.isnan(r.lhs) for r in cert.children[1].rows)
+        assert_binding_by_max_min(cert)
+        nonex = kwargs["nonexistence"]
+        assert_binding_by_max_min(nonexistence_certificate(
+            example_spec, example_cc, nonex["db"], nonex["setI"], nonex["setJ"], p))
 
 
 def monomial_names(rows):

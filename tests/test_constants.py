@@ -602,8 +602,8 @@ class TestTiledScans:
                 want = ref_kernel_columns(evalf, kd, ts, ss, combine, absolute)
                 for tile in TILES:
                     monkeypatch.setattr(constants_mod, "_TILE", tile)
-                    got = constants_mod._kernel_columns(evalf, kd, ts, ss, combine,
-                                                        absolute=absolute)
+                    got = constants_mod._kernel_columns(evalf, kd, None, ts, ss,
+                                                        combine, absolute=absolute)
                     assert np.array_equal(got, want), tile
 
     def test_scans_hold_no_multi_mib_temporaries(self):
@@ -680,7 +680,9 @@ def test_end_values_are_the_grid_extrema(kd, w, n):
     assert factors is not None
     ss = constants_mod._grid_with(kd.fixed_breakpoints, 0.0, 1.0, n)
     tw = constants_mod._grid_with(kd.fixed_breakpoints, w.a, w.b, n)
-    m_win, k_max = constants_mod._c_tilde_columns(kd, factors, w, ss, n)
+    m_win = constants_mod._kernel_columns(eval_k, kd, factors, tw, ss, np.minimum)
+    k_max = constants_mod._kernel_columns(eval_k, kd, factors, ss, ss, np.maximum,
+                                          absolute=True)
     # the end-value path, not the scan: these operands keep every row finite
     assert constants_mod._t_ends(eval_k, kd, factors, np.array([w.a, w.b]), ss) \
         is not None

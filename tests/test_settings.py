@@ -97,6 +97,26 @@ def test_one_sup_search_per_gamma_term(config, calls, request, monkeypatch):
     assert [dict(cci.records) for cci in cold] == [dict(cci.records) for cci in cached]
 
 
+# (calls, points) of eval_k and eval_dk over one cold assembly.  c~ reads the
+# window's and [0, 1]'s end rows of a kernel monotone in t in one call each;
+# both kernels of the example and k_1 of tight.cfg are
+@pytest.mark.parametrize("config,work", [
+    ("example", {"eval_k": (690, 4_011_325), "eval_dk": (306, 3_727_808)}),
+    ("tight", {"eval_k": (2_410, 10_637_688), "eval_dk": (1_014, 1_970_505)}),
+], ids=["example", "tight"])
+def test_kernel_work_of_one_assembly(config, work, request, monkeypatch):
+    spec = request.getfixturevalue(f"{config}_spec")
+    seen = {name: [0, 0] for name in work}
+    for name in work:
+        def counted(kd, t, s, name=name, evalf=getattr(constants_mod, name)):
+            seen[name][0] += 1
+            seen[name][1] += np.broadcast(t, s).size
+            return evalf(kd, t, s)
+        monkeypatch.setattr(constants_mod, name, counted)
+    constants_mod._assemble_cached.__wrapped__(spec)
+    assert {name: tuple(v) for name, v in seen.items()} == work
+
+
 @pytest.mark.parametrize("old_call", [
     lambda spec, cc, u: hc.assemble_cone_constants(spec, spec.quad),
     lambda spec, cc, u: hc.constants_report(spec, cc, spec.opt),
