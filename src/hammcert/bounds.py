@@ -43,6 +43,8 @@ an exactly-attained bound does not count as a refutation.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -51,7 +53,7 @@ import numpy as np
 from .cone import DiscreteState, c1_norm, sample_cone_boundary_rng
 from .constants import ConeConstants
 from .errors import ConfigError, HammcertError
-from .expr import _SharedPass, eval_functional, eval_scalar
+from .expr import _shaped, _SharedPass, _state_env, eval_functional, eval_scalar
 from .quad import QuadConfig
 
 if TYPE_CHECKING:
@@ -69,13 +71,30 @@ LHS_POINTS = 10_000
 STACK = 8
 
 
+def _finite_real(v) -> bool:
+    """Whether v is a real number (a Python or numpy int or float, not a
+    bool, which Python counts as an int) of finite value; an int beyond the
+    double range is not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _nonnegative(bounds, condition: str, *names: str) -> None:
-    """Reject a negative declared bound: w, f and h are nonnegative (C8, C4,
-    C7), so a negative upper bound is false and a negative lower bound
-    says nothing."""
+    """The check of each declared value given: a finite real number >= 0.
+    w, f and h are nonnegative (C8, C4, C7), so a negative upper bound is
+    false and a negative lower bound says nothing; an infinite upper bound
+    would make every row it enters hold."""
     for name in names:
         v = getattr(bounds, name)
-        if v is not None and v < 0:
+        if v is None:
+            continue
+        if not _finite_real(v):
+            raise ValueError(f"{name} must be a finite real number")
+        if v < 0:
             raise ValueError(f"{name} must be nonnegative ({condition})")
 
 
@@ -120,7 +139,7 @@ class DeclaredBounds:
     components: tuple[ComponentBounds, ...]
 
     def __post_init__(self):
-        if not 0.0 < self.rho < np.inf:
+        if not (_finite_real(self.rho) and self.rho > 0.0):
             raise ValueError("rho must be a finite number > 0")
 
 
@@ -320,11 +339,7 @@ def _box_points(lows: np.ndarray, highs: np.ndarray, rng: np.random.Generator):
 def _f_env(spec: "ProblemSpec", pts: np.ndarray) -> dict:
     """The f environment of box points (rows, or one point)."""
     n = spec.n
-    env = {"t": pts[..., 0], "w": pts[..., -1]}
-    for k in range(n):
-        env[f"u{k + 1}"] = pts[..., 1 + k]
-        env[f"du{k + 1}"] = pts[..., 1 + n + k]
-    return env
+    return _state_env(pts.T[1:1 + n], pts.T[1 + n:-1], t=pts[..., 0], w=pts[..., -1])
 
 
 # per box: whether it is the sign-restricted (lower) box, and its checks as
@@ -361,9 +376,7 @@ def _falsify_f_boxes(spec, db, rng, checked, skipped) -> list[Violation]:
             lows = np.array([t_lo, *x_lo, w_lo])
             highs = np.array([t_hi] + [rho] * (2 * n) + [w_hi])
             pts = _box_points(lows, highs, rng)
-            vals = np.broadcast_to(
-                np.asarray(eval_scalar(comp.f, _f_env(spec, pts)), dtype=float),
-                (pts.shape[0],))
+            vals = _shaped(eval_scalar(comp.f, _f_env(spec, pts)), (pts.shape[0],))
             for kind, field, ratio in box:
                 checked.append(f"{field}[{i}]")
                 declared = getattr(cb, field)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -318,23 +318,13 @@ def _first_best(values: Sequence, better) -> np.ndarray:
     return index
 
 
-def _certificate(kind: str, spec: "ProblemSpec", cc: Sequence[ConeConstants],
-                 db: DeclaredBounds, params: "Params", rows: list[_Inequality],
-                 i0: int | None = None) -> Certificate:
-    """The I1, I0 or I0star certificate of a builder's rows."""
+def _certificate(kind: str, cc: Sequence[ConeConstants], db: DeclaredBounds,
+                 params: "Params", rows: list[_Inequality], bounds: dict) -> Certificate:
+    """The certificate of a row family's rows at radius db.rho: their values,
+    the verdict and binding row of ``_verdict``, and as provenance the
+    records of the constants they read and the declared ``bounds`` given."""
     evaluated = _rows_at(rows, cc, params)
     holds, binding = _verdict(kind, evaluated)
-    cbs = db.components
-    if kind == "I1":
-        bounds = {"f_hi": [cb.f_hi for cb in cbs],
-                  "h_hi": [[hb.hi for hb in cb.h] for cb in cbs]}
-    elif kind == "I0":
-        bounds = {"delta_tilde": [cb.delta_tilde for cb in cbs],
-                  "delta": [[hb.delta for hb in cb.h] for cb in cbs],
-                  "sign_box": [_sign_box(i, spec.n, db.rho) for i in range(1, spec.n + 1)]}
-    else:
-        bounds = {"f_lo": cbs[i0 - 1].f_lo, "h_lo": [hb.lo for hb in cbs[i0 - 1].h],
-                  "sign_box": _sign_box(i0, spec.n, db.rho)}
     prov, notes = _constant_provenance(cc, rows)
     prov["bounds"] = {"rho": db.rho, **bounds}
     return Certificate(kind, (db.rho,), tuple(evaluated), bool(holds[0]),
@@ -346,7 +336,9 @@ def check_I1(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
     """Index-1 growth condition at radius db.rho; certified iff the max over
     components and derivative orders of the lhs stays <= rho."""
     params = _effective_params(spec, params)
-    return _certificate("I1", spec, cc, db, params, _i1_rows(spec, db))
+    rows, cbs = _i1_rows(spec, db), db.components
+    return _certificate("I1", cc, db, params, rows, {
+        "f_hi": [cb.f_hi for cb in cbs], "h_hi": [[hb.hi for hb in cb.h] for cb in cbs]})
 
 
 def check_I0(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
@@ -354,7 +346,11 @@ def check_I0(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
     """Index-0 condition at radius db.rho; certified iff the min over
     components of the lhs is >= 1 (non-strict, as displayed)."""
     params = _effective_params(spec, params)
-    return _certificate("I0", spec, cc, db, params, _i0_rows(spec, db))
+    rows, cbs = _i0_rows(spec, db), db.components
+    return _certificate("I0", cc, db, params, rows, {
+        "delta_tilde": [cb.delta_tilde for cb in cbs],
+        "delta": [[hb.delta for hb in cb.h] for cb in cbs],
+        "sign_box": [_sign_box(i, spec.n, db.rho) for i in range(1, spec.n + 1)]})
 
 
 def check_I0_star(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBounds,
@@ -362,7 +358,10 @@ def check_I0_star(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: Declared
     """Single-component index-0 condition: only component i0's growth is
     restricted, via the declared f_lo on the sign-restricted box."""
     params = _effective_params(spec, params)
-    return _certificate("I0star", spec, cc, db, params, _i0_star_rows(spec, db, i0), i0)
+    rows, cb = _i0_star_rows(spec, db, i0), db.components[i0 - 1]
+    return _certificate("I0star", cc, db, params, rows, {
+        "f_lo": cb.f_lo, "h_lo": [hb.lo for hb in cb.h],
+        "sign_box": _sign_box(i0, spec.n, db.rho)})
 
 
 def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
@@ -378,10 +377,10 @@ def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     """
     params = _effective_params(spec, params)
     _check_existence(spec, db1, db2, mode, i0)
-    outer = _certificate("I1", spec, cc, db2, params, _i1_rows(spec, db2))
+    outer = check_I1(spec, cc, db2, params)
     chosen = i0
     if mode == "S":
-        inner = _certificate("I0", spec, cc, db1, params, _i0_rows(spec, db1))
+        inner = check_I0(spec, cc, db1, params)
     else:
         if i0 is None:
             index = int(_first_candidate(spec, cc, db1, params.lambdas, params.etas)[2])
@@ -390,8 +389,7 @@ def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                     f"no component declares f_lo at rho={db1.rho}; cannot evaluate "
                     "the single-component inner condition")
             chosen = index + 1
-        inner = _certificate("I0star", spec, cc, db1, params,
-                             _i0_star_rows(spec, db1, chosen), chosen)
+        inner = check_I0_star(spec, cc, db1, chosen, params)
     certified = inner.certified and outer.certified
     notes = [*inner.notes, *outer.notes]
     if mode == "Sstar" and i0 is None and inner.certified:
@@ -420,24 +418,20 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     """
     params = _effective_params(spec, params)
     setI, setJ, rows = _nonexistence_rows(spec, db, setI, setJ)
-    evaluated = _rows_at(rows, cc, params)
-    holds, binding = _verdict("NIJ", evaluated)
-    prov, notes = _constant_provenance(cc, rows)
-    prov["bounds"] = {"rho": db.rho, "setI": setI, "setJ": setJ,
-                      "xi_tilde": [db.components[i - 1].xi_tilde for i in setI],
-                      "delta_tilde": [db.components[i - 1].delta_tilde for i in setJ]}
+    cert = _certificate("NIJ", cc, db, params, rows, {
+        "setI": setI, "setJ": setJ,
+        "xi_tilde": [db.components[i - 1].xi_tilde for i in setI],
+        "delta_tilde": [db.components[i - 1].delta_tilde for i in setJ]})
     r0 = residual(spec, zero_state(spec.n, spec.solver.nodes), params=params)
-    prov["zero_state_residual"] = r0
     if r0 <= ZERO_RESIDUAL_TOL:
-        notes.append(f"the zero state satisfies the system (residual {r0:.3e}); "
-                     "a certified verdict means the zero solution is the only one "
-                     "in the closed ball")
+        note = (f"the zero state satisfies the system (residual {r0:.3e}); a "
+                "certified verdict means the zero solution is the only one in the "
+                "closed ball")
     else:
-        notes.append(f"the zero state does not satisfy the system (residual "
-                     f"{r0:.3e}); a certified verdict means no solutions at all "
-                     f"with norm <= {db.rho}")
-    return Certificate("NIJ", (db.rho,), tuple(evaluated), bool(holds[0]),
-                       evaluated[binding].label, _params_dict(params), prov, tuple(notes))
+        note = (f"the zero state does not satisfy the system (residual {r0:.3e}); "
+                f"a certified verdict means no solutions at all with norm <= {db.rho}")
+    return replace(cert, provenance={**cert.provenance, "zero_state_residual": r0},
+                   notes=(*cert.notes, note))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override the config's random seed")
 
 
+def _add_radii(p: argparse.ArgumentParser, required: bool) -> None:
+    p.add_argument("--rho1", type=float, required=required)
+    p.add_argument("--rho2", type=float, required=required)
+
+
+def _add_existence(p: argparse.ArgumentParser) -> None:
+    """certify's and sweep's existence flags."""
+    p.add_argument("--mode", choices=("S", "Sstar"), required=True)
+    _add_radii(p, required=True)
+    p.add_argument("--i0", type=int, default=None,
+                   help="distinguished component for mode Sstar")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hammcert",
@@ -100,11 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="existence certificate over an annulus")
     _add_common(p)
-    p.add_argument("--mode", choices=("S", "Sstar"), required=True)
-    p.add_argument("--rho1", type=float, required=True)
-    p.add_argument("--rho2", type=float, required=True)
-    p.add_argument("--i0", type=int, default=None,
-                   help="distinguished component for mode Sstar")
+    _add_existence(p)
 
     p = sub.add_parser("certify-nonexistence",
                        help="at-most-zero-solutions certificate on a closed ball")
@@ -129,18 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="damped Picard iteration to a fixed point")
     _add_common(p)
-    p.add_argument("--rho1", type=float, default=None)
-    p.add_argument("--rho2", type=float, default=None)
+    _add_radii(p, required=False)
     p.add_argument("--solution-csv", help="write the solved state as CSV")
 
     p = sub.add_parser("sweep", help="classify a parameter grid")
     _add_common(p)
     p.add_argument("--axis", action="append", required=True,
                    metavar="NAME:MIN:MAX:STEPS")
-    p.add_argument("--mode", choices=("S", "Sstar"), required=True)
-    p.add_argument("--rho1", type=float, required=True)
-    p.add_argument("--rho2", type=float, required=True)
-    p.add_argument("--i0", type=int, default=None)
+    _add_existence(p)
     p.add_argument("--nonexistence-rho", type=float, default=None)
     p.add_argument("--setI", default=None)
     p.add_argument("--setJ", default=None)
@@ -196,130 +201,121 @@ def _solve_radii(rho1: float | None, rho2: float | None) -> tuple[float, float] 
     return rho1, rho2
 
 
+def _constants(args, spec, params, seed):
+    return constants_report(spec, assemble_cone_constants(spec)), EXIT_OK
+
+
+def _certify(args, spec, params, seed):
+    db1, db2 = spec.bounds_at(args.rho1), spec.bounds_at(args.rho2)
+    certify_mod._check_existence(spec, db1, db2, args.mode, args.i0)
+    cc = assemble_cone_constants(spec)
+    cert = certify_mod.existence_certificate(spec, cc, db1, db2, args.mode,
+                                             args.i0, params)
+    return cert.as_dict(), EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
+
+
+def _certify_nonexistence(args, spec, params, seed):
+    setI, setJ = _indices(args.setI, "--setI"), _indices(args.setJ, "--setJ")
+    db = spec.bounds_at(args.rho)
+    certify_mod._partition(spec, setI, setJ)
+    cc = assemble_cone_constants(spec)
+    cert = certify_mod.nonexistence_certificate(spec, cc, db, setI, setJ, params)
+    return cert.as_dict(), EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
+
+
+def _falsify(args, spec, params, seed):
+    _check_samples(args.samples)
+    db = spec.bounds_at(args.rho)
+    cc = assemble_cone_constants(spec)
+    rep = falsify_bounds(spec, cc, db, args.samples, seed, include_interior=args.ball)
+    report = rep.as_dict()
+    if args.witness_dir:
+        wdir = Path(args.witness_dir)
+        wdir.mkdir(parents=True, exist_ok=True)
+        for k, v in enumerate(rep.violations):
+            if v.witness is not None:
+                path = wdir / f"witness-{k:03d}-{v.kind}.csv"
+                state_to_csv(v.witness, path)
+                report["violations"][k]["witness_csv"] = str(path)
+    return report, EXIT_OK if not rep.falsified else EXIT_NOT_CERTIFIED
+
+
+def _estimate(args, spec, params, seed):
+    _check_samples(args.samples)
+    cc = assemble_cone_constants(spec)
+    return estimate_ranges(spec, cc, args.rho, args.samples, seed), EXIT_OK
+
+
+def _solve(args, spec, params, seed):
+    interval = _solve_radii(args.rho1, args.rho2)
+    cc = assemble_cone_constants(spec)
+    rep = solve_fixed_point(spec, params=params, cc=cc, rho_interval=interval)
+    report = rep.as_dict()
+    if args.solution_csv:
+        state_to_csv(rep.state, args.solution_csv)
+        report["solution_csv"] = args.solution_csv
+    if not rep.converged:
+        return report, EXIT_NO_CONVERGENCE
+    if interval is not None and not rep.localization:
+        return report, EXIT_NOT_CERTIFIED
+    return report, EXIT_OK
+
+
+def _sweep(args, spec, params, seed):
+    axes = [_axis(a) for a in args.axis]
+    slots = certify_mod._axis_slots(params, axes)
+    for name in _parse_overrides(args.set):
+        slot = parse_param_name(name)
+        if slot in slots:
+            raise ConfigError(name, "--set sets the same parameter as axis "
+                                    f"{axes[slots.index(slot)].name!r}")
+    nonex = None
+    if args.nonexistence_rho is None and (args.setI or args.setJ):
+        raise HammcertError("--setI and --setJ need --nonexistence-rho")
+    if args.nonexistence_rho is not None:
+        if not (args.setI and args.setJ):
+            raise HammcertError("--nonexistence-rho needs --setI and --setJ")
+        nonex = {"db": spec.bounds_at(args.nonexistence_rho),
+                 "setI": _indices(args.setI, "--setI"),
+                 "setJ": _indices(args.setJ, "--setJ")}
+    db1, db2 = spec.bounds_at(args.rho1), spec.bounds_at(args.rho2)
+    certify_mod._check_existence(spec, db1, db2, args.mode, args.i0)
+    if nonex is not None:
+        certify_mod._partition(spec, nonex["setI"], nonex["setJ"])
+    cc = assemble_cone_constants(spec)
+    result = certify_mod.sweep(spec, cc, axes, mode=args.mode, db1=db1, db2=db2,
+                               i0=args.i0, nonexistence=nonex, params=params)
+    if args.csv:
+        result.to_csv(args.csv)
+    return {"axes": [vars(a) for a in axes], "counts": result.counts(),
+            "rows": result.rows if not args.csv else f"written to {args.csv}"}, EXIT_OK
+
+
+# per subcommand: (args, spec, params, seed) -> (report, exit code); each
+# checks its flags before it assembles the cone constants
+_COMMANDS = {"constants": _constants, "certify": _certify,
+             "certify-nonexistence": _certify_nonexistence, "falsify": _falsify,
+             "estimate": _estimate, "solve": _solve, "sweep": _sweep}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        spec, params, cfg_hash = _load(args)
+        if args.seed is not None and args.seed < 0:
+            raise HammcertError(f"bad --seed {args.seed}; expected an integer >= 0")
+        _check_radius_flags(args)
+        seed = args.seed if args.seed is not None else spec.seed
+        report, code = _COMMANDS[args.command](args, spec, params, seed)
+        report["config_hash"] = cfg_hash
+        _emit(report, args.out)
+        return code
     except ContradictionError as e:
         _emit({"error": str(e), "dump": e.dump}, getattr(args, "out", None))
         return EXIT_ERROR
     except (HammcertError, OSError) as e:  # OSError: an output path not writable
         sys.stderr.write(f"error: {e}\n")
         return EXIT_ERROR
-
-
-def _dispatch(args) -> int:
-    spec, params, cfg_hash = _load(args)
-    if args.seed is not None and args.seed < 0:
-        raise HammcertError(f"bad --seed {args.seed}; expected an integer >= 0")
-    _check_radius_flags(args)
-    seed = args.seed if args.seed is not None else spec.seed
-
-    if args.command == "constants":
-        cc = assemble_cone_constants(spec)
-        report = constants_report(spec, cc)
-        report["config_hash"] = cfg_hash
-        _emit(report, args.out)
-        return EXIT_OK
-
-    if args.command == "certify":
-        db1, db2 = spec.bounds_at(args.rho1), spec.bounds_at(args.rho2)
-        certify_mod._check_existence(spec, db1, db2, args.mode, args.i0)
-        cc = assemble_cone_constants(spec)
-        cert = certify_mod.existence_certificate(spec, cc, db1, db2, args.mode,
-                                                 args.i0, params)
-        report = cert.as_dict()
-        report["config_hash"] = cfg_hash
-        _emit(report, args.out)
-        return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
-
-    if args.command == "certify-nonexistence":
-        setI, setJ = _indices(args.setI, "--setI"), _indices(args.setJ, "--setJ")
-        db = spec.bounds_at(args.rho)
-        certify_mod._partition(spec, setI, setJ)
-        cc = assemble_cone_constants(spec)
-        cert = certify_mod.nonexistence_certificate(spec, cc, db, setI, setJ, params)
-        report = cert.as_dict()
-        report["config_hash"] = cfg_hash
-        _emit(report, args.out)
-        return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
-
-    if args.command == "falsify":
-        _check_samples(args.samples)
-        db = spec.bounds_at(args.rho)
-        cc = assemble_cone_constants(spec)
-        rep = falsify_bounds(spec, cc, db, args.samples, seed,
-                             include_interior=args.ball)
-        report = rep.as_dict()
-        report["config_hash"] = cfg_hash
-        if args.witness_dir:
-            wdir = Path(args.witness_dir)
-            wdir.mkdir(parents=True, exist_ok=True)
-            for k, v in enumerate(rep.violations):
-                if v.witness is not None:
-                    path = wdir / f"witness-{k:03d}-{v.kind}.csv"
-                    state_to_csv(v.witness, path)
-                    report["violations"][k]["witness_csv"] = str(path)
-        _emit(report, args.out)
-        return EXIT_OK if not rep.falsified else EXIT_NOT_CERTIFIED
-
-    if args.command == "estimate":
-        _check_samples(args.samples)
-        cc = assemble_cone_constants(spec)
-        report = estimate_ranges(spec, cc, args.rho, args.samples, seed)
-        report["config_hash"] = cfg_hash
-        _emit(report, args.out)
-        return EXIT_OK
-
-    if args.command == "solve":
-        interval = _solve_radii(args.rho1, args.rho2)
-        cc = assemble_cone_constants(spec)
-        rep = solve_fixed_point(spec, params=params, cc=cc, rho_interval=interval)
-        report = rep.as_dict()
-        report["config_hash"] = cfg_hash
-        if args.solution_csv:
-            state_to_csv(rep.state, args.solution_csv)
-            report["solution_csv"] = args.solution_csv
-        _emit(report, args.out)
-        if not rep.converged:
-            return EXIT_NO_CONVERGENCE
-        if interval is not None and not rep.localization:
-            return EXIT_NOT_CERTIFIED
-        return EXIT_OK
-
-    if args.command == "sweep":
-        axes = [_axis(a) for a in args.axis]
-        slots = certify_mod._axis_slots(params, axes)
-        for name in _parse_overrides(args.set):
-            slot = parse_param_name(name)
-            if slot in slots:
-                raise ConfigError(name, "--set sets the same parameter as axis "
-                                        f"{axes[slots.index(slot)].name!r}")
-        nonex = None
-        if args.nonexistence_rho is None and (args.setI or args.setJ):
-            raise HammcertError("--setI and --setJ need --nonexistence-rho")
-        if args.nonexistence_rho is not None:
-            if not (args.setI and args.setJ):
-                raise HammcertError("--nonexistence-rho needs --setI and --setJ")
-            nonex = {"db": spec.bounds_at(args.nonexistence_rho),
-                     "setI": _indices(args.setI, "--setI"),
-                     "setJ": _indices(args.setJ, "--setJ")}
-        db1, db2 = spec.bounds_at(args.rho1), spec.bounds_at(args.rho2)
-        certify_mod._check_existence(spec, db1, db2, args.mode, args.i0)
-        if nonex is not None:
-            certify_mod._partition(spec, nonex["setI"], nonex["setJ"])
-        cc = assemble_cone_constants(spec)
-        result = certify_mod.sweep(spec, cc, axes, mode=args.mode, db1=db1, db2=db2,
-                                   i0=args.i0, nonexistence=nonex, params=params)
-        if args.csv:
-            result.to_csv(args.csv)
-        report = {"config_hash": cfg_hash, "axes": [vars(a) for a in axes],
-                  "counts": result.counts(),
-                  "rows": result.rows if not args.csv else f"written to {args.csv}"}
-        _emit(report, args.out)
-        return EXIT_OK
-
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, EvalDomainError, HammcertError, ModelViolationError
-from .expr import _monotone_in, eval_scalar
+from .expr import _monotone_in, _shaped, eval_scalar
 from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
 from .quad import QuadConfig, _panels, integrate_panels
 
@@ -261,13 +261,6 @@ def extremum_1d(f: Callable, a: float, b: float,
             best_x, best_v = gx, sign * gv
     resolution = (b - a) / cfg.coarse_grid if b > a else 0.0
     return best_v, best_x, resolution
-
-
-def _shaped(v, shape: tuple) -> np.ndarray:
-    """v as floats of the given shape: itself if it has it, else broadcast to
-    it (a function constant in a variable gives fewer values)."""
-    v = np.asarray(v, dtype=float)
-    return v if v.shape == shape else np.broadcast_to(v, shape)
 
 
 def sup_abs_1d(f: Callable, w: Window, cfg: Opt1DConfig | None = None, *,
@@ -544,9 +537,7 @@ def _c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, opt_cfg: Opt1DConfig,
     k_max = _kernel_columns(eval_k, kd, factors, ss, ss, np.maximum, absolute=True)
 
     if env.mode == "declared":
-        phi = np.broadcast_to(
-            np.asarray(eval_scalar(env.declared_phi0, {"s": ss}), dtype=float),
-            ss.shape).copy()
+        phi = _shaped(eval_scalar(env.declared_phi0, {"s": ss}), ss.shape)
         worst = np.argmax(k_max - phi)
         gap = k_max[worst] - phi[worst]
         if gap > 1e-9 * max(1.0, abs(phi[worst])):
@@ -751,8 +742,7 @@ def _validate_phi1(kd: KernelDef, phi1, comp_index: int) -> None:
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, 401)
     dk_max = _kernel_columns(eval_dk, kd, _monotone_in(kd.dk_dt, "t"),
                              np.linspace(0.0, 1.0, 402), ss, np.maximum, absolute=True)
-    phi = np.broadcast_to(np.asarray(eval_scalar(phi1, {"s": ss}), dtype=float),
-                          ss.shape)
+    phi = _shaped(eval_scalar(phi1, {"s": ss}), ss.shape)
     # x -> fl(x - phi) is nondecreasing: the largest gap sits at the column max
     gap = (dk_max - phi).max()
     if gap > 1e-9:

@@ -30,6 +30,10 @@ bodies, compiled by ``eval_scalar``, with ``quad.integrate_rows``; one
 evaluation pass (``_SharedPass``) over a state, or a stack of states,
 interpolates it once per point array, integrates each distinct int body once
 and reads every val/der atom from one interpolation at the atom points.
+
+``_shaped`` is the one shaping rule of a grid evaluation (floats of the
+grid's shape), and ``_state_env`` the one naming rule of a state's
+variables (t, s, w, then u1, du1, u2, du2, ...), contexts included.
 """
 
 from __future__ import annotations
@@ -133,23 +137,25 @@ BOUNDARY_CONTEXT = frozenset({"t"})
 ENVELOPE_CONTEXT = frozenset({"s"})
 
 
+def _state_env(values, derivatives, **others) -> dict:
+    """``others`` (t, s, w), then u<k> and du<k> for the k-th entries of
+    values and derivatives."""
+    env = dict(others)
+    for k, (u, du) in enumerate(zip(values, derivatives), start=1):
+        env[f"u{k}"] = u
+        env[f"du{k}"] = du
+    return env
+
+
 def nonlinearity_context(n: int) -> frozenset:
     """Variables available to a nonlinearity f: the point variable t, the
     component values u1..un, derivatives du1..dun, and the functional value w."""
-    names = {"t", "w"}
-    for i in range(1, n + 1):
-        names.add(f"u{i}")
-        names.add(f"du{i}")
-    return frozenset(names)
+    return frozenset(_state_env(range(n), range(n), t=None, w=None))
 
 
 def int_body_context(n: int) -> frozenset:
     """Variables available inside an int(...) body: s, u1..un, du1..dun."""
-    names = {"s"}
-    for i in range(1, n + 1):
-        names.add(f"u{i}")
-        names.add(f"du{i}")
-    return frozenset(names)
+    return frozenset(_state_env(range(n), range(n), s=None))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +425,13 @@ def eval_scalar(expr: ScalarExpr, env: Mapping[str, object]):
     return fn(env)
 
 
+def _shaped(v, shape: tuple) -> np.ndarray:
+    """v as floats of the given shape: itself if it has it, else broadcast to
+    it (an expression constant in a variable gives fewer values)."""
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == shape else np.broadcast_to(v, shape)
+
+
 def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
                     quad: QuadConfig | None = None, *,
                     nonneg_condition: str | None = None,
@@ -517,11 +530,7 @@ class _SharedPass:
 
 def _eval_body(body: ScalarExpr, vals: np.ndarray, ders: np.ndarray, s: np.ndarray):
     """An int body at s, from u and u' there shaped (K, n) + s.shape."""
-    env = {"s": s}
-    for k in range(vals.shape[1]):
-        env[f"u{k + 1}"] = vals[:, k]
-        env[f"du{k + 1}"] = ders[:, k]
-    return eval_scalar(body, env)
+    return eval_scalar(body, _state_env(vals.swapaxes(0, 1), ders.swapaxes(0, 1), s=s))
 
 
 class _PassRow(NamedTuple):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelViolationError
-from .expr import (BOUNDARY_CONTEXT, KERNEL_CONTEXT, ScalarExpr,
+from .expr import (BOUNDARY_CONTEXT, KERNEL_CONTEXT, ScalarExpr, _shaped,
                    eval_scalar, parse_expr)
 
 __all__ = [
@@ -122,7 +122,7 @@ def validate_kernel_derivative(kd: KernelDef) -> None:
         mask &= np.abs(S - b) > 1e-4
     T, S = T[mask], S[mask]
     fd = (eval_k(kd, T + h, S) - eval_k(kd, T - h, S)) / (2 * h)
-    dk = np.broadcast_to(np.asarray(eval_dk(kd, T, S), dtype=float), T.shape)
+    dk = _shaped(eval_dk(kd, T, S), T.shape)
     err = np.abs(np.asarray(fd) - dk)
     scale = np.maximum(1.0, np.abs(dk))
     worst = np.argmax(err / scale)
@@ -139,7 +139,7 @@ def validate_gamma_derivative(gd: GammaDef) -> None:
     h = 1e-5  # central-difference step
     ts = np.linspace(2 * h, 1.0 - 2 * h, 101)
     fd = (eval_scalar(gd.gamma, {"t": ts + h}) - eval_scalar(gd.gamma, {"t": ts - h})) / (2 * h)
-    dg = np.broadcast_to(np.asarray(eval_scalar(gd.dgamma, {"t": ts}), dtype=float), ts.shape)
+    dg = _shaped(eval_scalar(gd.dgamma, {"t": ts}), ts.shape)
     err = np.abs(np.asarray(fd) - dg)
     scale = np.maximum(1.0, np.abs(dg))
     worst = np.argmax(err / scale)
@@ -152,7 +152,7 @@ def validate_gamma_derivative(gd: GammaDef) -> None:
 
 def validate_envelope_nonnegative(phi: ScalarExpr) -> None:
     ss = np.linspace(0.0, 1.0, 2001)
-    vals = np.broadcast_to(np.asarray(eval_scalar(phi, {"s": ss}), dtype=float), ss.shape)
+    vals = _shaped(eval_scalar(phi, {"s": ss}), ss.shape)
     j = int(np.argmin(vals))
     if vals[j] < 0.0:
         raise ModelViolationError(

@@ -27,11 +27,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .bounds import ComponentBounds, DeclaredBounds, HBounds
+from .bounds import ComponentBounds, DeclaredBounds, HBounds, _finite_real
 from .constants import Opt1DConfig, Window
 from .errors import ConfigError, DslSyntaxError, EvalDomainError, ModelViolationError
-from .expr import (BOUNDARY_CONTEXT, ENVELOPE_CONTEXT, FunctionalExpr,
-                   ScalarExpr, nonlinearity_context, parse_constant,
+from .expr import (BOUNDARY_CONTEXT, ENVELOPE_CONTEXT, KERNEL_CONTEXT,
+                   FunctionalExpr, ScalarExpr, nonlinearity_context, parse_constant,
                    parse_expr, parse_functional)
 from .kernels import (EnvelopeSpec, GammaDef, KernelDef, gamma_from_catalog,
                       kernel_from_catalog, validate_envelope_nonnegative,
@@ -79,7 +79,7 @@ class Params:
         for v in values:  # a bool is an int to Python, but no parameter value
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ConfigError("params", f"parameters must be real numbers, got {v!r}")
-        if not all(math.isfinite(v) for v in values):
+        if not all(_finite_real(v) for v in values):
             raise ConfigError("params", "parameters must be finite numbers")
         if any(v < 0 for v in values):
             raise ConfigError("params", "parameters must be nonnegative (C6)")
@@ -370,8 +370,8 @@ def _parse_kernel(kdoc, key_path) -> KernelDef:
             "expected a catalog name or an inline kernel object")
     with _at(key_path, DslSyntaxError), \
             _at(key_path, KeyError, text="missing key {} (C1/C3 require k and dk_dt)"):
-        k = parse_expr(kdoc["k"], frozenset({"t", "s"}))
-        dk = parse_expr(kdoc["dk_dt"], frozenset({"t", "s"}))
+        k = parse_expr(kdoc["k"], KERNEL_CONTEXT)
+        dk = parse_expr(kdoc["dk_dt"], KERNEL_CONTEXT)
     bps = tuple(sorted(_const(b, f"{key_path}.breakpoints[{j}]", required=True)
                        for j, b in enumerate(_list(kdoc, "breakpoints",
                                                    f"{key_path}.breakpoints"))))

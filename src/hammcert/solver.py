@@ -38,7 +38,7 @@ from .cone import DiscreteState, MembershipVerdict, StateNorms, _one_state, \
 from .constants import ConeConstants
 from .errors import (ConfigError, EvalDomainError, ModelViolationError,
                      QuadratureError)
-from .expr import _SharedPass, eval_functional, eval_scalar
+from .expr import _shaped, _SharedPass, _state_env, eval_functional, eval_scalar
 from .quad import first_pass_layout
 
 if TYPE_CHECKING:
@@ -90,16 +90,12 @@ class _NystromOperator:
         self.gamma_der = []
         T, S = np.meshgrid(nodes, self.pts, indexing="ij")
         for comp in spec.components:
-            self.k_val.append(np.broadcast_to(
-                np.asarray(eval_k(comp.kernel, T, S), dtype=float), T.shape).copy())
-            self.k_der.append(np.broadcast_to(
-                np.asarray(eval_dk(comp.kernel, T, S), dtype=float), T.shape).copy())
-            self.gamma_val.append([np.broadcast_to(np.asarray(
-                eval_scalar(g.gamma.gamma, {"t": nodes}), dtype=float), nodes.shape)
-                for g in comp.gammas])
-            self.gamma_der.append([np.broadcast_to(np.asarray(
-                eval_scalar(g.gamma.dgamma, {"t": nodes}), dtype=float), nodes.shape)
-                for g in comp.gammas])
+            self.k_val.append(_shaped(eval_k(comp.kernel, T, S), T.shape).copy())
+            self.k_der.append(_shaped(eval_dk(comp.kernel, T, S), T.shape).copy())
+            self.gamma_val.append([_shaped(eval_scalar(g.gamma.gamma, {"t": nodes}),
+                                           nodes.shape) for g in comp.gammas])
+            self.gamma_der.append([_shaped(eval_scalar(g.gamma.dgamma, {"t": nodes}),
+                                           nodes.shape) for g in comp.gammas])
 
     def apply(self, u: DiscreteState, params: "Params") -> DiscreteState:
         spec = self.spec
@@ -115,12 +111,8 @@ class _NystromOperator:
             if lam > 0.0:
                 w_i = eval_functional(comp.w, u, quad, nonneg_condition="C8",
                                       shared_pass=shared)
-                env = {"t": self.pts, "w": w_i}
-                for k in range(n):
-                    env[f"u{k + 1}"] = uq[k]
-                    env[f"du{k + 1}"] = duq[k]
-                F = np.broadcast_to(np.asarray(eval_scalar(comp.f, env), dtype=float),
-                                    self.pts.shape)
+                env = _state_env(uq, duq, t=self.pts, w=w_i)
+                F = _shaped(eval_scalar(comp.f, env), self.pts.shape)
                 fmin = float(F.min())
                 if fmin < -1e-12:
                     j = int(np.argmin(F))

@@ -166,17 +166,25 @@ def test_declared_bounds_invariants():
     for rho in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="rho"):
             DeclaredBounds(rho, ())
+    for rho in (True, "1", 10**400):
+        with pytest.raises(ValueError, match=r"^rho must be a finite number > 0$"):
+            DeclaredBounds(rho, ())
 
 
 @pytest.mark.parametrize("cls,name,condition", [
     (ComponentBounds, "f_hi", "C4"), (ComponentBounds, "f_lo", "C4"),
     (ComponentBounds, "delta_tilde", "C4"), (ComponentBounds, "xi_tilde", "C4"),
-    (HBounds, "delta", "C7"), (HBounds, "xi", "C7")])
+    (HBounds, "delta", "C7"), (HBounds, "xi", "C7"),
+    (HBounds, "lo", "C7"), (HBounds, "hi", "C7")])
 def test_declared_bounds_of_f_and_h_are_nonnegative(cls, name, condition):
     # f >= 0 and h >= 0, so a negative upper bound is false (and would make
     # certificate rows hold) and a negative lower bound says nothing
     with pytest.raises(ValueError, match=rf"^{name} must be nonnegative \({condition}\)$"):
         cls(**{name: -1.0})
+    # an infinite upper bound would make every row it enters hold as well
+    for value in (math.inf, math.nan, True, "1", 10**400):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite real number$"):
+            cls(**{name: value})
     assert getattr(cls(**{name: 0.0}), name) == 0.0
 
 

@@ -103,6 +103,8 @@ class TestI1:
         ((True, 0.1), ((0.1,), (0.1,)), "real numbers, got True"),
         (("1", 0.1), ((0.1,), (0.1,)), "real numbers, got '1'"),
         ((None, 0.1), ((0.1,), (0.1,)), "real numbers, got None"),
+        # an int beyond the double range is not finite, not an OverflowError
+        ((10**400, 0.1), ((0.1,), (0.1,)), "parameters must be finite numbers$"),
     ])
     def test_params_check_themselves(self, lambdas, etas, message):
         # a point made by hand meets the loader's C6 check
@@ -588,19 +590,23 @@ class TestBindingRow:
         for cert in certs:
             assert_binding_by_max_min(cert)
 
-    def test_with_a_nan_lhs(self, example_spec, example_cc):
-        # oracle_examples' case 3 at (lambda1, eta21) = (1e300, 0): h_hi[2,1]
-        # is inf, so both i=2 lhs are 0 * inf = NaN, which max does not take
-        _, kwargs = oracle_examples(example_spec)[3]
-        p = Params.from_spec(example_spec).with_overrides({"lambda1": 1e300,
-                                                           "eta21": 0.0})
-        cert = existence_certificate(example_spec, example_cc, kwargs["db1"],
-                                     kwargs["db2"], "Sstar", 1, p)
-        assert any(math.isnan(r.lhs) for r in cert.children[1].rows)
+    def test_with_a_nan_lhs(self):
+        # declared bounds are finite, but eta11 * dgamma_sup[1] = 1e308 * 2
+        # overflows to inf, and inf * h_hi = 0 makes the i=1,l=1 lhs NaN,
+        # which max does not take over the i=1,l=0 row (np.argmax would)
+        spec = single_component_spec(
+            "example-k1", envelope={"phi0": "3/4"},
+            gammas=[{"gamma": "1 - 2*t", "dgamma": "-2", "eta": 1.0, "h": "1"}])
+        cc = hc.assemble_cone_constants(spec)
+        db1 = DeclaredBounds(1e-3, (ComponentBounds(f_lo=1.0, h=(HBounds(),)),))
+        db2 = DeclaredBounds(1.0, (ComponentBounds(f_hi=1.0, h=(HBounds(hi=0.0),)),))
+        p = Params((1.0,), ((1e308,),))
+        cert = existence_certificate(spec, cc, db1, db2, "Sstar", 1, p)
+        assert [math.isnan(r.lhs) for r in cert.children[1].rows] == [False, True]
         assert_binding_by_max_min(cert)
-        nonex = kwargs["nonexistence"]
-        assert_binding_by_max_min(nonexistence_certificate(
-            example_spec, example_cc, nonex["db"], nonex["setI"], nonex["setJ"], p))
+        # the sweep's columns pick the same rows
+        assert_matches_oracle(spec, cc, [SweepAxis("eta11", 0.0, 1e308, 2)],
+                              dict(mode="Sstar", db1=db1, db2=db2, i0=1))
 
 
 def monomial_names(rows):
@@ -808,10 +814,9 @@ def sweep_outcome(fn, *args, **kwargs):
     return outcome, [(w.category, str(w.message)) for w in caught]
 
 
-# a bound is mostly declared: zero, small, moderate, large enough to overflow
-# to inf, or inf, which gives a NaN lhs where its coefficient is 0
-BOUND = st.one_of(st.sampled_from([None, 0.0, 1e-3, 0.05, 0.5, 1.0, 3.0, 100.0, 1e300,
-                                   math.inf]),
+# a bound is mostly declared: zero, small, moderate, or large enough to
+# overflow to inf (declared bounds are finite)
+BOUND = st.one_of(st.sampled_from([None, 0.0, 1e-3, 0.05, 0.5, 1.0, 3.0, 100.0, 1e300]),
                   st.floats(0.0, 10.0))
 # axes mostly start at 0 or above; some start below 0 (C6) or near 1e300
 LOWS = st.one_of(st.sampled_from([0.0, 0.0, 0.0, 0.05, 1.0, 1e300, 1e300, -0.5, -1e-9]),
@@ -885,12 +890,12 @@ def oracle_examples(spec):
               db2=db2, nonexistence=nonex)),
         # f_hi[1] is needed from the second point on
         ([lam1], dict(mode="Sstar", db1=db1, db2=_with_bounds(db2, 1, f_hi=None))),
-        # an I1 lhs overflows to inf at lambda1 = 1e300; at eta21 = 0, 0 * inf
-        # makes both i=2 lhs NaN, and the binding row stays an i=1 row, as
-        # with max (np.argmax would take the NaN)
+        # an I1 lhs overflows to inf at lambda1 = 1e300 (a NaN lhs needs a
+        # constant > 1 or a zero factor after the overflow, which the
+        # example's constants lack; TestBindingRow.test_with_a_nan_lhs has one)
         ([SweepAxis("lambda1", 0.05, 1e300, 2), SweepAxis("eta21", 0.0, 1.0, 2)],
          dict(mode="Sstar", db1=db1, i0=1,
-              db2=_with_bounds(db2, 2, h=(HBounds(hi=math.inf, delta=0.0, xi=1.0),)),
+              db2=_with_bounds(db2, 2, h=(HBounds(hi=1e300, delta=0.0, xi=1.0),)),
               nonexistence=nonex)),
         # linspace overflows (with its own warnings) to a NaN first point
         ([SweepAxis("lambda1", 0.0, 0.1, 2), SweepAxis("eta11", -1e308, 1e308, 3)],

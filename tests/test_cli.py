@@ -418,6 +418,28 @@ BEFORE_ASSEMBLY = [
 ]
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants"],
+    ["certify", "--mode", "Sstar", "--rho1", "1e-3", "--rho2", "1"],
+    ["certify-nonexistence", "--rho", "1", "--setI", "2", "--setJ", "1"],
+    ["falsify", "--rho", "1", "--samples", "2"],
+    ["estimate", "--rho", "1", "--samples", "2"],
+    ["solve"],
+    ["sweep", "--axis", "lambda1:0:0.1:3", "--mode", "Sstar", "--rho1", "1e-3",
+     "--rho2", "1"],
+    ["sweep", "--axis", "lambda1:0:0.1:3", "--mode", "Sstar", "--rho1", "1e-3",
+     "--rho2", "1", "--csv", "table.csv"],
+], ids=["constants", "certify", "certify-nonexistence", "falsify", "estimate", "solve",
+        "sweep", "sweep-csv"])
+def test_every_report_carries_the_config_hash(tmp_path, argv):
+    # main stamps every command's report in one place
+    command, *flags = argv
+    code, report, _ = run(tmp_path, command, CFG,
+                          *(str(tmp_path / f) if f.endswith(".csv") else f for f in flags))
+    assert code in (0, 10)
+    assert report["config_hash"] == hashlib.sha256(Path(CFG).read_bytes()).hexdigest()
+
+
 class TestBadFlags:
     @pytest.mark.parametrize("argv,message", [
         ([*SWEEP, "--axis", "lambda1:0:x:3"], "bad --axis 'lambda1:0:x:3'"),
