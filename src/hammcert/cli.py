@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import certify as certify_mod
@@ -151,6 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setJ", default=None)
     p.add_argument("--csv", help="write the classification table as CSV")
     return ap
+
+
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reads, built on its first call; parsing
+    leaves no state in it."""
+    return build_parser()
 
 
 def _indices(text: str, flag: str) -> list[int]:
@@ -299,7 +307,7 @@ _COMMANDS = {"constants": _constants, "certify": _certify,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec, params, cfg_hash = _load(args)
         if args.seed is not None and args.seed < 0:

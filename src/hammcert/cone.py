@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .constants import ConeConstants
+from .quad import _distinct
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec
@@ -303,7 +304,7 @@ def cone_membership(u: DiscreteState, cc: Sequence[ConeConstants],
 def _window_grid(grid: np.ndarray, cci: ConeConstants) -> np.ndarray:
     """Monitoring grid points in the component's window, plus its ends."""
     a, b = cci.window.a, cci.window.b
-    return np.unique(np.concatenate((grid[(grid >= a) & (grid <= b)], [a, b])))
+    return _distinct(np.concatenate((grid[(grid >= a) & (grid <= b)], [a, b])))
 
 
 # ---------------------------------------------------------------------------

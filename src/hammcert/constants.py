@@ -47,10 +47,10 @@ its rows holding both a value < 0 and a value > 0 go on to the node tests
 for exact zeros that straddle a sign change only when they hold an exact
 zero.
 Scan grids take their extra nodes (breakpoints, the moving s of c~'s inner
-searches) as np.unique of those nodes and the uniform grid.  Bisection of
-the sign changes and the adaptive quadrature run in batches: every bracket
-of a t-chunk bisected together, every panel of a t-chunk integrated
-together, with t-chunks sized by ``_POINT_BUDGET``.
+searches) as the sorted distinct values of those nodes and the uniform
+grid.  Bisection of the sign changes and the adaptive quadrature run in
+batches: every bracket of a t-chunk bisected together, every panel of a
+t-chunk integrated together, with t-chunks sized by ``_POINT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import numpy as np
 from .errors import ConfigError, EvalDomainError, HammcertError, ModelViolationError
 from .expr import _monotone_in, _shaped, eval_scalar
 from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
-from .quad import QuadConfig, _panels, integrate_panels
+from .quad import QuadConfig, _distinct, _panels, integrate_panels
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec
@@ -273,10 +273,10 @@ def sup_abs_1d(f: Callable, w: Window, cfg: Opt1DConfig | None = None, *,
 
 def _grid_with(points: Sequence[float], a: float, b: float, n: int) -> np.ndarray:
     """The n + 1 points of linspace(a, b) and the points inside (a, b),
-    sorted and distinct (n >= 1): np.unique of the two."""
+    sorted and distinct (n >= 1): ``quad._distinct`` of the two."""
     grid = np.linspace(a, b, n + 1)
     inner = [p for p in points if a < p < b]
-    return np.unique(np.concatenate((grid, inner))) if inner else grid
+    return _distinct(np.concatenate((grid, inner))) if inner else grid
 
 
 # ---------------------------------------------------------------------------

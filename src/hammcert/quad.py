@@ -256,10 +256,22 @@ def _row_sums(vals: np.ndarray, rows: np.ndarray, nrows: int) -> np.ndarray:
     counts = np.bincount(rows, minlength=nrows)
     starts = np.cumsum(counts) - counts
     total = np.zeros(nrows)
-    for c in np.unique(counts[counts > 0]):
+    for c in _distinct(counts[counts > 0]):
         sel = np.nonzero(counts == c)[0]
         total[sel] = np.sum(vals[starts[sel][:, None] + np.arange(c)], axis=1)
     return total
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-D x, ascending: np.unique's own path for
+    floats (sort, then keep the first of each run of equal values), so the
+    same bytes, -0.0 or 0.0 included, without its masked-array check, which
+    imports numpy.ma.  NaNs are not merged."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def _halves_of(bad, lo, mid, hi, left, right):

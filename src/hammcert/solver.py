@@ -27,6 +27,8 @@ crash: the certificates guarantee existence, not Picard-attractivity.
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -96,6 +98,9 @@ class _NystromOperator:
                                            nodes.shape) for g in comp.gammas])
             self.gamma_der.append([_shaped(eval_scalar(g.gamma.dgamma, {"t": nodes}),
                                            nodes.shape) for g in comp.gammas])
+        # the largest |entry| of gamma and gamma' of every term, for _add_term
+        self.gamma_max = [[max(_abs_max(v), _abs_max(d)) for v, d in zip(vals, ders)]
+                          for vals, ders in zip(self.gamma_val, self.gamma_der)]
 
     def apply(self, u: DiscreteState, params: "Params") -> DiscreteState:
         spec = self.spec
@@ -107,7 +112,8 @@ class _NystromOperator:
         values = np.zeros((n, self.nodes.size))
         derivs = np.zeros_like(values)
         for i, comp in enumerate(spec.components):
-            lam = params.lambdas[i]
+            bound = 0.0  # of every |entry| of values[i] and derivs[i]
+            lam = float(params.lambdas[i])  # float arithmetic in the checks
             if lam > 0.0:
                 w_i = eval_functional(comp.w, u, quad, nonneg_condition="C8",
                                       shared_pass=shared)
@@ -120,16 +126,61 @@ class _NystromOperator:
                         "C4", f"nonlinearity of component {i + 1} is negative "
                               f"({fmin:.3e}) at s={self.pts[j]:.6f}")
                 wf = self.wts * F
-                values[i] += lam * (self.k_val[i] @ wf)
-                derivs[i] += lam * (self.k_der[i] @ wf)
+                kv, kd = self.k_val[i] @ wf, self.k_der[i] @ wf
+                bound = _add_term(values[i], derivs[i], bound, (i, None), lam, kv, kd,
+                                  _abs_max(np.concatenate((kv, kd))))
             for j, term in enumerate(comp.gammas):
-                eta = params.etas[i][j]
+                eta = float(params.etas[i][j])
                 if eta > 0.0:
                     h_ij = eval_functional(term.h, u, quad, nonneg_condition="C7",
                                            shared_pass=shared)
-                    values[i] += eta * h_ij * self.gamma_val[i][j]
-                    derivs[i] += eta * h_ij * self.gamma_der[i][j]
+                    bound = _add_term(values[i], derivs[i], bound, (i, j), eta * h_ij,
+                                      self.gamma_val[i][j], self.gamma_der[i][j],
+                                      self.gamma_max[i][j])
         return _unchecked(self.nodes, values, derivs)
+
+
+def _abs_max(x: np.ndarray) -> float:
+    return float(np.abs(x).max())
+
+
+def _add_term(value: np.ndarray, deriv: np.ndarray, bound: float,
+              term: tuple[int, int | None], a: float, v: np.ndarray, d: np.ndarray,
+              top: float) -> float:
+    """value += a * v and deriv += a * d, in place, or EvalDomainError naming
+    the term (component i's lambda term, or its gamma term j) and so its
+    parameter, when a product or a sum is not finite.
+
+    fl(a * x) grows with |x|, so the product with ``top``, the largest
+    |entry| of v and d, decides for every entry.  ``bound`` bounds every
+    |entry| of value and deriv; the bound raised by that product is
+    returned.  Only where it overflows can a sum, and only there do the
+    sums run with numpy's warnings off."""
+    product = abs(a * top)
+    if not math.isfinite(product):
+        raise EvalDomainError("non-finite result", _term_text(*term))
+    bound += product
+    safe = math.isfinite(bound)
+    with _quiet_unless(safe):
+        value += a * v
+        deriv += a * d
+    if not (safe or np.isfinite(value).all() and np.isfinite(deriv).all()):
+        raise EvalDomainError("non-finite sum", _term_text(*term))
+    return bound
+
+
+def _term_text(i: int, j: int | None) -> str:
+    if j is None:
+        return "lambda{0} * int(k_{0} * f_{0})".format(i + 1)
+    ij = f"{i + 1}{j + 1}"
+    return f"eta{ij} * h_{ij} * gamma_{ij}"
+
+
+def _quiet_unless(safe: bool):
+    """The context of arithmetic under a bound: none where the bound shows
+    that nothing overflows, else numpy's overflow and invalid-value
+    warnings off, and the caller checks the result."""
+    return nullcontext() if safe else np.errstate(over="ignore", invalid="ignore")
 
 
 @lru_cache(maxsize=8)
@@ -154,14 +205,28 @@ def apply_T(spec: "ProblemSpec", u: DiscreteState, *,
 
 def residual(spec: "ProblemSpec", u: DiscreteState, *,
              params: "Params | None" = None) -> float:
-    """Discrete C1 norm of T(u) - u."""
+    """Discrete C1 norm of T(u) - u; EvalDomainError when T(u) or the norm
+    is not finite."""
     _one_state(u, "residual")
-    return c1_norm(_difference(apply_T(spec, u, params=params), u)).overall
+    return _residual_norm(apply_T(spec, u, params=params), u)
 
 
-def _difference(Tu: DiscreteState, u: DiscreteState) -> DiscreteState:
-    """T(u) - u, on u's nodes."""
-    return _unchecked(u.nodes, Tu.values - u.values, Tu.derivatives - u.derivatives)
+def _residual_norm(Tu: DiscreteState, u: DiscreteState) -> float:
+    """C1 norm of T(u) - u, or EvalDomainError when it is not finite.
+
+    With every |entry| of both states at most m and panels of width
+    h <= 1/8, every intermediate of the difference and of c1_norm's Hermite
+    sums stays below 16 m / h.  Only where that bound is not finite can one
+    overflow, and only there do they run with numpy's warnings off."""
+    m = _abs_max(np.concatenate((Tu.values, u.values, Tu.derivatives,
+                                 u.derivatives), axis=None))
+    safe = math.isfinite(16.0 * m / float(u.nodes[1] - u.nodes[0]))
+    with _quiet_unless(safe):
+        norm = c1_norm(_unchecked(u.nodes, Tu.values - u.values,
+                                  Tu.derivatives - u.derivatives)).overall
+    if not math.isfinite(norm):
+        raise EvalDomainError("non-finite C1 norm", "T(u) - u")
+    return norm
 
 
 @dataclass
@@ -241,12 +306,12 @@ def solve_fixed_point(spec: "ProblemSpec", *,
     for iterations in range(1, cfg.max_iterations + 1):
         try:
             Tu = apply_T(spec, u, params=params)
+            res = _residual_norm(Tu, u)
         except (EvalDomainError, QuadratureError) as e:
             # blow-up of a diverging iteration is a numerical outcome,
             # not a crash; model violations still propagate
             notes.append(f"iteration diverged at step {iterations}: {e}")
             break
-        res = c1_norm(_difference(Tu, u)).overall
         if res <= cfg.tol:
             converged = True
             break

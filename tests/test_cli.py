@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -589,3 +590,102 @@ def test_constants_reports_pinned(tmp_path, config):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         CONSTANTS_REPORT_PINS[config.name]
+
+
+CERTIFY = ["certify", CFG, "--mode", "Sstar", "--rho1", "1e-3", "--rho2", "1"]
+
+
+class TestOneParser:
+    """main parses with one parser per process, and parsing leaves no state."""
+
+    def test_built_once_per_process(self, monkeypatch, tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser()
+        per_build = len(built)
+        assert per_build == 8  # the top parser and its seven subparsers
+        built.clear()
+        cli._parser.cache_clear()
+        for k in range(3):
+            assert run(tmp_path, *CERTIFY, out_name=f"{k}.json")[0] == 0
+        assert len(built) == per_build
+
+    def test_a_failed_parse_leaves_no_state(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["certify"])
+        assert exit_.value.code == 2
+        capsys.readouterr()
+        assert run(tmp_path, *CERTIFY)[0] == 0
+
+    def test_a_set_does_not_carry_over(self, tmp_path):
+        assert run(tmp_path, *CERTIFY, "--set", "eta21=0.500001")[0] == 10
+        assert run(tmp_path, *CERTIFY)[0] == 0
+
+    def test_help_matches_a_fresh_parser(self, tmp_path):
+        def helps(parser):
+            sub, = (a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+            return {"": parser.format_help(),
+                    **{name: p.format_help() for name, p in sub.choices.items()}}
+
+        assert run(tmp_path, *CERTIFY)[0] == 0
+        kept, fresh = helps(cli._parser()), helps(cli.build_parser())
+        assert len(kept) == 8 and kept == fresh
+
+
+# the commands of the installed-entry-point step of CI on example.cfg; then
+# whether numpy.ma was imported, which np.unique does on its first call
+NUMPY_MA_SCRIPT = """
+import json, sys
+from hammcert.cli import main
+print(json.dumps([[main(argv) for argv in json.loads(sys.argv[1])],
+                  "numpy.ma" in sys.modules]))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    out = ["--out", str(tmp_path / "report.json")]
+    commands = [
+        ["constants", CFG], CERTIFY, ["solve", CFG, "--rho1", "1e-3", "--rho2", "1"],
+        ["falsify", CFG, "--rho", "1", "--samples", "20", "--ball"],
+        ["estimate", CFG, "--rho", "1", "--samples", "20"],
+        ["certify-nonexistence", CFG, "--rho", "1", "--setI", "2", "--setJ", "1",
+         "--set", "lambda1=31", "--set", "eta11=1", "--set", "lambda2=0.1",
+         "--set", "eta21=0.1"],
+        ["sweep", CFG, "--axis", "lambda1:0:0.1:3", "--mode", "Sstar", "--i0", "1",
+         "--rho1", "1e-3", "--rho2", "1", "--nonexistence-rho", "1", "--setI", "2",
+         "--setJ", "1", "--csv", str(tmp_path / "sweep.csv")]]
+    src = str(Path(hc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", NUMPY_MA_SCRIPT,
+         json.dumps([argv + out for argv in commands])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * 7, False]
+
+
+def _h_one(doc):
+    doc["components"][0]["gammas"][0]["h"] = "1 + der(1, 1/2)^2"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["certify-nonexistence", edited_example(_h_one), "--rho", "1", "--setI", "2",
+      "--setJ", "1", "--set", "eta11=1e308"], 1),
+    (["solve", edited_example(_h_one), "--set", "eta11=1e308"], 20),
+])
+def test_overflowing_residual_norm_is_typed(tmp_path, capsys, argv, code):
+    # T(0) = 1e308 * gamma_11 is finite; its C1 norm is not.  Under the
+    # suite's warnings-as-errors filter, so no step may warn either.
+    message = "non-finite C1 norm in subexpression 'T(u) - u'"
+    got, report, _ = run(tmp_path, *_resolved(argv, tmp_path))
+    assert got == code
+    if code == 1:
+        assert report is None and capsys.readouterr().err == f"error: {message}\n"
+    else:
+        assert report["notes"][0] == f"iteration diverged at step 1: {message}"

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hammcert as hc
+import hammcert.cone as cone_mod
 import hammcert.constants as constants_mod
+import hammcert.quad as quad_mod
 from hammcert import (ConfigError, ModelViolationError, QuadConfig,
                       QuadratureError, Window, c_tilde, gamma_c, recip_M,
                       recip_m, sup_abs_1d)
@@ -537,6 +540,36 @@ def test_grid_with_matches_unique(case):
     # points on nodes, repeated or outside (a, b); spans where nodes coincide
     want = ref_grid_with(*case)
     got = constants_mod._grid_with(*case)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# float pools with repeats and both zeros, where np.unique's sort decides
+# which of -0.0 and 0.0 it keeps
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.ulp(0.0)])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(st.lists(st.one_of(SIGNED_ZEROS, st.floats(-2.0, 2.0)), max_size=40),
+                 st.lists(SIGNED_ZEROS, max_size=40),
+                 st.lists(st.integers(0, 20), max_size=40)))
+@example([0.0, -0.0, 0.0])
+@example([-0.0, 0.0, 1.0, -0.0])
+@example([])
+def test_distinct_matches_unique(values):
+    x = np.array(values, dtype=None if values else float)
+    want, got = np.unique(x), quad_mod._distinct(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(8, 256), st.lists(st.one_of(SIGNED_ZEROS, st.floats(0.0, 1.0)),
+                                     min_size=2, max_size=2))
+def test_window_grid_matches_unique(panels, ends):
+    # a window's ends on monitoring nodes, between them, or at -0.0
+    grid = np.linspace(0.0, 1.0, 4 * panels + 1)
+    a, b = sorted(ends)
+    want = np.unique(np.concatenate((grid[(grid >= a) & (grid <= b)], [a, b])))
+    got = cone_mod._window_grid(grid, SimpleNamespace(window=SimpleNamespace(a=a, b=b)))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -77,6 +77,65 @@ class TestResidual:
         assert residual(example_spec, zero_state(2, 128), params=p) == 0.0
 
 
+def gamma_term_spec(f="1"):
+    """k = k1, f, and one term eta * 1 * (1 - 2t), so max |gamma'| = 2."""
+    return single_component_spec(
+        "example-k1", f=f, envelope={"phi0": "3/4"},
+        gammas=[{"gamma": "1 - 2*t", "dgamma": "-2", "eta": 1.0, "h": "1"}])
+
+
+# parameters near the double maximum, under the suite's warnings-as-errors
+# filter: each ends in a typed error from residual and a diverged solve
+# (f, lambda, eta, the error)
+OVERFLOW_CASES = {
+    # eta * max |gamma'| = 2e308
+    "term": ("1", 1.0, 1e308,
+             "non-finite result in subexpression 'eta11 * h_11 * gamma_11'"),
+    # lambda * max |int dk/dt f| = 1e308 * 2
+    "lambda-term": ("2", 1e308, 1e-300,
+                    "non-finite result in subexpression 'lambda1 * int(k_1 * f_1)'"),
+    # each term is finite; their derivatives at t = 1 sum to -1.9e308
+    "sum": ("1", 1e308, 0.45e308,
+            "non-finite sum in subexpression 'eta11 * h_11 * gamma_11'"),
+    # T(0) is finite, but its derivative interpolant overflows in the norm
+    "norm": ("1", 0.5e308, 0.2e308,
+             "non-finite C1 norm in subexpression 'T(u) - u'"),
+}
+
+
+@pytest.mark.parametrize("number", [float, np.float64])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_overflow_is_a_typed_error(case, number):
+    f, lam, eta, message = OVERFLOW_CASES[case]
+    spec = gamma_term_spec(f)
+    p = Params((number(lam),), ((number(eta),),))
+    with pytest.raises(EvalDomainError) as err:
+        residual(spec, zero_state(1, 128), params=p)
+    assert str(err.value) == message
+    rep = solve_fixed_point(spec, params=p)
+    assert not rep.converged and rep.residual == math.inf
+    assert rep.notes[0] == f"iteration diverged at step 1: {message}"
+
+
+def test_large_finite_lambda_term_is_exact():
+    # the largest entry of lambda times k1's term, 1.2e308, is finite: T is
+    # lambda times the term, bit for bit
+    spec = gamma_term_spec("2")
+    big, one = (apply_T(spec, zero_state(1, 128), params=Params((lam,), ((0.0,),)))
+                for lam in (0.6e308, 1.0))
+    assert np.isfinite(big.derivatives).all()
+    assert np.array_equal(big.values, 0.6e308 * one.values)
+    assert np.array_equal(big.derivatives, 0.6e308 * one.derivatives)
+
+
+def test_large_finite_residual_is_returned():
+    # past the bound that lets the norm run with warnings on, but no sum
+    # overflows: the value is max |T(0)'|, 2 * 4e305 up to rounding
+    p = Params((1.0,), ((4e305,),))
+    r = residual(gamma_term_spec(), zero_state(1, 128), params=p)
+    assert r == pytest.approx(8e305, rel=1e-12)
+
+
 class TestSolve:
     def test_linear_k1_converges_to_oracle(self, linear_k1_spec):
         rep = solve_fixed_point(linear_k1_spec)
