@@ -40,6 +40,7 @@ with positive coefficient raises MissingBoundError.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
@@ -47,8 +48,8 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import DeclaredBounds, _check_shape, _sign_box
-from .cone import zero_state
+from .bounds import DeclaredBounds, _check_shape, _finite_real, _sign_box
+from .cone import _write_csv, zero_state
 from .constants import ConeConstants
 from .errors import ConfigError, ContradictionError, HammcertError, MissingBoundError
 from .problem import parse_param_name
@@ -445,32 +446,40 @@ class SweepAxis:
     steps: int    # number of grid points
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"axis {self.name}: need at least 1 step")
+        """The one axis check: finite real ends a finite distance apart,
+        lo <= hi, and an integer number of steps >= 1."""
+        if not (_finite_real(self.lo) and _finite_real(self.hi)):
+            raise ValueError(f"axis {self.name}: lo and hi must be finite real numbers")
         if self.hi < self.lo:
             raise ValueError(f"axis {self.name}: hi < lo")
+        if not math.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError(f"axis {self.name}: hi - lo overflows")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"axis {self.name}: steps must be an integer")
+        if self.steps < 1:
+            raise ValueError(f"axis {self.name}: need at least 1 step")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepResult:
+    """The sweep's columns in grid order: each axis's parameters, "verdict",
+    "binding" and "margin".  ``==`` is identity: compare ``rows`` instead."""
     axes: tuple[SweepAxis, ...]
-    rows: list[dict]  # one per grid point
+    columns: dict[str, np.ndarray]
+
+    @property
+    def rows(self) -> list[dict]:  # one dict per grid point, built on each read
+        return [dict(zip(self.columns, values))
+                for values in zip(*(col.tolist() for col in self.columns.values()))]
 
     def to_csv(self, path) -> None:
-        import csv
-        with open(path, "w", newline="") as fh:
-            names = [ax.name for ax in self.axes]
-            writer = csv.DictWriter(fh, fieldnames=names + ["verdict", "binding", "margin"])
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({**row, **{k: repr(row[k]) for k in names},
-                                 "margin": repr(row["margin"])})
+        _write_csv(path, self.columns)
 
     def counts(self) -> dict:
-        return dict(Counter(row["verdict"] for row in self.rows))
+        return dict(Counter(self.columns["verdict"].tolist()))
 
 
 def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
@@ -534,12 +543,10 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
         raise_at(0)
     if failing.any():
         raise_at(int(failing.argmax()))
-    keys = (*(ax.name for ax in axes), "verdict", "binding", "margin")
-    rows = [dict(zip(keys, values)) for values in zip(
-        *(col.tolist() for col in columns),
-        np.array(_VERDICTS, dtype=object)[verdict].tolist(),
-        np.array(labels, dtype=object)[binding].tolist(), margin.tolist())]
-    return SweepResult(axes, rows)
+    return SweepResult(axes, {**{ax.name: col for ax, col in zip(axes, columns)},
+                              "verdict": np.array(_VERDICTS, dtype=object)[verdict],
+                              "binding": np.array(labels, dtype=object)[binding],
+                              "margin": margin})
 
 
 _VERDICTS = ("undetermined", "existence-certified", "nonexistence-certified")

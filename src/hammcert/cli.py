@@ -175,13 +175,12 @@ def _axis(text: str) -> certify_mod.SweepAxis:
         name, lo, hi, steps = parts
         parse_param_name(name)
         try:
-            lo, hi, steps = float(lo), float(hi), int(steps)
-            if math.isfinite(lo) and math.isfinite(hi):
-                return certify_mod.SweepAxis(name, lo, hi, steps)
-        except ValueError:  # not a number, or SweepAxis rejects steps or order
+            return certify_mod.SweepAxis(name, float(lo), float(hi), int(steps))
+        except ValueError:  # not a number, or SweepAxis rejects the axis
             pass
     raise HammcertError(f"bad --axis {text!r}; expected NAME:MIN:MAX:STEPS with "
-                        "finite MIN <= MAX and an integer STEPS >= 1")
+                        "finite MIN <= MAX, a finite MAX - MIN and an integer "
+                        "STEPS >= 1")
 
 
 def _check_samples(samples: int) -> None:

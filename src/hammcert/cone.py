@@ -413,28 +413,45 @@ def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
 # ---------------------------------------------------------------------------
 # CSV serialization: columns t, u1, du1, ..., un, dun
 
-def state_to_csv(u: DiscreteState, path) -> None:
-    _one_state(u, "state_to_csv")
+def _write_csv(path, columns: dict) -> None:
+    """The one CSV rule of states and sweeps: a header of the column names,
+    then one line per entry, a float column's entries as their repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["t"]
-        for i in range(u.n):
-            header += [f"u{i + 1}", f"du{i + 1}"]
-        writer.writerow(header)
-        for j, t in enumerate(u.nodes):
-            row = [repr(float(t))]
-            for i in range(u.n):
-                row += [repr(float(u.values[i, j])), repr(float(u.derivatives[i, j]))]
-            writer.writerow(row)
+        writer.writerow(columns)
+        writer.writerows(zip(*(map(repr, col.tolist()) if col.dtype.kind == "f"
+                               else col.tolist() for col in columns.values())))
+
+
+def _state_header(n: int) -> list[str]:
+    return ["t", *(f"{d}u{i + 1}" for i in range(n) for d in ("", "d"))]
+
+
+def state_to_csv(u: DiscreteState, path) -> None:
+    _one_state(u, "state_to_csv")
+    series = np.stack((u.values, u.derivatives), axis=1).reshape(-1, u.nodes.size)
+    _write_csv(path, dict(zip(_state_header(u.n), [u.nodes, *series])))
 
 
 def state_from_csv(path) -> DiscreteState:
+    """The state of a file ``state_to_csv`` wrote.  A file without the header
+    t, u1, du1, ..., un, dun or with a row of another length raises a
+    ValueError naming it."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: no header")
     header, data = rows[0], rows[1:]
     n = (len(header) - 1) // 2
-    arr = np.asarray(data, dtype=float)
+    if header != _state_header(n):
+        raise ValueError(f"{path}: the header must be t, u1, du1, ..., un, dun, "
+                         f"not {', '.join(header)}")
+    for k, row in enumerate(data, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {k} has {len(row)} fields, the header "
+                             f"{len(header)}")
+    arr = np.asarray(data, dtype=float).reshape(len(data), len(header))
     nodes = arr[:, 0]
     values = arr[:, 1::2].T
     derivatives = arr[:, 2::2].T
-    return DiscreteState(nodes, values[:n], derivatives[:n])
+    return DiscreteState(nodes, values, derivatives)

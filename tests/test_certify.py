@@ -1,7 +1,11 @@
+import csv
 import dataclasses
 import json
 import math
+import tracemalloc
+import types
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +438,107 @@ class TestSweep:
         assert lines[0] == "lambda1,verdict,binding,margin"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("lo,hi,steps,message", [
+        (math.nan, 1.0, 2, "lo and hi must be finite real numbers"),
+        (0.0, math.inf, 2, "lo and hi must be finite real numbers"),
+        (True, 1.0, 2, "lo and hi must be finite real numbers"),
+        ("0", 1.0, 2, "lo and hi must be finite real numbers"),
+        (0, 10 ** 400, 2, "lo and hi must be finite real numbers"),
+        (1.0, 0.0, 2, "hi < lo"),
+        (-1e308, 1e308, 3, "hi - lo overflows"),
+        (-10 ** 308, 10 ** 308, 3, "hi - lo overflows"),
+        (0.0, 1.0, True, "steps must be an integer"),
+        (0.0, 1.0, 2.5, "steps must be an integer"),
+        (0.0, 1.0, "3", "steps must be an integer"),
+        (0.0, 1.0, np.int64(0), "need at least 1 step"),
+    ], ids=["nan", "inf", "bool", "str", "huge-int", "order", "wide", "wide-int",
+            "bool-steps", "float-steps", "str-steps", "zero-steps"])
+    def test_axis_rejected(self, lo, hi, steps, message):
+        with pytest.raises(ValueError, match=f"^axis lambda1: {message}$"):
+            SweepAxis("lambda1", lo, hi, steps)
+
+    def test_axis_accepted(self):
+        assert SweepAxis("lambda1", 0, np.float64(1.0), np.int64(3)).grid().tolist() == \
+            [0.0, 0.5, 1.0]
+        # the widest axes of the sweep oracle's strategy, and the widest grid
+        # that stays finite
+        for lo, hi in ((1e300, 1e300 + 5e299), (-0.5, 39.5), (-1e308, 7e307)):
+            assert np.isfinite(SweepAxis("eta11", lo, hi, 4).grid()).all()
+
+    def test_columns_rows_and_counts(self, example_spec, example_cc):
+        axes = [SweepAxis("lambda1", 0.05, 40.05, 5), SweepAxis("eta21", 0.0, 1.0, 3)]
+        kwargs = dict(mode="Sstar", db1=example_spec.bounds_at(1e-3),
+                      db2=example_spec.bounds_at(1.0), i0=1, nonexistence={
+                          "db": example_spec.bounds_at(1.0), "setI": [2], "setJ": [1]})
+        result = sweep(example_spec, example_cc, axes, **kwargs)
+        ref = ref_sweep(example_spec, example_cc, axes, **kwargs)
+        assert {k: c.dtype for k, c in result.columns.items()} == {
+            "lambda1": np.float64, "eta21": np.float64, "verdict": object,
+            "binding": object, "margin": np.float64}
+        assert [list(row.items()) for row in result.rows] == \
+            [list(row.items()) for row in ref.rows]
+        assert list(result.counts().items()) == \
+            list(Counter(row["verdict"] for row in ref.rows).items())
+        assert result.rows is not result.rows  # built on each read
+
+    def test_equality_is_identity(self, example_spec, example_cc):
+        def run(*axes):
+            return sweep(example_spec, example_cc, axes, mode="Sstar",
+                         db1=example_spec.bounds_at(1e-3),
+                         db2=example_spec.bounds_at(1.0), i0=1)
+        result, again = run(SweepAxis("lambda1", 0.0, 0.1, 3)), \
+            run(SweepAxis("lambda1", 0.0, 0.1, 3))
+        # == never asks an array for its truth value
+        assert result == result and result != again
+        assert result.axes == again.axes and result.rows == again.rows
+        assert result.rows != run(SweepAxis("lambda1", 0.0, 0.2, 3)).rows
+
+    def test_csv_bytes_match_the_dict_writer(self, tmp_path, example_spec, example_cc):
+        def reference(result, path):
+            # the DictWriter to_csv ran over the rows before the shared writer
+            with open(path, "w", newline="") as fh:
+                names = [ax.name for ax in result.axes]
+                writer = csv.DictWriter(fh, fieldnames=names + ["verdict", "binding",
+                                                                "margin"])
+                writer.writeheader()
+                for row in result.rows:
+                    writer.writerow({**row, **{k: repr(row[k]) for k in names},
+                                     "margin": repr(row["margin"])})
+        swept = sweep_without_zero_state(example_spec, example_cc)
+        assert "i=1,l=1" in swept.columns["binding"].tolist()  # a label CSV quotes
+        special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.1])
+        made = SweepResult((SweepAxis("eta2_1", 0.0, 1.0, 7),), {
+            "eta2_1": special, "verdict": np.array(["undetermined"] * 7, dtype=object),
+            "binding": np.array(["i=1,l=0", 'J:"i=1"', "I:i=2", "", "a\nb", "x", "y"],
+                                dtype=object),
+            "margin": special[::-1].copy()})
+        for k, result in enumerate((swept, made)):
+            result.to_csv(tmp_path / f"{k}.csv")
+            reference(result, tmp_path / f"{k}-reference.csv")
+            assert (tmp_path / f"{k}.csv").read_bytes() == \
+                (tmp_path / f"{k}-reference.csv").read_bytes()
+
+    def test_result_holds_columns(self):
+        # a 316 x 316 grid held 26 MB (34 MB at its peak) as one dict per
+        # point; its columns are 4 MB
+        spec = hc.load_config(Path(__file__).resolve().parents[1] / "perfbench" /
+                              "configs" / "example-rho1e-4.cfg")
+        cc = hc.assemble_cone_constants(spec)
+        axes = [SweepAxis("lambda1", 0.0, 0.1, 316), SweepAxis("eta11", 0.0, 0.5, 316)]
+        kwargs = dict(mode="Sstar", db1=spec.bounds_at(1e-4), db2=spec.bounds_at(1.0),
+                      i0=1)
+        sweep(spec, cc, axes, **kwargs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = sweep(spec, cc, axes, **kwargs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - before < 8e6
+        assert peak - before < 16e6
+        assert sum(result.counts().values()) == 316 ** 2
+
 
 # sha256 of json.dumps(..., sort_keys=True) of each certificate's as_dict()
 # (of the rows, for sweeps), recorded before the row builders were shared;
@@ -796,7 +901,7 @@ def ref_sweep(spec, cc, axes, *, mode, db1, db2, i0=None, nonexistence=None):
                            else min(inner, key=lambda r: r.lhs))
         rows.append({**overrides, "verdict": verdict, "binding": binding_row.label,
                      "margin": binding_row.margin})
-    return SweepResult(axes, rows)
+    return types.SimpleNamespace(axes=axes, rows=rows)
 
 
 def sweep_outcome(fn, *args, **kwargs):
@@ -897,8 +1002,8 @@ def oracle_examples(spec):
          dict(mode="Sstar", db1=db1, i0=1,
               db2=_with_bounds(db2, 2, h=(HBounds(hi=1e300, delta=0.0, xi=1.0),)),
               nonexistence=nonex)),
-        # linspace overflows (with its own warnings) to a NaN first point
-        ([SweepAxis("lambda1", 0.0, 0.1, 2), SweepAxis("eta11", -1e308, 1e308, 3)],
+        # the widest axis whose grid is finite: its first point is negative
+        ([SweepAxis("lambda1", 0.0, 0.1, 2), SweepAxis("eta11", -1e308, 7e307, 3)],
          dict(mode="Sstar", db1=db1, db2=db2, i0=1)),
         # no axis: the base point alone
         ([], dict(mode="Sstar", db1=db1, db2=db2, nonexistence=nonex)),

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -208,6 +209,45 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"^state_to_csv takes one state"):
             state_to_csv(stack, path)
         assert not path.exists()
+
+    def test_bytes_match_the_per_cell_loop(self, tmp_path):
+        # the loop state_to_csv ran before it wrote through the shared writer
+        def reference(u, path):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                header = ["t"]
+                for i in range(u.n):
+                    header += [f"u{i + 1}", f"du{i + 1}"]
+                writer.writerow(header)
+                for j, t in enumerate(u.nodes):
+                    row = [repr(float(t))]
+                    for i in range(u.n):
+                        row += [repr(float(u.values[i, j])),
+                                repr(float(u.derivatives[i, j]))]
+                    writer.writerow(row)
+        u = trig_state(3, n=2, num_panels=8)
+        u.values[0, :6] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+        u.derivatives[1, :3] = [np.nan, -0.0, -1e300]
+        state_to_csv(u, tmp_path / "state.csv")
+        reference(u, tmp_path / "reference.csv")
+        assert (tmp_path / "state.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("text,message", [
+        ("", r"state\.csv: no header$"),
+        ("t,u1,u2\n", r"state\.csv: the header must be t, u1, du1, \.\.\., un, dun, "
+                      r"not t, u1, u2$"),
+        ("x,u1,du1\n", r"the header must be .*, not x, u1, du1$"),
+        ("t,u1\n", r"the header must be .*, not t, u1$"),
+        ("t,u1,du1\n0.0,1.0,0.0\n0.5,1.0\n", r"state\.csv: line 3 has 2 fields, "
+                                            r"the header 3$"),
+        ("t,u1,du1\n", r"^need at least 9 nodes$"),  # no rows: DiscreteState's check
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "state.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            state_from_csv(path)
 
 
 # ---------------------------------------------------------------------------
