@@ -413,14 +413,22 @@ def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
 # ---------------------------------------------------------------------------
 # CSV serialization: columns t, u1, du1, ..., un, dun
 
+CSV_CHUNK_ROWS = 2 ** 16  # rows turned into Python objects at once
+
+
 def _write_csv(path, columns: dict) -> None:
     """The one CSV rule of states and sweeps: a header of the column names,
-    then one line per entry, a float column's entries as their repr."""
+    then one line per entry, a float column's entries as their repr.  The
+    lines are written CSV_CHUNK_ROWS at a time, so the writer holds one
+    chunk's Python objects, not every column's."""
+    size = min(map(len, columns.values()), default=0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(zip(*(map(repr, col.tolist()) if col.dtype.kind == "f"
-                               else col.tolist() for col in columns.values())))
+        for start in range(0, size, CSV_CHUNK_ROWS):
+            chunk = (col[start:start + CSV_CHUNK_ROWS] for col in columns.values())
+            writer.writerows(zip(*(map(repr, col.tolist()) if col.dtype.kind == "f"
+                                   else col.tolist() for col in chunk)))
 
 
 def _state_header(n: int) -> list[str]:

@@ -47,7 +47,7 @@ class QuadConfig:
     def __post_init__(self):
         if self.gauss_order < 2:
             raise ValueError("gauss_order must be >= 2")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
 
 

@@ -28,7 +28,6 @@ crash: the certificates guarantee existence, not Picard-attractivity.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -62,6 +61,11 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.nodes < 8:
             raise ValueError("need at least 8 panels")
+        # a residual is >= 0, so a tol <= 0 or NaN is never met
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError("tol must be a finite number > 0")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 class _NystromOperator:
@@ -98,9 +102,6 @@ class _NystromOperator:
                                            nodes.shape) for g in comp.gammas])
             self.gamma_der.append([_shaped(eval_scalar(g.gamma.dgamma, {"t": nodes}),
                                            nodes.shape) for g in comp.gammas])
-        # the largest |entry| of gamma and gamma' of every term, for _add_term
-        self.gamma_max = [[max(_abs_max(v), _abs_max(d)) for v, d in zip(vals, ders)]
-                          for vals, ders in zip(self.gamma_val, self.gamma_der)]
 
     def apply(self, u: DiscreteState, params: "Params") -> DiscreteState:
         spec = self.spec
@@ -112,8 +113,7 @@ class _NystromOperator:
         values = np.zeros((n, self.nodes.size))
         derivs = np.zeros_like(values)
         for i, comp in enumerate(spec.components):
-            bound = 0.0  # of every |entry| of values[i] and derivs[i]
-            lam = float(params.lambdas[i])  # float arithmetic in the checks
+            lam = float(params.lambdas[i])
             if lam > 0.0:
                 w_i = eval_functional(comp.w, u, quad, nonneg_condition="C8",
                                       shared_pass=shared)
@@ -127,46 +127,36 @@ class _NystromOperator:
                               f"({fmin:.3e}) at s={self.pts[j]:.6f}")
                 wf = self.wts * F
                 kv, kd = self.k_val[i] @ wf, self.k_der[i] @ wf
-                bound = _add_term(values[i], derivs[i], bound, (i, None), lam, kv, kd,
-                                  _abs_max(np.concatenate((kv, kd))))
+                _add_term(values[i], derivs[i], (i, None), lam, kv, kd)
             for j, term in enumerate(comp.gammas):
+                # a float product eta * h_ij overflows to inf without a warning
                 eta = float(params.etas[i][j])
                 if eta > 0.0:
                     h_ij = eval_functional(term.h, u, quad, nonneg_condition="C7",
                                            shared_pass=shared)
-                    bound = _add_term(values[i], derivs[i], bound, (i, j), eta * h_ij,
-                                      self.gamma_val[i][j], self.gamma_der[i][j],
-                                      self.gamma_max[i][j])
+                    _add_term(values[i], derivs[i], (i, j), eta * h_ij,
+                              self.gamma_val[i][j], self.gamma_der[i][j])
         return _unchecked(self.nodes, values, derivs)
 
 
-def _abs_max(x: np.ndarray) -> float:
-    return float(np.abs(x).max())
-
-
-def _add_term(value: np.ndarray, deriv: np.ndarray, bound: float,
-              term: tuple[int, int | None], a: float, v: np.ndarray, d: np.ndarray,
-              top: float) -> float:
+def _add_term(value: np.ndarray, deriv: np.ndarray, term: tuple[int, int | None],
+              a: float, v: np.ndarray, d: np.ndarray) -> None:
     """value += a * v and deriv += a * d, in place, or EvalDomainError naming
     the term (component i's lambda term, or its gamma term j) and so its
-    parameter, when a product or a sum is not finite.
-
-    fl(a * x) grows with |x|, so the product with ``top``, the largest
-    |entry| of v and d, decides for every entry.  ``bound`` bounds every
-    |entry| of value and deriv; the bound raised by that product is
-    returned.  Only where it overflows can a sum, and only there do the
-    sums run with numpy's warnings off."""
-    product = abs(a * top)
-    if not math.isfinite(product):
-        raise EvalDomainError("non-finite result", _term_text(*term))
-    bound += product
-    safe = math.isfinite(bound)
-    with _quiet_unless(safe):
-        value += a * v
-        deriv += a * d
-    if not (safe or np.isfinite(value).all() and np.isfinite(deriv).all()):
-        raise EvalDomainError("non-finite sum", _term_text(*term))
-    return bound
+    parameter, when a product or a sum is not finite.  The arithmetic runs
+    with numpy's overflow and invalid-value warnings off, and the checks
+    read what it computed.  The rows were finite before the term, as the
+    previous term was checked, so they are finite after it unless a product
+    or a sum is not; only then are the products scanned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        av, ad = a * v, a * d
+        value += av
+        deriv += ad
+        if np.isfinite(value).all() and np.isfinite(deriv).all():
+            return
+        products = np.isfinite(av).all() and np.isfinite(ad).all()
+    raise EvalDomainError("non-finite sum" if products else "non-finite result",
+                          _term_text(*term))
 
 
 def _term_text(i: int, j: int | None) -> str:
@@ -174,13 +164,6 @@ def _term_text(i: int, j: int | None) -> str:
         return "lambda{0} * int(k_{0} * f_{0})".format(i + 1)
     ij = f"{i + 1}{j + 1}"
     return f"eta{ij} * h_{ij} * gamma_{ij}"
-
-
-def _quiet_unless(safe: bool):
-    """The context of arithmetic under a bound: none where the bound shows
-    that nothing overflows, else numpy's overflow and invalid-value
-    warnings off, and the caller checks the result."""
-    return nullcontext() if safe else np.errstate(over="ignore", invalid="ignore")
 
 
 @lru_cache(maxsize=8)
@@ -212,16 +195,10 @@ def residual(spec: "ProblemSpec", u: DiscreteState, *,
 
 
 def _residual_norm(Tu: DiscreteState, u: DiscreteState) -> float:
-    """C1 norm of T(u) - u, or EvalDomainError when it is not finite.
-
-    With every |entry| of both states at most m and panels of width
-    h <= 1/8, every intermediate of the difference and of c1_norm's Hermite
-    sums stays below 16 m / h.  Only where that bound is not finite can one
-    overflow, and only there do they run with numpy's warnings off."""
-    m = _abs_max(np.concatenate((Tu.values, u.values, Tu.derivatives,
-                                 u.derivatives), axis=None))
-    safe = math.isfinite(16.0 * m / float(u.nodes[1] - u.nodes[0]))
-    with _quiet_unless(safe):
+    """C1 norm of T(u) - u, or EvalDomainError when it is not finite.  The
+    difference and the norm run with numpy's overflow and invalid-value
+    warnings off, and the check reads the norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
         norm = c1_norm(_unchecked(u.nodes, Tu.values - u.values,
                                   Tu.derivatives - u.derivatives)).overall
     if not math.isfinite(norm):

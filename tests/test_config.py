@@ -190,6 +190,16 @@ class TestRejectedAtTheirSource:
             load(doc)
         assert err.value.key == "opt"
 
+    @pytest.mark.parametrize("solver", [{"tol": 0}, {"tol": -1}, {"max_iterations": 0}])
+    def test_solver_settings_out_of_range(self, solver):
+        # at the parent these loaded, and solve ran 155 iterations (tol <= 0)
+        # or none (max_iterations = 0) before it reported no convergence
+        doc = example()
+        doc["solver"] = solver
+        with pytest.raises(hc.ConfigError) as err:
+            load(doc)
+        assert err.value.key == "solver"
+
     def test_refine_tol_below_float_spacing_ends(self):
         # once the bracket is two adjacent doubles it no longer narrows, and a
         # search that waits for it to reach 1e-20 never ends; f raises rather

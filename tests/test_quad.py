@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,10 @@ def test_config_validation():
         QuadConfig(gauss_order=1)
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
+    # nan <= 0 is false; the parent accepted it, and integrate then reported
+    # no convergence with an estimate gap of 0
+    with pytest.raises(ValueError, match="^tolerances must be positive$"):
+        QuadConfig(rel_tol=math.nan)
 
 
 def test_breakpoints_outside_interval_ignored():

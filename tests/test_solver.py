@@ -1,9 +1,12 @@
 import math
 import pickle
+from contextlib import nullcontext
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hammcert as hc
 from hammcert import (DiscreteState, EvalDomainError, ModelViolationError, Params,
@@ -11,7 +14,7 @@ from hammcert import (DiscreteState, EvalDomainError, ModelViolationError, Param
                       residual, solve_fixed_point, zero_state)
 from hammcert import constants, solver
 from hammcert.certify import SweepAxis, sweep
-from hammcert.cone import sample_cone_boundary_rng
+from hammcert.cone import _unchecked, c1_norm, sample_cone_boundary_rng
 from hammcert.expr import eval_functional, eval_scalar
 from conftest import digest, single_component_spec, state_digest, trig_state
 
@@ -136,6 +139,110 @@ def test_large_finite_residual_is_returned():
     assert r == pytest.approx(8e305, rel=1e-12)
 
 
+# the overflow guard of the parent, which proved from a-priori bounds that
+# a term's arithmetic and the residual norm could not overflow and ran them
+# with numpy's warnings on where the proof held: the oracle of the checks
+# that read what was computed
+def ref_add_term(value, deriv, bound, term, a, v, d, top):
+    product = abs(a * top)
+    if not math.isfinite(product):
+        raise EvalDomainError("non-finite result", solver._term_text(*term))
+    bound += product
+    safe = math.isfinite(bound)
+    with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
+        value += a * v
+        deriv += a * d
+    if not (safe or np.isfinite(value).all() and np.isfinite(deriv).all()):
+        raise EvalDomainError("non-finite sum", solver._term_text(*term))
+    return bound
+
+
+def ref_residual_norm(Tu, u):
+    m = float(np.abs(np.concatenate((Tu.values, u.values, Tu.derivatives,
+                                     u.derivatives), axis=None)).max())
+    safe = math.isfinite(16.0 * m / float(u.nodes[1] - u.nodes[0]))
+    with nullcontext() if safe else np.errstate(over="ignore", invalid="ignore"):
+        norm = c1_norm(_unchecked(u.nodes, Tu.values - u.values,
+                                  Tu.derivatives - u.derivatives)).overall
+    if not math.isfinite(norm):
+        raise EvalDomainError("non-finite C1 norm", "T(u) - u")
+    return norm
+
+
+def outcome(compute):
+    """The bytes compute returns, or the text of its EvalDomainError."""
+    try:
+        return b"".join(x.tobytes() for x in compute())
+    except EvalDomainError as e:
+        return str(e)
+
+
+def fold_terms(terms, reference):
+    """One component's value and derivative rows after its (a, v, d) terms,
+    the first its lambda term, added as apply adds them: through the bound
+    guard, threading the bound and taking the largest |entry| of v and d as
+    each term's top, or through solver._add_term."""
+    value, deriv = np.zeros(terms[0][1].size), np.zeros(terms[0][1].size)
+    bound = 0.0
+    for k, (a, v, d) in enumerate(terms):
+        term = (0, None if k == 0 else k - 1)
+        if reference:
+            top = float(np.abs(np.concatenate((v, d))).max())
+            bound = ref_add_term(value, deriv, bound, term, a, v, d, top)
+        else:
+            solver._add_term(value, deriv, term, a, v, d)
+    return value, deriv
+
+
+# Python floats, as apply passes them: an np.float64 coefficient would make
+# the parent's scalar a * top warn
+COEFFICIENTS = [0.0, 1e-300, 1.0, 1e154, 1e308, 1.7e308, math.inf]
+FINITE_ENTRIES = [0.0, -0.0, 1.0, 1e308, -1e308]
+ENTRIES = FINITE_ENTRIES + [math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def term_rows(draw, size=3):
+    # two terms in three have finite rows, one of them of one sign, and
+    # about one coefficient in two is 1, so that sums overflow too
+    pool = draw(st.sampled_from([FINITE_ENTRIES, [1.0, 1e308], ENTRIES]))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=2 * size,
+                            max_size=2 * size))
+    a = draw(st.one_of(st.just(1.0), st.sampled_from(COEFFICIENTS)))
+    return a, *np.array(entries).reshape(2, size)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(term_rows(), min_size=1, max_size=4))
+@example([(1e154, np.array([1e308, 0.0, 1.0]), np.zeros(3))])  # a product overflows
+@example([(0.0, np.zeros(3), np.array([0.0, math.inf, 1.0]))])  # 0 * inf
+@example([(math.inf, np.zeros(3), np.zeros(3))])  # inf * 0
+@example([(1.0, np.array([1e308, 0.0, 1.0]), np.zeros(3))] * 2)  # a sum overflows
+@example([(1.7e308, np.array([1.0, -1.0, 0.0]), np.zeros(3)),  # sums near the top
+          (1.0, np.array([-1e308, 1e308, 0.0]), np.array([1e308, 0.0, -1e308]))])
+def test_add_term_matches_the_bound_guard(terms):
+    # under the suite's warnings-as-errors filter: a warning that escapes
+    # either guard fails the test
+    assert outcome(lambda: fold_terms(terms, reference=False)) == \
+        outcome(lambda: fold_terms(terms, reference=True))
+
+
+@pytest.mark.parametrize("value_scale", [1.0, 1e306, 1e308])
+@pytest.mark.parametrize("deriv_scale", [1.0, 1e306, 0.5e308, 1.7e308])
+@settings(max_examples=6, deadline=None, database=None)
+@given(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=36,
+                max_size=36))
+def test_residual_norm_matches_the_bound_guard(value_scale, deriv_scale, fractions):
+    # two one-component states on 8 panels, the widest the solver allows;
+    # the bound guard ran the norm with numpy's warnings on for entries up
+    # to about 1e306
+    nodes = np.linspace(0.0, 1.0, 9)
+    rows = np.array(fractions).reshape(2, 2, 9) * [[[value_scale], [deriv_scale]]]
+    Tu, u = (_unchecked(nodes, v[None, :], d[None, :]) for v, d in rows)
+    assert outcome(lambda: [np.float64(solver._residual_norm(Tu, u))]) == \
+        outcome(lambda: [np.float64(ref_residual_norm(Tu, u))])
+
+
 class TestSolve:
     def test_linear_k1_converges_to_oracle(self, linear_k1_spec):
         rep = solve_fixed_point(linear_k1_spec)
@@ -245,6 +352,16 @@ class TestConfig:
             SolverConfig(damping=0.0)
         with pytest.raises(ValueError):
             SolverConfig(damping=1.5)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"tol": math.nan}, "tol must be a finite number > 0"),
+        ({"tol": 0.0}, "tol must be a finite number > 0"),
+        ({"max_iterations": 0}, "max_iterations must be >= 1"),
+    ], ids=["nan-tol", "zero-tol", "no-iterations"])
+    def test_settings_a_solve_never_meets(self, kwargs, message):
+        # a residual is >= 0, so no iteration meets tol <= 0 or NaN
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SolverConfig(**kwargs)
 
 
 class TestLocalization:
