@@ -33,7 +33,11 @@ integrates over s for a whole chunk of t at once, with the grid, panel
 breakpoints (fixed, and the moving s = t), sign-root rule and golden-section
 refinement of a one-t-at-a-time scan, so the values are the same bit for bit.
 Inner integrals of |k| split panels additionally at sign changes of k,
-because the absolute value introduces kinks at unknown points.
+because the absolute value introduces kinks at unknown points.  Only the
+panels where k may change sign are scanned for them: the interval table
+(``expr._enclose``) encloses k over each chunk's whole (t, s) box and then
+over each panel, and a panel whose enclosure is one-signed holds no sign
+change the scan could find, so dropping it changes no double.
 
 Two kinds of array work run at two sizes.  Elementwise scans -- the coarse
 sign pattern of every s-panel, the c~ grids and the Phi1 check of
@@ -64,7 +68,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, EvalDomainError, HammcertError, ModelViolationError
-from .expr import _monotone_in, _shaped, eval_scalar
+from .expr import _enclose, _monotone_in, _shaped, eval_scalar
 from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
 from .quad import QuadConfig, _distinct, _panels, integrate_panels
 
@@ -371,6 +375,24 @@ def integrate_over_s(kd: KernelDef, ts, a: float, b: float, *, order: int = 0,
 
 def _s_integrals(kd: KernelDef, ts: np.ndarray, a: float, b: float, order: int,
                  absolute: bool, quad_cfg: QuadConfig) -> np.ndarray:
+    """``integrate_over_s`` of one chunk of t.
+
+    For absolute values, only the panels where the integrand may change
+    sign are scanned for roots.  The interval table (``expr._enclose``)
+    encloses the integrand over the whole box, t in [min ts, max ts] and s in
+    [a, b]; if that is one-signed, nothing is scanned.  Else it encloses it
+    on each panel, t the row's point and s in the panel, and drops the rows
+    whose enclosure has lo >= 0 or hi <= 0.  That changes no double: such a
+    row holds no value < 0 (or none > 0), so its scan would find no strict
+    sign change and no straddled zero (``_rows_with_both_signs``), since the
+    scan nodes lie in the panel (lo + i * step with step = (hi - lo) / 256,
+    the last node hi, and rounding is monotone).  The other rows' roots do
+    not depend on which rows share a tile, nor on their order.  A box the
+    table cannot enclose (it raises EvalDomainError) is not dropped, nor is
+    any row if ts is not finite, as the table needs finite boxes; where it
+    encloses the integrand, numpy's evaluation raises at no point of the
+    box, so no error of the scan is skipped.
+    """
     evalf = eval_k if order == 0 else eval_dk
     fn = lambda r, s: evalf(kd, ts[r], s)
     n = ts.size
@@ -383,14 +405,34 @@ def _s_integrals(kd: KernelDef, ts: np.ndarray, a: float, b: float, order: int,
     splits = np.column_stack((np.broadcast_to(fixed, (n, fixed.size)), moving))
     splits = np.where((a < splits) & (splits < b), splits, a)
     if absolute:
-        edges = np.column_stack((np.full(n, a), np.sort(splits, axis=1), np.full(n, b)))
-        r, c = np.nonzero(edges[:, 1:] - edges[:, :-1] > 1e-12)
-        roots = _panel_sign_roots(fn, r, edges[r, c], edges[r, c + 1])
-        splits = np.column_stack((splits, _pad_rows(*roots, n, a)))
+        expr = kd.k if order == 0 else kd.dk_dt
+        box = np.array([ts.min(), ts.max(), a, b])
+        enclosed = np.isfinite(box).all()  # then so is every panel's box
+        if not (enclosed and _one_signed(expr, box[:2], box[2:])):
+            edges = np.column_stack((np.full(n, a), np.sort(splits, axis=1), np.full(n, b)))
+            r, c = np.nonzero(edges[:, 1:] - edges[:, :-1] > 1e-12)
+            lo, hi = edges[r, c], edges[r, c + 1]
+            if enclosed:
+                scan = ~np.broadcast_to(_one_signed(expr, (ts[r], ts[r]), (lo, hi)),
+                                        r.shape)
+                r, lo, hi = r[scan], lo[scan], hi[scan]
+            roots = _panel_sign_roots(fn, r, lo, hi)
+            splits = np.column_stack((splits, _pad_rows(*roots, n, a)))
         integrand = lambda r, s: np.abs(np.asarray(fn(r, s), dtype=float))
     else:
         integrand = fn
     return integrate_panels(integrand, *_panels(a, b, splits), n, quad_cfg)
+
+
+def _one_signed(expr, t, s):
+    """Where the interval table proves expr >= 0 or <= 0 on the box t x s,
+    each a (lo, hi) pair of finite float64 scalars or arrays: a bool, or
+    one per box; False if the table cannot enclose expr there."""
+    try:
+        lo, hi = _enclose(expr, {"t": t, "s": s})
+    except EvalDomainError:
+        return False
+    return (lo >= 0.0) | (hi <= 0.0)
 
 
 def _pad_rows(rows: np.ndarray, values: np.ndarray, n: int, fill: float) -> np.ndarray:

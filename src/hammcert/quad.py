@@ -49,6 +49,8 @@ class QuadConfig:
             raise ValueError("gauss_order must be >= 2")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
+        if self.max_subdivisions < 1:
+            raise ValueError("max_subdivisions must be >= 1")
 
 
 @lru_cache(maxsize=16)

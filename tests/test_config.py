@@ -200,6 +200,15 @@ class TestRejectedAtTheirSource:
             load(doc)
         assert err.value.key == "solver"
 
+    @pytest.mark.parametrize("quad", [{"max_subdivisions": 0}, {"max_subdivisions": -1}])
+    def test_quad_settings_out_of_range(self, quad):
+        # at the parent these loaded and integrated as max_subdivisions = 1
+        doc = example()
+        doc["quad"] = quad
+        with pytest.raises(hc.ConfigError, match="max_subdivisions must be >= 1") as err:
+            load(doc)
+        assert err.value.key == "quad"
+
     def test_refine_tol_below_float_spacing_ends(self):
         # once the bracket is two adjacent doubles it no longer narrows, and a
         # search that waits for it to reach 1e-20 never ends; f raises rather

@@ -662,6 +662,71 @@ class TestTiledScans:
 
 
 # --------------------------------------------------------------------------
+# the sign scan of the panels the interval table leaves against the scan of
+# every panel it replaced
+
+def ref_s_integrals(kd, ts, a, b, order, absolute, quad_cfg):
+    """The unfiltered ``constants._s_integrals``: every panel's sign scanned."""
+    evalf = eval_k if order == 0 else eval_dk
+    fn = lambda r, s: evalf(kd, ts[r], s)
+    n = ts.size
+    fixed = np.asarray(kd.fixed_breakpoints, dtype=float)
+    moving = np.full(n, a)
+    if kd.moving_breakpoint:
+        clear = np.all(np.abs(ts[:, None] - fixed) > 1e-14, axis=1)
+        moving = np.where(clear, ts, a)
+    splits = np.column_stack((np.broadcast_to(fixed, (n, fixed.size)), moving))
+    splits = np.where((a < splits) & (splits < b), splits, a)
+    if absolute:
+        edges = np.column_stack((np.full(n, a), np.sort(splits, axis=1), np.full(n, b)))
+        r, c = np.nonzero(edges[:, 1:] - edges[:, :-1] > 1e-12)
+        roots = constants_mod._panel_sign_roots(fn, r, edges[r, c], edges[r, c + 1])
+        splits = np.column_stack((splits, constants_mod._pad_rows(*roots, n, a)))
+        integrand = lambda r, s: np.abs(np.asarray(fn(r, s), dtype=float))
+    else:
+        integrand = fn
+    return quad_mod.integrate_panels(integrand, *quad_mod._panels(a, b, splits), n,
+                                     quad_cfg)
+
+
+# kernels the interval table cannot enclose on some or all of their boxes:
+# log; a divisor s^2 - s + 1/2 >= 1/4 whose enclosure reaches 0 on wide
+# panels; sqrt of a value below 0, where numpy raises too
+UNENCLOSED = {
+    "log": _kernel("log(1/2 + t + s) - 1/2", "1/(1/2 + t + s)"),
+    "divisor": _kernel("1/(s*s - s + 1/2) - 2 - t", "0*s - 1", (0.5,), True),
+    "sqrt": _kernel("sqrt(t - s) - 1/4", "1/(2*sqrt(t - s))", moving=True),
+}
+FILTER_KERNELS = {"example-k1": K1, "example-k2": K2, "tight-k1": TIGHT_K1,
+                  "tight-k2": TIGHT_K2, "node-roots": NODE_ROOTS,
+                  "some-node-roots": SOME_NODE_ROOTS, **UNENCLOSED,
+                  # roots that enclosures within 1e-12 of 0 straddle
+                  "small": _kernel("(s - 1/3)*(t + 1)*1e-12", "(s - 1/3)*1e-12")}
+
+
+def _integral_outcome(compute):
+    try:
+        return "value", compute().tobytes()
+    except hc.HammcertError as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_KERNELS))
+def test_filtered_sign_scan_matches_every_panel_scanned(name):
+    kd, cfg = FILTER_KERNELS[name], QuadConfig()
+    # the ends, the fixed breakpoint, the windows' ends and random points
+    ts = np.concatenate(([0.0, 1.0, 0.5, 0.375, 0.25, 0.75],
+                         np.random.default_rng(31).uniform(0.0, 1.0, 10)))
+    for (a, b), order, absolute in itertools.product(
+            [(0.0, 1.0), (0.0, 0.375), (0.2, 0.9)], (0, 1), (True, False)):
+        got = _integral_outcome(lambda: integrate_over_s(
+            kd, ts, a, b, order=order, absolute=absolute, quad_cfg=cfg))
+        want = _integral_outcome(lambda: ref_s_integrals(
+            kd, ts, a, b, order, absolute, cfg))
+        assert got == want, (a, b, order, absolute)
+
+
+# --------------------------------------------------------------------------
 # c~ of a kernel monotone in t, from the ends of its t intervals
 
 # t-free operands: sign-changing, zero and exp factors among them

@@ -4,6 +4,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +14,9 @@ from hammcert import (DslSyntaxError, EvalDomainError, HammcertError,
                       ModelViolationError, QuadConfig, QuadratureError, constant_state,
                       eval_functional, eval_scalar, integrate, parse_expr,
                       parse_functional, render)
-from hammcert.expr import (_MAX_DEPTH, _NUMPY, KERNEL_CONTEXT, Bin, Const, Der,
-                           Integral, Num, Unary, Val, Var, int_body_context,
+from hammcert.expr import (_MAX_DEPTH, _NUMPY, ENVELOPE_CONTEXT, KERNEL_CONTEXT,
+                           Bin, Const, Der, Integral, Num, Unary, Val, Var,
+                           _enclose, _shaped, int_body_context,
                            nonlinearity_context, parse_constant)
 from conftest import trig_state
 
@@ -506,6 +508,7 @@ def test_compiled_tree_keeps_eq_hash_and_pickles():
     expr = parse_expr(text, KERNEL_CONTEXT)
     fresh = parse_expr(text, KERNEL_CONTEXT)
     eval_scalar(expr, {"t": 0.5, "s": 0.25})
+    _enclose(expr, {"t": (np.float64(0.5),) * 2, "s": (np.float64(0.25),) * 2})
     assert expr == fresh and hash(expr) == hash(fresh)
     again = pickle.loads(pickle.dumps(expr))
     assert again == expr
@@ -828,3 +831,133 @@ def test_nan_never_reaches_the_sign_check():
     with pytest.raises(ModelViolationError, match="C8"):
         eval_functional(parse_functional("val(1, 0) - 2", 1), constant_state([1.0]),
                         nonneg_condition="C8")
+
+
+# ---------------------------------------------------------------------------
+# The interval table: enclosures of the numpy table's doubles and of the
+# real values, at the corners and at random points of random boxes
+
+def ref_real_value(node, env):
+    """The real value of a kernel-grammar AST at a point, in 50-digit mpmath
+    (the Num leaves taken as the doubles they hold)."""
+    if isinstance(node, Num):
+        return mp.mpf(node.value)
+    if isinstance(node, Const):
+        return +(mp.e if node.name == "e" else mp.pi)
+    if isinstance(node, Var):
+        return mp.mpf(env[node.name])
+    if isinstance(node, Unary):
+        x = ref_real_value(node.arg, env)
+        return {"neg": lambda: -x, "exp": lambda: mp.exp(x), "abs": lambda: abs(x),
+                "sqrt": lambda: mp.sqrt(x), "pos": lambda: max(x, mp.mpf(0)),
+                "step": lambda: mp.mpf(1 if x > 0 else 0)}[node.op]()
+    a, b = ref_real_value(node.left, env), ref_real_value(node.right, env)
+    return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+            "/": lambda: a / b}[node.op]()
+
+
+KERNEL_NUMBERS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 0.5, 0.1, 1 / 3, 2.5, 1e-3]),
+                           st.floats(0.0, 4.0, allow_subnormal=False))
+KERNEL_ASTS = st.recursive(
+    st.one_of(st.sampled_from([Var("t"), Var("s"), Const("e"), Const("pi")]),
+              KERNEL_NUMBERS.map(Num)),
+    lambda sub: st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "exp", "pos", "step", "abs", "sqrt"]), sub),
+        st.builds(Bin, st.sampled_from(list("+-*/")), sub, sub)), max_leaves=10)
+BOX_END = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def boxes_and_points(draw):
+    """(boxes, points): K boxes of (t, s), each side a (lo, hi) pair of
+    float64 arrays of K ends, and P points of each box, its four corners
+    first, as (K, P) arrays of t and of s."""
+    k = draw(st.integers(1, 3))
+    sides = []
+    for _ in "ts":
+        ends = np.sort(np.array(draw(st.lists(st.tuples(BOX_END, BOX_END),
+                                              min_size=k, max_size=k))), axis=1)
+        sides.append((ends[:, 0], ends[:, 1]))
+    frac = np.array(draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                                  min_size=4, max_size=4)))
+    corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
+    frac = np.concatenate((corners, frac))
+    points = [np.clip(lo[:, None] + f * (hi - lo)[:, None], lo[:, None], hi[:, None])
+              for (lo, hi), f in zip(sides, frac.T)]
+    return dict(zip("ts", sides)), points
+
+
+# t - s is exactly 0 at a corner, where numpy's step is 0
+STEP_AT_ZERO = ({"t": (np.array([0.5]), np.array([1.0])),
+                 "s": (np.array([0.0]), np.array([0.5]))},
+                (np.array([[0.5, 0.5, 1.0, 1.0]]), np.array([[0.0, 0.5, 0.0, 0.5]])))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(KERNEL_ASTS, boxes_and_points())
+@example(Unary("step", Bin("-", Var("t"), Var("s"))), STEP_AT_ZERO)
+def test_interval_table_encloses_numpy_and_real_values(tree, case):
+    # render and parse, so the tree is one the grammar produces
+    expr = parse_expr(render(tree), KERNEL_CONTEXT)
+    env, (ts, ss) = case
+    try:
+        lo, hi = _enclose(expr, env)
+    except EvalDomainError:
+        return  # the table may decline a box; the sign scan then scans it
+    lo, hi = (np.broadcast_to(v, ts.shape[:1])[:, None] for v in (lo, hi))
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    # where the table encloses, the numpy table raises at no point of the box
+    values = _shaped(eval_scalar(expr, {"t": ts, "s": ss}), ts.shape)
+    assert ((lo <= values) & (values <= hi)).all()
+    with mp.workdps(50):
+        for k, p in np.ndindex(*ts.shape):
+            point = {"t": float(ts[k, p]), "s": float(ss[k, p])}
+            one = eval_scalar(expr, point)  # the numpy table on Python floats
+            real = ref_real_value(expr, point)
+            assert lo[k, 0] <= one <= hi[k, 0]
+            assert mp.mpf(lo[k, 0]) <= real <= mp.mpf(hi[k, 0])
+
+
+def test_numpy_exp_is_within_one_ulp():
+    # the allowance the interval table's exp rests on, for exp's array and
+    # float paths, over the normal range and near powers of 2 and 0
+    rng = np.random.default_rng(29)
+    x = np.concatenate((rng.uniform(-708.0, 709.7, 6000), rng.uniform(-1.0, 1.0, 2000),
+                        rng.uniform(-1e-6, 1e-6, 1000),
+                        np.arange(-1020, 1020) * math.log(2.0)))
+    x = x[(x > -708.0) & (x < 709.7)]
+    assert x.size >= 10_000
+    floats = [float(np.exp(v)) for v in x[::5].tolist()]
+    with mp.workdps(50):
+        for args, got in ((x, np.exp(x)), (x[::5], np.array(floats))):
+            ulps = [abs(mp.mpf(y) - mp.exp(mp.mpf(v))) / np.spacing(y)
+                    for v, y in zip(args.tolist(), got.tolist())]
+            assert max(ulps) <= 1
+
+
+@pytest.mark.parametrize("text,box", [
+    ("log(s)", (1.0, 2.0)),       # log and ^ are not enclosed
+    ("s^2", (1.0, 2.0)),
+    ("1/(s - 1)", (0.0, 2.0)),    # a divisor that reaches 0
+    ("1/s", (-0.0, 1.0)),
+    ("sqrt(s - 1)", (0.0, 2.0)),  # sqrt below 0
+    ("exp(1000*s)", (0.0, 1.0)),  # overflow
+    ("s*1e-300*1e-300", (1.0, 2.0)),  # underflow
+])
+def test_interval_table_declines(text, box):
+    expr = parse_expr(text, ENVELOPE_CONTEXT)
+    with pytest.raises(EvalDomainError):
+        _enclose(expr, {"s": tuple(map(np.float64, box))})
+
+
+def test_interval_table_keeps_exact_zeros():
+    # ends that round to 0 are exact and stay, as do integers, pos and step,
+    # so a kernel that reaches 0 at a panel's end can still be one-signed
+    s = (np.float64(0.5), np.float64(1.0))
+    lo, hi = _enclose(parse_expr("(1 - s)*exp(s) + pos(1 - 2*s)", ENVELOPE_CONTEXT),
+                      {"s": s})
+    assert lo == 0.0 and 0.5 * math.e < hi < 0.5 * math.e * (1 + 2 ** -48)
+    lo, hi = _enclose(parse_expr("-step(s - 1/2)", ENVELOPE_CONTEXT), {"s": s})
+    assert (lo, hi) == (-1.0, 0.0)
+    lo, hi = _enclose(parse_expr("step(s - 1)", ENVELOPE_CONTEXT), {"s": s})
+    assert (lo, hi) == (0.0, 0.0)

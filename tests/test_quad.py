@@ -123,6 +123,10 @@ def test_config_validation():
     # no convergence with an estimate gap of 0
     with pytest.raises(ValueError, match="^tolerances must be positive$"):
         QuadConfig(rel_tol=math.nan)
+    # the parent accepted 0 and -1, and integrated as with 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^max_subdivisions must be >= 1$"):
+            QuadConfig(max_subdivisions=bad)
 
 
 def test_breakpoints_outside_interval_ignored():
