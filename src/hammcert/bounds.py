@@ -83,6 +83,12 @@ def _finite_real(v) -> bool:
         return False
 
 
+def _integer(v) -> bool:
+    """Whether v is an integer: a Python or numpy int, not a bool (which
+    Python counts as an int)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _nonnegative(bounds, condition: str, *names: str) -> None:
     """The check of each declared value given: a finite real number >= 0.
     w, f and h are nonnegative (C8, C4, C7), so a negative upper bound is

@@ -40,7 +40,6 @@ with positive coefficient raises MissingBoundError.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
@@ -48,7 +47,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import DeclaredBounds, _check_shape, _finite_real, _sign_box
+from .bounds import DeclaredBounds, _check_shape, _finite_real, _integer, _sign_box
 from .cone import _write_csv, zero_state
 from .constants import ConeConstants
 from .errors import ConfigError, ContradictionError, HammcertError, MissingBoundError
@@ -249,9 +248,8 @@ def _nonexistence_rows(spec: "ProblemSpec", db: DeclaredBounds, setI: Sequence[i
 
 
 def _check_index(key: str, value) -> None:
-    """ConfigError naming key unless value is an int or a numpy integer,
-    and not a bool (which Python counts as an int)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """ConfigError naming key unless value is an integer."""
+    if not _integer(value):
         raise ConfigError(key, f"a component index must be an integer, got {value!r}")
 
 
@@ -454,7 +452,7 @@ class SweepAxis:
             raise ValueError(f"axis {self.name}: hi < lo")
         if not math.isfinite(float(self.hi) - float(self.lo)):
             raise ValueError(f"axis {self.name}: hi - lo overflows")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+        if not _integer(self.steps):
             raise ValueError(f"axis {self.name}: steps must be an integer")
         if self.steps < 1:
             raise ValueError(f"axis {self.name}: need at least 1 step")

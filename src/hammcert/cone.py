@@ -9,12 +9,15 @@ sup with O(h^4) defect).
 
 Interpolation at a point set goes through a Hermite basis: the panel index
 and the cubic basis polynomials of every point, built once per (node
-vector, point set) and kept in a small table keyed by their exact bytes.
-A session only ever interpolates at a handful of point sets (the monitoring
-grid, the whole-panel quadrature points that are also the Nystrom points,
-the half-panel points, the window grids, val/der points), so evaluating a
-state is a gather plus the same arithmetic, in the same order, as building
-the basis inline would do.
+vector, point set) and kept in an ``lru_cache`` keyed by their exact bytes.
+The cache keeps the BASIS_SETS most recently used point sets of at most
+BASIS_SET_POINTS points each, so at most 2^16 points (about 6 MB); a larger
+point set is built on every call and not kept.  A session only ever
+interpolates at a handful of point sets (the monitoring grid, the
+whole-panel quadrature points that are also the Nystrom points, the
+half-panel points, the window grids, val/der points; six sets of at most
+2,048 points at N = 128), so evaluating a state is a gather plus the same
+arithmetic, in the same order, as building the basis inline would do.
 
 A ``DiscreteState`` may also hold a stack of K states on the same nodes,
 with a leading stack axis on its values and derivatives; interpolation and
@@ -28,8 +31,9 @@ polynomials, shifts them into the cone and rescales onto ||u|| = rho; it is
 meant for falsification and property tests, not for exhausting the boundary.
 It draws a stack of states as one round of Python draws, in the order of one
 state at a time (each state's trig coefficients, then its ball coin), and
-then shifts and rescales the whole stack with one array pass, reading the
-cos/sin values from one table per node vector.  A state of C1 norm at most
+then shifts and rescales the whole stack with one array pass.  The shift
+is read off the cone rule's margin, min over the window minus c sup, which
+``cone_membership`` reports too.  A state of C1 norm at most
 1e-12 cannot be rescaled onto the sphere.  The shift leaves u' alone, and
 the mean of u'^2 over the nodes is sum_d w_d^2 (a_d^2 + b_d^2) / 2 with
 w_d >= 2 pi, so every non-constant trig coefficient would have to lie below
@@ -40,8 +44,6 @@ raises RuntimeError instead of being drawn again.
 from __future__ import annotations
 
 import csv
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -59,9 +61,9 @@ __all__ = ["DiscreteState", "StateNorms", "c1_norm", "cone_membership",
            "state_from_csv", "zero_state", "constant_state"]
 
 MONITOR_FACTOR = 8  # monitoring grid has MONITOR_FACTOR*N + 1 points
-# Hermite bases are kept for at most this many points over all point sets
-# (about 6 MB); the six point sets of a session at N = 128 hold 4,996
-BASIS_TABLE_POINTS = 2 ** 16
+# the Hermite basis cache: point sets kept, and the points of the largest kept
+BASIS_SETS = 8
+BASIS_SET_POINTS = 2 ** 13
 
 
 class _HermiteBasis(NamedTuple):
@@ -92,39 +94,17 @@ def _build_basis(nodes: np.ndarray, x: np.ndarray) -> _HermiteBasis:
                          3 * t2 - 2 * tau)
 
 
-class _BasisTable:
-    """Hermite bases of recently used (node vector, point set) pairs, keyed
-    by their exact bytes.  The least recently used go first once the table
-    holds more than ``max_points`` points; a larger point set is built but
-    not kept."""
-
-    def __init__(self, max_points: int):
-        self.max_points = max_points
-        self.points = 0
-        self.builds = 0
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def basis(self, nodes: np.ndarray, x) -> _HermiteBasis:
-        x = np.asarray(x, dtype=float)
-        key = (nodes.tobytes(), x.tobytes(), x.shape)
-        with self._lock:
-            found = self._entries.get(key)
-            if found is not None:
-                self._entries.move_to_end(key)
-                return found
-        built = _build_basis(nodes, x)
-        with self._lock:
-            self.builds += 1
-            if x.size <= self.max_points and key not in self._entries:
-                self._entries[key] = built
-                self.points += x.size
-                while self.points > self.max_points:
-                    self.points -= self._entries.popitem(last=False)[1].left.size
-        return built
+def _basis(nodes: np.ndarray, x) -> _HermiteBasis:
+    """The basis at x, from the cache unless x has more points than it keeps."""
+    x = np.asarray(x, dtype=float)
+    if x.size > BASIS_SET_POINTS:
+        return _build_basis(nodes, x)
+    return _kept_basis(nodes.tobytes(), x.tobytes(), x.shape)
 
 
-_BASES = _BasisTable(BASIS_TABLE_POINTS)
+@lru_cache(maxsize=BASIS_SETS)
+def _kept_basis(nodes: bytes, x: bytes, shape: tuple) -> _HermiteBasis:
+    return _build_basis(np.frombuffer(nodes), np.frombuffer(x).reshape(shape))
 
 
 @dataclass(eq=False)
@@ -178,7 +158,7 @@ class DiscreteState:
         The sum u0 v00 + (h d0) v10 + u1 v01 + (h d1) v11 is formed in place,
         in that order.
         """
-        b = _BASES.basis(self.nodes, x)
+        b = _basis(self.nodes, x)
         u, d = self.values[..., comp, :], self.derivatives[..., comp, :]
         out = u.take(b.left, axis=-1)
         out *= b.v00
@@ -199,7 +179,7 @@ class DiscreteState:
         """Derivative of the Hermite interpolant, indexed like ``value``;
         matches the stored derivative values exactly at nodes.  The sum
         u0 p00 / h + d0 p10 + u1 p01 / h + d1 p11 is formed in place."""
-        b = _BASES.basis(self.nodes, x)
+        b = _basis(self.nodes, x)
         u, d = self.values[..., comp, :], self.derivatives[..., comp, :]
         out = u.take(b.left, axis=-1)
         out *= b.p00
@@ -291,14 +271,18 @@ def cone_membership(u: DiscreteState, cc: Sequence[ConeConstants],
     _one_state(u, "cone_membership")
     if len(cc) != u.n:
         raise ValueError("one ConeConstants record per component required")
+    margins = _cone_margins(u, cc).tolist()
+    return MembershipVerdict(all(m >= -slack for m in margins), tuple(margins))
+
+
+def _cone_margins(u: DiscreteState, cc: Sequence[ConeConstants]) -> np.ndarray:
+    """The cone rule's margins on the monitoring grid: min over the window
+    of u_i minus c_i sup|u_i| per component, shaped (n,), or (K, n) for a
+    stack."""
     grid = u.monitor_grid()
-    sups = np.max(np.abs(u.value(slice(None), grid)), axis=1).tolist()
-    margins = []
-    for i, cci in enumerate(cc):
-        window_min = float(np.min(u.value(i, _window_grid(grid, cci))))
-        margins.append(window_min - cci.c * sups[i])
-    member = all(m >= -slack for m in margins)
-    return MembershipVerdict(member, tuple(margins))
+    sups = np.max(np.abs(u.value(slice(None), grid)), axis=-1)
+    return np.stack([np.min(u.value(i, _window_grid(grid, cci)), axis=-1)
+                     - cci.c * sups[..., i] for i, cci in enumerate(cc)], axis=-1)
 
 
 def _window_grid(grid: np.ndarray, cci: ConeConstants) -> np.ndarray:
@@ -312,19 +296,6 @@ def _window_grid(grid: np.ndarray, cci: ConeConstants) -> np.ndarray:
 
 TRIG_DEGREE = 6
 SAMPLE_PANELS = 128  # sampled states live on this many uniform panels
-
-
-@lru_cache(maxsize=4)
-def _trig_table(key: bytes):
-    """(w_d, cos(w_d t), sin(w_d t)) at the nodes (given by their bytes) for
-    d = 1..TRIG_DEGREE, w_d = 2 pi d; each table shaped (TRIG_DEGREE, N+1)."""
-    nodes = np.frombuffer(key)
-    w = [2.0 * np.pi * d for d in range(1, TRIG_DEGREE + 1)]
-    cos = np.array([np.cos(wd * nodes) for wd in w])
-    sin = np.array([np.sin(wd * nodes) for wd in w])
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return w, cos, sin
 
 
 def _ball_factor(rng: np.random.Generator, ball: bool) -> float:
@@ -351,24 +322,23 @@ def _boundary_stack(cc: Sequence[ConeConstants], rho: float, rng: np.random.Gene
                 b[k, i] = rng.uniform(-1.0, 1.0, TRIG_DEGREE)
         mu[k] = _ball_factor(rng, ball)
 
-    # trig polynomials: the value is summed up degree by degree
-    w, cos, sin = _trig_table(nodes.tobytes())
+    # trig polynomials in w_d = 2 pi d: the value is summed up degree by degree
     values = np.repeat(a[..., :1], nodes.size, axis=-1)
     derivs = np.zeros_like(values)
     for d in range(1, TRIG_DEGREE + 1):
+        wd = 2.0 * np.pi * d
+        cos, sin = np.cos(wd * nodes), np.sin(wd * nodes)
         ad, bd = a[..., d, None], b[..., d - 1, None]
-        values += ad * cos[d - 1] + bd * sin[d - 1]
-        derivs += w[d - 1] * (-ad * sin[d - 1] + bd * cos[d - 1])
+        values += ad * cos + bd * sin
+        derivs += wd * (-ad * sin + bd * cos)
     derivs[:, const] = 0.0
 
     # the least shift that restores min over the window >= c * sup
     u = DiscreteState(nodes, values, derivs)  # shares ``values``
-    grid = u.monitor_grid()
-    sups = np.max(np.abs(u.value(slice(None), grid)), axis=-1)
+    margins = _cone_margins(u, cc)
     for i, cci in enumerate(cc):
         if not const[i]:
-            wmin = np.min(u.value(i, _window_grid(grid, cci)), axis=-1)
-            shift = (cci.c * sups[:, i] - wmin) / (1.0 - cci.c)
+            shift = -margins[:, i] / (1.0 - cci.c)
             values[:, i] += np.where(shift > 0.0, shift, 0.0)[:, None]
     norm = c1_norm(u).overall
     if np.any(norm <= 1e-12):

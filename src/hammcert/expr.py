@@ -472,13 +472,14 @@ def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
 class _SharedPass:
     """The atoms of a state, or of a stack of K states (a state is a stack
     of one), each evaluated once for the whole stack: u and u' at a point
-    array (kept by the array's identity; the pass holds the array, so the id
-    is not reused while it lives), the K integrals of an int body (kept per
-    body, so equal bodies of several functionals integrate once), and u or
-    u' at the val/der points of ``functionals``, in one Hermite call each.
-    A point not among them joins the set, and the next atom recomputes its
-    table.  ``row(r)`` is the context in which state r's functionals read
-    the atoms.  Short-lived: callers make one per stack and drop it with it.
+    array, one record per array (kept by the array's identity; the pass
+    holds the array, so the id is not reused while it lives), and the K
+    integrals of an int body (kept per body, so equal bodies of several
+    functionals integrate once).  The val/der points of ``functionals`` form
+    one such point array; a point not among them joins it, and the array is
+    rebuilt, its record replaced.  ``row(r)`` is the context in which state
+    r's functionals read the atoms.  Short-lived: callers make one per stack
+    and drop it with it.
     """
 
     def __init__(self, u: "DiscreteState", quad: QuadConfig, functionals=()):
@@ -488,7 +489,7 @@ class _SharedPass:
         self._kept: dict = {}
         self._integrals: dict = {}
         self._points: dict = {}  # t0.hex() -> (column, t0), so -0.0 is its own point
-        self._tables: dict = {}
+        self._x = None  # the array of those points, built when first read
         for fx in functionals:
             for t0 in _atom_points(fx):
                 self._points.setdefault(t0.hex(), (len(self._points), t0))
@@ -511,13 +512,11 @@ class _SharedPass:
         """u (or u') of every state and component at t0, shaped (K, n)."""
         if key not in self._points:
             self._points[key] = (len(self._points), t0)
-            self._tables.clear()
-        table = self._tables.get(derivative)
-        if table is None:
-            x = np.array([p for _, p in self._points.values()])
-            point = self.u.derivative if derivative else self.u.value
-            table = self._tables[derivative] = self._stacked(point(slice(None), x))
-        return table[..., self._points[key][0]]
+            self._kept.pop(id(self._x), None)
+            self._x = None
+        if self._x is None:
+            self._x = np.array([p for _, p in self._points.values()])
+        return self.at(self._x)[derivative][..., self._points[key][0]]
 
     def integrals(self, body: ScalarExpr) -> np.ndarray:
         """The K integrals of body over [0, 1], with the states' interior

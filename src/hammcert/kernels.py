@@ -122,15 +122,13 @@ def validate_kernel_derivative(kd: KernelDef) -> None:
         mask &= np.abs(S - b) > 1e-4
     T, S = T[mask], S[mask]
     fd = (eval_k(kd, T + h, S) - eval_k(kd, T - h, S)) / (2 * h)
-    dk = _shaped(eval_dk(kd, T, S), T.shape)
-    err = np.abs(np.asarray(fd) - dk)
-    scale = np.maximum(1.0, np.abs(dk))
-    worst = np.argmax(err / scale)
-    if err.flat[worst] > 1e-6 * scale.flat[worst]:
+    mismatch = _worst_mismatch(fd, _shaped(eval_dk(kd, T, S), T.shape))
+    if mismatch:
+        j, err = mismatch
         raise ModelViolationError(
             "C3",
             f"dk_dt disagrees with the finite difference of k by "
-            f"{err.flat[worst]:.3e} at (t,s)=({T.flat[worst]:.6f},{S.flat[worst]:.6f})")
+            f"{err:.3e} at (t,s)=({T[j]:.6f},{S[j]:.6f})")
 
 
 def validate_gamma_derivative(gd: GammaDef) -> None:
@@ -139,15 +137,23 @@ def validate_gamma_derivative(gd: GammaDef) -> None:
     h = 1e-5  # central-difference step
     ts = np.linspace(2 * h, 1.0 - 2 * h, 101)
     fd = (eval_scalar(gd.gamma, {"t": ts + h}) - eval_scalar(gd.gamma, {"t": ts - h})) / (2 * h)
-    dg = _shaped(eval_scalar(gd.dgamma, {"t": ts}), ts.shape)
-    err = np.abs(np.asarray(fd) - dg)
-    scale = np.maximum(1.0, np.abs(dg))
-    worst = np.argmax(err / scale)
-    if err.flat[worst] > 1e-6 * scale.flat[worst]:
+    mismatch = _worst_mismatch(fd, _shaped(eval_scalar(gd.dgamma, {"t": ts}), ts.shape))
+    if mismatch:
+        j, err = mismatch
         raise ModelViolationError(
             "C5",
             f"dgamma disagrees with the finite difference of gamma by "
-            f"{err.flat[worst]:.3e} at t={ts[worst]:.6f}")
+            f"{err:.3e} at t={ts[j]:.6f}")
+
+
+def _worst_mismatch(fd, d: np.ndarray) -> tuple[int, float] | None:
+    """(index, |fd - d|) at the worst relative mismatch of a central
+    difference fd against a declared derivative d, each entry's mismatch
+    taken relative to max(1, |d|); None when every one is within 1e-6."""
+    err = np.abs(np.asarray(fd) - d)
+    scale = np.maximum(1.0, np.abs(d))
+    j = np.argmax(err / scale)
+    return (j, err[j]) if err[j] > 1e-6 * scale[j] else None
 
 
 def validate_envelope_nonnegative(phi: ScalarExpr) -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .bounds import ComponentBounds, DeclaredBounds, HBounds, _finite_real
+from .bounds import ComponentBounds, DeclaredBounds, HBounds, _finite_real, _integer
 from .constants import Opt1DConfig, Window
 from .errors import ConfigError, DslSyntaxError, EvalDomainError, ModelViolationError
 from .expr import (BOUNDARY_CONTEXT, ENVELOPE_CONTEXT, KERNEL_CONTEXT,
@@ -232,11 +232,6 @@ def _const(doc, key_path, default=None, required=False):
     return value
 
 
-def _is_int(value) -> bool:
-    """A JSON integer (Python's json gives bool for true/false, an int subclass)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _list(doc, key: str, key_path: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
@@ -262,7 +257,7 @@ _H_BOUNDS_KEYS = tuple(f.name for f in fields(HBounds))
 def spec_from_dict(doc: dict) -> ProblemSpec:
     _object(doc, "<root>", _ROOT_KEYS, "config must be a JSON object")
     n = doc.get("n")
-    if not _is_int(n):
+    if not _integer(n):
         raise ConfigError("n", "missing or non-integer component count")
     if n < 1:
         raise ConfigError("n", "need at least one component")
@@ -287,7 +282,7 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
     solver = _parse_section(doc.get("solver", {}), "solver", SolverConfig)
 
     seed = doc.get("seed", 0)
-    if not _is_int(seed):
+    if not _integer(seed):
         raise ConfigError("seed", "expected a JSON integer")
     if seed < 0:
         raise ConfigError("seed", f"expected an integer >= 0, got {seed}")
@@ -305,7 +300,7 @@ def _parse_section(doc, key_path, cls):
         kp = f"{key_path}.{key}"
         if kinds[key] is float:
             kwargs[key] = _const(value, kp, required=True)
-        elif _is_int(value):
+        elif _integer(value):
             kwargs[key] = value
         else:
             raise ConfigError(kp, f"expected a JSON integer, got {value!r}")

@@ -1,6 +1,8 @@
 import csv
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -398,21 +400,63 @@ class TestBasisTable:
     def test_falsify_reuses_its_bases(self, example_spec, example_cc):
         db = example_spec.bounds_at(1.0)
         falsify_bounds(example_spec, example_cc, db, samples=1, seed=4)
-        builds, entries = cone_mod._BASES.builds, len(cone_mod._BASES._entries)
+        info = cone_mod._kept_basis.cache_info()
         falsify_bounds(example_spec, example_cc, db, samples=20, seed=5)
-        assert (cone_mod._BASES.builds, len(cone_mod._BASES._entries)) == (builds, entries)
+        again = cone_mod._kept_basis.cache_info()
+        assert (again.misses, again.currsize) == (info.misses, info.currsize)
+        assert again.hits > info.hits
 
     def test_table_is_bounded(self):
-        table = cone_mod._BASES
+        # the bound: BASIS_SETS sets of at most BASIS_SET_POINTS points, 2^16 in all
+        assert cone_mod._kept_basis.cache_info().maxsize == cone_mod.BASIS_SETS
+        assert cone_mod.BASIS_SETS * cone_mod.BASIS_SET_POINTS == 2 ** 16
         u = trig_state(1)
-        sizes = 1000 + np.arange(3 * table.max_points // 1000)
-        for size in sizes:  # three times more points than the table keeps
-            x = np.linspace(0, 1, size)
+        cone_mod._kept_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            # three times as many sets of the largest kept size as the cache keeps
+            for k in range(3 * cone_mod.BASIS_SETS):
+                x = np.linspace(0, 1, cone_mod.BASIS_SET_POINTS - k)
+                assert same_bits(u.value(0, x), ref_value(u, 0, x))
+                assert cone_mod._kept_basis.cache_info().currsize <= cone_mod.BASIS_SETS
+            del x
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 10 arrays of 8 bytes per point, and the 8 bytes of its key
+        assert kept <= 2 ** 16 * 90
+
+    def test_large_point_set_is_built_but_not_kept(self):
+        u = trig_state(1)
+        largest = np.linspace(0, 1, cone_mod.BASIS_SET_POINTS)
+        u.value(0, largest)
+        before = cone_mod._kept_basis.cache_info()
+        assert same_bits(u.derivative(0, largest), ref_derivative(u, 0, largest))
+        assert cone_mod._kept_basis.cache_info().hits == before.hits + 1
+        x = np.linspace(0, 1, cone_mod.BASIS_SET_POINTS + 1)
+        before = cone_mod._kept_basis.cache_info()
+        for _ in range(2):
             assert same_bits(u.value(0, x), ref_value(u, 0, x))
-            assert table.points <= table.max_points
-        assert len(table._entries) < sizes.size
-        # a point set larger than the whole table is built but not kept
-        x = np.linspace(0, 1, table.max_points + 1)
-        kept = len(table._entries)
-        assert same_bits(u.derivative(0, x), ref_derivative(u, 0, x))
-        assert len(table._entries) == kept and table.points <= table.max_points
+            assert same_bits(u.derivative(0, x), ref_derivative(u, 0, x))
+        assert cone_mod._kept_basis.cache_info() == before
+
+    def test_state_is_shared_across_threads(self, example_cc):
+        # README: a state can be shared across threads while no caller writes
+        # into its arrays; 4 threads at once fill the cache from empty
+        u = trig_state(6, n=2)
+        grid = u.monitor_grid()
+        sets = [*session_point_sets(u).values(),
+                *(cone_mod._window_grid(grid, cci) for cci in example_cc)]
+
+        def run(start=None):
+            if start is not None:
+                start.wait()
+            return [(u.value(slice(None), x), u.derivative(slice(None), x))
+                    for x in sets]
+        want = run()
+        cone_mod._kept_basis.cache_clear()
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(run, [threading.Barrier(4)] * 4))
+        for got in results:
+            for (v, d), (wv, wd) in zip(got, want):
+                assert same_bits(v, wv) and same_bits(d, wd)
