@@ -41,10 +41,10 @@ change the scan could find, so dropping it changes no double.
 
 Two kinds of array work run at two sizes.  Elementwise scans -- the coarse
 sign pattern of every s-panel, the c~ grids and the Phi1 check of
-expressions not monotone in t -- run in tiles of ``_TILE`` points, so their
-temporaries stay in cache and are reused from the heap; tiles follow
-row-major order and partial column extrema combine exactly, so no value
-depends on the tile.  A tile of the sign scan holds one panel per row, its
+expressions not monotone in t -- run in chunks of whole rows of at most
+``_TILE`` points, so their temporaries stay in cache and are reused from the
+heap; partial column extrema combine exactly, so no value depends on the
+chunk.  A chunk of the sign scan holds one panel per row, its
 nodes built in that order by linspace's own float64 operations, and only
 its rows holding both a value < 0 and a value > 0 go on to the node tests
 (a strict change or a straddled zero needs both signs); of those it looks
@@ -98,11 +98,11 @@ _GOLDEN_DEPTH = 4
 # changes are bisected, and whose panels are integrated, together): bounds
 # the memory of the (t x panel x node) tensors whatever the grid size.
 _POINT_BUDGET = 1 << 18
-# Points one elementwise scan holds at once (a tile of the sign scan, of the
+# Points one elementwise scan holds at once (a chunk of the sign scan, of the
 # c~ grids, of the Phi1 check).  Chosen by timing fresh-process assemblies:
 # at 2^14 (128 KiB per float64 temporary) the temporaries are reused from the
 # heap; at 2^15 the allocator's page faults return on smooth kernels, and at
-# 2^13 the per-tile overhead shows.
+# 2^13 the per-chunk overhead shows.
 _TILE = 1 << 14
 _SIGN_SCAN = 256  # coarse cells per panel of the sign-change scan
 
@@ -309,7 +309,7 @@ def _panel_sign_roots(fn: Callable, rows: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray):
     """Roots of fn(r, .) inside each panel (lo[j], hi[j]) of row r = rows[j].
 
-    Each panel is scanned on a coarse grid, whole panels at a time in tiles
+    Each panel is scanned on a coarse grid, whole panels at a time in chunks
     of about ``_TILE`` points, and every strict sign change is then bisected,
     all panels at once; a grid point where fn vanishes exactly counts only
     when its neighbors straddle zero (a function that is zero on a whole
@@ -318,7 +318,7 @@ def _panel_sign_roots(fn: Callable, rows: np.ndarray, lo: np.ndarray,
     """
     step = max(1, _TILE // (_SIGN_SCAN + 1))
     found = []
-    # one (empty) tile even without panels, so the concatenations below work
+    # one (empty) chunk even without panels, so the concatenations below work
     for p in range(0, max(rows.size, 1), step):
         r = rows[p:p + step]
         xs = _scan_grid(lo[p:p + step], hi[p:p + step])
@@ -327,7 +327,7 @@ def _panel_sign_roots(fn: Callable, rows: np.ndarray, lo: np.ndarray,
         both = _rows_with_both_signs(v)
         r, xs, v = r[both], xs[both], v[both]
         zero = v[:, 1:-1] == 0.0
-        if zero.any():  # most tiles hold no exact zero, and then none straddled
+        if zero.any():  # most chunks hold no exact zero, and then none straddled
             zero &= v[:, :-2] * v[:, 2:] < 0.0
         zi, zj = np.nonzero(zero)
         bi, bj = np.nonzero(v[:, :-1] * v[:, 1:] < 0.0)
@@ -387,7 +387,7 @@ def _s_integrals(kd: KernelDef, ts: np.ndarray, a: float, b: float, order: int,
     sign change and no straddled zero (``_rows_with_both_signs``), since the
     scan nodes lie in the panel (lo + i * step with step = (hi - lo) / 256,
     the last node hi, and rounding is monotone).  The other rows' roots do
-    not depend on which rows share a tile, nor on their order.  A box the
+    not depend on which rows share a chunk, nor on their order.  A box the
     table cannot enclose (it raises EvalDomainError) is not dropped, nor is
     any row if ts is not finite, as the table needs finite boxes; where it
     encloses the integrand, numpy's evaluation raises at no point of the
@@ -482,31 +482,23 @@ def _kernel_columns(evalf: Callable, kd: KernelDef, factors: tuple | None,
 
     The rows at the two ends of ts are reduced alone if they decide the
     extrema (``_t_ends``, with ``factors`` from ``expr._monotone_in``).
-    Else the ts x ss grid is evaluated in tiles of at most ``_TILE`` points,
-    a few t-rows by many s-columns so that each reduction runs along long rows.
-    Each tile is reduced over its t-rows and folded into the running column
-    values with ``combine``; for np.minimum and np.maximum that is exact, so
-    the tiling leaves every value as a whole-grid reduction would.
+    Else the ts x ss grid is evaluated in chunks of whole t-rows, at most
+    ``_TILE`` points each (one row when a row alone is longer), as
+    ``_panel_sign_roots`` chunks whole panels.  Each chunk is reduced over
+    its rows and folded into the running column values with ``combine``; for
+    np.minimum and np.maximum that is exact, so the chunking leaves every
+    value as a whole-grid reduction would.
     """
     ends = _t_ends(evalf, kd, factors, ts[[0, -1]], ss)
     if ends is not None:
         return combine.reduce(np.abs(ends) if absolute else ends, axis=0)
-    # 64 t-rows by 256 s-columns at 2^14: a tile of all 2049 t-rows would be
-    # 8 columns wide, and such short rows reduce slowly
-    rows = max(1, min(ts.size, math.isqrt(_TILE) // 2))
-    cols = max(1, _TILE // rows)
-    out = np.empty(ss.size)
-    for j0 in range(0, ss.size, cols):
-        sj = ss[j0:j0 + cols]
-        block = out[j0:j0 + sj.size]
-        for i0 in range(0, ts.size, rows):
-            tr = ts[i0:i0 + rows]
-            k = _shaped(evalf(kd, tr[:, None], sj), (tr.size, sj.size))
-            part = combine.reduce(np.abs(k) if absolute else k, axis=0)
-            if i0:
-                combine(block, part, out=block)
-            else:
-                block[:] = part
+    rows = max(1, _TILE // ss.size)
+    out = None
+    for i0 in range(0, ts.size, rows):
+        tr = ts[i0:i0 + rows]
+        k = _shaped(evalf(kd, tr[:, None], ss), (tr.size, ss.size))
+        part = combine.reduce(np.abs(k) if absolute else k, axis=0)
+        out = part if out is None else combine(out, part, out=out)
     return out
 
 
@@ -699,8 +691,9 @@ def _informational(symbol: str, computed: float, declared) -> ConstantRecord:
 
 def _overridable(symbol: str, computed: float, declared, *, condition: str) -> ConstantRecord:
     """c-type constant: a declared value at most the computed tight value is
-    used in place of it (declaring slack is always sound); anything larger
-    is inconsistent and rejected."""
+    used in place of it (declaring slack is always sound); one above it by
+    at most 1e-9 is read as the computed value, so ``used`` never exceeds
+    ``computed``; anything larger is inconsistent and rejected."""
     if declared is None:
         return ConstantRecord(symbol, computed, None, computed)
     if declared <= 0.0:
@@ -708,7 +701,7 @@ def _overridable(symbol: str, computed: float, declared, *, condition: str) -> C
     if declared > computed + 1e-9:
         raise ConfigError(symbol, f"declared value {declared} exceeds the computed "
                                   f"tight value {computed:.12g}; overrides may only add slack")
-    return ConstantRecord(symbol, computed, declared, declared)
+    return ConstantRecord(symbol, computed, declared, min(declared, computed))
 
 
 def assemble_cone_constants(spec: "ProblemSpec") -> tuple[ConeConstants, ...]:

@@ -502,10 +502,13 @@ class _SharedPass:
 
     def at(self, x: np.ndarray):
         """(u, u') of every state and component at x, each shaped
-        (K, n) + x.shape."""
+        (K, n) + x.shape.  Both are interpolated with numpy's overflow and
+        invalid-value warnings off: an atom that reads a non-finite value
+        reports it, and one that reads only the other is unaffected."""
         if id(x) not in self._kept:
-            self._kept[id(x)] = (x, self._stacked(self.u.value(slice(None), x)),
-                                 self._stacked(self.u.derivative(slice(None), x)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._kept[id(x)] = (x, self._stacked(self.u.value(slice(None), x)),
+                                     self._stacked(self.u.derivative(slice(None), x)))
         return self._kept[id(x)][1:]
 
     def point(self, derivative: bool, key: str, t0: float) -> np.ndarray:
@@ -788,7 +791,7 @@ _MATH = _Backend(
 
 # numpy's exp is within one ulp (np.spacing of its result) of exp: at most
 # 0.70 ulp on 50,000 arguments against 50-digit mpmath, on arrays and on
-# floats alike (numpy 2.4.6, AVX-512; a test rechecks the one ulp).  So on
+# floats alike (numpy 2.4.6, AVX-512; a test checks the one ulp).  So on
 # [lo, hi] the real exp lies within one ulp of np.exp at the ends, and
 # np.exp at any point within one ulp of the real exp: the ends need two
 # ulps down and three up (above an end, np.exp may cross a power of 2,

@@ -294,6 +294,21 @@ class TestAssembly:
         with pytest.raises(ConfigError, match="exceeds the computed"):
             hc.assemble_cone_constants(dataclasses.replace(bad, opt=FAST_OPT))
 
+    def test_declaration_within_the_allowance_reads_as_computed(self):
+        doc_comp = {
+            "kernel": "example-k1", "window": [0, 0.375], "lambda": 1.0,
+            "f": "1", "w": "1", "envelope": {"phi0": "3/4"}, "gammas": [],
+        }
+        plain = hc.spec_from_dict({"n": 1, "components": [doc_comp]})
+        computed = hc.assemble_cone_constants(
+            dataclasses.replace(plain, opt=FAST_OPT))[0].record("c_tilde").computed
+        doc_comp["declared"] = {"c_tilde": computed + 5e-10}
+        spec = hc.spec_from_dict({"n": 1, "components": [doc_comp]})
+        record = hc.assemble_cone_constants(
+            dataclasses.replace(spec, opt=FAST_OPT))[0].record("c_tilde")
+        assert record.declared == computed + 5e-10 > computed
+        assert record.used == record.computed == computed
+
     def test_declared_phi1_validated(self):
         doc_comp = {
             "kernel": "example-k1", "window": [0, 0.375], "lambda": 1.0,
@@ -590,10 +605,11 @@ def sign_scan_panels(kd, ts):
 
 
 # one point; exactly one sign-scan panel; one panel and a point; a prime
-# (two panels); the tile in use.  A tile of n points spans isqrt(n) // 2
-# t-rows (at least one) of the c~ grids, so all but the last split the
-# 13-point window grid
-TILES = [1, 257, 258, 521, constants_mod._TILE]
+# (two panels); the tile in use.  A tile of n points spans n // len(ss)
+# whole t-rows (at least one) of the c~ grids: 1 point is less than one row,
+# and 60 points are 4 rows of the 13- and 14-point s-grids, which divide
+# neither 13 nor 14 t-rows, so the last chunk is partial
+TILES = [1, 60, 257, 258, 521, constants_mod._TILE]
 
 
 # roots on the scan nodes s = 1/4 and s = 1/2 of every row, for k and dk

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hammcert import (DslSyntaxError, EvalDomainError, HammcertError,
+from hammcert import (DiscreteState, DslSyntaxError, EvalDomainError, HammcertError,
                       ModelViolationError, QuadConfig, QuadratureError, constant_state,
                       eval_functional, eval_scalar, integrate, parse_expr,
                       parse_functional, render)
@@ -701,6 +701,19 @@ class TestNonFiniteFunctionals:
         with np.errstate(over="ignore"), \
                 pytest.raises(QuadratureError, match="infinite value near x="):
             eval_functional(fx, constant_state([1.0]))
+
+    def test_overflowing_derivative_spares_value_atoms(self):
+        # values alternating +-1e307 with zero slopes: the Hermite u between
+        # nodes is finite, its u' overflows; a val atom reads u without a
+        # RuntimeWarning, and the atoms that read u' report the overflow
+        nodes = np.linspace(0.0, 1.0, 17)
+        u = DiscreteState(nodes, [1e307 * (-1.0) ** np.arange(17)], np.zeros((1, 17)))
+        got = eval_functional(parse_functional("val(1, 0.53)", 1), u)
+        assert got == u.value(0, 0.53) and math.isfinite(got)
+        with pytest.raises(EvalDomainError, match="non-finite result"):
+            eval_functional(parse_functional("der(1, 0.53)", 1), u)
+        with pytest.raises(QuadratureError, match="infinite value"):
+            eval_functional(parse_functional("int(du1)", 1), u)
 
     def test_overflowing_literal_is_a_syntax_error(self):
         with pytest.raises(DslSyntaxError, match="out of range"):

@@ -103,7 +103,7 @@ def test_one_sup_search_per_gamma_term(config, calls, request, monkeypatch):
 # |k| and |dk/dt| skips the s-panels the interval table proves one-signed
 @pytest.mark.parametrize("config,work", [
     ("example", {"eval_k": (534, 1_496_066), "eval_dk": (76, 318_960)}),
-    ("tight", {"eval_k": (2_340, 9_588_100), "eval_dk": (933, 835_079)}),
+    ("tight", {"eval_k": (2_332, 9_588_100), "eval_dk": (933, 835_079)}),
 ], ids=["example", "tight"])
 def test_kernel_work_of_one_assembly(config, work, request, monkeypatch):
     spec = request.getfixturevalue(f"{config}_spec")

@@ -273,8 +273,24 @@ class TestSolve:
         assert rep.localization
 
     def test_residual_recheck_matches(self, example_spec, example_solution):
+        # the loop's last residual is residual() of the state it stopped at
         again = residual(example_spec, example_solution.state)
-        assert again == pytest.approx(example_solution.residual, abs=1e-12)
+        assert again == example_solution.residual
+
+    @pytest.mark.parametrize("config,iterations", [("example", 31), ("tight", 29)])
+    def test_one_application_per_iteration(self, config, iterations, request,
+                                           monkeypatch):
+        spec = request.getfixturevalue(f"{config}_spec")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return apply_T(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "apply_T", counted)
+        rep = solve_fixed_point(spec)
+        assert rep.converged and rep.iterations == iterations
+        assert len(calls) == iterations
 
     def test_nystrom_consistency(self, example_spec, example_cc, example_solution):
         rep2 = solve_fixed_point(replace(example_spec, solver=SolverConfig(nodes=256)),
