@@ -133,11 +133,6 @@ class ComponentBounds:
         if self.w_lo is not None and self.w_hi is not None and self.w_lo > self.w_hi:
             raise ValueError(f"w_lo={self.w_lo} > w_hi={self.w_hi}")
 
-    def w_range(self) -> tuple[float, float]:
-        if self.w_lo is None or self.w_hi is None:
-            raise ConfigError("w_lo/w_hi", "an f-box check needs the declared w-range")
-        return self.w_lo, self.w_hi
-
 
 @dataclass(frozen=True)
 class DeclaredBounds:
@@ -370,9 +365,8 @@ def _falsify_f_boxes(spec, db, rng, checked, skipped) -> list[Violation]:
         if not boxes:
             skipped.append(f"f-box[{i}]")
             continue
-        try:
-            w_lo, w_hi = cb.w_range()
-        except ConfigError:
+        w_lo, w_hi = cb.w_lo, cb.w_hi
+        if w_lo is None or w_hi is None:
             skipped.append(f"f-box[{i}] (no declared w-range)")
             continue
 

@@ -420,7 +420,9 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     cert = _certificate("NIJ", cc, db, params, rows, {
         "setI": setI, "setJ": setJ,
         "xi_tilde": [db.components[i - 1].xi_tilde for i in setI],
-        "delta_tilde": [db.components[i - 1].delta_tilde for i in setJ]})
+        "xi": [[hb.xi for hb in db.components[i - 1].h] for i in setI],
+        "delta_tilde": [db.components[i - 1].delta_tilde for i in setJ],
+        "delta": [[hb.delta for hb in db.components[j - 1].h] for j in setJ]})
     r0 = residual(spec, zero_state(spec.n, spec.solver.nodes), params=params)
     if r0 <= ZERO_RESIDUAL_TOL:
         note = (f"the zero state satisfies the system (residual {r0:.3e}); a "

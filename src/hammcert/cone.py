@@ -298,56 +298,6 @@ TRIG_DEGREE = 6
 SAMPLE_PANELS = 128  # sampled states live on this many uniform panels
 
 
-def _ball_factor(rng: np.random.Generator, ball: bool) -> float:
-    """With ``ball``, a fair coin and on heads a uniform factor in [0.05, 1];
-    otherwise 1 (which scales a state exactly)."""
-    return rng.uniform(0.05, 1.0) if ball and rng.uniform() < 0.5 else 1.0
-
-
-def _boundary_stack(cc: Sequence[ConeConstants], rho: float, rng: np.random.Generator,
-                    nodes: np.ndarray, size: int, ball: bool) -> DiscreteState:
-    """``size`` states on ||u|| = rho from one round of draws, as a stack."""
-    n = len(cc)
-    # the cone of a c >= 1 component degenerates to positive constants on the window
-    const = [cci.c >= 1.0 - 1e-12 for cci in cc]
-    a = np.zeros((size, n, TRIG_DEGREE + 1))
-    b = np.zeros((size, n, TRIG_DEGREE))
-    mu = np.empty(size)
-    for k in range(size):
-        for i in range(n):
-            if const[i]:
-                a[k, i, 0] = rng.uniform(0.1, 1.0)
-            else:
-                a[k, i] = rng.uniform(-1.0, 1.0, TRIG_DEGREE + 1)
-                b[k, i] = rng.uniform(-1.0, 1.0, TRIG_DEGREE)
-        mu[k] = _ball_factor(rng, ball)
-
-    # trig polynomials in w_d = 2 pi d: the value is summed up degree by degree
-    values = np.repeat(a[..., :1], nodes.size, axis=-1)
-    derivs = np.zeros_like(values)
-    for d in range(1, TRIG_DEGREE + 1):
-        wd = 2.0 * np.pi * d
-        cos, sin = np.cos(wd * nodes), np.sin(wd * nodes)
-        ad, bd = a[..., d, None], b[..., d - 1, None]
-        values += ad * cos + bd * sin
-        derivs += wd * (-ad * sin + bd * cos)
-    derivs[:, const] = 0.0
-
-    # the least shift that restores min over the window >= c * sup
-    u = DiscreteState(nodes, values, derivs)  # shares ``values``
-    margins = _cone_margins(u, cc)
-    for i, cci in enumerate(cc):
-        if not const[i]:
-            shift = -margins[:, i] / (1.0 - cci.c)
-            values[:, i] += np.where(shift > 0.0, shift, 0.0)[:, None]
-    norm = c1_norm(u).overall
-    if np.any(norm <= 1e-12):
-        raise RuntimeError("degenerate boundary draw")
-    scale = (rho / norm)[:, None, None]
-    mu = mu[:, None, None]
-    return DiscreteState(nodes, values * scale * mu, derivs * scale * mu)
-
-
 def sample_cone_boundary(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                          rho: float, seed: int) -> DiscreteState:
     """Draw a state on the cone boundary with ||u|| = rho exactly.
@@ -376,7 +326,46 @@ def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     if not 0.0 < rho < np.inf:
         raise ValueError("rho must be a finite number > 0")
     nodes = np.linspace(0.0, 1.0, SAMPLE_PANELS + 1)
-    stack = _boundary_stack(cc, rho, rng, nodes, size or 1, ball)
+    count, n = size or 1, len(cc)
+    # the cone of a c >= 1 component degenerates to positive constants on the window
+    const = [cci.c >= 1.0 - 1e-12 for cci in cc]
+    a = np.zeros((count, n, TRIG_DEGREE + 1))
+    b = np.zeros((count, n, TRIG_DEGREE))
+    mu = np.ones(count)
+    for k in range(count):
+        for i in range(n):
+            if const[i]:
+                a[k, i, 0] = rng.uniform(0.1, 1.0)
+            else:
+                a[k, i] = rng.uniform(-1.0, 1.0, TRIG_DEGREE + 1)
+                b[k, i] = rng.uniform(-1.0, 1.0, TRIG_DEGREE)
+        if ball and rng.uniform() < 0.5:
+            mu[k] = rng.uniform(0.05, 1.0)
+
+    # trig polynomials in w_d = 2 pi d: the value is summed up degree by degree
+    values = np.repeat(a[..., :1], nodes.size, axis=-1)
+    derivs = np.zeros_like(values)
+    for d in range(1, TRIG_DEGREE + 1):
+        wd = 2.0 * np.pi * d
+        cos, sin = np.cos(wd * nodes), np.sin(wd * nodes)
+        ad, bd = a[..., d, None], b[..., d - 1, None]
+        values += ad * cos + bd * sin
+        derivs += wd * (-ad * sin + bd * cos)
+    derivs[:, const] = 0.0
+
+    # the least shift that restores min over the window >= c * sup
+    u = DiscreteState(nodes, values, derivs)  # shares ``values``
+    margins = _cone_margins(u, cc)
+    for i, cci in enumerate(cc):
+        if not const[i]:
+            shift = -margins[:, i] / (1.0 - cci.c)
+            values[:, i] += np.where(shift > 0.0, shift, 0.0)[:, None]
+    norm = c1_norm(u).overall
+    if np.any(norm <= 1e-12):
+        raise RuntimeError("degenerate boundary draw")
+    scale = (rho / norm)[:, None, None]
+    mu = mu[:, None, None]
+    stack = DiscreteState(nodes, values * scale * mu, derivs * scale * mu)
     return stack if size is not None else stack.row(0)
 
 
@@ -413,8 +402,9 @@ def state_to_csv(u: DiscreteState, path) -> None:
 
 def state_from_csv(path) -> DiscreteState:
     """The state of a file ``state_to_csv`` wrote.  A file without the header
-    t, u1, du1, ..., un, dun or with a row of another length raises a
-    ValueError naming it."""
+    t, u1, du1, ..., un, dun, with a row of another length, a field that is
+    not a number, or nodes that do not make a state (fewer than 9, not
+    uniform, not spanning [0, 1]) raises a ValueError naming it."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -428,8 +418,8 @@ def state_from_csv(path) -> DiscreteState:
         if len(row) != len(header):
             raise ValueError(f"{path}: line {k} has {len(row)} fields, the header "
                              f"{len(header)}")
-    arr = np.asarray(data, dtype=float).reshape(len(data), len(header))
-    nodes = arr[:, 0]
-    values = arr[:, 1::2].T
-    derivatives = arr[:, 2::2].T
-    return DiscreteState(nodes, values, derivatives)
+    try:
+        arr = np.asarray(data, dtype=float).reshape(len(data), len(header))
+        return DiscreteState(arr[:, 0], arr[:, 1::2].T, arr[:, 2::2].T)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

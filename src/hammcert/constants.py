@@ -541,29 +541,11 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, *,
     the envelope are read at the ends of [a, b] and of [0, 1] for every s,
     on the grid and in the refinement's inner searches (``_t_ends``): those
     are the values the t-grids and searches find, bit for bit, save the
-    sign of a zero minimum.  That sign reaches only a result <= 0, so such
-    a result is recomputed on the grids, and its error text is theirs.
+    sign of a zero minimum.  That sign reaches only a result <= 0, whose
+    error text prints the zero unsigned.
     """
     opt_cfg = opt_cfg or Opt1DConfig()
     factors = _monotone_in(kd.k, "t")
-    value = _c_tilde(kd, w, env, opt_cfg, factors)
-    if value <= 0.0 and factors is not None:
-        value = _c_tilde(kd, w, env, opt_cfg, None)
-    if value <= 0.0:
-        raise ModelViolationError(
-            "C2", f"window [{w.a}, {w.b}] gives c~ = {value:.6g} <= 0; the "
-            "kernel is not bounded below by a positive multiple of its envelope there")
-    if value > 1.0 + 1e-9:
-        raise ModelViolationError(
-            "C2", f"computed c~ = {value:.6g} > 1; the declared envelope does "
-            "not majorize |k| (c~ must lie in (0, 1])")
-    return min(value, 1.0)
-
-
-def _c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, opt_cfg: Opt1DConfig,
-             factors: tuple | None) -> float:
-    """c~ before its range checks, with the kernel's product factors when it
-    is monotone in t (None: on the grids and searches throughout)."""
     ng = min(opt_cfg.coarse_grid, 2048)
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, ng)
     tw = _grid_with(kd.fixed_breakpoints, w.a, w.b, ng)
@@ -619,7 +601,16 @@ def _c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, opt_cfg: Opt1DConfig,
     _, gv = _golden_min(lambda xs: np.array([ratio_at(s) for s in xs]),
                         max(0.0, s_best - h), min(1.0, s_best + h),
                         opt_cfg.refine_tol, depth=1)
-    return min(value, float(gv))
+    value = min(value, float(gv))
+    if value <= 0.0:
+        raise ModelViolationError(
+            "C2", f"window [{w.a}, {w.b}] gives c~ = {value + 0.0:.6g} <= 0; the "
+            "kernel is not bounded below by a positive multiple of its envelope there")
+    if value > 1.0 + 1e-9:
+        raise ModelViolationError(
+            "C2", f"computed c~ = {value:.6g} > 1; the declared envelope does "
+            "not majorize |k| (c~ must lie in (0, 1])")
+    return min(value, 1.0)
 
 
 def gamma_c(gamma, w: Window,

@@ -440,7 +440,7 @@ def _shaped(v, shape: tuple) -> np.ndarray:
 def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
                     quad: QuadConfig | None = None, *,
                     nonneg_condition: str | None = None,
-                    shared_pass: "_SharedPass | _PassRow | None" = None) -> float:
+                    shared_pass: "_PassRow | None" = None) -> float:
     """Evaluate a functional on a discrete state.
 
     val/der atoms use the state's C1 interpolant; int atoms integrate over
@@ -449,12 +449,11 @@ def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
     reaches the sign check.  When ``nonneg_condition`` is given (``"C7"``
     for h-typed, ``"C8"`` for w-typed functionals) a negative result raises
     ModelViolationError.  A caller evaluating several functionals of one
-    state passes the same ``shared_pass`` to each (for a state of a stack,
-    the pass's ``row``), so that their atoms are evaluated once.
+    state, or of a stack of states, builds one ``_SharedPass`` for all of
+    them and passes each state's ``row`` as ``shared_pass``, so that their
+    atoms are evaluated once; without it, a pass is built for ``fx`` alone.
     """
-    if shared_pass is None:
-        shared_pass = _SharedPass(u, quad or QuadConfig(), (fx,))
-    ctx = shared_pass.row(0) if isinstance(shared_pass, _SharedPass) else shared_pass
+    ctx = shared_pass or _SharedPass(u, quad or QuadConfig(), (fx,)).row(0)
     if ctx.u is not u:
         raise ValueError("shared_pass was made for another state")
     try:
@@ -476,23 +475,22 @@ class _SharedPass:
     holds the array, so the id is not reused while it lives), and the K
     integrals of an int body (kept per body, so equal bodies of several
     functionals integrate once).  The val/der points of ``functionals`` form
-    one such point array; a point not among them joins it, and the array is
-    rebuilt, its record replaced.  ``row(r)`` is the context in which state
-    r's functionals read the atoms.  Short-lived: callers make one per stack
-    and drop it with it.
+    one such point array, built with the pass; an atom at any other point
+    raises ValueError.  ``row(r)`` is the context in which state r's
+    functionals read the atoms.  Short-lived: callers make one per stack and
+    drop it with it.
     """
 
-    def __init__(self, u: "DiscreteState", quad: QuadConfig, functionals=()):
+    def __init__(self, u: "DiscreteState", quad: QuadConfig, functionals):
         self.u = u
         self.quad = quad
         self.size = u.values.shape[0] if u.stacked else 1
         self._kept: dict = {}
         self._integrals: dict = {}
-        self._points: dict = {}  # t0.hex() -> (column, t0), so -0.0 is its own point
-        self._x = None  # the array of those points, built when first read
-        for fx in functionals:
-            for t0 in _atom_points(fx):
-                self._points.setdefault(t0.hex(), (len(self._points), t0))
+        points = {t0.hex(): t0 for fx in functionals for t0 in _atom_points(fx)}
+        # t0.hex() -> column, so -0.0 is its own point
+        self._columns = {key: j for j, key in enumerate(points)}
+        self._x = np.array(list(points.values()), dtype=float)
 
     def row(self, r: int) -> "_PassRow":
         return _PassRow(self, r, self.u.row(r) if self.u.stacked else self.u)
@@ -511,15 +509,13 @@ class _SharedPass:
                                      self._stacked(self.u.derivative(slice(None), x)))
         return self._kept[id(x)][1:]
 
-    def point(self, derivative: bool, key: str, t0: float) -> np.ndarray:
-        """u (or u') of every state and component at t0, shaped (K, n)."""
-        if key not in self._points:
-            self._points[key] = (len(self._points), t0)
-            self._kept.pop(id(self._x), None)
-            self._x = None
-        if self._x is None:
-            self._x = np.array([p for _, p in self._points.values()])
-        return self.at(self._x)[derivative][..., self._points[key][0]]
+    def point(self, derivative: bool, key: str) -> np.ndarray:
+        """u (or u') of every state and component at the atom point whose
+        float.hex is key, shaped (K, n)."""
+        if key not in self._columns:
+            raise ValueError(f"shared_pass was not built for an atom at "
+                             f"{float.fromhex(key)!r}")
+        return self.at(self._x)[derivative][..., self._columns[key]]
 
     def integrals(self, body: ScalarExpr) -> np.ndarray:
         """The K integrals of body over [0, 1], with the states' interior
@@ -550,8 +546,8 @@ class _PassRow(NamedTuple):
     def integral(self, body: ScalarExpr) -> float:
         return float(self.shared.integrals(body)[self.k])
 
-    def point(self, derivative: bool, comp: int, key: str, t0: float) -> float:
-        return float(self.shared.point(derivative, key, t0)[self.k, comp])
+    def point(self, derivative: bool, comp: int, key: str) -> float:
+        return float(self.shared.point(derivative, key)[self.k, comp])
 
 
 def _atom_points(fx) -> list[float]:
@@ -700,7 +696,7 @@ _NUMPY = _Backend(
 # from numpy's in the last bit for some exp and ^ arguments.  Every node's
 # value is finite or raises: the ops that can leave the finite range (+, -,
 # *, /, ^, exp, the leaves) check their result, and the others keep a
-# finite argument finite.  A leaf's ``env`` is the ``_SharedPass``.
+# finite argument finite.  A leaf's ``env`` is a ``_PassRow``.
 
 def _finite(value: float, node) -> float:
     if not math.isfinite(value):
@@ -714,8 +710,7 @@ def _math_leaf(node):
         return lambda ctx: _finite(ctx.integral(body), node)
     if not isinstance(node, (Val, Der)):
         raise TypeError(f"not a functional expression: {node!r}")
-    index, t0, derivative = node.index, node.t0, isinstance(node, Der)
-    key = t0.hex()
+    index, key, derivative = node.index, node.t0.hex(), isinstance(node, Der)
 
     def fn(ctx):
         n = ctx.u.n
@@ -723,7 +718,7 @@ def _math_leaf(node):
             raise EvalDomainError(
                 f"functional references component {index} but the state "
                 f"has {n}", render(node))
-        return _finite(ctx.point(derivative, index - 1, key, t0), node)
+        return _finite(ctx.point(derivative, index - 1, key), node)
     return fn
 
 

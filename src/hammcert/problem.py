@@ -239,10 +239,6 @@ def _list(doc, key: str, key_path: str) -> list:
     return value
 
 
-def _opt_const(doc: dict, key: str, key_path: str, default=None):
-    return _const(doc.get(key), f"{key_path}.{key}", default)
-
-
 _ROOT_KEYS = ("n", "components", "bounds", "quad", "opt", "solver", "seed")
 _COMPONENT_KEYS = ("kernel", "window", "lambda", "f", "w", "envelope", "gammas",
                    "declared")
@@ -437,7 +433,7 @@ def _parse_declared(ddoc, key_path, n_gammas: int) -> tuple:
 def _bounds_entry(cls, doc: dict, key_path: str, **given):
     """cls(**given), each other field read from doc as an optional constant
     (the field's default where doc omits it or gives null)."""
-    values = {f.name: _opt_const(doc, f.name, key_path, f.default)
+    values = {f.name: _const(doc.get(f.name), f"{key_path}.{f.name}", f.default)
               for f in fields(cls) if f.name not in given}
     with _at(key_path):
         return cls(**values, **given)

@@ -107,6 +107,7 @@ class _NystromOperator:
         spec = self.spec
         n, quad = spec.n, spec.quad
         shared = _SharedPass(u, quad, self.functionals)
+        row = shared.row(0)
         # the int atoms of a state on these nodes integrate over the same arrays
         layout = first_pass_layout(0.0, 1.0, self.nodes[1:-1], quad.gauss_order)
         uq, duq = (a[0].reshape(u.n, -1) for a in shared.at(layout.whole_points))
@@ -116,7 +117,7 @@ class _NystromOperator:
             lam = float(params.lambdas[i])
             if lam > 0.0:
                 w_i = eval_functional(comp.w, u, quad, nonneg_condition="C8",
-                                      shared_pass=shared)
+                                      shared_pass=row)
                 env = _state_env(uq, duq, t=self.pts, w=w_i)
                 F = _shaped(eval_scalar(comp.f, env), self.pts.shape)
                 fmin = float(F.min())
@@ -133,7 +134,7 @@ class _NystromOperator:
                 eta = float(params.etas[i][j])
                 if eta > 0.0:
                     h_ij = eval_functional(term.h, u, quad, nonneg_condition="C7",
-                                           shared_pass=shared)
+                                           shared_pass=row)
                     _add_term(values[i], derivs[i], (i, j), eta * h_ij,
                               self.gamma_val[i][j], self.gamma_der[i][j])
         return _unchecked(self.nodes, values, derivs)

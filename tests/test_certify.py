@@ -550,14 +550,26 @@ CERTIFICATE_PINS = {
     "S": "a568d16f940f0854bc034899508607e25cca9869cdc54f126bb7e4ae15dc1a3c",
     "Sstar-i0": "10d435fd321013628552bcec7f8cbcd45c1548af20d8b54061f3f17dd4b43e48",
     "Sstar-auto": "0174cba7fd069fbb69303212e4da5f518225188a69784e05cb9d3ef7d580511b",
+    "NIJ-example-default": "e9a2356b84aac3b237ceb16a62f9b3b9d63ee5b04881515bde3be2963d29cbe6",
+    "NIJ-example-31-1-1-1": "02427830fb3bec3e6686899aedbcf1b6a154008f9aa4eac86c804d2646dd4995",
+    "NIJ-example-31-1-0.1-0.1": "b79e6b532c7daa7ca010f5c1ab8831861893f0f9ec26e79b6922ef2af1c34b5f",
+    "NIJ-tight-default": "807fd18c6a16012f921e05c585a30717bf668b8eb240e1d8269d594e8a3bd8f2",
+    "NIJ-tight-31-1-1-1": "a615b603e84717fac14ee8b1323c9347b76a71696f83f4512f0b6267aabea811",
+    "NIJ-tight-31-1-0.1-0.1": "fa90bc5d2f074d6444bb3146ac593ff6a54359f6463bf2d414365db1befc86ba",
+    "sweep-S": "4274669b0711002f14fe9fa9a19f50aa39d8c5d6cc99d3d83c8bc051c3e88c81",
+    "sweep-Sstar-skip": "7f174ede3bad3958fb9eb883cf8daf5c356390da1e54e15ef688849ac0a24d34",
+}
+
+# the NIJ digests before the certificate's provenance listed the h terms'
+# declared xi (I rows) and delta (J rows): the certificate without those two
+# bounds keys
+NIJ_PINS_WITHOUT_H_BOUNDS = {
     "NIJ-example-default": "5e9a65c0517e466cec22622b38b802c1448be35764cf93bbb3190a210b8a8ad3",
     "NIJ-example-31-1-1-1": "b691346d666a45936856c6d6ab6153c643aff6d44cb86b7cf774ddd226ff0fc8",
     "NIJ-example-31-1-0.1-0.1": "7f6a935d81a0ae17cf47d8353323a8d88ca298a2d4f7773929a7715ed30ed7b2",
     "NIJ-tight-default": "d67a6e6d0b6c489e7e29e58df232e15601566987c25bdca7875291fc8fe721a9",
     "NIJ-tight-31-1-1-1": "ce4b33a95f0eaa2e1361b5b0f912a3a6a1e70ff7205984de084f51e4f0862cc4",
     "NIJ-tight-31-1-0.1-0.1": "6b87f4b1940967b9de3c8ab0dfe87b00b67d21f7fc4793cac9d2283b72a52a73",
-    "sweep-S": "4274669b0711002f14fe9fa9a19f50aa39d8c5d6cc99d3d83c8bc051c3e88c81",
-    "sweep-Sstar-skip": "7f174ede3bad3958fb9eb883cf8daf5c356390da1e54e15ef688849ac0a24d34",
 }
 
 NIJ_POINTS = {
@@ -617,8 +629,14 @@ class TestPins:
         cc = request.getfixturevalue(f"{config}_cc")
         for point, overrides in NIJ_POINTS.items():
             p = Params.from_spec(spec).with_overrides(overrides)
-            cert = nonexistence_certificate(spec, cc, spec.bounds_at(1.0), [2], [1], p)
-            assert digest(cert.as_dict()) == CERTIFICATE_PINS[f"NIJ-{config}-{point}"]
+            d = nonexistence_certificate(spec, cc, spec.bounds_at(1.0), [2], [1],
+                                         p).as_dict()
+            assert digest(d) == CERTIFICATE_PINS[f"NIJ-{config}-{point}"]
+            bounds = d["provenance"]["bounds"]
+            # I = {2} reads h_21's xi, J = {1} reads h_11's delta
+            assert (bounds["xi"], bounds["delta"]) == ([[1.0]], [[0.0]])
+            del bounds["xi"], bounds["delta"]
+            assert digest(d) == NIJ_PINS_WITHOUT_H_BOUNDS[f"NIJ-{config}-{point}"]
 
     def test_sweep_mode_s(self, comp1_spec, comp1_cc):
         db1, db2 = mode_s_bounds()

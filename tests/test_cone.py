@@ -193,6 +193,11 @@ class TestSampler:
             assert lo <= val <= hi
 
 
+def _csv_rows(ts, u="1.0") -> str:
+    """A one-component state file with nodes ts, u = u and u' = 0."""
+    return "t,u1,du1\n" + "".join(f"{float(t)!r},{u},0.0\n" for t in ts)
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path, example_spec, example_cc):
         u = sample_cone_boundary(example_spec, example_cc, 1.0, seed=5)
@@ -286,7 +291,13 @@ class TestCsv:
         ("t,u1\n", r"the header must be .*, not t, u1$"),
         ("t,u1,du1\n0.0,1.0,0.0\n0.5,1.0\n", r"state\.csv: line 3 has 2 fields, "
                                             r"the header 3$"),
-        ("t,u1,du1\n", r"^need at least 9 nodes$"),  # no rows: DiscreteState's check
+        # DiscreteState's checks, and a field that is not a number
+        ("t,u1,du1\n", r"state\.csv: need at least 9 nodes$"),
+        (_csv_rows([0.0, 0.5, 1.0]), r"state\.csv: need at least 9 nodes$"),
+        (_csv_rows([k / 8 for k in range(9)], u="x"),
+         r"state\.csv: could not convert string to float: 'x'$"),
+        (_csv_rows([(k / 8) ** 2 for k in range(9)]), r"state\.csv: nodes must be uniform$"),
+        (_csv_rows([k / 16 for k in range(9)]), r"state\.csv: nodes must span \[0, 1\]$"),
     ])
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "state.csv"

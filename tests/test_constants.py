@@ -857,9 +857,10 @@ def test_c_tilde_matches_the_grids(kd, w, env):
 
 
 @pytest.mark.parametrize("text,env,want", [
-    # a zero column whose zeros have both signs: c~ is a signed zero
+    # a zero column whose zeros have both signs: c~ is a signed zero, whose
+    # error text prints it unsigned
     ("(t - 1/2)*0", ONE, "c~ = 0 <= 0"),
-    ("(1/2 - t)*0", ONE, "c~ = -0 <= 0"),
+    ("(1/2 - t)*0", ONE, "c~ = 0 <= 0"),
     # NaN end rows: the grid raises at the scan of the inner search
     ("t + (1e308*10 - 1e308*10)", ONE, "NaN while scanning"),
     # an infinite factor: 0 * inf is NaN inside [0, 1], not at its ends
@@ -872,6 +873,24 @@ def test_c_tilde_corner_cases_match_the_grids(text, env, want):
     assert _monotone_in(kd.k, "t") is not None
     fast, grid = c_tilde_outcomes(kd, Window(0.0, 1.0), env, END_OPT)
     assert fast == grid and want in fast
+
+
+def test_c2_failure_of_a_monotone_kernel_evaluates_no_grid(monkeypatch):
+    # example-k1, 1/4 + pos(1/2 - s) - pos(t - s), is monotone in t: over the
+    # window [0, 1] its min is read at the end rows, and c~ <= 0 is not
+    # computed again on the t-grids (1,248 eval_k calls, 8,424,534 points)
+    seen = [0, 0]
+
+    def counted(kd, t, s):
+        seen[0] += 1
+        seen[1] += np.broadcast(t, s).size
+        return eval_k(kd, t, s)
+
+    monkeypatch.setattr(constants_mod, "eval_k", counted)
+    env = EnvelopeSpec("declared", parse_expr("3/4", ENVELOPE_CONTEXT))
+    with pytest.raises(ModelViolationError, match=r"c~ = -0\.333333 <= 0"):
+        c_tilde(K1, Window(0.0, 1.0), env, opt_cfg=Opt1DConfig())
+    assert seen == [46, 8_372]
 
 
 @pytest.mark.parametrize("text", ["1 + abs(t - 1/2)", "2 + pos(t - 1/2) + pos(1/4 - t)",

@@ -794,14 +794,27 @@ class TestSharedPass:
         from hammcert.expr import _SharedPass
         u = trig_state(9, n=2)
         quad = QuadConfig()
-        shared = _SharedPass(u, quad)
-        for text in ("int(du1^2)", "exp(-int((du1 + du2)^2))", "val(2, 1/2)",
-                     "val(2, 0.5)^2 * int(du1^2)"):
-            fx = parse_functional(text, 2)
-            got = eval_functional(fx, u, quad, shared_pass=shared)
+        fxs = [parse_functional(text, 2) for text in (
+            "int(du1^2)", "exp(-int((du1 + du2)^2))", "val(2, 1/2)",
+            "val(2, 0.5)^2 * int(du1^2)")]
+        row = _SharedPass(u, quad, fxs).row(0)
+        for fx in fxs:
+            got = eval_functional(fx, u, quad, shared_pass=row)
             assert got.hex() == float(ref_eval_fn(fx, u, quad)).hex()
         with pytest.raises(ValueError, match="another state"):
-            eval_functional(fx, trig_state(9, n=2), quad, shared_pass=shared)
+            eval_functional(fx, trig_state(9, n=2), quad, shared_pass=row)
+
+    @pytest.mark.parametrize("text", ["val(1, 1/4)", "der(2, 1/2) + val(1, 1/4)",
+                                      "der(1, -0)"])
+    def test_atom_the_pass_was_not_built_for_raises(self, text):
+        # the pass holds the atom points of its functionals only, 1/2 and 0
+        # (-0 is a point of its own)
+        from hammcert.expr import _SharedPass
+        u = trig_state(9, n=2)
+        quad = QuadConfig()
+        row = _SharedPass(u, quad, [parse_functional("val(1, 1/2) + der(2, 0)", 2)]).row(0)
+        with pytest.raises(ValueError, match="not built for an atom at"):
+            eval_functional(parse_functional(text, 2), u, quad, shared_pass=row)
 
 
 @pytest.mark.parametrize("op", list("+-*/^"))
