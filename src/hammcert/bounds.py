@@ -43,8 +43,6 @@ an exactly-attained bound does not count as a refutation.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -52,7 +50,7 @@ import numpy as np
 
 from .cone import DiscreteState, c1_norm, sample_cone_boundary_rng
 from .constants import ConeConstants
-from .errors import ConfigError, HammcertError
+from .errors import ConfigError, HammcertError, _finite_real, _integer
 from .expr import _shaped, _SharedPass, _state_env, eval_functional, eval_scalar
 from .quad import QuadConfig
 
@@ -69,24 +67,6 @@ LHS_POINTS = 10_000
 # states per stack of the boundary pass; 8 was fastest of 1 to 32 on
 # example-rho1e-4.cfg, and up to 16 raises no benchmark session's peak RSS
 STACK = 8
-
-
-def _finite_real(v) -> bool:
-    """Whether v is a real number (a Python or numpy int or float, not a
-    bool, which Python counts as an int) of finite value; an int beyond the
-    double range is not."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _integer(v) -> bool:
-    """Whether v is an integer: a Python or numpy int, not a bool (which
-    Python counts as an int)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _nonnegative(bounds, condition: str, *names: str) -> None:
@@ -277,6 +257,17 @@ def _checks(db: DeclaredBounds) -> list[_Check]:
     return out
 
 
+def _sampling_rng(samples, seed) -> np.random.Generator:
+    """The generator from ``seed`` of ``samples`` states; integers, seed >= 0."""
+    if not _integer(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not (_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def falsify_bounds(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                    db: DeclaredBounds, samples: int, seed: int, *,
                    include_interior: bool = False) -> FalsificationReport:
@@ -288,10 +279,8 @@ def falsify_bounds(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     under ``spec.quad``.  Every violation carries a concrete witness whose
     re-evaluation reproduces it.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    rng = _sampling_rng(samples, seed)
     _check_shape(spec, db)
-    rng = np.random.default_rng(seed)
     checks = _checks(db)
     checked = [c.name for c in checks if c.declared is not None]
     skipped = [c.name for c in checks if c.declared is None]
@@ -403,12 +392,10 @@ def estimate_ranges(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float
     NON-RIGOROUS: sampled extrema are biased inward and must not be used as
     declarations in the safe direction.  Useful to propose declarations.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    rng = _sampling_rng(samples, seed)
     ranges = [[[np.inf, -np.inf] for _ in range(1 + len(comp.gammas))]
               for comp in spec.components]
-    for _, _, values in _boundary_pass(spec, cc, rho, samples,
-                                       np.random.default_rng(seed), spec.quad):
+    for _, _, values in _boundary_pass(spec, cc, rho, samples, rng, spec.quad):
         for comp_ranges, comp_values in zip(ranges, values):
             for r, v in zip(comp_ranges, comp_values):
                 r[0], r[1] = min(r[0], v), max(r[1], v)

@@ -47,10 +47,11 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import DeclaredBounds, _check_shape, _finite_real, _integer, _sign_box
+from .bounds import DeclaredBounds, _check_shape, _sign_box
 from .cone import _write_csv, zero_state
 from .constants import ConeConstants
-from .errors import ConfigError, ContradictionError, HammcertError, MissingBoundError
+from .errors import (ConfigError, ContradictionError, HammcertError, MissingBoundError,
+                     _finite_real, _integer)
 from .problem import parse_param_name
 from .solver import _effective_params, residual
 

@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .constants import ConeConstants
+from .errors import _finite_real
 from .quad import _distinct
 
 if TYPE_CHECKING:
@@ -323,7 +324,7 @@ def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     trig coefficients (or the constant of a c >= 1 component), then the
     coin.  A stack is thus its states drawn one at a time, in order.
     """
-    if not 0.0 < rho < np.inf:
+    if not (_finite_real(rho) and rho > 0.0):
         raise ValueError("rho must be a finite number > 0")
     nodes = np.linspace(0.0, 1.0, SAMPLE_PANELS + 1)
     count, n = size or 1, len(cc)

@@ -13,8 +13,8 @@ Everything here realizes a sup/inf over t or s of kernel data:
   that sup.
 
 Sups and infs are grid scans refined by golden-section search on the
-bracketing triple; results carry the grid resolution and are approximations
-at that resolution, not rigorous enclosures.  The refinement evaluates probe
+bracketing triple; results are approximations at the grid resolution of
+``Opt1DConfig``, not rigorous enclosures.  The refinement evaluates probe
 trees: one call of the searched function holds the probes of the next
 ``_GOLDEN_DEPTH`` steps for every outcome of their comparisons, and the
 search walks the comparisons through them, so it probes the points, and
@@ -67,7 +67,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EvalDomainError, HammcertError, ModelViolationError
+from .errors import (ConfigError, EvalDomainError, HammcertError, ModelViolationError,
+                     _check_integers)
 from .expr import _enclose, _monotone_in, _shaped, eval_scalar
 from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
 from .quad import QuadConfig, _distinct, _panels, integrate_panels
@@ -123,6 +124,7 @@ class Opt1DConfig:
     refine_tol: float = 1e-12
 
     def __post_init__(self):
+        _check_integers(self, "coarse_grid")
         # an empty grid divides by zero; a tolerance <= 0 asks for a bracket
         # narrower than float spacing
         if self.coarse_grid < 1:
@@ -239,7 +241,7 @@ def extremum_1d(f: Callable, a: float, b: float,
     and then by the refinement with arrays of probe points, each holding the
     probes of several golden-section steps (see ``_golden_walk``), at the
     same points and with the same result as one probe per call.  Returns
-    (value, argpoint, grid_resolution).
+    (value, argpoint).
     The coarse grid includes the supplied breakpoints as nodes; the
     bracketing triple around the grid optimum is refined by golden-section
     search and the better of the two results is reported.  For mode "max"
@@ -263,16 +265,14 @@ def extremum_1d(f: Callable, a: float, b: float,
                              cfg.refine_tol)
         if gv < sign * best_v:
             best_x, best_v = gx, sign * gv
-    resolution = (b - a) / cfg.coarse_grid if b > a else 0.0
-    return best_v, best_x, resolution
+    return best_v, best_x
 
 
 def sup_abs_1d(f: Callable, w: Window, cfg: Opt1DConfig | None = None, *,
                breakpoints: Sequence[float] = ()):
     """Grid-certified sup of |f| over the window; returns (value, argmax)."""
-    value, arg, _ = extremum_1d(lambda x: np.abs(f(x)), w.a, w.b, cfg, mode="max",
-                                breakpoints=breakpoints)
-    return value, arg
+    return extremum_1d(lambda x: np.abs(f(x)), w.a, w.b, cfg, mode="max",
+                       breakpoints=breakpoints)
 
 
 def _grid_with(points: Sequence[float], a: float, b: float, n: int) -> np.ndarray:
@@ -466,8 +466,8 @@ def recip_M(kd: KernelDef, w: Window, quad_cfg: QuadConfig | None = None,
     """inf over t in [a,b] of the signed integral of k(t,s) over s in [a,b];
     this is the quantity 1/M, returned directly."""
     g = lambda t: integrate_over_s(kd, t, w.a, w.b, quad_cfg=quad_cfg)
-    value, _, _ = extremum_1d(g, w.a, w.b, opt_cfg, mode="min",
-                              breakpoints=kd.fixed_breakpoints)
+    value, _ = extremum_1d(g, w.a, w.b, opt_cfg, mode="min",
+                           breakpoints=kd.fixed_breakpoints)
     return value
 
 
@@ -580,8 +580,8 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, *,
         at_s = _t_ends(eval_k, kd, factors, ends, s)
         k_at_s = lambda t: eval_k(kd, t, s)
         if at_s is None:
-            num, _, _ = extremum_1d(k_at_s, w.a, w.b, inner_cfg, mode="min",
-                                    breakpoints=[s])
+            num, _ = extremum_1d(k_at_s, w.a, w.b, inner_cfg, mode="min",
+                                 breakpoints=[s])
         else:
             at_s = at_s.tolist()
             num = min(at_s[:2])
@@ -622,7 +622,7 @@ def gamma_c(gamma, w: Window,
     if sup <= 0.0:
         raise ModelViolationError("C5", "gamma vanishes identically; its window "
                                          "constant is undefined")
-    wmin, _, _ = extremum_1d(g, w.a, w.b, opt_cfg, mode="min")
+    wmin, _ = extremum_1d(g, w.a, w.b, opt_cfg, mode="min")
     value = wmin / sup
     if value <= 0.0:
         raise ModelViolationError(

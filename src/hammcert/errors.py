@@ -1,4 +1,32 @@
-"""Exception taxonomy shared by all modules."""
+"""Exceptions shared by all modules, and the one rule of what a number is."""
+
+import math
+import numbers
+
+
+def _finite_real(v) -> bool:
+    """Whether v is a real number (a Python or numpy int or float, not a
+    bool, which Python counts as an int) of finite value; an int beyond the
+    double range is not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _integer(v) -> bool:
+    """Whether v is an integer: a Python or numpy int, not a bool (which
+    Python counts as an int)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_integers(settings, *names: str) -> None:
+    """Raise ValueError naming the first of the fields ``names`` not an integer."""
+    for name in names:
+        if not _integer(getattr(settings, name)):
+            raise ValueError(f"{name} must be an integer")
 
 
 class HammcertError(Exception):

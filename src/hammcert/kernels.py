@@ -41,7 +41,6 @@ class KernelDef:
     dk_dt: ScalarExpr
     fixed_breakpoints: tuple[float, ...] = ()
     moving_breakpoint: bool = False
-    name: str | None = None
 
     def __post_init__(self):
         bps = self.fixed_breakpoints
@@ -56,7 +55,6 @@ class GammaDef:
     """Boundary function gamma(t) with its explicit derivative expression."""
     gamma: ScalarExpr
     dgamma: ScalarExpr
-    name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -168,29 +166,25 @@ def validate_envelope_nonnegative(phi: ScalarExpr) -> None:
 # ---------------------------------------------------------------------------
 # Catalog
 
-def _kernel(name: str, k: str, dk: str, bps: tuple[float, ...], moving: bool) -> KernelDef:
+def _kernel(k: str, dk: str, bps: tuple[float, ...], moving: bool) -> KernelDef:
     return KernelDef(parse_expr(k, KERNEL_CONTEXT), parse_expr(dk, KERNEL_CONTEXT),
-                     bps, moving, name=name)
+                     bps, moving)
 
 
 KERNEL_CATALOG: dict[str, KernelDef] = {
     # 1/4 + (1/2 - s)_+ - (t - s)_+ ; nonnegative for t in [0, 3/4]
-    "example-k1": _kernel("example-k1",
-                          "1/4 + pos(1/2 - s) - pos(t - s)",
+    "example-k1": _kernel("1/4 + pos(1/2 - s) - pos(t - s)",
                           "-step(t - s)", (0.5,), True),
     # 4/5 (1-s) + 1/5 (1/2 - s)_+ - (t - s)_+ ; nonnegative for t in [0, 1/2]
-    "example-k2": _kernel("example-k2",
-                          "4/5*(1 - s) + 1/5*pos(1/2 - s) - pos(t - s)",
+    "example-k2": _kernel("4/5*(1 - s) + 1/5*pos(1/2 - s) - pos(t - s)",
                           "-step(t - s)", (0.5,), True),
 }
 
 GAMMA_CATALOG: dict[str, GammaDef] = {
     "example-gamma11": GammaDef(parse_expr("3/4 - t", BOUNDARY_CONTEXT),
-                                parse_expr("-1", BOUNDARY_CONTEXT),
-                                name="example-gamma11"),
+                                parse_expr("-1", BOUNDARY_CONTEXT)),
     "example-gamma21": GammaDef(parse_expr("9/10 - t", BOUNDARY_CONTEXT),
-                                parse_expr("-1", BOUNDARY_CONTEXT),
-                                name="example-gamma21"),
+                                parse_expr("-1", BOUNDARY_CONTEXT)),
 }
 
 

@@ -27,9 +27,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .bounds import ComponentBounds, DeclaredBounds, HBounds, _finite_real, _integer
+from .bounds import ComponentBounds, DeclaredBounds, HBounds
 from .constants import Opt1DConfig, Window
-from .errors import ConfigError, DslSyntaxError, EvalDomainError, ModelViolationError
+from .errors import (ConfigError, DslSyntaxError, EvalDomainError, ModelViolationError,
+                     _finite_real, _integer)
 from .expr import (BOUNDARY_CONTEXT, ENVELOPE_CONTEXT, KERNEL_CONTEXT,
                    FunctionalExpr, ScalarExpr, nonlinearity_context, parse_constant,
                    parse_expr, parse_functional)
@@ -94,9 +95,9 @@ class Params:
         etas = [list(row) for row in self.etas]
         for name, value in overrides.items():
             kind, i, j = parse_param_name(name)
-            value = float(value)
-            if not math.isfinite(value):
-                raise ConfigError(name, f"expected a finite number, got {value}")
+            if not _finite_real(value):
+                raise ConfigError(name, f"expected a finite number, got {value!r}")
+            value = float(value)  # an int override reports as 31.0, as loaded
             self._check_index(name, kind, i, j)
             if kind == "lambda":
                 lambdas[i] = value

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, _check_integers
 
 __all__ = ["QuadConfig", "integrate", "integrate_rows", "integrate_panels",
            "gauss_rule", "first_pass_layout"]
@@ -45,6 +45,7 @@ class QuadConfig:
     max_subdivisions: int = 20
 
     def __post_init__(self):
+        _check_integers(self, "gauss_order", "max_subdivisions")
         if self.gauss_order < 2:
             raise ValueError("gauss_order must be >= 2")
         if not (self.rel_tol > 0 and self.abs_tol > 0):

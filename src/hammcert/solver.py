@@ -38,8 +38,9 @@ from .cone import DiscreteState, MembershipVerdict, StateNorms, _one_state, \
     _unchecked, c1_norm, cone_membership, zero_state
 from .constants import ConeConstants
 from .errors import (ConfigError, EvalDomainError, ModelViolationError,
-                     QuadratureError)
+                     QuadratureError, _check_integers)
 from .expr import _shaped, _SharedPass, _state_env, eval_functional, eval_scalar
+from .kernels import eval_dk, eval_k
 from .quad import first_pass_layout
 
 if TYPE_CHECKING:
@@ -57,6 +58,7 @@ class SolverConfig:
     max_iterations: int = 10000
 
     def __post_init__(self):
+        _check_integers(self, "nodes", "max_iterations")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
         if self.nodes < 8:
@@ -73,8 +75,6 @@ class _NystromOperator:
     quadrature settings."""
 
     def __init__(self, spec: "ProblemSpec", num_panels: int):
-        from .kernels import eval_dk, eval_k  # local to avoid import noise
-
         self.spec = spec
         nodes = np.linspace(0.0, 1.0, num_panels + 1)
         for comp_idx, comp in enumerate(spec.components):

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import hammcert as hc
@@ -132,6 +133,43 @@ class TestEstimate:
     def test_rho_validated(self, example_spec, example_cc):
         with pytest.raises(ValueError):
             estimate_ranges(example_spec, example_cc, 0.0, samples=10, seed=1)
+
+    @pytest.mark.parametrize("rho", [True, "1", 10**400], ids=["true", "text", "huge"])
+    def test_rho_is_a_finite_number(self, example_spec, example_cc, rho):
+        # the DeclaredBounds rule: True ran and reported "rho": true, "1"
+        # and 10**400 raised a bare TypeError and OverflowError
+        with pytest.raises(ValueError, match=r"^rho must be a finite number > 0$"):
+            estimate_ranges(example_spec, example_cc, rho, samples=1, seed=1)
+
+
+@pytest.mark.parametrize("samples,seed,message", [
+    (True, 1, "samples must be an integer, got True"),
+    (2.5, 1, "samples must be an integer, got 2.5"),
+    (0, 1, "samples must be >= 1"),
+    (1, None, "seed must be an integer >= 0, got None"),
+    (1, True, "seed must be an integer >= 0, got True"),
+    (1, -1, "seed must be an integer >= 0, got -1"),
+    (1, 1.0, "seed must be an integer >= 0, got 1.0"),
+], ids=["true-samples", "float-samples", "no-samples", "no-seed", "true-seed",
+        "negative-seed", "float-seed"])
+@pytest.mark.parametrize("run", ["falsify", "estimate"])
+def test_samples_and_seed_are_integers(example_spec, example_cc, run, samples, seed,
+                                       message):
+    # True ran one sample, 2.5 failed in range, and a seed of None drew from
+    # OS entropy, so two equal calls gave two reports
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if run == "falsify":
+            falsify_bounds(example_spec, example_cc, example_spec.bounds_at(1.0),
+                           samples=samples, seed=seed)
+        else:
+            estimate_ranges(example_spec, example_cc, 1.0, samples=samples, seed=seed)
+
+
+def test_sampling_takes_numpy_numbers(example_spec, example_cc):
+    want = estimate_ranges(example_spec, example_cc, 1.0, samples=2, seed=3)
+    got = estimate_ranges(example_spec, example_cc, np.float64(1.0),
+                          samples=np.int64(2), seed=np.uint8(3))
+    assert got == want
 
 
 def test_latin_hypercube_box_points():

@@ -120,6 +120,25 @@ class TestI1:
         p = Params((1, np.float32(0.5)), ((np.int64(2),), (0.25,)))
         assert p.lambdas[0] == 1 and p.etas[0][0] == 2
 
+    @pytest.mark.parametrize("value,shown", [
+        (True, "True"), ("0.5", "'0.5'"), ("x", "'x'"), (None, "None"),
+        (10**400, "1" + "0" * 400), (math.nan, "nan")],
+        ids=["true", "number-text", "text", "none", "huge", "nan"])
+    def test_overrides_take_finite_numbers_only(self, example_spec, value, shown):
+        # the rule of Params itself: True read as 1.0 and "0.5" as 0.5, and
+        # "x", None and 10**400 raised a bare ValueError, TypeError, OverflowError
+        with pytest.raises(ConfigError) as err:
+            Params.from_spec(example_spec).with_overrides({"lambda1": value})
+        assert str(err.value) == f"lambda1: expected a finite number, got {shown}"
+
+    def test_overrides_take_python_and_numpy_numbers(self, example_spec):
+        p = Params.from_spec(example_spec).with_overrides(
+            {"lambda1": 31, "eta11": np.int64(1), "lambda2": np.float32(0.5),
+             "eta21": np.float64(0.1)})
+        assert p.lambdas == (31.0, 0.5) and p.etas == ((1.0,), (0.1,))
+        # an int override reports as the float the loader would have made
+        assert {type(v) for v in (*p.lambdas, *p.etas[0], *p.etas[1])} == {float}
+
     def test_negative_parameters_certify_nothing(self, example_spec, example_cc):
         # all rows' lhs would be negative, so I1 would hold
         with pytest.raises(ConfigError, match="C6"):

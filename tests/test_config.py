@@ -224,8 +224,7 @@ class TestRejectedAtTheirSource:
                 raise RuntimeError("the golden-section search does not end")
             return t * (1 - t)
 
-        value, arg, _ = extremum_1d(f, 0.0, 1.0, opt)
-        assert (value, arg) == (0.25, 0.5)
+        assert extremum_1d(f, 0.0, 1.0, opt) == (0.25, 0.5)
 
     @pytest.mark.parametrize("key,value", [("c_gamma", ["1/3", "1/100"]),
                                            ("gamma_sup", [])])
@@ -237,6 +236,38 @@ class TestRejectedAtTheirSource:
                 as err:
             load(doc)
         assert err.value.key == f"components[0].declared.{key}"
+
+    @pytest.mark.parametrize("path,value,assemble,text", [
+        (("components", 0, "envelope", "phi0"), "3/4 - s", False,
+         "components[0].envelope.phi0: condition (C2) violated: declared envelope "
+         "is negative at s=1.000000: -2.500e-01"),
+        (("components", 0, "declared", "c_gamma"), [0], True,
+         "condition (C5) violated: declared c_{1,1} = 0.0 must be positive"),
+        (("components", 0, "gammas", 0),
+         {**EXAMPLE["components"][0]["gammas"][0], "gamma": "0*t", "dgamma": "0"}, True,
+         "condition (C5) violated: gamma vanishes identically; its window constant "
+         "is undefined"),
+        (("components", 0, "gammas", 0, "eta"), -1, False,
+         "components[0].gammas[0].eta: negative parameter violates (C6)"),
+        (("n",), 0, False, "n: need at least one component"),
+        (("components", 0, "f"), "exp(u1) $ 2", False,
+         "components[0].f: unexpected character '$' at position 7: 'exp(u1) $ 2'"),
+        (("components", 0, "gammas", 0, "h"), "val(1, 2)", False,
+         "components[0].gammas[0].h: val: evaluation point 2.0 outside [0,1] at "
+         "position 0: 'val(1, 2)' (C7 functional)"),
+    ], ids=["negative-envelope", "zero-c-gamma", "zero-gamma", "negative-eta",
+            "no-components", "bad-character", "point-outside"])
+    def test_error_texts(self, path, value, assemble, text):
+        doc = example()
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        with pytest.raises(hc.HammcertError) as err:
+            spec = hc.spec_from_dict(doc)
+            if assemble:
+                hc.assemble_cone_constants(spec)
+        assert str(err.value) == text
 
     @pytest.mark.parametrize("path,value,key", [
         (("components", 0, "gammas"), 3, "components[0].gammas"),

@@ -93,8 +93,8 @@ class TestSupAbs:
 
     def test_interior_maximum_refined(self):
         # grid alone cannot hit the argmax of t(1-t); golden refinement must
-        val, arg, _ = extremum_1d(lambda t: t * (1 - t), 0.0, 1.0,
-                                  Opt1DConfig(coarse_grid=100), mode="max")
+        val, arg = extremum_1d(lambda t: t * (1 - t), 0.0, 1.0,
+                               Opt1DConfig(coarse_grid=100), mode="max")
         assert val == pytest.approx(0.25, abs=1e-12)
         assert arg == pytest.approx(0.5, abs=1e-6)
 
@@ -873,6 +873,15 @@ def test_c_tilde_corner_cases_match_the_grids(text, env, want):
     assert _monotone_in(kd.k, "t") is not None
     fast, grid = c_tilde_outcomes(kd, Window(0.0, 1.0), env, END_OPT)
     assert fast == grid and want in fast
+
+
+def test_c_tilde_factor_outside_its_domain_raises_as_the_grids():
+    # sqrt(s - 1/2) is a product factor of the monotone form: _t_ends gives
+    # up at its EvalDomainError, and the grids raise the same error
+    kd = _kernel("sqrt(s - 1/2) * t", "0*t")
+    assert _monotone_in(kd.k, "t") is not None
+    fast, grid = c_tilde_outcomes(kd, Window(0.0, 0.5), EnvelopeSpec("tight"), END_OPT)
+    assert fast == grid == "sqrt of a negative value in subexpression 'sqrt(s - 1 / 2)'"
 
 
 def test_c2_failure_of_a_monotone_kernel_evaluates_no_grid(monkeypatch):

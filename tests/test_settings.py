@@ -138,3 +138,23 @@ def test_old_positional_settings_raise(old_call, example_spec, example_cc):
     u = hc.zero_state(2, 128)
     with pytest.raises(TypeError):
         old_call(example_spec, example_cc, u)
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: hc.QuadConfig(gauss_order=8.0), "gauss_order"),
+    (lambda: hc.QuadConfig(max_subdivisions=True), "max_subdivisions"),
+    (lambda: hc.Opt1DConfig(coarse_grid=256.5), "coarse_grid"),
+    (lambda: hc.SolverConfig(nodes=128.0), "nodes"),
+    (lambda: hc.SolverConfig(max_iterations="100"), "max_iterations"),
+], ids=["gauss-order", "subdivisions", "coarse-grid", "nodes", "iterations"])
+def test_hand_made_settings_check_their_integer_fields(make, field):
+    # these failed later: gauss_order=8.0 at assembly ("deg must be an
+    # integer"), nodes=128.0 and coarse_grid=256.5 in range or linspace
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        make()
+
+
+def test_hand_made_settings_take_numpy_integers():
+    assert hc.QuadConfig(gauss_order=np.int64(8)).gauss_order == 8
+    assert hc.Opt1DConfig(coarse_grid=np.int32(256)).coarse_grid == 256
+    assert hc.SolverConfig(nodes=np.int64(64), max_iterations=np.uint16(9)).nodes == 64
