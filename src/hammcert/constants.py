@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (ConfigError, EvalDomainError, HammcertError, ModelViolationError,
-                     _check_integers)
+                     _check_integers, _finite_real)
 from .expr import _enclose, _monotone_in, _shaped, eval_scalar
 from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
 from .quad import QuadConfig, _distinct, _panels, integrate_panels
@@ -129,7 +129,7 @@ class Opt1DConfig:
         # narrower than float spacing
         if self.coarse_grid < 1:
             raise ValueError("coarse_grid must be >= 1")
-        if not self.refine_tol > 0:
+        if not (_finite_real(self.refine_tol) and self.refine_tol > 0):
             raise ValueError("refine_tol must be positive")
 
 
@@ -165,8 +165,8 @@ def _golden_walk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     evaluates the probes of the next ``depth`` steps for every outcome of
     their comparisons, a tree of 2**depth - 1 points (``_probe_tree``), and
     the walk follows the comparisons through it.  If that call raises a
-    ``HammcertError``, the same steps are redone one probe per call, so an
-    error surfaces only at a probe the one-probe loop makes.
+    ``HammcertError``, the walk goes through the same tree one probe per
+    call, so an error surfaces only at a probe the one-probe loop makes.
     """
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -176,26 +176,23 @@ def _golden_walk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         (fc,), (fd,) = f(np.array([c])).tolist(), f(np.array([d])).tolist()
     yield c, fc
     yield d, fd
-    width, solo = math.inf, 0
+    width = math.inf
     while tol < b - a < width:
-        tree = _probe_tree(a, b, c, d, fc <= fd, tol, 1 if solo else depth)
+        tree = _probe_tree(a, b, c, d, fc <= fd, tol, depth)
         try:
             values = f(np.array([node[4] for node in tree])).tolist()
         except HammcertError:
-            if len(tree) == 1:
-                raise
-            solo = depth
-            continue
-        solo = max(solo - 1, 0)
+            values = None
         node = 0
         while node < len(tree):
             width = b - a
             a, b, c, d, x, go = tree[node]
+            fx = f(np.array([x])).tolist()[0] if values is None else values[node]
             if fc <= fd:
-                fc, fd = values[node], fc
+                fc, fd = fx, fc
             else:
-                fc, fd = fd, values[node]
-            yield x, values[node]
+                fc, fd = fd, fx
+            yield x, fx
             if not go:
                 break
             node = 2 * node + (1 if fc <= fd else 2)
@@ -356,11 +353,12 @@ def integrate_over_s(kd: KernelDef, ts, a: float, b: float, *, order: int = 0,
 
     Panels split at the fixed breakpoints, at the moving breakpoint s = t
     (the rule of ``s_breakpoints``) and, for absolute values, at the sign
-    roots of the integrand in each of those panels.  All t then run the
-    adaptive rule of ``integrate`` together (``integrate_panels``), so each
-    value equals, bit for bit, a per-t ``integrate`` with those splits.  t
-    is processed in chunks under a fixed point budget.  Returns an array of
-    the shape of ts.
+    roots of the integrand in each of those panels; ``quad._panels``, the
+    one edge rule, makes the panels scanned and integrated.  All t then run
+    the adaptive rule of ``integrate`` together (``integrate_panels``), so
+    each value equals, bit for bit, a per-t ``integrate`` with those splits.
+    t is processed in chunks under a fixed point budget.  Returns an array
+    of the shape of ts.
     """
     quad_cfg = quad_cfg or QuadConfig()
     ts = np.asarray(ts, dtype=float)
@@ -375,7 +373,9 @@ def integrate_over_s(kd: KernelDef, ts, a: float, b: float, *, order: int = 0,
 
 def _s_integrals(kd: KernelDef, ts: np.ndarray, a: float, b: float, order: int,
                  absolute: bool, quad_cfg: QuadConfig) -> np.ndarray:
-    """``integrate_over_s`` of one chunk of t.
+    """``integrate_over_s`` of one chunk of t.  It only chooses the split
+    points (fixed, moving, sign roots); ``quad._panels``, the one edge rule,
+    makes of them both the panels the sign scan scans and those integrated.
 
     For absolute values, only the panels where the integrand may change
     sign are scanned for roots.  The interval table (``expr._enclose``)
@@ -401,17 +401,14 @@ def _s_integrals(kd: KernelDef, ts: np.ndarray, a: float, b: float, order: int,
     if kd.moving_breakpoint:
         clear = np.all(np.abs(ts[:, None] - fixed) > 1e-14, axis=1)
         moving = np.where(clear, ts, a)
-    # breakpoints of every t, one row each; entries outside (a, b) become a
+    # breakpoints of every t, one row each; _panels ignores those outside (a, b)
     splits = np.column_stack((np.broadcast_to(fixed, (n, fixed.size)), moving))
-    splits = np.where((a < splits) & (splits < b), splits, a)
     if absolute:
         expr = kd.k if order == 0 else kd.dk_dt
         box = np.array([ts.min(), ts.max(), a, b])
         enclosed = np.isfinite(box).all()  # then so is every panel's box
         if not (enclosed and _one_signed(expr, box[:2], box[2:])):
-            edges = np.column_stack((np.full(n, a), np.sort(splits, axis=1), np.full(n, b)))
-            r, c = np.nonzero(edges[:, 1:] - edges[:, :-1] > 1e-12)
-            lo, hi = edges[r, c], edges[r, c + 1]
+            r, lo, hi = _panels(a, b, splits)
             if enclosed:
                 scan = ~np.broadcast_to(_one_signed(expr, (ts[r], ts[r]), (lo, hi)),
                                         r.shape)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureError, _check_integers
+from .errors import QuadratureError, _check_integers, _finite_real
 
 __all__ = ["QuadConfig", "integrate", "integrate_rows", "integrate_panels",
            "gauss_rule", "first_pass_layout"]
@@ -48,7 +48,7 @@ class QuadConfig:
         _check_integers(self, "gauss_order", "max_subdivisions")
         if self.gauss_order < 2:
             raise ValueError("gauss_order must be >= 2")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
+        if not all(_finite_real(v) and v > 0 for v in (self.rel_tol, self.abs_tol)):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
@@ -85,7 +85,8 @@ def _panels(a: float, b: float, points) -> tuple[np.ndarray, np.ndarray, np.ndar
     """(row, lo, hi) of every panel of ``integrate``'s edge rule, applied to
     each row of the 2-D ``points``: a, the row's points strictly inside
     (a, b) in order, and b, with any edge within 1e-15 of its predecessor
-    dropped.  Rows come in order, each row's panels left to right."""
+    dropped.  Rows come in order, each row's panels left to right.  This is
+    the one edge rule: ``constants``' sign scan scans these panels too."""
     inner = np.where((a < points) & (points < b), points, b)
     n = inner.shape[0]
     edges = np.column_stack((np.full(n, a), np.sort(inner, axis=1), np.full(n, b)))

@@ -38,7 +38,7 @@ from .cone import DiscreteState, MembershipVerdict, StateNorms, _one_state, \
     _unchecked, c1_norm, cone_membership, zero_state
 from .constants import ConeConstants
 from .errors import (ConfigError, EvalDomainError, ModelViolationError,
-                     QuadratureError, _check_integers)
+                     QuadratureError, _check_integers, _finite_real)
 from .expr import _shaped, _SharedPass, _state_env, eval_functional, eval_scalar
 from .kernels import eval_dk, eval_k
 from .quad import first_pass_layout
@@ -59,12 +59,12 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_integers(self, "nodes", "max_iterations")
-        if not (0.0 < self.damping <= 1.0):
+        if not (_finite_real(self.damping) and 0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
         if self.nodes < 8:
             raise ValueError("need at least 8 panels")
         # a residual is >= 0, so a tol <= 0 or NaN is never met
-        if not (0.0 < self.tol < math.inf):
+        if not (_finite_real(self.tol) and self.tol > 0.0):
             raise ValueError("tol must be a finite number > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")

@@ -7,6 +7,7 @@ import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -414,17 +415,21 @@ def ref_sign_roots(fn, a, b, coarse=256):
     return sorted(roots)
 
 
+def panel_edges(a, points, b):
+    """The panel edges of quad's rule: a, the points inside (a, b) in order,
+    and b, each edge within 1e-15 of its predecessor in that list dropped."""
+    edges = [a, *sorted(p for p in points if a < p < b), b]
+    return [a] + [e for p, e in itertools.pairwise(edges) if e - p > 1e-15]
+
+
 def ref_abs_integral_over_s(kd, t, order, quad_cfg):
     """Integral over s in [0,1] of |k| (order 0) or |dk/dt| (order 1) at
     one t, split at the breakpoints and at the sign roots of each panel."""
     evalf = eval_k if order == 0 else eval_dk
     fn = lambda s: evalf(kd, t, s)
-    bps = s_breakpoints(kd, t)
-    splits = list(bps)
-    edges = [0.0] + bps + [1.0]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo > 1e-12:
-            splits.extend(ref_sign_roots(fn, lo, hi))
+    splits = s_breakpoints(kd, t)
+    for lo, hi in itertools.pairwise(panel_edges(0.0, splits, 1.0)):
+        splits.extend(ref_sign_roots(fn, lo, hi))
     return hc.integrate(lambda s: np.abs(np.asarray(fn(s), dtype=float)),
                         0.0, 1.0, sorted(splits), quad_cfg)
 
@@ -595,11 +600,10 @@ def ref_kernel_columns(evalf, kd, ts, ss, combine, absolute):
     return combine.reduce(np.abs(k) if absolute else k, axis=0)
 
 
-def sign_scan_panels(kd, ts):
+def sign_scan_panels(kd, ts, a=0.0, b=1.0):
     """(rows, lo, hi) of the panels between the s-breakpoints of each t."""
     panels = [(r, lo, hi) for r, t in enumerate(ts)
-              for lo, hi in itertools.pairwise([0.0, *s_breakpoints(kd, t), 1.0])
-              if hi - lo > 1e-12]
+              for lo, hi in itertools.pairwise(panel_edges(a, s_breakpoints(kd, t), b))]
     rows, lo, hi = zip(*panels)
     return np.array(rows, dtype=np.intp), np.array(lo), np.array(hi)
 
@@ -692,11 +696,8 @@ def ref_s_integrals(kd, ts, a, b, order, absolute, quad_cfg):
         clear = np.all(np.abs(ts[:, None] - fixed) > 1e-14, axis=1)
         moving = np.where(clear, ts, a)
     splits = np.column_stack((np.broadcast_to(fixed, (n, fixed.size)), moving))
-    splits = np.where((a < splits) & (splits < b), splits, a)
     if absolute:
-        edges = np.column_stack((np.full(n, a), np.sort(splits, axis=1), np.full(n, b)))
-        r, c = np.nonzero(edges[:, 1:] - edges[:, :-1] > 1e-12)
-        roots = constants_mod._panel_sign_roots(fn, r, edges[r, c], edges[r, c + 1])
+        roots = constants_mod._panel_sign_roots(fn, *quad_mod._panels(a, b, splits))
         splits = np.column_stack((splits, constants_mod._pad_rows(*roots, n, a)))
         integrand = lambda r, s: np.abs(np.asarray(fn(r, s), dtype=float))
     else:
@@ -740,6 +741,63 @@ def test_filtered_sign_scan_matches_every_panel_scanned(name):
         want = _integral_outcome(lambda: ref_s_integrals(
             kd, ts, a, b, order, absolute, cfg))
         assert got == want, (a, b, order, absolute)
+
+
+# --------------------------------------------------------------------------
+# one panel list: the sign scan scans the panels the quadrature integrates
+
+def test_panel_narrower_than_1e12_is_scanned():
+    # tight.cfg's component 2: |dk/dt| over [0.25, 0.75] at t 5e-13 right of
+    # 0.25, where the panel [0.25, t] is narrower than 1e-12 but wider than
+    # quad's 1e-15 rule, so it is integrated and must be scanned
+    t = 0.25 + 5e-13
+    got = float(integrate_over_s(TIGHT_K2, t, 0.25, 0.75, order=1, absolute=True))
+    assert got.hex() == "0x1.92e9a07212820p-4"
+    with mp.workdps(50):
+        # 1 - exp(t - s)/4 on (0.25, t), exp(t - s)/4 on (t, 0.75)
+        tm, a, b = mp.mpf(t), mp.mpf(0.25), mp.mpf(0.75)
+        want = (tm - a) - (mp.exp(tm - a) - 1) / 4 + (1 - mp.exp(tm - b)) / 4
+        assert abs(mp.mpf(got) - want) <= 2 * math.ulp(got)
+
+
+EDGE_CASES = {
+    # a panel 5e-13 wide at a window's end, t within 1e-15 of an end, and a
+    # moving breakpoint 3e-13 left of a fixed one (no closer than 1e-14)
+    "tight-k2": (TIGHT_K2, 0.25, 0.75, [0.25 + 5e-13, 0.25 + 5e-16, 0.75 - 5e-16]),
+    "example-k1": (K1, 0.0, 1.0, [0.5 - 3e-13, 5e-13, 1.0 - 5e-16]),
+    "pl0": (ORACLE_KERNELS[4], 0.2, 0.9,
+            [0.2 + 5e-13, ORACLE_KERNELS[4].fixed_breakpoints[0] - 3e-13]),
+}
+
+
+@pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "every-panel"])
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_sign_scan_scans_the_quadrature_panels(name, filtered, monkeypatch):
+    kd, a, b, near = EDGE_CASES[name]
+    ts = np.concatenate((np.linspace(a, b, 17), near))
+    bps = [s_breakpoints(kd, t) for t in ts]
+    width = max(map(len, bps))
+    splits = np.array([row + [a] * (width - len(row)) for row in bps])
+    want = quad_mod._panels(a, b, splits)
+    # the model of the rule the tests' references use
+    assert all(np.array_equal(m, w) for m, w in zip(sign_scan_panels(kd, ts, a, b), want))
+    scanned = []
+    real = constants_mod._panel_sign_roots
+
+    def record(fn, rows, lo, hi):
+        scanned.extend(zip(rows.tolist(), lo.tolist(), hi.tolist()))
+        return real(fn, rows, lo, hi)
+
+    monkeypatch.setattr(constants_mod, "_panel_sign_roots", record)
+    if not filtered:  # the interval table drops no panel
+        monkeypatch.setattr(constants_mod, "_one_signed", lambda *_: False)
+    panels = list(zip(*(x.tolist() for x in want)))
+    for order in (0, 1):
+        scanned.clear()
+        integrate_over_s(kd, ts, a, b, order=order, absolute=True)
+        assert set(scanned) <= set(panels)
+        if not filtered:
+            assert scanned == panels
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Numerical settings come from the spec's quad, opt and solver sections."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -152,6 +153,32 @@ def test_hand_made_settings_check_their_integer_fields(make, field):
     # integer"), nodes=128.0 and coarse_grid=256.5 in range or linspace
     with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
         make()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: hc.SolverConfig(tol=True), "tol must be a finite number > 0"),
+    (lambda: hc.SolverConfig(tol="x"), "tol must be a finite number > 0"),
+    (lambda: hc.SolverConfig(damping=True), r"damping must lie in \(0, 1\]"),
+    (lambda: hc.QuadConfig(rel_tol=True), "tolerances must be positive"),
+    (lambda: hc.QuadConfig(rel_tol="x"), "tolerances must be positive"),
+    (lambda: hc.QuadConfig(rel_tol=math.inf), "tolerances must be positive"),
+    (lambda: hc.QuadConfig(rel_tol=10**400), "tolerances must be positive"),
+    (lambda: hc.QuadConfig(abs_tol=math.inf), "tolerances must be positive"),
+    (lambda: hc.Opt1DConfig(refine_tol=True), "refine_tol must be positive"),
+    (lambda: hc.Opt1DConfig(refine_tol=math.inf), "refine_tol must be positive"),
+], ids=["tol-bool", "tol-text", "damping-bool", "rel-tol-bool", "rel-tol-text",
+        "rel-tol-inf", "rel-tol-huge", "abs-tol-inf", "refine-tol-bool", "refine-tol-inf"])
+def test_hand_made_settings_check_their_float_fields(make, message):
+    # each field is a finite number in its range: True was taken as 1.0, a
+    # text raised a bare TypeError, and inf or 10**400 was accepted
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_hand_made_settings_take_numpy_floats():
+    assert hc.QuadConfig(rel_tol=np.float64(1e-8), abs_tol=np.float32(1e-9)).rel_tol == 1e-8
+    assert hc.Opt1DConfig(refine_tol=np.float64(1e-10)).refine_tol == 1e-10
+    assert hc.SolverConfig(tol=np.float64(1e-9), damping=np.float32(0.5)).damping == 0.5
 
 
 def test_hand_made_settings_take_numpy_integers():
