@@ -37,8 +37,10 @@ Checked relations, per declaration present:
 
 Box sampling is a full factorial 5-point grid per dimension when the box has
 at most 8 dimensions, and a seeded Latin hypercube with 10^4 points beyond
-that.  Comparisons carry a relative slack of 1e-9 so that grid roundoff at
-an exactly-attained bound does not count as a refutation.
+that.  Every comparison carries a slack of 1e-9 * max(1, |bound|), relative
+to the bound compared (declared * |x_i| or declared * ||u_i||_inf for a
+ratio bound), so that roundoff at an exactly-attained bound does not count
+as a refutation.
 """
 
 from __future__ import annotations
@@ -162,7 +164,11 @@ class FalsificationReport:
                 "checked": self.checked, "skipped": self.skipped}
 
 
-def _slack(bound: float) -> float:
+def _slack(bound):
+    """SLACK * max(1, |bound|), elementwise for an array bound; a float
+    bound, one per sample and check, skips numpy's per-call cost."""
+    if isinstance(bound, np.ndarray):
+        return SLACK * np.maximum(1.0, np.abs(bound))
     return SLACK * max(1.0, abs(bound))
 
 
@@ -372,8 +378,9 @@ def _falsify_f_boxes(spec, db, rng, checked, skipped) -> list[Violation]:
                 # x_i >= 0 on the lower box, so |x_i| = x_i there
                 bound = declared * np.abs(pts[:, i]) if ratio else declared
                 excess = bound - vals if lower else vals - bound
-                j = int(np.argmax(excess))
-                if excess[j] > _slack(declared):
+                over = excess > _slack(bound)
+                if over.any():
+                    j = int(np.argmax(np.where(over, excess, -np.inf)))
                     point = {name: float(x) for name, x in _f_env(spec, pts[j]).items()}
                     out.append(Violation(kind, i, None, declared, float(vals[j]), None,
                                          point, f"{kind} violated by "

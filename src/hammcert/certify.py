@@ -53,7 +53,7 @@ from .constants import ConeConstants
 from .errors import (ConfigError, ContradictionError, HammcertError, MissingBoundError,
                      _finite_real, _integer)
 from .problem import parse_param_name
-from .solver import _effective_params, residual
+from .solver import residual
 
 if TYPE_CHECKING:
     from .problem import Params, ProblemSpec
@@ -335,7 +335,7 @@ def check_I1(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
              params: "Params | None" = None) -> Certificate:
     """Index-1 growth condition at radius db.rho; certified iff the max over
     components and derivative orders of the lhs stays <= rho."""
-    params = _effective_params(spec, params)
+    params = spec.params if params is None else params
     rows, cbs = _i1_rows(spec, db), db.components
     return _certificate("I1", cc, db, params, rows, {
         "f_hi": [cb.f_hi for cb in cbs], "h_hi": [[hb.hi for hb in cb.h] for cb in cbs]})
@@ -345,7 +345,7 @@ def check_I0(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: DeclaredBound
              params: "Params | None" = None) -> Certificate:
     """Index-0 condition at radius db.rho; certified iff the min over
     components of the lhs is >= 1 (non-strict, as displayed)."""
-    params = _effective_params(spec, params)
+    params = spec.params if params is None else params
     rows, cbs = _i0_rows(spec, db), db.components
     return _certificate("I0", cc, db, params, rows, {
         "delta_tilde": [cb.delta_tilde for cb in cbs],
@@ -357,7 +357,7 @@ def check_I0_star(spec: "ProblemSpec", cc: Sequence[ConeConstants], db: Declared
                   i0: int, params: "Params | None" = None) -> Certificate:
     """Single-component index-0 condition: only component i0's growth is
     restricted, via the declared f_lo on the sign-restricted box."""
-    params = _effective_params(spec, params)
+    params = spec.params if params is None else params
     rows, cb = _i0_star_rows(spec, db, i0), db.components[i0 - 1]
     return _certificate("I0star", cc, db, params, rows, {
         "f_lo": cb.f_lo, "h_lo": [hb.lo for hb in cb.h],
@@ -375,7 +375,7 @@ def existence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     component that certifies is used, skipping those that lack a needed
     bound; if none certifies, the first one that could be evaluated.
     """
-    params = _effective_params(spec, params)
+    params = spec.params if params is None else params
     _check_existence(spec, db1, db2, mode, i0)
     outer = check_I1(spec, cc, db2, params)
     chosen = i0
@@ -416,7 +416,7 @@ def nonexistence_certificate(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     does a certified verdict mean "no solutions at all" in the ball; it is
     taken on ``spec.solver.nodes`` panels under ``spec.quad``.
     """
-    params = _effective_params(spec, params)
+    params = spec.params if params is None else params
     setI, setJ, rows = _nonexistence_rows(spec, db, setI, setJ)
     cert = _certificate("NIJ", cc, db, params, rows, {
         "setI": setI, "setJ": setJ,
@@ -493,7 +493,7 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
 
     ``nonexistence``, when given, is {"db": DeclaredBounds, "setI": [...],
     "setJ": [...]}; without it only existence is evaluated.  The axes vary
-    ``params`` (the config's parameters by default).  A point's
+    ``params`` (``spec.params`` by default).  A point's
     verdict, binding row and margin come from its inequality rows alone.
 
     The grid is evaluated column-wise: each row builder runs once and its
@@ -509,7 +509,7 @@ def sweep(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     are built, which raise its error, or a ContradictionError with a dump of
     both.
     """
-    base = _effective_params(spec, params)
+    base = spec.params if params is None else params
     axes = tuple(axes)
     slots = _axis_slots(base, axes)
     grids = [ax.grid() for ax in axes]

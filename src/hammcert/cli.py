@@ -75,7 +75,7 @@ def _parse_overrides(pairs) -> dict:
 
 def _load(args) -> tuple[ProblemSpec, Params, str]:
     spec = load_config(args.config)
-    params = Params.from_spec(spec).with_overrides(_parse_overrides(args.set))
+    params = spec.params.with_overrides(_parse_overrides(args.set))
     return spec, params, _config_hash(args.config)
 
 

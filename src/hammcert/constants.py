@@ -285,10 +285,10 @@ def _grid_with(points: Sequence[float], a: float, b: float, n: int) -> np.ndarra
 
 def _scan_grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """np.linspace(lo, hi, _SIGN_SCAN + 1, axis=-1), bit for bit, but built
-    C-contiguous (one panel per row) by linspace's own float64 operations."""
+    C-contiguous (one panel per row) by linspace's own float64 operations.
+    The panels are quad._panels', each wider than 1e-15, so no step is 0
+    (linspace's other formula)."""
     step = (hi - lo) / _SIGN_SCAN
-    if not step.all():  # linspace's other formula, for zero or denormal spans
-        return np.linspace(lo, hi, _SIGN_SCAN + 1, axis=-1)
     xs = step[:, None] * np.arange(_SIGN_SCAN + 1.0)
     xs += lo[:, None]
     xs[:, -1] = hi

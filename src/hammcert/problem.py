@@ -10,7 +10,8 @@ for each kernel, optional declared constants, and declared analytic bounds
 keyed by radius.  The config document is a single JSON file; every
 expression is a DSL string, and every numeric bound may be either a JSON
 number or a constant DSL string (so values like ``1/(1+e)`` are exact as
-written).
+written).  The parameter point (lambda_i, eta_ij) is read into one
+``Params``, ``ProblemSpec.params``; the components hold no copy of it.
 
 Validation is front-loaded: every failure names the offending key path and,
 where applicable, the violated model condition (C1..C8, see README).  An
@@ -47,7 +48,6 @@ __all__ = ["GammaTerm", "Component", "ProblemSpec", "Params", "load_config",
 @dataclass(frozen=True)
 class GammaTerm:
     gamma: GammaDef
-    eta: float
     h: FunctionalExpr
 
 
@@ -55,7 +55,6 @@ class GammaTerm:
 class Component:
     kernel: KernelDef
     window: Window
-    lam: float
     f: ScalarExpr
     w: FunctionalExpr
     envelope: EnvelopeSpec
@@ -71,7 +70,9 @@ class Component:
 class Params:
     """The parameter point (lambda_i, eta_ij) a certificate is evaluated at;
     every parameter must be a finite real number >= 0 (C6): a Python or
-    numpy int or float, not a bool."""
+    numpy int or float, not a bool.  The config's point is
+    ``ProblemSpec.params``, the default of every entry point that takes
+    ``params``."""
     lambdas: tuple[float, ...]
     etas: tuple[tuple[float, ...], ...]
 
@@ -84,11 +85,6 @@ class Params:
             raise ConfigError("params", "parameters must be finite numbers")
         if any(v < 0 for v in values):
             raise ConfigError("params", "parameters must be nonnegative (C6)")
-
-    @classmethod
-    def from_spec(cls, spec: "ProblemSpec") -> "Params":
-        return cls(tuple(c.lam for c in spec.components),
-                   tuple(tuple(g.eta for g in c.gammas) for c in spec.components))
 
     def with_overrides(self, overrides: dict) -> "Params":
         lambdas = list(self.lambdas)
@@ -138,6 +134,7 @@ def parse_param_name(name: str) -> tuple[str, int, int]:
 class ProblemSpec:
     n: int
     components: tuple[Component, ...]
+    params: Params
     bounds: tuple[DeclaredBounds, ...]
     quad: QuadConfig
     opt: Opt1DConfig
@@ -263,7 +260,8 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
     if not isinstance(comps, list) or len(comps) != n:
         raise ConfigError("components", f"expected a list of exactly n={n} components")
 
-    components = tuple(_parse_component(cdoc, i, n) for i, cdoc in enumerate(comps))
+    components, lambdas, etas = zip(*(_parse_component(cdoc, i, n)
+                                      for i, cdoc in enumerate(comps)))
 
     bounds = []
     seen_rho = []
@@ -283,8 +281,8 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
         raise ConfigError("seed", "expected a JSON integer")
     if seed < 0:
         raise ConfigError("seed", f"expected an integer >= 0, got {seed}")
-    return ProblemSpec(n=n, components=components, bounds=tuple(bounds),
-                       quad=quad, opt=opt, solver=solver, seed=seed)
+    return ProblemSpec(n=n, components=components, params=Params(lambdas, etas),
+                       bounds=tuple(bounds), quad=quad, opt=opt, solver=solver, seed=seed)
 
 
 def _parse_section(doc, key_path, cls):
@@ -305,7 +303,9 @@ def _parse_section(doc, key_path, cls):
         return cls(**kwargs)
 
 
-def _parse_component(cdoc: dict, i: int, n: int) -> Component:
+def _parse_component(cdoc: dict, i: int, n: int) -> tuple[Component, float, tuple]:
+    """The component at components[i], with its lambda and its gamma terms'
+    etas, which the spec keeps in its Params."""
     kp = f"components[{i}]"
     _object(cdoc, kp, _COMPONENT_KEYS, "expected a JSON object")
 
@@ -334,9 +334,9 @@ def _parse_component(cdoc: dict, i: int, n: int) -> Component:
 
     envelope = _parse_envelope(cdoc.get("envelope", "tight"), f"{kp}.envelope")
 
-    gammas = []
-    for j, gdoc in enumerate(_list(cdoc, "gammas", f"{kp}.gammas")):
-        gammas.append(_parse_gamma_term(gdoc, f"{kp}.gammas[{j}]", n))
+    terms = [_parse_gamma_term(gdoc, f"{kp}.gammas[{j}]", n)
+             for j, gdoc in enumerate(_list(cdoc, "gammas", f"{kp}.gammas"))]
+    gammas = tuple(term for term, _ in terms)
 
     declared = _parse_declared(cdoc.get("declared", {}), f"{kp}.declared", len(gammas))
 
@@ -349,9 +349,9 @@ def _parse_component(cdoc: dict, i: int, n: int) -> Component:
         with _at(f"{kp}.envelope.{phi_key}", ModelViolationError, EvalDomainError):
             validate_envelope_nonnegative(phi)
 
-    return Component(kernel=kernel, window=window, lam=lam, f=f, w=w,
-                     envelope=envelope, gammas=tuple(gammas),
-                     declared_items=declared)
+    component = Component(kernel=kernel, window=window, f=f, w=w, envelope=envelope,
+                          gammas=gammas, declared_items=declared)
+    return component, lam, tuple(eta for _, eta in terms)
 
 
 def _parse_kernel(kdoc, key_path) -> KernelDef:
@@ -391,7 +391,7 @@ def _parse_envelope_phi(edoc: dict, key: str, key_path: str):
         return parse_expr(edoc[key], ENVELOPE_CONTEXT)
 
 
-def _parse_gamma_term(gdoc, key_path, n) -> GammaTerm:
+def _parse_gamma_term(gdoc, key_path, n) -> tuple[GammaTerm, float]:
     _object(gdoc, key_path, _GAMMA_KEYS, "expected a gamma-term object")
     gname = gdoc.get("gamma")
     if isinstance(gname, str) and gname.startswith("example-"):
@@ -413,7 +413,7 @@ def _parse_gamma_term(gdoc, key_path, n) -> GammaTerm:
         raise ConfigError(f"{key_path}.h", "missing functional expression (C7)")
     with _at(f"{key_path}.h", DslSyntaxError, text="{} (C7 functional)"):
         h = parse_functional(h_text, n)
-    return GammaTerm(gamma=gd, eta=eta, h=h)
+    return GammaTerm(gamma=gd, h=h), eta
 
 
 def _parse_declared(ddoc, key_path, n_gammas: int) -> tuple:

@@ -172,19 +172,12 @@ def _operator(spec: "ProblemSpec", num_panels: int) -> _NystromOperator:
     return _NystromOperator(spec, num_panels)
 
 
-def _effective_params(spec: "ProblemSpec", params: "Params | None") -> "Params":
-    if params is not None:
-        return params
-    from .problem import Params
-    return Params.from_spec(spec)
-
-
 def apply_T(spec: "ProblemSpec", u: DiscreteState, *,
             params: "Params | None" = None) -> DiscreteState:
     """One application of the integral operator to a discrete state, under
     the spec's quadrature settings."""
     _one_state(u, "apply_T")
-    return _operator(spec, u.num_panels).apply(u, _effective_params(spec, params))
+    return _operator(spec, u.num_panels).apply(u, spec.params if params is None else params)
 
 
 def residual(spec: "ProblemSpec", u: DiscreteState, *,
@@ -267,7 +260,7 @@ def solve_fixed_point(spec: "ProblemSpec", *,
     verdict rho1 <= ||u|| <= rho2.
     """
     cfg = spec.solver
-    params = _effective_params(spec, params)
+    params = spec.params if params is None else params
     if initial_state is None:
         u = zero_state(spec.n, cfg.nodes)
     else:

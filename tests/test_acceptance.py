@@ -104,7 +104,7 @@ def test_criterion_3_existence_certificate(tmp_path, example_spec, example_cc):
 
 def test_criterion_4_nonexistence_evaluation(example_spec, example_cc):
     db = example_spec.bounds_at(1.0)
-    p = Params.from_spec(example_spec).with_overrides(
+    p = example_spec.params.with_overrides(
         {"lambda1": 31, "eta11": 1, "lambda2": 1, "eta21": 1})
     cert = nonexistence_certificate(example_spec, example_cc, db, [2], [1], p)
     rows = {r.label: r for r in cert.rows}
@@ -113,7 +113,7 @@ def test_criterion_4_nonexistence_evaluation(example_spec, example_cc):
     assert rows["I:i=2"].lhs > 1.0  # with the tool's own 1/m_20
     assert not cert.certified
     assert any("differs" in n for n in cert.notes)
-    p2 = Params.from_spec(example_spec).with_overrides(
+    p2 = example_spec.params.with_overrides(
         {"lambda1": 31, "eta11": 1, "lambda2": 0.1, "eta21": 0.1})
     cert2 = nonexistence_certificate(example_spec, example_cc, db, [2], [1], p2)
     assert cert2.certified

@@ -77,6 +77,21 @@ class TestFalsifier:
                              samples=1, seed=3)
         assert not any(v.kind == "f_xi_tilde" for v in rep.violations)
 
+    def test_ratio_bound_slack_is_relative_to_the_bound_compared(self):
+        # f <= 5|u1| is false by 3e-9 everywhere.  At rho = 1e-3 the bound
+        # compared, 5|x1|, is at most 5e-3, so its slack is 1e-9 and the
+        # excess shows; a slack of the declared 5 (5e-9) hid it
+        from conftest import FAST_OPT, single_component_spec
+        spec = single_component_spec("example-k1", f="5*abs(u1) + 3e-9",
+                                     envelope={"phi0": "3/4"})
+        cc = hc.assemble_cone_constants(replace(spec, opt=FAST_OPT))
+        db = DeclaredBounds(1e-3, (ComponentBounds(w_lo=1.0, w_hi=1.0, xi_tilde=5.0),))
+        rep = falsify_bounds(spec, cc, db, samples=1, seed=1)
+        (v,) = rep.violations
+        assert (v.kind, v.component, v.point["u1"]) == ("f_xi_tilde", 1, -0.001)
+        excess = v.observed - 5 * abs(v.point["u1"])
+        assert excess == pytest.approx(3e-9, rel=1e-6)
+
     def test_skips_without_w_range(self, example_spec, example_cc):
         db = with_bounds(example_spec.bounds_at(1.0), 0, w_lo=None, w_hi=None)
         rep = falsify_bounds(example_spec, example_cc, db, samples=1, seed=1)

@@ -85,14 +85,14 @@ class TestI1:
         assert rows["i=1,l=1"].lhs == pytest.approx(E2 / 10 + 0.2, abs=1e-9)
 
     def test_boundary_perturbation_flips(self, example_spec, example_cc):
-        p = Params.from_spec(example_spec).with_overrides({"eta21": 0.5 + 1e-6})
+        p = example_spec.params.with_overrides({"eta21": 0.5 + 1e-6})
         cert = check_I1(example_spec, example_cc, example_spec.bounds_at(1.0), p)
         assert not cert.certified
         rows = {r.label: r for r in cert.rows}
         assert rows["i=2,l=1"].lhs > 1.0
 
     def test_zero_parameters_certify_anything(self, example_spec, example_cc):
-        p = Params.from_spec(example_spec).with_overrides(
+        p = example_spec.params.with_overrides(
             {"lambda1": 0, "lambda2": 0, "eta11": 0, "eta21": 0})
         cert = check_I1(example_spec, example_cc,
                         empty_bounds(0.123, example_spec), p)
@@ -128,11 +128,11 @@ class TestI1:
         # the rule of Params itself: True read as 1.0 and "0.5" as 0.5, and
         # "x", None and 10**400 raised a bare ValueError, TypeError, OverflowError
         with pytest.raises(ConfigError) as err:
-            Params.from_spec(example_spec).with_overrides({"lambda1": value})
+            example_spec.params.with_overrides({"lambda1": value})
         assert str(err.value) == f"lambda1: expected a finite number, got {shown}"
 
     def test_overrides_take_python_and_numpy_numbers(self, example_spec):
-        p = Params.from_spec(example_spec).with_overrides(
+        p = example_spec.params.with_overrides(
             {"lambda1": 31, "eta11": np.int64(1), "lambda2": np.float32(0.5),
              "eta21": np.float64(0.1)})
         assert p.lambdas == (31.0, 0.5) and p.etas == ((1.0,), (0.1,))
@@ -152,7 +152,7 @@ class TestI1:
     def test_monotone_in_parameters(self, example_spec, example_cc):
         # componentwise-smaller nonnegative parameters keep the certificate
         db = example_spec.bounds_at(1.0)
-        base = Params.from_spec(example_spec)
+        base = example_spec.params
         assert check_I1(example_spec, example_cc, db, base).certified
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -211,7 +211,7 @@ class TestI0:
             ComponentBounds(delta_tilde=0.0,
                             h=tuple(HBounds(delta=0.0) for _ in comp.gammas))
             for comp in example_spec.components))
-        p = Params.from_spec(example_spec).with_overrides({"eta11": 0, "eta21": 0})
+        p = example_spec.params.with_overrides({"eta11": 0, "eta21": 0})
         cert = check_I0(example_spec, example_cc, db, p)
         assert not cert.certified
         assert all(r.lhs == 0.0 for r in cert.rows)
@@ -245,7 +245,7 @@ class TestI0Star:
         assert cert.rows[0].lhs == pytest.approx(1.87e-3, abs=1e-5)
 
     def test_zero_lambda_never_certifies(self, example_spec, example_cc):
-        p = Params.from_spec(example_spec).with_overrides({"lambda1": 0})
+        p = example_spec.params.with_overrides({"lambda1": 0})
         db = self.rho_bounds(example_spec, 1e-3)
         cert = check_I0_star(example_spec, example_cc, db, 1, p)
         assert not cert.certified and cert.rows[0].lhs == 0.0
@@ -286,7 +286,7 @@ class TestExistence:
                                   example_spec.bounds_at(0.001), "Sstar", 1)
 
     def test_zero_lambda1_fails(self, example_spec, example_cc):
-        p = Params.from_spec(example_spec).with_overrides({"lambda1": 0})
+        p = example_spec.params.with_overrides({"lambda1": 0})
         cert = existence_certificate(
             example_spec, example_cc, example_spec.bounds_at(0.001),
             example_spec.bounds_at(1.0), "Sstar", 1, p)
@@ -302,7 +302,7 @@ class TestExistence:
 
 class TestNonexistence:
     def test_point_31_1_1_1_fails_with_flag(self, example_spec, example_cc):
-        p = Params.from_spec(example_spec).with_overrides(
+        p = example_spec.params.with_overrides(
             {"lambda1": 31, "eta11": 1, "lambda2": 1, "eta21": 1})
         cert = nonexistence_certificate(example_spec, example_cc,
                                         example_spec.bounds_at(1.0), [2], [1], p)
@@ -316,7 +316,7 @@ class TestNonexistence:
         assert any("1/m_{2,0}" in n and "differs" in n for n in cert.notes)
 
     def test_smaller_I_parameters_certify(self, example_spec, example_cc):
-        p = Params.from_spec(example_spec).with_overrides(
+        p = example_spec.params.with_overrides(
             {"lambda1": 31, "eta11": 1, "lambda2": 0.1, "eta21": 0.1})
         cert = nonexistence_certificate(example_spec, example_cc,
                                         example_spec.bounds_at(1.0), [2], [1], p)
@@ -327,7 +327,7 @@ class TestNonexistence:
         assert any("no solutions at all" in n for n in cert.notes)
 
     def test_vacuous_J_with_zero_parameters(self, example_spec, example_cc):
-        p = Params.from_spec(example_spec).with_overrides(
+        p = example_spec.params.with_overrides(
             {"lambda1": 0, "eta11": 0, "lambda2": 0, "eta21": 0})
         db = DeclaredBounds(1.0, tuple(
             ComponentBounds(xi_tilde=0.0,
@@ -390,7 +390,7 @@ class TestSweep:
         dump = err.value.dump
         assert dump["point"] == {"lambda1": 1.0}
         # the dump holds both full certificates, zero-state residual included
-        params = Params.from_spec(spec).with_overrides({"lambda1": 1.0})
+        params = spec.params.with_overrides({"lambda1": 1.0})
         nonex = nonexistence_certificate(spec, cc, db2, [1], [], params)
         assert dump["nonexistence"] == nonex.as_dict()
         assert dump["nonexistence"]["provenance"]["zero_state_residual"] > 0.0
@@ -647,7 +647,7 @@ class TestPins:
         spec = request.getfixturevalue(f"{config}_spec")
         cc = request.getfixturevalue(f"{config}_cc")
         for point, overrides in NIJ_POINTS.items():
-            p = Params.from_spec(spec).with_overrides(overrides)
+            p = spec.params.with_overrides(overrides)
             d = nonexistence_certificate(spec, cc, spec.bounds_at(1.0), [2], [1],
                                          p).as_dict()
             assert digest(d) == CERTIFICATE_PINS[f"NIJ-{config}-{point}"]
@@ -727,7 +727,7 @@ class TestBindingRow:
             cc = request.getfixturevalue(f"{config}_cc")
             certs += [nonexistence_certificate(
                 spec, cc, spec.bounds_at(1.0), [2], [1],
-                Params.from_spec(spec).with_overrides(overrides))
+                spec.params.with_overrides(overrides))
                 for overrides in NIJ_POINTS.values()]
         for cert in certs:
             assert_binding_by_max_min(cert)
@@ -905,7 +905,7 @@ def ref_sweep(spec, cc, axes, *, mode, db1, db2, i0=None, nonexistence=None):
     """The sweep as one loop over the grid points, each evaluated on floats
     with its own Params and row builders."""
     from hammcert.certify import _nonexistence_rows, _rows_at
-    base = Params.from_spec(spec)
+    base = spec.params
     axes = tuple(axes)
     grids = [ax.grid() for ax in axes]
     nonex = None if nonexistence is None else (

@@ -983,19 +983,20 @@ def test_c_tilde_of_random_kernels_matches_the_grids(kd, w, env):
 
 @st.composite
 def scan_panels(draw):
-    """(lo, hi) of panels with random, negative, few-ulp and zero spans."""
+    """(lo, hi) of panels with random, negative and few-ulp spans, each wider
+    than 1e-15 as quad._panels makes them."""
     lo, hi = [], []
     for _ in range(draw(st.integers(1, 8))):
         a = draw(st.floats(-1e3, 1e3))
-        span = draw(st.sampled_from(["random", "negative", "ulps", "zero"]))
+        span = draw(st.sampled_from(["random", "negative", "ulps"]))
         if span == "random":
             b = draw(st.floats(-1e3, 1e3))
         elif span == "negative":
             b = a - draw(st.floats(0.0, 10.0, exclude_min=True))
-        elif span == "ulps":
+        else:  # from |a| >= 8 on, one ulp is above 1e-15
+            a = math.copysign(max(abs(a), 8.0), a)
             b = a + draw(st.integers(1, 600)) * math.ulp(a)
-        else:
-            b = a
+        assume(abs(b - a) > 1e-15)
         lo.append(a)
         hi.append(b)
     return np.array(lo), np.array(hi)
@@ -1003,17 +1004,15 @@ def scan_panels(draw):
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(scan_panels())
-@example((np.array([0.0, 0.25]), np.array([0.125, 0.25])))  # a zero step
-@example((np.array([0.0]), np.array([5e-324])))  # a step that underflows to 0
-@example((np.array([-1.0, 0.5]), np.array([-3.0, 0.5 + 7 * 2.0**-53])))
+@example((np.array([-1.0, 0.5]), np.array([-3.0, 0.5 + 10 * 2.0**-53])))
 def test_scan_grid_is_linspace(panels):
     lo, hi = panels
     want = np.linspace(lo, hi, 257, axis=-1)
     got = constants_mod._scan_grid(lo, hi)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    # one panel per row, in memory order, unless linspace built it
-    assert got.flags.c_contiguous or not np.all((hi - lo) / 256)
+    # one panel per row, in memory order
+    assert got.flags.c_contiguous
 
 
 # values of synthetic sign-scan rows: one sign with exact zeros, zeros only,

@@ -44,7 +44,7 @@ class TestApplyT:
         assert np.max(np.abs(Tu.derivatives[0] + Tu.nodes)) <= 1e-12
 
     def test_zero_parameters_give_zero(self, example_spec):
-        p = Params.from_spec(example_spec).with_overrides(
+        p = example_spec.params.with_overrides(
             {"lambda1": 0, "lambda2": 0, "eta11": 0, "eta21": 0})
         Tu = apply_T(example_spec, trig_state(1, n=2), params=p)
         assert np.all(Tu.values == 0.0) and np.all(Tu.derivatives == 0.0)
@@ -75,7 +75,7 @@ class TestResidual:
             pytest.approx(1.0, abs=1e-12)
 
     def test_zero_problem(self, example_spec):
-        p = Params.from_spec(example_spec).with_overrides(
+        p = example_spec.params.with_overrides(
             {"lambda1": 0, "lambda2": 0, "eta11": 0, "eta21": 0})
         assert residual(example_spec, zero_state(2, 128), params=p) == 0.0
 
@@ -257,7 +257,7 @@ class TestSolve:
         assert err <= 1e-10
 
     def test_zero_problem_one_iteration(self, example_spec):
-        p = Params.from_spec(example_spec).with_overrides(
+        p = example_spec.params.with_overrides(
             {"lambda1": 0, "lambda2": 0, "eta11": 0, "eta21": 0})
         rep = solve_fixed_point(example_spec, params=p)
         assert rep.converged and rep.iterations == 1
@@ -346,7 +346,7 @@ class TestStackRejected:
     def test_apply_T(self, example_spec, zero):
         # with every lambda and eta at 0 the operator reads no state, so only
         # the entry check can see the stack
-        p = Params.from_spec(example_spec)
+        p = example_spec.params
         if zero:
             p = p.with_overrides({"lambda1": 0, "lambda2": 0, "eta11": 0, "eta21": 0})
         with pytest.raises(ValueError, match=r"^apply_T takes one state, not a "
@@ -385,7 +385,7 @@ class TestLocalization:
         assert localization_check(example_solution, 1e-3, 1.0)
 
     def test_zero_outside(self, example_spec, example_cc):
-        p = Params.from_spec(example_spec).with_overrides(
+        p = example_spec.params.with_overrides(
             {"lambda1": 0, "lambda2": 0, "eta11": 0, "eta21": 0})
         rep = solve_fixed_point(example_spec, params=p)
         assert not localization_check(rep, 1e-3, 1.0)
@@ -497,7 +497,7 @@ class TestSplitOperatorOracle:
     def test_matches_reference(self, config, request):
         spec = request.getfixturevalue(f"{config}_spec")
         cc = request.getfixturevalue(f"{config}_cc")
-        base = Params.from_spec(spec)
+        base = spec.params
         param_sets = [base,
                       base.with_overrides({"lambda1": 0, "eta21": 0}),
                       base.with_overrides({"lambda2": 0, "eta11": 0}),
@@ -526,7 +526,7 @@ class TestSplitOperatorOracle:
             gammas=[{"gamma": "example-gamma11", "eta": 0.5,
                      "h": "int(sqrt(abs(s - 1/3)))"}])
         coarse = hc.QuadConfig(rel_tol=1e-4, abs_tol=1e-6)
-        params = Params.from_spec(spec)
+        params = spec.params
         images = [assert_same_image(spec, zero_state(1, 128), params, quad)
                   for quad in (spec.quad, coarse, spec.quad, coarse)]
         assert images[0] != images[1]
@@ -557,7 +557,7 @@ class TestSplitOperatorOracle:
                      "h": "val(1, 1/2)^2 + 1"}])
         op = solver._operator(spec, 128)
         z = zero_state(1, 128)
-        base = Params.from_spec(spec)
+        base = spec.params
         lambdas = SweepAxis("lambda1", 0.0, 0.1, 5).grid().tolist()
         for lam in lambdas + lambdas[::-1]:
             params = base.with_overrides({"lambda1": lam})
