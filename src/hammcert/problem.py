@@ -141,6 +141,12 @@ class ProblemSpec:
     solver: SolverConfig
     seed: int = 0
 
+    def __post_init__(self):  # a point set by replace(spec, params=...) must fit
+        gammas = [len(c.gammas) for c in self.components]
+        if len(self.params.lambdas) != len(gammas) or list(map(len, self.params.etas)) != gammas:
+            raise ConfigError("params", f"{self.params} does not fit {len(gammas)} components "
+                                        f"with {gammas} gamma terms")
+
     def __hash__(self):
         # the dataclass hash, kept in the instance __dict__ (outside the
         # fields, so equality ignores it): the spec keys the operator and

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,20 @@ class TestRejectedAtTheirSource:
         for rho in (math.inf, math.nan, 1.0 + 1e-9):
             with pytest.raises(hc.ConfigError, match="no declared-bounds block"):
                 spec.bounds_at(rho)
+
+    @pytest.mark.parametrize("params", [
+        hc.Params((0.05,), ((0.1,),)), hc.Params((0.05, 0.5, 1.0), ((0.1,), (0.5,), ())),
+        hc.Params((0.05, 0.5), ((0.1,), ())), hc.Params((0.05, 0.5), ((0.1, 0.2), (0.5,))),
+        hc.Params((0.05, 0.5), ((0.1,), (0.5,), ())),
+    ])
+    def test_a_replaced_point_must_fit_the_components(self, params):
+        spec = hc.spec_from_dict(example())
+        with pytest.raises(hc.ConfigError) as err:
+            replace(spec, params=params)
+        assert err.value.key == "params"
+        assert str(err.value) == (f"params: {params} does not fit 2 components "
+                                  f"with [1, 1] gamma terms")
+        assert replace(spec, params=spec.params.with_overrides({"eta21": 1.0})) != spec
 
     def test_integer_beyond_the_double_range(self):
         doc = example()

@@ -993,9 +993,10 @@ def scan_panels(draw):
             b = draw(st.floats(-1e3, 1e3))
         elif span == "negative":
             b = a - draw(st.floats(0.0, 10.0, exclude_min=True))
-        else:  # from |a| >= 8 on, one ulp is above 1e-15
-            a = math.copysign(max(abs(a), 8.0), a)
-            b = a + draw(st.integers(1, 600)) * math.ulp(a)
+        else:  # the fewest ulps wider than 1e-15, and up to 600 more
+            a = math.copysign(max(abs(a), 0.125), a)
+            k0 = math.floor(1e-15 / math.ulp(a)) + 1
+            b = a + draw(st.integers(k0, k0 + 600)) * math.ulp(a)
         assume(abs(b - a) > 1e-15)
         lo.append(a)
         hi.append(b)

@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 import hammcert as hc
+from hammcert.kernels import KERNEL_CATALOG
 from conftest import TIGHT_CONFIG, state_digest
 
 # example.cfg's catalog kernels, written out so that they can be scaled
@@ -69,6 +70,10 @@ def _solution(spec) -> tuple[str, int]:
 def unscaled(request):
     doc = _unscaled_doc(CONFIGS[request.param])
     spec = hc.spec_from_dict(doc)
+    raw = json.loads(CONFIGS[request.param].read_text())
+    for cdoc, comp in zip(raw["components"], spec.components):
+        if isinstance(cdoc["kernel"], str):  # the inline text is still the catalog's
+            assert comp.kernel == KERNEL_CATALOG[cdoc["kernel"]]
     cc = hc.assemble_cone_constants(spec)
     return doc, cc, _rows(spec, cc), _solution(spec)
 
