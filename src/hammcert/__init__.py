@@ -14,8 +14,7 @@ from .certify import (Certificate, SweepAxis, SweepResult, check_I0,
                       check_I0_star, check_I1, existence_certificate,
                       nonexistence_certificate, sweep)
 from .cone import (DiscreteState, StateNorms, c1_norm, cone_membership,
-                   constant_state, sample_cone_boundary, state_from_csv,
-                   state_to_csv, zero_state)
+                   constant_state, state_from_csv, state_to_csv, zero_state)
 from .constants import (ConeConstants, Opt1DConfig, Window,
                         assemble_cone_constants, c_tilde, constants_report,
                         gamma_c, recip_M, recip_m, sup_abs_1d)
@@ -29,7 +28,7 @@ from .kernels import (EnvelopeSpec, GammaDef, KernelDef, eval_dk, eval_k,
 from .problem import (Component, GammaTerm, Params, ProblemSpec,
                       example_config_path, load_config, spec_from_dict)
 from .quad import QuadConfig, integrate
-from .solver import (SolveReport, SolverConfig, apply_T, localization_check,
-                     residual, solve_fixed_point)
+from .solver import (SolveReport, SolverConfig, apply_T, residual,
+                     solve_fixed_point)
 
 __version__ = "0.1.0"

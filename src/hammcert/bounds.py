@@ -54,7 +54,6 @@ from .cone import DiscreteState, c1_norm, sample_cone_boundary_rng
 from .constants import ConeConstants
 from .errors import ConfigError, HammcertError, _finite_real, _integer
 from .expr import _shaped, _SharedPass, _state_env, eval_functional, eval_scalar
-from .quad import QuadConfig
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec
@@ -184,11 +183,12 @@ def _check_shape(spec: "ProblemSpec", db: DeclaredBounds) -> None:
 
 
 def _boundary_pass(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float,
-                   samples: int, rng: np.random.Generator, quad: QuadConfig,
-                   ball: bool = False, norms: bool = False):
+                   samples: int, rng: np.random.Generator, ball: bool = False,
+                   norms: bool = False):
     """Per sample: a state u on ||u|| = rho (with ``ball``, a fair coin scales
     it into the ball by a uniform factor in [0.05, 1]), its ||u_i||_inf (only
-    with ``norms``) and, per component, [w_i[u], h_i1[u], h_i2[u], ...].
+    with ``norms``) and, per component, [w_i[u], h_i1[u], h_i2[u], ...], the
+    functionals integrated under ``spec.quad``.
 
     Samples are drawn and evaluated in stacks of at most STACK states, with
     one _SharedPass per stack; each state's functionals are evaluated once,
@@ -199,7 +199,7 @@ def _boundary_pass(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float,
     so that the error of the first failing sample surfaces."""
     layout = [[(comp.w, "C8"), *((term.h, "C7") for term in comp.gammas)]
               for comp in spec.components]
-    args = (spec, cc, rho, rng, quad, ball, norms, layout)
+    args = (spec, cc, rho, rng, ball, norms, layout)
     for start in range(0, samples, STACK):
         size = min(STACK, samples - start)
         saved = rng.bit_generator.state
@@ -213,16 +213,16 @@ def _boundary_pass(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float,
         yield from found
 
 
-def _stack_pass(size, spec, cc, rho, rng, quad, ball, norms, layout) -> list:
+def _stack_pass(size, spec, cc, rho, rng, ball, norms, layout) -> list:
     """``_boundary_pass``'s samples of one stack of ``size`` states."""
     u = sample_cone_boundary_rng(spec, cc, rho, rng, size=size, ball=ball)
     sups = c1_norm(u).sup.tolist() if norms else [None] * size
-    shared = _SharedPass(u, quad, [fx for comp in layout for fx, _ in comp])
+    shared = _SharedPass(u, spec.quad, [fx for comp in layout for fx, _ in comp])
     out = []
     for r in range(size):
         row = shared.row(r)
         out.append((row.u, sups[r],
-                    [[eval_functional(fx, row.u, quad, nonneg_condition=condition,
+                    [[eval_functional(fx, row.u, nonneg_condition=condition,
                                       shared_pass=row) for fx, condition in comp]
                      for comp in layout]))
     return out
@@ -294,7 +294,7 @@ def falsify_bounds(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     # per violated bound, in order of first violation: worst witness and count
     found: dict[_Check, Violation] = {}
     for u, sups, values in _boundary_pass(spec, cc, db.rho, samples, rng,
-                                          spec.quad, include_interior,
+                                          include_interior,
                                           any(c.ratio for c in checks)):
         for c in checks:
             value = values[c.component - 1][c.term or 0]
@@ -402,7 +402,7 @@ def estimate_ranges(spec: "ProblemSpec", cc: Sequence[ConeConstants], rho: float
     rng = _sampling_rng(samples, seed)
     ranges = [[[np.inf, -np.inf] for _ in range(1 + len(comp.gammas))]
               for comp in spec.components]
-    for _, _, values in _boundary_pass(spec, cc, rho, samples, rng, spec.quad):
+    for _, _, values in _boundary_pass(spec, cc, rho, samples, rng):
         for comp_ranges, comp_values in zip(ranges, values):
             for r, v in zip(comp_ranges, comp_values):
                 r[0], r[1] = min(r[0], v), max(r[1], v)

@@ -70,7 +70,7 @@ import numpy as np
 from .errors import (ConfigError, EvalDomainError, HammcertError, ModelViolationError,
                      _check_integers, _finite_real)
 from .expr import _enclose, _monotone_in, _shaped, eval_scalar
-from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k
+from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k, s_breakpoints
 from .quad import QuadConfig, _distinct, _panels, integrate_panels
 
 if TYPE_CHECKING:
@@ -351,14 +351,14 @@ def integrate_over_s(kd: KernelDef, ts, a: float, b: float, *, order: int = 0,
     """For every t in ts, the integral over s in [a, b] of k(t,s) (order 0)
     or dk/dt(t,s) (order 1), or of its absolute value.
 
-    Panels split at the fixed breakpoints, at the moving breakpoint s = t
-    (the rule of ``s_breakpoints``) and, for absolute values, at the sign
-    roots of the integrand in each of those panels; ``quad._panels``, the
-    one edge rule, makes the panels scanned and integrated.  All t then run
-    the adaptive rule of ``integrate`` together (``integrate_panels``), so
-    each value equals, bit for bit, a per-t ``integrate`` with those splits.
-    t is processed in chunks under a fixed point budget.  Returns an array
-    of the shape of ts.
+    Panels split at the fixed breakpoints and the moving one, s = t, by
+    their one rule, ``kernels.s_breakpoints``, and, for absolute values, at
+    the sign roots of the integrand in each of those panels;
+    ``quad._panels``, the one edge rule, makes the panels scanned and
+    integrated.  All t then run the adaptive rule of ``integrate`` together
+    (``integrate_panels``), so each value equals, bit for bit, a per-t
+    ``integrate`` with those splits.  t is processed in chunks under a fixed
+    point budget.  Returns an array of the shape of ts.
     """
     quad_cfg = quad_cfg or QuadConfig()
     ts = np.asarray(ts, dtype=float)
@@ -396,13 +396,8 @@ def _s_integrals(kd: KernelDef, ts: np.ndarray, a: float, b: float, order: int,
     evalf = eval_k if order == 0 else eval_dk
     fn = lambda r, s: evalf(kd, ts[r], s)
     n = ts.size
-    fixed = np.asarray(kd.fixed_breakpoints, dtype=float)
-    moving = np.full(n, a)
-    if kd.moving_breakpoint:
-        clear = np.all(np.abs(ts[:, None] - fixed) > 1e-14, axis=1)
-        moving = np.where(clear, ts, a)
     # breakpoints of every t, one row each; _panels ignores those outside (a, b)
-    splits = np.column_stack((np.broadcast_to(fixed, (n, fixed.size)), moving))
+    splits = s_breakpoints(kd, ts)
     if absolute:
         expr = kd.k if order == 0 else kd.dk_dt
         box = np.array([ts.min(), ts.max(), a, b])

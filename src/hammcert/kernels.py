@@ -89,13 +89,19 @@ def eval_dk(kd: KernelDef, t, s):
     return eval_scalar(kd.dk_dt, {"t": t, "s": s})
 
 
-def s_breakpoints(kd: KernelDef, t: float) -> list[float]:
-    """Panel split points in (0,1) for integrating over s at this t."""
-    pts = list(kd.fixed_breakpoints)
-    if kd.moving_breakpoint and 0.0 < t < 1.0:
-        if not any(abs(t - p) <= 1e-14 for p in pts):
-            pts.append(t)
-    return sorted(pts)
+def s_breakpoints(kd: KernelDef, ts) -> np.ndarray:
+    """Split points of the s-integral at every t in ts, one row per t: the
+    fixed breakpoints, then, for a moving breakpoint, s = t, or NaN where t
+    is not inside (0, 1) or lies within 1e-14 of a fixed breakpoint.  NaN
+    lies inside no interval, so ``quad._panels`` ignores it."""
+    ts = np.asarray(ts, dtype=float).ravel()
+    fixed = np.broadcast_to(np.asarray(kd.fixed_breakpoints, dtype=float),
+                            (ts.size, len(kd.fixed_breakpoints)))
+    if not kd.moving_breakpoint:
+        return fixed
+    near = (np.abs(ts[:, None] - fixed) <= 1e-14).any(axis=1)
+    clear = (0.0 < ts) & (ts < 1.0) & ~near
+    return np.column_stack((fixed, np.where(clear, ts, np.nan)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ if TYPE_CHECKING:
     from .problem import Params, ProblemSpec
 
 __all__ = ["SolverConfig", "SolveReport", "apply_T", "residual",
-           "solve_fixed_point", "localization_check"]
+           "solve_fixed_point"]
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,10 @@ class _NystromOperator:
         self.nodes = nodes
         self.functionals = tuple(fx for comp in spec.components
                                  for fx in (comp.w, *(term.h for term in comp.gammas)))
-        layout = first_pass_layout(0.0, 1.0, nodes[1:-1], spec.quad.gauss_order)
-        self.pts, self.wts = layout.whole_points.ravel(), layout.whole_weights.ravel()
+        # the int atoms of a state on these nodes integrate over the same arrays
+        self.layout = first_pass_layout(0.0, 1.0, nodes[1:-1], spec.quad.gauss_order)
+        self.pts = self.layout.whole_points.ravel()
+        self.wts = self.layout.whole_weights.ravel()
         self.k_val = []
         self.k_der = []
         self.gamma_val = []
@@ -105,19 +107,16 @@ class _NystromOperator:
 
     def apply(self, u: DiscreteState, params: "Params") -> DiscreteState:
         spec = self.spec
-        n, quad = spec.n, spec.quad
-        shared = _SharedPass(u, quad, self.functionals)
+        n = spec.n
+        shared = _SharedPass(u, spec.quad, self.functionals)
         row = shared.row(0)
-        # the int atoms of a state on these nodes integrate over the same arrays
-        layout = first_pass_layout(0.0, 1.0, self.nodes[1:-1], quad.gauss_order)
-        uq, duq = (a[0].reshape(u.n, -1) for a in shared.at(layout.whole_points))
+        uq, duq = (a[0].reshape(u.n, -1) for a in shared.at(self.layout.whole_points))
         values = np.zeros((n, self.nodes.size))
         derivs = np.zeros_like(values)
         for i, comp in enumerate(spec.components):
             lam = float(params.lambdas[i])
             if lam > 0.0:
-                w_i = eval_functional(comp.w, u, quad, nonneg_condition="C8",
-                                      shared_pass=row)
+                w_i = eval_functional(comp.w, u, nonneg_condition="C8", shared_pass=row)
                 env = _state_env(uq, duq, t=self.pts, w=w_i)
                 F = _shaped(eval_scalar(comp.f, env), self.pts.shape)
                 fmin = float(F.min())
@@ -133,7 +132,7 @@ class _NystromOperator:
                 # a float product eta * h_ij overflows to inf without a warning
                 eta = float(params.etas[i][j])
                 if eta > 0.0:
-                    h_ij = eval_functional(term.h, u, quad, nonneg_condition="C7",
+                    h_ij = eval_functional(term.h, u, nonneg_condition="C7",
                                            shared_pass=row)
                     _add_term(values[i], derivs[i], (i, j), eta * h_ij,
                               self.gamma_val[i][j], self.gamma_der[i][j])
@@ -241,7 +240,6 @@ class SolveReport:
 
 STAGNATION_WINDOW = 50
 STAGNATION_FACTOR = 0.99  # less than 1% reduction over the window
-MEMBERSHIP_SLACK = 1e-9  # cone-membership slack of the solved state
 
 
 def solve_fixed_point(spec: "ProblemSpec", *,
@@ -309,7 +307,7 @@ def solve_fixed_point(spec: "ProblemSpec", *,
     membership = None
     constants_used = None
     if cc is not None:
-        membership = cone_membership(u, cc, MEMBERSHIP_SLACK)
+        membership = cone_membership(u, cc)
         constants_used = {cci.record("c").symbol: cci.c for cci in cc}
     localization = None
     if rho_interval is not None:
@@ -319,8 +317,3 @@ def solve_fixed_point(spec: "ProblemSpec", *,
                        membership=membership, localization=localization,
                        rho_interval=rho_interval, notes=tuple(notes),
                        constants_used=constants_used)
-
-
-def localization_check(report: SolveReport, rho1: float, rho2: float) -> bool:
-    """True iff the solved state satisfies rho1 <= ||u|| <= rho2."""
-    return bool(rho1 <= report.norms.overall <= rho2)

@@ -137,7 +137,7 @@ def test_criterion_6_full_example_solve(example_spec, example_cc):
     rep = solve_fixed_point(example_spec, cc=example_cc, rho_interval=(1e-3, 1.0))
     assert rep.converged and rep.iterations <= 5000
     assert rep.residual <= 1e-8
-    assert cone_membership(rep.state, example_cc, slack=1e-9).member
+    assert cone_membership(rep.state, example_cc).member
     assert rep.norms.overall <= 1.0
     assert rep.norms.overall > 0.0
     rep2 = solve_fixed_point(replace(example_spec, solver=hc.SolverConfig(nodes=256)),
@@ -155,8 +155,7 @@ def test_criterion_7_cone_invariance_and_falsification(example_spec, example_cc)
     rng = np.random.default_rng(example_spec.seed)
     for _ in range(200):
         u = sample_cone_boundary_rng(example_spec, example_cc, 1.0, rng)
-        assert cone_membership(apply_T(example_spec, u), example_cc,
-                               slack=1e-9).member
+        assert cone_membership(apply_T(example_spec, u), example_cc).member
     # 1000 samples respect every declared range (0 violations)
     db = example_spec.bounds_at(1.0)
     rep = falsify_bounds(example_spec, example_cc, db, samples=1000,

@@ -333,7 +333,7 @@ def pass_digest(spec, cc, samples, seed, ball):
     from hammcert.bounds import _boundary_pass
     rng = np.random.default_rng(seed)
     rows = [(state_digest(u), sups, values) for u, sups, values in
-            _boundary_pass(spec, cc, 1.0, samples, rng, spec.quad, ball, True)]
+            _boundary_pass(spec, cc, 1.0, samples, rng, ball, True)]
     return digest([rows, rng.uniform()])
 
 
@@ -381,8 +381,8 @@ def test_stack_error_is_the_first_samples_error():
     assert bounds.STACK >= 6
     layout = [[(spec.components[0].w, "C8")]]
     with pytest.raises(hc.EvalDomainError, match="sqrt of a negative value"):
-        bounds._stack_pass(6, spec, cc, 1.0, np.random.default_rng(4), spec.quad,
-                           False, False, layout)
+        bounds._stack_pass(6, spec, cc, 1.0, np.random.default_rng(4), False, False,
+                           layout)
     message = ("condition (C8) violated: functional 'val(1, 0.6) - 1 / 100 + 0 * "
                "int(sqrt(u1 + 1 / 250))' evaluated to -0.005467668553410375 < 0 "
                "on the cone")

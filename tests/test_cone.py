@@ -11,8 +11,7 @@ import pytest
 import hammcert as hc
 import hammcert.cone as cone_mod
 from hammcert import (DiscreteState, c1_norm, cone_membership, constant_state,
-                      falsify_bounds, sample_cone_boundary, state_from_csv,
-                      state_to_csv, zero_state)
+                      falsify_bounds, state_from_csv, state_to_csv, zero_state)
 from hammcert.cone import sample_cone_boundary_rng
 from hammcert.quad import _panel_points
 from conftest import trig_state
@@ -102,7 +101,7 @@ class TestMembership:
             cone_membership(stack, example_cc)
 
     def test_positive_scaling_invariance(self, example_spec, example_cc):
-        u = sample_cone_boundary(example_spec, example_cc, 1.0, seed=2)
+        u = sample_cone_boundary_rng(example_spec, example_cc, 1.0, np.random.default_rng(2))
         base = cone_membership(u, example_cc)
         for alpha in (0.1, 1.0, 10.0):
             v = DiscreteState(u.nodes, alpha * u.values, alpha * u.derivatives)
@@ -115,18 +114,20 @@ class TestMembership:
 class TestSampler:
     def test_membership_and_norm(self, example_spec, example_cc):
         for seed in range(25):
-            u = sample_cone_boundary(example_spec, example_cc, 1.0, seed=seed)
+            u = sample_cone_boundary_rng(example_spec, example_cc, 1.0,
+                                         np.random.default_rng(seed))
             assert cone_membership(u, example_cc).member
             assert abs(c1_norm(u).overall - 1.0) <= 1e-12
 
     def test_various_radii(self, example_spec, example_cc):
         for rho in (1e-3, 0.1, 2.0):
-            u = sample_cone_boundary(example_spec, example_cc, rho, seed=1)
+            u = sample_cone_boundary_rng(example_spec, example_cc, rho,
+                                         np.random.default_rng(1))
             assert abs(c1_norm(u).overall - rho) <= 1e-12 * max(1, rho)
 
     def test_determinism(self, example_spec, example_cc):
-        a = sample_cone_boundary(example_spec, example_cc, 1.0, seed=77)
-        b = sample_cone_boundary(example_spec, example_cc, 1.0, seed=77)
+        a = sample_cone_boundary_rng(example_spec, example_cc, 1.0, np.random.default_rng(77))
+        b = sample_cone_boundary_rng(example_spec, example_cc, 1.0, np.random.default_rng(77))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.derivatives, b.derivatives)
 
@@ -140,7 +141,7 @@ class TestSampler:
             window=(0, 1), gammas=[])
         cc = hc.assemble_cone_constants(replace(spec, opt=FAST_OPT))
         assert cc[0].c == pytest.approx(1.0, abs=1e-12)
-        u = sample_cone_boundary(spec, cc, 1.0, seed=3)
+        u = sample_cone_boundary_rng(spec, cc, 1.0, np.random.default_rng(3))
         assert np.ptp(u.values[0]) == 0.0 and np.all(u.values[0] > 0)
         assert np.all(u.derivatives[0] == 0.0)
         assert abs(hc.c1_norm(u).overall - 1.0) <= 1e-12
@@ -148,7 +149,8 @@ class TestSampler:
     def test_rho_must_be_positive(self, example_spec, example_cc):
         for rho in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="finite number > 0"):
-                sample_cone_boundary(example_spec, example_cc, rho, seed=1)
+                sample_cone_boundary_rng(example_spec, example_cc, rho,
+                                         np.random.default_rng(1))
 
     def test_stack_is_its_states_drawn_one_at_a_time(self, example_spec, example_cc):
         rng = np.random.default_rng(21)
@@ -200,7 +202,7 @@ def _csv_rows(ts, u="1.0") -> str:
 
 class TestCsv:
     def test_round_trip(self, tmp_path, example_spec, example_cc):
-        u = sample_cone_boundary(example_spec, example_cc, 1.0, seed=5)
+        u = sample_cone_boundary_rng(example_spec, example_cc, 1.0, np.random.default_rng(5))
         path = tmp_path / "state.csv"
         state_to_csv(u, path)
         header = path.read_text().splitlines()[0]

@@ -427,17 +427,17 @@ def ref_abs_integral_over_s(kd, t, order, quad_cfg):
     one t, split at the breakpoints and at the sign roots of each panel."""
     evalf = eval_k if order == 0 else eval_dk
     fn = lambda s: evalf(kd, t, s)
-    splits = s_breakpoints(kd, t)
+    splits = s_breakpoints(kd, t)[0].tolist()
     for lo, hi in itertools.pairwise(panel_edges(0.0, splits, 1.0)):
         splits.extend(ref_sign_roots(fn, lo, hi))
     return hc.integrate(lambda s: np.abs(np.asarray(fn(s), dtype=float)),
-                        0.0, 1.0, sorted(splits), quad_cfg)
+                        0.0, 1.0, splits, quad_cfg)
 
 
 def ref_signed_integral(kd, t, w, quad_cfg):
     """Integral over s in the window of k(t, s) at one t (the 1/M integrand)."""
-    bps = [p for p in s_breakpoints(kd, t) if w.a < p < w.b]
-    return hc.integrate(lambda s: eval_k(kd, t, s), w.a, w.b, bps, quad_cfg)
+    return hc.integrate(lambda s: eval_k(kd, t, s), w.a, w.b, s_breakpoints(kd, t),
+                        quad_cfg)
 
 
 def _kernel(k, dk, bps=(), moving=False):
@@ -602,8 +602,8 @@ def ref_kernel_columns(evalf, kd, ts, ss, combine, absolute):
 
 def sign_scan_panels(kd, ts, a=0.0, b=1.0):
     """(rows, lo, hi) of the panels between the s-breakpoints of each t."""
-    panels = [(r, lo, hi) for r, t in enumerate(ts)
-              for lo, hi in itertools.pairwise(panel_edges(a, s_breakpoints(kd, t), b))]
+    panels = [(r, lo, hi) for r, row in enumerate(s_breakpoints(kd, ts).tolist())
+              for lo, hi in itertools.pairwise(panel_edges(a, row, b))]
     rows, lo, hi = zip(*panels)
     return np.array(rows, dtype=np.intp), np.array(lo), np.array(hi)
 
@@ -690,12 +690,7 @@ def ref_s_integrals(kd, ts, a, b, order, absolute, quad_cfg):
     evalf = eval_k if order == 0 else eval_dk
     fn = lambda r, s: evalf(kd, ts[r], s)
     n = ts.size
-    fixed = np.asarray(kd.fixed_breakpoints, dtype=float)
-    moving = np.full(n, a)
-    if kd.moving_breakpoint:
-        clear = np.all(np.abs(ts[:, None] - fixed) > 1e-14, axis=1)
-        moving = np.where(clear, ts, a)
-    splits = np.column_stack((np.broadcast_to(fixed, (n, fixed.size)), moving))
+    splits = s_breakpoints(kd, ts)
     if absolute:
         roots = constants_mod._panel_sign_roots(fn, *quad_mod._panels(a, b, splits))
         splits = np.column_stack((splits, constants_mod._pad_rows(*roots, n, a)))
@@ -775,10 +770,7 @@ EDGE_CASES = {
 def test_sign_scan_scans_the_quadrature_panels(name, filtered, monkeypatch):
     kd, a, b, near = EDGE_CASES[name]
     ts = np.concatenate((np.linspace(a, b, 17), near))
-    bps = [s_breakpoints(kd, t) for t in ts]
-    width = max(map(len, bps))
-    splits = np.array([row + [a] * (width - len(row)) for row in bps])
-    want = quad_mod._panels(a, b, splits)
+    want = quad_mod._panels(a, b, s_breakpoints(kd, ts))
     # the model of the rule the tests' references use
     assert all(np.array_equal(m, w) for m, w in zip(sign_scan_panels(kd, ts, a, b), want))
     scanned = []

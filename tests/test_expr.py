@@ -1,5 +1,9 @@
+import inspect
+import json
 import math
+import os
 import pickle
+import subprocess
 import sys
 import warnings
 from contextlib import contextmanager
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
 
 from hammcert import (DiscreteState, DslSyntaxError, EvalDomainError, HammcertError,
                       ModelViolationError, QuadConfig, QuadratureError, constant_state,
@@ -944,9 +949,10 @@ def test_interval_table_encloses_numpy_and_real_values(tree, case):
             assert mp.mpf(lo[k, 0]) <= real <= mp.mpf(hi[k, 0])
 
 
-def test_numpy_exp_is_within_one_ulp():
-    # the allowance the interval table's exp rests on, for exp's array and
-    # float paths, over the normal range and near powers of 2 and 0
+def max_exp_ulps() -> float:
+    """The largest distance of numpy's exp from 50-digit mpmath, in ulps of
+    its result, for exp's array and float paths, over the normal range and
+    near powers of 2 and 0.  Its source also runs in a child interpreter."""
     rng = np.random.default_rng(29)
     x = np.concatenate((rng.uniform(-708.0, 709.7, 6000), rng.uniform(-1.0, 1.0, 2000),
                         rng.uniform(-1e-6, 1e-6, 1000),
@@ -955,10 +961,31 @@ def test_numpy_exp_is_within_one_ulp():
     assert x.size >= 10_000
     floats = [float(np.exp(v)) for v in x[::5].tolist()]
     with mp.workdps(50):
-        for args, got in ((x, np.exp(x)), (x[::5], np.array(floats))):
-            ulps = [abs(mp.mpf(y) - mp.exp(mp.mpf(v))) / np.spacing(y)
-                    for v, y in zip(args.tolist(), got.tolist())]
-            assert max(ulps) <= 1
+        return float(max(abs(mp.mpf(y) - mp.exp(mp.mpf(v))) / np.spacing(y)
+                         for args, got in ((x, np.exp(x)), (x[::5], np.array(floats)))
+                         for v, y in zip(args.tolist(), got.tolist())))
+
+
+def test_numpy_exp_is_within_one_ulp():
+    # the allowance the interval table's exp rests on
+    assert max_exp_ulps() <= 1
+
+
+@pytest.mark.skipif(not _CPU_FEATURES.get("X86_V3"),
+                    reason="the capped dispatch level is x86-64's X86_V3")
+def test_numpy_exp_is_within_one_ulp_at_the_avx2_dispatch_level():
+    # numpy picks its SIMD kernels when it is imported, so the level a CPU
+    # without AVX-512 runs is checked in a child capped at X86_V3 (AVX2)
+    code = "\n".join(("import json, math", "import mpmath as mp", "import numpy as np",
+                      "from numpy._core._multiarray_umath import __cpu_features__",
+                      inspect.getsource(max_exp_ulps),
+                      "print(json.dumps([max_exp_ulps(), __cpu_features__['X86_V4']]))"))
+    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES="X86_V2 X86_V3")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    ulps, avx512 = json.loads(out)
+    assert not avx512  # the cap took effect
+    assert ulps <= 1
 
 
 @pytest.mark.parametrize("text,box", [

@@ -37,16 +37,42 @@ class TestPointValues:
         assert eval_dk(k2, 0.9, 0.1) == -1.0
 
 
+def moving_splits(kd, ts):
+    """The moving column of s_breakpoints' rows at ts, after a check that
+    every row starts with the fixed breakpoints."""
+    rows = s_breakpoints(kd, ts)
+    assert rows.shape == (len(ts), len(kd.fixed_breakpoints) + 1)
+    assert (rows[:, :-1] == kd.fixed_breakpoints).all()
+    return rows[:, -1].tolist()
+
+
 class TestBreakpoints:
     def test_moving_plus_fixed(self, k1):
-        assert s_breakpoints(k1, 0.7) == [0.5, 0.7]
+        assert s_breakpoints(k1, [0.7]).tolist() == [[0.5, 0.7]]
 
     def test_endpoint_excluded(self, k1):
-        assert s_breakpoints(k1, 0.0) == [0.5]
-        assert s_breakpoints(k1, 1.0) == [0.5]
+        assert np.isnan(moving_splits(k1, [0.0, 1.0])).all()
 
     def test_coincident_deduplicated(self, k1):
-        assert s_breakpoints(k1, 0.5) == [0.5]
+        assert np.isnan(moving_splits(k1, [0.5])).all()
+
+    def test_clearance_of_a_fixed_breakpoint(self, k1):
+        # s = t within 1e-14 of a fixed breakpoint is no split; 2e-14 off it is
+        near = [0.5 - 5e-15, 0.5 + 5e-15]
+        assert np.isnan(moving_splits(k1, near)).all()
+        assert moving_splits(k1, [0.5 + 2e-14]) == [0.5 + 2e-14]
+
+    def test_rows_per_t(self, k1):
+        ts = np.array([[0.25, 0.5], [0.7, 1.0]])
+        got = moving_splits(k1, ts.ravel())
+        assert s_breakpoints(k1, ts).shape == (4, 2)
+        assert got[0::2] == [0.25, 0.7] and np.isnan(got[1::2]).all()
+
+    def test_fixed_only(self):
+        e = parse_expr("1", KERNEL_CONTEXT)
+        assert s_breakpoints(KernelDef(e, e, (0.25, 0.5)), [0.3, 0.7]).tolist() == \
+            [[0.25, 0.5], [0.25, 0.5]]
+        assert s_breakpoints(KernelDef(e, e), [0.3]).shape == (1, 0)
 
     def test_invalid_fixed_breakpoints(self):
         e = parse_expr("1", KERNEL_CONTEXT)
