@@ -53,7 +53,8 @@ import numpy as np
 from .cone import DiscreteState, c1_norm, sample_cone_boundary_rng
 from .constants import ConeConstants
 from .errors import ConfigError, HammcertError, _finite_real, _integer
-from .expr import _shaped, _SharedPass, _state_env, eval_functional, eval_scalar
+from .expr import _SharedPass, _state_env, eval_functional, eval_scalar
+from .quad import _shaped
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec

@@ -53,7 +53,7 @@ from .constants import ConeConstants
 from .errors import (ConfigError, ContradictionError, HammcertError, MissingBoundError,
                      _finite_real, _integer)
 from .problem import parse_param_name
-from .solver import residual
+from .solver import _check_radii, residual
 
 if TYPE_CHECKING:
     from .problem import Params, ProblemSpec
@@ -270,11 +270,6 @@ def _partition(spec: "ProblemSpec", setI: Sequence[int],
         raise ConfigError("setI/setJ",
                           f"I={setI} and J={setJ} must partition 1..{spec.n}")
     return setI, setJ
-
-
-def _check_radii(rho1: float, rho2: float) -> None:
-    if rho1 >= rho2:
-        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {rho1} >= {rho2}")
 
 
 def _check_existence(spec: "ProblemSpec", db1: DeclaredBounds, db2: DeclaredBounds,

@@ -40,7 +40,7 @@ from .cone import state_to_csv
 from .constants import assemble_cone_constants, constants_report
 from .errors import ConfigError, ContradictionError, HammcertError
 from .problem import Params, ProblemSpec, load_config, parse_param_name
-from .solver import solve_fixed_point
+from .solver import _check_radii, solve_fixed_point
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 10
@@ -204,7 +204,7 @@ def _solve_radii(rho1: float | None, rho2: float | None) -> tuple[float, float] 
     for flag, rho, other in (("--rho1", rho1, "--rho2"), ("--rho2", rho2, "--rho1")):
         if rho is None:
             raise HammcertError(f"{other} needs {flag}")
-    certify_mod._check_radii(rho1, rho2)
+    _check_radii(rho1, rho2)
     return rho1, rho2
 
 

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .constants import ConeConstants
-from .errors import _finite_real
+from .errors import _finite_real, _integer
 from .quad import _distinct
 
 if TYPE_CHECKING:
@@ -313,7 +313,7 @@ def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
                              size: int | None = None,
                              ball: bool = False) -> DiscreteState:
     """Draw a state on the cone boundary with ||u|| = rho exactly, from the
-    generator rng; with ``size``, a stack of that many states.
+    generator rng; with an integer ``size`` >= 1, a stack of that many states.
 
     Per component: draw a trig polynomial v, add the smallest constant shift
     that restores min over the window >= c * sup, then rescale the whole
@@ -328,6 +328,8 @@ def sample_cone_boundary_rng(spec: "ProblemSpec", cc: Sequence[ConeConstants],
     """
     if not (_finite_real(rho) and rho > 0.0):
         raise ValueError("rho must be a finite number > 0")
+    if size is not None and not (_integer(size) and size >= 1):
+        raise ValueError(f"size must be an integer >= 1, got {size!r}")
     nodes = np.linspace(0.0, 1.0, SAMPLE_PANELS + 1)
     count, n = size or 1, len(cc)
     # the cone of a c >= 1 component degenerates to positive constants on the window

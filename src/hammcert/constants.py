@@ -69,9 +69,9 @@ import numpy as np
 
 from .errors import (ConfigError, EvalDomainError, HammcertError, ModelViolationError,
                      _check_integers, _finite_real)
-from .expr import _enclose, _monotone_in, _shaped, eval_scalar
+from .expr import _enclose, _monotone_in, eval_scalar
 from .kernels import EnvelopeSpec, KernelDef, eval_dk, eval_k, s_breakpoints
-from .quad import QuadConfig, _distinct, _panels, integrate_panels
+from .quad import QuadConfig, _distinct, _panels, _shaped, integrate_panels
 
 if TYPE_CHECKING:
     from .problem import ProblemSpec
@@ -706,27 +706,23 @@ def _assemble_cached(spec: "ProblemSpec") -> tuple[ConeConstants, ...]:
     for i, comp in enumerate(spec.components, start=1):
         kd = comp.kernel
         w = comp.window
-        decl = comp.declared
-        # a declared list holds one entry per gamma term (checked at load)
-        unset = (None,) * len(comp.gammas)
-
         records: dict[str, ConstantRecord] = {}
-        ct = c_tilde(kd, w, comp.envelope, opt_cfg=opt_cfg)
-        records["c_tilde"] = _overridable(f"c~_{i}", ct, decl.get("c_tilde"),
-                                          condition="C2")
-        for j, (term, d_cg, d_gs, d_dgs) in enumerate(zip(
-                comp.gammas, decl.get("c_gamma", unset), decl.get("gamma_sup", unset),
-                decl.get("dgamma_sup", unset))):
+        declared = comp.declared
+
+        def put(key, rule, symbol, computed, **condition):
+            # each record reads the constant declared under its own key
+            records[key] = rule(symbol, computed, declared.get(key), **condition)
+
+        put("c_tilde", _overridable, f"c~_{i}",
+            c_tilde(kd, w, comp.envelope, opt_cfg=opt_cfg), condition="C2")
+        for j, term in enumerate(comp.gammas):
             ij = f"{i},{j + 1}"
             cg, gsup = gamma_c(term.gamma.gamma, w, opt_cfg)
-            records[f"c_gamma[{j}]"] = _overridable(f"c_{{{ij}}}", cg, d_cg,
-                                                    condition="C5")
-            records[f"gamma_sup[{j}]"] = _informational(
-                f"||gamma_{{{ij}}}||_inf", gsup, d_gs)
+            put(f"c_gamma[{j}]", _overridable, f"c_{{{ij}}}", cg, condition="C5")
+            put(f"gamma_sup[{j}]", _informational, f"||gamma_{{{ij}}}||_inf", gsup)
             dsup, _ = sup_abs_1d(lambda t: eval_scalar(term.gamma.dgamma, {"t": t}),
                                  Window(0.0, 1.0), opt_cfg)
-            records[f"dgamma_sup[{j}]"] = _informational(
-                f"||gamma_{{{ij}}}'||_inf", dsup, d_dgs)
+            put(f"dgamma_sup[{j}]", _informational, f"||gamma_{{{ij}}}'||_inf", dsup)
 
         if comp.envelope.declared_phi1 is not None:
             _validate_phi1(kd, comp.envelope.declared_phi1, i)
@@ -734,9 +730,9 @@ def _assemble_cached(spec: "ProblemSpec") -> tuple[ConeConstants, ...]:
         m0 = recip_m(kd, 0, quad_cfg, opt_cfg)
         m1 = recip_m(kd, 1, quad_cfg, opt_cfg)
         mm = recip_M(kd, w, quad_cfg, opt_cfg)
-        records["recip_m0"] = _informational(f"1/m_{{{i},0}}", m0, decl.get("recip_m0"))
-        records["recip_m1"] = _informational(f"1/m_{{{i},1}}", m1, decl.get("recip_m1"))
-        records["recip_M"] = _informational(f"1/M_{i}", mm, decl.get("recip_M"))
+        put("recip_m0", _informational, f"1/m_{{{i},0}}", m0)
+        put("recip_m1", _informational, f"1/m_{{{i},1}}", m1)
+        put("recip_M", _informational, f"1/M_{i}", mm)
 
         # c_i is the least of c~_i and the c_{i,j}, the records keyed c_*
         c_used = min(rec.used for key, rec in records.items() if key.startswith("c_"))

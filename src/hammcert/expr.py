@@ -19,31 +19,30 @@ quadrature panel splitting, never by the point value).
 Nesting is limited to _MAX_DEPTH levels; deeper text raises DslSyntaxError.
 
 ASTs are immutable after parse and evaluation is pure, so expressions are
-safe to evaluate concurrently.  One compiler, ``_compile``, turns an AST
-into closures kept on its nodes, with the operations of an op table:
-``eval_scalar`` uses the numpy table (floats and arrays, the tree walk's
-numpy calls and domain checks), ``eval_functional`` the ``math`` table for
-a functional's outer level (Python floats; a node whose value is not finite
-raises), and ``_enclose`` the interval table, whose (lo, hi) values enclose
-a scalar expression's real value and the numpy table's double over boxes
-of its variables.  Functionals stay on ``math``: numpy's exp and power
-differ from it in the last bit for some float arguments.  The int atoms
-integrate their bodies, compiled by ``eval_scalar``, with
-``quad.integrate_rows``; one evaluation pass (``_SharedPass``) over a
-state, or a stack of states, interpolates it once per point array,
-integrates each distinct int body once and reads every val/der atom from
-one interpolation at the atom points.
+safe to evaluate concurrently.  One compiler, ``_compile``, reached through
+``_closure``, turns an AST into closures kept on its nodes, with the
+operations of an op table: ``eval_scalar`` uses the numpy table (floats
+and arrays, the tree walk's numpy calls and domain checks),
+``eval_functional`` the ``math`` table for a functional's outer level
+(Python floats; a node whose value is not finite raises), and ``_enclose``
+the interval table, whose (lo, hi) values enclose a scalar expression's
+real value and the numpy table's double over boxes of its variables.
+Functionals stay on ``math``: numpy's exp and power differ from it in the
+last bit for some float arguments.  The int atoms integrate their bodies,
+compiled by ``eval_scalar``, with ``quad.integrate_rows``; one evaluation
+pass (``_SharedPass``) over a state, or a stack of states, interpolates it
+once per point array, integrates each distinct int body once and reads
+every val/der atom from one interpolation at the atom points.
 
-``_shaped`` is the one shaping rule of a grid evaluation (floats of the
-grid's shape), and ``_state_env`` the one naming rule of a state's
-variables (t, s, w, then u1, du1, u2, du2, ...), contexts included.
+``_state_env`` is the one naming rule of a state's variables (t, s, w,
+then u1, du1, u2, du2, ...), contexts included.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -68,19 +67,19 @@ __all__ = [
 # AST nodes
 
 
+def _fields_only(self) -> dict:
+    """The pickled state of a frozen dataclass: its fields, so nothing else
+    kept in its ``__dict__`` (a compiled closure, a memo) is pickled."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 class _Node:
     """Base of the AST nodes.  ``eval_scalar``, ``eval_functional`` and
-    ``_enclose`` store a node's compiled closure (``_compiled``,
-    ``_functional``, ``_interval``) in its ``__dict__``, outside the
-    dataclass fields, so equality and hashing ignore it; pickling leaves it
-    out too."""
+    ``_enclose`` keep a node's compiled closure, one per op table, in its
+    ``__dict__``, outside the dataclass fields, so equality and hashing
+    ignore it; a node pickles its fields only."""
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        state.pop("_functional", None)
-        state.pop("_interval", None)
-        return state
+    __getstate__ = _fields_only
 
 
 @dataclass(frozen=True)
@@ -423,18 +422,7 @@ def eval_scalar(expr: ScalarExpr, env: Mapping[str, object]):
     nonpositive value, sqrt of a negative value, or division by zero.  The
     AST is compiled on first use into closures that the node keeps.
     """
-    try:
-        fn = expr._compiled
-    except AttributeError:
-        fn = _compile(expr, _NUMPY)[0]
-    return fn(env)
-
-
-def _shaped(v, shape: tuple) -> np.ndarray:
-    """v as floats of the given shape: itself if it has it, else broadcast to
-    it (an expression constant in a variable gives fewer values)."""
-    v = np.asarray(v, dtype=float)
-    return v if v.shape == shape else np.broadcast_to(v, shape)
+    return _closure(expr, _NUMPY)(env)
 
 
 def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
@@ -456,11 +444,7 @@ def eval_functional(fx: FunctionalExpr, u: "DiscreteState",
     ctx = shared_pass or _SharedPass(u, quad or QuadConfig(), (fx,)).row(0)
     if ctx.u is not u:
         raise ValueError("shared_pass was made for another state")
-    try:
-        fn = fx._functional
-    except AttributeError:
-        fn = _compile(fx, _MATH)[0]
-    value = fn(ctx)
+    value = _closure(fx, _MATH)(ctx)
     if nonneg_condition is not None and value < 0.0:
         raise ModelViolationError(
             nonneg_condition,
@@ -608,6 +592,13 @@ def _compile(expr, backend: _Backend):
             fn = lambda env: value
     object.__setattr__(expr, backend.attr, fn)
     return fn, const
+
+
+def _closure(expr, backend: _Backend):
+    """expr's closure in backend's table: the one kept on it, else compiled
+    now."""
+    fn = getattr(expr, backend.attr, None)
+    return _compile(expr, backend)[0] if fn is None else fn
 
 
 # Scalar expressions: numpy on floats and arrays, broadcasting.  Only exp
@@ -858,11 +849,7 @@ def _enclose(expr: ScalarExpr, env: Mapping[str, tuple]) -> tuple:
     table; raises EvalDomainError where the table cannot enclose it."""
     with np.errstate(all="raise"):
         try:
-            fn = expr._interval
-        except AttributeError:
-            fn = _compile(expr, _INTERVAL)[0]
-        try:
-            return fn(env)
+            return _closure(expr, _INTERVAL)(env)
         except FloatingPointError as err:
             raise EvalDomainError(f"no enclosure: {err}", render(expr)) from None
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelViolationError
-from .expr import (BOUNDARY_CONTEXT, KERNEL_CONTEXT, ScalarExpr, _shaped,
-                   eval_scalar, parse_expr)
+from .expr import BOUNDARY_CONTEXT, KERNEL_CONTEXT, ScalarExpr, eval_scalar, parse_expr
+from .quad import _shaped
 
 __all__ = [
     "KernelDef", "GammaDef", "EnvelopeSpec",

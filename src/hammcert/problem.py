@@ -33,8 +33,8 @@ from .constants import Opt1DConfig, Window
 from .errors import (ConfigError, DslSyntaxError, EvalDomainError, ModelViolationError,
                      _finite_real, _integer)
 from .expr import (BOUNDARY_CONTEXT, ENVELOPE_CONTEXT, KERNEL_CONTEXT,
-                   FunctionalExpr, ScalarExpr, nonlinearity_context, parse_constant,
-                   parse_expr, parse_functional)
+                   FunctionalExpr, ScalarExpr, _fields_only, nonlinearity_context,
+                   parse_constant, parse_expr, parse_functional)
 from .kernels import (EnvelopeSpec, GammaDef, KernelDef, gamma_from_catalog,
                       kernel_from_catalog, validate_envelope_nonnegative,
                       validate_gamma_derivative, validate_kernel_derivative)
@@ -63,7 +63,8 @@ class Component:
 
     @property
     def declared(self) -> dict:
-        return {k: v for k, v in self.declared_items}
+        """The declared constants, keyed by the record that reads each."""
+        return dict(self.declared_items)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,9 @@ def parse_param_name(name: str) -> tuple[str, int, int]:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    n: int
+    """A loaded problem: its components, parameter point, declared-bounds
+    blocks and settings.  ``n``, the number of components, is read from
+    ``components``; a spec pickles its fields only."""
     components: tuple[Component, ...]
     params: Params
     bounds: tuple[DeclaredBounds, ...]
@@ -147,22 +150,22 @@ class ProblemSpec:
             raise ConfigError("params", f"{self.params} does not fit {len(gammas)} components "
                                         f"with {gammas} gamma terms")
 
+    @property
+    def n(self) -> int:
+        return len(self.components)
+
     def __hash__(self):
         # the dataclass hash, kept in the instance __dict__ (outside the
         # fields, so equality ignores it): the spec keys the operator and
         # constants caches, and hashing it walks every AST node
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(tuple(_fields_only(self).values()))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
-    def __getstate__(self):
-        # string hashes differ between processes, so the memo is not pickled
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    # string hashes differ between processes, so the memo is not pickled
+    __getstate__ = _fields_only
 
     def bounds_at(self, rho: float) -> DeclaredBounds:
         for db in self.bounds:
@@ -287,7 +290,7 @@ def spec_from_dict(doc: dict) -> ProblemSpec:
         raise ConfigError("seed", "expected a JSON integer")
     if seed < 0:
         raise ConfigError("seed", f"expected an integer >= 0, got {seed}")
-    return ProblemSpec(n=n, components=components, params=Params(lambdas, etas),
+    return ProblemSpec(components=components, params=Params(lambdas, etas),
                        bounds=tuple(bounds), quad=quad, opt=opt, solver=solver, seed=seed)
 
 
@@ -423,6 +426,8 @@ def _parse_gamma_term(gdoc, key_path, n) -> tuple[GammaTerm, float]:
 
 
 def _parse_declared(ddoc, key_path, n_gammas: int) -> tuple:
+    """(record key, value) of each declared constant, sorted: a scalar keyed
+    by its name, entry j of a list by ``name[j]`` (``c_gamma[0]``)."""
     items = []
     for key, value in _object(ddoc, key_path, _DECLARED_SCALARS + _DECLARED_LISTS,
                               "expected an object of declared constants").items():
@@ -432,8 +437,8 @@ def _parse_declared(ddoc, key_path, n_gammas: int) -> tuple:
         if not (isinstance(value, list) and len(value) == n_gammas):
             raise ConfigError(f"{key_path}.{key}", f"expected a list of one entry per "
                                                    f"gamma term ({n_gammas})")
-        items.append((key, tuple(_const(v, f"{key_path}.{key}[{j}]", required=True)
-                                 for j, v in enumerate(value))))
+        items += ((f"{key}[{j}]", _const(v, f"{key_path}.{key}[{j}]", required=True))
+                  for j, v in enumerate(value))
     return tuple(sorted(items))
 
 

@@ -97,14 +97,20 @@ def _panels(a: float, b: float, points) -> tuple[np.ndarray, np.ndarray, np.ndar
     return r, edges[r, c], edges[r, c + 1]
 
 
+def _shaped(v, shape: tuple) -> np.ndarray:
+    """The one shaping rule of a grid evaluation: v as floats of the grid's
+    shape, itself if it has it, else broadcast to it (an expression constant
+    in a variable gives fewer values)."""
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == shape else np.broadcast_to(v, shape)
+
+
 def _estimates(vals, pts: np.ndarray, wts: np.ndarray, lead: tuple = ()) -> np.ndarray:
     """Gauss estimate of every panel (row of pts) from the integrand's values
     there, broadcast to ``lead + pts.shape`` (one leading row per integrand).
     NaN raises, and so does ±inf, which no panel could ever converge on."""
     shape = lead + pts.shape
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != shape:
-        vals = np.broadcast_to(vals, shape)
+    vals = _shaped(vals, shape)
     if not np.all(np.isfinite(vals)):
         nan = np.isnan(vals)
         kind = "NaN" if np.any(nan) else "an infinite value"
@@ -164,8 +170,7 @@ def integrate_rows(f, nrows: int, a: float, b: float, breakpoints=(),
     tile = lambda x: np.tile(x, nrows)
 
     def row_f(r, x):  # row r[j] of f at the points x[j] of panel j
-        vals = np.broadcast_to(np.asarray(f(x), dtype=float), (nrows,) + x.shape)
-        return vals[r[:, 0], np.arange(x.shape[0])]
+        return _shaped(f(x), (nrows,) + x.shape)[r[:, 0], np.arange(x.shape[0])]
 
     return _settle(row_f, np.repeat(np.arange(nrows), n), tile(fp.lo), tile(fp.mid),
                    tile(fp.hi), coarse.ravel(), halves[:, :n].ravel(),

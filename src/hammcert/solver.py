@@ -39,9 +39,9 @@ from .cone import DiscreteState, MembershipVerdict, StateNorms, _one_state, \
 from .constants import ConeConstants
 from .errors import (ConfigError, EvalDomainError, ModelViolationError,
                      QuadratureError, _check_integers, _finite_real)
-from .expr import _shaped, _SharedPass, _state_env, eval_functional, eval_scalar
+from .expr import _SharedPass, _state_env, eval_functional, eval_scalar
 from .kernels import eval_dk, eval_k
-from .quad import first_pass_layout
+from .quad import _shaped, first_pass_layout
 
 if TYPE_CHECKING:
     from .problem import Params, ProblemSpec
@@ -238,6 +238,12 @@ class SolveReport:
         return d
 
 
+def _check_radii(rho1: float, rho2: float) -> None:
+    """The one order rule of a radius pair: rho1 < rho2, which a NaN fails."""
+    if not rho1 < rho2:
+        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {rho1} >= {rho2}")
+
+
 STAGNATION_WINDOW = 50
 STAGNATION_FACTOR = 0.99  # less than 1% reduction over the window
 
@@ -255,8 +261,10 @@ def solve_fixed_point(spec: "ProblemSpec", *,
     unconverged.
     When cone constants are supplied the report carries the membership
     verdict of the final state, and with ``rho_interval`` the localization
-    verdict rho1 <= ||u|| <= rho2.
+    verdict rho1 <= ||u|| <= rho2, which needs rho1 < rho2.
     """
+    if rho_interval is not None:
+        _check_radii(*rho_interval)
     cfg = spec.solver
     params = spec.params if params is None else params
     if initial_state is None:

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -151,6 +152,24 @@ class TestSampler:
             with pytest.raises(ValueError, match="finite number > 0"):
                 sample_cone_boundary_rng(example_spec, example_cc, rho,
                                          np.random.default_rng(1))
+
+    @pytest.mark.parametrize("size", [0, -1, True, 2.5, "2"])
+    def test_size_is_an_integer_of_at_least_one(self, example_spec, example_cc, size):
+        # 0 drew a stack of one, -1 raised numpy's ValueError, True and 2.5
+        # bare TypeErrors
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match=rf"^size must be an integer >= 1, "
+                                             rf"got {re.escape(repr(size))}$"):
+            sample_cone_boundary_rng(example_spec, example_cc, 1.0, rng, size=size)
+        assert rng.uniform() == np.random.default_rng(1).uniform()  # nothing drawn
+
+    def test_size_one_is_a_stack_and_none_a_state(self, example_spec, example_cc):
+        one = sample_cone_boundary_rng(example_spec, example_cc, 1.0,
+                                       np.random.default_rng(4), size=np.int64(1))
+        u = sample_cone_boundary_rng(example_spec, example_cc, 1.0,
+                                     np.random.default_rng(4))
+        assert one.stacked and one.values.shape == (1,) + u.values.shape
+        assert not u.stacked and one.values[0].tobytes() == u.values.tobytes()
 
     def test_stack_is_its_states_drawn_one_at_a_time(self, example_spec, example_cc):
         rng = np.random.default_rng(21)

@@ -252,6 +252,32 @@ class TestRejectedAtTheirSource:
             load(doc)
         assert err.value.key == f"components[0].declared.{key}"
 
+    def test_declared_constants_are_keyed_by_record(self, example_spec, example_cc):
+        # each declared constant is kept under the key of the record that
+        # reads it, a list's entry j as name[j]
+        assert [comp.declared for comp in example_spec.components] == [
+            {"recip_m0": 3 / 8, "recip_m1": 1.0, "recip_M": 9 / 64, "c_gamma[0]": 1 / 3,
+             "gamma_sup[0]": 3 / 4, "dgamma_sup[0]": 1.0},
+            {"recip_m0": 21 / 40, "recip_m1": 1.0, "recip_M": 2 / 5, "c_tilde": 2 / 5,
+             "c_gamma[0]": 4 / 9, "gamma_sup[0]": 9 / 10, "dgamma_sup[0]": 1.0}]
+        for comp, cci in zip(example_spec.components, example_cc):
+            assert all(cci.record(key).declared == value
+                       for key, value in comp.declared.items())
+            assert all(rec.declared is None for key, rec in cci.records.items()
+                       if key not in comp.declared)
+
+    def test_n_is_the_number_of_components(self, example_spec):
+        assert example_spec.n == len(example_spec.components) == EXAMPLE["n"] == 2
+        p = example_spec.params
+        one = replace(example_spec, components=example_spec.components[:1],
+                      params=hc.Params(p.lambdas[:1], p.etas[:1]))
+        assert one.n == 1
+        doc = example()
+        doc["n"] = 3
+        with pytest.raises(hc.ConfigError, match=r"^components: expected a list of "
+                                                 r"exactly n=3 components$"):
+            load(doc)
+
     @pytest.mark.parametrize("path,value,assemble,text", [
         (("components", 0, "envelope", "phi0"), "3/4 - s", False,
          "components[0].envelope.phi0: condition (C2) violated: declared envelope "

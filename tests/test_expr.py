@@ -21,8 +21,9 @@ from hammcert import (DiscreteState, DslSyntaxError, EvalDomainError, HammcertEr
                       parse_functional, render)
 from hammcert.expr import (_MAX_DEPTH, _NUMPY, ENVELOPE_CONTEXT, KERNEL_CONTEXT,
                            Bin, Const, Der, Integral, Num, Unary, Val, Var,
-                           _enclose, _shaped, int_body_context,
+                           _compile, _enclose, int_body_context,
                            nonlinearity_context, parse_constant)
+from hammcert.quad import _shaped
 from conftest import trig_state
 
 
@@ -518,6 +519,20 @@ def test_compiled_tree_keeps_eq_hash_and_pickles():
     again = pickle.loads(pickle.dumps(expr))
     assert again == expr
     assert eval_scalar(again, {"t": 0.5, "s": 0.25}) == eval_scalar(expr, {"t": 0.5, "s": 0.25})
+
+
+def test_a_closure_of_a_further_table_is_not_pickled():
+    # a table beside the numpy, math and interval ones keeps its closure
+    # under its own name; no list of names has to learn it for pickle to
+    # leave it out
+    fourth = _NUMPY._replace(attr="_fourth")
+    expr = parse_expr("exp(-s)*(1/2 - t*s)", KERNEL_CONTEXT)
+    value = _compile(expr, fourth)[0]({"t": 0.5, "s": 0.25})
+    assert "_fourth" in expr.__dict__ and "_fourth" in expr.left.__dict__
+    again = pickle.loads(pickle.dumps(expr))
+    assert again == expr and hash(again) == hash(expr)
+    assert "_fourth" not in again.__dict__ and "_fourth" not in again.left.__dict__
+    assert _compile(again, fourth)[0]({"t": 0.5, "s": 0.25}) == value
 
 
 def test_failing_constant_subtree_raises_at_evaluation():

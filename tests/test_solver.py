@@ -1,12 +1,13 @@
 import math
 import pickle
 from contextlib import nullcontext
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
 
 import hammcert as hc
 from hammcert import (DiscreteState, EvalDomainError, ModelViolationError, Params,
@@ -15,7 +16,7 @@ from hammcert import (DiscreteState, EvalDomainError, ModelViolationError, Param
 from hammcert import constants, solver
 from hammcert.certify import SweepAxis, sweep
 from hammcert.cone import _unchecked, c1_norm, sample_cone_boundary_rng
-from hammcert.expr import eval_functional, eval_scalar
+from hammcert.expr import _enclose, eval_functional, eval_scalar
 from conftest import digest, single_component_spec, state_digest, trig_state
 
 
@@ -391,6 +392,15 @@ class TestLocalization:
         rep = solve_fixed_point(example_spec, params=p, rho_interval=(1e-3, 1.0))
         assert rep.norms.overall == 0.0 and rep.localization is False
 
+    @pytest.mark.parametrize("interval", [(1.0, 1e-3), (1.0, 1.0), (math.nan, 1.0),
+                                          (1e-3, math.nan)])
+    def test_radii_out_of_order_raise(self, example_spec, interval):
+        # (1, 1e-3) and (nan, 1) solved and reported localization False; the
+        # order rule is the certificates' and the CLI's, and a NaN fails it
+        with pytest.raises(hc.ConfigError, match=r"^rho1/rho2: need rho1 < rho2, "
+                                                 rf"got {interval[0]} >= {interval[1]}$"):
+            solve_fixed_point(example_spec, rho_interval=interval)
+
     def test_sentinel_interval(self, example_spec, example_solution):
         # started at the solution, the solve stops there at once
         rep = solve_fixed_point(example_spec, rho_interval=(0.0, np.inf),
@@ -422,19 +432,29 @@ def session_pins(spec, cc):
             "zero_residual": residual(spec, zero_state(spec.n, spec.solver.nodes)).hex()}
 
 
+# numpy's AVX-512 exp and power differ from its AVX2 ones in the last bit for
+# a few percent of arguments, and f is evaluated with them: so the solved
+# state has one digest per SIMD dispatch level, the AVX-512 one (X86_V4) and
+# the one of a CPU without AVX-512 (X86_V3, recorded in an interpreter run
+# under NPY_ENABLE_CPU_FEATURES="X86_V2 X86_V3"), 11 of example's 516 doubles
+# and 10 of tight's apart by at most 2 ulps.  Every other pin holds at both.
+AVX512 = bool(_CPU_FEATURES.get("AVX512_SKX"))
+
 # recorded before Hermite bases were tabulated and the DSL compiled; the
 # solved state, the sweep rows and the zero-state residual must not move
 # (recorded with numpy 2.4.6 on x86-64, as REPORT_PINS in test_bounds.py)
 SESSION_PINS = {
     "example": {
-        "state": "acd8faf823813dd4b45e7964e82eba6c300c6749e131b59c6fa4b0fd53c22690",
+        "state": "acd8faf823813dd4b45e7964e82eba6c300c6749e131b59c6fa4b0fd53c22690"
+        if AVX512 else "a277e9b0aefbb415b0e1bf47048f661c298e9e2749dd3010ad3f34d4e6a223b9",
         "iterations": 31, "residual": "0x1.216ed80000000p-34",
         "margins": ["0x1.29a4203aed788p-7", "0x0.0p+0"],
         "sweep": "d20dbf9451b64878575eafcc2dd9035ebfbc14cf109d56002de0a7ac1a905701",
         "zero_residual": "0x1.999999999999ap-5",
     },
     "tight": {
-        "state": "e2069b5fd2ee4aeab3a0bc464abdd37e4f3285aa08802c694815930ec748409a",
+        "state": "e2069b5fd2ee4aeab3a0bc464abdd37e4f3285aa08802c694815930ec748409a"
+        if AVX512 else "6870dab862ab02c162c5fba3756fe93d6ea9c20293cdcf27cae015185587c188",
         "iterations": 29, "residual": "0x1.66d1ed0000000p-34",
         "margins": ["0x1.312a6e1de08e8p-8", "0x0.0p+0"],
         "sweep": "093282cda723053b0031ffa4ce83c84148f19208a3bf4384cdfdb4a36063eee5",
@@ -616,6 +636,18 @@ def test_int_atoms_share_two_hermite_calls_per_state(example_spec, example_cc,
     assert sum(math.prod(shape) for _, shape in calls) == 6146
 
 
+def extra_attributes(obj) -> set:
+    """The names in the __dict__ of every dataclass within obj, at any depth
+    of its fields and tuples, that are not fields of that dataclass."""
+    if isinstance(obj, tuple):
+        return set().union(*map(extra_attributes, obj))
+    if not is_dataclass(obj):
+        return set()
+    names = {f.name for f in fields(obj)}
+    return (set(vars(obj)) - names).union(
+        *(extra_attributes(getattr(obj, name)) for name in names))
+
+
 class TestSpecHash:
     def test_equal_specs_hash_equal_and_stable(self, example_spec):
         again = hc.load_config(hc.example_config_path())
@@ -631,6 +663,29 @@ class TestSpecHash:
         assert copy == example_spec
         assert "_hash" not in copy.__dict__
         assert hash(copy) == hash(example_spec)
+
+    def test_pickle_keeps_the_fields_only(self):
+        # after the numpy, math and interval tables have all run on its
+        # nodes and the spec has been hashed, a copy carries none of their
+        # closures and no memo, and evaluates and hashes as the original
+        spec = hc.load_config(hc.example_config_path())
+        comp = spec.components[0]
+        k, w, u = comp.kernel.k, comp.w, trig_state(3, n=2)
+        at = {"t": 0.25, "s": 0.75}
+        values = (eval_scalar(k, at), eval_functional(w, u),
+                  _enclose(k, {v: (np.float64(x),) * 2 for v, x in at.items()}))
+        hash(spec)
+        assert {"_compiled", "_functional", "_interval", "_hash"} <= extra_attributes(spec)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert extra_attributes(copy) == set()
+        assert copy == spec and hash(copy) == hash(spec)
+        comp = copy.components[0]
+        assert (eval_scalar(comp.kernel.k, at), eval_functional(comp.w, u),
+                _enclose(comp.kernel.k, {v: (np.float64(x),) * 2 for v, x in at.items()})
+                ) == values
+        kernel = pickle.loads(pickle.dumps(k))
+        assert extra_attributes(kernel) == set() and kernel == k
+        assert hash(kernel) == hash(k) and eval_scalar(kernel, at) == values[0]
 
     def test_equal_specs_share_cache_entries(self, example_cc):
         a = hc.load_config(hc.example_config_path())
