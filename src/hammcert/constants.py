@@ -23,21 +23,23 @@ functions must therefore be elementwise on arrays.  For an expression
 monotone in t by its form (``expr._monotone_in``), the extrema over t are
 read at the two ends, with the same doubles (``_t_ends``): ``_kernel_columns``
 decides this for c~'s t-grids and the Phi1 check, and c~'s inner searches
-read the ends too.  Declared constants from the configuration take
-precedence when consistent with the computed tight value (c-type constants
-must not exceed it); integral norms are always computed, and a declared
-value that disagrees is flagged, never substituted.
+read the ends too; for other expressions it skips the grid blocks that the
+interval table encloses strictly worse than their columns.  Declared
+constants from the configuration take precedence when consistent with the
+computed tight value (c-type constants must not exceed it); integral norms
+are always computed, and a declared value that disagrees is flagged, never
+substituted.
 
 The t-scans of the integral norms are batched: ``integrate_over_s``
-integrates over s for a whole chunk of t at once, with the grid, panel
-breakpoints (fixed, and the moving s = t), sign-root rule and golden-section
-refinement of a one-t-at-a-time scan, so the values are the same bit for bit.
-Inner integrals of |k| split panels additionally at sign changes of k,
-because the absolute value introduces kinks at unknown points.  Only the
-panels where k may change sign are scanned for them: the interval table
-(``expr._enclose``) encloses k over each chunk's whole (t, s) box and then
-over each panel, and a panel whose enclosure is one-signed holds no sign
-change the scan could find, so dropping it changes no double.
+integrates over s for many t at once, with the grid, panel breakpoints
+(fixed, and the moving s = t), sign-root rule and golden-section refinement
+of a one-t-at-a-time scan, so the values are the same bit for bit.  Inner
+integrals of |k| split panels additionally at sign changes of k, because
+the absolute value introduces kinks at unknown points.  Only the panels
+where k may change sign are scanned for them: the interval table encloses k
+over the call's whole (t, s) box and then over each panel, and a panel
+whose enclosure is one-signed holds no sign change the scan could find, so
+dropping it changes no double.
 
 Two kinds of array work run at two sizes.  Elementwise scans -- the coarse
 sign pattern of every s-panel, the c~ grids and the Phi1 check of
@@ -53,7 +55,7 @@ zero.
 Scan grids take their extra nodes (breakpoints, the moving s of c~'s inner
 searches) as the sorted distinct values of those nodes and the uniform
 grid.  Bisection of the sign changes and the adaptive quadrature run in
-batches: every bracket of a t-chunk bisected together, every panel of a
+batches: every bracket of a call bisected together, every panel of a
 t-chunk integrated together, with t-chunks sized by ``_POINT_BUDGET``.
 """
 
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -95,9 +97,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # A call's cost is nearly flat in its points, a tree's Python cost is not.
 _GOLDEN_DEPTH = 4
 
-# Points one batched step may evaluate at once (a chunk of t whose sign
-# changes are bisected, and whose panels are integrated, together): bounds
-# the memory of the (t x panel x node) tensors whatever the grid size.
+# Points one batched step may evaluate at once (a chunk of t whose panels
+# are integrated together): bounds the memory of the (t x panel x node)
+# tensors whatever the grid size.
 _POINT_BUDGET = 1 << 18
 # Points one elementwise scan holds at once (a chunk of the sign scan, of the
 # c~ grids, of the Phi1 check).  Chosen by timing fresh-process assemblies:
@@ -106,6 +108,8 @@ _POINT_BUDGET = 1 << 18
 # 2^13 the per-chunk overhead shows.
 _TILE = 1 << 14
 _SIGN_SCAN = 256  # coarse cells per panel of the sign-change scan
+# _kernel_columns: rows = columns of a block, and rows probed before skipping
+_BLOCK, _PROBE_ROWS = 32, 17
 
 
 @dataclass(frozen=True)
@@ -353,78 +357,80 @@ def integrate_over_s(kd: KernelDef, ts, a: float, b: float, *, order: int = 0,
 
     Panels split at the fixed breakpoints and the moving one, s = t, by
     their one rule, ``kernels.s_breakpoints``, and, for absolute values, at
-    the sign roots of the integrand in each of those panels;
-    ``quad._panels``, the one edge rule, makes the panels scanned and
-    integrated.  All t then run the adaptive rule of ``integrate`` together
-    (``integrate_panels``), so each value equals, bit for bit, a per-t
-    ``integrate`` with those splits.  t is processed in chunks under a fixed
-    point budget.  Returns an array of the shape of ts.
+    the sign roots of the integrand in each of those panels, found for all
+    t in one pass (``_with_sign_roots``); ``quad._panels``, the one edge
+    rule, makes the panels scanned and integrated.  All t then run the
+    adaptive rule of ``integrate`` (``integrate_panels``), in chunks under a
+    point budget, so each value equals, bit for bit, a per-t ``integrate``
+    with those splits.  Returns an array of the shape of ts.
     """
     quad_cfg = quad_cfg or QuadConfig()
     ts = np.asarray(ts, dtype=float)
     flat = ts.ravel()
+    evalf = eval_k if order == 0 else eval_dk
+    fn = lambda t, r, s: evalf(kd, t[r], s)  # t: the ts the rows r index
+    splits = s_breakpoints(kd, flat)
+    if absolute:
+        expr = kd.k if order == 0 else kd.dk_dt
+        splits = _with_sign_roots(partial(fn, flat), expr, flat, a, b, splits)
+        fn = lambda t, r, s, f=fn: np.abs(np.asarray(f(t, r, s), dtype=float))
+    # |k| chunks by scan points per t; by quadrature points, 1/m_0 of example-k1
+    # would allocate 4.8 MiB at its peak, not 1.1
     per_t = (len(kd.fixed_breakpoints) + 2) * (
         _SIGN_SCAN + 1 if absolute else 3 * quad_cfg.gauss_order)
     chunk = max(1, _POINT_BUDGET // per_t)
-    parts = [_s_integrals(kd, flat[i:i + chunk], a, b, order, absolute, quad_cfg)
+    parts = [integrate_panels(partial(fn, flat[i:i + chunk]), *_panels(a, b, splits[i:i + chunk]),
+                              min(chunk, flat.size - i), quad_cfg)
              for i in range(0, flat.size, chunk)]
     return np.concatenate(parts or [flat]).reshape(ts.shape)
 
 
-def _s_integrals(kd: KernelDef, ts: np.ndarray, a: float, b: float, order: int,
-                 absolute: bool, quad_cfg: QuadConfig) -> np.ndarray:
-    """``integrate_over_s`` of one chunk of t.  It only chooses the split
-    points (fixed, moving, sign roots); ``quad._panels``, the one edge rule,
-    makes of them both the panels the sign scan scans and those integrated.
+def _with_sign_roots(fn: Callable, expr, ts: np.ndarray, a: float, b: float,
+                     splits: np.ndarray) -> np.ndarray:
+    """The breakpoint rows ``splits`` of ts, with the sign roots in [a, b] of
+    fn(r, .), the values of expr at t = ts[r], appended to row r, padded
+    with a.
 
-    For absolute values, only the panels where the integrand may change
-    sign are scanned for roots.  The interval table (``expr._enclose``)
-    encloses the integrand over the whole box, t in [min ts, max ts] and s in
-    [a, b]; if that is one-signed, nothing is scanned.  Else it encloses it
-    on each panel, t the row's point and s in the panel, and drops the rows
-    whose enclosure has lo >= 0 or hi <= 0.  That changes no double: such a
-    row holds no value < 0 (or none > 0), so its scan would find no strict
-    sign change and no straddled zero (``_rows_with_both_signs``), since the
-    scan nodes lie in the panel (lo + i * step with step = (hi - lo) / 256,
-    the last node hi, and rounding is monotone).  The other rows' roots do
-    not depend on which rows share a chunk, nor on their order.  A box the
-    table cannot enclose (it raises EvalDomainError) is not dropped, nor is
-    any row if ts is not finite, as the table needs finite boxes; where it
-    encloses the integrand, numpy's evaluation raises at no point of the
-    box, so no error of the scan is skipped.
+    Only the panels where the integrand may change sign are scanned for
+    roots.  The interval table (``expr._enclose``) encloses it over the
+    whole box, t in [min ts, max ts] and s in [a, b]; if that is
+    one-signed, nothing is scanned.  Else it encloses it on each panel, t
+    the row's point and s in the panel, and drops the rows whose enclosure
+    has lo >= 0 or hi <= 0.  That changes no double: such a row holds no
+    value < 0 (or none > 0), so its scan would find no strict sign change
+    and no straddled zero (``_rows_with_both_signs``), since the scan nodes
+    lie in the panel (lo + i * step with step = (hi - lo) / 256, the last
+    node hi, and rounding is monotone).  The other rows' roots are
+    elementwise, whichever rows share a tile of the scan or the bisection,
+    and ``_panels`` sorts each row.  Where the table cannot enclose the
+    integrand, no panel is dropped; where it does, numpy's evaluation raises
+    nowhere in the box, so no error of the scan is skipped.
     """
-    evalf = eval_k if order == 0 else eval_dk
-    fn = lambda r, s: evalf(kd, ts[r], s)
-    n = ts.size
-    # breakpoints of every t, one row each; _panels ignores those outside (a, b)
-    splits = s_breakpoints(kd, ts)
-    if absolute:
-        expr = kd.k if order == 0 else kd.dk_dt
-        box = np.array([ts.min(), ts.max(), a, b])
-        enclosed = np.isfinite(box).all()  # then so is every panel's box
-        if not (enclosed and _one_signed(expr, box[:2], box[2:])):
-            r, lo, hi = _panels(a, b, splits)
-            if enclosed:
-                scan = ~np.broadcast_to(_one_signed(expr, (ts[r], ts[r]), (lo, hi)),
-                                        r.shape)
-                r, lo, hi = r[scan], lo[scan], hi[scan]
-            roots = _panel_sign_roots(fn, r, lo, hi)
-            splits = np.column_stack((splits, _pad_rows(*roots, n, a)))
-        integrand = lambda r, s: np.abs(np.asarray(fn(r, s), dtype=float))
-    else:
-        integrand = fn
-    return integrate_panels(integrand, *_panels(a, b, splits), n, quad_cfg)
+    if ts.size == 0 or _one_signed(expr, (ts.min(), ts.max()), (a, b)):
+        return splits
+    r, lo, hi = _panels(a, b, splits)
+    scan = ~np.broadcast_to(_one_signed(expr, (ts[r], ts[r]), (lo, hi)), r.shape)
+    roots = _panel_sign_roots(fn, r[scan], lo[scan], hi[scan])
+    return np.column_stack((splits, _pad_rows(*roots, ts.size, a)))
+
+
+def _enclosure(expr, t, s):
+    """(lo, hi) of expr over the boxes t x s by the interval table, each box
+    a (lo, hi) pair of float64 scalars or arrays; None if a box is not
+    finite or the table cannot enclose expr there."""
+    if not all(np.isfinite(end).all() for end in (*t, *s)):
+        return None
+    try:
+        return _enclose(expr, {"t": t, "s": s})
+    except EvalDomainError:
+        return None
 
 
 def _one_signed(expr, t, s):
-    """Where the interval table proves expr >= 0 or <= 0 on the box t x s,
-    each a (lo, hi) pair of finite float64 scalars or arrays: a bool, or
-    one per box; False if the table cannot enclose expr there."""
-    try:
-        lo, hi = _enclose(expr, {"t": t, "s": s})
-    except EvalDomainError:
-        return False
-    return (lo >= 0.0) | (hi <= 0.0)
+    """Where the interval table proves expr >= 0 or <= 0 on the box t x s
+    (see ``_enclosure``): a bool, or one per box."""
+    box = _enclosure(expr, t, s)
+    return box is not None and (box[0] >= 0.0) | (box[1] <= 0.0)
 
 
 def _pad_rows(rows: np.ndarray, values: np.ndarray, n: int, fill: float) -> np.ndarray:
@@ -466,31 +472,51 @@ def recip_M(kd: KernelDef, w: Window, quad_cfg: QuadConfig | None = None,
 # ---------------------------------------------------------------------------
 # Window constants
 
-def _kernel_columns(evalf: Callable, kd: KernelDef, factors: tuple | None,
+def _kernel_columns(evalf: Callable, expr, kd: KernelDef, factors: tuple | None,
                     ts: np.ndarray, ss: np.ndarray, combine: np.ufunc, *,
                     absolute: bool = False) -> np.ndarray:
-    """combine.reduce over t in ts of evalf(kd, t, s), or of its absolute
-    value, for every s in ss.
+    """combine (np.minimum or np.maximum).reduce over t in ts of evalf(kd,
+    t, s), the value of expr, or of its absolute value, for every s in ss.
 
     The rows at the two ends of ts are reduced alone if they decide the
     extrema (``_t_ends``, with ``factors`` from ``expr._monotone_in``).
-    Else the ts x ss grid is evaluated in chunks of whole t-rows, at most
-    ``_TILE`` points each (one row when a row alone is longer), as
-    ``_panel_sign_roots`` chunks whole panels.  Each chunk is reduced over
-    its rows and folded into the running column values with ``combine``; for
-    np.minimum and np.maximum that is exact, so the chunking leaves every
-    value as a whole-grid reduction would.
+    Else the interval table encloses expr on every block of ``_BLOCK`` x
+    ``_BLOCK`` points, ``_PROBE_ROWS`` rows (both ends among them) give each
+    column a value its reduction contains, and a block is skipped where it
+    is strictly worse than the weakest of its columns: lo above the largest
+    (np.minimum), max(|lo|, |hi|) below the least (np.maximum).  No skipped
+    value can win or tie, so no column moves but for the sign of a zero
+    minimum, as with ``_t_ends``.  Where the table cannot enclose expr,
+    nothing is probed or skipped, so the scan raises as the whole grid
+    would; where it can, numpy raises nowhere in the grid.  Each band of
+    blocks runs on its kept columns in ascending chunks of whole rows of at
+    most ``_TILE`` points (or one longer row), folded in exactly.
     """
     ends = _t_ends(evalf, kd, factors, ts[[0, -1]], ss)
     if ends is not None:
         return combine.reduce(np.abs(ends) if absolute else ends, axis=0)
-    rows = max(1, _TILE // ss.size)
-    out = None
-    for i0 in range(0, ts.size, rows):
-        tr = ts[i0:i0 + rows]
-        k = _shaped(evalf(kd, tr[:, None], ss), (tr.size, ss.size))
-        part = combine.reduce(np.abs(k) if absolute else k, axis=0)
-        out = part if out is None else combine(out, part, out=out)
+
+    def reduced(tr, s):
+        k = _shaped(evalf(kd, tr[:, None], s), (tr.size, s.size))
+        return combine.reduce(np.abs(k) if absolute else k, axis=0)
+
+    row0, col0 = np.arange(0, ts.size, _BLOCK), np.arange(0, ss.size, _BLOCK)
+    edges = lambda x, i: (np.minimum.reduceat(x, i), np.maximum.reduceat(x, i))
+    box = _enclosure(expr, tuple(e[:, None] for e in edges(ts, row0)), edges(ss, col0))
+    keep, out = True, np.full(ss.size, np.inf if combine is np.minimum else -np.inf)
+    if box is not None:
+        out = reduced(ts[np.linspace(0, ts.size - 1, _PROBE_ROWS).astype(np.intp)], ss)
+        lo, hi = box
+        keep = ~(lo > np.maximum.reduceat(out, col0)) if combine is np.minimum \
+            else ~(np.maximum(-lo, hi) < np.minimum.reduceat(out, col0))
+    widths = np.diff(col0, append=ss.size)
+    for i0, kept in zip(row0, np.broadcast_to(keep, (row0.size, col0.size))):
+        cols = np.flatnonzero(np.repeat(kept, widths))
+        if cols.size == 0:
+            continue
+        rows, band = max(1, _TILE // cols.size), ts[i0:i0 + _BLOCK]
+        for j in range(0, band.size, rows):
+            out[cols] = combine(out[cols], reduced(band[j:j + rows], ss[cols]))
     return out
 
 
@@ -541,8 +567,9 @@ def c_tilde(kd: KernelDef, w: Window, env: EnvelopeSpec, *,
     ng = min(opt_cfg.coarse_grid, 2048)
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, ng)
     tw = _grid_with(kd.fixed_breakpoints, w.a, w.b, ng)
-    m_win = _kernel_columns(eval_k, kd, factors, tw, ss, np.minimum)
-    k_max = _kernel_columns(eval_k, kd, factors, ss, ss, np.maximum, absolute=True)
+    m_win = _kernel_columns(eval_k, kd.k, kd, factors, tw, ss, np.minimum)
+    k_max = _kernel_columns(eval_k, kd.k, kd, factors, ss, ss, np.maximum,
+                            absolute=True)
 
     if env.mode == "declared":
         phi = _shaped(eval_scalar(env.declared_phi0, {"s": ss}), ss.shape)
@@ -754,7 +781,7 @@ def _validate_phi1(kd: KernelDef, phi1, comp_index: int) -> None:
     the band around the moving jump s = t is not excluded because both
     one-sided values stay below any valid majorant."""
     ss = _grid_with(kd.fixed_breakpoints, 0.0, 1.0, 401)
-    dk_max = _kernel_columns(eval_dk, kd, _monotone_in(kd.dk_dt, "t"),
+    dk_max = _kernel_columns(eval_dk, kd.dk_dt, kd, _monotone_in(kd.dk_dt, "t"),
                              np.linspace(0.0, 1.0, 402), ss, np.maximum, absolute=True)
     phi = _shaped(eval_scalar(phi1, {"s": ss}), ss.shape)
     # x -> fl(x - phi) is nondecreasing: the largest gap sits at the column max

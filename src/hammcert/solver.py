@@ -241,7 +241,9 @@ class SolveReport:
 def _check_radii(rho1: float, rho2: float) -> None:
     """The one order rule of a radius pair: rho1 < rho2, which a NaN fails."""
     if not rho1 < rho2:
-        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {rho1} >= {rho2}")
+        got = f"{rho1} >= {rho2}" if rho1 >= rho2 else \
+            f"{rho1} and {rho2}, which NaN leaves unordered"
+        raise ConfigError("rho1/rho2", f"need rho1 < rho2, got {got}")
 
 
 STAGNATION_WINDOW = 50

@@ -490,6 +490,30 @@ class TestBatchedIntegrals:
         assert np.array_equal(
             integrate_over_s(TIGHT_K2, ts, 0.0, 1.0, absolute=True), whole)
 
+    @pytest.mark.parametrize("kd", ORACLE_KERNELS, ids=ORACLE_IDS)
+    def test_one_sign_pass_matches_a_pass_per_chunk(self, kd, monkeypatch):
+        # a call finds the sign roots of all its t in one pass and integrates
+        # them in chunks; each chunk's t alone, as its own call, has its own pass
+        ts = np.concatenate(([0.0, 1.0, 0.5, 0.375, 0.25],
+                             np.random.default_rng(5).uniform(0.0, 1.0, 6)))
+        sizes = []
+        real = constants_mod.integrate_panels
+
+        def record(f, rows, lo, hi, n, cfg):
+            sizes.append(n)
+            return real(f, rows, lo, hi, n, cfg)
+
+        monkeypatch.setattr(constants_mod, "_POINT_BUDGET", 2000)  # 2 or 3 t a chunk
+        monkeypatch.setattr(constants_mod, "integrate_panels", record)
+        for order in (0, 1):
+            sizes.clear()
+            got = integrate_over_s(kd, ts, 0.0, 1.0, order=order, absolute=True)
+            chunks = np.split(ts, np.cumsum(sizes)[:-1])
+            assert len(chunks) > 1 and max(sizes) > 1
+            want = np.concatenate([integrate_over_s(kd, tc, 0.0, 1.0, order=order,
+                                                    absolute=True) for tc in chunks])
+            assert got.tobytes() == want.tobytes(), order
+
     def test_sign_root_on_a_scan_node(self):
         # an exact zero on a node counts when its neighbours straddle zero,
         # and a root found by bisection is as good as the scalar scan's
@@ -608,6 +632,13 @@ def sign_scan_panels(kd, ts, a=0.0, b=1.0):
     return np.array(rows, dtype=np.intp), np.array(lo), np.array(hi)
 
 
+# min over t at t = 2/5 for s < 3/10, at t = 0 (a probed row) beyond: the
+# block column holding s = 3/10 keeps the rows near 2/5, whose enclosure is
+# above the least bound of its columns but not above the largest
+SWITCHING = _kernel("(1 - step(s - 3/10))*(t - 2/5)*(t - 2/5) + step(s - 3/10)*(t*t - 1)",
+                    "(1 - step(s - 3/10))*2*(t - 2/5) + step(s - 3/10)*2*t")
+
+
 # one point; exactly one sign-scan panel; one panel and a point; a prime
 # (two panels); the tile in use.  A tile of n points spans n // len(ss)
 # whole t-rows (at least one) of the c~ grids: 1 point is less than one row,
@@ -649,15 +680,100 @@ class TestTiledScans:
     def test_columns_match_untiled_grid(self, kd, monkeypatch):
         ss = constants_mod._grid_with(kd.fixed_breakpoints, 0.0, 1.0, 12)
         tw = np.linspace(0.2, 0.9, 13)
-        for evalf in (eval_k, eval_dk):
+        for evalf, expr in ((eval_k, kd.k), (eval_dk, kd.dk_dt)):
             for ts, combine, absolute in ((tw, np.minimum, False),
                                           (ss, np.maximum, True)):
                 want = ref_kernel_columns(evalf, kd, ts, ss, combine, absolute)
                 for tile in TILES:
                     monkeypatch.setattr(constants_mod, "_TILE", tile)
-                    got = constants_mod._kernel_columns(evalf, kd, None, ts, ss,
+                    got = constants_mod._kernel_columns(evalf, expr, kd, None, ts, ss,
                                                         combine, absolute=absolute)
                     assert np.array_equal(got, want), tile
+
+    @pytest.mark.parametrize("order", [0, 1], ids=["k", "dk"])
+    @pytest.mark.parametrize("kd,w", [(TIGHT_K2, Window(0.0, 0.25)),
+                                      (SWITCHING, Window(0.0, 0.5))],
+                             ids=["tight-k2", "switching"])
+    def test_pruned_columns_match_whole_grid(self, kd, w, order, monkeypatch):
+        # tight-k2 holds t twice, so c~ scans its grids at the default
+        # resolution; the interval table rules out most of their blocks, and
+        # no column moves but for the sign of a zero minimum, as with _t_ends
+        evalf, expr = ((eval_k, kd.k), (eval_dk, kd.dk_dt))[order]
+        assert _monotone_in(expr, "t") is None
+        ss = constants_mod._grid_with((), 0.0, 1.0, 2048)
+        tw = constants_mod._grid_with((), w.a, w.b, 2048)
+        points = []
+
+        def counted(kd, t, s):
+            points.append(np.broadcast(t, s).size)
+            return evalf(kd, t, s)
+
+        for ts, combine, absolute in ((tw, np.minimum, False), (ss, np.maximum, True)):
+            want = ref_kernel_columns(evalf, kd, ts, ss, combine, absolute)
+            for tile in TILES:
+                monkeypatch.setattr(constants_mod, "_TILE", tile)
+                points.clear()
+                got = constants_mod._kernel_columns(counted, expr, kd, None, ts, ss,
+                                                    combine, absolute=absolute)
+                if absolute:  # |k| holds no negative zero
+                    assert got.tobytes() == want.tobytes(), tile
+                else:
+                    assert same_bits_but_zero_sign(got, want), tile
+                assert sum(points) < ts.size * ss.size / 2, tile
+
+    @pytest.mark.parametrize("text", ["log(1 + t*s) - pos(t - s)", "(t - s)^2 - t/4"],
+                             ids=["log", "power"])
+    def test_unenclosed_columns_scan_every_block(self, text, monkeypatch):
+        # the table has no rule for log and ^: no row is probed and no block
+        # skipped, and the columns are the whole grid's
+        kd = _kernel(text, "0*t")
+        ss = constants_mod._grid_with((), 0.0, 1.0, 256)
+        tw = constants_mod._grid_with((), 0.2, 0.9, 256)
+        points = []
+
+        def counted(kd, t, s):
+            points.append(np.broadcast(t, s).size)
+            return eval_k(kd, t, s)
+
+        for ts, combine, absolute in ((tw, np.minimum, False), (ss, np.maximum, True)):
+            want = ref_kernel_columns(eval_k, kd, ts, ss, combine, absolute)
+            for tile in TILES:
+                monkeypatch.setattr(constants_mod, "_TILE", tile)
+                points.clear()
+                got = constants_mod._kernel_columns(counted, kd.k, kd, None, ts, ss,
+                                                    combine, absolute=absolute)
+                assert got.tobytes() == want.tobytes(), tile
+                assert sum(points) == ts.size * ss.size, tile
+
+    def test_columns_raising_in_one_block_raise_as_the_whole_grid(self, monkeypatch):
+        # 1/(t - 1/2) divides by zero on the row t = 1/2 only; its block
+        # cannot be enclosed, so every block is scanned and the scan raises
+        kd = _kernel("s/(t - 1/2) + t", "0*t")
+        ss = constants_mod._grid_with((), 0.0, 1.0, 128)
+        with pytest.raises(hc.HammcertError) as want:
+            ref_kernel_columns(eval_k, kd, ss, ss, np.maximum, True)
+        for tile in TILES:
+            monkeypatch.setattr(constants_mod, "_TILE", tile)
+            with pytest.raises(hc.HammcertError) as got:
+                constants_mod._kernel_columns(eval_k, kd.k, kd, None, ss, ss, np.maximum,
+                                              absolute=True)
+            assert str(got.value) == str(want.value) == \
+                "division by zero in subexpression 's / (t - 1 / 2)'"
+
+    def test_pruned_scans_find_declared_envelopes_one_percent_low(self):
+        # max |k| of tight-k2 is 1 - e/4 (t = 1, s = 0), max |dk/dt| on the
+        # Phi1 grid 0.7494 (just right of the jump at s = t): declarations 1%
+        # below them fail C2 and C3 with the texts of the unpruned scans
+        phi0 = EnvelopeSpec("declared", parse_expr("99/100*(1 - e/4)", ENVELOPE_CONTEXT))
+        with pytest.raises(ModelViolationError) as err:
+            c_tilde(TIGHT_K2, Window(0.0, 0.25), phi0)
+        assert str(err.value) == ("condition (C2) violated: declared envelope violated: "
+                                  "|k| exceeds Phi0 by 3.204e-03 at s=0.000000")
+        with pytest.raises(ModelViolationError) as err:
+            constants_mod._validate_phi1(
+                TIGHT_K2, parse_expr("99/100*3/4", ENVELOPE_CONTEXT), 2)
+        assert str(err.value) == ("condition (C3) violated: component 2: declared Phi1 "
+                                  "is exceeded by |dk/dt| by 6.876e-03")
 
     def test_scans_hold_no_multi_mib_temporaries(self):
         # The traced allocation peak of c~_1 and 1/m_{1,0} at the default
@@ -844,8 +960,8 @@ def test_end_values_are_the_grid_extrema(kd, w, n):
     assert factors is not None
     ss = constants_mod._grid_with(kd.fixed_breakpoints, 0.0, 1.0, n)
     tw = constants_mod._grid_with(kd.fixed_breakpoints, w.a, w.b, n)
-    m_win = constants_mod._kernel_columns(eval_k, kd, factors, tw, ss, np.minimum)
-    k_max = constants_mod._kernel_columns(eval_k, kd, factors, ss, ss, np.maximum,
+    m_win = constants_mod._kernel_columns(eval_k, kd.k, kd, factors, tw, ss, np.minimum)
+    k_max = constants_mod._kernel_columns(eval_k, kd.k, kd, factors, ss, ss, np.maximum,
                                           absolute=True)
     # the end-value path, not the scan: these operands keep every row finite
     assert constants_mod._t_ends(eval_k, kd, factors, np.array([w.a, w.b]), ss) \

@@ -100,11 +100,13 @@ def test_one_sup_search_per_gamma_term(config, calls, request, monkeypatch):
 
 # (calls, points) of eval_k and eval_dk over one cold assembly.  c~ reads the
 # window's and [0, 1]'s end rows of a kernel monotone in t in one call each;
-# both kernels of the example and k_1 of tight.cfg are.  The sign scan of
-# |k| and |dk/dt| skips the s-panels the interval table proves one-signed
+# both kernels of the example and k_1 of tight.cfg are.  c~'s grids of
+# tight.cfg's k_2 skip the blocks the interval table rules out.  The sign
+# scan of |k| and |dk/dt| skips the s-panels the table proves one-signed,
+# and bisects the sign changes of one integrate_over_s call in one loop
 @pytest.mark.parametrize("config,work", [
-    ("example", {"eval_k": (534, 1_496_066), "eval_dk": (76, 318_960)}),
-    ("tight", {"eval_k": (2_332, 9_588_100), "eval_dk": (933, 835_079)}),
+    ("example", {"eval_k": (384, 1_496_066), "eval_dk": (76, 318_960)}),
+    ("tight", {"eval_k": (1_585, 1_881_477), "eval_dk": (737, 835_079)}),
 ], ids=["example", "tight"])
 def test_kernel_work_of_one_assembly(config, work, request, monkeypatch):
     spec = request.getfixturevalue(f"{config}_spec")
