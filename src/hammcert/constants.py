@@ -23,8 +23,9 @@ functions must therefore be elementwise on arrays.  For an expression
 monotone in t by its form (``expr._monotone_in``), the extrema over t are
 read at the two ends, with the same doubles (``_t_ends``): ``_kernel_columns``
 decides this for c~'s t-grids and the Phi1 check, and c~'s inner searches
-read the ends too; for other expressions it skips the grid blocks that the
-interval table encloses strictly worse than their columns.  Declared
+read the ends too.  Other grid scans, and the integral norms' first pass,
+skip the blocks the interval table bounds strictly worse than a few probe
+rows (``_kept_blocks``).  Declared
 constants from the configuration take precedence when consistent with the
 computed tight value (c-type constants must not exceed it); integral norms
 are always computed, and a declared value that disagrees is flagged, never
@@ -108,7 +109,7 @@ _POINT_BUDGET = 1 << 18
 # 2^13 the per-chunk overhead shows.
 _TILE = 1 << 14
 _SIGN_SCAN = 256  # coarse cells per panel of the sign-change scan
-# _kernel_columns: rows = columns of a block, and rows probed before skipping
+# _kept_blocks: rows (= s-columns) of a block, and rows probed before skipping
 _BLOCK, _PROBE_ROWS = 32, 17
 
 
@@ -452,21 +453,82 @@ def recip_m(kd: KernelDef, order: int, quad_cfg: QuadConfig | None = None,
     |dk/dt| (order 1); this is the quantity 1/m_l, returned directly."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    g = lambda t: integrate_over_s(kd, t, 0.0, 1.0, order=order, absolute=True,
-                                   quad_cfg=quad_cfg)
-    value, _ = sup_abs_1d(g, Window(0.0, 1.0), opt_cfg,
-                          breakpoints=kd.fixed_breakpoints)
-    return value
+    return _norm_extremum(kd, 0.0, 1.0, order, True, quad_cfg, opt_cfg)
 
 
 def recip_M(kd: KernelDef, w: Window, quad_cfg: QuadConfig | None = None,
             opt_cfg: Opt1DConfig | None = None) -> float:
     """inf over t in [a,b] of the signed integral of k(t,s) over s in [a,b];
     this is the quantity 1/M, returned directly."""
-    g = lambda t: integrate_over_s(kd, t, w.a, w.b, quad_cfg=quad_cfg)
-    value, _ = extremum_1d(g, w.a, w.b, opt_cfg, mode="min",
-                           breakpoints=kd.fixed_breakpoints)
-    return value
+    return _norm_extremum(kd, w.a, w.b, 0, False, quad_cfg, opt_cfg)
+
+
+def _norm_extremum(kd: KernelDef, a: float, b: float, order: int, absolute: bool,
+                   quad_cfg: QuadConfig | None, opt_cfg: Opt1DConfig | None) -> float:
+    """``extremum_1d`` over t in [a, b] of ``integrate_over_s`` over [a, b],
+    the sup if ``absolute``, else the inf.  Its grid scan skips the t-blocks
+    ``_kept_blocks`` rules out (s-boxes between every ``_BLOCK``-th point);
+    skipped rows read -inf (a sup) or +inf (an inf), so the argmax, its
+    neighbours, the refinement and the value are the whole grid's.  If the
+    scan raises, the whole grid raises its own error; one it would raise
+    only at skipped rows (``QuadratureError``) is not raised."""
+    quad_cfg = quad_cfg or QuadConfig()
+    g = lambda t: integrate_over_s(kd, t, a, b, order=order, absolute=absolute,
+                                   quad_cfg=quad_cfg)
+
+    def scan(ts):
+        vals, todo = np.full(ts.size, -np.inf if absolute else np.inf), np.ones(ts.size, bool)
+
+        def probe(rows):
+            vals[rows], todo[rows] = g(ts[rows]), False
+            return np.min(-vals[rows] if absolute else vals[rows])
+        ends = ts[np.append(np.arange(0, ts.size - 1, _BLOCK), ts.size - 1)]
+        try:
+            row0, keep = _kept_blocks(kd.dk_dt if order else kd.k, ts, (ends[:-1], ends[1:]),
+                                      absolute, probe, (np.diff(ends), quad_cfg))
+            todo &= np.repeat(np.broadcast_to(keep, row0.shape), np.diff(row0, append=ts.size))
+            vals[todo] = g(ts[todo])
+        except HammcertError:  # a row may fail first among those not evaluated
+            return g(ts)
+        return vals
+
+    first = iter([scan])  # extremum_1d calls f with its grid first
+    return extremum_1d(lambda t: next(first, g)(t), a, b, opt_cfg,
+                       mode="max" if absolute else "min",
+                       breakpoints=kd.fixed_breakpoints)[0]
+
+
+def _kept_blocks(expr, ts: np.ndarray, s: tuple, maximize: bool, probe: Callable,
+                 quad: tuple | None = None):
+    """The one pruning rule of the grid scans: (row0, keep), the first row
+    of each block of ``_BLOCK`` rows of ts, and whether to evaluate it, per
+    s-box of s (a (lo, hi) pair of arrays), or per block with ``quad``.
+
+    A scan minimizes its values, or minus them (``maximize``); lo, or
+    min(lo, -hi), of the table's enclosure of expr on a block x s-box bounds
+    that score below.  probe(rows) evaluates ``_PROBE_ROWS`` rows, both ends
+    among them, and returns per s-box the score to beat or tie; only blocks
+    bounded strictly above it are skipped.  With quad = (s-box widths,
+    QuadConfig), the score is an integral over s, bounded by the sum of width
+    times the box's bound, and the probe's is raised by 10^4 max(rel_tol R,
+    abs_tol), R the largest sum of width max(-lo, hi) (>= each row's integral
+    of |expr|): far above the quadrature's error, near max(rel_tol |I|,
+    abs_tol) per panel, and the sum's, < 10^2 ulps.  Where the table cannot
+    enclose expr, nothing is probed or skipped, so the scan raises as the
+    whole grid would; where it can, numpy raises nowhere in the boxes."""
+    row0 = np.arange(0, ts.size, _BLOCK)
+    box = _enclosure(expr, (np.minimum.reduceat(ts, row0)[:, None],
+                            np.maximum.reduceat(ts, row0)[:, None]), s)
+    if box is None:
+        return row0, True
+    lo, hi = (np.broadcast_to(x, (row0.size, s[0].size)) for x in box)
+    bound, allow = np.minimum(lo, -hi) if maximize else lo, 0.0
+    if quad is not None:
+        widths, cfg = quad
+        reach = np.sum(np.maximum(-lo, hi) * widths, axis=1).max()
+        bound, allow = np.sum(bound * widths, axis=1), 1e4 * max(cfg.rel_tol * reach, cfg.abs_tol)
+    rows = _distinct(np.linspace(0, ts.size - 1, _PROBE_ROWS).astype(np.intp))
+    return row0, ~(bound > probe(rows) + allow)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +542,10 @@ def _kernel_columns(evalf: Callable, expr, kd: KernelDef, factors: tuple | None,
 
     The rows at the two ends of ts are reduced alone if they decide the
     extrema (``_t_ends``, with ``factors`` from ``expr._monotone_in``).
-    Else the interval table encloses expr on every block of ``_BLOCK`` x
-    ``_BLOCK`` points, ``_PROBE_ROWS`` rows (both ends among them) give each
-    column a value its reduction contains, and a block is skipped where it
-    is strictly worse than the weakest of its columns: lo above the largest
-    (np.minimum), max(|lo|, |hi|) below the least (np.maximum).  No skipped
-    value can win or tie, so no column moves but for the sign of a zero
-    minimum, as with ``_t_ends``.  Where the table cannot enclose expr,
-    nothing is probed or skipped, so the scan raises as the whole grid
-    would; where it can, numpy raises nowhere in the grid.  Each band of
+    Else the blocks of ``_BLOCK`` x ``_BLOCK`` points strictly worse than
+    the weakest of their columns after the probe rows are skipped
+    (``_kept_blocks``): no skipped value can win or tie, so no column moves
+    but for the sign of a zero minimum, as with ``_t_ends``.  Each band of
     blocks runs on its kept columns in ascending chunks of whole rows of at
     most ``_TILE`` points (or one longer row), folded in exactly.
     """
@@ -500,15 +557,15 @@ def _kernel_columns(evalf: Callable, expr, kd: KernelDef, factors: tuple | None,
         k = _shaped(evalf(kd, tr[:, None], s), (tr.size, s.size))
         return combine.reduce(np.abs(k) if absolute else k, axis=0)
 
-    row0, col0 = np.arange(0, ts.size, _BLOCK), np.arange(0, ss.size, _BLOCK)
-    edges = lambda x, i: (np.minimum.reduceat(x, i), np.maximum.reduceat(x, i))
-    box = _enclosure(expr, tuple(e[:, None] for e in edges(ts, row0)), edges(ss, col0))
-    keep, out = True, np.full(ss.size, np.inf if combine is np.minimum else -np.inf)
-    if box is not None:
-        out = reduced(ts[np.linspace(0, ts.size - 1, _PROBE_ROWS).astype(np.intp)], ss)
-        lo, hi = box
-        keep = ~(lo > np.maximum.reduceat(out, col0)) if combine is np.minimum \
-            else ~(np.maximum(-lo, hi) < np.minimum.reduceat(out, col0))
+    col0, maximize = np.arange(0, ss.size, _BLOCK), combine is np.maximum
+    out = np.full(ss.size, -np.inf if maximize else np.inf)
+
+    def probe(rows):  # the weakest column of each s-box
+        out[:] = reduced(ts[rows], ss)
+        return np.maximum.reduceat(-out if maximize else out, col0)
+
+    s = np.minimum.reduceat(ss, col0), np.maximum.reduceat(ss, col0)
+    row0, keep = _kept_blocks(expr, ts, s, maximize, probe)
     widths = np.diff(col0, append=ss.size)
     for i0, kept in zip(row0, np.broadcast_to(keep, (row0.size, col0.size))):
         cols = np.flatnonzero(np.repeat(kept, widths))

@@ -1343,8 +1343,9 @@ class TestProbeTrees:
     @pytest.mark.parametrize("kd,order", [(TIGHT_K2, 1), (K1, 0)],
                              ids=["tight-k2-order1", "example-k1-order0"])
     def test_refinement_batches_its_probes(self, kd, order, monkeypatch):
-        # calls, never times: one call scans the grid; the refinement then
-        # made 43 calls at one probe each, and makes 12 with probe trees
+        # calls, never times: the probe call and the kept-rows call scan the
+        # grid; the refinement then made 43 calls at one probe each, and
+        # makes 12 with probe trees
         calls = []
         batched = constants_mod.integrate_over_s
 
@@ -1354,7 +1355,7 @@ class TestProbeTrees:
 
         monkeypatch.setattr(constants_mod, "integrate_over_s", counted)
         recip_m(kd, order)
-        assert calls[0] > 2048 and len(calls) - 1 <= 12
+        assert calls[0] == constants_mod._PROBE_ROWS and len(calls) - 2 <= 12
 
 
 # float.hex of the computed constants, recorded from the per-t scan; the
@@ -1413,3 +1414,154 @@ class TestErrorPaths:
                                parse_expr("0*t", KERNEL_CONTEXT), (), False)
         with pytest.raises(QuadratureError, match="NaN"):
             compute(nan_kernel)
+
+
+# --------------------------------------------------------------------------
+# the first pass of the integral norms, with the t-blocks the interval table
+# rules out skipped, against the whole grid
+
+
+def unpruned(monkeypatch):
+    """Switch the block rule off: every block kept, no row probed."""
+    monkeypatch.setattr(constants_mod, "_kept_blocks", lambda expr, ts, *args, **kwargs:
+                        (np.arange(0, ts.size, constants_mod._BLOCK), True))
+
+
+def norm_searches(monkeypatch, compute):
+    """hexes of the (value, argpoint) of each extremum_1d search compute()
+    makes, or the type and text of the error it raises."""
+    found, search = [], constants_mod.extremum_1d
+
+    def recorded(*args, **kwargs):
+        found.append(hexes(*search(*args, **kwargs)))
+        return found[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(constants_mod, "extremum_1d", recorded)
+        try:
+            compute()
+        except hc.HammcertError as err:
+            return found + [type(err).__name__, str(err)]
+    return found
+
+
+def first_pass_rows(monkeypatch, compute):
+    """The sizes of the integrate_over_s calls of compute() before the
+    refinement's: those of the probe rows and the kept rows, or the whole
+    grid's."""
+    calls, batched = [], constants_mod.integrate_over_s
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return batched(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(constants_mod, "integrate_over_s", counted)
+        try:
+            compute()
+        except QuadratureError:
+            pass
+    return calls[:2] if calls[0] == constants_mod._PROBE_ROWS else calls[:1]
+
+
+def norms(kd, opt):
+    # 1/m_0 and 1/m_1 over [0, 1]; 1/M on the example's window and on one
+    # whose ends lie on no block edge of [0, 1]'s grid
+    return lambda: [recip_m(kd, 0, opt_cfg=opt), recip_m(kd, 1, opt_cfg=opt),
+                    recip_M(kd, Window(0.0, 0.375), opt_cfg=opt),
+                    recip_M(kd, Window(0.13, 0.71), opt_cfg=opt)]
+
+
+class TestPrunedNorms:
+    @pytest.mark.parametrize("n", [1, 2, 31, 33, 2048])
+    @pytest.mark.parametrize("kd", ORACLE_KERNELS, ids=ORACLE_IDS)
+    def test_pruned_first_pass_matches_whole_grid(self, kd, n, monkeypatch):
+        # the catalog kernels and tight.cfg's are the first four; a bracket
+        # tolerance of 1/2 ends the refinement, whose calls are unpruned
+        # (TestProbeTrees), after the grid and at most a few golden steps
+        compute = norms(kd, Opt1DConfig(coarse_grid=n, refine_tol=0.5))
+        got = norm_searches(monkeypatch, compute)
+        unpruned(monkeypatch)
+        assert got == norm_searches(monkeypatch, compute)
+
+    def test_skipped_blocks_save_most_rows(self, monkeypatch):
+        rows = first_pass_rows(monkeypatch, lambda: recip_m(TIGHT_K2, 0))
+        assert rows[0] == constants_mod._PROBE_ROWS and sum(rows) < 2049 / 2
+
+    # sqrt(|s - 1/3|) with its root's kink one order milder, which converges
+    KINK = _kernel("abs(s - 1/3)", "0*t")
+
+    @pytest.mark.parametrize("compute", [
+        lambda: recip_m(TIGHT_K1, 1),
+        lambda: recip_m(TestPrunedNorms.KINK, 0),
+        lambda: recip_M(TestPrunedNorms.KINK, Window(0.0, 1.0)),
+    ], ids=["tight-k1-order1", "kink-recip_m0", "kink-recip_M"])
+    def test_integrals_constant_in_t_keep_every_block(self, compute, monkeypatch):
+        # -s exp(-s) and |s - 1/3| do not hold t: every row ties with the
+        # best probe
+        rows = first_pass_rows(monkeypatch, compute)
+        assert rows[0] == constants_mod._PROBE_ROWS and sum(rows) == 2049
+        got = norm_searches(monkeypatch, compute)
+        unpruned(monkeypatch)
+        assert got == norm_searches(monkeypatch, compute)
+
+    @pytest.mark.parametrize("compute", [
+        lambda: recip_m(TestErrorPaths.ROUGH, 0),
+        lambda: recip_M(TestErrorPaths.ROUGH, Window(0.0, 1.0)),
+    ], ids=["recip_m0", "recip_M"])
+    def test_rough_integral_constant_in_t_raises_at_its_probes(self, compute, monkeypatch):
+        # sqrt(|s - 1/3|) fails to converge on every row, so the probe call
+        # raises before a block is ruled out, and the whole grid then raises
+        # its own error (test_error_texts_are_the_whole_grids)
+        assert first_pass_rows(monkeypatch, compute) == [constants_mod._PROBE_ROWS, 2049]
+
+    def test_blocks_within_the_allowance_are_kept(self, monkeypatch):
+        # the integral of 1 + t/10^8 over s is 1 + t/10^8: every block's
+        # bound lies below the best probe, by less than the allowance of
+        # 10^4 rel_tol, so none is skipped; 1 + t/1000 lies outside it
+        near, far = _kernel("1 + t/100000000", "0*t"), _kernel("1 + t/1000", "0*t")
+        assert sum(first_pass_rows(monkeypatch, lambda: recip_m(near, 0))) == 2049
+        assert sum(first_pass_rows(monkeypatch, lambda: recip_m(far, 0))) < 2049 / 2
+        for kd in (near, far):
+            got = norm_searches(monkeypatch, lambda: recip_m(kd, 0))
+            with monkeypatch.context() as m:
+                unpruned(m)
+                assert got == norm_searches(m, lambda: recip_m(kd, 0))
+
+    @pytest.mark.parametrize("text", ["log(1 + t*s) - pos(t - s)", "(t - s)^2 - t/4"],
+                             ids=["log", "power"])
+    def test_unenclosed_integrands_integrate_every_row(self, text, monkeypatch):
+        kd = _kernel(text, "0*t")
+        for compute in (lambda: recip_m(kd, 0), lambda: recip_M(kd, Window(0.0, 1.0))):
+            assert first_pass_rows(monkeypatch, compute) == [2049]
+
+    @pytest.mark.parametrize("kd", [
+        TestErrorPaths.ROUGH,
+        KernelDef(Bin("*", Num(float("nan")), Var("s")), parse_expr("0*t", KERNEL_CONTEXT),
+                  (), False),
+        # a jump at s = 1/3, on no breakpoint, for |t - 3/10| < 1/100 (skipped
+        # rows, first to fail on the whole grid) and t > 99/100 (the probe
+        # t = 1 fails, with another estimate gap)
+        _kernel("1 + t + step(s - 1/3)*(pos(1/100 - abs(t - 3/10)) + pos(t - 99/100))",
+                "1")], ids=["rough", "nan", "jumps"])
+    def test_error_texts_are_the_whole_grids(self, kd, monkeypatch):
+        for compute in (lambda: recip_m(kd, 0), lambda: recip_M(kd, Window(0.0, 1.0))):
+            got = norm_searches(monkeypatch, compute)
+            with monkeypatch.context() as m:
+                unpruned(m)
+                assert got == norm_searches(m, compute)
+            assert got[0] == "QuadratureError"
+
+    def test_no_convergence_only_at_skipped_rows_is_not_raised(self, monkeypatch):
+        # the jump at s = 1/3, on no breakpoint, is there only for |t - 3/10|
+        # < 1/100, between the probes t = 1/4 and 5/16; those rows are
+        # ruled out (their integrals are about 1.3, the best 2 or 1), so the
+        # pruned scan returns the whole grid's value where the whole grid
+        # raises at them
+        kd = _kernel("1 + t + step(s - 1/3)*pos(1/100 - abs(t - 3/10))", "1")
+        computes = (lambda: recip_m(kd, 0), lambda: recip_M(kd, Window(0.0, 1.0)))
+        assert [compute() for compute in computes] == [2.0, 1.0]
+        unpruned(monkeypatch)
+        for compute in computes:
+            with pytest.raises(QuadratureError, match="^no convergence on "):
+                compute()

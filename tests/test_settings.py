@@ -101,12 +101,14 @@ def test_one_sup_search_per_gamma_term(config, calls, request, monkeypatch):
 # (calls, points) of eval_k and eval_dk over one cold assembly.  c~ reads the
 # window's and [0, 1]'s end rows of a kernel monotone in t in one call each;
 # both kernels of the example and k_1 of tight.cfg are.  c~'s grids of
-# tight.cfg's k_2 skip the blocks the interval table rules out.  The sign
-# scan of |k| and |dk/dt| skips the s-panels the table proves one-signed,
-# and bisects the sign changes of one integrate_over_s call in one loop
+# tight.cfg's k_2 skip the blocks the interval table rules out, and so do
+# the first passes of 1/m_0, 1/m_1 and 1/M, after a probe call of 17 rows
+# each.  The sign scan of |k| and |dk/dt| skips the s-panels the table
+# proves one-signed, and bisects the sign changes of one integrate_over_s
+# call in one loop
 @pytest.mark.parametrize("config,work", [
-    ("example", {"eval_k": (384, 1_496_066), "eval_dk": (76, 318_960)}),
-    ("tight", {"eval_k": (1_585, 1_881_477), "eval_dk": (737, 835_079)}),
+    ("example", {"eval_k": (315, 107_550), "eval_dk": (56, 30_960)}),
+    ("tight", {"eval_k": (1_593, 908_182), "eval_dk": (751, 185_206)}),
 ], ids=["example", "tight"])
 def test_kernel_work_of_one_assembly(config, work, request, monkeypatch):
     spec = request.getfixturevalue(f"{config}_spec")
